@@ -16,7 +16,6 @@ from .attacks import (
     tp_at_fp,
 )
 from .costs import (
-    PseudoGradient,
     attacker_cost,
     attacker_grad,
     game_operator,
@@ -28,8 +27,9 @@ from .costs import (
 from .data import GridSpec, SplitSpec, load_dense_csv, load_sparse, normalize_unit_interval, split, synth_2d
 from .diagnostics import (
     DiagnosticsReport,
-    fd_hessian_block,
+    loss_hessians,
     monotonicity_sample,
+    pseudo_jacobian,
     pseudo_jacobian_min_eig,
     uniqueness_margin,
 )

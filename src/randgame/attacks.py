@@ -10,11 +10,11 @@ of a randomized classifier can know).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LearnerParams, ShapeError
+from .model import Dataset, LearnerParams, ShapeError, atomic_write
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
 
@@ -171,13 +171,13 @@ class SecurityCurve:
     repetitions: int
 
     def write_csv(self, path, seed=None) -> None:
-        with open(path, "w") as fh:
-            fh.write("d_max,tp_mean,tp_std,fp_target,repetitions,seed\n")
-            for d, m, s in self.points:
-                fh.write(
-                    f"{d:.17g},{m:.17g},{s:.17g},{self.fp_target:.17g},"
-                    f"{self.repetitions},{'' if seed is None else seed}\n"
-                )
+        rows = ["d_max,tp_mean,tp_std,fp_target,repetitions,seed\n"]
+        for d, m, s in self.points:
+            rows.append(
+                f"{d:.17g},{m:.17g},{s:.17g},{self.fp_target:.17g},"
+                f"{self.repetitions},{'' if seed is None else seed}\n"
+            )
+        atomic_write(path, "".join(rows))
 
     def auc(self) -> float:
         """Trapezoid-rule area under the curve over the d_max grid."""

@@ -8,9 +8,7 @@ Exit codes: 0 success; 2 solver hit max_iter; 3 uniqueness check failed;
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -25,23 +23,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EX_USAGE)
-
-
-def _atomic_write(path, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _flat_csv_text(v) -> str:
-    return ",".join(f"{x:.17g}" for x in v) + "\n"
 
 
 def _load_dataset(path):
@@ -85,10 +66,7 @@ def _load_learner(params_path, k) -> model.LearnerParams:
 
 def _cmd_gen_synth(args) -> int:
     ds = data_io.synth_2d(args.n, args.sep, args.seed)
-    lines = []
-    for y, row in zip(ds.labels, ds.features):
-        lines.append(f"{int(y):+d}," + ",".join(f"{v:.17g}" for v in row))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    data_io.save_dense_csv(args.out, ds.features, ds.labels)
     return 0
 
 
@@ -97,7 +75,7 @@ def _cmd_train(args) -> int:
     cfg = model.load_config(args.game) if args.game else {}
     game, scfg = _game_from_config(cfg, dataset)
     theta_l, theta_d, result = solver.solve_svm_game(game, cfg=scfg)
-    _atomic_write(args.out, _flat_csv_text(result.theta))
+    model.save_flat_csv(args.out, result.theta)
     last = result.residual_trace[-1] if result.iterations else float("nan")
     print(
         f"iterations={result.iterations} last_step_sq={last:.3e} "
@@ -110,7 +88,7 @@ def _cmd_train_baseline(args) -> int:
     dataset = _load_dataset(args.data)
     w, b = costs.train_baseline_svm(dataset, args.C, seed=args.seed)
     v = np.concatenate([w, [b], np.zeros(dataset.k + 1)])
-    _atomic_write(args.out, _flat_csv_text(v))
+    model.save_flat_csv(args.out, v)
     return 0
 
 
@@ -129,11 +107,11 @@ def _cmd_attack(args) -> int:
     learner = _load_learner(args.params, dataset.k)
     spec = _attack_spec(args, dataset)
     w, b = learner.mu_tilde, learner.mu_b
-    lines = []
-    for y, row in zip(dataset.labels, dataset.features):
-        out = attacks._attack_sample(w, b, row, y, spec) if y == 1 else row
-        lines.append(f"{int(y):+d}," + ",".join(f"{v:.17g}" for v in out))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = [
+        attacks._attack_sample(w, b, row, y, spec) if y == 1 else row
+        for y, row in zip(dataset.labels, dataset.features)
+    ]
+    data_io.save_dense_csv(args.out, rows, dataset.labels)
     return 0
 
 
@@ -151,10 +129,7 @@ def _cmd_secure_eval(args) -> int:
         learner, dataset, spec, d_list, repetitions=args.reps, seed=args.seed,
         fp_target=args.fp,
     )
-    rows = ["d_max,tp_mean,tp_std,fp_target,repetitions,seed"]
-    for d, m, s in curve.points:
-        rows.append(f"{d:.17g},{m:.17g},{s:.17g},{args.fp:.17g},{args.reps},{args.seed}")
-    _atomic_write(args.out, "\n".join(rows) + "\n")
+    curve.write_csv(args.out, seed=args.seed)
     return 0
 
 
@@ -164,8 +139,7 @@ def _cmd_check_eq(args) -> int:
     game, _ = _game_from_config(cfg, dataset)
     ops = costs.game_operator(game)
     report = diagnostics.uniqueness_margin(
-        ops, n_profiles=args.profiles, seed=args.seed, n_pairs=args.pairs,
-        jacobian_eigs=not args.no_jacobian,
+        ops, n_profiles=args.profiles, seed=args.seed, n_pairs=args.pairs
     )
     print(report.as_text())
     ok = report.uniqueness_margin > 0 and report.monotone_violations == 0
@@ -217,7 +191,7 @@ def _cmd_grid_search(args) -> int:
                 if best is None or auc > best[0]:
                     best = (auc, rho_l, rho_d, W)
     auc, rho_l, rho_d, W = best
-    _atomic_write(
+    model.atomic_write(
         args.out,
         "rho_l,rho_d,W,auc\n" + f"{rho_l:.17g},{rho_d:.17g},{W:.17g},{auc:.17g}\n",
     )
@@ -275,8 +249,6 @@ def build_parser() -> _Parser:
     c.add_argument("--profiles", type=int, default=50)
     c.add_argument("--pairs", type=int, default=200)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--no-jacobian", action="store_true",
-                   help="skip the per-profile pseudo-Jacobian eigenvalues")
     c.set_defaults(func=_cmd_check_eq)
 
     gs = sub.add_parser("grid-search", help="select rho_l, rho_d, W by curve AUC")

@@ -13,8 +13,6 @@ derived from; we keep cost/gradient consistency.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hinge import hinge_expect, hinge_expect_dmu, hinge_expect_dvar
@@ -114,26 +112,15 @@ def attacker_grad(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpe
     return d_mu_x, d_sigma_x
 
 
-@dataclass(frozen=True)
-class PseudoGradient:
-    """r-weighted own-block gradients of both players."""
-
-    g_learner: np.ndarray
-    g_attacker: np.ndarray
-    r: tuple[float, float]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.g_learner, self.g_attacker])
-
-
-def pseudo_gradient(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec) -> PseudoGradient:
-    """Joint pseudo-gradient with r = (1, rho_l/rho_d)."""
+def pseudo_gradient(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec) -> np.ndarray:
+    """Joint flat pseudo-gradient with r = (1, rho_l/rho_d); the learner block
+    is the first game.dim_l entries."""
     r_l, r_d = 1.0, game.rho_l / game.rho_d
     d_mu_w, d_sigma_w = learner_grad(theta_l, theta_d, game)
     d_mu_x, d_sigma_x = attacker_grad(theta_l, theta_d, game)
     g_l = r_l * np.concatenate([d_mu_w, d_sigma_w])
     g_d = r_d * np.hstack([d_mu_x, d_sigma_x]).ravel()
-    return PseudoGradient(g_l, g_d, (r_l, r_d))
+    return np.concatenate([g_l, g_d])
 
 
 def game_operator(game: GameSpec) -> VIGame:
@@ -151,17 +138,7 @@ def game_operator(game: GameSpec) -> VIGame:
         return attacker_cost(*_unflat(theta), game)
 
     def pgrad(theta):
-        return pseudo_gradient(*_unflat(theta), game).flat()
-
-    def loss_l(theta):
-        tl, td = _unflat(theta)
-        mu_s, _, var = _moment_arrays(tl, td, game.dataset.labels)
-        return float(hinge_expect(mu_s, np.sqrt(var)).sum())
-
-    def loss_d(theta):
-        tl, td = _unflat(theta)
-        _, mu_t, var = _moment_arrays(tl, td, game.dataset.labels)
-        return float(hinge_expect(mu_t, np.sqrt(var)).sum())
+        return pseudo_gradient(*_unflat(theta), game)
 
     # Expected-regularizer Hessians (diagonal, constant), without rho weights.
     # The optional bias term enters the learner's diagonal scaled by 1/rho_l so
@@ -180,8 +157,6 @@ def game_operator(game: GameSpec) -> VIGame:
         pseudo_grad=pgrad,
         r=(1.0, game.rho_l / game.rho_d),
         rho=(game.rho_l, game.rho_d),
-        loss_l=loss_l,
-        loss_d=loss_d,
         reg_hess_l=reg_l,
         reg_hess_d=reg_d,
     )
@@ -248,7 +223,6 @@ def train_baseline_svm(
 
 
 __all__ = [
-    "PseudoGradient",
     "attacker_cost",
     "attacker_grad",
     "flatten",

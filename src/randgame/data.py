@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, atomic_write
 
 
 class ParseError(ValueError):
@@ -45,10 +45,14 @@ def load_dense_csv(path, feature_kind="continuous_unit_interval") -> Dataset:
     return Dataset(np.array(rows), np.array(labels), feature_kind)
 
 
-def save_dense_csv(path, data: Dataset) -> None:
-    with open(path, "w") as fh:
-        for y, row in zip(data.labels, data.features):
-            fh.write(f"{int(y):+d}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+def save_dense_csv(path, features, labels) -> None:
+    """Write 'label,f1,f2,...' lines. Takes plain arrays, since attacked rows
+    may leave the [0, 1] range a Dataset enforces."""
+    lines = [
+        f"{int(y):+d}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+        for y, row in zip(labels, features)
+    ]
+    atomic_write(path, "".join(lines))
 
 
 def load_sparse(path, k: int | None = None) -> Dataset:
@@ -91,11 +95,11 @@ def load_sparse(path, k: int | None = None) -> Dataset:
 
 
 def save_sparse(path, data: Dataset) -> None:
-    with open(path, "w") as fh:
-        for y, row in zip(data.labels, data.features):
-            nz = np.flatnonzero(row)
-            pairs = " ".join(f"{j + 1}:{row[j]:.17g}" for j in nz)
-            fh.write(f"{int(y):+d} {pairs}".strip() + "\n")
+    lines = []
+    for y, row in zip(data.labels, data.features):
+        pairs = " ".join(f"{j + 1}:{row[j]:.17g}" for j in np.flatnonzero(row))
+        lines.append(f"{int(y):+d} {pairs}".strip() + "\n")
+    atomic_write(path, "".join(lines))
 
 
 @dataclass(frozen=True)

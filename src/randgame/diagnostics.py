@@ -1,7 +1,8 @@
 """Numeric verification of the equilibrium existence/uniqueness machinery.
 
-All curvature quantities here are sampled (finite-difference Hessians at
-uniform interior strategy profiles), not certified global bounds. The
+Every curvature quantity comes from one central finite-difference Jacobian of
+the analytic pseudo-gradient per sampled profile (2 * dim gradient calls, at
+uniform interior strategy profiles); none is a certified global bound. The
 uniqueness margin reported is
 
     (rho_l * lambda_omega_l + lambda_L_l) * (rho_d * lambda_omega_d + lambda_L_d)
@@ -36,51 +37,44 @@ def _fd_steps(theta, idx, h_step, lower=None, upper=None):
     return h
 
 
-def fd_hessian_block(f, theta, block_rows, block_cols, h_step=1e-4, lower=None, upper=None):
-    """Central-difference second-derivative block of a scalar function.
-
-    Entry (a, b) approximates d^2 f / d theta_rows[a] d theta_cols[b].
-    """
+def pseudo_jacobian(ops: VIGame, theta, h_step=1e-4) -> np.ndarray:
+    """Central-difference Jacobian of ops.pseudo_grad; column j is the
+    derivative along theta_j."""
     theta = np.asarray(theta, dtype=float)
-    rows = np.asarray(block_rows, dtype=int)
-    cols = np.asarray(block_cols, dtype=int)
-    hr = _fd_steps(theta, rows, h_step, lower, upper)
-    hc = _fd_steps(theta, cols, h_step, lower, upper)
-
-    H = np.empty((rows.size, cols.size))
-    for a, i in enumerate(rows):
-        for b, j in enumerate(cols):
-            if i == j:
-                h = hr[a]
-                tp = theta.copy(); tp[i] += h
-                tm = theta.copy(); tm[i] -= h
-                H[a, b] = (f(tp) - 2.0 * f(theta) + f(tm)) / (h * h)
-            else:
-                hi, hj = hr[a], hc[b]
-                tpp = theta.copy(); tpp[i] += hi; tpp[j] += hj
-                tpm = theta.copy(); tpm[i] += hi; tpm[j] -= hj
-                tmp = theta.copy(); tmp[i] -= hi; tmp[j] += hj
-                tmm = theta.copy(); tmm[i] -= hi; tmm[j] -= hj
-                H[a, b] = (f(tpp) - f(tpm) - f(tmp) + f(tmm)) / (4.0 * hi * hj)
-    return H
+    h = _fd_steps(theta, np.arange(ops.dim), h_step, ops.lower, ops.upper)
+    J = np.empty((ops.dim, ops.dim))
+    for j in range(ops.dim):
+        tp = theta.copy(); tp[j] += h[j]
+        tm = theta.copy(); tm[j] -= h[j]
+        J[:, j] = (ops.pseudo_grad(tp) - ops.pseudo_grad(tm)) / (2.0 * h[j])
+    return J
 
 
-def _blocks(ops: VIGame):
-    idx_l = np.arange(ops.dim_l)
-    idx_d = np.arange(ops.dim_l, ops.dim)
-    return idx_l, idx_d
+def _min_sym_eig(A) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())
 
 
 def pseudo_jacobian_min_eig(ops: VIGame, theta, h_step=1e-4) -> float:
-    """Min eigenvalue of the symmetric part of the assembled pseudo-Jacobian."""
-    idx_l, idx_d = _blocks(ops)
-    r_l, r_d = ops.r
-    J_ll = r_l * fd_hessian_block(ops.cost_l, theta, idx_l, idx_l, h_step, ops.lower, ops.upper)
-    J_ld = r_l * fd_hessian_block(ops.cost_l, theta, idx_l, idx_d, h_step, ops.lower, ops.upper)
-    J_dl = r_d * fd_hessian_block(ops.cost_d, theta, idx_d, idx_l, h_step, ops.lower, ops.upper)
-    J_dd = r_d * fd_hessian_block(ops.cost_d, theta, idx_d, idx_d, h_step, ops.lower, ops.upper)
-    J = np.block([[J_ll, J_ld], [J_dl, J_dd]])
-    return float(np.linalg.eigvalsh(0.5 * (J + J.T)).min())
+    """Min eigenvalue of the symmetric part of the pseudo-Jacobian."""
+    return _min_sym_eig(pseudo_jacobian(ops, theta, h_step))
+
+
+def loss_hessians(ops: VIGame, J):
+    """Loss Hessian blocks (ll, ld, dl, dd) from a pseudo-Jacobian J.
+
+    Dividing row block i by r_i gives the cost Hessians. The regularizers are
+    separable with constant diagonal Hessians, so the cross blocks are already
+    loss blocks and each own block loses rho_i * diag(reg_hess_i).
+    """
+    m = ops.dim_l
+    H_l = J[:m] / ops.r[0]
+    H_d = J[m:] / ops.r[1]
+    return (
+        H_l[:, :m] - ops.rho[0] * np.diag(ops.reg_hess_l),
+        H_l[:, m:],
+        H_d[:, :m],
+        H_d[:, m:] - ops.rho[1] * np.diag(ops.reg_hess_d),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,13 +128,11 @@ def uniqueness_margin(
     seed: int = 0,
     h_step: float = 1e-4,
     n_pairs: int | None = None,
-    jacobian_eigs: bool = True,
 ) -> DiagnosticsReport:
     """Estimate the sufficient-condition margin on sampled interior profiles."""
-    if ops.loss_l is None or ops.loss_d is None or ops.reg_hess_l is None or ops.reg_hess_d is None:
-        raise ValueError("operator lacks the loss/regularizer split needed here")
+    if ops.reg_hess_l is None or ops.reg_hess_d is None:
+        raise ValueError("operator lacks the regularizer Hessians of the loss/regularizer split")
     rng = np.random.default_rng(seed)
-    idx_l, idx_d = _blocks(ops)
     rho_l, rho_d = ops.rho
 
     lam_omega_l = float(np.min(ops.reg_hess_l))
@@ -151,17 +143,14 @@ def uniqueness_margin(
     tau = -np.inf
     eigs = []
     for _ in range(n_profiles):
-        theta = _interior_sample(ops, rng)
-        H_ll = fd_hessian_block(ops.loss_l, theta, idx_l, idx_l, h_step, ops.lower, ops.upper)
-        H_dd = fd_hessian_block(ops.loss_d, theta, idx_d, idx_d, h_step, ops.lower, ops.upper)
-        lam_L_l = min(lam_L_l, float(np.linalg.eigvalsh(0.5 * (H_ll + H_ll.T)).min()))
-        lam_L_d = min(lam_L_d, float(np.linalg.eigvalsh(0.5 * (H_dd + H_dd.T)).min()))
-        H_ld = fd_hessian_block(ops.loss_l, theta, idx_l, idx_d, h_step, ops.lower, ops.upper)
-        H_dl = fd_hessian_block(ops.loss_d, theta, idx_d, idx_l, h_step, ops.lower, ops.upper)
+        J = pseudo_jacobian(ops, _interior_sample(ops, rng), h_step)
+        eigs.append(_min_sym_eig(J))
+        H_ll, H_ld, H_dl, H_dd = loss_hessians(ops, J)
+        lam_L_l = min(lam_L_l, _min_sym_eig(H_ll))
+        lam_L_d = min(lam_L_d, _min_sym_eig(H_dd))
         R = 0.5 * (H_ld.T + H_dl)
-        tau = max(tau, float(np.linalg.eigvalsh(R @ R.T).max()))
-        if jacobian_eigs:
-            eigs.append(pseudo_jacobian_min_eig(ops, theta, h_step))
+        # R^T R has the nonzero spectrum of R R^T, at the learner block's size
+        tau = max(tau, float(np.linalg.eigvalsh(R.T @ R).max()))
 
     margin = (rho_l * lam_omega_l + lam_L_l) * (rho_d * lam_omega_d + lam_L_d) - tau
     violations = monotonicity_sample(ops, n_pairs if n_pairs is not None else n_profiles, seed + 1)

@@ -299,16 +299,6 @@ def dual_game_operator(
         g_d = np.hstack([g["d_mu_xi"], g["d_sigma_xi"]]).ravel()
         return np.concatenate([r[0] * g_l, r[1] * g_d])
 
-    def loss_l(theta):
-        dual = unflatten_dual(theta, n)
-        mu_s, _, var, *_ = _dual_moment_arrays(dual, y, K)
-        return float(hinge_expect(mu_s, np.sqrt(var)).sum())
-
-    def loss_d(theta):
-        dual = unflatten_dual(theta, n)
-        _, mu_t, var, *_ = _dual_moment_arrays(dual, y, K)
-        return float(hinge_expect(mu_t, np.sqrt(var)).sum())
-
     return VIGame(
         dim_l=dim_l,
         dim_d=dim_d,
@@ -319,8 +309,6 @@ def dual_game_operator(
         pseudo_grad=pgrad,
         r=r,
         rho=(rho_l, rho_d),
-        loss_l=loss_l,
-        loss_d=loss_d,
     )
 
 

@@ -10,7 +10,9 @@ with the last coordinate of each learner block belonging to the bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,22 +270,27 @@ def unflatten(v, n: int, k: int) -> tuple[LearnerParams, AttackerParams]:
     return theta_l, theta_d
 
 
-def split_flat(v, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a joint flat vector into its learner and attacker blocks."""
-    v = _as_float_array(v, 1)
-    m = 2 * (k + 1)
-    if v.shape[0] != m + 2 * n * k:
-        raise ShapeError("flat vector length inconsistent with n, k")
-    return v[:m], v[m:]
-
-
 # --- serialization ----------------------------------------------------------
+
+def atomic_write(path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    readers see either the old file or the complete new one."""
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
 
 def save_flat_csv(path, v) -> None:
     """Write a parameter vector as one CSV line in the flattening order."""
     v = _as_float_array(v, 1)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"{x:.17g}" for x in v) + "\n")
+    atomic_write(path, ",".join(f"{x:.17g}" for x in v) + "\n")
 
 
 def load_flat_csv(path) -> np.ndarray:
@@ -314,6 +321,4 @@ def load_config(path) -> dict:
 
 
 def save_config(path, cfg: dict) -> None:
-    with open(path, "w") as fh:
-        for key, val in cfg.items():
-            fh.write(f"{key}={val}\n")
+    atomic_write(path, "".join(f"{key}={val}\n" for key, val in cfg.items()))

@@ -17,9 +17,9 @@ class VIGame:
     """Variational-inequality view of a two-player game.
 
     cost_l/cost_d evaluate the full player costs at a joint flat vector;
-    pseudo_grad stacks the r-weighted own-block gradients. loss_* and
-    reg_hess_* (the constant diagonal Hessians of the expected regularizers,
-    without their rho weights) are optional and only needed by diagnostics.
+    pseudo_grad stacks the r-weighted own-block gradients. reg_hess_* (the
+    constant diagonal Hessians of the expected regularizers, without their rho
+    weights) are optional and only needed by diagnostics.
     """
 
     dim_l: int
@@ -31,8 +31,6 @@ class VIGame:
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
     r: tuple[float, float] = (1.0, 1.0)
     rho: tuple[float, float] = (1.0, 1.0)
-    loss_l: Optional[Callable[[np.ndarray], float]] = None
-    loss_d: Optional[Callable[[np.ndarray], float]] = None
     reg_hess_l: Optional[np.ndarray] = None
     reg_hess_d: Optional[np.ndarray] = None
 

@@ -12,7 +12,7 @@ stopping when the squared step ||theta' - theta||^2 drops below epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -412,8 +412,8 @@ def test_criterion_08_identity_kernel_reduces_to_primal():
     gap = max(
         abs(cl - learner_cost(theta_l, theta_d, game)),
         abs(cd - attacker_cost(theta_l, theta_d, game)),
-        float(np.abs(dual_pg_l - pg.g_learner).max()),
-        float(np.abs(dual_pg_d - pg.g_attacker).max()),
+        float(np.abs(dual_pg_l - pg[: game.dim_l]).max()),
+        float(np.abs(dual_pg_d - pg[game.dim_l :]).max()),
     )
     ok = np.array_equal(K, np.eye(n)) and gap <= 1e-12
     _report(
@@ -431,13 +431,13 @@ def test_criterion_09_uniqueness_diagnostics():
     lb, ab = default_boxes(3, 2, W=0.5)
 
     plain = game_operator(GameSpec(Dataset(X, y), 1.0, 1.0, lb, ab))
-    rep_plain = uniqueness_margin(plain, n_profiles=5, seed=0, jacobian_eigs=False)
+    rep_plain = uniqueness_margin(plain, n_profiles=5, seed=0)
     ok_flat = rep_plain.lambda_omega_l == 0.0  # the bias direction is unregularized
 
     strong = game_operator(
         GameSpec(Dataset(X, y), 100.0, 100.0, lb, ab, bias_reg=1.0)
     )
-    rep = uniqueness_margin(strong, n_profiles=50, seed=0, jacobian_eigs=True)
+    rep = uniqueness_margin(strong, n_profiles=50, seed=0)
     ok_margin = rep.uniqueness_margin > 0.0
     ok_eigs = min(rep.min_jacobian_eig) > 0.0
     _report(

@@ -13,6 +13,7 @@ from randgame.costs import (
     pseudo_gradient,
     train_baseline_svm,
 )
+from randgame.hinge import hinge_expect, margin_moments
 from randgame.model import (
     AttackerParams,
     Dataset,
@@ -108,11 +109,11 @@ class TestGradients:
         game = random_game(2, rho_l=6.0, rho_d=2.0)
         theta_l, theta_d = random_profile(game, 72)
         pg = pseudo_gradient(theta_l, theta_d, game)
-        assert pg.r == (1.0, 3.0)
+        assert game_operator(game).r == (1.0, 3.0)
         d_mu, d_sig = attacker_grad(theta_l, theta_d, game)
         raw = np.hstack([d_mu, d_sig]).ravel()
-        np.testing.assert_allclose(pg.g_attacker, 3.0 * raw, rtol=1e-14)
-        assert pg.flat().size == game.dim_l + game.dim_d
+        np.testing.assert_allclose(pg[game.dim_l :], 3.0 * raw, rtol=1e-14)
+        assert pg.size == game.dim_l + game.dim_d
 
 
 class TestOperator:
@@ -124,7 +125,7 @@ class TestOperator:
         assert ops.cost_l(v) == pytest.approx(learner_cost(theta_l, theta_d, game))
         assert ops.cost_d(v) == pytest.approx(attacker_cost(theta_l, theta_d, game))
         np.testing.assert_allclose(
-            ops.pseudo_grad(v), pseudo_gradient(theta_l, theta_d, game).flat()
+            ops.pseudo_grad(v), pseudo_gradient(theta_l, theta_d, game)
         )
 
     def test_cost_splits_into_loss_plus_regularizer(self):
@@ -132,14 +133,23 @@ class TestOperator:
         theta_l, theta_d = random_profile(game, 75)
         v = flatten(theta_l, theta_d)
         ops = game_operator(game)
+
+        def expected_loss(side):
+            # per-sample margin moments, independent of the vectorized costs
+            mm = [
+                margin_moments(side, y, theta_l, mu_x, sig_x)
+                for y, mu_x, sig_x in zip(game.dataset.labels, theta_d.mu_x, theta_d.sigma_x)
+            ]
+            return sum(float(hinge_expect(m.mu, m.sigma)) for m in mm)
+
         reg_l = 0.5 * game.rho_l * (
             theta_l.mu_tilde @ theta_l.mu_tilde
             + theta_l.sigma_tilde @ theta_l.sigma_tilde
         )
-        assert ops.cost_l(v) == pytest.approx(ops.loss_l(v) + reg_l, rel=1e-12)
+        assert ops.cost_l(v) == pytest.approx(expected_loss("learner") + reg_l, rel=1e-12)
         diff = theta_d.mu_x - game.dataset.features
         reg_d = 0.5 * game.rho_d * ((diff**2).sum() + (theta_d.sigma_x**2).sum())
-        assert ops.cost_d(v) == pytest.approx(ops.loss_d(v) + reg_d, rel=1e-12)
+        assert ops.cost_d(v) == pytest.approx(expected_loss("attacker") + reg_d, rel=1e-12)
 
     def test_reg_hessian_diagonals(self):
         game = random_game(6, rho_l=4.0, bias_reg=2.0)

@@ -27,7 +27,7 @@ class TestDenseCsv:
     def test_roundtrip(self, tmp_path):
         ds = synth_2d(5, 0.4, 0)
         p = tmp_path / "d.csv"
-        save_dense_csv(p, ds)
+        save_dense_csv(p, ds.features, ds.labels)
         back = load_dense_csv(p)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -197,7 +197,7 @@ class TestCliPipeline:
         good.write_text("rho_l=100\nrho_d=100\nbias_reg=1\nW=0.5\n")
         assert main([
             "check-eq", "--data", str(data), "--game", str(good),
-            "--profiles", "2", "--pairs", "20", "--no-jacobian",
+            "--profiles", "2", "--pairs", "20",
         ]) == 0
         # the default unregularized bias floors lambda_omega_l at zero, so the
         # product margin cannot be positive
@@ -205,7 +205,7 @@ class TestCliPipeline:
         weak.write_text("rho_l=0.01\nrho_d=0.01\nW=0.5\n")
         assert main([
             "check-eq", "--data", str(data), "--game", str(weak),
-            "--profiles", "2", "--pairs", "20", "--no-jacobian",
+            "--profiles", "2", "--pairs", "20",
         ]) == 3
 
     def test_missing_file_exit_code(self, tmp_path):

@@ -19,7 +19,6 @@ from randgame.model import (
     project_box,
     save_config,
     save_flat_csv,
-    split_flat,
     unflatten,
 )
 
@@ -132,12 +131,6 @@ class TestFlatten:
         assert np.array_equal(v[m : 2 * m], tl.sigma_w)
         assert np.array_equal(v[2 * m : 2 * m + 2], td.mu_x[0])
         assert np.array_equal(v[2 * m + 2 : 2 * m + 4], td.sigma_x[0])
-
-    def test_split_flat(self):
-        tl, td = _learner(), _attacker()
-        v = flatten(tl, td)
-        a, b = split_flat(v, td.n, td.k)
-        assert a.size == 2 * (td.k + 1) and b.size == 2 * td.n * td.k
 
     def test_unflatten_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
