@@ -2,7 +2,7 @@
 attacks, security evaluation, diagnostics, and grid search.
 
 Exit codes: 0 success; 2 solver hit max_iter; 3 uniqueness check failed;
-64 bad flags; 66 file errors.
+64 bad flags or game config keys; 66 file errors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,17 @@ def _load_dataset(path):
     return data_io.load_dense_csv(path)
 
 
+_GAME_KEYS = ("W", "rho_l", "rho_d", "bias_reg", "epsilon", "max_iter", "seed")
+
+
+class _UsageError(ValueError):
+    pass
+
+
 def _game_from_config(cfg: dict, dataset) -> tuple[model.GameSpec, solver.SolverConfig]:
+    for key in cfg:
+        if key not in _GAME_KEYS:
+            raise _UsageError(f"unknown game config key {key!r}")
     W = float(cfg.get("W", 0.1))
     lb, ab = model.default_boxes(dataset.n, dataset.k, W)
     game = model.GameSpec(
@@ -45,11 +55,8 @@ def _game_from_config(cfg: dict, dataset) -> tuple[model.GameSpec, solver.Solver
         bias_reg=float(cfg.get("bias_reg", 0.0)),
     )
     scfg = solver.SolverConfig(
-        sigma_ls=float(cfg.get("sigma", 0.5)),
-        beta=float(cfg.get("beta", 0.5)),
-        epsilon=float(cfg.get("epsilon", 1e-10)),
-        max_iter=int(cfg.get("max_iter", 5000)),
-        max_linesearch_pow=int(cfg.get("max_linesearch_pow", 60)),
+        epsilon=float(cfg.get("epsilon", solver.SolverConfig.epsilon)),
+        max_iter=int(cfg.get("max_iter", solver.SolverConfig.max_iter)),
         seed=int(cfg.get("seed", 0)),
     )
     return game, scfg
@@ -76,9 +83,8 @@ def _cmd_train(args) -> int:
     game, scfg = _game_from_config(cfg, dataset)
     theta_l, theta_d, result = solver.solve_svm_game(game, cfg=scfg)
     model.save_flat_csv(args.out, result.theta)
-    last = result.residual_trace[-1] if result.iterations else float("nan")
     print(
-        f"iterations={result.iterations} last_step_sq={last:.3e} "
+        f"iterations={result.iterations} residual={result.residual:.3e} "
         f"termination={result.termination}"
     )
     return 0 if result.converged else 2
@@ -176,9 +182,7 @@ def _cmd_grid_search(args) -> int:
             for W in grids.W_grid:
                 lb, ab = model.default_boxes(train.n, train.k, W)
                 game = model.GameSpec(train, rho_l, rho_d, lb, ab)
-                scfg = solver.SolverConfig(
-                    max_iter=args.max_iter, epsilon=1e-8, seed=args.seed
-                )
+                scfg = solver.SolverConfig(max_iter=args.max_iter, seed=args.seed)
                 theta_l, _, _ = solver.solve_svm_game(game, cfg=scfg)
                 spec = attacks.AttackSpec(
                     d_max=d_list[-1], mode="l2_box_pgd",
@@ -271,6 +275,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, data_io.ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_NOINPUT
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EX_USAGE
 
 
 if __name__ == "__main__":

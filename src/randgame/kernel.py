@@ -155,8 +155,8 @@ def dual_margin_moments(
     return MarginMoments(mu, var)
 
 
-def _dual_moment_arrays(dual: DualParams, y, K):
-    """Vectorized per-sample moments; row i of KXi is K mu_xi_i."""
+def _dual_moment_arrays(dual: DualParams, y, K, K2):
+    """Vectorized per-sample moments; row i of KXi is K mu_xi_i; K2 is K*K."""
     s2a = dual.sigma_alpha**2
     s2x = dual.sigma_xi**2
     KXi = dual.mu_xi @ K.T
@@ -164,7 +164,7 @@ def _dual_moment_arrays(dual: DualParams, y, K):
     score = KXi @ dual.mu_alpha + dual.mu_b
     mu_s = 1.0 - y * score
     mu_t = 1.0 + y * score
-    var = KXi**2 @ s2a + s2x @ Ka**2 + s2x @ (K * K) @ s2a + dual.sigma_b**2
+    var = KXi**2 @ s2a + s2x @ Ka**2 + s2x @ K2 @ s2a + dual.sigma_b**2
     return mu_s, mu_t, var, KXi, Ka, s2a, s2x
 
 
@@ -184,9 +184,13 @@ def dual_costs_and_grads(dual: DualParams, K, rho_l, rho_d, y, bias_reg: float =
         raise ShapeError("kernel size inconsistent with dual parameters")
     check_psd(K)
     y = np.asarray(y, dtype=float)
-    dK = np.diag(K).copy()
-    K2 = K * K
-    mu_s, mu_t, var, KXi, Ka, s2a, s2x = _dual_moment_arrays(dual, y, K)
+    return _costs_and_grads(dual, K, np.diag(K).copy(), K * K, rho_l, rho_d, y, bias_reg)
+
+
+def _costs_and_grads(dual: DualParams, K, dK, K2, rho_l, rho_d, y, bias_reg):
+    """dual_costs_and_grads on a checked PSD K with dK = diag(K), K2 = K*K."""
+    n = dual.n
+    mu_s, mu_t, var, KXi, Ka, s2a, s2x = _dual_moment_arrays(dual, y, K, K2)
     sig = np.sqrt(var)
 
     reg_l = float(dual.mu_alpha @ K @ dual.mu_alpha + dK @ s2a)
@@ -281,18 +285,15 @@ def dual_game_operator(
     if learner_box.dim != dim_l or attacker_box.dim != dim_d:
         raise ShapeError("dual box dimensions inconsistent with n")
 
-    def cost_l(theta):
-        c, _, _ = dual_costs_and_grads(unflatten_dual(theta, n), K, rho_l, rho_d, y, bias_reg)
-        return c
+    dK, K2 = np.diag(K).copy(), K * K
 
-    def cost_d(theta):
-        _, c, _ = dual_costs_and_grads(unflatten_dual(theta, n), K, rho_l, rho_d, y, bias_reg)
-        return c
+    def evaluate(theta):
+        return _costs_and_grads(unflatten_dual(theta, n), K, dK, K2, rho_l, rho_d, y, bias_reg)
 
     r = (1.0, rho_l / rho_d)
 
     def pgrad(theta):
-        _, _, g = dual_costs_and_grads(unflatten_dual(theta, n), K, rho_l, rho_d, y, bias_reg)
+        g = evaluate(theta)[2]
         g_l = np.concatenate(
             [g["d_mu_alpha"], [g["d_mu_b"]], g["d_sigma_alpha"], [g["d_sigma_b"]]]
         )
@@ -304,8 +305,8 @@ def dual_game_operator(
         dim_d=dim_d,
         lower=np.concatenate([learner_box.lower, attacker_box.lower]),
         upper=np.concatenate([learner_box.upper, attacker_box.upper]),
-        cost_l=cost_l,
-        cost_d=cost_d,
+        cost_l=lambda theta: evaluate(theta)[0],
+        cost_d=lambda theta: evaluate(theta)[1],
         pseudo_grad=pgrad,
         r=r,
         rho=(rho_l, rho_d),

@@ -280,6 +280,9 @@ def atomic_write(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # mkstemp creates 0600 whatever the umask
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,13 +1,16 @@
-"""Modified extragradient descent for the game's variational inequality.
+"""Adaptive-step extragradient method for the game's variational inequality.
 
-One iteration from the current feasible point theta:
+Korpelevich's extragradient with a local-Lipschitz step (Khobotov 1987;
+Marcotte 1991). One iteration from the feasible point theta, with g = F(theta)
+the pseudo-gradient and P the clamp onto the box:
 
-    d      = P(theta - g(theta)) - theta
-    t      = max { beta^p } with -g(theta + t d) . d >= sigma ||d||^2
-    eta    = -(t / ||g(theta_bar)||^2) * g(theta_bar) . d
-    theta' = P(theta - eta * g(theta_bar))
+    r      = ||P(theta - g) - theta||, stop when r <= epsilon
+    y      = P(theta - lam g), accepted when lam ||F(y) - g|| <= MU ||y - theta||,
+             else lam <- 0.99 MU ||y - theta|| / ||F(y) - g|| and retry
+    theta' = P(theta - lam F(y)), then lam <- GROWTH lam
 
-stopping when the squared step ||theta' - theta||^2 drops below epsilon.
+The natural residual r is zero exactly at a solution; F(theta') both opens the
+next iteration and measures its residual.
 """
 
 from __future__ import annotations
@@ -22,22 +25,21 @@ from .ops import VIGame
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITER = "max_iter"
+# Never returned; kept because the benchmark's tracer (bench/tracing.py) reads it.
 TERM_LINESEARCH = "linesearch_fail"
+
+MU = 0.9  # largest accepted ratio of lam ||F(y) - g|| to ||y - theta||
+GROWTH = 1.05  # step growth after each accepted iteration
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    sigma_ls: float = 0.5
-    beta: float = 0.5
-    epsilon: float = 1e-10
+    epsilon: float = 1e-8  # tolerance on the natural residual norm
     max_iter: int = 5000
-    max_linesearch_pow: int = 60
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_ls < 1.0 and 0.0 < self.beta < 1.0):
-            raise ValueError("sigma_ls and beta must lie in (0, 1)")
-        if self.epsilon <= 0 or self.max_iter < 1 or self.max_linesearch_pow < 1:
+        if self.epsilon <= 0 or self.max_iter < 1:
             raise ValueError("bad solver configuration")
 
 
@@ -46,7 +48,8 @@ class EquilibriumResult:
     theta: np.ndarray
     dim_l: int
     iterations: int
-    residual_trace: np.ndarray
+    residual_trace: np.ndarray  # natural residual at the start of each iteration
+    residual: float  # natural residual at theta
     converged: bool
     termination: str
 
@@ -64,70 +67,60 @@ def _uniform_init(ops: VIGame, rng: np.random.Generator) -> np.ndarray:
     return ops.lower + u * (ops.upper - ops.lower)
 
 
+def _grad(ops: VIGame, theta: np.ndarray) -> np.ndarray:
+    g = ops.pseudo_grad(theta)
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("non-finite pseudo-gradient")
+    return g
+
+
+def _residual(ops: VIGame, theta: np.ndarray, g: np.ndarray) -> float:
+    return float(np.linalg.norm(ops.project(theta - g) - theta))
+
+
 def extragradient_solve(
     ops: VIGame, init: np.ndarray | None = None, cfg: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
-    """Run the modified extragradient descent on a game operator."""
-    rng = np.random.default_rng(cfg.seed)
-    theta = ops.project(
-        np.asarray(init, dtype=float) if init is not None else _uniform_init(ops, rng)
-    )
+    """Run the adaptive-step extragradient method on a game operator."""
+    if init is None:
+        init = _uniform_init(ops, np.random.default_rng(cfg.seed))
+    theta = ops.project(np.asarray(init, dtype=float))
+    g = _grad(ops, theta)
+    residual = _residual(ops, theta, g)
+    lam = 1.0
     trace: list[float] = []
-    termination = TERM_MAX_ITER
     for _ in range(cfg.max_iter):
-        g = ops.pseudo_grad(theta)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite pseudo-gradient")
-        d = ops.project(theta - g) - theta
-        dd = float(d @ d)
-        if dd == 0.0:
-            # theta is a fixed point of the projected operator
-            trace.append(0.0)
-            termination = TERM_TOLERANCE
+        trace.append(residual)
+        if residual <= cfg.epsilon:
             break
-
-        t = 1.0
-        g_bar = None
-        accepted = False
-        for _p in range(cfg.max_linesearch_pow + 1):
-            g_bar = ops.pseudo_grad(theta + t * d)
-            if -float(g_bar @ d) >= cfg.sigma_ls * dd:
-                accepted = True
+        while True:
+            y = ops.project(theta - lam * g)
+            g_y = _grad(ops, y)
+            dy = float(np.linalg.norm(y - theta))
+            dg = float(np.linalg.norm(g_y - g))
+            if lam * dg <= MU * dy:
                 break
-            t *= cfg.beta
-        if not accepted:
-            termination = TERM_LINESEARCH
-            break
+            lam = 0.99 * MU * dy / dg
+        theta = ops.project(theta - lam * g_y)
+        g = _grad(ops, theta)
+        residual = _residual(ops, theta, g)
+        lam *= GROWTH
 
-        gg = float(g_bar @ g_bar)
-        if gg == 0.0:
-            theta_next = ops.project(theta + t * d)
-        else:
-            eta = -(t / gg) * float(g_bar @ d)
-            theta_next = ops.project(theta - eta * g_bar)
-
-        step_sq = float(np.sum((theta_next - theta) ** 2))
-        trace.append(step_sq)
-        theta = theta_next
-        if step_sq <= cfg.epsilon:
-            termination = TERM_TOLERANCE
-            break
-
-    converged = termination == TERM_TOLERANCE
+    converged = residual <= cfg.epsilon
     return EquilibriumResult(
         theta=theta,
         dim_l=ops.dim_l,
         iterations=len(trace),
         residual_trace=np.asarray(trace),
+        residual=residual,
         converged=converged,
-        termination=termination,
+        termination=TERM_TOLERANCE if converged else TERM_MAX_ITER,
     )
 
 
 def vi_residual(theta: np.ndarray, ops: VIGame) -> float:
     """||P(theta - g(theta)) - theta||; zero exactly at VI solutions."""
-    g = ops.pseudo_grad(theta)
-    return float(np.linalg.norm(ops.project(theta - g) - theta))
+    return _residual(ops, theta, ops.pseudo_grad(theta))
 
 
 def _best_response_descent(ops, theta, block, steps):
@@ -191,10 +184,3 @@ def solve_svm_game(
     result = extragradient_solve(ops, init, cfg)
     theta_l, theta_d = unflatten(result.theta, game.n, game.k)
     return theta_l, theta_d, result
-
-
-def save_trace_csv(path, result: EquilibriumResult) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,step_sq\n")
-        for i, v in enumerate(result.residual_trace):
-            fh.write(f"{i},{v:.17g}\n")

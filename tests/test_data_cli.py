@@ -1,6 +1,8 @@
 """Dataset IO round trips, splits, the synthetic generator, and the CLI
 pipeline including exit codes and determinism."""
 
+import os
+import stat
 import subprocess
 import sys
 
@@ -190,6 +192,26 @@ class TestCliPipeline:
         cfg = tmp_path / "game.cfg"
         cfg.write_text("max_iter=2\nepsilon=1e-30\n")
         assert main(["train", "--data", str(data), "--game", str(cfg), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_gen_synth_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            data = self._gen(tmp_path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(data.stat().st_mode) == 0o644
+
+    @pytest.mark.parametrize("command", ["train", "check-eq"])
+    def test_unknown_game_config_key_is_a_usage_error(self, tmp_path, capsys, command):
+        data = self._gen(tmp_path, n=3)
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("rho_l=10\nsigma=0.5\n")
+        argv = [command, "--data", str(data), "--game", str(cfg)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "eq.csv")]
+        assert main(argv) == EX_USAGE
+        assert "error: unknown game config key 'sigma'" in capsys.readouterr().err
+        assert not (tmp_path / "eq.csv").exists()
 
     def test_check_eq_exit_codes(self, tmp_path):
         data = self._gen(tmp_path, n=3)

@@ -32,6 +32,7 @@ from randgame.model import (
     ShapeError,
     default_boxes,
 )
+from randgame.solver import SolverConfig, extragradient_solve
 
 
 def random_dual(seed, n=4):
@@ -252,6 +253,21 @@ class TestDualOperator:
             fn = ops.cost_l if i < ops.dim_l else ops.cost_d
             fd = (fn(vp) - fn(vm)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_kernel_checked_once_per_operator(self, monkeypatch):
+        import randgame.kernel as kernel_module
+
+        calls = []
+
+        def counted(K, *args, **kwargs):
+            calls.append(1)
+            return check_psd(K, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "check_psd", counted)
+        ops = dual_game_operator(random_dataset(8, n=4), Kernel("rbf", 1.0), 1.0, 1.0)
+        res = extragradient_solve(ops, None, SolverConfig(max_iter=5))
+        assert res.iterations == 5
+        assert len(calls) == 1
 
     def test_default_dual_boxes_shape(self):
         lb, ab = default_dual_boxes(3)

@@ -1,5 +1,8 @@
 """Data model: validation, boxes, flatten/unflatten, serialization."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,15 @@ class TestSerialization:
         p = tmp_path / "params.csv"
         save_flat_csv(p, v)
         assert np.array_equal(load_flat_csv(p), v)
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        p = tmp_path / "params.csv"
+        old = os.umask(0o027)
+        try:
+            save_flat_csv(p, [1.0, 2.0])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640
 
     def test_flat_csv_rejects_empty(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -1,6 +1,8 @@
 """Extragradient solver on toy games with known equilibria, plus the
 numeric Nash verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from randgame.solver import (
     extragradient_solve,
     initial_point,
     nash_verify,
-    save_trace_csv,
     solve_svm_game,
     vi_residual,
 )
@@ -70,46 +71,49 @@ def boundary_game():
 
 class TestExtragradient:
     def test_quadratic_game_converges_to_target(self):
-        res = extragradient_solve(
-            quadratic_game(), np.array([1.5, 1.5]), SolverConfig(epsilon=1e-20)
-        )
+        game = quadratic_game()
+        res = extragradient_solve(game, np.array([1.5, 1.5]), SolverConfig(epsilon=1e-10))
         assert res.converged and res.termination == TERM_TOLERANCE
+        assert res.residual == vi_residual(res.theta, game) <= 1e-10
         np.testing.assert_allclose(res.theta, [0.3, -0.2], atol=1e-8)
 
     def test_bilinear_game_converges_to_origin(self):
         res = extragradient_solve(
-            bilinear_game(), np.array([3.0, -4.0]), SolverConfig(epsilon=1e-16)
+            bilinear_game(), np.array([3.0, -4.0]), SolverConfig(epsilon=1e-8)
         )
+        assert res.residual == vi_residual(res.theta, bilinear_game())
         assert np.linalg.norm(res.theta) <= 1e-6
         assert res.iterations <= 500
         assert vi_residual(res.theta, bilinear_game()) <= 1e-6
 
     def test_boundary_game_hits_the_face(self):
         res = extragradient_solve(
-            boundary_game(), np.array([0.7, 0.4]), SolverConfig(epsilon=1e-24)
+            boundary_game(), np.array([0.7, 0.4]), SolverConfig(epsilon=1e-12)
         )
         assert res.converged
+        assert res.residual == vi_residual(res.theta, boundary_game())
         np.testing.assert_allclose(res.theta, [0.0, 0.0], atol=1e-10)
 
     def test_starts_from_projected_init(self):
         # infeasible init is projected before the first step
-        res = extragradient_solve(
-            quadratic_game(box=1.0), np.array([50.0, -50.0]), SolverConfig(epsilon=1e-20)
-        )
+        game = quadratic_game(box=1.0)
+        res = extragradient_solve(game, np.array([50.0, -50.0]), SolverConfig(epsilon=1e-10))
         assert res.converged
+        assert res.residual == vi_residual(res.theta, game)
         np.testing.assert_allclose(res.theta, [0.3, -0.2], atol=1e-8)
 
     def test_fixed_point_detected_immediately(self):
         res = extragradient_solve(quadratic_game(), np.array([0.3, -0.2]))
         assert res.converged and res.iterations == 1
-        assert res.residual_trace[-1] == 0.0
+        assert res.residual_trace[-1] == res.residual == 0.0
 
     def test_max_iter_termination_reported(self):
         res = extragradient_solve(
-            bilinear_game(), np.array([3.0, 3.0]), SolverConfig(epsilon=1e-30, max_iter=3)
+            bilinear_game(), np.array([3.0, 3.0]), SolverConfig(epsilon=1e-15, max_iter=3)
         )
         assert not res.converged and res.termination == TERM_MAX_ITER
         assert res.iterations == 3
+        assert res.residual == vi_residual(res.theta, bilinear_game()) > 1e-15
 
     def test_deterministic_given_seeded_default_init(self):
         cfg = SolverConfig(seed=11)
@@ -123,11 +127,9 @@ class TestExtragradient:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            SolverConfig(sigma_ls=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(beta=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(epsilon=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(max_iter=0)
 
 
 class TestResidualAndNash:
@@ -178,10 +180,19 @@ class TestSvmGame:
         assert np.all(p1 >= ops.lower) and np.all(p1 <= ops.upper)
         assert not np.array_equal(p1, initial_point(game, 8))
 
-    def test_trace_csv(self, tmp_path):
-        res = extragradient_solve(quadratic_game(), np.array([1.0, 1.0]))
-        p = tmp_path / "trace.csv"
-        save_trace_csv(p, res)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "iter,step_sq"
-        assert len(lines) == res.iterations + 1
+    def test_500_point_game_converges_in_under_1000_evaluations(self):
+        from randgame.costs import game_operator
+
+        game = self._game(n_per_class=250)
+        ops = game_operator(game)
+        calls = []
+
+        def counted(theta):
+            calls.append(1)
+            return ops.pseudo_grad(theta)
+
+        counting = dataclasses.replace(ops, pseudo_grad=counted)
+        res = extragradient_solve(counting, initial_point(game, 0), SolverConfig(epsilon=1e-8))
+        assert res.converged and res.residual <= 1e-8
+        assert res.residual == vi_residual(res.theta, ops)
+        assert len(calls) < 1000
