@@ -15,25 +15,16 @@ from .attacks import (
     security_curve,
     tp_at_fp,
 )
-from .costs import (
-    attacker_cost,
-    attacker_grad,
-    game_operator,
-    learner_cost,
-    learner_grad,
-    pseudo_gradient,
-    train_baseline_svm,
-)
+from .costs import costs_and_grads, game_operator, train_baseline_svm
 from .data import GridSpec, SplitSpec, load_dense_csv, load_sparse, normalize_unit_interval, split, synth_2d
 from .diagnostics import (
     DiagnosticsReport,
     loss_hessians,
     monotonicity_sample,
     pseudo_jacobian,
-    pseudo_jacobian_min_eig,
     uniqueness_margin,
 )
-from .hinge import MarginMoments, hinge_expect, hinge_expect_dmu, hinge_expect_dvar, margin_moments
+from .hinge import MarginMoments, hinge_expect, margin_moments
 from .kernel import DualParams, Kernel, dual_costs_and_grads, dual_game_operator, dual_margin_moments, gram
 from .model import (
     AttackerParams,

@@ -10,13 +10,15 @@ of a randomized classifier can know).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Dataset, LearnerParams, ShapeError, atomic_write
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
+
+BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,14 @@ def attack_l2_closed(w, x, y, d_max):
     return x - y * d_max * w / norm
 
 
-def attack_l2_box(w, b, x, y, d_max, spec: AttackSpec, steps: int = 200):
+def attack_l2_box(w, x, y, d_max, spec: AttackSpec):
     """Minimize y*f(x) within the L2 ball around x, the feature box, and
     optionally the monotone constraint x >= x_hat.
 
     For a linear score the minimizer over the box-ball intersection is
     z(t) = clip(x - t * y * w); the distance ||z(t) - x|| is non-decreasing
     in t, so the optimal step is found by bisection on the ball constraint
-    (KKT of the active-set solution). `steps` bounds the bisection count.
+    (KKT of the active-set solution) in BISECTION_STEPS steps.
     """
     w = np.asarray(w, dtype=float)
     x_hat = np.asarray(x, dtype=float)
@@ -82,7 +84,7 @@ def attack_l2_box(w, b, x, y, d_max, spec: AttackSpec, steps: int = 200):
     while np.linalg.norm(point(t_hi) - x_hat) < d_max:
         t_hi *= 2.0
     t_lo = 0.0
-    for _ in range(steps):
+    for _ in range(BISECTION_STEPS):
         t_mid = 0.5 * (t_lo + t_hi)
         if np.linalg.norm(point(t_mid) - x_hat) > d_max:
             t_hi = t_mid
@@ -186,13 +188,13 @@ class SecurityCurve:
         return float(np.trapezoid(tp, d))
 
 
-def _attack_sample(w, b, x, y, spec: AttackSpec):
+def _attack_sample(w, x, y, spec: AttackSpec):
     if spec.d_max == 0.0:
         return np.asarray(x, dtype=float).copy()
     if spec.mode == "l2_closed_form":
         return attack_l2_closed(w, x, y, spec.d_max)
     if spec.mode == "l2_box_pgd":
-        return attack_l2_box(w, b, x, y, spec.d_max, spec)
+        return attack_l2_box(w, x, y, spec.d_max, spec)
     return attack_flip_binary(w, x, y, spec.d_max)
 
 
@@ -226,14 +228,8 @@ def security_curve(
         leg = rng.choice(leg_idx, size=max(1, int(subsample * leg_idx.size)), replace=False)
         legit_scores = X[leg] @ w + b
         for j, d in enumerate(d_max_list):
-            spec = AttackSpec(
-                d_max=d,
-                mode=attack.mode,
-                monotone_increase_only=attack.monotone_increase_only,
-                box_lower=attack.box_lower,
-                box_upper=attack.box_upper,
-            )
-            attacked = np.array([_attack_sample(w, b, X[i], 1.0, spec) for i in mal])
+            spec = replace(attack, d_max=d)
+            attacked = np.array([_attack_sample(w, X[i], 1.0, spec) for i in mal])
             mal_scores = attacked @ w + b
             _, tp[rep, j] = tp_at_fp(legit_scores, mal_scores, fp_target)
 

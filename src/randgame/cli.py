@@ -112,9 +112,8 @@ def _cmd_attack(args) -> int:
     dataset = _load_dataset(args.data)
     learner = _load_learner(args.params, dataset.k)
     spec = _attack_spec(args, dataset)
-    w, b = learner.mu_tilde, learner.mu_b
     rows = [
-        attacks._attack_sample(w, b, row, y, spec) if y == 1 else row
+        attacks._attack_sample(learner.mu_tilde, row, y, spec) if y == 1 else row
         for y, row in zip(dataset.labels, dataset.features)
     ]
     data_io.save_dense_csv(args.out, rows, dataset.labels)

@@ -1,9 +1,13 @@
-"""Expected player costs for the randomized SVM game, their analytic
-gradients, the joint pseudo-gradient, and a deterministic baseline SVM.
+"""Expected player costs for the randomized SVM game and their analytic
+gradients from one evaluation of a joint profile, the game operator, and a
+deterministic baseline SVM.
 
-Learner cost:   rho_l/2 (||mu_w~||^2 + ||sigma_w~||^2) + sum_i h(mu_s_i, sigma_s_i)
+Learner cost:   rho_l/2 (||mu_w~||^2 + ||sigma_w~||^2) + sum_i h(mu_s_i, sigma_i)
 Attacker cost:  sum_i rho_d/2 (||mu_x_i - xhat_i||^2 + ||sigma_x_i||^2)
-                + h(mu_t_i, sigma_t_i)
+                + h(mu_t_i, sigma_i)
+
+Both costs depend on the profile only through the margin means
+mu_s/t = 1 -+ y(mu_w~.mu_x + mu_b) and one shared variance sigma^2.
 
 rho_d multiplies the attacker's regularizer, and the gradient below is the
 derivative of that cost as written. (The published gradient display instead
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hinge import hinge_expect, hinge_expect_dmu, hinge_expect_dvar
+from .hinge import hinge_expect
 from .model import (
     AttackerParams,
     Dataset,
@@ -28,117 +32,65 @@ from .model import (
 from .ops import VIGame
 
 
-def _check_shapes(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec):
+def costs_and_grads(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec):
+    """Both players' costs and the gradient of each cost in its own block.
+
+    Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the joint
+    layout with the learner block (game.dim_l entries) first.
+    """
     if theta_l.k != game.k or theta_d.k != game.k or theta_d.n != game.n:
         raise ShapeError("parameters inconsistent with the game's dataset")
-
-
-def _moment_arrays(theta_l: LearnerParams, theta_d: AttackerParams, y):
-    """Vectorized margin moments over all samples.
-
-    Returns (mu_s, mu_t, var) where var is shared by both sides.
-    """
-    score = theta_d.mu_x @ theta_l.mu_tilde + theta_l.mu_b
-    mu_s = 1.0 - y * score
-    mu_t = 1.0 + y * score
-    var = (
-        (theta_d.sigma_x**2 + theta_d.mu_x**2) @ theta_l.sigma_tilde**2
-        + theta_d.sigma_x**2 @ theta_l.mu_tilde**2
-        + theta_l.sigma_b**2
-    )
-    return mu_s, mu_t, var
-
-
-def learner_cost(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec) -> float:
-    _check_shapes(theta_l, theta_d, game)
-    mu_s, _, var = _moment_arrays(theta_l, theta_d, game.dataset.labels)
-    reg = 0.5 * game.rho_l * (
-        theta_l.mu_tilde @ theta_l.mu_tilde + theta_l.sigma_tilde @ theta_l.sigma_tilde
-    )
-    reg += 0.5 * game.bias_reg * (theta_l.mu_b**2 + theta_l.sigma_b**2)
-    return float(reg + hinge_expect(mu_s, np.sqrt(var)).sum())
-
-
-def learner_grad(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec):
-    """Gradient of learner_cost in (mu_w, sigma_w), each of length k+1."""
-    _check_shapes(theta_l, theta_d, game)
     y = game.dataset.labels
-    mu_s, _, var = _moment_arrays(theta_l, theta_d, y)
-    sig_s = np.sqrt(var)
-    h_mu = hinge_expect_dmu(mu_s, sig_s)
-    h_var = hinge_expect_dvar(mu_s, sig_s)
+    mu_w, sig_w = theta_l.mu_tilde, theta_l.sigma_tilde
+    mu_x, sig_x = theta_d.mu_x, theta_d.sigma_x
+    s2x = sig_x**2
+    m2x = s2x + mu_x**2
+    score = mu_x @ mu_w + theta_l.mu_b
+    sigma = np.sqrt(m2x @ sig_w**2 + s2x @ mu_w**2 + theta_l.sigma_b**2)
+    h_s, p_s, v_s = hinge_expect(1.0 - y * score, sigma)
+    h_t, p_t, v_t = hinge_expect(1.0 + y * score, sigma)
 
-    d_mu_tilde = (
-        game.rho_l * theta_l.mu_tilde
-        - (h_mu * y) @ theta_d.mu_x
-        + 2.0 * theta_l.mu_tilde * (h_var @ theta_d.sigma_x**2)
+    diff = mu_x - game.dataset.features
+    cost_l = (
+        0.5 * game.rho_l * (mu_w @ mu_w + sig_w @ sig_w)
+        + 0.5 * game.bias_reg * (theta_l.mu_b**2 + theta_l.sigma_b**2)
+        + h_s.sum()
     )
-    d_mu_b = game.bias_reg * theta_l.mu_b - float((h_mu * y).sum())
-    d_sig_tilde = game.rho_l * theta_l.sigma_tilde + 2.0 * theta_l.sigma_tilde * (
-        h_var @ (theta_d.sigma_x**2 + theta_d.mu_x**2)
-    )
-    d_sig_b = game.bias_reg * theta_l.sigma_b + 2.0 * theta_l.sigma_b * float(h_var.sum())
+    cost_d = 0.5 * game.rho_d * ((diff**2).sum() + s2x.sum()) + h_t.sum()
 
-    d_mu_w = np.concatenate([d_mu_tilde, [d_mu_b]])
-    d_sigma_w = np.concatenate([d_sig_tilde, [d_sig_b]])
-    return d_mu_w, d_sigma_w
-
-
-def attacker_cost(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec) -> float:
-    _check_shapes(theta_l, theta_d, game)
-    _, mu_t, var = _moment_arrays(theta_l, theta_d, game.dataset.labels)
-    diff = theta_d.mu_x - game.dataset.features
-    reg = 0.5 * game.rho_d * float((diff**2).sum() + (theta_d.sigma_x**2).sum())
-    return float(reg + hinge_expect(mu_t, np.sqrt(var)).sum())
-
-
-def attacker_grad(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec):
-    """Per-sample gradient of attacker_cost: (d_mu_x, d_sigma_x), each n x k."""
-    _check_shapes(theta_l, theta_d, game)
-    y = game.dataset.labels
-    _, mu_t, var = _moment_arrays(theta_l, theta_d, y)
-    sig_t = np.sqrt(var)
-    h_mu = hinge_expect_dmu(mu_t, sig_t)
-    h_var = hinge_expect_dvar(mu_t, sig_t)
-
+    py_s = p_s * y
     d_mu_x = (
-        game.rho_d * (theta_d.mu_x - game.dataset.features)
-        + np.outer(h_mu * y, theta_l.mu_tilde)
-        + 2.0 * h_var[:, None] * theta_d.mu_x * theta_l.sigma_tilde**2
+        game.rho_d * diff
+        + np.outer(p_t * y, mu_w)
+        + 2.0 * v_t[:, None] * mu_x * sig_w**2
     )
-    d_sigma_x = game.rho_d * theta_d.sigma_x + 2.0 * h_var[:, None] * theta_d.sigma_x * (
-        theta_l.sigma_tilde**2 + theta_l.mu_tilde**2
+    d_sigma_x = game.rho_d * sig_x + 2.0 * v_t[:, None] * sig_x * (sig_w**2 + mu_w**2)
+    grad = np.concatenate(
+        [
+            game.rho_l * mu_w - py_s @ mu_x + 2.0 * mu_w * (v_s @ s2x),
+            [game.bias_reg * theta_l.mu_b - py_s.sum()],
+            game.rho_l * sig_w + 2.0 * sig_w * (v_s @ m2x),
+            [game.bias_reg * theta_l.sigma_b + 2.0 * theta_l.sigma_b * v_s.sum()],
+            np.hstack([d_mu_x, d_sigma_x]).ravel(),
+        ]
     )
-    return d_mu_x, d_sigma_x
-
-
-def pseudo_gradient(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec) -> np.ndarray:
-    """Joint flat pseudo-gradient with r = (1, rho_l/rho_d); the learner block
-    is the first game.dim_l entries."""
-    r_l, r_d = 1.0, game.rho_l / game.rho_d
-    d_mu_w, d_sigma_w = learner_grad(theta_l, theta_d, game)
-    d_mu_x, d_sigma_x = attacker_grad(theta_l, theta_d, game)
-    g_l = r_l * np.concatenate([d_mu_w, d_sigma_w])
-    g_d = r_d * np.hstack([d_mu_x, d_sigma_x]).ravel()
-    return np.concatenate([g_l, g_d])
+    return float(cost_l), float(cost_d), grad
 
 
 def game_operator(game: GameSpec) -> VIGame:
     """Flat-vector operator view of the SVM game, as consumed by the solver
-    and the diagnostics."""
+    and the diagnostics; its costs and pseudo-gradient (with
+    r = (1, rho_l/rho_d)) all come from costs_and_grads."""
     n, k = game.n, game.k
+    r_d = game.rho_l / game.rho_d
 
-    def _unflat(theta):
-        return unflatten(theta, n, k)
-
-    def cost_l(theta):
-        return learner_cost(*_unflat(theta), game)
-
-    def cost_d(theta):
-        return attacker_cost(*_unflat(theta), game)
+    def evaluate(theta):
+        return costs_and_grads(*unflatten(theta, n, k), game)
 
     def pgrad(theta):
-        return pseudo_gradient(*_unflat(theta), game)
+        g = evaluate(theta)[2]
+        g[game.dim_l :] *= r_d
+        return g
 
     # Expected-regularizer Hessians (diagonal, constant), without rho weights.
     # The optional bias term enters the learner's diagonal scaled by 1/rho_l so
@@ -152,10 +104,10 @@ def game_operator(game: GameSpec) -> VIGame:
         dim_d=game.dim_d,
         lower=np.concatenate([game.learner_box.lower, game.attacker_box.lower]),
         upper=np.concatenate([game.learner_box.upper, game.attacker_box.upper]),
-        cost_l=cost_l,
-        cost_d=cost_d,
+        cost_l=lambda theta: evaluate(theta)[0],
+        cost_d=lambda theta: evaluate(theta)[1],
         pseudo_grad=pgrad,
-        r=(1.0, game.rho_l / game.rho_d),
+        r=(1.0, r_d),
         rho=(game.rho_l, game.rho_d),
         reg_hess_l=reg_l,
         reg_hess_d=reg_d,
@@ -223,13 +175,9 @@ def train_baseline_svm(
 
 
 __all__ = [
-    "attacker_cost",
-    "attacker_grad",
+    "costs_and_grads",
     "flatten",
     "game_operator",
-    "learner_cost",
-    "learner_grad",
     "nominal_attacker",
-    "pseudo_gradient",
     "train_baseline_svm",
 ]

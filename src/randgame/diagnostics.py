@@ -54,11 +54,6 @@ def _min_sym_eig(A) -> float:
     return float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())
 
 
-def pseudo_jacobian_min_eig(ops: VIGame, theta, h_step=1e-4) -> float:
-    """Min eigenvalue of the symmetric part of the pseudo-Jacobian."""
-    return _min_sym_eig(pseudo_jacobian(ops, theta, h_step))
-
-
 def loss_hessians(ops: VIGame, J):
     """Loss Hessian blocks (ll, ld, dl, dd) from a pseudo-Jacobian J.
 

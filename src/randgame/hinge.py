@@ -1,11 +1,12 @@
 """Closed-form expectation of the rectified Gaussian margin and its derivatives.
 
-For S ~ Normal(mu, sigma^2),
+For S ~ Normal(mu, sigma^2), z = mu / sigma, phi = exp(-z^2 / 2) / sqrt(2 pi)
+and p = Pr[S > 0] = erfc(-z / sqrt(2)) / 2,
 
-    E[max(0, S)] = sigma/sqrt(2*pi) * exp(-mu^2 / (2 sigma^2))
-                   + mu/2 * (1 - erf(-mu / (sqrt(2) sigma)))
+    E[max(0, S)] = sigma * phi + mu * p
 
-with dE/dmu = Pr[S > 0] and dE/d(sigma^2) the Gaussian density at zero over 2.
+with dE/dmu = p and dE/d(sigma^2) = phi / (2 sigma). erfc keeps p exact in
+the lower tail, where 1 - erf cancels to nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erfc
 
 from .model import LearnerParams, ShapeError
 
@@ -21,39 +22,20 @@ _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
-def _check_sigma(sigma):
+def hinge_expect(mu, sigma):
+    """(E[max(0, S)], its derivative in mu, its derivative in sigma^2) for
+    S ~ Normal(mu, sigma^2). Vectorized; scalar inputs give three floats."""
+    mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise ValueError("sigma must be strictly positive")
-    return sigma
-
-
-def hinge_expect(mu, sigma):
-    """E[max(0, S)] for S ~ Normal(mu, sigma^2). Vectorized over inputs."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
     z = mu / sigma
-    out = sigma / _SQRT2PI * np.exp(-0.5 * z * z) + 0.5 * mu * (
-        1.0 - erf(-z / _SQRT2)
-    )
-    return out if out.ndim else float(out)
-
-
-def hinge_expect_dmu(mu, sigma):
-    """d/dmu of hinge_expect, i.e. Pr[S > 0], in (0, 1)."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
-    out = 0.5 * (1.0 - erf(-mu / (_SQRT2 * sigma)))
-    return out if out.ndim else float(out)
-
-
-def hinge_expect_dvar(mu, sigma):
-    """d/d(sigma^2) of hinge_expect; strictly positive."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
-    z = mu / sigma
-    out = np.exp(-0.5 * z * z) / (2.0 * _SQRT2PI * sigma)
-    return out if out.ndim else float(out)
+    phi = np.exp(-0.5 * z * z) / _SQRT2PI
+    p = 0.5 * erfc(-z / _SQRT2)
+    value, dvar = sigma * phi + mu * p, phi / (2.0 * sigma)
+    if value.ndim:
+        return value, p, dvar
+    return float(value), float(p), float(dvar)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hinge import MarginMoments, hinge_expect, hinge_expect_dmu, hinge_expect_dvar
+from .hinge import MarginMoments, hinge_expect
 from .model import (
     ATTACKER_DEV_BOUNDS,
     Dataset,
@@ -155,28 +155,14 @@ def dual_margin_moments(
     return MarginMoments(mu, var)
 
 
-def _dual_moment_arrays(dual: DualParams, y, K, K2):
-    """Vectorized per-sample moments; row i of KXi is K mu_xi_i; K2 is K*K."""
-    s2a = dual.sigma_alpha**2
-    s2x = dual.sigma_xi**2
-    KXi = dual.mu_xi @ K.T
-    Ka = K.T @ dual.mu_alpha
-    score = KXi @ dual.mu_alpha + dual.mu_b
-    mu_s = 1.0 - y * score
-    mu_t = 1.0 + y * score
-    var = KXi**2 @ s2a + s2x @ Ka**2 + s2x @ K2 @ s2a + dual.sigma_b**2
-    return mu_s, mu_t, var, KXi, Ka, s2a, s2x
-
-
 def dual_costs_and_grads(dual: DualParams, K, rho_l, rho_d, y, bias_reg: float = 0.0):
-    """Closed-form dual costs and all gradient blocks.
+    """Closed-form dual costs and the gradient of each cost in its own block.
 
     Expected regularizers use E[a.Ka] = mu.K mu + diag(K).sigma^2 and, for the
     attacker, the same with the shift to the unit coefficient vector e_i.
 
-    Returns (cost_l, cost_d, grads) with grads a dict holding the learner
-    blocks (d_mu_alpha, d_sigma_alpha, d_mu_b, d_sigma_b) and the attacker
-    blocks (d_mu_xi, d_sigma_xi) as n x n arrays.
+    Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the dual
+    layout with the learner block (2n + 2 entries) first.
     """
     n = dual.n
     K = np.asarray(K, dtype=float)
@@ -189,55 +175,45 @@ def dual_costs_and_grads(dual: DualParams, K, rho_l, rho_d, y, bias_reg: float =
 
 def _costs_and_grads(dual: DualParams, K, dK, K2, rho_l, rho_d, y, bias_reg):
     """dual_costs_and_grads on a checked PSD K with dK = diag(K), K2 = K*K."""
-    n = dual.n
-    mu_s, mu_t, var, KXi, Ka, s2a, s2x = _dual_moment_arrays(dual, y, K, K2)
-    sig = np.sqrt(var)
+    s2a = dual.sigma_alpha**2
+    s2x = dual.sigma_xi**2
+    KXi = dual.mu_xi @ K.T  # row i is K mu_xi_i
+    Ka = K.T @ dual.mu_alpha
+    score = KXi @ dual.mu_alpha + dual.mu_b
+    sig = np.sqrt(KXi**2 @ s2a + s2x @ Ka**2 + s2x @ K2 @ s2a + dual.sigma_b**2)
+    h_s, p_s, v_s = hinge_expect(1.0 - y * score, sig)
+    h_t, p_t, v_t = hinge_expect(1.0 + y * score, sig)
 
-    reg_l = float(dual.mu_alpha @ K @ dual.mu_alpha + dK @ s2a)
-    shifted = dual.mu_xi - np.eye(n)
-    reg_d_per = np.einsum("ij,jk,ik->i", shifted, K, shifted) + s2x @ dK
+    shifted = dual.mu_xi - np.eye(dual.n)
+    K_shifted = shifted @ K.T  # row i is K (mu_xi_i - e_i)
     cost_l = (
-        0.5 * rho_l * reg_l
+        0.5 * rho_l * (dual.mu_alpha @ Ka + dK @ s2a)
         + 0.5 * bias_reg * (dual.mu_b**2 + dual.sigma_b**2)
-        + float(hinge_expect(mu_s, sig).sum())
+        + h_s.sum()
     )
-    cost_d = float(0.5 * rho_d * reg_d_per.sum() + hinge_expect(mu_t, sig).sum())
+    cost_d = 0.5 * rho_d * ((shifted * K_shifted).sum() + (s2x * dK).sum()) + h_t.sum()
 
-    h_mu_s = hinge_expect_dmu(mu_s, sig)
-    h_var_s = hinge_expect_dvar(mu_s, sig)
-    h_mu_t = hinge_expect_dmu(mu_t, sig)
-    h_var_t = hinge_expect_dvar(mu_t, sig)
-
-    s2x_w = h_var_s @ s2x  # sum_i h_var_s_i * sigma_xi_i^2
-    d_mu_alpha = (
-        rho_l * (K @ dual.mu_alpha)
-        - (h_mu_s * y) @ KXi
-        + 2.0 * K.T @ (s2x_w * Ka)
-    )
-    d_sigma_alpha = rho_l * (dK * dual.sigma_alpha) + 2.0 * dual.sigma_alpha * (
-        h_var_s @ KXi**2 + K2 @ s2x_w
-    )
-    d_mu_b = bias_reg * dual.mu_b - float((h_mu_s * y).sum())
-    d_sigma_b = bias_reg * dual.sigma_b + 2.0 * dual.sigma_b * float(h_var_s.sum())
-
+    py_s = p_s * y
+    s2x_w = v_s @ s2x  # sum_i v_s_i * sigma_xi_i^2
     d_mu_xi = (
-        rho_d * (shifted @ K.T)
-        + np.outer(h_mu_t * y, Ka)
-        + 2.0 * (h_var_t[:, None] * KXi) @ (s2a[:, None] * K)
+        rho_d * K_shifted
+        + np.outer(p_t * y, Ka)
+        + 2.0 * (v_t[:, None] * KXi) @ (s2a[:, None] * K)
     )
     d_sigma_xi = rho_d * (dual.sigma_xi * dK) + 2.0 * dual.sigma_xi * (
-        h_var_t[:, None] * (Ka**2 + K2.T @ s2a)
+        v_t[:, None] * (Ka**2 + K2.T @ s2a)
     )
-
-    grads = {
-        "d_mu_alpha": d_mu_alpha,
-        "d_sigma_alpha": d_sigma_alpha,
-        "d_mu_b": d_mu_b,
-        "d_sigma_b": d_sigma_b,
-        "d_mu_xi": d_mu_xi,
-        "d_sigma_xi": d_sigma_xi,
-    }
-    return cost_l, cost_d, grads
+    grad = np.concatenate(
+        [
+            rho_l * (K @ dual.mu_alpha) - py_s @ KXi + 2.0 * K.T @ (s2x_w * Ka),
+            [bias_reg * dual.mu_b - py_s.sum()],
+            rho_l * (dK * dual.sigma_alpha)
+            + 2.0 * dual.sigma_alpha * (v_s @ KXi**2 + K2 @ s2x_w),
+            [bias_reg * dual.sigma_b + 2.0 * dual.sigma_b * v_s.sum()],
+            np.hstack([d_mu_xi, d_sigma_xi]).ravel(),
+        ]
+    )
+    return float(cost_l), float(cost_d), grad
 
 
 def default_dual_boxes(n: int, W: float = 1.0) -> tuple[ParamBox, ParamBox]:
@@ -286,19 +262,15 @@ def dual_game_operator(
         raise ShapeError("dual box dimensions inconsistent with n")
 
     dK, K2 = np.diag(K).copy(), K * K
+    r_d = rho_l / rho_d
 
     def evaluate(theta):
         return _costs_and_grads(unflatten_dual(theta, n), K, dK, K2, rho_l, rho_d, y, bias_reg)
 
-    r = (1.0, rho_l / rho_d)
-
     def pgrad(theta):
         g = evaluate(theta)[2]
-        g_l = np.concatenate(
-            [g["d_mu_alpha"], [g["d_mu_b"]], g["d_sigma_alpha"], [g["d_sigma_b"]]]
-        )
-        g_d = np.hstack([g["d_mu_xi"], g["d_sigma_xi"]]).ravel()
-        return np.concatenate([r[0] * g_l, r[1] * g_d])
+        g[dim_l:] *= r_d
+        return g
 
     return VIGame(
         dim_l=dim_l,
@@ -308,10 +280,6 @@ def dual_game_operator(
         cost_l=lambda theta: evaluate(theta)[0],
         cost_d=lambda theta: evaluate(theta)[1],
         pseudo_grad=pgrad,
-        r=r,
+        r=(1.0, r_d),
         rho=(rho_l, rho_d),
     )
-
-
-def save_gram_csv(path, K) -> None:
-    np.savetxt(path, K, delimiter=",", fmt="%.17g")

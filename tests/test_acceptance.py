@@ -18,13 +18,9 @@ from randgame.attacks import (
     tp_at_fp,
 )
 from randgame.costs import (
-    attacker_cost,
-    attacker_grad,
+    costs_and_grads,
     game_operator,
-    learner_cost,
-    learner_grad,
     nominal_attacker,
-    pseudo_gradient,
     train_baseline_svm,
 )
 from randgame.data import synth_2d
@@ -89,7 +85,7 @@ def test_criterion_01_hinge_expectation_monte_carlo():
                 sq += (d * d).sum()
             mean = total / n
             se = np.sqrt(max(sq / n - mean**2, 0.0) / n)
-            gap = abs(hinge_expect(mu, sigma) - mean)
+            gap = abs(hinge_expect(mu, sigma)[0] - mean)
             # deep in the negative tail every draw rectifies to exactly zero
             worst = max(worst, gap / se if se > 0 else (0.0 if gap < 1e-12 else np.inf))
     elapsed = time.perf_counter() - start
@@ -122,23 +118,24 @@ def test_criterion_02_gradients_match_finite_differences():
         )
         m = k + 1
         vl = np.concatenate([theta_l.mu_w, theta_l.sigma_w])
-        d_mu, d_sig = learner_grad(theta_l, theta_d, game)
+        g = costs_and_grads(theta_l, theta_d, game)[2]
         fd = _fd_gradient(
-            lambda v: learner_cost(LearnerParams(v[:m], v[m:]), theta_d, game), vl
+            lambda v: costs_and_grads(LearnerParams(v[:m], v[m:]), theta_d, game)[0], vl
         )
-        worst = max(worst, _rel_err(np.concatenate([d_mu, d_sig]), fd))
+        worst = max(worst, _rel_err(g[: game.dim_l], fd))
 
         va = np.concatenate([theta_d.mu_x.ravel(), theta_d.sigma_x.ravel()])
-        da_mu, da_sig = attacker_grad(theta_l, theta_d, game)
         fd = _fd_gradient(
-            lambda v: attacker_cost(
+            lambda v: costs_and_grads(
                 theta_l,
                 AttackerParams(v[: n * k].reshape(n, k), v[n * k :].reshape(n, k)),
                 game,
-            ),
+            )[1],
             va,
         )
-        worst = max(worst, _rel_err(np.concatenate([da_mu.ravel(), da_sig.ravel()]), fd))
+        # the flat layout interleaves each sample's (mu_x_i, sigma_x_i) rows
+        g_d = g[game.dim_l :].reshape(n, 2, k).transpose(1, 0, 2).ravel()
+        worst = max(worst, _rel_err(g_d, fd))
 
     from randgame.kernel import flatten_dual, unflatten_dual
 
@@ -166,12 +163,9 @@ def test_criterion_02_gradients_match_finite_differences():
             _, c, _ = dual_costs_and_grads(unflatten_dual(vv, n), K, 2.0, 3.0, y, 0.5)
             return c
 
-        analytic_l = np.concatenate(
-            [g["d_mu_alpha"], [g["d_mu_b"]], g["d_sigma_alpha"], [g["d_sigma_b"]]]
-        )
-        analytic_d = np.hstack([g["d_mu_xi"], g["d_sigma_xi"]]).ravel()
-        worst = max(worst, _rel_err(analytic_l, _fd_gradient(cl, v)[: 2 * n + 2]))
-        worst = max(worst, _rel_err(analytic_d, _fd_gradient(cd, v)[2 * n + 2 :]))
+        m = 2 * n + 2
+        worst = max(worst, _rel_err(g[:m], _fd_gradient(cl, v)[:m]))
+        worst = max(worst, _rel_err(g[m:], _fd_gradient(cd, v)[m:]))
 
     elapsed = time.perf_counter() - start
     _report(
@@ -327,7 +321,7 @@ def test_criterion_06_attack_oracles():
         spec = AttackSpec(
             d_max=d_max, mode="l2_box_pgd", box_lower=np.zeros(k), box_upper=np.ones(k)
         )
-        adv = attack_l2_box(w, b, x, 1.0, d_max, spec)
+        adv = attack_l2_box(w, x, 1.0, d_max, spec)
         u = rng.normal(size=(10_000, k))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         radii = d_max * rng.uniform(size=(10_000, 1)) ** (1.0 / k)
@@ -373,7 +367,7 @@ def test_criterion_07_deterministic_svm_limit():
         theta_d = nominal_attacker(game)
         margins = 1.0 - y * (X @ mu_w[:-1] + mu_w[-1])
         det = 0.5 * game.rho_l * mu_w[:-1] @ mu_w[:-1] + np.maximum(margins, 0).sum()
-        worst = max(worst, abs(learner_cost(theta_l, theta_d, game) - det))
+        worst = max(worst, abs(costs_and_grads(theta_l, theta_d, game)[0] - det))
     _report(
         7,
         "learner cost at the deviation floor reproduces the deterministic C-SVM objective",
@@ -404,19 +398,15 @@ def test_criterion_08_identity_kernel_reduces_to_primal():
     lb, ab = default_boxes(n, n, W=2.0)
     game = GameSpec(ds, 2.0, 3.0, lb, ab)
     cl, cd, g = dual_costs_and_grads(dual, K, game.rho_l, game.rho_d, ds.labels)
-    pg = pseudo_gradient(theta_l, theta_d, game)
-    dual_pg_l = np.concatenate(
-        [g["d_mu_alpha"][: n], [g["d_mu_b"]], g["d_sigma_alpha"], [g["d_sigma_b"]]]
-    )
-    # match the primal learner layout [mu_w~ ; mu_b ; sigma_w~ ; sigma_b]
-    dual_pg_d = (game.rho_l / game.rho_d) * np.hstack(
-        [g["d_mu_xi"], g["d_sigma_xi"]]
-    ).ravel()
+    pg = game_operator(game).pseudo_grad(flatten(theta_l, theta_d))
+    # with k = n the dual and primal flat layouts coincide
+    g[game.dim_l :] *= game.rho_l / game.rho_d
+    primal_l, primal_d, _ = costs_and_grads(theta_l, theta_d, game)
     gap = max(
-        abs(cl - learner_cost(theta_l, theta_d, game)),
-        abs(cd - attacker_cost(theta_l, theta_d, game)),
-        float(np.abs(dual_pg_l - pg[: game.dim_l]).max()),
-        float(np.abs(dual_pg_d - pg[game.dim_l :]).max()),
+        abs(cl - primal_l),
+        abs(cd - primal_d),
+        float(np.abs(g[: game.dim_l] - pg[: game.dim_l]).max()),
+        float(np.abs(g[game.dim_l :] - pg[game.dim_l :]).max()),
     )
     ok = np.array_equal(K, np.eye(n)) and gap <= 1e-12
     _report(
@@ -493,7 +483,7 @@ def test_criterion_10_security_gain_over_baseline():
                     box_lower=np.zeros(2),
                     box_upper=np.ones(2),
                 )
-                adv = np.array([attack_l2_box(w, b, x, 1.0, d_max, spec) for x in mal])
+                adv = np.array([attack_l2_box(w, x, 1.0, d_max, spec) for x in mal])
                 _, rate = tp_at_fp(s_legit, adv @ w + b, 0.01)
                 tp[name][d_max].append(rate)
         # boundary shift: the legitimate-class score (negative normalized

@@ -64,7 +64,7 @@ class TestBoxL2:
             b = float(rng.normal())
             x = rng.uniform(0.2, 0.8, size=k)
             d_max = float(rng.uniform(0.2, 0.8))
-            adv = attack_l2_box(w, b, x, 1.0, d_max, self._spec(d_max))
+            adv = attack_l2_box(w, x, 1.0, d_max, self._spec(d_max))
             # random feasible candidates: ball samples clamped to the box
             # (clamping toward a box containing x never increases the distance)
             u = rng.normal(size=(10_000, k))
@@ -79,7 +79,7 @@ class TestBoxL2:
             w = rng.normal(size=4)
             x = rng.uniform(size=4)
             d_max = 0.5
-            adv = attack_l2_box(w, 0.0, x, 1.0, d_max, self._spec(d_max, k=4))
+            adv = attack_l2_box(w, x, 1.0, d_max, self._spec(d_max, k=4))
             assert np.all(adv >= -1e-12) and np.all(adv <= 1.0 + 1e-12)
             assert np.linalg.norm(adv - x) <= d_max + 1e-9
 
@@ -87,12 +87,12 @@ class TestBoxL2:
         rng = np.random.default_rng(3)
         w = np.array([2.0, -1.0, 0.5])
         x = rng.uniform(0.1, 0.5, size=3)
-        adv = attack_l2_box(w, 0.0, x, 1.0, 0.6, self._spec(0.6, monotone=True))
+        adv = attack_l2_box(w, x, 1.0, 0.6, self._spec(0.6, monotone=True))
         assert np.all(adv >= x - 1e-12)
 
     def test_zero_budget_returns_original(self):
         x = np.array([0.3, 0.3])
-        adv = attack_l2_box(np.ones(2), 0.0, x, 1.0, 0.0, self._spec(0.0, k=2))
+        adv = attack_l2_box(np.ones(2), x, 1.0, 0.0, self._spec(0.0, k=2))
         np.testing.assert_array_equal(adv, x)
 
     def test_rejects_sample_outside_box(self):
@@ -101,7 +101,7 @@ class TestBoxL2:
             box_lower=np.zeros(2), box_upper=np.full(2, 0.5),
         )
         with pytest.raises(ValueError, match="outside"):
-            attack_l2_box(np.ones(2), 0.0, np.array([0.9, 0.1]), 1.0, 0.5, spec)
+            attack_l2_box(np.ones(2), np.array([0.9, 0.1]), 1.0, 0.5, spec)
 
 
 class TestBinaryFlip:

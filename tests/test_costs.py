@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from randgame.costs import (
-    attacker_cost,
-    attacker_grad,
+    costs_and_grads,
     game_operator,
-    learner_cost,
-    learner_grad,
     nominal_attacker,
-    pseudo_gradient,
     train_baseline_svm,
 )
 from randgame.hinge import hinge_expect, margin_moments
@@ -64,12 +60,12 @@ class TestGradients:
 
             def f(v):
                 tl = LearnerParams(v[:m], v[m:])
-                return learner_cost(tl, theta_d, game)
+                return costs_and_grads(tl, theta_d, game)[0]
 
             v = np.concatenate([theta_l.mu_w, theta_l.sigma_w])
-            d_mu, d_sig = learner_grad(theta_l, theta_d, game)
+            g = costs_and_grads(theta_l, theta_d, game)[2]
             np.testing.assert_allclose(
-                np.concatenate([d_mu, d_sig]), fd_gradient(f, v), rtol=1e-6, atol=1e-8
+                g[: game.dim_l], fd_gradient(f, v), rtol=1e-6, atol=1e-8
             )
 
     def test_learner_gradient_with_bias_reg(self):
@@ -78,12 +74,12 @@ class TestGradients:
         m = game.k + 1
 
         def f(v):
-            return learner_cost(LearnerParams(v[:m], v[m:]), theta_d, game)
+            return costs_and_grads(LearnerParams(v[:m], v[m:]), theta_d, game)[0]
 
         v = np.concatenate([theta_l.mu_w, theta_l.sigma_w])
-        d_mu, d_sig = learner_grad(theta_l, theta_d, game)
+        g = costs_and_grads(theta_l, theta_d, game)[2]
         np.testing.assert_allclose(
-            np.concatenate([d_mu, d_sig]), fd_gradient(f, v), rtol=1e-6, atol=1e-8
+            g[: game.dim_l], fd_gradient(f, v), rtol=1e-6, atol=1e-8
         )
 
     def test_attacker_gradient_vs_fd(self):
@@ -94,39 +90,47 @@ class TestGradients:
 
             def f(v):
                 td = AttackerParams(v[: n * k].reshape(n, k), v[n * k :].reshape(n, k))
-                return attacker_cost(theta_l, td, game)
+                return costs_and_grads(theta_l, td, game)[1]
 
             v = np.concatenate([theta_d.mu_x.ravel(), theta_d.sigma_x.ravel()])
-            d_mu, d_sig = attacker_grad(theta_l, theta_d, game)
-            np.testing.assert_allclose(
-                np.concatenate([d_mu.ravel(), d_sig.ravel()]),
-                fd_gradient(f, v),
-                rtol=1e-6,
-                atol=1e-8,
-            )
+            g = costs_and_grads(theta_l, theta_d, game)[2][game.dim_l :]
+            # the flat layout interleaves each sample's (mu_x_i, sigma_x_i) rows
+            g = g.reshape(n, 2, k).transpose(1, 0, 2).ravel()
+            np.testing.assert_allclose(g, fd_gradient(f, v), rtol=1e-6, atol=1e-8)
 
     def test_pseudo_gradient_weights(self):
         game = random_game(2, rho_l=6.0, rho_d=2.0)
         theta_l, theta_d = random_profile(game, 72)
-        pg = pseudo_gradient(theta_l, theta_d, game)
-        assert game_operator(game).r == (1.0, 3.0)
-        d_mu, d_sig = attacker_grad(theta_l, theta_d, game)
-        raw = np.hstack([d_mu, d_sig]).ravel()
-        np.testing.assert_allclose(pg[game.dim_l :], 3.0 * raw, rtol=1e-14)
+        ops = game_operator(game)
+        pg = ops.pseudo_grad(flatten(theta_l, theta_d))
+        assert ops.r == (1.0, 3.0)
+        raw = costs_and_grads(theta_l, theta_d, game)[2]
+        np.testing.assert_allclose(pg[: game.dim_l], raw[: game.dim_l], rtol=1e-14)
+        np.testing.assert_allclose(pg[game.dim_l :], 3.0 * raw[game.dim_l :], rtol=1e-14)
         assert pg.size == game.dim_l + game.dim_d
 
 
 class TestOperator:
     def test_operator_matches_typed_api(self):
-        game = random_game(4)
+        game = random_game(4, rho_l=2.0, rho_d=5.0)
         theta_l, theta_d = random_profile(game, 74)
         v = flatten(theta_l, theta_d)
         ops = game_operator(game)
-        assert ops.cost_l(v) == pytest.approx(learner_cost(theta_l, theta_d, game))
-        assert ops.cost_d(v) == pytest.approx(attacker_cost(theta_l, theta_d, game))
-        np.testing.assert_allclose(
-            ops.pseudo_grad(v), pseudo_gradient(theta_l, theta_d, game)
-        )
+        cost_l, cost_d, grad = costs_and_grads(theta_l, theta_d, game)
+        grad[game.dim_l :] *= ops.r[1]
+        assert ops.cost_l(v) == cost_l
+        assert ops.cost_d(v) == cost_d
+        np.testing.assert_array_equal(ops.pseudo_grad(v), grad)
+
+    def test_one_evaluation_per_pseudo_gradient(self, count_hinge_calls):
+        import randgame.costs as costs_module
+
+        game = random_game(8)
+        v = flatten(*random_profile(game, 78))
+        ops = game_operator(game)
+        calls = count_hinge_calls(costs_module)
+        ops.pseudo_grad(v)
+        assert calls == ["hinge_expect", "hinge_expect"]
 
     def test_cost_splits_into_loss_plus_regularizer(self):
         game = random_game(5)
@@ -140,7 +144,7 @@ class TestOperator:
                 margin_moments(side, y, theta_l, mu_x, sig_x)
                 for y, mu_x, sig_x in zip(game.dataset.labels, theta_d.mu_x, theta_d.sigma_x)
             ]
-            return sum(float(hinge_expect(m.mu, m.sigma)) for m in mm)
+            return sum(hinge_expect(m.mu, m.sigma)[0] for m in mm)
 
         reg_l = 0.5 * game.rho_l * (
             theta_l.mu_tilde @ theta_l.mu_tilde
@@ -183,7 +187,7 @@ class TestDeterministicLimit:
             X, y = game.dataset.features, game.dataset.labels
             margins = 1.0 - y * (X @ mu_w[:-1] + mu_w[-1])
             det = 0.5 * game.rho_l * mu_w[:-1] @ mu_w[:-1] + np.maximum(margins, 0).sum()
-            assert learner_cost(theta_l, theta_d, game) == pytest.approx(det, abs=1e-3)
+            assert costs_and_grads(theta_l, theta_d, game)[0] == pytest.approx(det, abs=1e-3)
 
 
 class TestBaselineSvm:

@@ -2,15 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from randgame.hinge import (
-    MarginMoments,
-    hinge_expect,
-    hinge_expect_dmu,
-    hinge_expect_dvar,
-    margin_moments,
-)
+from randgame.hinge import MarginMoments, hinge_expect, margin_moments
 from randgame.model import LearnerParams
+
+
+def value(mu, sigma):
+    return hinge_expect(mu, sigma)[0]
 
 
 class TestHingeExpect:
@@ -21,30 +20,43 @@ class TestHingeExpect:
             for sigma in (0.1, 1.0, 3.0):
                 draws = np.maximum(rng.normal(mu, sigma, size=n), 0.0)
                 se = draws.std() / np.sqrt(n)
-                assert abs(hinge_expect(mu, sigma) - draws.mean()) <= 4 * se + 1e-12
+                assert abs(value(mu, sigma) - draws.mean()) <= 4 * se + 1e-12
 
     def test_positive_mu_large_limit(self):
         # far from the kink the expectation is just mu
-        assert hinge_expect(30.0, 1.0) == pytest.approx(30.0, abs=1e-12)
+        assert value(30.0, 1.0) == pytest.approx(30.0, abs=1e-12)
 
     def test_negative_mu_large_limit(self):
-        assert hinge_expect(-30.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert value(-30.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_at_zero_mean(self):
         # E[max(0, N(0, s^2))] = s / sqrt(2 pi)
         for s in (0.3, 1.0, 2.0):
-            assert hinge_expect(0.0, s) == pytest.approx(s / np.sqrt(2 * np.pi), rel=1e-12)
+            assert value(0.0, s) == pytest.approx(s / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         mus = np.array([-1.0, 0.0, 2.0])
         sig = np.array([0.5, 1.0, 2.0])
         out = hinge_expect(mus, sig)
         for i in range(3):
-            assert out[i] == pytest.approx(hinge_expect(mus[i], sig[i]), rel=1e-14)
+            for vec, scalar in zip(out, hinge_expect(mus[i], sig[i])):
+                assert vec[i] == pytest.approx(scalar, rel=1e-14)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             hinge_expect(0.0, 0.0)
+
+    def test_scalar_inputs_give_floats_and_arrays_give_arrays(self):
+        assert all(type(v) is float for v in hinge_expect(0.3, 1.2))
+        out = hinge_expect(np.array([0.3, -0.1]), 1.2)
+        assert all(isinstance(v, np.ndarray) and v.shape == (2,) for v in out)
+
+    def test_exact_lower_tail(self):
+        # 1 - erf(-z / sqrt(2)) cancels to nothing for z << 0; erfc does not
+        for mu in (-5.0, -8.0, -10.0):
+            h, p, _ = hinge_expect(mu, 1.0)
+            assert p == pytest.approx(norm.cdf(mu), rel=1e-12)
+            assert h == pytest.approx(norm.pdf(mu) + mu * norm.cdf(mu), rel=1e-10)
 
 
 class TestHingeDerivatives:
@@ -52,28 +64,26 @@ class TestHingeDerivatives:
         h = 1e-6
         for mu in (-1.5, -0.2, 0.0, 0.7, 2.0):
             for sigma in (0.2, 1.0, 3.0):
-                fd = (hinge_expect(mu + h, sigma) - hinge_expect(mu - h, sigma)) / (2 * h)
-                assert hinge_expect_dmu(mu, sigma) == pytest.approx(fd, abs=1e-8)
+                fd = (value(mu + h, sigma) - value(mu - h, sigma)) / (2 * h)
+                assert hinge_expect(mu, sigma)[1] == pytest.approx(fd, abs=1e-8)
 
     def test_dvar_finite_difference(self):
         h = 1e-7
         for mu in (-1.5, 0.0, 0.7):
             for sigma in (0.5, 1.0, 2.0):
                 v = sigma**2
-                fd = (
-                    hinge_expect(mu, np.sqrt(v + h)) - hinge_expect(mu, np.sqrt(v - h))
-                ) / (2 * h)
-                assert hinge_expect_dvar(mu, sigma) == pytest.approx(fd, abs=1e-7)
+                fd = (value(mu, np.sqrt(v + h)) - value(mu, np.sqrt(v - h))) / (2 * h)
+                assert hinge_expect(mu, sigma)[2] == pytest.approx(fd, abs=1e-7)
 
     def test_dmu_is_a_probability(self):
         rng = np.random.default_rng(1)
-        p = hinge_expect_dmu(rng.normal(size=50), rng.uniform(0.1, 2.0, size=50))
-        # deep tails saturate to exactly 0/1 in floating point
+        p = hinge_expect(rng.normal(size=50), rng.uniform(0.1, 2.0, size=50))[1]
+        # the deep upper tail saturates to exactly 1 in floating point
         assert np.all(p >= 0) and np.all(p <= 1)
 
     def test_dvar_strictly_positive(self):
         rng = np.random.default_rng(2)
-        d = hinge_expect_dvar(rng.normal(size=50), rng.uniform(0.1, 2.0, size=50))
+        d = hinge_expect(rng.normal(size=50), rng.uniform(0.1, 2.0, size=50))[2]
         assert np.all(d > 0)
 
 

@@ -5,12 +5,8 @@ reduction to the primal game."""
 import numpy as np
 import pytest
 
-from randgame.costs import (
-    attacker_cost,
-    attacker_grad,
-    learner_cost,
-    learner_grad,
-)
+from randgame.costs import costs_and_grads
+from randgame.hinge import hinge_expect
 from randgame.kernel import (
     DualParams,
     Kernel,
@@ -21,7 +17,6 @@ from randgame.kernel import (
     dual_margin_moments,
     flatten_dual,
     gram,
-    save_gram_csv,
     unflatten_dual,
 )
 from randgame.model import (
@@ -95,11 +90,6 @@ class TestGram:
         with pytest.raises(ValueError):
             Kernel("rbf", gamma=-1.0)
 
-    def test_save_gram_csv(self, tmp_path):
-        K = random_psd(4)
-        p = tmp_path / "gram.csv"
-        save_gram_csv(p, K)
-        np.testing.assert_allclose(np.loadtxt(p, delimiter=","), K, atol=0)
 
 
 class TestDualParams:
@@ -178,14 +168,9 @@ class TestDualGradients:
                 _, c, _ = dual_costs_and_grads(unflatten_dual(vv, n), K, 2.0, 3.0, y, 0.5)
                 return c
 
-            fd_l = self._fd(cl, v)[: 2 * n + 2]
-            fd_d = self._fd(cd, v)[2 * n + 2 :]
-            analytic_l = np.concatenate(
-                [g["d_mu_alpha"], [g["d_mu_b"]], g["d_sigma_alpha"], [g["d_sigma_b"]]]
-            )
-            analytic_d = np.hstack([g["d_mu_xi"], g["d_sigma_xi"]]).ravel()
-            np.testing.assert_allclose(analytic_l, fd_l, rtol=1e-5, atol=1e-8)
-            np.testing.assert_allclose(analytic_d, fd_d, rtol=1e-5, atol=1e-8)
+            m = 2 * n + 2
+            np.testing.assert_allclose(g[:m], self._fd(cl, v)[:m], rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(g[m:], self._fd(cd, v)[m:], rtol=1e-5, atol=1e-8)
 
 
 class TestIdentityKernelReduction:
@@ -217,20 +202,15 @@ class TestIdentityKernelReduction:
     def test_costs_match(self):
         ds, K, dual, theta_l, theta_d, game = self._setup()
         cl, cd, _ = dual_costs_and_grads(dual, K, game.rho_l, game.rho_d, ds.labels)
-        assert cl == pytest.approx(learner_cost(theta_l, theta_d, game), abs=1e-12)
-        assert cd == pytest.approx(attacker_cost(theta_l, theta_d, game), abs=1e-12)
+        primal_l, primal_d, _ = costs_and_grads(theta_l, theta_d, game)
+        assert cl == pytest.approx(primal_l, abs=1e-12)
+        assert cd == pytest.approx(primal_d, abs=1e-12)
 
     def test_gradients_match(self):
         ds, K, dual, theta_l, theta_d, game = self._setup(seed=1)
         _, _, g = dual_costs_and_grads(dual, K, game.rho_l, game.rho_d, ds.labels)
-        d_mu_w, d_sigma_w = learner_grad(theta_l, theta_d, game)
-        d_mu_x, d_sigma_x = attacker_grad(theta_l, theta_d, game)
-        np.testing.assert_allclose(g["d_mu_alpha"], d_mu_w[:-1], atol=1e-12)
-        assert g["d_mu_b"] == pytest.approx(d_mu_w[-1], abs=1e-12)
-        np.testing.assert_allclose(g["d_sigma_alpha"], d_sigma_w[:-1], atol=1e-12)
-        assert g["d_sigma_b"] == pytest.approx(d_sigma_w[-1], abs=1e-12)
-        np.testing.assert_allclose(g["d_mu_xi"], d_mu_x, atol=1e-12)
-        np.testing.assert_allclose(g["d_sigma_xi"], d_sigma_x, atol=1e-12)
+        # with k = n the dual and primal flat layouts coincide
+        np.testing.assert_allclose(g, costs_and_grads(theta_l, theta_d, game)[2], atol=1e-12)
 
 
 class TestDualOperator:
@@ -253,6 +233,59 @@ class TestDualOperator:
             fn = ops.cost_l if i < ops.dim_l else ops.cost_d
             fd = (fn(vp) - fn(vm)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_operator_matches_costs_and_grads(self):
+        ds = random_dataset(11, n=4)
+        ops = dual_game_operator(ds, Kernel("rbf", 1.0), 2.0, 5.0)
+        rng = np.random.default_rng(12)
+        v = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
+        K = gram(ds, Kernel("rbf", 1.0))
+        cost_l, cost_d, grad = dual_costs_and_grads(unflatten_dual(v, 4), K, 2.0, 5.0, ds.labels)
+        grad[ops.dim_l :] *= ops.r[1]
+        assert ops.r == (1.0, 0.4)
+        assert ops.cost_l(v) == cost_l
+        assert ops.cost_d(v) == cost_d
+        np.testing.assert_array_equal(ops.pseudo_grad(v), grad)
+
+    def test_one_evaluation_per_pseudo_gradient(self, count_hinge_calls):
+        import randgame.kernel as kernel_module
+
+        ops = dual_game_operator(random_dataset(13, n=3), Kernel("rbf", 1.0), 1.0, 2.0)
+        v = 0.5 * (ops.lower + ops.upper)
+        calls = count_hinge_calls(kernel_module)
+        ops.pseudo_grad(v)
+        assert calls == ["hinge_expect", "hinge_expect"]
+
+    def test_cost_splits_into_loss_plus_regularizer(self):
+        n = 5
+        ds = random_dataset(14, n=n)
+        K = gram(ds, Kernel("rbf", 2.0))
+        assert not np.allclose(K, np.eye(n))
+        dual = random_dual(15, n)
+        bias_reg = 0.7
+        cl, cd, _ = dual_costs_and_grads(dual, K, 2.0, 3.0, ds.labels, bias_reg)
+
+        def expected_loss(side):
+            # per-sample margin moments, independent of the vectorized costs
+            total = 0.0
+            for i, y in enumerate(ds.labels):
+                mm = dual_margin_moments(
+                    side, y, dual.mu_alpha, dual.sigma_alpha, dual.mu_b,
+                    dual.sigma_b, dual.mu_xi[i], dual.sigma_xi[i], K,
+                )
+                total += hinge_expect(mm.mu, mm.sigma)[0]
+            return total
+
+        dK = np.diag(K)
+        reg_l = dual.mu_alpha @ K @ dual.mu_alpha + dK @ dual.sigma_alpha**2
+        reg_l_b = dual.mu_b**2 + dual.sigma_b**2
+        reg_d = sum(
+            (dual.mu_xi[i] - e) @ K @ (dual.mu_xi[i] - e) + dK @ dual.sigma_xi[i] ** 2
+            for i, e in enumerate(np.eye(n))
+        )
+        expected_l = expected_loss("learner") + 0.5 * 2.0 * reg_l + 0.5 * bias_reg * reg_l_b
+        assert cl == pytest.approx(expected_l, rel=1e-12)
+        assert cd == pytest.approx(expected_loss("attacker") + 0.5 * 3.0 * reg_d, rel=1e-12)
 
     def test_kernel_checked_once_per_operator(self, monkeypatch):
         import randgame.kernel as kernel_module
