@@ -9,7 +9,11 @@ independent axis-aligned Gaussians alpha and xi,
                       + sum_k s2x_k (K mu_alpha)_k^2
                       + s2a . (K*K) s2x
 
-which specializes to the primal variance formula at K = I.
+This is the game of costs.evaluate with M = K and the unit vectors e_i as the
+attacker's anchors (the unmoved point phi(x_i) has coefficients e_i); the
+primal game is the case M = I with the training points as anchors. Costs and
+gradients here are that one evaluation, on a K that check_psd has found
+symmetric and PSD, as evaluate multiplies by K from one side only.
 
 The joint flat layout of the dual game is
 [mu_alpha (n); mu_b; sigma_alpha (n); sigma_b; mu_xi_1 (n); sigma_xi_1 (n); ...].
@@ -21,14 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hinge import MarginMoments, hinge_expect
-from .model import (
-    ATTACKER_DEV_BOUNDS,
-    Dataset,
-    LEARNER_DEV_BOUNDS,
-    ParamBox,
-    ShapeError,
-)
+from .costs import _vi_game, evaluate
+from .hinge import MarginMoments
+from .model import Dataset, ParamBox, ShapeError, _box_pair
 from .ops import VIGame
 
 PSD_TOL = 1e-10
@@ -65,6 +64,11 @@ def gram(data: Dataset, kernel: Kernel) -> np.ndarray:
 
 
 def check_psd(K: np.ndarray, tol: float = PSD_TOL) -> None:
+    """Raise ValueError unless K is symmetric to within tol * max(1, max|K|)
+    and its smallest eigenvalue is at least -tol."""
+    asym = np.abs(K - K.T).max()
+    if asym > tol * max(1.0, np.abs(K).max()):
+        raise ValueError(f"Gram matrix not symmetric (max |K - K^T| {asym:.3e})")
     w = np.linalg.eigvalsh(K)
     if w.min() < -tol:
         raise ValueError(f"Gram matrix not PSD (min eigenvalue {w.min():.3e})")
@@ -90,7 +94,7 @@ class DualParams:
         n = ma.shape[0]
         if sa.shape != (n,) or mx.shape != (n, n) or sx.shape != (n, n):
             raise ShapeError("dual parameter shapes inconsistent")
-        if np.any(sa <= 0) or np.any(sx <= 0) or self.sigma_b <= 0:
+        if not (np.all(sa > 0) and np.all(sx > 0) and self.sigma_b > 0):
             raise ValueError("dual deviations must be strictly positive")
         for name, arr in (
             ("mu_alpha", ma),
@@ -155,6 +159,13 @@ def dual_margin_moments(
     return MarginMoments(mu, var)
 
 
+def _dual_terms(K, y, rho_l, rho_d, bias_reg):
+    """The fixed arguments of costs.evaluate for the dual game: M = K, anchors = I."""
+    K2 = K * K
+    return (lambda a: a @ K, np.diag(K).copy(), lambda v: v @ K2, np.eye(K.shape[0]),
+            np.asarray(y, dtype=float), rho_l, rho_d, bias_reg)
+
+
 def dual_costs_and_grads(dual: DualParams, K, rho_l, rho_d, y, bias_reg: float = 0.0):
     """Closed-form dual costs and the gradient of each cost in its own block.
 
@@ -164,78 +175,17 @@ def dual_costs_and_grads(dual: DualParams, K, rho_l, rho_d, y, bias_reg: float =
     Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the dual
     layout with the learner block (2n + 2 entries) first.
     """
-    n = dual.n
     K = np.asarray(K, dtype=float)
-    if K.shape != (n, n):
+    if K.shape != (dual.n, dual.n):
         raise ShapeError("kernel size inconsistent with dual parameters")
     check_psd(K)
-    y = np.asarray(y, dtype=float)
-    return _costs_and_grads(dual, K, np.diag(K).copy(), K * K, rho_l, rho_d, y, bias_reg)
-
-
-def _costs_and_grads(dual: DualParams, K, dK, K2, rho_l, rho_d, y, bias_reg):
-    """dual_costs_and_grads on a checked PSD K with dK = diag(K), K2 = K*K."""
-    s2a = dual.sigma_alpha**2
-    s2x = dual.sigma_xi**2
-    KXi = dual.mu_xi @ K.T  # row i is K mu_xi_i
-    Ka = K.T @ dual.mu_alpha
-    score = KXi @ dual.mu_alpha + dual.mu_b
-    sig = np.sqrt(KXi**2 @ s2a + s2x @ Ka**2 + s2x @ K2 @ s2a + dual.sigma_b**2)
-    h_s, p_s, v_s = hinge_expect(1.0 - y * score, sig)
-    h_t, p_t, v_t = hinge_expect(1.0 + y * score, sig)
-
-    shifted = dual.mu_xi - np.eye(dual.n)
-    K_shifted = shifted @ K.T  # row i is K (mu_xi_i - e_i)
-    cost_l = (
-        0.5 * rho_l * (dual.mu_alpha @ Ka + dK @ s2a)
-        + 0.5 * bias_reg * (dual.mu_b**2 + dual.sigma_b**2)
-        + h_s.sum()
-    )
-    cost_d = 0.5 * rho_d * ((shifted * K_shifted).sum() + (s2x * dK).sum()) + h_t.sum()
-
-    py_s = p_s * y
-    s2x_w = v_s @ s2x  # sum_i v_s_i * sigma_xi_i^2
-    d_mu_xi = (
-        rho_d * K_shifted
-        + np.outer(p_t * y, Ka)
-        + 2.0 * (v_t[:, None] * KXi) @ (s2a[:, None] * K)
-    )
-    d_sigma_xi = rho_d * (dual.sigma_xi * dK) + 2.0 * dual.sigma_xi * (
-        v_t[:, None] * (Ka**2 + K2.T @ s2a)
-    )
-    grad = np.concatenate(
-        [
-            rho_l * (K @ dual.mu_alpha) - py_s @ KXi + 2.0 * K.T @ (s2x_w * Ka),
-            [bias_reg * dual.mu_b - py_s.sum()],
-            rho_l * (dK * dual.sigma_alpha)
-            + 2.0 * dual.sigma_alpha * (v_s @ KXi**2 + K2 @ s2x_w),
-            [bias_reg * dual.sigma_b + 2.0 * dual.sigma_b * v_s.sum()],
-            np.hstack([d_mu_xi, d_sigma_xi]).ravel(),
-        ]
-    )
-    return float(cost_l), float(cost_d), grad
+    return evaluate(flatten_dual(dual), *_dual_terms(K, y, rho_l, rho_d, bias_reg))
 
 
 def default_dual_boxes(n: int, W: float = 1.0) -> tuple[ParamBox, ParamBox]:
     """Learner coefficients and bias mean in [-W, W]; attacker coefficients in
     the fixed expansion interval; deviations share the primal intervals."""
-    if W <= 0:
-        raise ValueError("W must be positive")
-    l_lo = np.concatenate([np.full(n + 1, -W), np.full(n + 1, LEARNER_DEV_BOUNDS[0])])
-    l_up = np.concatenate([np.full(n + 1, W), np.full(n + 1, LEARNER_DEV_BOUNDS[1])])
-    a_lo = np.tile(
-        np.concatenate(
-            [np.full(n, XI_MEAN_BOUNDS[0]), np.full(n, ATTACKER_DEV_BOUNDS[0])]
-        ),
-        n,
-    )
-    a_up = np.tile(
-        np.concatenate(
-            [np.full(n, XI_MEAN_BOUNDS[1]), np.full(n, ATTACKER_DEV_BOUNDS[1])]
-        ),
-        n,
-    )
-    return ParamBox(l_lo, l_up), ParamBox(a_lo, a_up)
+    return _box_pair(n, n, W, XI_MEAN_BOUNDS)
 
 
 def dual_game_operator(
@@ -251,35 +201,10 @@ def dual_game_operator(
     n = data.n
     K = gram(data, kernel)
     check_psd(K)
-    y = data.labels
     if learner_box is None or attacker_box is None:
         lb, ab = default_dual_boxes(n)
         learner_box = learner_box or lb
         attacker_box = attacker_box or ab
-    dim_l = 2 * n + 2
-    dim_d = 2 * n * n
-    if learner_box.dim != dim_l or attacker_box.dim != dim_d:
+    if learner_box.dim != 2 * n + 2 or attacker_box.dim != 2 * n * n:
         raise ShapeError("dual box dimensions inconsistent with n")
-
-    dK, K2 = np.diag(K).copy(), K * K
-    r_d = rho_l / rho_d
-
-    def evaluate(theta):
-        return _costs_and_grads(unflatten_dual(theta, n), K, dK, K2, rho_l, rho_d, y, bias_reg)
-
-    def pgrad(theta):
-        g = evaluate(theta)[2]
-        g[dim_l:] *= r_d
-        return g
-
-    return VIGame(
-        dim_l=dim_l,
-        dim_d=dim_d,
-        lower=np.concatenate([learner_box.lower, attacker_box.lower]),
-        upper=np.concatenate([learner_box.upper, attacker_box.upper]),
-        cost_l=lambda theta: evaluate(theta)[0],
-        cost_d=lambda theta: evaluate(theta)[1],
-        pseudo_grad=pgrad,
-        r=(1.0, r_d),
-        rho=(rho_l, rho_d),
-    )
+    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), learner_box, attacker_box)

@@ -87,7 +87,7 @@ class LearnerParams:
             raise ShapeError("mu_w and sigma_w must have equal length")
         if mu.shape[0] < 2:
             raise ShapeError("learner needs at least one feature plus bias")
-        if np.any(sig <= 0):
+        if not np.all(sig > 0):
             raise ValueError("sigma_w must be strictly positive")
         mu.setflags(write=False)
         sig.setflags(write=False)
@@ -129,7 +129,7 @@ class AttackerParams:
             raise ShapeError("mu_x and sigma_x must have equal shape")
         if mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ShapeError("attacker needs n >= 1 samples and k >= 1 features")
-        if np.any(sig <= 0):
+        if not np.all(sig > 0):
             raise ValueError("sigma_x must be strictly positive")
         mu.setflags(write=False)
         sig.setflags(write=False)
@@ -177,23 +177,25 @@ def project_box(v, box: ParamBox) -> np.ndarray:
     return np.clip(v, box.lower, box.upper)
 
 
+def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[ParamBox, ParamBox]:
+    """Learner means (m + 1) in [-W, W], each attacker row's m means in
+    mean_bounds, deviation coordinates in the standard intervals above."""
+    if W <= 0:
+        raise ValueError("W must be positive")
+    if n < 1 or m < 1:
+        raise ShapeError("need n >= 1 and k >= 1")
+    learner = [np.repeat([mean, dev], m + 1) for mean, dev in zip((-W, W), LEARNER_DEV_BOUNDS)]
+    attacker = [
+        np.tile(np.repeat([mean, dev], m), n)
+        for mean, dev in zip(mean_bounds, ATTACKER_DEV_BOUNDS)
+    ]
+    return ParamBox(*learner), ParamBox(*attacker)
+
+
 def default_boxes(n: int, k: int, W: float) -> tuple[ParamBox, ParamBox]:
     """Default feasible boxes: learner means in [-W, W], attacker means in [0, 1],
     deviation coordinates in the standard intervals above."""
-    if W <= 0:
-        raise ValueError("W must be positive")
-    if n < 1 or k < 1:
-        raise ShapeError("need n >= 1 and k >= 1")
-    m = k + 1
-    l_lo = np.concatenate([np.full(m, -W), np.full(m, LEARNER_DEV_BOUNDS[0])])
-    l_up = np.concatenate([np.full(m, W), np.full(m, LEARNER_DEV_BOUNDS[1])])
-    a_lo = np.tile(
-        np.concatenate([np.zeros(k), np.full(k, ATTACKER_DEV_BOUNDS[0])]), n
-    )
-    a_up = np.tile(
-        np.concatenate([np.ones(k), np.full(k, ATTACKER_DEV_BOUNDS[1])]), n
-    )
-    return ParamBox(l_lo, l_up), ParamBox(a_lo, a_up)
+    return _box_pair(n, k, W, (0.0, 1.0))
 
 
 @dataclass(frozen=True)

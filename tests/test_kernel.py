@@ -5,7 +5,7 @@ reduction to the primal game."""
 import numpy as np
 import pytest
 
-from randgame.costs import costs_and_grads
+from randgame.costs import costs_and_grads, game_operator
 from randgame.hinge import hinge_expect
 from randgame.kernel import (
     DualParams,
@@ -84,6 +84,24 @@ class TestGram:
         with pytest.raises(ValueError, match="PSD"):
             check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_check_psd_rejects_nonsymmetric(self):
+        # the lower triangle alone is the PSD matrix [[2, 1], [1, 2]]
+        K = np.array([[2.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            check_psd(K)
+        dual = random_dual(0, n=2)
+        with pytest.raises(ValueError, match="symmetric"):
+            dual_costs_and_grads(dual, K, 1.0, 1.0, np.array([1.0, -1.0]))
+
+    def test_check_psd_accepts_roundoff_asymmetry_of_large_entries(self):
+        # a linear Gram matrix over many large features, one row at a time
+        X = np.random.default_rng(0).uniform(0.0, 1000.0, size=(30, 500))
+        K = np.array([X @ x for x in X])
+        assert np.abs(K - K.T).max() > 1e-10
+        check_psd(K)
+        y = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+        dual_costs_and_grads(random_dual(0, n=30), K, 1.0, 1.0, y)
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             Kernel("polynomial")
@@ -103,6 +121,11 @@ class TestDualParams:
     def test_rejects_nonpositive_deviations(self):
         with pytest.raises(ValueError):
             DualParams(np.zeros(2), np.array([0.1, 0.0]), 0.0, 0.1, np.zeros((2, 2)), np.full((2, 2), 0.1))
+        sig = np.full((2, 2), 0.1)
+        sig[1, 0] = np.nan
+        for sig_b, sig_xi in ((0.1, sig), (np.nan, np.full((2, 2), 0.1))):
+            with pytest.raises(ValueError):
+                DualParams(np.zeros(2), np.full(2, 0.1), 0.0, sig_b, np.zeros((2, 2)), sig_xi)
 
     def test_unflatten_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
@@ -248,11 +271,11 @@ class TestDualOperator:
         np.testing.assert_array_equal(ops.pseudo_grad(v), grad)
 
     def test_one_evaluation_per_pseudo_gradient(self, count_hinge_calls):
-        import randgame.kernel as kernel_module
+        import randgame.costs as costs_module
 
         ops = dual_game_operator(random_dataset(13, n=3), Kernel("rbf", 1.0), 1.0, 2.0)
         v = 0.5 * (ops.lower + ops.upper)
-        calls = count_hinge_calls(kernel_module)
+        calls = count_hinge_calls(costs_module)
         ops.pseudo_grad(v)
         assert calls == ["hinge_expect", "hinge_expect"]
 
@@ -305,3 +328,64 @@ class TestDualOperator:
     def test_default_dual_boxes_shape(self):
         lb, ab = default_dual_boxes(3)
         assert lb.dim == 8 and ab.dim == 18
+        np.testing.assert_array_equal(lb.lower, [-1.0] * 4 + [1e-6] * 4)
+        np.testing.assert_array_equal(lb.upper, [1.0] * 4 + [1e-3] * 4)
+        np.testing.assert_array_equal(ab.lower, ([-1.0] * 3 + [1e-3] * 3) * 3)
+        np.testing.assert_array_equal(ab.upper, ([2.0] * 3 + [0.5] * 3) * 3)
+        lb, _ = default_dual_boxes(2, W=2.5)
+        np.testing.assert_array_equal(lb.lower[:3], [-2.5] * 3)
+        np.testing.assert_array_equal(lb.upper[:3], [2.5] * 3)
+
+
+def _both_operators():
+    ds = random_dataset(21, n=4, k=3)
+    lb, ab = default_boxes(ds.n, ds.k, W=2.0)
+    return {
+        "primal": game_operator(GameSpec(ds, 2.0, 3.0, lb, ab, bias_reg=0.5)),
+        "dual": dual_game_operator(ds, Kernel("rbf", 1.0), 2.0, 3.0, bias_reg=0.5),
+    }
+
+
+@pytest.mark.parametrize("which", ["primal", "dual"])
+class TestBothOperators:
+    """The primal and the dual operator are one evaluation with different
+    fixed terms, so they must treat their input the same way."""
+
+    def _inside(self, ops):
+        rng = np.random.default_rng(22)
+        return ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
+
+    def test_read_only_theta_is_accepted_and_unchanged(self, which):
+        ops = _both_operators()[which]
+        v = self._inside(ops)
+        before = v.copy()
+        v.setflags(write=False)
+        for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad, ops.project, ops.split):
+            fn(v)
+        np.testing.assert_array_equal(v, before)
+        g = ops.pseudo_grad(v)
+        assert g.flags.writeable and not np.shares_memory(g, v)
+
+    def test_non_finite_theta_raises(self, which):
+        ops = _both_operators()[which]
+        n_mean = (ops.dim_l - 2) // 2
+        # learner mean, learner deviation, attacker mean, attacker deviation
+        for i in (0, n_mean + 1, ops.dim_l, ops.dim_l + n_mean):
+            for bad in (np.nan, np.inf):
+                v = self._inside(ops)
+                v[i] = bad
+                for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+                    with pytest.raises(ValueError, match="finite"):
+                        fn(v)
+
+    def test_wrong_length_and_nonpositive_deviation_raise(self, which):
+        ops = _both_operators()[which]
+        with pytest.raises(ShapeError):
+            ops.pseudo_grad(self._inside(ops)[:-1])
+        n_mean = (ops.dim_l - 2) // 2
+        for i in (n_mean + 1, ops.dim_l - 1, ops.dim_l + n_mean):
+            v = self._inside(ops)
+            v[i] = 0.0
+            for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+                with pytest.raises(ValueError, match="positive"):
+                    fn(v)

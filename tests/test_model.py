@@ -55,8 +55,14 @@ class TestValidation:
             ds.features[0, 0] = 0.0
 
     def test_learner_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError, match="positive"):
-            LearnerParams(np.zeros(3), np.array([0.1, 0.0, 0.1]))
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                LearnerParams(np.zeros(3), np.array([0.1, bad, 0.1]))
+
+    def test_attacker_rejects_nonpositive_sigma(self):
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                AttackerParams(np.zeros((2, 2)), np.array([[0.1, 0.1], [bad, 0.1]]))
 
     def test_attacker_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
