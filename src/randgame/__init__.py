@@ -24,8 +24,8 @@ from .diagnostics import (
     pseudo_jacobian,
     uniqueness_margin,
 )
-from .hinge import MarginMoments, hinge_expect, margin_moments
-from .kernel import DualParams, Kernel, dual_costs_and_grads, dual_game_operator, dual_margin_moments, gram
+from .hinge import hinge_expect
+from .kernel import Kernel, dual_costs_and_grads, dual_game_operator, gram
 from .model import (
     AttackerParams,
     Dataset,
@@ -35,7 +35,6 @@ from .model import (
     ShapeError,
     default_boxes,
     flatten,
-    project_box,
     unflatten,
 )
 from .ops import VIGame

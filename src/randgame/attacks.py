@@ -210,6 +210,8 @@ def security_curve(
 ) -> SecurityCurve:
     """Attack every malicious test sample at each budget and track TP at the
     fixed FP rate, mean/std over seeded re-subsamplings of the test set."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1: a curve needs a measurement")
     d_max_list = [float(d) for d in d_max_list]
     if any(b >= a for a, b in zip(d_max_list[1:], d_max_list)):
         raise ValueError("d_max_list must be strictly increasing")

@@ -33,33 +33,70 @@ def _load_dataset(path):
     return data_io.load_dense_csv(path)
 
 
-_GAME_KEYS = ("W", "rho_l", "rho_d", "bias_reg", "epsilon", "max_iter", "seed")
-
-
 class _UsageError(ValueError):
     pass
+
+
+# key: (default, whole numbers only, accepted values); every value is finite
+_GAME_KEYS = {
+    "W": (0.1, False, lambda v: v > 0),
+    "rho_l": (1.0, False, lambda v: v > 0),
+    "rho_d": (1.0, False, lambda v: v > 0),
+    "bias_reg": (0.0, False, lambda v: v >= 0),
+    "epsilon": (solver.SolverConfig.epsilon, False, lambda v: v > 0),
+    "max_iter": (solver.SolverConfig.max_iter, True, lambda v: v >= 1),
+    "seed": (0, True, lambda v: v >= 0),
+}
+
+
+def _game_value(cfg: dict, key: str):
+    default, whole, accepts = _GAME_KEYS[key]
+    v = cfg.get(key, default)
+    ok = isinstance(v, float | int) and np.isfinite(v) and accepts(v)
+    if not ok or (whole and v != int(v)):
+        raise _UsageError(f"bad value for game config key {key!r}: {v!r}")
+    return int(v) if whole else float(v)
 
 
 def _game_from_config(cfg: dict, dataset) -> tuple[model.GameSpec, solver.SolverConfig]:
     for key in cfg:
         if key not in _GAME_KEYS:
             raise _UsageError(f"unknown game config key {key!r}")
-    W = float(cfg.get("W", 0.1))
-    lb, ab = model.default_boxes(dataset.n, dataset.k, W)
-    game = model.GameSpec(
-        dataset=dataset,
-        rho_l=float(cfg.get("rho_l", 1.0)),
-        rho_d=float(cfg.get("rho_d", 1.0)),
-        learner_box=lb,
-        attacker_box=ab,
-        bias_reg=float(cfg.get("bias_reg", 0.0)),
-    )
-    scfg = solver.SolverConfig(
-        epsilon=float(cfg.get("epsilon", solver.SolverConfig.epsilon)),
-        max_iter=int(cfg.get("max_iter", solver.SolverConfig.max_iter)),
-        seed=int(cfg.get("seed", 0)),
-    )
+    v = {key: _game_value(cfg, key) for key in _GAME_KEYS}
+    lb, ab = model.default_boxes(dataset.n, dataset.k, v["W"])
+    game = model.GameSpec(dataset, v["rho_l"], v["rho_d"], lb, ab, v["bias_reg"])
+    scfg = solver.SolverConfig(v["epsilon"], v["max_iter"], v["seed"])
     return game, scfg
+
+
+def _flag(parse, accepts, what):
+    """argparse type= converter: a value that parses and is accepted, or a usage error."""
+
+    def convert(text):
+        try:
+            v = parse(text)
+        except ValueError:
+            v = None
+        if v is None or not accepts(v):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return v
+
+    return convert
+
+
+_count = _flag(int, lambda n: n >= 1, "a positive integer")
+_rate = _flag(float, lambda p: 0.0 < p < 1.0, "a rate in (0, 1)")
+_budget = _flag(float, lambda d: 0.0 <= d < np.inf, "a finite non-negative budget")
+_budgets = _flag(
+    lambda text: [float(t) for t in text.split(",")],
+    lambda ds: 0.0 <= ds[0] and ds[-1] < np.inf and all(a < b for a, b in zip(ds, ds[1:])),
+    "comma-separated finite budgets, non-negative and strictly increasing",
+)
+
+
+def _check_budgets(mode, budgets) -> None:
+    if mode == "binary_flip" and any(d != int(d) for d in budgets):
+        raise _UsageError("binary_flip budgets must be whole numbers")
 
 
 def _load_learner(params_path, k) -> model.LearnerParams:
@@ -111,6 +148,7 @@ def _attack_spec(args, dataset) -> attacks.AttackSpec:
 def _cmd_attack(args) -> int:
     dataset = _load_dataset(args.data)
     learner = _load_learner(args.params, dataset.k)
+    _check_budgets(args.mode, [args.dmax])
     spec = _attack_spec(args, dataset)
     rows = [
         attacks._attack_sample(learner.mu_tilde, row, y, spec) if y == 1 else row
@@ -123,7 +161,8 @@ def _cmd_attack(args) -> int:
 def _cmd_secure_eval(args) -> int:
     dataset = _load_dataset(args.data)
     learner = _load_learner(args.params, dataset.k)
-    d_list = [float(t) for t in args.dmax_list.split(",")]
+    d_list = args.dmax_list
+    _check_budgets(args.mode, d_list)
     spec = attacks.AttackSpec(
         d_max=d_list[-1],
         mode=args.mode,
@@ -174,7 +213,7 @@ def _cmd_grid_search(args) -> int:
     train, val, _ = data_io.split(
         dataset, data_io.SplitSpec(train_n, max(1, val_n - 1), 1, seed=args.seed)
     )
-    d_list = [float(t) for t in args.dmax_list.split(",")]
+    d_list = args.dmax_list
     best = None
     for rho_l in grids.rho_l_grid:
         for rho_d in grids.rho_d_grid:
@@ -207,7 +246,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-synth", help="generate the 2-D synthetic dataset")
-    g.add_argument("--n", type=int, required=True, help="samples per class")
+    g.add_argument("--n", type=_count, required=True, help="samples per class")
     g.add_argument("--sep", type=float, default=0.4)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -221,7 +260,8 @@ def build_parser() -> _Parser:
 
     tb = sub.add_parser("train-baseline", help="train the deterministic C-SVM")
     tb.add_argument("--data", required=True)
-    tb.add_argument("--C", type=float, required=True)
+    tb.add_argument("--C", type=_flag(float, lambda c: 0.0 < c < np.inf, "a finite positive C"),
+                    required=True)
     tb.add_argument("--seed", type=int, default=0)
     tb.add_argument("--out", required=True)
     tb.set_defaults(func=_cmd_train_baseline)
@@ -229,7 +269,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("attack", help="attack the malicious samples of a dataset")
     a.add_argument("--params", required=True)
     a.add_argument("--data", required=True)
-    a.add_argument("--dmax", type=float, required=True)
+    a.add_argument("--dmax", type=_budget, required=True)
     a.add_argument("--mode", default="l2_box_pgd", choices=attacks.ATTACK_MODES)
     a.add_argument("--monotone", action="store_true")
     a.add_argument("--out", required=True)
@@ -238,10 +278,10 @@ def build_parser() -> _Parser:
     s = sub.add_parser("secure-eval", help="security evaluation curve")
     s.add_argument("--params", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--dmax-list", required=True)
+    s.add_argument("--dmax-list", type=_budgets, required=True)
     s.add_argument("--mode", default="l2_box_pgd", choices=attacks.ATTACK_MODES)
-    s.add_argument("--fp", type=float, default=0.01)
-    s.add_argument("--reps", type=int, default=5)
+    s.add_argument("--fp", type=_rate, default=0.01)
+    s.add_argument("--reps", type=_count, default=5)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_secure_eval)
@@ -249,7 +289,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("check-eq", help="numeric uniqueness diagnostics")
     c.add_argument("--game")
     c.add_argument("--data", required=True)
-    c.add_argument("--profiles", type=int, default=50)
+    c.add_argument("--profiles", type=_count, default=50)
     c.add_argument("--pairs", type=int, default=200)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=_cmd_check_eq)
@@ -257,10 +297,10 @@ def build_parser() -> _Parser:
     gs = sub.add_parser("grid-search", help="select rho_l, rho_d, W by curve AUC")
     gs.add_argument("--grids", help="key=value file with *_grid comma lists")
     gs.add_argument("--data", required=True)
-    gs.add_argument("--dmax-list", default="0,0.5,1.0")
-    gs.add_argument("--reps", type=int, default=3)
+    gs.add_argument("--dmax-list", type=_budgets, default="0,0.5,1.0")
+    gs.add_argument("--reps", type=_count, default=3)
     gs.add_argument("--seed", type=int, default=0)
-    gs.add_argument("--max-iter", dest="max_iter", type=int, default=1000)
+    gs.add_argument("--max-iter", dest="max_iter", type=_count, default=1000)
     gs.add_argument("--out", required=True)
     gs.set_defaults(func=_cmd_grid_search)
 

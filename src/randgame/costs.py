@@ -162,21 +162,6 @@ def game_operator(game: GameSpec) -> VIGame:
     )
 
 
-def nominal_attacker(game: GameSpec, sigma: float | None = None) -> AttackerParams:
-    """Attacker parked at the training points with deviations at the box floor."""
-    n, k = game.n, game.k
-    if sigma is None:
-        sig_lo = game.attacker_box.lower.reshape(n, 2 * k)[:, k:]
-    else:
-        sig_lo = np.full((n, k), sigma)
-    mu = np.clip(
-        game.dataset.features,
-        game.attacker_box.lower.reshape(n, 2 * k)[:, :k],
-        game.attacker_box.upper.reshape(n, 2 * k)[:, :k],
-    )
-    return AttackerParams(mu, sig_lo)
-
-
 def train_baseline_svm(
     data: Dataset,
     C: float,
@@ -220,12 +205,3 @@ def train_baseline_svm(
             if obj < best_obj:
                 best_obj, best_w, best_b = obj, w.copy(), b
     return best_w, best_b
-
-
-__all__ = [
-    "costs_and_grads",
-    "flatten",
-    "game_operator",
-    "nominal_attacker",
-    "train_baseline_svm",
-]

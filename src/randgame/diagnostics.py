@@ -125,6 +125,8 @@ def uniqueness_margin(
     n_pairs: int | None = None,
 ) -> DiagnosticsReport:
     """Estimate the sufficient-condition margin on sampled interior profiles."""
+    if n_profiles < 1:
+        raise ValueError("n_profiles must be at least 1: a margin over no profile reads inf")
     if ops.reg_hess_l is None or ops.reg_hess_d is None:
         raise ValueError("operator lacks the regularizer Hessians of the loss/regularizer split")
     rng = np.random.default_rng(seed)

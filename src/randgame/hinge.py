@@ -11,12 +11,8 @@ the lower tail, where 1 - erf cancels to nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc
-
-from .model import LearnerParams, ShapeError
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -36,45 +32,3 @@ def hinge_expect(mu, sigma):
     if value.ndim:
         return value, p, dvar
     return float(value), float(p), float(dvar)
-
-
-@dataclass(frozen=True)
-class MarginMoments:
-    """Mean and variance of the (approximately Gaussian) margin variable."""
-
-    mu: float
-    var: float
-
-    def __post_init__(self):
-        if self.var < 0:
-            raise ValueError("margin variance must be non-negative")
-
-    @property
-    def sigma(self) -> float:
-        return float(np.sqrt(self.var))
-
-
-def margin_moments(side, y, theta_l: LearnerParams, mu_x, sigma_x) -> MarginMoments:
-    """Moments of the learner margin s = 1 - y(w~.x + b) or the attacker
-    margin t = 1 + y(w~.x + b) under independent axis-aligned Gaussians.
-
-    The variance is identical on both sides:
-    sigma_w~^2 . (sigma_x^2 + mu_x^2) + mu_w~^2 . sigma_x^2 + sigma_b^2
-    """
-    if side not in ("learner", "attacker"):
-        raise ValueError(f"unknown side {side!r}")
-    mu_x = np.asarray(mu_x, dtype=float)
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    if mu_x.shape != sigma_x.shape or mu_x.shape[-1] != theta_l.k:
-        raise ShapeError("attack-point vectors inconsistent with learner dims")
-    if np.any(sigma_x < 0):
-        raise ValueError("sigma_x components must be non-negative")
-    score = float(theta_l.mu_tilde @ mu_x + theta_l.mu_b)
-    sign = -1.0 if side == "learner" else 1.0
-    mu = 1.0 + sign * y * score
-    var = float(
-        theta_l.sigma_tilde**2 @ (sigma_x**2 + mu_x**2)
-        + theta_l.mu_tilde**2 @ sigma_x**2
-        + theta_l.sigma_b**2
-    )
-    return MarginMoments(mu, var)

@@ -15,7 +15,8 @@ primal game is the case M = I with the training points as anchors. Costs and
 gradients here are that one evaluation, on a K that check_psd has found
 symmetric and PSD, as evaluate multiplies by K from one side only.
 
-The joint flat layout of the dual game is
+The strategies are LearnerParams and AttackerParams with k = n, flattened by
+model.flatten / model.unflatten(v, n, n) to the joint layout
 [mu_alpha (n); mu_b; sigma_alpha (n); sigma_b; mu_xi_1 (n); sigma_xi_1 (n); ...].
 """
 
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import _vi_game, evaluate
-from .hinge import MarginMoments
-from .model import Dataset, ParamBox, ShapeError, _box_pair
+from .model import AttackerParams, Dataset, LearnerParams, ParamBox, ShapeError, _box_pair, flatten
 from .ops import VIGame
 
 PSD_TOL = 1e-10
@@ -74,91 +74,6 @@ def check_psd(K: np.ndarray, tol: float = PSD_TOL) -> None:
         raise ValueError(f"Gram matrix not PSD (min eigenvalue {w.min():.3e})")
 
 
-@dataclass(frozen=True)
-class DualParams:
-    """Dual strategies: learner (mu_alpha, sigma_alpha, bias) and the
-    attacker's per-sample coefficient Gaussians (rows of mu_xi/sigma_xi)."""
-
-    mu_alpha: np.ndarray
-    sigma_alpha: np.ndarray
-    mu_b: float
-    sigma_b: float
-    mu_xi: np.ndarray
-    sigma_xi: np.ndarray
-
-    def __post_init__(self):
-        ma = np.asarray(self.mu_alpha, dtype=float)
-        sa = np.asarray(self.sigma_alpha, dtype=float)
-        mx = np.asarray(self.mu_xi, dtype=float)
-        sx = np.asarray(self.sigma_xi, dtype=float)
-        n = ma.shape[0]
-        if sa.shape != (n,) or mx.shape != (n, n) or sx.shape != (n, n):
-            raise ShapeError("dual parameter shapes inconsistent")
-        if not (np.all(sa > 0) and np.all(sx > 0) and self.sigma_b > 0):
-            raise ValueError("dual deviations must be strictly positive")
-        for name, arr in (
-            ("mu_alpha", ma),
-            ("sigma_alpha", sa),
-            ("mu_xi", mx),
-            ("sigma_xi", sx),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.mu_alpha.shape[0]
-
-
-def flatten_dual(dual: DualParams) -> np.ndarray:
-    return np.concatenate(
-        [
-            dual.mu_alpha,
-            [dual.mu_b],
-            dual.sigma_alpha,
-            [dual.sigma_b],
-            np.hstack([dual.mu_xi, dual.sigma_xi]).ravel(),
-        ]
-    )
-
-
-def unflatten_dual(v, n: int) -> DualParams:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2 * n + 2 + 2 * n * n,):
-        raise ShapeError("dual flat vector length inconsistent with n")
-    mu_alpha = v[:n].copy()
-    mu_b = float(v[n])
-    sigma_alpha = v[n + 1 : 2 * n + 1].copy()
-    sigma_b = float(v[2 * n + 1])
-    blocks = v[2 * n + 2 :].reshape(n, 2 * n)
-    return DualParams(
-        mu_alpha, sigma_alpha, mu_b, sigma_b, blocks[:, :n].copy(), blocks[:, n:].copy()
-    )
-
-
-def dual_margin_moments(
-    side, y, mu_alpha, sigma_alpha, mu_b, sigma_b, mu_xi, sigma_xi, K
-) -> MarginMoments:
-    """Moments of 1 -+ y(alpha . K xi + b) for one sample's xi Gaussian."""
-    if side not in ("learner", "attacker"):
-        raise ValueError(f"unknown side {side!r}")
-    mu_alpha = np.asarray(mu_alpha, dtype=float)
-    mu_xi = np.asarray(mu_xi, dtype=float)
-    s2a = np.asarray(sigma_alpha, dtype=float) ** 2
-    s2x = np.asarray(sigma_xi, dtype=float) ** 2
-    n = mu_alpha.shape[0]
-    K = np.asarray(K, dtype=float)
-    if K.shape != (n, n) or mu_xi.shape != (n,) or s2a.shape != (n,) or s2x.shape != (n,):
-        raise ShapeError("dual moment inputs inconsistent with kernel size")
-    Kxi = K @ mu_xi
-    Ka = K.T @ mu_alpha
-    score = float(mu_alpha @ Kxi + mu_b)
-    sign = -1.0 if side == "learner" else 1.0
-    mu = 1.0 + sign * y * score
-    var = float(s2a @ Kxi**2 + s2x @ Ka**2 + s2a @ (K * K) @ s2x + sigma_b**2)
-    return MarginMoments(mu, var)
-
-
 def _dual_terms(K, y, rho_l, rho_d, bias_reg):
     """The fixed arguments of costs.evaluate for the dual game: M = K, anchors = I."""
     K2 = K * K
@@ -166,20 +81,23 @@ def _dual_terms(K, y, rho_l, rho_d, bias_reg):
             np.asarray(y, dtype=float), rho_l, rho_d, bias_reg)
 
 
-def dual_costs_and_grads(dual: DualParams, K, rho_l, rho_d, y, bias_reg: float = 0.0):
+def dual_costs_and_grads(
+    theta_l: LearnerParams, theta_d: AttackerParams, K, rho_l, rho_d, y, bias_reg: float = 0.0
+):
     """Closed-form dual costs and the gradient of each cost in its own block.
 
     Expected regularizers use E[a.Ka] = mu.K mu + diag(K).sigma^2 and, for the
     attacker, the same with the shift to the unit coefficient vector e_i.
 
-    Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the dual
-    layout with the learner block (2n + 2 entries) first.
+    Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the layout
+    of model.flatten with the learner block (2n + 2 entries) first.
     """
     K = np.asarray(K, dtype=float)
-    if K.shape != (dual.n, dual.n):
+    n = theta_l.k
+    if K.shape != (n, n) or theta_d.n != n or theta_d.k != n:
         raise ShapeError("kernel size inconsistent with dual parameters")
     check_psd(K)
-    return evaluate(flatten_dual(dual), *_dual_terms(K, y, rho_l, rho_d, bias_reg))
+    return evaluate(flatten(theta_l, theta_d), *_dual_terms(K, y, rho_l, rho_d, bias_reg))
 
 
 def default_dual_boxes(n: int, W: float = 1.0) -> tuple[ParamBox, ParamBox]:

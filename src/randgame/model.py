@@ -169,14 +169,6 @@ class ParamBox:
         return self.lower.shape[0]
 
 
-def project_box(v, box: ParamBox) -> np.ndarray:
-    """Euclidean projection (coordinate-wise clamp) onto an axis-aligned box."""
-    v = _as_float_array(v, 1)
-    if v.shape[0] != box.dim:
-        raise ShapeError(f"vector dim {v.shape[0]} != box dim {box.dim}")
-    return np.clip(v, box.lower, box.upper)
-
-
 def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[ParamBox, ParamBox]:
     """Learner means (m + 1) in [-W, W], each attacker row's m means in
     mean_bounds, deviation coordinates in the standard intervals above."""
@@ -323,7 +315,3 @@ def load_config(path) -> dict:
             except ValueError:
                 cfg[key] = val
     return cfg
-
-
-def save_config(path, cfg: dict) -> None:
-    atomic_write(path, "".join(f"{key}={val}\n" for key, val in cfg.items()))

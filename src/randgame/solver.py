@@ -30,6 +30,7 @@ TERM_LINESEARCH = "linesearch_fail"
 
 MU = 0.9  # largest accepted ratio of lam ||F(y) - g|| to ||y - theta||
 GROWTH = 1.05  # step growth after each accepted iteration
+BEST_RESPONSE_STEPS = 200  # descent steps per player in nash_verify
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,11 @@ def vi_residual(theta: np.ndarray, ops: VIGame) -> float:
     return _residual(ops, theta, ops.pseudo_grad(theta))
 
 
-def _best_response_descent(ops, theta, block, steps):
+def _best_response_descent(ops, theta, block):
     """Projected descent on one player's own block, opponent fixed.
 
-    Returns the best cost found. Step sizes adapt multiplicatively.
+    Returns the best cost found. Step sizes adapt multiplicatively; the
+    gradient is re-evaluated only after an accepted step moves the point.
     """
     cost_fn = ops.cost_l if block == "l" else ops.cost_d
     sl = slice(0, ops.dim_l) if block == "l" else slice(ops.dim_l, ops.dim)
@@ -134,9 +136,11 @@ def _best_response_descent(ops, theta, block, steps):
     full = theta.copy()
     x = full[sl].copy()
     best = cost_fn(full)
+    g = None
     step = 1.0
-    for _ in range(steps):
-        g = ops.pseudo_grad(full)[sl]
+    for _ in range(BEST_RESPONSE_STEPS):
+        if g is None:  # the point moved, or this is the first step
+            g = ops.pseudo_grad(full)[sl]
         cand = np.clip(x - step * g, lo, up)
         full_cand = full.copy()
         full_cand[sl] = cand
@@ -145,6 +149,7 @@ def _best_response_descent(ops, theta, block, steps):
             best = c
             x = cand
             full = full_cand
+            g = None
             step *= 1.5
         else:
             step *= 0.5
@@ -153,13 +158,13 @@ def _best_response_descent(ops, theta, block, steps):
     return best
 
 
-def nash_verify(theta: np.ndarray, ops: VIGame, steps: int = 200, tol: float = 1e-6) -> bool:
+def nash_verify(theta: np.ndarray, ops: VIGame, tol: float = 1e-6) -> bool:
     """Check the Nash condition numerically: neither player can improve its own
     cost by more than tol via projected descent with the opponent fixed."""
     base_l = ops.cost_l(theta)
     base_d = ops.cost_d(theta)
-    best_l = _best_response_descent(ops, theta, "l", steps)
-    best_d = _best_response_descent(ops, theta, "d", steps)
+    best_l = _best_response_descent(ops, theta, "l")
+    best_d = _best_response_descent(ops, theta, "d")
     return (base_l - best_l) <= tol and (base_d - best_d) <= tol
 
 

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import randgame.costs as costs
 import randgame.hinge as hinge
 
 
@@ -22,3 +24,18 @@ def count_hinge_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def hinge_inputs(monkeypatch):
+    """Returns the list that records, as copies, the (mu, sigma) arrays of each
+    hinge_expect call made by randgame.costs: the learner's margins first,
+    then the attacker's, for every evaluation."""
+    inputs = []
+
+    def spy(mu, sigma):
+        inputs.append((np.array(mu, dtype=float), np.array(sigma, dtype=float)))
+        return hinge.hinge_expect(mu, sigma)
+
+    monkeypatch.setattr(costs, "hinge_expect", spy)
+    return inputs

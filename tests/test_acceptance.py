@@ -10,6 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
+from oracles import counting_operator, nominal_attacker
 from randgame.attacks import (
     AttackSpec,
     attack_flip_binary,
@@ -17,22 +18,11 @@ from randgame.attacks import (
     attack_l2_closed,
     tp_at_fp,
 )
-from randgame.costs import (
-    costs_and_grads,
-    game_operator,
-    nominal_attacker,
-    train_baseline_svm,
-)
+from randgame.costs import costs_and_grads, game_operator, train_baseline_svm
 from randgame.data import synth_2d
 from randgame.diagnostics import uniqueness_margin
-from randgame.hinge import hinge_expect, margin_moments
-from randgame.kernel import (
-    DualParams,
-    Kernel,
-    dual_costs_and_grads,
-    dual_margin_moments,
-    gram,
-)
+from randgame.hinge import hinge_expect
+from randgame.kernel import Kernel, dual_costs_and_grads, gram
 from randgame.model import (
     AttackerParams,
     Dataset,
@@ -40,6 +30,7 @@ from randgame.model import (
     LearnerParams,
     default_boxes,
     flatten,
+    unflatten,
 )
 from randgame.ops import VIGame
 from randgame.solver import (
@@ -137,30 +128,26 @@ def test_criterion_02_gradients_match_finite_differences():
         g_d = g[game.dim_l :].reshape(n, 2, k).transpose(1, 0, 2).ravel()
         worst = max(worst, _rel_err(g_d, fd))
 
-    from randgame.kernel import flatten_dual, unflatten_dual
-
     for trial in range(20):
         n = int(rng.integers(2, 7))
         A = rng.normal(size=(n, n))
         K = A @ A.T / n + 0.1 * np.eye(n)
         y = rng.choice([-1.0, 1.0], size=n)
-        dual = DualParams(
-            rng.normal(scale=0.5, size=n),
-            rng.uniform(0.05, 0.3, size=n),
-            float(rng.normal(scale=0.3)),
-            float(rng.uniform(0.05, 0.3)),
-            rng.normal(scale=0.5, size=(n, n)),
-            rng.uniform(0.05, 0.3, size=(n, n)),
+        mu_a, s_a = rng.normal(scale=0.5, size=n), rng.uniform(0.05, 0.3, size=n)
+        mu_b, s_b = rng.normal(scale=0.3), rng.uniform(0.05, 0.3)
+        theta_l = LearnerParams(np.append(mu_a, mu_b), np.append(s_a, s_b))
+        theta_d = AttackerParams(
+            rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, size=(n, n))
         )
-        _, _, g = dual_costs_and_grads(dual, K, 2.0, 3.0, y, bias_reg=0.5)
-        v = flatten_dual(dual)
+        _, _, g = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, y, bias_reg=0.5)
+        v = flatten(theta_l, theta_d)
 
         def cl(vv):
-            c, _, _ = dual_costs_and_grads(unflatten_dual(vv, n), K, 2.0, 3.0, y, 0.5)
+            c, _, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
             return c
 
         def cd(vv):
-            _, c, _ = dual_costs_and_grads(unflatten_dual(vv, n), K, 2.0, 3.0, y, 0.5)
+            _, c, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
             return c
 
         m = 2 * n + 2
@@ -176,9 +163,37 @@ def test_criterion_02_gradients_match_finite_differences():
     )
 
 
-def test_criterion_03_margin_moments_match_sampling():
-    n_draws = 10_000_000
-    chunks = 10
+def _sampled_margin_moments(rng, y, draw_score, n_draws=10_000_000, chunks=10):
+    """Mean and variance of the learner margin 1 - y * score from n_draws
+    samples of draw_score(rng, m), drawn in chunks of m."""
+    m = n_draws // chunks
+    total = sq = 0.0
+    for _ in range(chunks):
+        s = 1.0 - y * draw_score(rng, m)
+        total += s.sum()
+        sq += (s * s).sum()
+    mean = total / n_draws
+    return mean, sq / n_draws - mean**2, n_draws
+
+
+def _moment_deviation(captured, i, sampled):
+    """Largest deviation, in standard errors, of the (mu, sigma) arrays that
+    costs.evaluate passed to hinge_expect at sample i from the sampled margin
+    moments; the attacker's margin 1 + y * score has mean 2 - mean."""
+    mean, var, n_draws = sampled
+    (mu_s, sig_s), (mu_t, sig_t) = captured
+    se_mean, se_var = np.sqrt(var / n_draws), var * np.sqrt(2.0 / (n_draws - 1))
+    return max(
+        abs(mu_s[i] - mean) / se_mean,
+        abs(mu_t[i] - (2.0 - mean)) / se_mean,
+        abs(sig_s[i] ** 2 - var) / se_var,
+        abs(sig_t[i] ** 2 - var) / se_var,
+    )
+
+
+def test_criterion_03_margin_moments_match_sampling(hinge_inputs):
+    # Each seed checks one sample i of a profile whose other samples come from
+    # a separate stream, so the captured arrays must also keep rows apart.
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(10 + seed)
@@ -189,21 +204,25 @@ def test_criterion_03_margin_moments_match_sampling():
         mu_x = rng.uniform(size=k)
         sigma_x = rng.uniform(0.05, 0.3, size=k)
         y = float(rng.choice([-1.0, 1.0]))
-        total = sq = 0.0
-        for _ in range(chunks):
-            m = n_draws // chunks
+        n, i = 3, seed % 3
+        other = np.random.default_rng(70 + seed)
+        mu_rows, sig_rows = other.uniform(size=(n, k)), other.uniform(0.05, 0.3, size=(n, k))
+        mu_rows[i], sig_rows[i] = mu_x, sigma_x
+        labels = np.resize([1.0, -1.0], n)
+        labels[i] = y
+        lb, ab = default_boxes(n, k, W=1.0)
+        game = GameSpec(Dataset(mu_rows, labels), 1.0, 1.0, lb, ab)
+        hinge_inputs.clear()
+        costs_and_grads(theta_l, AttackerParams(mu_rows, sig_rows), game)
+
+        def primal_score(rng, m):
             w = rng.normal(theta_l.mu_tilde, theta_l.sigma_tilde, size=(m, k))
             b = rng.normal(theta_l.mu_b, theta_l.sigma_b, size=m)
             x = rng.normal(mu_x, sigma_x, size=(m, k))
-            s = 1.0 - y * ((w * x).sum(axis=1) + b)
-            total += s.sum()
-            sq += (s * s).sum()
-        mean = total / n_draws
-        var = sq / n_draws - mean**2
-        se_mean = np.sqrt(var / n_draws)
-        se_var = var * np.sqrt(2.0 / (n_draws - 1))
-        mm = margin_moments("learner", y, theta_l, mu_x, sigma_x)
-        worst = max(worst, abs(mm.mu - mean) / se_mean, abs(mm.var - var) / se_var)
+            return (w * x).sum(axis=1) + b
+
+        sampled = _sampled_margin_moments(rng, y, primal_score)
+        worst = max(worst, _moment_deviation(hinge_inputs, i, sampled))
 
     for seed in range(5):
         rng = np.random.default_rng(40 + seed)
@@ -216,26 +235,30 @@ def test_criterion_03_margin_moments_match_sampling():
         mu_xi = rng.normal(scale=0.5, size=n)
         s_xi = rng.uniform(0.05, 0.3, size=n)
         y = float(rng.choice([-1.0, 1.0]))
-        total = sq = 0.0
-        for _ in range(chunks):
-            m = n_draws // chunks
+        i = seed % n
+        other = np.random.default_rng(80 + seed)
+        mu_rows, sig_rows = other.normal(scale=0.5, size=(n, n)), other.uniform(0.05, 0.3, size=(n, n))
+        mu_rows[i], sig_rows[i] = mu_xi, s_xi
+        labels = np.resize([1.0, -1.0], n)
+        labels[i] = y
+        hinge_inputs.clear()
+        dual_costs_and_grads(
+            LearnerParams(np.append(mu_a, mu_b), np.append(s_a, s_b)),
+            AttackerParams(mu_rows, sig_rows), K, 1.0, 1.0, labels,
+        )
+
+        def dual_score(rng, m):
             a = rng.normal(mu_a, s_a, size=(m, n))
             b = rng.normal(mu_b, s_b, size=m)
             xi = rng.normal(mu_xi, s_xi, size=(m, n))
-            s = 1.0 - y * (np.einsum("ij,jk,ik->i", a, K, xi) + b)
-            total += s.sum()
-            sq += (s * s).sum()
-        mean = total / n_draws
-        var = sq / n_draws - mean**2
-        mm = dual_margin_moments("learner", y, mu_a, s_a, mu_b, s_b, mu_xi, s_xi, K)
-        worst = max(
-            worst,
-            abs(mm.mu - mean) / np.sqrt(var / n_draws),
-            abs(mm.var - var) / (var * np.sqrt(2.0 / (n_draws - 1))),
-        )
+            return np.einsum("ij,jk,ik->i", a, K, xi) + b
+
+        sampled = _sampled_margin_moments(rng, y, dual_score)
+        worst = max(worst, _moment_deviation(hinge_inputs, i, sampled))
     _report(
         3,
-        "primal and dual margin moments within 4 SE of 1e7 joint Gaussian draws",
+        "the primal and dual margin moments that the costs feed to hinge_expect lie "
+        "within 4 SE of 1e7 joint Gaussian draws",
         worst <= 4.0,
         f"worst deviation {worst:.2f} SE",
     )
@@ -284,20 +307,22 @@ def test_criterion_05_nash_property_on_the_svm_game():
     ds = synth_2d(25, 0.4, 0)  # 50 samples
     lb, ab = default_boxes(ds.n, ds.k, W=1.0)
     game = GameSpec(ds, 10.0, 10.0, lb, ab)
-    ops = game_operator(game)
-    fails = []
+    ops, evals = counting_operator(game_operator(game))
+    fails, most = [], 0
     for seed in range(5):
         _, _, res = solve_svm_game(game, initial_point(game, seed))
+        evals.clear()
         if not (
             res.converged and res.residual <= 1e-6 and nash_verify(res.theta, ops, tol=1e-4)
         ):
             fails.append(seed)
+        most = max(most, len(evals))
     _report(
         5,
         "equilibria of the n=50 synthetic game reach residual 1e-6 and pass the Nash "
-        "check at 1e-4 for 5 seeds",
-        not fails,
-        f"failing seeds: {fails}" if fails else "all seeds verified",
+        "check at 1e-4 for 5 seeds, each in at most 110 operator evaluations",
+        not fails and most <= 110,
+        f"failing seeds: {fails}, at most {most} evaluations",
     )
 
 
@@ -382,22 +407,14 @@ def test_criterion_08_identity_kernel_reduces_to_primal():
     K = gram(ds, Kernel("linear"))
     rng = np.random.default_rng(4)
     mu_xi = rng.uniform(size=(n, n))
-    dual = DualParams(
-        rng.normal(scale=0.5, size=n),
-        rng.uniform(0.05, 0.3, size=n),
-        float(rng.normal(scale=0.3)),
-        float(rng.uniform(0.05, 0.3)),
-        mu_xi,
-        rng.uniform(0.05, 0.3, size=(n, n)),
-    )
-    theta_l = LearnerParams(
-        np.concatenate([dual.mu_alpha, [dual.mu_b]]),
-        np.concatenate([dual.sigma_alpha, [dual.sigma_b]]),
-    )
-    theta_d = AttackerParams(dual.mu_xi, dual.sigma_xi)
+    mu_a, s_a = rng.normal(scale=0.5, size=n), rng.uniform(0.05, 0.3, size=n)
+    mu_b, s_b = rng.normal(scale=0.3), rng.uniform(0.05, 0.3)
+    # the dual strategies are the primal containers with k = n
+    theta_l = LearnerParams(np.append(mu_a, mu_b), np.append(s_a, s_b))
+    theta_d = AttackerParams(mu_xi, rng.uniform(0.05, 0.3, size=(n, n)))
     lb, ab = default_boxes(n, n, W=2.0)
     game = GameSpec(ds, 2.0, 3.0, lb, ab)
-    cl, cd, g = dual_costs_and_grads(dual, K, game.rho_l, game.rho_d, ds.labels)
+    cl, cd, g = dual_costs_and_grads(theta_l, theta_d, K, game.rho_l, game.rho_d, ds.labels)
     pg = game_operator(game).pseudo_grad(flatten(theta_l, theta_d))
     # with k = n the dual and primal flat layouts coincide
     g[game.dim_l :] *= game.rho_l / game.rho_d

@@ -232,6 +232,11 @@ class TestSecurityCurve:
         with pytest.raises(ValueError, match="increasing"):
             security_curve(tl, ds, spec, [0.5, 0.5])
 
+    def test_requires_a_repetition(self):
+        tl, ds, spec = self._setup()
+        with pytest.raises(ValueError, match="repetitions"):
+            security_curve(tl, ds, spec, [0.0, 0.5], repetitions=0)
+
     def test_auc_trapezoid(self):
         curve = SecurityCurve(
             points=((0.0, 1.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.0, 0.0)),

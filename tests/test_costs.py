@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from randgame.costs import (
-    costs_and_grads,
-    game_operator,
-    nominal_attacker,
-    train_baseline_svm,
-)
-from randgame.hinge import hinge_expect, margin_moments
+from oracles import margin_moments, nominal_attacker
+from randgame.costs import costs_and_grads, game_operator, train_baseline_svm
+from randgame.hinge import hinge_expect
 from randgame.model import (
     AttackerParams,
     Dataset,
@@ -144,7 +140,7 @@ class TestOperator:
                 margin_moments(side, y, theta_l, mu_x, sig_x)
                 for y, mu_x, sig_x in zip(game.dataset.labels, theta_d.mu_x, theta_d.sigma_x)
             ]
-            return sum(hinge_expect(m.mu, m.sigma)[0] for m in mm)
+            return sum(hinge_expect(mu, np.sqrt(var))[0] for mu, var in mm)
 
         reg_l = 0.5 * game.rho_l * (
             theta_l.mu_tilde @ theta_l.mu_tilde

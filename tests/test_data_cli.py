@@ -213,6 +213,69 @@ class TestCliPipeline:
         assert "error: unknown game config key 'sigma'" in capsys.readouterr().err
         assert not (tmp_path / "eq.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "check-eq"])
+    @pytest.mark.parametrize(
+        "line", ["max_iter=abc", "max_iter=2.5", "rho_l=-1", "rho_d=0", "W=0",
+                 "bias_reg=-1", "epsilon=nan", "seed=-1", "rho_l=inf"]
+    )
+    def test_bad_game_config_value_is_a_usage_error(self, tmp_path, capsys, command, line):
+        data = self._gen(tmp_path, n=3)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"rho_d=10\n{line}\n")
+        argv = [command, "--data", str(data), "--game", str(cfg)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "eq.csv")]
+        assert main(argv) == EX_USAGE
+        err = capsys.readouterr().err.splitlines()
+        key = line.partition("=")[0]
+        assert len(err) == 1 and err[0].startswith(f"error: bad value for game config key {key!r}: ")
+        assert not (tmp_path / "eq.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--dmax-list=1,0", "--dmax-list=0,0", "--dmax-list=0,abc", "--dmax-list=-1,0",
+         "--dmax-list=0,inf", "--fp=2", "--fp=0", "--reps=0", "--reps=1.5"],
+    )
+    def test_bad_secure_eval_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        argv = ["secure-eval", "--params", "eq.csv", "--data", "d.csv", "--dmax-list", "0,0.5"]
+        curve = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "--out", str(curve)])
+        assert exc.value.code == EX_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len([e for e in err if e.startswith("error:")]) == 1
+        assert err[-1].startswith(f"error: argument {flag.partition('=')[0]}: expected")
+        assert not curve.exists()
+
+    def test_runs_without_evidence_are_usage_errors(self, tmp_path):
+        # zero profiles certified any game (margin inf); zero repetitions
+        # wrote a NaN curve
+        data = self._gen(tmp_path, n=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-eq", "--data", str(data), "--profiles", "0"])
+        assert exc.value.code == EX_USAGE
+        params = tmp_path / "base.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(params)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["secure-eval", "--params", str(params), "--data", str(data),
+                  "--dmax-list", "0,0.5", "--reps", "0", "--out", str(tmp_path / "c.csv")])
+        assert exc.value.code == EX_USAGE
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_fractional_flip_budget_is_a_usage_error(self, tmp_path, capsys):
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "base.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(params)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["attack", "--dmax", "0.5", "--out", str(tmp_path / "adv.csv")],
+            ["secure-eval", "--dmax-list", "0,0.5", "--out", str(tmp_path / "c.csv")],
+        ):
+            argv += ["--params", str(params), "--data", str(data), "--mode", "binary_flip"]
+            assert main(argv) == EX_USAGE
+            assert capsys.readouterr().err == "error: binary_flip budgets must be whole numbers\n"
+        assert not (tmp_path / "adv.csv").exists() and not (tmp_path / "c.csv").exists()
+
     def test_check_eq_exit_codes(self, tmp_path):
         data = self._gen(tmp_path, n=3)
         good = tmp_path / "good.cfg"

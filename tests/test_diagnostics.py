@@ -212,6 +212,11 @@ class TestUniquenessMargin:
         with pytest.raises(ValueError, match="split"):
             uniqueness_margin(g)
 
+    def test_rejects_zero_profiles(self):
+        # a margin over no profile would read inf and certify any game
+        with pytest.raises(ValueError, match="n_profiles"):
+            uniqueness_margin(antisymmetric_bilinear(), n_profiles=0)
+
     def test_report_text_has_all_fields(self):
         rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=2, seed=2)
         text = rep.as_text()

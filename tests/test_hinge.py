@@ -1,11 +1,13 @@
-"""Rectified-Gaussian expectation: Monte-Carlo and finite-difference oracles."""
+"""Rectified-Gaussian expectation: Monte-Carlo and finite-difference oracles,
+and the margin moments that the game's costs feed to it."""
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from randgame.hinge import MarginMoments, hinge_expect, margin_moments
-from randgame.model import LearnerParams
+from randgame.costs import costs_and_grads
+from randgame.hinge import hinge_expect
+from randgame.model import AttackerParams, Dataset, GameSpec, LearnerParams, default_boxes
 
 
 def value(mu, sigma):
@@ -88,6 +90,9 @@ class TestHingeDerivatives:
 
 
 class TestMarginMoments:
+    """The (mu, sigma) that costs_and_grads passes to hinge_expect for a
+    one-sample game, checked against the sampled margin."""
+
     def _random_setup(self, seed, k=4):
         rng = np.random.default_rng(seed)
         theta_l = LearnerParams(rng.normal(size=k + 1), rng.uniform(0.05, 0.4, size=k + 1))
@@ -96,7 +101,15 @@ class TestMarginMoments:
         y = float(rng.choice([-1.0, 1.0]))
         return theta_l, mu_x, sigma_x, y
 
-    def test_monte_carlo_oracle(self):
+    def _captured(self, hinge_inputs, theta_l, mu_x, sigma_x, y):
+        lb, ab = default_boxes(1, mu_x.size, W=1.0)
+        game = GameSpec(Dataset(mu_x[None], [y]), 1.0, 1.0, lb, ab)
+        hinge_inputs.clear()
+        costs_and_grads(theta_l, AttackerParams(mu_x[None], sigma_x[None]), game)
+        (mu_s, sig_s), (mu_t, sig_t) = hinge_inputs
+        return float(mu_s[0]), float(sig_s[0]), float(mu_t[0]), float(sig_t[0])
+
+    def test_monte_carlo_oracle(self, hinge_inputs):
         n = 1_000_000
         for seed in range(5):
             theta_l, mu_x, sigma_x, y = self._random_setup(seed)
@@ -106,25 +119,13 @@ class TestMarginMoments:
             b = rng.normal(theta_l.mu_b, theta_l.sigma_b, size=n)
             x = rng.normal(mu_x, sigma_x, size=(n, k))
             s = 1.0 - y * ((w * x).sum(axis=1) + b)
-            mm = margin_moments("learner", y, theta_l, mu_x, sigma_x)
+            mu, sigma, _, _ = self._captured(hinge_inputs, theta_l, mu_x, sigma_x, y)
             se_mean = s.std() / np.sqrt(n)
             se_var = s.var() * np.sqrt(2.0 / (n - 1))
-            assert abs(mm.mu - s.mean()) <= 4 * se_mean
-            assert abs(mm.var - s.var()) <= 4 * se_var
+            assert abs(mu - s.mean()) <= 4 * se_mean
+            assert abs(sigma**2 - s.var()) <= 4 * se_var
 
-    def test_sides_mirror(self):
-        theta_l, mu_x, sigma_x, y = self._random_setup(9)
-        a = margin_moments("learner", y, theta_l, mu_x, sigma_x)
-        b = margin_moments("attacker", y, theta_l, mu_x, sigma_x)
-        assert a.mu + b.mu == pytest.approx(2.0, rel=1e-14)
-        assert a.var == pytest.approx(b.var, rel=1e-14)
-
-    def test_rejects_unknown_side(self):
-        theta_l, mu_x, sigma_x, y = self._random_setup(11)
-        with pytest.raises(ValueError, match="side"):
-            margin_moments("referee", y, theta_l, mu_x, sigma_x)
-
-    def test_moments_dataclass_guards_variance(self):
-        with pytest.raises(ValueError):
-            MarginMoments(0.0, -1.0)
-        assert MarginMoments(0.0, 4.0).sigma == 2.0
+    def test_sides_mirror(self, hinge_inputs):
+        mu_s, sig_s, mu_t, sig_t = self._captured(hinge_inputs, *self._random_setup(9))
+        assert mu_s + mu_t == pytest.approx(2.0, rel=1e-14)
+        assert sig_s == sig_t

@@ -5,19 +5,16 @@ reduction to the primal game."""
 import numpy as np
 import pytest
 
+from oracles import margin_moments
 from randgame.costs import costs_and_grads, game_operator
 from randgame.hinge import hinge_expect
 from randgame.kernel import (
-    DualParams,
     Kernel,
     check_psd,
     default_dual_boxes,
     dual_costs_and_grads,
     dual_game_operator,
-    dual_margin_moments,
-    flatten_dual,
     gram,
-    unflatten_dual,
 )
 from randgame.model import (
     AttackerParams,
@@ -26,20 +23,20 @@ from randgame.model import (
     LearnerParams,
     ShapeError,
     default_boxes,
+    flatten,
+    unflatten,
 )
 from randgame.solver import SolverConfig, extragradient_solve
 
 
 def random_dual(seed, n=4):
+    """Dual strategies (theta_l, theta_d): the primal containers with k = n."""
     rng = np.random.default_rng(seed)
-    return DualParams(
-        mu_alpha=rng.normal(scale=0.5, size=n),
-        sigma_alpha=rng.uniform(0.05, 0.3, size=n),
-        mu_b=float(rng.normal(scale=0.3)),
-        sigma_b=float(rng.uniform(0.05, 0.3)),
-        mu_xi=rng.normal(scale=0.5, size=(n, n)),
-        sigma_xi=rng.uniform(0.05, 0.3, size=(n, n)),
-    )
+    mu_a, sig_a = rng.normal(scale=0.5, size=n), rng.uniform(0.05, 0.3, size=n)
+    mu_b, sig_b = rng.normal(scale=0.3), rng.uniform(0.05, 0.3)
+    theta_l = LearnerParams(np.append(mu_a, mu_b), np.append(sig_a, sig_b))
+    theta_d = AttackerParams(rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, size=(n, n)))
+    return theta_l, theta_d
 
 
 def random_psd(seed, n=4):
@@ -89,9 +86,8 @@ class TestGram:
         K = np.array([[2.0, 0.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="symmetric"):
             check_psd(K)
-        dual = random_dual(0, n=2)
         with pytest.raises(ValueError, match="symmetric"):
-            dual_costs_and_grads(dual, K, 1.0, 1.0, np.array([1.0, -1.0]))
+            dual_costs_and_grads(*random_dual(0, n=2), K, 1.0, 1.0, np.array([1.0, -1.0]))
 
     def test_check_psd_accepts_roundoff_asymmetry_of_large_entries(self):
         # a linear Gram matrix over many large features, one row at a time
@@ -100,7 +96,7 @@ class TestGram:
         assert np.abs(K - K.T).max() > 1e-10
         check_psd(K)
         y = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
-        dual_costs_and_grads(random_dual(0, n=30), K, 1.0, 1.0, y)
+        dual_costs_and_grads(*random_dual(0, n=30), K, 1.0, 1.0, y)
 
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
@@ -111,58 +107,77 @@ class TestGram:
 
 
 class TestDualParams:
+    """The dual strategies are LearnerParams and AttackerParams with k = n."""
+
     def test_flatten_roundtrip(self):
-        dual = random_dual(5)
-        back = unflatten_dual(flatten_dual(dual), dual.n)
-        for name in ("mu_alpha", "sigma_alpha", "mu_xi", "sigma_xi"):
-            np.testing.assert_array_equal(getattr(dual, name), getattr(back, name))
-        assert back.mu_b == dual.mu_b and back.sigma_b == dual.sigma_b
+        theta_l, theta_d = random_dual(5)
+        v = flatten(theta_l, theta_d)
+        back_l, back_d = unflatten(v, theta_d.n, theta_d.n)
+        np.testing.assert_array_equal(v, flatten(back_l, back_d))
+        np.testing.assert_array_equal(back_l.mu_w, theta_l.mu_w)
+        np.testing.assert_array_equal(back_d.sigma_x, theta_d.sigma_x)
+        n = theta_d.n
+        # [mu_alpha; mu_b; sigma_alpha; sigma_b; mu_xi_1; sigma_xi_1; ...]
+        assert v[n] == theta_l.mu_b and v[2 * n + 1] == theta_l.sigma_b
+        np.testing.assert_array_equal(v[2 * n + 2 : 3 * n + 2], theta_d.mu_x[0])
+        np.testing.assert_array_equal(v[3 * n + 2 : 4 * n + 2], theta_d.sigma_x[0])
 
     def test_rejects_nonpositive_deviations(self):
         with pytest.raises(ValueError):
-            DualParams(np.zeros(2), np.array([0.1, 0.0]), 0.0, 0.1, np.zeros((2, 2)), np.full((2, 2), 0.1))
+            LearnerParams(np.zeros(3), np.array([0.1, 0.0, 0.1]))
         sig = np.full((2, 2), 0.1)
         sig[1, 0] = np.nan
-        for sig_b, sig_xi in ((0.1, sig), (np.nan, np.full((2, 2), 0.1))):
-            with pytest.raises(ValueError):
-                DualParams(np.zeros(2), np.full(2, 0.1), 0.0, sig_b, np.zeros((2, 2)), sig_xi)
+        with pytest.raises(ValueError):
+            AttackerParams(np.zeros((2, 2)), sig)
+        with pytest.raises(ValueError):
+            LearnerParams(np.zeros(3), np.array([0.1, 0.1, np.nan]))  # sigma_b
 
     def test_unflatten_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
-            unflatten_dual(np.zeros(11), n=2)
+            unflatten(np.zeros(11), 2, 2)
+
+    def test_costs_reject_sizes_other_than_the_kernel(self):
+        K = random_psd(3, n=3)
+        y = np.array([1.0, -1.0, 1.0])
+        theta_l, theta_d = random_dual(4, n=3)
+        small_l, small_d = random_dual(4, n=2)
+        wide_d = AttackerParams(np.zeros((3, 2)), np.full((3, 2), 0.1))  # n = 3, k = 2
+        for tl, td in ((small_l, theta_d), (theta_l, small_d), (small_l, small_d), (theta_l, wide_d)):
+            with pytest.raises(ShapeError):
+                dual_costs_and_grads(tl, td, K, 1.0, 1.0, y)
 
 
 class TestDualMoments:
-    def test_monte_carlo_oracle(self):
+    """The (mu, sigma) that dual_costs_and_grads passes to hinge_expect,
+    checked against the sampled margin of one sample's xi Gaussian."""
+
+    def test_monte_carlo_oracle(self, hinge_inputs):
         n_draws = 1_000_000
         for seed in range(5):
-            dual = random_dual(seed)
+            theta_l, theta_d = random_dual(seed)
+            n = theta_d.n
             K = random_psd(30 + seed)
             rng = np.random.default_rng(60 + seed)
             y = 1.0 if seed % 2 else -1.0
-            i = seed % dual.n
-            a = rng.normal(dual.mu_alpha, dual.sigma_alpha, size=(n_draws, dual.n))
-            b = rng.normal(dual.mu_b, dual.sigma_b, size=n_draws)
-            xi = rng.normal(dual.mu_xi[i], dual.sigma_xi[i], size=(n_draws, dual.n))
+            i = seed % n
+            labels = np.resize([1.0, -1.0], n)
+            labels[i] = y
+            a = rng.normal(theta_l.mu_tilde, theta_l.sigma_tilde, size=(n_draws, n))
+            b = rng.normal(theta_l.mu_b, theta_l.sigma_b, size=n_draws)
+            xi = rng.normal(theta_d.mu_x[i], theta_d.sigma_x[i], size=(n_draws, n))
             s = 1.0 - y * (np.einsum("ij,jk,ik->i", a, K, xi) + b)
-            mm = dual_margin_moments(
-                "learner", y, dual.mu_alpha, dual.sigma_alpha, dual.mu_b,
-                dual.sigma_b, dual.mu_xi[i], dual.sigma_xi[i], K,
-            )
-            assert abs(mm.mu - s.mean()) <= 4 * s.std() / np.sqrt(n_draws)
-            assert abs(mm.var - s.var()) <= 4 * s.var() * np.sqrt(2.0 / (n_draws - 1))
+            hinge_inputs.clear()
+            dual_costs_and_grads(theta_l, theta_d, K, 1.0, 1.0, labels)
+            (mu, sigma), _ = hinge_inputs
+            assert abs(mu[i] - s.mean()) <= 4 * s.std() / np.sqrt(n_draws)
+            assert abs(sigma[i] ** 2 - s.var()) <= 4 * s.var() * np.sqrt(2.0 / (n_draws - 1))
 
-    def test_sides_mirror(self):
-        dual = random_dual(8)
-        K = random_psd(9)
-        args = (
-            dual.mu_alpha, dual.sigma_alpha, dual.mu_b, dual.sigma_b,
-            dual.mu_xi[0], dual.sigma_xi[0], K,
-        )
-        a = dual_margin_moments("learner", 1.0, *args)
-        b = dual_margin_moments("attacker", 1.0, *args)
-        assert a.mu + b.mu == pytest.approx(2.0, rel=1e-14)
-        assert a.var == pytest.approx(b.var, rel=1e-14)
+    def test_sides_mirror(self, hinge_inputs):
+        theta_l, theta_d = random_dual(8)
+        dual_costs_and_grads(theta_l, theta_d, random_psd(9), 1.0, 1.0, np.ones(theta_d.n))
+        (mu_s, sig_s), (mu_t, sig_t) = hinge_inputs
+        np.testing.assert_allclose(mu_s + mu_t, 2.0, rtol=1e-14)
+        np.testing.assert_array_equal(sig_s, sig_t)
 
 
 class TestDualGradients:
@@ -177,18 +192,18 @@ class TestDualGradients:
     def test_all_blocks_vs_fd(self):
         for seed in range(5):
             n = 4
-            dual = random_dual(seed, n)
+            theta_l, theta_d = random_dual(seed, n)
             K = random_psd(40 + seed, n)
             y = np.random.default_rng(80 + seed).choice([-1.0, 1.0], size=n)
-            v = flatten_dual(dual)
-            _, _, g = dual_costs_and_grads(dual, K, 2.0, 3.0, y, bias_reg=0.5)
+            v = flatten(theta_l, theta_d)
+            _, _, g = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, y, bias_reg=0.5)
 
             def cl(vv):
-                c, _, _ = dual_costs_and_grads(unflatten_dual(vv, n), K, 2.0, 3.0, y, 0.5)
+                c, _, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
                 return c
 
             def cd(vv):
-                _, c, _ = dual_costs_and_grads(unflatten_dual(vv, n), K, 2.0, 3.0, y, 0.5)
+                _, c, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
                 return c
 
             m = 2 * n + 2
@@ -207,31 +222,23 @@ class TestIdentityKernelReduction:
         ds = Dataset(X, y)
         K = gram(ds, Kernel("linear"))
         np.testing.assert_array_equal(K, np.eye(n))
-        dual = random_dual(seed, n)
-        # primal counterpart: w~ <-> alpha, x_i <-> xi_i (same coordinates)
-        theta_l = LearnerParams(
-            np.concatenate([dual.mu_alpha, [dual.mu_b]]),
-            np.concatenate([dual.sigma_alpha, [dual.sigma_b]]),
-        )
-        theta_d = AttackerParams(np.clip(dual.mu_xi, 0.0, 1.0), dual.sigma_xi)
-        dual = DualParams(
-            dual.mu_alpha, dual.sigma_alpha, dual.mu_b, dual.sigma_b,
-            theta_d.mu_x, dual.sigma_xi,
-        )
+        # one profile plays both games: w~ <-> alpha, x_i <-> xi_i (same coordinates)
+        theta_l, theta_d = random_dual(seed, n)
+        theta_d = AttackerParams(np.clip(theta_d.mu_x, 0.0, 1.0), theta_d.sigma_x)
         lb, ab = default_boxes(n, n, W=2.0)
         game = GameSpec(ds, rho_l=2.0, rho_d=3.0, learner_box=lb, attacker_box=ab)
-        return ds, K, dual, theta_l, theta_d, game
+        return ds, K, theta_l, theta_d, game
 
     def test_costs_match(self):
-        ds, K, dual, theta_l, theta_d, game = self._setup()
-        cl, cd, _ = dual_costs_and_grads(dual, K, game.rho_l, game.rho_d, ds.labels)
+        ds, K, theta_l, theta_d, game = self._setup()
+        cl, cd, _ = dual_costs_and_grads(theta_l, theta_d, K, game.rho_l, game.rho_d, ds.labels)
         primal_l, primal_d, _ = costs_and_grads(theta_l, theta_d, game)
         assert cl == pytest.approx(primal_l, abs=1e-12)
         assert cd == pytest.approx(primal_d, abs=1e-12)
 
     def test_gradients_match(self):
-        ds, K, dual, theta_l, theta_d, game = self._setup(seed=1)
-        _, _, g = dual_costs_and_grads(dual, K, game.rho_l, game.rho_d, ds.labels)
+        ds, K, theta_l, theta_d, game = self._setup(seed=1)
+        _, _, g = dual_costs_and_grads(theta_l, theta_d, K, game.rho_l, game.rho_d, ds.labels)
         # with k = n the dual and primal flat layouts coincide
         np.testing.assert_allclose(g, costs_and_grads(theta_l, theta_d, game)[2], atol=1e-12)
 
@@ -263,7 +270,7 @@ class TestDualOperator:
         rng = np.random.default_rng(12)
         v = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
         K = gram(ds, Kernel("rbf", 1.0))
-        cost_l, cost_d, grad = dual_costs_and_grads(unflatten_dual(v, 4), K, 2.0, 5.0, ds.labels)
+        cost_l, cost_d, grad = dual_costs_and_grads(*unflatten(v, 4, 4), K, 2.0, 5.0, ds.labels)
         grad[ops.dim_l :] *= ops.r[1]
         assert ops.r == (1.0, 0.4)
         assert ops.cost_l(v) == cost_l
@@ -284,27 +291,25 @@ class TestDualOperator:
         ds = random_dataset(14, n=n)
         K = gram(ds, Kernel("rbf", 2.0))
         assert not np.allclose(K, np.eye(n))
-        dual = random_dual(15, n)
+        theta_l, theta_d = random_dual(15, n)
         bias_reg = 0.7
-        cl, cd, _ = dual_costs_and_grads(dual, K, 2.0, 3.0, ds.labels, bias_reg)
+        cl, cd, _ = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, ds.labels, bias_reg)
 
         def expected_loss(side):
             # per-sample margin moments, independent of the vectorized costs
             total = 0.0
-            for i, y in enumerate(ds.labels):
-                mm = dual_margin_moments(
-                    side, y, dual.mu_alpha, dual.sigma_alpha, dual.mu_b,
-                    dual.sigma_b, dual.mu_xi[i], dual.sigma_xi[i], K,
-                )
-                total += hinge_expect(mm.mu, mm.sigma)[0]
+            for y, mu_xi, sig_xi in zip(ds.labels, theta_d.mu_x, theta_d.sigma_x):
+                mu, var = margin_moments(side, y, theta_l, mu_xi, sig_xi, K)
+                total += hinge_expect(mu, np.sqrt(var))[0]
             return total
 
         dK = np.diag(K)
-        reg_l = dual.mu_alpha @ K @ dual.mu_alpha + dK @ dual.sigma_alpha**2
-        reg_l_b = dual.mu_b**2 + dual.sigma_b**2
+        mu_a, sig_a = theta_l.mu_tilde, theta_l.sigma_tilde
+        reg_l = mu_a @ K @ mu_a + dK @ sig_a**2
+        reg_l_b = theta_l.mu_b**2 + theta_l.sigma_b**2
         reg_d = sum(
-            (dual.mu_xi[i] - e) @ K @ (dual.mu_xi[i] - e) + dK @ dual.sigma_xi[i] ** 2
-            for i, e in enumerate(np.eye(n))
+            (mu_xi - e) @ K @ (mu_xi - e) + dK @ sig_xi**2
+            for mu_xi, sig_xi, e in zip(theta_d.mu_x, theta_d.sigma_x, np.eye(n))
         )
         expected_l = expected_loss("learner") + 0.5 * 2.0 * reg_l + 0.5 * bias_reg * reg_l_b
         assert cl == pytest.approx(expected_l, rel=1e-12)

@@ -19,11 +19,10 @@ from randgame.model import (
     flatten,
     load_config,
     load_flat_csv,
-    project_box,
-    save_config,
     save_flat_csv,
     unflatten,
 )
+from randgame.ops import VIGame
 
 
 def _learner(k=3, seed=0):
@@ -85,6 +84,12 @@ class TestValidation:
         lb, ab = default_boxes(2, 2, 1.0)  # boxes for n=2, dataset has n=1
         with pytest.raises(ShapeError):
             GameSpec(ds, 1.0, 1.0, lb, ab)
+
+
+def project_box(v, box: ParamBox):
+    """The solver's projection onto a box: the clamp of a VIGame over it."""
+    ops = VIGame(box.dim, 0, box.lower, box.upper, None, None, None)
+    return ops.project(v)
 
 
 class TestBoxes:
@@ -174,7 +179,7 @@ class TestSerialization:
 
     def test_config_roundtrip(self, tmp_path):
         p = tmp_path / "game.cfg"
-        save_config(p, {"rho_l": 10.0, "mode": "l2_box_pgd"})
+        p.write_text("rho_l=10.0\nmode=l2_box_pgd\n")
         cfg = load_config(p)
         assert cfg["rho_l"] == 10.0 and cfg["mode"] == "l2_box_pgd"
 

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import counting_operator
 from randgame.model import Dataset, GameSpec, default_boxes
 from randgame.ops import VIGame
 from randgame.solver import (
@@ -147,6 +148,22 @@ class TestResidualAndNash:
     def test_nash_verify_accepts_boundary_equilibrium(self):
         assert nash_verify(np.array([0.0, 0.0]), boundary_game(), tol=1e-9)
 
+    def test_nash_verify_evaluates_each_gradient_once(self):
+        # a rejected descent step leaves the point unchanged, so its gradient
+        # is reused rather than evaluated again
+        for theta, verdict in (([0.0, 0.0], True), ([2.0, 2.0], False)):
+            ops, calls = counting_operator(bilinear_game())
+            assert nash_verify(np.array(theta), ops, tol=1e-6) == verdict
+            player, seen = None, set()
+            for name, v in calls:  # a gradient serves the player of the last cost call
+                if name != "pseudo_grad":
+                    player = name
+                    continue
+                assert (player, v.tobytes()) not in seen
+                seen.add((player, v.tobytes()))
+            if verdict:  # no step improves on an equilibrium: one gradient per player
+                assert len(seen) == 2
+
 
 class TestSvmGame:
     def _game(self, seed=0, n_per_class=10):
@@ -179,6 +196,25 @@ class TestSvmGame:
         ops = game_operator(game)
         assert np.all(p1 >= ops.lower) and np.all(p1 <= ops.upper)
         assert not np.array_equal(p1, initial_point(game, 8))
+
+    def test_default_game_has_no_unique_equilibrium_until_the_bias_is_regularized(self):
+        from randgame.data import synth_2d
+
+        ds = synth_2d(25, 0.4, 0)
+        lb, ab = default_boxes(ds.n, ds.k, W=1.0)
+        spread = {}
+        for bias_reg in (0.0, 1.0):
+            game = GameSpec(ds, 10.0, 10.0, lb, ab, bias_reg=bias_reg)
+            sols = []
+            for seed in range(4):
+                _, _, res = solve_svm_game(game, initial_point(game, seed))
+                assert res.converged
+                sols.append(res.theta)
+            spread[bias_reg] = max(np.abs(a - b).max() for a in sols for b in sols)
+        # bias_reg=0 (the CLI default): converged solves from different starts
+        # disagree; bias_reg=1: they agree to the solver tolerance
+        assert spread[0.0] > 1e-2
+        assert spread[1.0] < 1e-6
 
     def test_500_point_game_converges_in_under_1000_evaluations(self):
         from randgame.costs import game_operator
