@@ -18,8 +18,6 @@ from .model import Dataset, LearnerParams, ShapeError, atomic_write
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
 
-BISECTION_STEPS = 200
-
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -38,83 +36,100 @@ class AttackSpec:
             raise ValueError("binary_flip requires an integer d_max")
 
 
-def attack_l2_closed(w, x, y, d_max):
-    """Unconstrained L2 attack: x - y * d_max * w / ||w||."""
+def _rows(X):
+    """X as float rows (n x k), and whether it came as one 1-D sample."""
+    X = np.asarray(X, dtype=float)
+    return np.atleast_2d(X), X.ndim == 1
+
+
+def attack_l2_closed(w, X, y, d_max):
+    """Unconstrained L2 attack on each row x of X: x - y * d_max * w / ||w||."""
     w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(X, dtype=float)
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
-        warnings.warn("zero weight vector: attack leaves the sample unchanged")
-        return x.copy()
-    return x - y * d_max * w / norm
+        warnings.warn("zero weight vector: attack leaves the samples unchanged")
+        return X.copy()
+    return X - y * d_max * w / norm
 
 
-def attack_l2_box(w, x, y, d_max, spec: AttackSpec):
-    """Minimize y*f(x) within the L2 ball around x, the feature box, and
-    optionally the monotone constraint x >= x_hat.
+def attack_l2_box(w, X, y, d_max, spec: AttackSpec):
+    """Minimize y*f(x) for each row x_hat of X within the L2 ball around
+    x_hat, the feature box, and optionally the monotone constraint x >= x_hat.
 
     For a linear score the minimizer over the box-ball intersection is
-    z(t) = clip(x - t * y * w); the distance ||z(t) - x|| is non-decreasing
-    in t, so the optimal step is found by bisection on the ball constraint
-    (KKT of the active-set solution) in BISECTION_STEPS steps.
+    z(t) = clip(x_hat - t * g) with g = y * w, at the smallest t with
+    ||z(t) - x_hat|| = d_max, or the box corner g points away from when that
+    corner lies within the ball. Coordinate j saturates at t_j = D_j / |g_j|,
+    D_j its distance to the bound it moves toward, so with the t_j sorted
+    ||z(t) - x_hat||^2 = sum_{saturated} D_j^2 + t^2 * sum_{free} g_j^2 is
+    piecewise quadratic: an exact breakpoint search (the continuous quadratic
+    knapsack pattern, Kiwiel 2008), O(n k log k) for n rows. Only the
+    direction of w matters; a coordinate whose weight relative to max|w|
+    squares to zero (below about 2e-162) counts as zero and stays put.
     """
     w = np.asarray(w, dtype=float)
-    x_hat = np.asarray(x, dtype=float)
-    lo = np.asarray(spec.box_lower, dtype=float) if spec.box_lower is not None else np.zeros_like(x_hat)
-    up = np.asarray(spec.box_upper, dtype=float) if spec.box_upper is not None else np.ones_like(x_hat)
+    X_hat, one = _rows(X)
+    k = X_hat.shape[1]
+    lo = np.asarray(spec.box_lower, dtype=float) if spec.box_lower is not None else np.zeros(k)
+    up = np.asarray(spec.box_upper, dtype=float) if spec.box_upper is not None else np.ones(k)
     if np.any(lo > up):
         raise ValueError("infeasible attack box")
-    if np.any(x_hat < lo - 1e-12) or np.any(x_hat > up + 1e-12):
+    if np.any(X_hat < lo - 1e-12) or np.any(X_hat > up + 1e-12):
         raise ValueError("original sample outside the attack box")
     if spec.monotone_increase_only:
-        lo = np.maximum(lo, x_hat)
+        lo = np.maximum(lo, X_hat)
     if d_max == 0.0 or not np.any(w):
-        return np.clip(x_hat, lo, up)
+        out = np.clip(X_hat, lo, up)
+        return out[0] if one else out
 
-    grad = y * w  # gradient of y * f(x) is constant for linear f
+    g = y * w / np.abs(w).max()
+    g = np.where(g * g > 0.0, g, 0.0)
+    moves = g != 0.0
+    D = np.maximum(np.where(g > 0.0, X_hat - lo, np.where(moves, up - X_hat, 0.0)), 0.0)
+    t = np.divide(D, np.abs(g), out=np.full(D.shape, np.inf), where=moves)  # breakpoints
+    order = np.argsort(t, axis=1)
+    t = np.take_along_axis(t, order, axis=1)
+    D2 = np.take_along_axis(D * D, order, axis=1)
+    sat = np.zeros_like(D2)
+    np.cumsum(D2[:, :-1], axis=1, out=sat[:, 1:])
+    free = np.cumsum((g * g)[order][:, ::-1], axis=1)[:, ::-1]  # reverse sums: no cancellation
+    # on the segment ending at breakpoint m, ||z(t) - x_hat||^2 = sat[m] + t^2 free[m];
+    # the budget binds on the first segment whose root lies before its end
+    finite = np.isfinite(t)
+    root = np.divide(
+        np.sqrt(np.maximum(d_max**2 - sat, 0.0)), np.sqrt(free),
+        out=np.full(t.shape, np.inf), where=finite,
+    )
+    hit = finite & (root <= t)
+    binds = hit.any(axis=1)
+    t_star = np.where(binds, root[np.arange(t.shape[0]), hit.argmax(axis=1)], 0.0)
+    corner = np.where(g > 0.0, lo, np.where(g < 0.0, up, np.clip(X_hat, lo, up)))
+    out = np.where(binds[:, None], np.clip(X_hat - t_star[:, None] * g, lo, up), corner)
+    return out[0] if one else out
 
-    def point(t):
-        return np.clip(x_hat - t * grad, lo, up)
 
-    # the box corner the gradient points away from is the unconstrained limit
-    corner = np.where(grad > 0, lo, np.where(grad < 0, up, np.clip(x_hat, lo, up)))
-    if np.linalg.norm(corner - x_hat) <= d_max:
-        return corner
-    t_hi = d_max / np.linalg.norm(grad)
-    while np.linalg.norm(point(t_hi) - x_hat) < d_max:
-        t_hi *= 2.0
-    t_lo = 0.0
-    for _ in range(BISECTION_STEPS):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if np.linalg.norm(point(t_mid) - x_hat) > d_max:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-    return point(t_lo)
-
-
-def attack_flip_binary(w, x, y, d_max):
-    """Greedy flip of up to d_max binary features in descending |w|, flipping
-    only when the flip strictly decreases y*f. Optimal for linear scores."""
+def attack_flip_binary(w, X, y, d_max):
+    """Greedy flip of up to d_max binary features of each row of X in
+    descending |w| (ties by index), flipping only where the flip strictly
+    decreases y*f. Optimal for linear scores."""
     w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isin(x, (0.0, 1.0))):
-        raise ValueError("binary flip attack needs binary features")
-    d_max = int(d_max)
+    X, one = _rows(X)
     order = np.lexsort((np.arange(w.size), -np.abs(w)))
-    out = x.copy()
-    flips = 0
-    for k in order:
-        if flips >= d_max:
-            break
-        yw = y * w[k]
-        if yw > 0 and out[k] == 1.0:
-            out[k] = 0.0
-            flips += 1
-        elif yw < 0 and out[k] == 0.0:
-            out[k] = 1.0
-            flips += 1
-    return out
+    flip = (X == 1.0)[:, order]  # the features that are on, in flip order
+    if np.count_nonzero(flip) != np.count_nonzero(X):
+        raise ValueError("binary flip attack needs binary features")
+    # boolean masks only, one row copy: a flip helps where the feature is on
+    # and y*w > 0, or off and y*w < 0; ranks count the candidates in flip order
+    yw = y * w[order]
+    np.equal(flip, yw > 0.0, out=flip)
+    flip &= yw != 0.0
+    flip &= np.cumsum(flip, axis=1, dtype=np.int32) <= int(d_max)
+    rows, cols = np.nonzero(flip)
+    cols = order[cols]
+    out = X.copy()
+    out[rows, cols] = 1.0 - out[rows, cols]
+    return out[0] if one else out
 
 
 def predict(theta_l: LearnerParams, X, mode: str = "expected", n_draws: int = 1000, seed: int = 0):
@@ -157,11 +172,11 @@ def tp_at_fp(scores_legit, scores_malicious, fp_target):
     s = np.sort(legit)
     above_all = np.nextafter(s[-1], np.inf)
     candidates = np.concatenate([[-np.inf], 0.5 * (s[:-1] + s[1:]), [above_all, np.inf]])
-    for t in candidates:
-        fp = float((legit >= t).mean())
-        if fp <= fp_target:
-            return float(t), float((mal >= t).mean())
-    raise AssertionError("unreachable: +inf threshold always satisfies the FP bound")
+    # FP(t) = share of legitimate scores >= t never rises with t, so the first
+    # candidate within the bound is the smallest feasible threshold
+    fp = (s.size - np.searchsorted(s, candidates, side="left")) / s.size
+    t = candidates[np.argmax(fp <= fp_target)]
+    return float(t), float((mal >= t).mean())
 
 
 @dataclass(frozen=True)
@@ -188,14 +203,16 @@ class SecurityCurve:
         return float(np.trapezoid(tp, d))
 
 
-def _attack_sample(w, x, y, spec: AttackSpec):
+def _attack_rows(w, X, spec: AttackSpec):
+    """The rows of X attacked as malicious samples (y = +1) under spec; X
+    itself at d_max = 0."""
     if spec.d_max == 0.0:
-        return np.asarray(x, dtype=float).copy()
+        return X
     if spec.mode == "l2_closed_form":
-        return attack_l2_closed(w, x, y, spec.d_max)
+        return attack_l2_closed(w, X, 1.0, spec.d_max)
     if spec.mode == "l2_box_pgd":
-        return attack_l2_box(w, x, y, spec.d_max, spec)
-    return attack_flip_binary(w, x, y, spec.d_max)
+        return attack_l2_box(w, X, 1.0, spec.d_max, spec)
+    return attack_flip_binary(w, X, 1.0, spec.d_max)
 
 
 def security_curve(
@@ -208,8 +225,9 @@ def security_curve(
     fp_target: float = 0.01,
     subsample: float = 0.8,
 ) -> SecurityCurve:
-    """Attack every malicious test sample at each budget and track TP at the
-    fixed FP rate, mean/std over seeded re-subsamplings of the test set."""
+    """Attack every malicious test sample at each budget (one batched attack
+    per budget) and track TP at the fixed FP rate, mean/std over seeded
+    re-subsamplings of the test set."""
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1: a curve needs a measurement")
     d_max_list = [float(d) for d in d_max_list]
@@ -223,17 +241,19 @@ def security_curve(
     if mal_idx.size == 0 or leg_idx.size == 0:
         raise ValueError("test set needs both classes")
 
-    tp = np.empty((repetitions, len(d_max_list)))
+    draws = []  # per repetition: the drawn malicious samples (positions in mal_idx), legit scores
     for rep in range(repetitions):
         rng = np.random.default_rng(seed + rep)
-        mal = rng.choice(mal_idx, size=max(1, int(subsample * mal_idx.size)), replace=False)
+        pos = rng.choice(mal_idx.size, size=max(1, int(subsample * mal_idx.size)), replace=False)
         leg = rng.choice(leg_idx, size=max(1, int(subsample * leg_idx.size)), replace=False)
-        legit_scores = X[leg] @ w + b
-        for j, d in enumerate(d_max_list):
-            spec = replace(attack, d_max=d)
-            attacked = np.array([_attack_sample(w, X[i], 1.0, spec) for i in mal])
-            mal_scores = attacked @ w + b
-            _, tp[rep, j] = tp_at_fp(legit_scores, mal_scores, fp_target)
+        draws.append((pos, X[leg] @ w + b))
+
+    tp = np.empty((repetitions, len(d_max_list)))
+    for j, d in enumerate(d_max_list):
+        attacked = _attack_rows(w, X[mal_idx], replace(attack, d_max=d))
+        for rep, (pos, legit_scores) in enumerate(draws):
+            _, tp[rep, j] = tp_at_fp(legit_scores, attacked[pos] @ w + b, fp_target)
+        del attacked  # free this budget's rows before the next batch
 
     points = tuple(
         (d, float(tp[:, j].mean()), float(tp[:, j].std())) for j, d in enumerate(d_max_list)

@@ -150,10 +150,9 @@ def _cmd_attack(args) -> int:
     learner = _load_learner(args.params, dataset.k)
     _check_budgets(args.mode, [args.dmax])
     spec = _attack_spec(args, dataset)
-    rows = [
-        attacks._attack_sample(learner.mu_tilde, row, y, spec) if y == 1 else row
-        for y, row in zip(dataset.labels, dataset.features)
-    ]
+    rows = dataset.features.copy()
+    mal = dataset.labels == 1
+    rows[mal] = attacks._attack_rows(learner.mu_tilde, rows[mal], spec)
     data_io.save_dense_csv(args.out, rows, dataset.labels)
     return 0
 

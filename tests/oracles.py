@@ -1,6 +1,8 @@
 """Helpers that only the tests need: a nominal attacker, per-sample margin
 moments written out one sample at a time (independent of the vectorized
-evaluation in randgame.costs), and an operator that counts its evaluations."""
+evaluation in randgame.costs), an operator that counts its evaluations, and
+per-sample loop versions of the batched attacks and of the TP-at-FP threshold
+search in randgame.attacks."""
 
 import dataclasses
 
@@ -49,3 +51,65 @@ def counting_operator(ops):
 
     names = ("cost_l", "cost_d", "pseudo_grad")
     return dataclasses.replace(ops, **{name: counted(name) for name in names}), calls
+
+
+def attack_l2_box_bisection(w, x, y, d_max, spec, steps=200):
+    """The box-L2 attack on one sample by bisection on the step t of
+    z(t) = clip(x - t*y*w) until ||z(t) - x|| meets d_max."""
+    w = np.asarray(w, dtype=float)
+    x_hat = np.asarray(x, dtype=float)
+    lo = np.zeros_like(x_hat) if spec.box_lower is None else np.asarray(spec.box_lower, dtype=float)
+    up = np.ones_like(x_hat) if spec.box_upper is None else np.asarray(spec.box_upper, dtype=float)
+    if spec.monotone_increase_only:
+        lo = np.maximum(lo, x_hat)
+    if d_max == 0.0 or not np.any(w):
+        return np.clip(x_hat, lo, up)
+    grad = y * w
+
+    def point(t):
+        return np.clip(x_hat - t * grad, lo, up)
+
+    corner = np.where(grad > 0, lo, np.where(grad < 0, up, np.clip(x_hat, lo, up)))
+    if np.linalg.norm(corner - x_hat) <= d_max:
+        return corner
+    t_hi = d_max / np.linalg.norm(grad)
+    while np.linalg.norm(point(t_hi) - x_hat) < d_max:
+        t_hi *= 2.0
+    t_lo = 0.0
+    for _ in range(steps):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if np.linalg.norm(point(t_mid) - x_hat) > d_max:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+    return point(t_lo)
+
+
+def flip_binary_greedy(w, x, y, d_max):
+    """Binary flips of one sample, one feature at a time in descending |w|
+    (ties by index), while a flip strictly decreases y*w.x and budget is left."""
+    w = np.asarray(w, dtype=float)
+    out = np.array(x, dtype=float)
+    flips = 0
+    for j in np.lexsort((np.arange(w.size), -np.abs(w))):
+        if flips >= d_max:
+            break
+        yw = y * w[j]
+        if (yw > 0 and out[j] == 1.0) or (yw < 0 and out[j] == 0.0):
+            out[j] = 1.0 - out[j]
+            flips += 1
+    return out
+
+
+def tp_at_fp_scan(scores_legit, scores_malicious, fp_target):
+    """TP at FP by scanning the candidate thresholds (-inf, midpoints of the
+    sorted legitimate scores, just above the largest, +inf) in order and
+    taking the first whose FP is within fp_target."""
+    legit = np.asarray(scores_legit, dtype=float)
+    mal = np.asarray(scores_malicious, dtype=float)
+    s = np.sort(legit)
+    above_all = np.nextafter(s[-1], np.inf)
+    for t in np.concatenate([[-np.inf], 0.5 * (s[:-1] + s[1:]), [above_all, np.inf]]):
+        if float((legit >= t).mean()) <= fp_target:
+            return float(t), float((mal >= t).mean())
+    raise AssertionError("unreachable: +inf threshold always satisfies the FP bound")

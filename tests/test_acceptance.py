@@ -500,7 +500,7 @@ def test_criterion_10_security_gain_over_baseline():
                     box_lower=np.zeros(2),
                     box_upper=np.ones(2),
                 )
-                adv = np.array([attack_l2_box(w, x, 1.0, d_max, spec) for x in mal])
+                adv = attack_l2_box(w, mal, 1.0, d_max, spec)
                 _, rate = tp_at_fp(s_legit, adv @ w + b, 0.01)
                 tp[name][d_max].append(rate)
         # boundary shift: the legitimate-class score (negative normalized

@@ -1,10 +1,12 @@
 """Evasion attacks against brute-force and random-search oracles, threshold
 selection, and security curves."""
 
+import time
 import warnings
 
 import numpy as np
 import pytest
+from oracles import attack_l2_box_bisection, flip_binary_greedy, tp_at_fp_scan
 
 from randgame.attacks import (
     AttackSpec,
@@ -45,6 +47,31 @@ class TestClosedFormL2:
         assert len(rec) == 1 and "zero weight" in str(rec[0].message)
         np.testing.assert_array_equal(adv, x)
 
+    def test_zero_weight_warns_once_per_batch(self):
+        X = np.random.default_rng(0).uniform(size=(5, 2))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            adv = attack_l2_closed(np.zeros(2), X, 1.0, 1.0)
+        assert len(rec) == 1 and "zero weight" in str(rec[0].message)
+        np.testing.assert_array_equal(adv, X)
+
+    def test_zero_weight_warns_once_per_budget_in_a_curve(self):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(size=(20, 2))
+        ds = Dataset(X, np.where(np.arange(20) < 10, -1.0, 1.0))
+        tl = LearnerParams(np.zeros(3), np.full(3, 1e-3))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            security_curve(tl, ds, AttackSpec(d_max=1.0), [0.0, 0.5, 1.0], repetitions=2)
+        assert len(rec) == 2  # the two nonzero budgets, not one per sample
+
+    def test_batch_equals_rows(self):
+        rng = np.random.default_rng(1)
+        w, X = rng.normal(size=4), rng.uniform(size=(6, 4))
+        batch = attack_l2_closed(w, X, -1.0, 0.7)
+        for x, row in zip(X, batch):
+            np.testing.assert_array_equal(row, attack_l2_closed(w, x, -1.0, 0.7))
+
 
 class TestBoxL2:
     def _spec(self, d_max, k=3, monotone=False):
@@ -81,7 +108,59 @@ class TestBoxL2:
             d_max = 0.5
             adv = attack_l2_box(w, x, 1.0, d_max, self._spec(d_max, k=4))
             assert np.all(adv >= -1e-12) and np.all(adv <= 1.0 + 1e-12)
-            assert np.linalg.norm(adv - x) <= d_max + 1e-9
+            assert np.linalg.norm(adv - x) <= d_max + 1e-12
+
+    def test_batch_matches_bisection_oracle(self):
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            w = rng.normal(size=k) * 10.0 ** rng.uniform(-6, 0, size=k)  # wide scales
+            w[rng.random(k) < 0.3] = 0.0  # zero-weight coordinates
+            X = rng.uniform(size=(n, k))
+            X[rng.random((n, k)) < 0.2] = float(rng.integers(0, 2))  # on a box face
+            y = float(rng.choice([-1.0, 1.0]))
+            d_max = float(rng.uniform(0.01, 2.5))  # up to past the corner (sqrt(7) at k=7)
+            spec = self._spec(d_max, k=k, monotone=trial % 3 == 0)
+            adv = attack_l2_box(w, X, y, d_max, spec)
+            assert adv.shape == X.shape
+            ref = np.array([attack_l2_box_bisection(w, x, y, d_max, spec) for x in X])
+            np.testing.assert_allclose(adv, ref, rtol=0, atol=1e-12)
+            assert np.all(np.linalg.norm(adv - X, axis=1) <= d_max + 1e-12)
+
+    def test_corner_within_budget_is_returned(self):
+        w = np.array([1.0, -2.0, 0.0])
+        X = np.array([[0.2, 0.9, 0.5], [0.5, 0.5, 0.5]])
+        adv = attack_l2_box(w, X, 1.0, 0.6, self._spec(0.6))
+        np.testing.assert_array_equal(adv[0], [0.0, 1.0, 0.5])  # 0.224 from x
+        assert np.linalg.norm(adv[1] - X[1]) == pytest.approx(0.6, abs=1e-15)  # corner: 0.707
+
+    def test_one_sample_gives_one_row(self):
+        rng = np.random.default_rng(9)
+        w, X = rng.normal(size=3), rng.uniform(size=(4, 3))
+        batch = attack_l2_box(w, X, 1.0, 0.4, self._spec(0.4))
+        for x, row in zip(X, batch):
+            single = attack_l2_box(w, x, 1.0, 0.4, self._spec(0.4))
+            assert single.shape == (3,)
+            np.testing.assert_array_equal(single, row)
+
+    def test_extreme_weight_scales_stay_within_budget(self):
+        X = np.full((2, 3), 0.5)
+        for w in ([1e200, -3e199, 1e-200], [1e-300, 0.0, -2e-300], [1.0, 1e-170, 0.0]):
+            adv = attack_l2_box(np.array(w), X, 1.0, 0.7, self._spec(0.7))
+            assert np.all(np.isfinite(adv))
+            assert np.all(np.linalg.norm(adv - X, axis=1) <= 0.7 + 1e-12)
+            assert np.all(adv[:, 0] < 0.5)  # the largest weight's feature moves
+
+    def test_empty_batch(self):
+        adv = attack_l2_box(np.ones(3), np.zeros((0, 3)), 1.0, 0.5, self._spec(0.5))
+        assert adv.shape == (0, 3)
+
+    def test_rejects_infeasible_box(self):
+        spec = AttackSpec(
+            d_max=0.5, mode="l2_box_pgd", box_lower=np.ones(2), box_upper=np.zeros(2)
+        )
+        with pytest.raises(ValueError, match="infeasible"):
+            attack_l2_box(np.ones(2), np.full((3, 2), 0.5), 1.0, 0.5, spec)
 
     def test_monotone_constraint_only_increases_features(self):
         rng = np.random.default_rng(3)
@@ -102,6 +181,8 @@ class TestBoxL2:
         )
         with pytest.raises(ValueError, match="outside"):
             attack_l2_box(np.ones(2), np.array([0.9, 0.1]), 1.0, 0.5, spec)
+        with pytest.raises(ValueError, match="outside"):  # one bad row in a batch
+            attack_l2_box(np.ones(2), np.array([[0.1, 0.1], [0.1, 0.6]]), 1.0, 0.5, spec)
 
 
 class TestBinaryFlip:
@@ -140,6 +221,23 @@ class TestBinaryFlip:
     def test_rejects_non_binary_input(self):
         with pytest.raises(ValueError, match="binary"):
             attack_flip_binary(np.ones(2), np.array([0.5, 1.0]), 1.0, 1)
+        with pytest.raises(ValueError, match="binary"):
+            attack_flip_binary(np.ones(2), np.array([[0.0, 1.0], [1.0, 2.0]]), 1.0, 1)
+
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_batch_equals_per_row_greedy(self, y):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+            w = np.round(rng.normal(size=k), 1)  # ties in |w| and zero weights
+            X = rng.integers(0, 2, size=(n, k)).astype(float)
+            d_max = int(rng.integers(0, 6))
+            adv = attack_flip_binary(w, X, y, d_max)
+            ref = np.array([flip_binary_greedy(w, x, y, d_max) for x in X])
+            np.testing.assert_array_equal(adv, ref)
+            single = attack_flip_binary(w, X[0], y, d_max)
+            assert single.shape == (k,)
+            np.testing.assert_array_equal(single, ref[0])
 
 
 class TestPredict:
@@ -190,6 +288,19 @@ class TestTpAtFp:
         ok = [(mal >= t).mean() for t in grid if (legit >= t).mean() <= 0.05]
         assert tp >= max(ok) - 1e-12
 
+    def test_matches_threshold_scan(self):
+        rng = np.random.default_rng(11)
+        for trial in range(2500):
+            n_legit = 1 if trial % 10 == 0 else int(rng.integers(2, 80))
+            n_mal = int(rng.integers(1, 40))
+            if trial % 2:  # integer scores: ties within and across the classes
+                legit = rng.integers(-4, 5, size=n_legit).astype(float)
+                mal = rng.integers(-4, 5, size=n_mal).astype(float)
+            else:
+                legit, mal = rng.normal(size=n_legit), rng.normal(1.0, size=n_mal)
+            fp = float(rng.choice([0.01, 0.05, 0.2, 0.5, 0.99]))
+            assert tp_at_fp(legit, mal, fp) == tp_at_fp_scan(legit, mal, fp)
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             tp_at_fp([], [1.0], 0.01)
@@ -226,6 +337,22 @@ class TestSecurityCurve:
         c1 = security_curve(tl, ds, spec, [0.0, 0.4], repetitions=2, seed=3)
         c2 = security_curve(tl, ds, spec, [0.0, 0.4], repetitions=2, seed=3)
         assert c1.points == c2.points
+
+    def test_dense_box_curve_is_fast(self):
+        rng = np.random.default_rng(12)
+        n, k = 2000, 20
+        y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        X = np.clip(0.5 + 0.1 * rng.normal(size=(n, k)) + 0.1 * y[:, None], 0.0, 1.0)
+        w = 1.0 + 0.3 * rng.normal(size=k)
+        tl = LearnerParams(np.append(w, -0.5 * w.sum()), np.full(k + 1, 1e-3))
+        spec = AttackSpec(
+            d_max=1.0, mode="l2_box_pgd", box_lower=np.zeros(k), box_upper=np.ones(k)
+        )
+        start = time.perf_counter()
+        curve = security_curve(tl, Dataset(X, y), spec, [0.0, 0.5, 1.0], repetitions=5)
+        assert time.perf_counter() - start < 0.5
+        tps = [p[1] for p in curve.points]
+        assert tps[0] > 0.9 and tps[0] > tps[1] > tps[2]
 
     def test_requires_increasing_budgets(self):
         tl, ds, spec = self._setup()

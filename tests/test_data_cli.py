@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +344,47 @@ class TestCliPipeline:
             ]) == 0
             outs.append((data.read_bytes(), params.read_bytes(), curve.read_bytes()))
         assert outs[0] == outs[1]
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenOutputs:
+    """Seeded `secure-eval` and `attack` runs on the small sets in tests/data
+    against outputs written by the per-sample attack code these batched
+    attacks replaced: curves, binary flips and closed-form L2 attacks must
+    keep every byte, box-L2 attacks every value to 1e-12."""
+
+    BOX = ["--params", str(GOLDEN / "box_eq.csv"), "--data", str(GOLDEN / "box.csv")]
+    FLIP = ["--params", str(GOLDEN / "flip_eq.csv"), "--data", str(GOLDEN / "flip.svm")]
+
+    @pytest.mark.parametrize("name, argv", [
+        ("box_curve.csv", ["secure-eval", *BOX, "--dmax-list", "0,0.1,0.3,0.6,1.5"]),
+        ("flip_curve.csv", ["secure-eval", *FLIP, "--mode", "binary_flip",
+                            "--dmax-list", "0,1,2,3,5"]),
+    ])
+    def test_secure_eval_curve_bytes(self, tmp_path, name, argv):
+        out = tmp_path / name
+        argv = argv + ["--reps", "3", "--fp", "0.05", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("flip_attacked.csv", ["attack", *FLIP, "--mode", "binary_flip", "--dmax", "2"]),
+        ("box_closed.csv", ["attack", *BOX, "--mode", "l2_closed_form", "--dmax", "0.3"]),
+    ])
+    def test_attack_bytes(self, tmp_path, name, argv):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name, flags", [
+        ("box_attacked.csv", []), ("box_attacked_monotone.csv", ["--monotone"]),
+    ])
+    def test_box_attack_values(self, tmp_path, name, flags):
+        out = tmp_path / name
+        argv = ["attack", *self.BOX, "--mode", "l2_box_pgd", "--dmax", "0.3", *flags]
+        assert main(argv + ["--out", str(out)]) == 0
+        got, want = load_dense_csv(out), load_dense_csv(GOLDEN / name)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_allclose(got.features, want.features, rtol=0, atol=1e-12)
