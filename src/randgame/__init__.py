@@ -6,7 +6,6 @@ resulting randomized classifiers under worst-case evasion attacks.
 """
 
 from .attacks import (
-    AttackSpec,
     SecurityCurve,
     attack_flip_binary,
     attack_l2_box,
@@ -16,7 +15,7 @@ from .attacks import (
     tp_at_fp,
 )
 from .costs import costs_and_grads, game_operator, train_baseline_svm
-from .data import GridSpec, SplitSpec, load_dense_csv, load_sparse, normalize_unit_interval, split, synth_2d
+from .data import GridSpec, SplitSpec, load_dense_csv, load_sparse, split, synth_2d
 from .diagnostics import (
     DiagnosticsReport,
     loss_hessians,

@@ -10,30 +10,25 @@ of a randomized classifier can know).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Dataset, LearnerParams, ShapeError, atomic_write
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
+SUBSAMPLE = 0.8  # share of each class drawn for one repetition of a security curve
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    d_max: float
-    mode: str = "l2_closed_form"
-    monotone_increase_only: bool = False
-    box_lower: np.ndarray | None = None
-    box_upper: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.d_max < 0:
-            raise ValueError("d_max must be non-negative")
-        if self.mode not in ATTACK_MODES:
-            raise ValueError(f"unknown attack mode {self.mode!r}")
-        if self.mode == "binary_flip" and self.d_max != int(self.d_max):
-            raise ValueError("binary_flip requires an integer d_max")
+def _check_budget(d_max, whole=False) -> float:
+    """d_max as a float; ValueError unless it is finite and non-negative and,
+    for whole (binary flips), an integer."""
+    d = float(d_max)
+    if not 0.0 <= d < np.inf:
+        raise ValueError(f"attack budget must be finite and non-negative, got {d_max!r}")
+    if whole and d != int(d):
+        raise ValueError(f"binary_flip requires an integer budget, got {d_max!r}")
+    return d
 
 
 def _rows(X):
@@ -44,6 +39,7 @@ def _rows(X):
 
 def attack_l2_closed(w, X, y, d_max):
     """Unconstrained L2 attack on each row x of X: x - y * d_max * w / ||w||."""
+    d_max = _check_budget(d_max)
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     norm = float(np.linalg.norm(w))
@@ -53,9 +49,10 @@ def attack_l2_closed(w, X, y, d_max):
     return X - y * d_max * w / norm
 
 
-def attack_l2_box(w, X, y, d_max, spec: AttackSpec):
+def attack_l2_box(w, X, y, d_max, monotone=False):
     """Minimize y*f(x) for each row x_hat of X within the L2 ball around
-    x_hat, the feature box, and optionally the monotone constraint x >= x_hat.
+    x_hat, the unit feature box [0, 1]^k, and with monotone the constraint
+    x >= x_hat.
 
     For a linear score the minimizer over the box-ball intersection is
     z(t) = clip(x_hat - t * g) with g = y * w, at the smallest t with
@@ -68,17 +65,13 @@ def attack_l2_box(w, X, y, d_max, spec: AttackSpec):
     direction of w matters; a coordinate whose weight relative to max|w|
     squares to zero (below about 2e-162) counts as zero and stays put.
     """
+    d_max = _check_budget(d_max)
     w = np.asarray(w, dtype=float)
     X_hat, one = _rows(X)
-    k = X_hat.shape[1]
-    lo = np.asarray(spec.box_lower, dtype=float) if spec.box_lower is not None else np.zeros(k)
-    up = np.asarray(spec.box_upper, dtype=float) if spec.box_upper is not None else np.ones(k)
-    if np.any(lo > up):
-        raise ValueError("infeasible attack box")
-    if np.any(X_hat < lo - 1e-12) or np.any(X_hat > up + 1e-12):
-        raise ValueError("original sample outside the attack box")
-    if spec.monotone_increase_only:
-        lo = np.maximum(lo, X_hat)
+    if np.any(X_hat < -1e-12) or np.any(X_hat > 1.0 + 1e-12):
+        raise ValueError("original sample outside the unit feature box")
+    lo = np.maximum(X_hat, 0.0) if monotone else 0.0
+    up = 1.0
     if d_max == 0.0 or not np.any(w):
         out = np.clip(X_hat, lo, up)
         return out[0] if one else out
@@ -113,6 +106,7 @@ def attack_flip_binary(w, X, y, d_max):
     """Greedy flip of up to d_max binary features of each row of X in
     descending |w| (ties by index), flipping only where the flip strictly
     decreases y*f. Optimal for linear scores."""
+    d_max = int(_check_budget(d_max, whole=True))
     w = np.asarray(w, dtype=float)
     X, one = _rows(X)
     order = np.lexsort((np.arange(w.size), -np.abs(w)))
@@ -124,7 +118,7 @@ def attack_flip_binary(w, X, y, d_max):
     yw = y * w[order]
     np.equal(flip, yw > 0.0, out=flip)
     flip &= yw != 0.0
-    flip &= np.cumsum(flip, axis=1, dtype=np.int32) <= int(d_max)
+    flip &= np.cumsum(flip, axis=1, dtype=np.int32) <= d_max
     rows, cols = np.nonzero(flip)
     cols = order[cols]
     out = X.copy()
@@ -203,34 +197,35 @@ class SecurityCurve:
         return float(np.trapezoid(tp, d))
 
 
-def _attack_rows(w, X, spec: AttackSpec):
-    """The rows of X attacked as malicious samples (y = +1) under spec; X
-    itself at d_max = 0."""
-    if spec.d_max == 0.0:
+def _attack_rows(w, X, mode, d_max, monotone=False):
+    """The rows of X attacked as malicious samples (y = +1) with budget d_max
+    (monotone applies to l2_box_pgd only); X itself at d_max = 0."""
+    if mode not in ATTACK_MODES:
+        raise ValueError(f"unknown attack mode {mode!r}")
+    if d_max == 0.0:
         return X
-    if spec.mode == "l2_closed_form":
-        return attack_l2_closed(w, X, 1.0, spec.d_max)
-    if spec.mode == "l2_box_pgd":
-        return attack_l2_box(w, X, 1.0, spec.d_max, spec)
-    return attack_flip_binary(w, X, 1.0, spec.d_max)
+    if mode == "l2_closed_form":
+        return attack_l2_closed(w, X, 1.0, d_max)
+    if mode == "l2_box_pgd":
+        return attack_l2_box(w, X, 1.0, d_max, monotone)
+    return attack_flip_binary(w, X, 1.0, d_max)
 
 
 def security_curve(
     theta_l: LearnerParams,
     test: Dataset,
-    attack: AttackSpec,
+    mode: str,
     d_max_list,
     repetitions: int = 5,
     seed: int = 0,
     fp_target: float = 0.01,
-    subsample: float = 0.8,
 ) -> SecurityCurve:
     """Attack every malicious test sample at each budget (one batched attack
     per budget) and track TP at the fixed FP rate, mean/std over seeded
     re-subsamplings of the test set."""
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1: a curve needs a measurement")
-    d_max_list = [float(d) for d in d_max_list]
+    d_max_list = [_check_budget(d, whole=mode == "binary_flip") for d in d_max_list]
     if any(b >= a for a, b in zip(d_max_list[1:], d_max_list)):
         raise ValueError("d_max_list must be strictly increasing")
     w = theta_l.mu_tilde
@@ -244,13 +239,13 @@ def security_curve(
     draws = []  # per repetition: the drawn malicious samples (positions in mal_idx), legit scores
     for rep in range(repetitions):
         rng = np.random.default_rng(seed + rep)
-        pos = rng.choice(mal_idx.size, size=max(1, int(subsample * mal_idx.size)), replace=False)
-        leg = rng.choice(leg_idx, size=max(1, int(subsample * leg_idx.size)), replace=False)
+        pos = rng.choice(mal_idx.size, size=max(1, int(SUBSAMPLE * mal_idx.size)), replace=False)
+        leg = rng.choice(leg_idx, size=max(1, int(SUBSAMPLE * leg_idx.size)), replace=False)
         draws.append((pos, X[leg] @ w + b))
 
     tp = np.empty((repetitions, len(d_max_list)))
     for j, d in enumerate(d_max_list):
-        attacked = _attack_rows(w, X[mal_idx], replace(attack, d_max=d))
+        attacked = _attack_rows(w, X[mal_idx], mode, d)
         for rep, (pos, legit_scores) in enumerate(draws):
             _, tp[rep, j] = tp_at_fp(legit_scores, attacked[pos] @ w + b, fp_target)
         del attacked  # free this budget's rows before the next batch

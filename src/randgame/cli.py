@@ -85,6 +85,7 @@ def _flag(parse, accepts, what):
 
 
 _count = _flag(int, lambda n: n >= 1, "a positive integer")
+_seed = _flag(int, lambda n: n >= 0, "a non-negative integer")
 _rate = _flag(float, lambda p: 0.0 < p < 1.0, "a rate in (0, 1)")
 _budget = _flag(float, lambda d: 0.0 <= d < np.inf, "a finite non-negative budget")
 _budgets = _flag(
@@ -100,12 +101,31 @@ def _check_budgets(mode, budgets) -> None:
 
 
 def _load_learner(params_path, k) -> model.LearnerParams:
+    """The learner block of a parameter file written by train (2(k+1) values
+    plus 2k per attacked sample) or train-baseline (2(k+1) values)."""
     v = model.load_flat_csv(params_path)
     m = k + 1
-    if v.size < 2 * m:
-        raise ValueError(f"{params_path}: too few values for k={k}")
+    if v.size < 2 * m or (v.size - 2 * m) % (2 * k):
+        raise model.ParseError(f"{params_path}: {v.size} values do not fit a model with k={k}")
     sigma = np.maximum(v[m : 2 * m], 1e-12)  # baseline files store zero deviations
     return model.LearnerParams(v[:m], sigma)
+
+
+def _grids_from_config(cfg: dict) -> data_io.GridSpec:
+    """DEFAULT_GRID with the grids cfg sets, each a comma list of finite
+    positive values."""
+    grids = dict(vars(data_io.DEFAULT_GRID))
+    for key, raw in cfg.items():
+        if key not in grids:
+            raise _UsageError(f"unknown grid config key {key!r}")
+        try:
+            grids[key] = tuple(float(t) for t in str(raw).split(","))
+            ok = all(0.0 < v < np.inf for v in grids[key])
+        except ValueError:
+            ok = False
+        if not ok:
+            raise _UsageError(f"bad value for grid config key {key!r}: {raw!r}")
+    return data_io.GridSpec(**grids)
 
 
 def _cmd_gen_synth(args) -> int:
@@ -135,24 +155,15 @@ def _cmd_train_baseline(args) -> int:
     return 0
 
 
-def _attack_spec(args, dataset) -> attacks.AttackSpec:
-    return attacks.AttackSpec(
-        d_max=args.dmax,
-        mode=args.mode,
-        monotone_increase_only=getattr(args, "monotone", False),
-        box_lower=np.zeros(dataset.k),
-        box_upper=np.ones(dataset.k),
-    )
-
-
 def _cmd_attack(args) -> int:
     dataset = _load_dataset(args.data)
     learner = _load_learner(args.params, dataset.k)
     _check_budgets(args.mode, [args.dmax])
-    spec = _attack_spec(args, dataset)
     rows = dataset.features.copy()
     mal = dataset.labels == 1
-    rows[mal] = attacks._attack_rows(learner.mu_tilde, rows[mal], spec)
+    rows[mal] = attacks._attack_rows(
+        learner.mu_tilde, rows[mal], args.mode, args.dmax, args.monotone
+    )
     data_io.save_dense_csv(args.out, rows, dataset.labels)
     return 0
 
@@ -162,14 +173,8 @@ def _cmd_secure_eval(args) -> int:
     learner = _load_learner(args.params, dataset.k)
     d_list = args.dmax_list
     _check_budgets(args.mode, d_list)
-    spec = attacks.AttackSpec(
-        d_max=d_list[-1],
-        mode=args.mode,
-        box_lower=np.zeros(dataset.k),
-        box_upper=np.ones(dataset.k),
-    )
     curve = attacks.security_curve(
-        learner, dataset, spec, d_list, repetitions=args.reps, seed=args.seed,
+        learner, dataset, args.mode, d_list, repetitions=args.reps, seed=args.seed,
         fp_target=args.fp,
     )
     curve.write_csv(args.out, seed=args.seed)
@@ -191,21 +196,7 @@ def _cmd_check_eq(args) -> int:
 
 def _cmd_grid_search(args) -> int:
     dataset = _load_dataset(args.data)
-    cfg = model.load_config(args.grids) if args.grids else {}
-
-    def _grid(key, default):
-        raw = cfg.get(key)
-        if raw is None:
-            return default
-        if isinstance(raw, float):
-            return (raw,)
-        return tuple(float(t) for t in str(raw).split(","))
-
-    grids = data_io.GridSpec(
-        rho_l_grid=_grid("rho_l_grid", data_io.DEFAULT_GRID.rho_l_grid),
-        rho_d_grid=_grid("rho_d_grid", data_io.DEFAULT_GRID.rho_d_grid),
-        W_grid=_grid("W_grid", data_io.DEFAULT_GRID.W_grid),
-    )
+    grids = _grids_from_config(model.load_config(args.grids) if args.grids else {})
     n = dataset.n
     train_n = max(2, n // 2)
     val_n = n - train_n
@@ -221,12 +212,8 @@ def _cmd_grid_search(args) -> int:
                 game = model.GameSpec(train, rho_l, rho_d, lb, ab)
                 scfg = solver.SolverConfig(max_iter=args.max_iter, seed=args.seed)
                 theta_l, _, _ = solver.solve_svm_game(game, cfg=scfg)
-                spec = attacks.AttackSpec(
-                    d_max=d_list[-1], mode="l2_box_pgd",
-                    box_lower=np.zeros(train.k), box_upper=np.ones(train.k),
-                )
                 curve = attacks.security_curve(
-                    theta_l, val, spec, d_list, repetitions=args.reps, seed=args.seed
+                    theta_l, val, "l2_box_pgd", d_list, repetitions=args.reps, seed=args.seed
                 )
                 auc = curve.auc()
                 if best is None or auc > best[0]:
@@ -247,7 +234,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen-synth", help="generate the 2-D synthetic dataset")
     g.add_argument("--n", type=_count, required=True, help="samples per class")
     g.add_argument("--sep", type=float, default=0.4)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_synth)
 
@@ -261,7 +248,7 @@ def build_parser() -> _Parser:
     tb.add_argument("--data", required=True)
     tb.add_argument("--C", type=_flag(float, lambda c: 0.0 < c < np.inf, "a finite positive C"),
                     required=True)
-    tb.add_argument("--seed", type=int, default=0)
+    tb.add_argument("--seed", type=_seed, default=0)
     tb.add_argument("--out", required=True)
     tb.set_defaults(func=_cmd_train_baseline)
 
@@ -281,7 +268,7 @@ def build_parser() -> _Parser:
     s.add_argument("--mode", default="l2_box_pgd", choices=attacks.ATTACK_MODES)
     s.add_argument("--fp", type=_rate, default=0.01)
     s.add_argument("--reps", type=_count, default=5)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_secure_eval)
 
@@ -289,8 +276,8 @@ def build_parser() -> _Parser:
     c.add_argument("--game")
     c.add_argument("--data", required=True)
     c.add_argument("--profiles", type=_count, default=50)
-    c.add_argument("--pairs", type=int, default=200)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--pairs", type=_count, default=200)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(func=_cmd_check_eq)
 
     gs = sub.add_parser("grid-search", help="select rho_l, rho_d, W by curve AUC")
@@ -298,7 +285,7 @@ def build_parser() -> _Parser:
     gs.add_argument("--data", required=True)
     gs.add_argument("--dmax-list", type=_budgets, default="0,0.5,1.0")
     gs.add_argument("--reps", type=_count, default=3)
-    gs.add_argument("--seed", type=int, default=0)
+    gs.add_argument("--seed", type=_seed, default=0)
     gs.add_argument("--max-iter", dest="max_iter", type=_count, default=1000)
     gs.add_argument("--out", required=True)
     gs.set_defaults(func=_cmd_grid_search)
@@ -310,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, data_io.ParseError) as exc:
+    except (FileNotFoundError, model.ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_NOINPUT
     except _UsageError as exc:

@@ -118,7 +118,6 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
         cost_l=lambda theta: joint(theta)[0],
         cost_d=lambda theta: joint(theta)[1],
         pseudo_grad=pgrad,
-        r=(1.0, r_d),
         rho=(rho_l, rho_d),
         **reg_hess,
     )
@@ -162,17 +161,17 @@ def game_operator(game: GameSpec) -> VIGame:
     )
 
 
-def train_baseline_svm(
-    data: Dataset,
-    C: float,
-    steps: int = 2000,
-    step_size: float = 0.1,
-    restarts: int = 5,
-    seed: int = 0,
-):
+# Subgradient descent of the baseline C-SVM: restarts, steps per restart and
+# the initial step size, decayed as 1/sqrt(1 + t).
+BASELINE_RESTARTS = 5
+BASELINE_STEPS = 2000
+BASELINE_STEP_SIZE = 0.1
+
+
+def train_baseline_svm(data: Dataset, C: float, seed: int = 0):
     """Deterministic C-SVM by subgradient descent on
     1/(2C) ||w~||^2 + sum_i [1 - y_i (w~.x_i + b)]_+,
-    best iterate over several random restarts.
+    best iterate over BASELINE_RESTARTS seeded random restarts.
 
     Returns (w_tilde, b).
     """
@@ -189,16 +188,16 @@ def train_baseline_svm(
 
     rng = np.random.default_rng(seed)
     best_obj, best_w, best_b = np.inf, np.zeros(k), 0.0
-    for _ in range(restarts):
+    for _ in range(BASELINE_RESTARTS):
         w = rng.normal(scale=0.1, size=k)
         b = float(rng.normal(scale=0.1))
-        for t in range(steps):
+        for t in range(BASELINE_STEPS):
             margins = 1.0 - y * (X @ w + b)
             # minimum-norm subgradient: the kink (margin exactly 0) contributes 0
             active = margins > 0.0
             g_w = w / C - (y[active] @ X[active]) if active.any() else w / C
             g_b = -float(y[active].sum())
-            step = step_size / np.sqrt(1.0 + t)
+            step = BASELINE_STEP_SIZE / np.sqrt(1.0 + t)
             w = w - step * g_w
             b = b - step * g_b
             obj = objective(w, b)

@@ -1,5 +1,5 @@
-"""Dataset ingestion, normalization, seeded splits, and the 2-D synthetic
-generator used for the qualitative desk-scale experiments."""
+"""Dataset ingestion, seeded splits, and the 2-D synthetic generator used
+for the qualitative desk-scale experiments."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, atomic_write
-
-
-class ParseError(ValueError):
-    pass
+from .model import Dataset, ParseError, atomic_write
 
 
 def _parse_label(tok, path, lineno):
@@ -94,38 +90,6 @@ def load_sparse(path, k: int | None = None) -> Dataset:
     return Dataset(X, np.array(labels), kind)
 
 
-def save_sparse(path, data: Dataset) -> None:
-    lines = []
-    for y, row in zip(data.labels, data.features):
-        pairs = " ".join(f"{j + 1}:{row[j]:.17g}" for j in np.flatnonzero(row))
-        lines.append(f"{int(y):+d} {pairs}".strip() + "\n")
-    atomic_write(path, "".join(lines))
-
-
-@dataclass(frozen=True)
-class Scaler:
-    mins: np.ndarray
-    ranges: np.ndarray
-
-    def apply(self, data: Dataset, clamp: bool = True) -> Dataset:
-        X = (data.features - self.mins) / self.ranges
-        if clamp:
-            X = np.clip(X, 0.0, 1.0)
-        return Dataset(X, data.labels, "continuous_unit_interval")
-
-
-def normalize_unit_interval(data: Dataset) -> tuple[Dataset, Scaler]:
-    """Per-feature min-max scaling to [0, 1]; constant features map to 0.
-
-    Returns the scaled dataset and the scaler for test-set reuse.
-    """
-    mins = data.features.min(axis=0)
-    maxs = data.features.max(axis=0)
-    ranges = np.where(maxs > mins, maxs - mins, 1.0)
-    scaler = Scaler(mins, ranges)
-    return scaler.apply(data, clamp=False), scaler
-
-
 SYNTH_LEGIT_CENTER = (0.3, 0.3)
 SYNTH_STD = 0.08
 
@@ -150,7 +114,6 @@ class SplitSpec:
     val_n: int
     test_n: int
     seed: int = 0
-    chronological: bool = False
 
     def __post_init__(self):
         if min(self.train_n, self.val_n, self.test_n) < 1:
@@ -158,14 +121,11 @@ class SplitSpec:
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded random (or chronological) train/val/test split."""
+    """Seeded random train/val/test split."""
     total = spec.train_n + spec.val_n + spec.test_n
     if total > data.n:
         raise ValueError("split sizes exceed dataset size")
-    if spec.chronological:
-        idx = np.arange(data.n)
-    else:
-        idx = np.random.default_rng(spec.seed).permutation(data.n)
+    idx = np.random.default_rng(spec.seed).permutation(data.n)
     parts = (
         idx[: spec.train_n],
         idx[spec.train_n : spec.train_n + spec.val_n],
@@ -184,8 +144,8 @@ class GridSpec:
 
     def __post_init__(self):
         for g in (self.rho_l_grid, self.rho_d_grid, self.W_grid):
-            if not g or any(v <= 0 for v in g):
-                raise ValueError("grids must be non-empty with positive entries")
+            if not g or not all(0.0 < v < np.inf for v in g):
+                raise ValueError("grids must be non-empty with finite positive entries")
 
 
 # Default search grids for model selection.

@@ -21,6 +21,9 @@ import numpy as np
 
 from .ops import VIGame
 
+FD_STEP = 1e-4  # relative central-difference step, h = FD_STEP * (1 + |theta|)
+MONOTONE_TOL = 1e-12  # slack of the monotonicity inner product
+
 
 class BoundaryError(ValueError):
     """Evaluation point too close to the feasible-box boundary for central FD."""
@@ -37,11 +40,11 @@ def _fd_steps(theta, idx, h_step, lower=None, upper=None):
     return h
 
 
-def pseudo_jacobian(ops: VIGame, theta, h_step=1e-4) -> np.ndarray:
+def pseudo_jacobian(ops: VIGame, theta) -> np.ndarray:
     """Central-difference Jacobian of ops.pseudo_grad; column j is the
     derivative along theta_j."""
     theta = np.asarray(theta, dtype=float)
-    h = _fd_steps(theta, np.arange(ops.dim), h_step, ops.lower, ops.upper)
+    h = _fd_steps(theta, np.arange(ops.dim), FD_STEP, ops.lower, ops.upper)
     J = np.empty((ops.dim, ops.dim))
     for j in range(ops.dim):
         tp = theta.copy(); tp[j] += h[j]
@@ -104,15 +107,16 @@ def _interior_sample(ops: VIGame, rng: np.random.Generator) -> np.ndarray:
     return ops.lower + u * width
 
 
-def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int = 0, tol: float = 1e-12) -> int:
-    """Count violations of (g(a) - g(b)) . (a - b) >= -tol over random pairs."""
+def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int = 0) -> int:
+    """Count violations of (g(a) - g(b)) . (a - b) >= -MONOTONE_TOL over
+    random pairs."""
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(n_pairs):
         a = _interior_sample(ops, rng)
         b = _interior_sample(ops, rng)
         inner = float((ops.pseudo_grad(a) - ops.pseudo_grad(b)) @ (a - b))
-        if inner < -tol:
+        if inner < -MONOTONE_TOL:
             violations += 1
     return violations
 
@@ -121,7 +125,6 @@ def uniqueness_margin(
     ops: VIGame,
     n_profiles: int = 20,
     seed: int = 0,
-    h_step: float = 1e-4,
     n_pairs: int | None = None,
 ) -> DiagnosticsReport:
     """Estimate the sufficient-condition margin on sampled interior profiles."""
@@ -140,7 +143,7 @@ def uniqueness_margin(
     tau = -np.inf
     eigs = []
     for _ in range(n_profiles):
-        J = pseudo_jacobian(ops, _interior_sample(ops, rng), h_step)
+        J = pseudo_jacobian(ops, _interior_sample(ops, rng))
         eigs.append(_min_sym_eig(J))
         H_ll, H_ld, H_dl, H_dd = loss_hessians(ops, J)
         lam_L_l = min(lam_L_l, _min_sym_eig(H_ll))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import _vi_game, evaluate
-from .model import AttackerParams, Dataset, LearnerParams, ParamBox, ShapeError, _box_pair, flatten
+from .model import AttackerParams, Dataset, LearnerParams, ShapeError, _box_pair, flatten
 from .ops import VIGame
 
 PSD_TOL = 1e-10
@@ -35,6 +35,7 @@ PSD_TOL = 1e-10
 # Default feasible interval for the attacker's expansion coefficients: wide
 # enough to reach any convex combination of training points plus overshoot.
 XI_MEAN_BOUNDS = (-1.0, 2.0)
+DUAL_W = 1.0  # bound on the learner's coefficient and bias means
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,14 @@ def gram(data: Dataset, kernel: Kernel) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def check_psd(K: np.ndarray, tol: float = PSD_TOL) -> None:
-    """Raise ValueError unless K is symmetric to within tol * max(1, max|K|)
-    and its smallest eigenvalue is at least -tol."""
+def check_psd(K: np.ndarray) -> None:
+    """Raise ValueError unless K is symmetric to within PSD_TOL * max(1, max|K|)
+    and its smallest eigenvalue is at least -PSD_TOL."""
     asym = np.abs(K - K.T).max()
-    if asym > tol * max(1.0, np.abs(K).max()):
+    if asym > PSD_TOL * max(1.0, np.abs(K).max()):
         raise ValueError(f"Gram matrix not symmetric (max |K - K^T| {asym:.3e})")
     w = np.linalg.eigvalsh(K)
-    if w.min() < -tol:
+    if w.min() < -PSD_TOL:
         raise ValueError(f"Gram matrix not PSD (min eigenvalue {w.min():.3e})")
 
 
@@ -100,29 +101,13 @@ def dual_costs_and_grads(
     return evaluate(flatten(theta_l, theta_d), *_dual_terms(K, y, rho_l, rho_d, bias_reg))
 
 
-def default_dual_boxes(n: int, W: float = 1.0) -> tuple[ParamBox, ParamBox]:
-    """Learner coefficients and bias mean in [-W, W]; attacker coefficients in
-    the fixed expansion interval; deviations share the primal intervals."""
-    return _box_pair(n, n, W, XI_MEAN_BOUNDS)
-
-
 def dual_game_operator(
-    data: Dataset,
-    kernel: Kernel,
-    rho_l: float,
-    rho_d: float,
-    learner_box: ParamBox | None = None,
-    attacker_box: ParamBox | None = None,
-    bias_reg: float = 0.0,
+    data: Dataset, kernel: Kernel, rho_l: float, rho_d: float, bias_reg: float = 0.0
 ) -> VIGame:
-    """Flat-vector operator view of the dual game for the solver."""
-    n = data.n
+    """Flat-vector operator view of the dual game for the solver. Learner
+    coefficients and bias mean lie in [-DUAL_W, DUAL_W], attacker coefficients
+    in XI_MEAN_BOUNDS; deviations share the primal intervals."""
     K = gram(data, kernel)
     check_psd(K)
-    if learner_box is None or attacker_box is None:
-        lb, ab = default_dual_boxes(n)
-        learner_box = learner_box or lb
-        attacker_box = attacker_box or ab
-    if learner_box.dim != 2 * n + 2 or attacker_box.dim != 2 * n * n:
-        raise ShapeError("dual box dimensions inconsistent with n")
-    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), learner_box, attacker_box)
+    boxes = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
+    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), *boxes)

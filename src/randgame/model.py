@@ -27,6 +27,10 @@ class ShapeError(ValueError):
     """Dimension mismatch between parameter objects."""
 
 
+class ParseError(ValueError):
+    """A data or parameter file that does not parse."""
+
+
 def _as_float_array(x, ndim):
     a = np.asarray(x, dtype=float)
     if a.ndim != ndim:
@@ -206,10 +210,10 @@ class GameSpec:
     bias_reg: float = 0.0
 
     def __post_init__(self):
-        if self.rho_l <= 0 or self.rho_d <= 0:
-            raise ValueError("rho_l and rho_d must be positive")
-        if self.bias_reg < 0:
-            raise ValueError("bias_reg must be non-negative")
+        if not (0 < self.rho_l < np.inf and 0 < self.rho_d < np.inf):
+            raise ValueError("rho_l and rho_d must be finite and positive")
+        if not 0 <= self.bias_reg < np.inf:
+            raise ValueError("bias_reg must be finite and non-negative")
         n, k = self.dataset.n, self.dataset.k
         if self.learner_box.dim != 2 * (k + 1):
             raise ShapeError("learner box dim must be 2*(k+1)")
@@ -291,11 +295,18 @@ def save_flat_csv(path, v) -> None:
 
 
 def load_flat_csv(path) -> np.ndarray:
+    """Read the finite parameter vector save_flat_csv wrote."""
     with open(path) as fh:
         line = fh.readline().strip()
     if not line:
-        raise ValueError(f"{path}: empty parameter file")
-    return np.array([float(tok) for tok in line.split(",")], dtype=float)
+        raise ParseError(f"{path}: empty parameter file")
+    try:
+        v = np.array([float(tok) for tok in line.split(",")], dtype=float)
+    except ValueError:
+        raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
+    if not np.isfinite(v).all():
+        raise ParseError(f"{path}: non-finite parameter value")
+    return v
 
 
 def load_config(path) -> dict:

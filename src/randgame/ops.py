@@ -29,10 +29,15 @@ class VIGame:
     cost_l: Callable[[np.ndarray], float]
     cost_d: Callable[[np.ndarray], float]
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
-    r: tuple[float, float] = (1.0, 1.0)
     rho: tuple[float, float] = (1.0, 1.0)
     reg_hess_l: Optional[np.ndarray] = None
     reg_hess_d: Optional[np.ndarray] = None
+
+    @property
+    def r(self) -> tuple[float, float]:
+        """The players' weights in pseudo_grad: the attacker's block is scaled
+        by rho_l / rho_d."""
+        return (1.0, self.rho[0] / self.rho[1])
 
     @property
     def dim(self) -> int:

@@ -53,15 +53,14 @@ def counting_operator(ops):
     return dataclasses.replace(ops, **{name: counted(name) for name in names}), calls
 
 
-def attack_l2_box_bisection(w, x, y, d_max, spec, steps=200):
-    """The box-L2 attack on one sample by bisection on the step t of
-    z(t) = clip(x - t*y*w) until ||z(t) - x|| meets d_max."""
+def attack_l2_box_bisection(w, x, y, d_max, monotone=False, steps=200):
+    """The box-L2 attack on one sample in [0, 1]^k by bisection on the step t
+    of z(t) = clip(x - t*y*w) until ||z(t) - x|| meets d_max; with monotone,
+    z >= x as well."""
     w = np.asarray(w, dtype=float)
     x_hat = np.asarray(x, dtype=float)
-    lo = np.zeros_like(x_hat) if spec.box_lower is None else np.asarray(spec.box_lower, dtype=float)
-    up = np.ones_like(x_hat) if spec.box_upper is None else np.asarray(spec.box_upper, dtype=float)
-    if spec.monotone_increase_only:
-        lo = np.maximum(lo, x_hat)
+    lo = np.maximum(x_hat, 0.0) if monotone else np.zeros_like(x_hat)
+    up = np.ones_like(x_hat)
     if d_max == 0.0 or not np.any(w):
         return np.clip(x_hat, lo, up)
     grad = y * w

@@ -12,7 +12,6 @@ import numpy as np
 
 from oracles import counting_operator, nominal_attacker
 from randgame.attacks import (
-    AttackSpec,
     attack_flip_binary,
     attack_l2_box,
     attack_l2_closed,
@@ -343,10 +342,7 @@ def test_criterion_06_attack_oracles():
         b = float(rng.normal())
         x = rng.uniform(0.2, 0.8, size=k)
         d_max = float(rng.uniform(0.2, 0.8))
-        spec = AttackSpec(
-            d_max=d_max, mode="l2_box_pgd", box_lower=np.zeros(k), box_upper=np.ones(k)
-        )
-        adv = attack_l2_box(w, x, 1.0, d_max, spec)
+        adv = attack_l2_box(w, x, 1.0, d_max)
         u = rng.normal(size=(10_000, k))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         radii = d_max * rng.uniform(size=(10_000, 1)) ** (1.0 / k)
@@ -494,13 +490,7 @@ def test_criterion_10_security_gain_over_baseline():
         ):
             s_legit = legit @ w + b
             for d_max in d_grid:
-                spec = AttackSpec(
-                    d_max=d_max,
-                    mode="l2_box_pgd",
-                    box_lower=np.zeros(2),
-                    box_upper=np.ones(2),
-                )
-                adv = attack_l2_box(w, mal, 1.0, d_max, spec)
+                adv = attack_l2_box(w, mal, 1.0, d_max)
                 _, rate = tp_at_fp(s_legit, adv @ w + b, 0.01)
                 tp[name][d_max].append(rate)
         # boundary shift: the legitimate-class score (negative normalized

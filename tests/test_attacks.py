@@ -9,8 +9,9 @@ import pytest
 from oracles import attack_l2_box_bisection, flip_binary_greedy, tp_at_fp_scan
 
 from randgame.attacks import (
-    AttackSpec,
+    ATTACK_MODES,
     SecurityCurve,
+    _attack_rows,
     attack_flip_binary,
     attack_l2_box,
     attack_l2_closed,
@@ -62,7 +63,7 @@ class TestClosedFormL2:
         tl = LearnerParams(np.zeros(3), np.full(3, 1e-3))
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            security_curve(tl, ds, AttackSpec(d_max=1.0), [0.0, 0.5, 1.0], repetitions=2)
+            security_curve(tl, ds, "l2_closed_form", [0.0, 0.5, 1.0], repetitions=2)
         assert len(rec) == 2  # the two nonzero budgets, not one per sample
 
     def test_batch_equals_rows(self):
@@ -74,15 +75,6 @@ class TestClosedFormL2:
 
 
 class TestBoxL2:
-    def _spec(self, d_max, k=3, monotone=False):
-        return AttackSpec(
-            d_max=d_max,
-            mode="l2_box_pgd",
-            monotone_increase_only=monotone,
-            box_lower=np.zeros(k),
-            box_upper=np.ones(k),
-        )
-
     def test_never_beaten_by_random_feasible_search(self):
         rng = np.random.default_rng(1)
         for trial in range(10):
@@ -91,7 +83,7 @@ class TestBoxL2:
             b = float(rng.normal())
             x = rng.uniform(0.2, 0.8, size=k)
             d_max = float(rng.uniform(0.2, 0.8))
-            adv = attack_l2_box(w, x, 1.0, d_max, self._spec(d_max))
+            adv = attack_l2_box(w, x, 1.0, d_max)
             # random feasible candidates: ball samples clamped to the box
             # (clamping toward a box containing x never increases the distance)
             u = rng.normal(size=(10_000, k))
@@ -106,7 +98,7 @@ class TestBoxL2:
             w = rng.normal(size=4)
             x = rng.uniform(size=4)
             d_max = 0.5
-            adv = attack_l2_box(w, x, 1.0, d_max, self._spec(d_max, k=4))
+            adv = attack_l2_box(w, x, 1.0, d_max)
             assert np.all(adv >= -1e-12) and np.all(adv <= 1.0 + 1e-12)
             assert np.linalg.norm(adv - x) <= d_max + 1e-12
 
@@ -120,69 +112,58 @@ class TestBoxL2:
             X[rng.random((n, k)) < 0.2] = float(rng.integers(0, 2))  # on a box face
             y = float(rng.choice([-1.0, 1.0]))
             d_max = float(rng.uniform(0.01, 2.5))  # up to past the corner (sqrt(7) at k=7)
-            spec = self._spec(d_max, k=k, monotone=trial % 3 == 0)
-            adv = attack_l2_box(w, X, y, d_max, spec)
+            monotone = trial % 3 == 0
+            adv = attack_l2_box(w, X, y, d_max, monotone)
             assert adv.shape == X.shape
-            ref = np.array([attack_l2_box_bisection(w, x, y, d_max, spec) for x in X])
+            ref = np.array([attack_l2_box_bisection(w, x, y, d_max, monotone) for x in X])
             np.testing.assert_allclose(adv, ref, rtol=0, atol=1e-12)
             assert np.all(np.linalg.norm(adv - X, axis=1) <= d_max + 1e-12)
 
     def test_corner_within_budget_is_returned(self):
         w = np.array([1.0, -2.0, 0.0])
         X = np.array([[0.2, 0.9, 0.5], [0.5, 0.5, 0.5]])
-        adv = attack_l2_box(w, X, 1.0, 0.6, self._spec(0.6))
+        adv = attack_l2_box(w, X, 1.0, 0.6)
         np.testing.assert_array_equal(adv[0], [0.0, 1.0, 0.5])  # 0.224 from x
         assert np.linalg.norm(adv[1] - X[1]) == pytest.approx(0.6, abs=1e-15)  # corner: 0.707
 
     def test_one_sample_gives_one_row(self):
         rng = np.random.default_rng(9)
         w, X = rng.normal(size=3), rng.uniform(size=(4, 3))
-        batch = attack_l2_box(w, X, 1.0, 0.4, self._spec(0.4))
+        batch = attack_l2_box(w, X, 1.0, 0.4)
         for x, row in zip(X, batch):
-            single = attack_l2_box(w, x, 1.0, 0.4, self._spec(0.4))
+            single = attack_l2_box(w, x, 1.0, 0.4)
             assert single.shape == (3,)
             np.testing.assert_array_equal(single, row)
 
     def test_extreme_weight_scales_stay_within_budget(self):
         X = np.full((2, 3), 0.5)
         for w in ([1e200, -3e199, 1e-200], [1e-300, 0.0, -2e-300], [1.0, 1e-170, 0.0]):
-            adv = attack_l2_box(np.array(w), X, 1.0, 0.7, self._spec(0.7))
+            adv = attack_l2_box(np.array(w), X, 1.0, 0.7)
             assert np.all(np.isfinite(adv))
             assert np.all(np.linalg.norm(adv - X, axis=1) <= 0.7 + 1e-12)
             assert np.all(adv[:, 0] < 0.5)  # the largest weight's feature moves
 
     def test_empty_batch(self):
-        adv = attack_l2_box(np.ones(3), np.zeros((0, 3)), 1.0, 0.5, self._spec(0.5))
+        adv = attack_l2_box(np.ones(3), np.zeros((0, 3)), 1.0, 0.5)
         assert adv.shape == (0, 3)
-
-    def test_rejects_infeasible_box(self):
-        spec = AttackSpec(
-            d_max=0.5, mode="l2_box_pgd", box_lower=np.ones(2), box_upper=np.zeros(2)
-        )
-        with pytest.raises(ValueError, match="infeasible"):
-            attack_l2_box(np.ones(2), np.full((3, 2), 0.5), 1.0, 0.5, spec)
 
     def test_monotone_constraint_only_increases_features(self):
         rng = np.random.default_rng(3)
         w = np.array([2.0, -1.0, 0.5])
         x = rng.uniform(0.1, 0.5, size=3)
-        adv = attack_l2_box(w, x, 1.0, 0.6, self._spec(0.6, monotone=True))
+        adv = attack_l2_box(w, x, 1.0, 0.6, monotone=True)
         assert np.all(adv >= x - 1e-12)
 
     def test_zero_budget_returns_original(self):
         x = np.array([0.3, 0.3])
-        adv = attack_l2_box(np.ones(2), x, 1.0, 0.0, self._spec(0.0, k=2))
+        adv = attack_l2_box(np.ones(2), x, 1.0, 0.0)
         np.testing.assert_array_equal(adv, x)
 
     def test_rejects_sample_outside_box(self):
-        spec = AttackSpec(
-            d_max=0.5, mode="l2_box_pgd",
-            box_lower=np.zeros(2), box_upper=np.full(2, 0.5),
-        )
         with pytest.raises(ValueError, match="outside"):
-            attack_l2_box(np.ones(2), np.array([0.9, 0.1]), 1.0, 0.5, spec)
+            attack_l2_box(np.ones(2), np.array([1.2, 0.1]), 1.0, 0.5)
         with pytest.raises(ValueError, match="outside"):  # one bad row in a batch
-            attack_l2_box(np.ones(2), np.array([[0.1, 0.1], [0.1, 0.6]]), 1.0, 0.5, spec)
+            attack_l2_box(np.ones(2), np.array([[0.1, 0.1], [0.1, -0.1]]), 1.0, 0.5)
 
 
 class TestBinaryFlip:
@@ -320,22 +301,19 @@ class TestSecurityCurve:
         )
         y = np.concatenate([-np.ones(n), np.ones(n)])
         tl = LearnerParams(np.array([1.0, 1.0, -1.0]), np.full(3, 1e-3))
-        spec = AttackSpec(
-            d_max=1.0, mode="l2_box_pgd", box_lower=np.zeros(2), box_upper=np.ones(2)
-        )
-        return tl, Dataset(X, y), spec
+        return tl, Dataset(X, y), "l2_box_pgd"
 
     def test_tp_degrades_with_budget(self):
-        tl, ds, spec = self._setup()
-        curve = security_curve(tl, ds, spec, [0.0, 0.3, 0.8], repetitions=3, seed=0)
+        tl, ds, mode = self._setup()
+        curve = security_curve(tl, ds, mode, [0.0, 0.3, 0.8], repetitions=3, seed=0)
         tps = [p[1] for p in curve.points]
         assert tps[0] >= tps[1] >= tps[2]
         assert tps[0] > 0.9  # clean well-separated data is detected
 
     def test_deterministic_given_seed(self):
-        tl, ds, spec = self._setup()
-        c1 = security_curve(tl, ds, spec, [0.0, 0.4], repetitions=2, seed=3)
-        c2 = security_curve(tl, ds, spec, [0.0, 0.4], repetitions=2, seed=3)
+        tl, ds, mode = self._setup()
+        c1 = security_curve(tl, ds, mode, [0.0, 0.4], repetitions=2, seed=3)
+        c2 = security_curve(tl, ds, mode, [0.0, 0.4], repetitions=2, seed=3)
         assert c1.points == c2.points
 
     def test_dense_box_curve_is_fast(self):
@@ -345,24 +323,21 @@ class TestSecurityCurve:
         X = np.clip(0.5 + 0.1 * rng.normal(size=(n, k)) + 0.1 * y[:, None], 0.0, 1.0)
         w = 1.0 + 0.3 * rng.normal(size=k)
         tl = LearnerParams(np.append(w, -0.5 * w.sum()), np.full(k + 1, 1e-3))
-        spec = AttackSpec(
-            d_max=1.0, mode="l2_box_pgd", box_lower=np.zeros(k), box_upper=np.ones(k)
-        )
         start = time.perf_counter()
-        curve = security_curve(tl, Dataset(X, y), spec, [0.0, 0.5, 1.0], repetitions=5)
+        curve = security_curve(tl, Dataset(X, y), "l2_box_pgd", [0.0, 0.5, 1.0], repetitions=5)
         assert time.perf_counter() - start < 0.5
         tps = [p[1] for p in curve.points]
         assert tps[0] > 0.9 and tps[0] > tps[1] > tps[2]
 
     def test_requires_increasing_budgets(self):
-        tl, ds, spec = self._setup()
+        tl, ds, mode = self._setup()
         with pytest.raises(ValueError, match="increasing"):
-            security_curve(tl, ds, spec, [0.5, 0.5])
+            security_curve(tl, ds, mode, [0.5, 0.5])
 
     def test_requires_a_repetition(self):
-        tl, ds, spec = self._setup()
+        tl, ds, mode = self._setup()
         with pytest.raises(ValueError, match="repetitions"):
-            security_curve(tl, ds, spec, [0.0, 0.5], repetitions=0)
+            security_curve(tl, ds, mode, [0.0, 0.5], repetitions=0)
 
     def test_auc_trapezoid(self):
         curve = SecurityCurve(
@@ -373,8 +348,8 @@ class TestSecurityCurve:
         assert curve.auc() == pytest.approx(1.0)
 
     def test_write_csv(self, tmp_path):
-        tl, ds, spec = self._setup()
-        curve = security_curve(tl, ds, spec, [0.0, 0.4], repetitions=2, seed=1)
+        tl, ds, mode = self._setup()
+        curve = security_curve(tl, ds, mode, [0.0, 0.4], repetitions=2, seed=1)
         p = tmp_path / "curve.csv"
         curve.write_csv(p, seed=1)
         lines = p.read_text().splitlines()
@@ -382,15 +357,66 @@ class TestSecurityCurve:
         assert len(lines) == 3
 
 
+ATTACKS = {
+    "l2_closed_form": attack_l2_closed,
+    "l2_box_pgd": attack_l2_box,
+    "binary_flip": attack_flip_binary,
+}
+
+# bad budgets, each with a strictly increasing curve grid that holds it
+BAD_BUDGETS = [(-0.3, [-0.3, 1.0]), (np.nan, [0.0, np.nan]), (np.inf, [0.0, np.inf])]
+
+
+def _binary_case():
+    """A learner and a binary test set that every attack mode accepts."""
+    X = np.random.default_rng(13).integers(0, 2, size=(20, 4)).astype(float)
+    y = np.where(np.arange(20) < 10, -1.0, 1.0)
+    tl = LearnerParams(np.array([1.0, -1.0, 0.5, 0.2, 0.0]), np.full(5, 1e-3))
+    return tl, Dataset(X, y, "binary")
+
+
 class TestAttackSpecValidation:
+    """Each attack checks the budget it is given; security_curve checks the
+    mode and every budget of its grid."""
+
     def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            AttackSpec(d_max=-1.0)
+        tl, ds = _binary_case()
+        for mode, attack in ATTACKS.items():
+            with pytest.raises(ValueError, match="non-negative"):
+                attack(tl.mu_tilde, ds.features, 1.0, -1.0)
+            with pytest.raises(ValueError, match="non-negative"):
+                _attack_rows(tl.mu_tilde, ds.features, mode, -1.0)
 
     def test_rejects_unknown_mode(self):
+        tl, ds = _binary_case()
+        for d_max in (0.0, 1.0):
+            with pytest.raises(ValueError, match="mode"):
+                _attack_rows(tl.mu_tilde, ds.features, "teleport", d_max)
         with pytest.raises(ValueError, match="mode"):
-            AttackSpec(d_max=1.0, mode="teleport")
+            security_curve(tl, ds, "teleport", [0.0, 1.0])
 
     def test_binary_flip_needs_integer_budget(self):
-        with pytest.raises(ValueError, match="integer"):
-            AttackSpec(d_max=1.5, mode="binary_flip")
+        tl, ds = _binary_case()
+        for d_max in (1.5, 1.7):  # never truncated to 1
+            with pytest.raises(ValueError, match="integer"):
+                attack_flip_binary(tl.mu_tilde, ds.features, 1.0, d_max)
+            with pytest.raises(ValueError, match="integer"):
+                _attack_rows(tl.mu_tilde, ds.features, "binary_flip", d_max)
+            with pytest.raises(ValueError, match="integer"):
+                security_curve(tl, ds, "binary_flip", [0.0, d_max])
+        # whole budgets given as floats still run
+        attack_flip_binary(tl.mu_tilde, ds.features, 1.0, 2.0)
+        security_curve(tl, ds, "binary_flip", [0.0, 1.0, 2.0], repetitions=1)
+
+    @pytest.mark.parametrize("mode", ATTACK_MODES)
+    @pytest.mark.parametrize("d_max, grid", BAD_BUDGETS, ids=["negative", "nan", "inf"])
+    def test_bad_budget_raises(self, mode, d_max, grid):
+        # unchecked, a negative box-L2 budget attacked with |d_max|, NaN gave
+        # the box corner and a curve up to inf reported AUC inf
+        tl, ds = _binary_case()
+        with pytest.raises(ValueError, match="budget"):
+            ATTACKS[mode](tl.mu_tilde, ds.features[0], 1.0, d_max)
+        with pytest.raises(ValueError, match="budget"):
+            ATTACKS[mode](tl.mu_tilde, ds.features, 1.0, d_max)
+        with pytest.raises(ValueError, match="budget"):
+            security_curve(tl, ds, mode, grid, repetitions=1)

@@ -17,13 +17,21 @@ from randgame.data import (
     SplitSpec,
     load_dense_csv,
     load_sparse,
-    normalize_unit_interval,
     save_dense_csv,
-    save_sparse,
     split,
     synth_2d,
 )
-from randgame.model import Dataset, load_flat_csv
+from randgame.model import Dataset, atomic_write, load_flat_csv
+
+
+def save_sparse(path, data: Dataset) -> None:
+    """Write 'label idx:val ...' lines with 1-based indices of the nonzero
+    features, the format load_sparse reads."""
+    lines = []
+    for y, row in zip(data.labels, data.features):
+        pairs = " ".join(f"{j + 1}:{row[j]:.17g}" for j in np.flatnonzero(row))
+        lines.append(f"{int(y):+d} {pairs}".strip() + "\n")
+    atomic_write(path, "".join(lines))
 
 
 class TestDenseCsv:
@@ -85,23 +93,6 @@ class TestSparse:
 
 
 class TestNormalizeAndSplit:
-    def test_normalize_to_unit_interval(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(scale=5.0, size=(20, 3))
-        ds = Dataset(np.clip(X, 0, 1), rng.choice([-1.0, 1.0], 20))
-        scaled, scaler = normalize_unit_interval(ds)
-        assert scaled.features.min() == 0.0 and scaled.features.max() == 1.0
-        # scaler reuse maps the training extremes identically
-        np.testing.assert_allclose(
-            scaler.apply(ds).features, scaled.features, atol=1e-15
-        )
-
-    def test_constant_feature_maps_to_zero(self):
-        X = np.column_stack([np.full(4, 0.5), np.linspace(0, 1, 4)])
-        ds = Dataset(X, np.array([1.0, -1.0, 1.0, -1.0]))
-        scaled, _ = normalize_unit_interval(ds)
-        assert np.all(scaled.features[:, 0] == 0.0)
-
     def test_split_is_seeded_partition(self):
         ds = synth_2d(20, 0.4, 1)
         spec = SplitSpec(10, 10, 20, seed=3)
@@ -110,11 +101,6 @@ class TestNormalizeAndSplit:
         for d1, d2 in zip(a1, a2):
             np.testing.assert_array_equal(d1.features, d2.features)
         assert sum(d.n for d in a1) == 40
-
-    def test_chronological_split(self):
-        ds = synth_2d(5, 0.4, 2)
-        tr, va, te = split(ds, SplitSpec(4, 3, 3, chronological=True))
-        np.testing.assert_array_equal(tr.features, ds.features[:4])
 
     def test_split_size_overflow_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -276,6 +262,88 @@ class TestCliPipeline:
             assert main(argv) == EX_USAGE
             assert capsys.readouterr().err == "error: binary_flip budgets must be whole numbers\n"
         assert not (tmp_path / "adv.csv").exists() and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("command", ["attack", "secure-eval"])
+    def test_params_for_another_k_are_rejected(self, tmp_path, capsys, command):
+        # a model trained on k=2 data, read on k=5 data: 2(k+1) + 2nk values
+        # fit neither 2*6 nor 2*6 + a whole number of 2*5-value rows
+        data = self._gen(tmp_path, n=3)
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("max_iter=5\n")
+        params = tmp_path / "eq.csv"
+        main(["train", "--data", str(data), "--game", str(cfg), "--out", str(params)])
+        wide = tmp_path / "wide.csv"
+        rows = np.random.default_rng(0).uniform(size=(6, 5))
+        save_dense_csv(wide, rows, np.array([-1.0, 1.0] * 3))
+        out = tmp_path / "out.csv"
+        argv = [command, "--params", str(params), "--data", str(wide), "--out", str(out)]
+        argv += ["--dmax", "0.3"] if command == "attack" else ["--dmax-list", "0,0.3"]
+        capsys.readouterr()
+        assert main(argv) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "k=5" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["1,abc\n", "\n", "", "1,2,3,4,5,nan\n"])
+    def test_malformed_params_file_is_an_input_error(self, tmp_path, capsys, text):
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "bad.csv"
+        params.write_text(text)
+        out = tmp_path / "c.csv"
+        capsys.readouterr()
+        assert main(["secure-eval", "--params", str(params), "--data", str(data),
+                     "--dmax-list", "0,0.3", "--out", str(out)]) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {params}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train-baseline", "secure-eval",
+                                         "check-eq", "grid-search"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        argv = {
+            "gen-synth": ["--n", "3"],
+            "train-baseline": ["--data", "d.csv", "--C", "1"],
+            "secure-eval": ["--params", "p.csv", "--data", "d.csv", "--dmax-list", "0,1"],
+            "check-eq": ["--data", "d.csv"],
+            "grid-search": ["--data", "d.csv"],
+        }[command]
+        if command != "check-eq":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--seed", "-1"])
+        assert exc.value.code == EX_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: argument --seed: expected")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("pairs", ["-3", "0", "1.5"])
+    def test_check_eq_needs_monotonicity_pairs(self, tmp_path, capsys, pairs):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-eq", "--data", "d.csv", "--pairs", pairs])
+        assert exc.value.code == EX_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: argument --pairs: expected")
+
+    @pytest.mark.parametrize("line, message", [
+        ("rho_l=5", "unknown grid config key 'rho_l'"),
+        ("rho_l_grid=nan", "bad value for grid config key 'rho_l_grid': "),
+        ("rho_d_grid=1,inf", "bad value for grid config key 'rho_d_grid': "),
+        ("W_grid=0", "bad value for grid config key 'W_grid': "),
+        ("W_grid=0.5,-1", "bad value for grid config key 'W_grid': "),
+        ("rho_l_grid=1,abc", "bad value for grid config key 'rho_l_grid': "),
+        ("rho_l_grid=", "bad value for grid config key 'rho_l_grid': "),
+    ])
+    def test_bad_grid_config_is_a_usage_error(self, tmp_path, capsys, line, message):
+        data = self._gen(tmp_path, n=3)
+        grids = tmp_path / "grids.cfg"
+        grids.write_text(f"rho_d_grid=10\nW_grid=1\n{line}\n")
+        out = tmp_path / "best.csv"
+        capsys.readouterr()
+        assert main(["grid-search", "--data", str(data), "--grids", str(grids),
+                     "--max-iter", "5", "--out", str(out)]) == EX_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_check_eq_exit_codes(self, tmp_path):
         data = self._gen(tmp_path, n=3)

@@ -134,7 +134,7 @@ class TestFdHessian:
             lambda v: float(inside(v) @ v), theta, [0], [0], h_step=1e-4,
             lower=np.zeros(2), upper=np.ones(2),
         )
-        J = pseudo_jacobian(unit_box_game(lambda v: 2.0 * inside(v)), theta, h_step=1e-4)
+        J = pseudo_jacobian(unit_box_game(lambda v: 2.0 * inside(v)), theta)
         assert H[0, 0] == pytest.approx(2.0, rel=1e-3)
         assert J[0, 0] == pytest.approx(2.0, rel=1e-3)
 

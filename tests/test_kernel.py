@@ -11,7 +11,6 @@ from randgame.hinge import hinge_expect
 from randgame.kernel import (
     Kernel,
     check_psd,
-    default_dual_boxes,
     dual_costs_and_grads,
     dual_game_operator,
     gram,
@@ -331,15 +330,12 @@ class TestDualOperator:
         assert len(calls) == 1
 
     def test_default_dual_boxes_shape(self):
-        lb, ab = default_dual_boxes(3)
-        assert lb.dim == 8 and ab.dim == 18
-        np.testing.assert_array_equal(lb.lower, [-1.0] * 4 + [1e-6] * 4)
-        np.testing.assert_array_equal(lb.upper, [1.0] * 4 + [1e-3] * 4)
-        np.testing.assert_array_equal(ab.lower, ([-1.0] * 3 + [1e-3] * 3) * 3)
-        np.testing.assert_array_equal(ab.upper, ([2.0] * 3 + [0.5] * 3) * 3)
-        lb, _ = default_dual_boxes(2, W=2.5)
-        np.testing.assert_array_equal(lb.lower[:3], [-2.5] * 3)
-        np.testing.assert_array_equal(lb.upper[:3], [2.5] * 3)
+        ops = dual_game_operator(random_dataset(14, n=3), Kernel("rbf", 1.0), 1.0, 1.0)
+        lower, upper = ops.split(ops.lower), ops.split(ops.upper)
+        np.testing.assert_array_equal(lower[0], [-1.0] * 4 + [1e-6] * 4)
+        np.testing.assert_array_equal(upper[0], [1.0] * 4 + [1e-3] * 4)
+        np.testing.assert_array_equal(lower[1], ([-1.0] * 3 + [1e-3] * 3) * 3)
+        np.testing.assert_array_equal(upper[1], ([2.0] * 3 + [0.5] * 3) * 3)
 
 
 def _both_operators():

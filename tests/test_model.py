@@ -14,6 +14,7 @@ from randgame.model import (
     LEARNER_DEV_BOUNDS,
     LearnerParams,
     ParamBox,
+    ParseError,
     ShapeError,
     default_boxes,
     flatten,
@@ -78,6 +79,17 @@ class TestValidation:
         bad_lo[2] = 0.0  # first deviation coordinate of the only sample
         with pytest.raises(ValueError, match="deviation"):
             GameSpec(ds, 1.0, 1.0, lb, ParamBox(bad_lo, ab.upper))
+
+    @pytest.mark.parametrize("rho_l, rho_d, bias_reg", [
+        (np.nan, 1.0, 0.0), (1.0, np.nan, 0.0), (np.inf, 1.0, 0.0), (0.0, 1.0, 0.0),
+        (1.0, 1.0, np.inf), (1.0, 1.0, np.nan), (1.0, 1.0, -1.0),
+    ])
+    def test_gamespec_rejects_non_finite_weights(self, rho_l, rho_d, bias_reg):
+        # nan <= 0 is False, so a comparison that rejects bad values lets NaN in
+        ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
+        lb, ab = default_boxes(1, 2, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            GameSpec(ds, rho_l, rho_d, lb, ab, bias_reg)
 
     def test_gamespec_rejects_wrong_box_dims(self):
         ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
@@ -175,6 +187,13 @@ class TestSerialization:
         p = tmp_path / "empty.csv"
         p.write_text("\n")
         with pytest.raises(ValueError, match="empty"):
+            load_flat_csv(p)
+
+    @pytest.mark.parametrize("text", ["1,abc\n", "1,,2\n", "1,inf\n", "nan\n"])
+    def test_flat_csv_rejects_malformed(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=str(p)):
             load_flat_csv(p)
 
     def test_config_roundtrip(self, tmp_path):
