@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen-synth", help="generate the 2-D synthetic dataset")
     g.add_argument("--n", type=_count, required=True, help="samples per class")
-    g.add_argument("--sep", type=float, default=0.4)
+    g.add_argument("--sep", type=_flag(float, np.isfinite, "a finite separation"), default=0.4)
     g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_synth)

@@ -42,56 +42,61 @@ from .ops import VIGame
 def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     """Both players' costs and the gradient of each cost in its own block at
     the flat joint profile theta = [mu_a (m); mu_b; sigma_a (m); sigma_b; per
-    row (mu_x_i (m), sigma_x_i (m))], for anchors of shape (n, m).
+    row (mu_x_i (m), sigma_x_i (m))], for anchors of shape (m, n) (column i
+    is xhat_i). The attacker rows are read into contiguous (m, n) planes.
 
-    M enters only as by_M(a) = a M (a vector, or each row of a matrix),
-    by_M2(v) = v (M*M) and dM = diag(M); the primal game passes the identity
+    M enters only as by_M(A) = M A (a vector, or each column of a matrix),
+    by_M2(v) = (M*M) v and dM = diag(M); the primal game passes the identity
     for both maps, so M = I costs nothing. Returns (cost_l, cost_d, grad):
     grad is flat and unweighted in the layout of theta.
     """
-    n, m = anchors.shape
+    m, n = anchors.shape
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2 * m + 2 + 2 * n * m,):
         raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
     if not np.isfinite(theta).all():
         raise ValueError("parameters must be finite")
-    rows = theta[2 * m + 2 :].reshape(n, 2 * m)
-    mu_x, sig_x = rows[:, :m].copy(), rows[:, m:].copy()
+    planes = theta[2 * m + 2 :].reshape(n, 2 * m).T.copy()
+    mu_x, sig_x = planes[:m], planes[m:]  # column i is mu_x_i, sigma_x_i
     if not ((theta[m + 1 : 2 * m + 2] > 0).all() and (sig_x > 0).all()):
         raise ValueError("deviations must be strictly positive")
     mu_a, mu_b = theta[:m], theta[m]
     sig_a, sig_b = theta[m + 1 : 2 * m + 1], theta[2 * m + 1]
 
     s2a, s2x = sig_a**2, sig_x**2
-    Mx = by_M(mu_x)  # row i is M mu_x_i
+    Mx = by_M(mu_x)  # column i is M mu_x_i; mu_x itself when M = I
     Mx2 = Mx**2
     Ma = by_M(mu_a)
     w_x = Ma**2 + by_M2(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
-    score = Mx @ mu_a + mu_b
-    sigma = np.sqrt(Mx2 @ s2a + s2x @ w_x + sig_b**2)
+    score = mu_a @ Mx + mu_b
+    sigma = np.sqrt(s2a @ Mx2 + w_x @ s2x + sig_b**2)
     h_s, p_s, v_s = hinge_expect(1.0 - y * score, sigma)
     h_t, p_t, v_t = hinge_expect(1.0 + y * score, sigma)
 
-    shifted = mu_x - anchors
-    M_shifted = by_M(shifted)  # row i is M (mu_x_i - xhat_i)
-    cost_l = (
-        0.5 * rho_l * (mu_a @ Ma + dM @ s2a)
-        + 0.5 * bias_reg * (mu_b**2 + sig_b**2)
-        + h_s.sum()
-    )
-    cost_d = 0.5 * rho_d * ((shifted * M_shifted).sum() + (s2x @ dM).sum()) + h_t.sum()
-
     py_s = p_s * y
-    s2x_w = v_s @ s2x  # sum_i v_s_i * sigma_x_i^2
-    grad = np.empty_like(theta)
-    grad[:m] = rho_l * Ma - py_s @ Mx + 2.0 * by_M(s2x_w * Ma)
+    s2x_w = s2x @ v_s  # sum_i v_s_i * sigma_x_i^2
+    grad = np.empty(theta.shape)
+    grad[:m] = rho_l * Ma - Mx @ py_s + 2.0 * by_M(s2x_w * Ma)
     grad[m] = bias_reg * mu_b - py_s.sum()
-    grad[m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (v_s @ Mx2 + by_M2(s2x_w))
+    grad[m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (Mx2 @ v_s + by_M2(s2x_w))
     grad[2 * m + 1] = bias_reg * sig_b + 2.0 * sig_b * v_s.sum()
-    g_rows = grad[2 * m + 2 :].reshape(n, 2 * m)
-    g_rows[:, :m] = (rho_d * M_shifted + np.outer(p_t * y, Ma)
-                     + 2.0 * by_M(v_t[:, None] * Mx * s2a))
-    g_rows[:, m:] = rho_d * (sig_x * dM) + 2.0 * sig_x * (v_t[:, None] * w_x)
+    cost_l = (0.5 * rho_l * (mu_a @ Ma + dM @ s2a) + 0.5 * bias_reg * (mu_b**2 + sig_b**2)
+              + h_s.sum())
+
+    # From here on the attacker block is built in place over the planes. Mx is
+    # read for the last time: Mx2 becomes 2 v_t s2a Mx and mu_x the shift.
+    np.multiply(Mx, (2.0 * s2a)[:, None], out=Mx2)
+    Mx2 *= v_t
+    shifted = np.subtract(mu_x, anchors, out=mu_x)  # column i is mu_x_i - xhat_i
+    cost_d = 0.5 * rho_d * (np.vdot(shifted, by_M(shifted)) + dM @ s2x.sum(axis=1)) + h_t.sum()
+    shifted *= rho_d
+    shifted += Mx2  # M of this is rho_d M shifted + 2 M(v_t s2a Mx), as M is linear
+    np.multiply(Ma[:, None], p_t * y, out=Mx2)
+    np.add(by_M(shifted), Mx2, out=mu_x)
+    np.multiply((2.0 * w_x)[:, None], v_t, out=s2x)
+    s2x += (rho_d * dM)[:, None]
+    sig_x *= s2x
+    grad[2 * m + 2 :].reshape(n, 2 * m)[...] = planes.T
     return float(cost_l), float(cost_d), grad
 
 
@@ -129,7 +134,7 @@ def _identity(a):
 
 def _primal_terms(game: GameSpec):
     """The fixed arguments of evaluate for the SVM game: M = I, anchors = X."""
-    return (_identity, np.ones(game.k), _identity, game.dataset.features,
+    return (_identity, np.ones(game.k), _identity, np.ascontiguousarray(game.dataset.features.T),
             game.dataset.labels, game.rho_l, game.rho_d, game.bias_reg)
 
 
@@ -178,8 +183,6 @@ def train_baseline_svm(data: Dataset, C: float, seed: int = 0):
     if C <= 0:
         raise ValueError("C must be positive")
     X, y = data.features, data.labels
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite feature values")
     n, k = X.shape
 
     def objective(w, b):

@@ -20,6 +20,14 @@ def _parse_label(tok, path, lineno):
     return val
 
 
+def _dataset(path, X, labels, feature_kind) -> Dataset:
+    """The Dataset of a loaded file; a value Dataset rejects is a ParseError."""
+    try:
+        return Dataset(X, np.array(labels), feature_kind)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_dense_csv(path, feature_kind="continuous_unit_interval") -> Dataset:
     """Load 'label,f1,f2,...' lines; labels must be -1 or +1."""
     labels, rows = [], []
@@ -38,7 +46,7 @@ def load_dense_csv(path, feature_kind="continuous_unit_interval") -> Dataset:
                 raise ParseError(f"{path}:{lineno}: inconsistent feature count")
     if not rows:
         raise ParseError(f"{path}: no samples")
-    return Dataset(np.array(rows), np.array(labels), feature_kind)
+    return _dataset(path, np.array(rows), labels, feature_kind)
 
 
 def save_dense_csv(path, features, labels) -> None:
@@ -87,7 +95,7 @@ def load_sparse(path, k: int | None = None) -> Dataset:
         for idx, val in pairs:
             X[i, idx - 1] = val
     kind = "binary" if np.all(np.isin(X, (0.0, 1.0))) else "continuous_unit_interval"
-    return Dataset(X, np.array(labels), kind)
+    return _dataset(path, X, labels, kind)
 
 
 SYNTH_LEGIT_CENTER = (0.3, 0.3)

@@ -29,15 +29,13 @@ class BoundaryError(ValueError):
     """Evaluation point too close to the feasible-box boundary for central FD."""
 
 
-def _fd_steps(theta, idx, h_step, lower=None, upper=None):
+def _fd_steps(theta, idx, h_step, lower, upper):
     """Per-coordinate FD steps, shrunk so theta +- h stays inside the box."""
     h = h_step * (1.0 + np.abs(theta[idx]))
-    if lower is not None and upper is not None:
-        room = np.minimum(theta[idx] - lower[idx], upper[idx] - theta[idx]) / 2.0
-        if np.any(room < 1e-12 * (1.0 + np.abs(theta[idx]))):
-            raise BoundaryError("theta too close to the box boundary for central FD")
-        h = np.minimum(h, room)
-    return h
+    room = np.minimum(theta[idx] - lower[idx], upper[idx] - theta[idx]) / 2.0
+    if np.any(room < 1e-12 * (1.0 + np.abs(theta[idx]))):
+        raise BoundaryError("theta too close to the box boundary for central FD")
+    return np.minimum(h, room)
 
 
 def pseudo_jacobian(ops: VIGame, theta) -> np.ndarray:

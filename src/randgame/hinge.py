@@ -1,20 +1,19 @@
 """Closed-form expectation of the rectified Gaussian margin and its derivatives.
 
 For S ~ Normal(mu, sigma^2), z = mu / sigma, phi = exp(-z^2 / 2) / sqrt(2 pi)
-and p = Pr[S > 0] = erfc(-z / sqrt(2)) / 2,
+and p = Pr[S > 0] = Phi(z), the standard normal CDF,
 
     E[max(0, S)] = sigma * phi + mu * p
 
-with dE/dmu = p and dE/d(sigma^2) = phi / (2 sigma). erfc keeps p exact in
-the lower tail, where 1 - erf cancels to nothing.
+with dE/dmu = p and dE/d(sigma^2) = phi / (2 sigma). ndtr computes Phi by
+erfc in the lower tail, so p stays exact where 1 - erf cancels to nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtr
 
-_SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -27,7 +26,7 @@ def hinge_expect(mu, sigma):
         raise ValueError("sigma must be strictly positive")
     z = mu / sigma
     phi = np.exp(-0.5 * z * z) / _SQRT2PI
-    p = 0.5 * erfc(-z / _SQRT2)
+    p = ndtr(z)
     value, dvar = sigma * phi + mu * p, phi / (2.0 * sigma)
     if value.ndim:
         return value, p, dvar

@@ -78,7 +78,7 @@ def check_psd(K: np.ndarray) -> None:
 def _dual_terms(K, y, rho_l, rho_d, bias_reg):
     """The fixed arguments of costs.evaluate for the dual game: M = K, anchors = I."""
     K2 = K * K
-    return (lambda a: a @ K, np.diag(K).copy(), lambda v: v @ K2, np.eye(K.shape[0]),
+    return (lambda A: K @ A, np.diag(K).copy(), lambda v: K2 @ v, np.eye(K.shape[0]),
             np.asarray(y, dtype=float), rho_l, rho_d, bias_reg)
 
 

@@ -59,10 +59,10 @@ class Dataset:
             raise ValueError(f"unknown feature_kind {self.feature_kind!r}")
         if self.feature_kind == "binary" and not np.all(np.isin(X, (0.0, 1.0))):
             raise ValueError("binary dataset contains non-binary values")
-        if self.feature_kind == "continuous_unit_interval" and (
-            X.min() < 0.0 or X.max() > 1.0
+        if self.feature_kind == "continuous_unit_interval" and not (
+            X.min() >= 0.0 and X.max() <= 1.0  # NaN fails both comparisons
         ):
-            raise ValueError("continuous features must lie in [0, 1]")
+            raise ValueError("continuous features must be finite and lie in [0, 1]")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", X)
@@ -161,8 +161,8 @@ class ParamBox:
         up = _as_float_array(self.upper, 1)
         if lo.shape != up.shape:
             raise ShapeError("box bounds must have equal length")
-        if np.any(lo > up):
-            raise ValueError("box lower bound exceeds upper bound")
+        if not np.all(lo <= up):  # NaN fails the comparison too
+            raise ValueError("box lower bound exceeds upper bound or is NaN")
         lo.setflags(write=False)
         up.setflags(write=False)
         object.__setattr__(self, "lower", lo)
@@ -176,8 +176,8 @@ class ParamBox:
 def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[ParamBox, ParamBox]:
     """Learner means (m + 1) in [-W, W], each attacker row's m means in
     mean_bounds, deviation coordinates in the standard intervals above."""
-    if W <= 0:
-        raise ValueError("W must be positive")
+    if not 0 < W < np.inf:
+        raise ValueError("W must be finite and positive")
     if n < 1 or m < 1:
         raise ShapeError("need n >= 1 and k >= 1")
     learner = [np.repeat([mean, dev], m + 1) for mean, dev in zip((-W, W), LEARNER_DEV_BOUNDS)]

@@ -1,10 +1,11 @@
 """Helpers that only the tests need: a nominal attacker, per-sample margin
-moments written out one sample at a time (independent of the vectorized
-evaluation in randgame.costs), an operator that counts its evaluations, and
-per-sample loop versions of the batched attacks and of the TP-at-FP threshold
-search in randgame.attacks."""
+moments and costs and gradients written out one sample at a time (independent
+of the vectorized evaluation in randgame.costs), an operator that counts its
+evaluations, and per-sample loop versions of the batched attacks and of the
+TP-at-FP threshold search in randgame.attacks."""
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -33,6 +34,59 @@ def margin_moments(side, y, theta_l: LearnerParams, mu_x, sigma_x, M=None):
     mu = 1.0 + sign * y * (mu_a @ Mx + theta_l.mu_b)
     var = s2a @ Mx**2 + s2x @ Ma**2 + s2a @ (M * M) @ s2x + theta_l.sigma_b**2
     return float(mu), float(var)
+
+
+def _hinge_scalar(mu, sigma):
+    """(E[max(0, S)], dE/dmu, dE/d(sigma^2)) for S ~ Normal(mu, sigma^2)."""
+    z = mu / sigma
+    phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    p = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return sigma * phi + mu * p, p, phi / (2.0 * sigma)
+
+
+def evaluate_loop(theta, M, anchors, y, rho_l, rho_d, bias_reg):
+    """(cost_l, cost_d, flat unweighted gradient) of costs.evaluate for a
+    dense symmetric metric M and anchors of shape (n, m) (row i is xhat_i),
+    summed one sample at a time from the cost written out term by term and
+    its chain rule through E[max(0, S)]."""
+    M = np.asarray(M, dtype=float)
+    anchors = np.asarray(anchors, dtype=float)
+    n, m = anchors.shape
+    theta = np.asarray(theta, dtype=float)
+    mu_a, mu_b = theta[:m], theta[m]
+    sig_a, sig_b = theta[m + 1 : 2 * m + 1], theta[2 * m + 1]
+    s2a, M2 = sig_a**2, M * M
+    Ma = M @ mu_a
+    cost_l = 0.5 * rho_l * (mu_a @ Ma + np.diag(M) @ s2a) + 0.5 * bias_reg * (mu_b**2 + sig_b**2)
+    cost_d = 0.0
+    g_mu_a, g_sig_a = rho_l * Ma, rho_l * np.diag(M) * sig_a
+    g_mu_b, g_sig_b = bias_reg * mu_b, bias_reg * sig_b
+    g_rows = []
+    for i in range(n):
+        row = theta[2 * m + 2 + 2 * m * i : 2 * m + 2 + 2 * m * (i + 1)]
+        mu_x, sig_x = row[:m], row[m:]
+        s2x = sig_x**2
+        Mx = M @ mu_x
+        score = mu_a @ Mx + mu_b
+        var = s2a @ Mx**2 + s2x @ Ma**2 + s2a @ M2 @ s2x + sig_b**2
+        h_s, p_s, v_s = _hinge_scalar(1.0 - y[i] * score, math.sqrt(var))
+        h_t, p_t, v_t = _hinge_scalar(1.0 + y[i] * score, math.sqrt(var))
+        shifted = mu_x - anchors[i]
+        cost_l += h_s
+        cost_d += 0.5 * rho_d * (shifted @ M @ shifted + np.diag(M) @ s2x) + h_t
+        # d score / d mu_a = Mx; d var / d mu_a = 2 M (s2x * Ma);
+        # d var / d sigma_a = 2 sigma_a (Mx^2 + (M*M) s2x)
+        g_mu_a = g_mu_a - p_s * y[i] * Mx + v_s * 2.0 * M @ (s2x * Ma)
+        g_mu_b -= p_s * y[i]
+        g_sig_a = g_sig_a + v_s * 2.0 * sig_a * (Mx**2 + M2 @ s2x)
+        g_sig_b += v_s * 2.0 * sig_b
+        # d score / d mu_x = Ma; d var / d mu_x = 2 M (s2a * Mx);
+        # d var / d sigma_x = 2 sigma_x (Ma^2 + (M*M) s2a)
+        g_mu_x = rho_d * M @ shifted + p_t * y[i] * Ma + v_t * 2.0 * M @ (s2a * Mx)
+        g_sig_x = rho_d * np.diag(M) * sig_x + v_t * 2.0 * sig_x * (Ma**2 + M2 @ s2a)
+        g_rows += [g_mu_x, g_sig_x]
+    grad = np.concatenate([g_mu_a, [g_mu_b], g_sig_a, [g_sig_b], *g_rows])
+    return float(cost_l), float(cost_d), grad
 
 
 def counting_operator(ops):

@@ -1,11 +1,18 @@
-"""Player costs and analytic gradients against finite-difference oracles."""
+"""Player costs and analytic gradients against finite-difference and per-sample loop oracles."""
 
 import numpy as np
 import pytest
 
-from oracles import margin_moments, nominal_attacker
-from randgame.costs import costs_and_grads, game_operator, train_baseline_svm
+from oracles import evaluate_loop, margin_moments, nominal_attacker
+from randgame.costs import (
+    _primal_terms,
+    costs_and_grads,
+    evaluate,
+    game_operator,
+    train_baseline_svm,
+)
 from randgame.hinge import hinge_expect
+from randgame.kernel import _dual_terms, dual_costs_and_grads
 from randgame.model import (
     AttackerParams,
     Dataset,
@@ -104,6 +111,79 @@ class TestGradients:
         np.testing.assert_allclose(pg[: game.dim_l], raw[: game.dim_l], rtol=1e-14)
         np.testing.assert_allclose(pg[game.dim_l :], 3.0 * raw[game.dim_l :], rtol=1e-14)
         assert pg.size == game.dim_l + game.dim_d
+
+
+def assert_same_evaluation(got, want, rel=1e-12):
+    """Costs and every gradient entry within rel * max(|x|, 1) of want."""
+    for a, b in zip(got[:2], want[:2]):
+        assert abs(a - b) <= rel * max(abs(b), 1.0)
+    assert got[2].shape == want[2].shape
+    assert np.all(np.abs(got[2] - want[2]) <= rel * np.maximum(np.abs(want[2]), 1.0))
+
+
+def _dual_case(seed=30, n=6):
+    """(theta_l, theta_d, K, y) of a dual game on a random SPD K."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    K = A @ A.T / n + 0.1 * np.eye(n)
+    y = np.where(np.arange(n) % 2, 1.0, -1.0)
+    theta_l = LearnerParams(rng.normal(scale=0.5, size=n + 1), rng.uniform(0.05, 0.3, n + 1))
+    theta_d = AttackerParams(rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, (n, n)))
+    return theta_l, theta_d, K, y
+
+
+def _flat_case(which):
+    """(theta, evaluate's fixed terms) of a small primal or dual game."""
+    if which == "primal":
+        game = random_game(31, bias_reg=0.7)
+        return flatten(*random_profile(game, 31)), _primal_terms(game)
+    theta_l, theta_d, K, y = _dual_case()
+    return flatten(theta_l, theta_d), _dual_terms(K, y, 2.0, 3.0, 0.7)
+
+
+class TestEvaluateOracle:
+    """costs.evaluate against the per-sample loop in tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_primal_matches_per_sample_loop(self, n, k):
+        game = random_game(10 * n + k, n=n, k=k, bias_reg=0.7)
+        theta_l, theta_d = random_profile(game, 20 * n + k)
+        X, y = game.dataset.features, game.dataset.labels
+        want = evaluate_loop(flatten(theta_l, theta_d), np.eye(k), X, y,
+                             game.rho_l, game.rho_d, game.bias_reg)
+        assert_same_evaluation(costs_and_grads(theta_l, theta_d, game), want)
+
+    def test_dual_matches_per_sample_loop(self):
+        theta_l, theta_d, K, y = _dual_case()
+        got = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, y, bias_reg=0.7)
+        want = evaluate_loop(flatten(theta_l, theta_d), K, np.eye(K.shape[0]), y, 2.0, 3.0, 0.7)
+        assert_same_evaluation(got, want)
+
+    @pytest.mark.parametrize("which", ["primal", "dual"])
+    def test_read_only_and_strided_theta(self, which):
+        theta, terms = _flat_case(which)
+        want = evaluate(theta.copy(), *terms)
+        read_only = theta.copy()
+        read_only.setflags(write=False)
+        wide = np.full(2 * theta.size, -7.0)
+        wide[::2] = theta
+        strided = wide[::2]
+        assert not strided.flags.c_contiguous
+        for v in (read_only, strided):
+            got = evaluate(v, *terms)
+            assert_same_evaluation(got, want, rel=1e-15)
+            np.testing.assert_array_equal(v, theta)
+        assert np.all(wide[1::2] == -7.0)
+
+    @pytest.mark.parametrize("which", ["primal", "dual"])
+    def test_successive_gradients_do_not_share_memory(self, which):
+        theta, terms = _flat_case(which)
+        g1 = evaluate(theta, *terms)[2]
+        g2 = evaluate(theta, *terms)[2]
+        assert not np.shares_memory(g1, g2)
+        assert not np.shares_memory(g1, theta)
+        np.testing.assert_array_equal(g1, g2)
 
 
 class TestOperator:

@@ -61,6 +61,19 @@ class TestDenseCsv:
         with pytest.raises(ParseError, match="no samples"):
             load_dense_csv(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        p = tmp_path / "d.csv"
+        p.write_text(f"+1,0.1,0.2\n-1,{value},0.4\n")
+        with pytest.raises(ParseError, match=f"{p}: continuous features must be finite"):
+            load_dense_csv(p)
+
+    def test_out_of_range_feature_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("+1,0.1,1.5\n")
+        with pytest.raises(ParseError, match=r"\[0, 1\]"):
+            load_dense_csv(p)
+
 
 class TestSparse:
     def test_roundtrip(self, tmp_path):
@@ -84,6 +97,12 @@ class TestSparse:
         assert load_sparse(p, k=5).k == 5
         with pytest.raises(ParseError, match="exceeds"):
             load_sparse(p, k=1)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_text("+1 1:0.5\n-1 2:nan\n")
+        with pytest.raises(ParseError, match="finite"):
+            load_sparse(p)
 
     def test_zero_based_index_rejected(self, tmp_path):
         p = tmp_path / "s.txt"
@@ -139,6 +158,26 @@ class TestCliPipeline:
         data = self._gen(tmp_path)
         ds = load_dense_csv(data)
         assert ds.n == 16 and ds.k == 2
+
+    @pytest.mark.parametrize("sep", ["nan", "inf", "-inf"])
+    def test_gen_synth_rejects_non_finite_separation(self, tmp_path, capsys, sep):
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-synth", "--n", "3", f"--sep={sep}", "--out", str(out)])
+        assert exc.value.code == EX_USAGE
+        assert "finite separation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-baseline"])
+    def test_non_finite_features_are_an_input_error(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("+1,nan,nan\n-1,0.2,0.3\n")
+        out = tmp_path / "p.csv"
+        extra = ["--C", "1"] if command == "train-baseline" else []
+        assert main([command, "--data", str(data), "--out", str(out), *extra]) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {data}: continuous features must be finite and lie in [0, 1]"]
+        assert not out.exists()
 
     def test_train_and_attack_and_eval(self, tmp_path):
         data = self._gen(tmp_path)

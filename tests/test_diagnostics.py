@@ -23,9 +23,12 @@ def fd_hessian_block(f, theta, block_rows, block_cols, h_step=1e-4, lower=None, 
     Jacobian-derived Hessians: O(rows * cols) calls of f instead of the
     pseudo-gradient.
 
-    Entry (a, b) approximates d^2 f / d theta_rows[a] d theta_cols[b].
+    Entry (a, b) approximates d^2 f / d theta_rows[a] d theta_cols[b]; without
+    lower and upper the box is unbounded.
     """
     theta = np.asarray(theta, dtype=float)
+    if lower is None:
+        lower, upper = np.full(theta.shape, -np.inf), np.full(theta.shape, np.inf)
     rows = np.asarray(block_rows, dtype=int)
     cols = np.asarray(block_cols, dtype=int)
     hr = _fd_steps(theta, rows, h_step, lower, upper)

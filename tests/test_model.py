@@ -45,6 +45,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="0, 1"):
             Dataset(np.array([[1.5, 0.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_non_finite_features(self, bad):
+        # nan < 0 and nan > 1 are both False, so a range check can let NaN in
+        for kind, message in (("continuous_unit_interval", "finite"), ("binary", "binary")):
+            with pytest.raises(ValueError, match=message):
+                Dataset(np.array([[0.0, bad]]), np.array([1.0]), kind)
+
     def test_dataset_rejects_nonbinary_for_binary_kind(self):
         with pytest.raises(ValueError, match="binary"):
             Dataset(np.array([[0.5, 0.0]]), np.array([1.0]), "binary")
@@ -71,6 +78,18 @@ class TestValidation:
     def test_box_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="lower"):
             ParamBox(np.array([1.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]), ([np.nan], [np.nan]),
+    ])
+    def test_box_rejects_nan_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="NaN"):
+            ParamBox(np.array(lower), np.array(upper))
+
+    @pytest.mark.parametrize("W", [np.nan, np.inf, 0.0, -1.0])
+    def test_default_boxes_reject_bad_W(self, W):
+        with pytest.raises(ValueError, match="W must be finite and positive"):
+            default_boxes(1, 2, W)
 
     def test_gamespec_rejects_zero_deviation_floor(self):
         ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
