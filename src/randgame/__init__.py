@@ -20,7 +20,7 @@ from .diagnostics import (
     DiagnosticsReport,
     loss_hessians,
     monotonicity_sample,
-    pseudo_jacobian,
+    profile_curvature,
     uniqueness_margin,
 )
 from .hinge import hinge_expect

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hinge import hinge_expect
+from .hinge import hinge_expect, hinge_hessian
 from .model import (
     AttackerParams,
     Dataset,
@@ -100,9 +100,99 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     return float(cost_l), float(cost_d), grad
 
 
+def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
+    """Derivative of evaluate's flat gradient at theta, as the four arrays
+    (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block;
+    ld[i] (L, 2m) is the learner gradient along attacker row i, dl[i] (2m, L)
+    row i's gradient along the learner block and dd[i] (2m, 2m) row i's own
+    block. Row i's gradient does not depend on any other row, so every other
+    block is zero and the memory is O(n m^2), not O(dim^2).
+
+    Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
+    rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
+    and sigma^2 are differentiated in closed form.
+    """
+    m, n = anchors.shape
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (2 * m + 2 + 2 * n * m,):
+        raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
+    if not np.isfinite(theta).all():
+        raise ValueError("parameters must be finite")
+    rows = theta[2 * m + 2 :].reshape(n, 2 * m)
+    mu_x, sig_x = rows[:, :m], rows[:, m:]  # row i is mu_x_i, sigma_x_i
+    mu_a, mu_b = theta[:m], theta[m]
+    sig_a, sig_b = theta[m + 1 : 2 * m + 1], theta[2 * m + 1]
+    if not ((sig_a > 0).all() and sig_b > 0 and (sig_x > 0).all()):
+        raise ValueError("deviations must be strictly positive")
+    eye = np.eye(m)
+    M, M2 = by_M(eye), by_M2(eye)
+    a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
+
+    s2a, s2x = sig_a**2, sig_x**2
+    Mx = mu_x @ M  # row i is M mu_x_i, as M is symmetric
+    Ma = M @ mu_a
+    w_x = Ma**2 + M2 @ s2a
+    score = Mx @ mu_a + mu_b
+    sigma = np.sqrt(Mx**2 @ s2a + s2x @ w_x + sig_b**2)
+
+    # Gradients of score and of sigma^2 per sample, in the learner block and
+    # in the sample's attacker row.
+    ds_l, dv_l = np.zeros((n, 2 * m + 2)), np.zeros((n, 2 * m + 2))
+    ds_l[:, a_], ds_l[:, m] = Mx, 1.0
+    dv_l[:, a_] = 2.0 * (s2x * Ma) @ M
+    dv_l[:, s_] = 2.0 * sig_a * (Mx**2 + s2x @ M2)
+    dv_l[:, 2 * m + 1] = 2.0 * sig_b
+    ds_x, dv_x = np.zeros((n, 2 * m)), np.empty((n, 2 * m))
+    ds_x[:, a_] = Ma
+    dv_x[:, a_] = 2.0 * (s2a * Mx) @ M
+    dv_x[:, x_] = 2.0 * sig_x * w_x
+    # Second derivatives of sigma^2 across the blocks (score's is M in the
+    # mu_a x mu_x corner): learner coordinates by row-i coordinates.
+    cross = np.zeros((n, 2 * m + 2, 2 * m))
+    cross[:, a_, x_] = 4.0 * M * (sig_x * Ma)[:, None, :]
+    cross[:, s_, a_] = 4.0 * (sig_a * Mx)[:, :, None] * M
+    cross[:, s_, x_] = 4.0 * sig_a[:, None] * M2 * sig_x[:, None, :]
+
+    def margin(sign):
+        """Derivatives of h at the margins 1 + sign * y * score, per sample and
+        taken in score and sigma^2: (h_s, h_v, [[h_ss, h_sv], [h_sv, h_vv]])."""
+        mu = 1.0 + sign * y * score
+        _, p, v = hinge_expect(mu, sigma)
+        h_mm, h_mv, h_vv = hinge_hessian(mu, sigma)
+        return sign * y * p, v, (h_mm[:, None], (sign * y * h_mv)[:, None], h_vv[:, None])
+
+    def chain(ds_u, dv_u, ds_w, dv_w, hess):
+        """Per sample, [ds_u, dv_u] hess [ds_w, dv_w]^T: the part of h's
+        Hessian that comes from the gradients of score and sigma^2."""
+        h_ss, h_sv, h_vv = hess
+        f_s, f_v = h_ss * ds_w + h_sv * dv_w, h_sv * ds_w + h_vv * dv_w
+        return ds_u[:, :, None] * f_s[:, None, :] + dv_u[:, :, None] * f_v[:, None, :]
+
+    # The learner's losses, at the margins 1 - y score.
+    p, v, hess = margin(-1.0)
+    ll = chain(ds_l, dv_l, ds_l, dv_l, hess).sum(axis=0)
+    ll[a_, a_] += (M * (2.0 * (v @ s2x))) @ M + rho_l * M
+    ll[s_, s_] += np.diag(2.0 * (v @ Mx**2 + M2 @ (v @ s2x)) + rho_l * dM)
+    ll[m, m] += bias_reg
+    ll[2 * m + 1, 2 * m + 1] += 2.0 * v.sum() + bias_reg
+    ld = chain(ds_l, dv_l, ds_x, dv_x, hess) + v[:, None, None] * cross
+    ld[:, a_, a_] += p[:, None, None] * M
+
+    # The attacker's losses, at the margins 1 + y score.
+    p, v, hess = margin(1.0)
+    dl = chain(ds_x, dv_x, ds_l, dv_l, hess) + v[:, None, None] * cross.transpose(0, 2, 1)
+    dl[:, a_, a_] += p[:, None, None] * M
+    dd = chain(ds_x, dv_x, ds_x, dv_x, hess)
+    dd[:, a_, a_] += 2.0 * v[:, None, None] * ((M * s2a) @ M) + rho_d * M
+    diag_x = m + np.arange(m)
+    dd[:, diag_x, diag_x] += 2.0 * v[:, None] * w_x + rho_d * dM
+    return ll, ld, dl, dd
+
+
 def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -> VIGame:
     """Operator whose costs and pseudo-gradient (with r = (1, rho_l/rho_d)) all
-    come from one evaluate(theta, *terms) call."""
+    come from one evaluate(theta, *terms) call, and whose Jacobian blocks come
+    from one jacobian(theta, *terms) call."""
     _, _, _, _, _, rho_l, rho_d, _ = terms
     dim_l = learner_box.dim
     r_d = rho_l / rho_d
@@ -115,6 +205,12 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
         g[dim_l:] *= r_d
         return g
 
+    def pjac(theta):
+        ll, ld, dl, dd = jacobian(theta, *terms)
+        dl *= r_d
+        dd *= r_d
+        return ll, ld, dl, dd
+
     return VIGame(
         dim_l=dim_l,
         dim_d=attacker_box.dim,
@@ -123,6 +219,7 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
         cost_l=lambda theta: joint(theta)[0],
         cost_d=lambda theta: joint(theta)[1],
         pseudo_grad=pgrad,
+        jacobian=pjac,
         rho=(rho_l, rho_d),
         **reg_hess,
     )

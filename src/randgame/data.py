@@ -62,8 +62,7 @@ def save_dense_csv(path, features, labels) -> None:
 def load_sparse(path, k: int | None = None) -> Dataset:
     """Load 'label idx:val ...' lines with 1-based indices; absent indices are
     zero and k defaults to the maximum index seen."""
-    labels, entries = [], []
-    max_idx = 0
+    labels, rows, cols, vals = [], [], [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -71,7 +70,7 @@ def load_sparse(path, k: int | None = None) -> Dataset:
                 continue
             toks = line.split()
             labels.append(_parse_label(toks[0], path, lineno))
-            pairs = []
+            row = len(labels) - 1
             for tok in toks[1:]:
                 if ":" not in tok:
                     raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
@@ -82,19 +81,19 @@ def load_sparse(path, k: int | None = None) -> Dataset:
                     raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
                 if idx < 1:
                     raise ParseError(f"{path}:{lineno}: indices are 1-based")
-                max_idx = max(max_idx, idx)
-                pairs.append((idx, val))
-            entries.append(pairs)
-    if not entries:
+                rows.append(row)
+                cols.append(idx - 1)
+                vals.append(val)
+    if not labels:
         raise ParseError(f"{path}: no samples")
+    max_idx = max(cols, default=-1) + 1
     k = k if k is not None else max_idx
     if max_idx > k:
         raise ParseError(f"{path}: index {max_idx} exceeds k override {k}")
-    X = np.zeros((len(entries), k))
-    for i, pairs in enumerate(entries):
-        for idx, val in pairs:
-            X[i, idx - 1] = val
-    kind = "binary" if np.all(np.isin(X, (0.0, 1.0))) else "continuous_unit_interval"
+    X = np.zeros((len(labels), k))
+    X[rows, cols] = vals  # a repeated index keeps its last value
+    # absent entries are 0, so the values X kept decide the kind
+    kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"
     return _dataset(path, X, labels, kind)
 
 

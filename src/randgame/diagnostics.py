@@ -1,16 +1,22 @@
 """Numeric verification of the equilibrium existence/uniqueness machinery.
 
-Every curvature quantity comes from one central finite-difference Jacobian of
-the analytic pseudo-gradient per sampled profile (2 * dim gradient calls, at
-uniform interior strategy profiles); none is a certified global bound. The
-uniqueness margin reported is
+Every curvature quantity at a profile comes from the closed-form Jacobian of
+the pseudo-gradient, which VIGame.jacobian gives as blocks: the learner's own
+block ll, and for each attacker row i the cross blocks ld[i], dl[i] and the own
+block dd[i]. Row i's gradient sees only its own row and the learner block, so
+these are all the nonzero blocks: nothing is differenced, no dim x dim matrix is
+built, and a profile on the boundary of the box is as good as any other.
+
+The uniqueness margin reported is
 
     (rho_l * lambda_omega_l + lambda_L_l) * (rho_d * lambda_omega_d + lambda_L_d)
     - tau_estimate
 
-with tau the sampled supremum of the largest eigenvalue of R R^T, where R is
-the symmetrized cross-block loss Hessian. A positive margin certifies the
-sufficient uniqueness condition on the sample only.
+with lambda_L the smallest eigenvalue of a player's symmetrized loss Hessian
+(for the attacker, over the n per-row blocks) and tau the largest eigenvalue of
+R^T R, where R is the symmetrized cross-block loss Hessian. They are taken at
+uniform interior profiles, so none is a certified global bound: a positive
+margin certifies the sufficient uniqueness condition on the sample only.
 """
 
 from __future__ import annotations
@@ -21,55 +27,126 @@ import numpy as np
 
 from .ops import VIGame
 
-FD_STEP = 1e-4  # relative central-difference step, h = FD_STEP * (1 + |theta|)
 MONOTONE_TOL = 1e-12  # slack of the monotonicity inner product
+# The smallest Jacobian eigenvalue is bracketed to EIG_RTOL times the scale of
+# the spectrum, in at most EIG_MAX_STEPS steps (bisection alone needs about 47).
+EIG_RTOL = 1e-14
+EIG_MAX_STEPS = 100
 
 
-class BoundaryError(ValueError):
-    """Evaluation point too close to the feasible-box boundary for central FD."""
+def _sym(A):
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _fd_steps(theta, idx, h_step, lower, upper):
-    """Per-coordinate FD steps, shrunk so theta +- h stays inside the box."""
-    h = h_step * (1.0 + np.abs(theta[idx]))
-    room = np.minimum(theta[idx] - lower[idx], upper[idx] - theta[idx]) / 2.0
-    if np.any(room < 1e-12 * (1.0 + np.abs(theta[idx]))):
-        raise BoundaryError("theta too close to the box boundary for central FD")
-    return np.minimum(h, room)
+def _reg_hessians(ops: VIGame):
+    return tuple(np.asarray(r() if callable(r) else r) for r in (ops.reg_hess_l, ops.reg_hess_d))
 
 
-def pseudo_jacobian(ops: VIGame, theta) -> np.ndarray:
-    """Central-difference Jacobian of ops.pseudo_grad; column j is the
-    derivative along theta_j."""
-    theta = np.asarray(theta, dtype=float)
-    h = _fd_steps(theta, np.arange(ops.dim), FD_STEP, ops.lower, ops.upper)
-    J = np.empty((ops.dim, ops.dim))
-    for j in range(ops.dim):
-        tp = theta.copy(); tp[j] += h[j]
-        tm = theta.copy(); tm[j] -= h[j]
-        J[:, j] = (ops.pseudo_grad(tp) - ops.pseudo_grad(tm)) / (2.0 * h[j])
-    return J
+def _reg_blocks(ops: VIGame, n: int, b: int):
+    """The regularizer Hessians as matrices: the learner's block, and the
+    attacker's as (n, b, b) or one (b, b) block shared by every row."""
+    reg_l, reg_d = _reg_hessians(ops)
+    if reg_l.ndim == 1:
+        reg_l = np.diag(reg_l)
+    if reg_d.ndim == 1:
+        reg_d = reg_d.reshape(n, b)[:, :, None] * np.eye(b)
+    return reg_l, reg_d
 
 
-def _min_sym_eig(A) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())
-
-
-def loss_hessians(ops: VIGame, J):
-    """Loss Hessian blocks (ll, ld, dl, dd) from a pseudo-Jacobian J.
+def loss_hessians(ops: VIGame, blocks):
+    """Loss Hessian blocks (ll, ld, dl, dd) from the Jacobian blocks of
+    ops.jacobian.
 
     Dividing row block i by r_i gives the cost Hessians. The regularizers are
-    separable with constant diagonal Hessians, so the cross blocks are already
-    loss blocks and each own block loses rho_i * diag(reg_hess_i).
+    separable with constant Hessians, so the cross blocks are already loss
+    blocks and each own block loses rho_i times its regularizer Hessian.
     """
-    m = ops.dim_l
-    H_l = J[:m] / ops.r[0]
-    H_d = J[m:] / ops.r[1]
+    ll, ld, dl, dd = blocks
+    reg_l, reg_d = _reg_blocks(ops, *dd.shape[:2])
+    r_l, r_d = ops.r
     return (
-        H_l[:, :m] - ops.rho[0] * np.diag(ops.reg_hess_l),
-        H_l[:, m:],
-        H_d[:, :m],
-        H_d[:, m:] - ops.rho[1] * np.diag(ops.reg_hess_d),
+        ll / r_l - ops.rho[0] * reg_l,
+        ld / r_l,
+        dl / r_d,
+        dd / r_d - ops.rho[1] * reg_d,
+    )
+
+
+def _min_sym_eig(blocks) -> float:
+    """Smallest eigenvalue of the symmetric part S = [[A, C], [C^T, D]] of the
+    block Jacobian, D = blockdiag(D_i), without assembling S.
+
+    With D_i = V_i diag(e_i) V_i^T and G = [C_1 V_1, ..., C_n V_n], S - tI is
+    congruent to blockdiag(F(t), D - tI) for t < e_min = min(e), where
+    F(t) = A - tI - G diag(1 / (e - t)) G^T is the Schur complement. So S has
+    an eigenvalue below t < e_min iff f(t) = lambda_min(F(t)) < 0. On
+    (-inf, e_min) f is strictly decreasing, and lambda_min(S) <= e_min by
+    interlacing: the eigenvalue is f's root there, or e_min if f has none.
+    The root is kept in a bracket [lo, hi] that every evaluation of f's sign
+    narrows. The next t is the root of the model a - t - c / (e_min - t)
+    fitted to f and f' at t, which is exact when one pole couples, or the
+    bracket's midpoint when the model's root falls outside it. Each step costs
+    O(L^2 n b) for an L x L block A.
+    """
+    ll, ld, dl, dd = blocks
+    A = _sym(ll)
+    e, V = np.linalg.eigh(_sym(dd))
+    G = np.matmul(0.5 * (ld + dl.transpose(0, 2, 1)), V)  # row i's C_i V_i
+    G = G.transpose(1, 0, 2).reshape(A.shape[0], -1)
+    e = e.ravel()
+    pole = hi = float(e.min())
+    # S - lo I is PSD: the block diagonal's spectrum shifted by ||C|| <= ||G||_F
+    lo = min(float(np.linalg.eigvalsh(A)[0]), hi) - float(np.linalg.norm(G))
+    tol = EIG_RTOL * (abs(lo) + abs(hi) + np.finfo(float).tiny)
+    t, eye = lo, np.eye(A.shape[0])
+    for _ in range(EIG_MAX_STEPS):
+        if hi - lo <= tol:
+            break
+        w = 1.0 / (e - t)
+        vals, vecs = np.linalg.eigh(A - t * eye - (G * w) @ G.T)
+        f = vals[0]
+        if f >= 0.0:
+            lo = t
+        else:
+            hi = t
+        # f' = -(1 + u.u); the model's c and q = a - e_min match f and f' at t
+        u = (vecs[:, 0] @ G) * w
+        d = pole - t
+        c = (u @ u) * d * d
+        q = f + (u @ u) * d - d
+        root = np.sqrt(q * q + 4.0 * c)
+        t_new = pole - (0.5 * (root - q) if q <= 0.0 else 2.0 * c / (q + root))
+        t_new += np.copysign(tol, f)  # so that near the root the next t lies across it
+        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """The curvature numbers of the uniqueness condition at one profile."""
+
+    lambda_L_l: float
+    lambda_L_d: float
+    tau: float
+    min_jacobian_eig: float
+
+
+def profile_curvature(ops: VIGame, theta) -> Curvature:
+    """lambda_L of both players, tau and the smallest eigenvalue of the
+    symmetrized pseudo-Jacobian at theta, from one ops.jacobian call: the
+    step of uniqueness_margin at each sampled profile. theta may lie on the
+    box boundary."""
+    blocks = ops.jacobian(np.asarray(theta, dtype=float))
+    H_ll, H_ld, H_dl, H_dd = loss_hessians(ops, blocks)
+    R = 0.5 * (H_ld.transpose(0, 2, 1) + H_dl)  # row i's block of R, (b, L)
+    R = R.reshape(-1, R.shape[2])
+    return Curvature(
+        lambda_L_l=float(np.linalg.eigvalsh(_sym(H_ll))[0]),
+        lambda_L_d=float(np.linalg.eigvalsh(_sym(H_dd)).min()),
+        # R^T R = sum_i R_i^T R_i has the nonzero spectrum of R R^T, at the
+        # learner block's size
+        tau=float(np.linalg.eigvalsh(R.T @ R)[-1]),
+        min_jacobian_eig=_min_sym_eig(blocks),
     )
 
 
@@ -105,7 +182,7 @@ def _interior_sample(ops: VIGame, rng: np.random.Generator) -> np.ndarray:
     return ops.lower + u * width
 
 
-def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int = 0) -> int:
+def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int) -> int:
     """Count violations of (g(a) - g(b)) . (a - b) >= -MONOTONE_TOL over
     random pairs."""
     rng = np.random.default_rng(seed)
@@ -119,39 +196,29 @@ def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int = 0) -> int:
     return violations
 
 
-def uniqueness_margin(
-    ops: VIGame,
-    n_profiles: int = 20,
-    seed: int = 0,
-    n_pairs: int | None = None,
-) -> DiagnosticsReport:
-    """Estimate the sufficient-condition margin on sampled interior profiles."""
+def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> DiagnosticsReport:
+    """Estimate the sufficient-condition margin on sampled interior profiles:
+    one ops.jacobian call per profile, and 2 * n_pairs pseudo-gradient calls
+    for the monotonicity sample."""
     if n_profiles < 1:
         raise ValueError("n_profiles must be at least 1: a margin over no profile reads inf")
-    if ops.reg_hess_l is None or ops.reg_hess_d is None:
-        raise ValueError("operator lacks the regularizer Hessians of the loss/regularizer split")
+    if ops.jacobian is None or ops.reg_hess_l is None or ops.reg_hess_d is None:
+        raise ValueError(
+            "operator lacks the Jacobian blocks or the regularizer Hessians of the "
+            "loss/regularizer split"
+        )
     rng = np.random.default_rng(seed)
     rho_l, rho_d = ops.rho
 
-    lam_omega_l = float(np.min(ops.reg_hess_l))
-    lam_omega_d = float(np.min(ops.reg_hess_d))
-
-    lam_L_l = np.inf
-    lam_L_d = np.inf
-    tau = -np.inf
-    eigs = []
-    for _ in range(n_profiles):
-        J = pseudo_jacobian(ops, _interior_sample(ops, rng))
-        eigs.append(_min_sym_eig(J))
-        H_ll, H_ld, H_dl, H_dd = loss_hessians(ops, J)
-        lam_L_l = min(lam_L_l, _min_sym_eig(H_ll))
-        lam_L_d = min(lam_L_d, _min_sym_eig(H_dd))
-        R = 0.5 * (H_ld.T + H_dl)
-        # R^T R has the nonzero spectrum of R R^T, at the learner block's size
-        tau = max(tau, float(np.linalg.eigvalsh(R.T @ R).max()))
+    curv = [profile_curvature(ops, _interior_sample(ops, rng)) for _ in range(n_profiles)]
+    lam_omega_l, lam_omega_d = (
+        float(r.min() if r.ndim == 1 else np.linalg.eigvalsh(r)[0]) for r in _reg_hessians(ops)
+    )
+    lam_L_l = min(c.lambda_L_l for c in curv)
+    lam_L_d = min(c.lambda_L_d for c in curv)
+    tau = max(c.tau for c in curv)
 
     margin = (rho_l * lam_omega_l + lam_L_l) * (rho_d * lam_omega_d + lam_L_d) - tau
-    violations = monotonicity_sample(ops, n_pairs if n_pairs is not None else n_profiles, seed + 1)
     return DiagnosticsReport(
         lambda_omega_l=lam_omega_l,
         lambda_omega_d=lam_omega_d,
@@ -159,8 +226,8 @@ def uniqueness_margin(
         lambda_L_d=lam_L_d,
         tau_estimate=tau,
         uniqueness_margin=float(margin),
-        min_jacobian_eig=tuple(eigs),
-        monotone_violations=violations,
+        min_jacobian_eig=tuple(c.min_jacobian_eig for c in curv),
+        monotone_violations=monotonicity_sample(ops, n_pairs, seed + 1),
         rho_l=rho_l,
         rho_d=rho_d,
     )

@@ -5,8 +5,13 @@ and p = Pr[S > 0] = Phi(z), the standard normal CDF,
 
     E[max(0, S)] = sigma * phi + mu * p
 
-with dE/dmu = p and dE/d(sigma^2) = phi / (2 sigma). ndtr computes Phi by
-erfc in the lower tail, so p stays exact where 1 - erf cancels to nothing.
+with dE/dmu = p and dE/d(sigma^2) = phi / (2 sigma), and second derivatives
+
+    d2E/dmu2 = phi / sigma,  d2E/dmu d(sigma^2) = -mu phi / (2 sigma^3),
+    d2E/d(sigma^2)^2 = phi (z^2 - 1) / (4 sigma^3).
+
+ndtr computes Phi by erfc in the lower tail, so p stays exact where 1 - erf
+cancels to nothing.
 """
 
 from __future__ import annotations
@@ -31,3 +36,15 @@ def hinge_expect(mu, sigma):
     if value.ndim:
         return value, p, dvar
     return float(value), float(p), float(dvar)
+
+
+def hinge_hessian(mu, sigma):
+    """(d2E/dmu2, d2E/dmu d(sigma^2), d2E/d(sigma^2)^2) of E[max(0, S)] for
+    S ~ Normal(mu, sigma^2), as arrays of the broadcast shape."""
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma <= 0):
+        raise ValueError("sigma must be strictly positive")
+    z = mu / sigma
+    phi_s = np.exp(-0.5 * z * z) / (_SQRT2PI * sigma)  # phi / sigma
+    return phi_s, -0.5 * z * phi_s / sigma, 0.25 * (z * z - 1.0) * phi_s / (sigma * sigma)

@@ -17,9 +17,19 @@ class VIGame:
     """Variational-inequality view of a two-player game.
 
     cost_l/cost_d evaluate the full player costs at a joint flat vector;
-    pseudo_grad stacks the r-weighted own-block gradients. reg_hess_* (the
-    constant diagonal Hessians of the expected regularizers, without their rho
-    weights) are optional and only needed by diagnostics.
+    pseudo_grad stacks the r-weighted own-block gradients. The rest is
+    optional and only needed by diagnostics:
+
+    - jacobian(theta) gives the Jacobian of pseudo_grad as the blocks
+      (ll, ld, dl, dd) for an attacker block of n rows of b entries, each row
+      seeing only itself and the learner: ll (dim_l, dim_l) is the learner's
+      own block, and ld[i] (dim_l, b), dl[i] (b, dim_l) and dd[i] (b, b) are
+      row i's cross blocks and own block;
+    - reg_hess_* are the constant Hessians of the expected regularizers,
+      without their rho weights: a vector is a diagonal, and a matrix is the
+      learner's whole block or one (b, b) block shared by every attacker row.
+      Either may be a callable that returns it, for a game that builds a
+      dense matrix only when diagnostics ask.
     """
 
     dim_l: int
@@ -30,8 +40,9 @@ class VIGame:
     cost_d: Callable[[np.ndarray], float]
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
     rho: tuple[float, float] = (1.0, 1.0)
-    reg_hess_l: Optional[np.ndarray] = None
-    reg_hess_d: Optional[np.ndarray] = None
+    reg_hess_l: Optional[np.ndarray | Callable[[], np.ndarray]] = None
+    reg_hess_d: Optional[np.ndarray | Callable[[], np.ndarray]] = None
+    jacobian: Optional[Callable[[np.ndarray], tuple]] = None
 
     @property
     def r(self) -> tuple[float, float]:

@@ -1,8 +1,10 @@
 """Helpers that only the tests need: a nominal attacker, per-sample margin
 moments and costs and gradients written out one sample at a time (independent
 of the vectorized evaluation in randgame.costs), an operator that counts its
-evaluations, and per-sample loop versions of the batched attacks and of the
-TP-at-FP threshold search in randgame.attacks."""
+evaluations, the central finite-difference Jacobian of a pseudo-gradient and
+the dense matrix of a block Jacobian (the oracles of the closed-form blocks),
+and per-sample loop versions of the batched attacks and of the TP-at-FP
+threshold search in randgame.attacks."""
 
 import dataclasses
 import math
@@ -105,6 +107,49 @@ def counting_operator(ops):
 
     names = ("cost_l", "cost_d", "pseudo_grad")
     return dataclasses.replace(ops, **{name: counted(name) for name in names}), calls
+
+
+FD_STEP = 1e-4  # relative central-difference step, h = FD_STEP * (1 + |theta|)
+
+
+class BoundaryError(ValueError):
+    """Evaluation point too close to the feasible-box boundary for central FD."""
+
+
+def fd_steps(theta, idx, h_step, lower, upper):
+    """Per-coordinate FD steps, shrunk so theta +- h stays inside the box."""
+    h = h_step * (1.0 + np.abs(theta[idx]))
+    room = np.minimum(theta[idx] - lower[idx], upper[idx] - theta[idx]) / 2.0
+    if np.any(room < 1e-12 * (1.0 + np.abs(theta[idx]))):
+        raise BoundaryError("theta too close to the box boundary for central FD")
+    return np.minimum(h, room)
+
+
+def pseudo_jacobian(ops, theta) -> np.ndarray:
+    """Central-difference Jacobian of ops.pseudo_grad (2 * dim calls); column
+    j is the derivative along theta_j."""
+    theta = np.asarray(theta, dtype=float)
+    h = fd_steps(theta, np.arange(ops.dim), FD_STEP, ops.lower, ops.upper)
+    J = np.empty((ops.dim, ops.dim))
+    for j in range(ops.dim):
+        tp = theta.copy(); tp[j] += h[j]
+        tm = theta.copy(); tm[j] -= h[j]
+        J[:, j] = (ops.pseudo_grad(tp) - ops.pseudo_grad(tm)) / (2.0 * h[j])
+    return J
+
+
+def assemble(blocks) -> np.ndarray:
+    """The dense matrix of the block Jacobian (ll, ld, dl, dd): ld[i], dl[i]
+    and dd[i] belong to attacker row i, and rows do not see each other."""
+    ll, ld, dl, dd = blocks
+    n, b, L = dl.shape
+    J = np.zeros((L + n * b, L + n * b))
+    J[:L, :L] = ll
+    J[:L, L:] = ld.transpose(1, 0, 2).reshape(L, n * b)
+    J[L:, :L] = dl.reshape(n * b, L)
+    for i in range(n):
+        J[L + i * b : L + (i + 1) * b, L + i * b : L + (i + 1) * b] = dd[i]
+    return J
 
 
 def attack_l2_box_bisection(w, x, y, d_max, monotone=False, steps=200):

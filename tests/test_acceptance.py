@@ -437,13 +437,13 @@ def test_criterion_09_uniqueness_diagnostics():
     lb, ab = default_boxes(3, 2, W=0.5)
 
     plain = game_operator(GameSpec(Dataset(X, y), 1.0, 1.0, lb, ab))
-    rep_plain = uniqueness_margin(plain, n_profiles=5, seed=0)
+    rep_plain = uniqueness_margin(plain, n_profiles=5, seed=0, n_pairs=5)
     ok_flat = rep_plain.lambda_omega_l == 0.0  # the bias direction is unregularized
 
     strong = game_operator(
         GameSpec(Dataset(X, y), 100.0, 100.0, lb, ab, bias_reg=1.0)
     )
-    rep = uniqueness_margin(strong, n_profiles=50, seed=0)
+    rep = uniqueness_margin(strong, n_profiles=50, seed=0, n_pairs=50)
     ok_margin = rep.uniqueness_margin > 0.0
     ok_eigs = min(rep.min_jacobian_eig) > 0.0
     _report(

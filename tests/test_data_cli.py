@@ -91,6 +91,17 @@ class TestSparse:
         ds = load_sparse(p)
         assert ds.feature_kind == "binary" and ds.k == 3
 
+    @pytest.mark.parametrize("tokens, value, kind", [
+        ("2:0.5 2:1", 1.0, "binary"),
+        ("2:1 2:0.5", 0.5, "continuous_unit_interval"),
+    ])
+    def test_repeated_index_keeps_its_last_value(self, tmp_path, tokens, value, kind):
+        p = tmp_path / "s.txt"
+        p.write_text(f"+1 {tokens}\n-1 1:1\n")
+        ds = load_sparse(p)
+        np.testing.assert_array_equal(ds.features, [[0.0, value], [1.0, 0.0]])
+        assert ds.feature_kind == kind
+
     def test_k_override(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("+1 1:1\n-1 2:1\n")

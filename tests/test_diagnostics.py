@@ -1,21 +1,26 @@
-"""Finite-difference curvature diagnostics on games with known Hessians."""
+"""Curvature diagnostics from the closed-form block Jacobian: toy games with
+known Hessians, and the primal and dual games against the finite-difference
+Jacobian and dense eigenvalues of the assembled blocks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import BoundaryError, assemble, fd_steps, pseudo_jacobian
 from randgame.costs import game_operator
+from randgame.data import synth_2d
 from randgame.diagnostics import (
-    BoundaryError,
-    _fd_steps,
     loss_hessians,
     monotonicity_sample,
-    pseudo_jacobian,
+    profile_curvature,
     uniqueness_margin,
 )
+from randgame.kernel import Kernel, dual_game_operator
 from randgame.model import Dataset, GameSpec, default_boxes
 from randgame.ops import VIGame
+from randgame.solver import SolverConfig, extragradient_solve
 
 
 def fd_hessian_block(f, theta, block_rows, block_cols, h_step=1e-4, lower=None, upper=None):
@@ -31,8 +36,8 @@ def fd_hessian_block(f, theta, block_rows, block_cols, h_step=1e-4, lower=None, 
         lower, upper = np.full(theta.shape, -np.inf), np.full(theta.shape, np.inf)
     rows = np.asarray(block_rows, dtype=int)
     cols = np.asarray(block_cols, dtype=int)
-    hr = _fd_steps(theta, rows, h_step, lower, upper)
-    hc = _fd_steps(theta, cols, h_step, lower, upper)
+    hr = fd_steps(theta, rows, h_step, lower, upper)
+    hc = fd_steps(theta, cols, h_step, lower, upper)
 
     H = np.empty((rows.size, cols.size))
     for a, i in enumerate(rows):
@@ -65,6 +70,13 @@ def unit_box_game(pseudo_grad):
     )
 
 
+def constant_blocks(J):
+    """The jacobian callable of a two-scalar game whose Jacobian is J: one
+    attacker row of one entry."""
+    J = np.asarray(J, dtype=float)
+    return lambda v: (J[:1, :1], J[None, :1, 1:], J[None, 1:, :1], J[None, 1:, 1:])
+
+
 def coupled_quadratic(c):
     """cost_l = v0^2/2 + c v0 v1, cost_d = v1^2/2 + c v0 v1.
 
@@ -79,6 +91,7 @@ def coupled_quadratic(c):
         cost_l=lambda v: 0.5 * v[0] ** 2 + c * v[0] * v[1],
         cost_d=lambda v: 0.5 * v[1] ** 2 + c * v[0] * v[1],
         pseudo_grad=lambda v: np.array([v[0] + c * v[1], v[1] + c * v[0]]),
+        jacobian=constant_blocks([[1.0, c], [c, 1.0]]),
         reg_hess_l=np.ones(1),
         reg_hess_d=np.ones(1),
     )
@@ -99,6 +112,7 @@ def antisymmetric_bilinear():
         cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
         cost_d=lambda v: 0.5 * v[1] ** 2 - v[0] * v[1],
         pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
+        jacobian=constant_blocks([[1.0, 1.0], [-1.0, 1.0]]),
         reg_hess_l=np.ones(1),
         reg_hess_d=np.ones(1),
     )
@@ -157,15 +171,23 @@ def min_sym_eig(J):
 
 
 class TestPseudoJacobian:
+    """The toy games' Jacobian blocks against the FD oracle, and the smallest
+    eigenvalue of their symmetric part from the blocks."""
+
     def test_bilinear_min_eig_is_one(self):
         # Jacobian [[1, 1], [-1, 1]] has symmetric part I
-        J = pseudo_jacobian(antisymmetric_bilinear(), np.array([0.3, -0.4]))
-        assert min_sym_eig(J) == pytest.approx(1.0, abs=1e-5)
+        ops, theta = antisymmetric_bilinear(), np.array([0.3, -0.4])
+        J = assemble(ops.jacobian(theta))
+        np.testing.assert_allclose(J, pseudo_jacobian(ops, theta), rtol=0, atol=1e-9)
+        assert profile_curvature(ops, theta).min_jacobian_eig == pytest.approx(1.0, abs=1e-12)
 
     def test_coupled_quadratic_min_eig(self):
         # symmetric part [[1, c], [c, 1]] has min eigenvalue 1 - c
-        J = pseudo_jacobian(coupled_quadratic(0.4), np.array([0.2, 0.1]))
-        assert min_sym_eig(J) == pytest.approx(0.6, abs=1e-5)
+        ops, theta = coupled_quadratic(0.4), np.array([0.2, 0.1])
+        J = assemble(ops.jacobian(theta))
+        np.testing.assert_allclose(J, pseudo_jacobian(ops, theta), rtol=0, atol=1e-9)
+        assert min_sym_eig(J) == pytest.approx(0.6, abs=1e-12)
+        assert profile_curvature(ops, theta).min_jacobian_eig == pytest.approx(0.6, abs=1e-12)
 
 
 class TestMonotonicity:
@@ -187,20 +209,22 @@ class TestMonotonicity:
 
 class TestUniquenessMargin:
     def test_antisymmetric_coupling_cancels(self):
-        rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=5, seed=0)
+        rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=5, seed=0, n_pairs=5)
         assert rep.lambda_omega_l == 1.0 and rep.lambda_omega_d == 1.0
-        assert rep.lambda_L_l == pytest.approx(0.0, abs=1e-5)
-        assert rep.lambda_L_d == pytest.approx(0.0, abs=1e-5)
-        assert rep.tau_estimate == pytest.approx(0.0, abs=1e-5)
-        assert rep.uniqueness_margin == pytest.approx(1.0, abs=1e-4)
+        assert rep.lambda_L_l == pytest.approx(0.0, abs=1e-12)
+        assert rep.lambda_L_d == pytest.approx(0.0, abs=1e-12)
+        assert rep.tau_estimate == pytest.approx(0.0, abs=1e-12)
+        assert rep.uniqueness_margin == pytest.approx(1.0, abs=1e-12)
         assert rep.monotone_violations == 0
-        assert min(rep.min_jacobian_eig) == pytest.approx(1.0, abs=1e-5)
+        assert len(rep.min_jacobian_eig) == 5
+        assert min(rep.min_jacobian_eig) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_coupling_reduces_margin(self):
-        rep = uniqueness_margin(coupled_quadratic(0.5), n_profiles=5, seed=1)
+        rep = uniqueness_margin(coupled_quadratic(0.5), n_profiles=5, seed=1, n_pairs=5)
         # (1 + 0) * (1 + 0) - 0.25
-        assert rep.tau_estimate == pytest.approx(0.25, abs=1e-4)
-        assert rep.uniqueness_margin == pytest.approx(0.75, abs=1e-3)
+        assert rep.tau_estimate == pytest.approx(0.25, abs=1e-12)
+        assert rep.uniqueness_margin == pytest.approx(0.75, abs=1e-12)
+        assert min(rep.min_jacobian_eig) == pytest.approx(0.5, abs=1e-12)
 
     def test_requires_loss_split(self):
         g = VIGame(
@@ -213,15 +237,15 @@ class TestUniquenessMargin:
             pseudo_grad=lambda v: np.zeros(2),
         )
         with pytest.raises(ValueError, match="split"):
-            uniqueness_margin(g)
+            uniqueness_margin(g, n_profiles=1, seed=0, n_pairs=1)
 
     def test_rejects_zero_profiles(self):
         # a margin over no profile would read inf and certify any game
         with pytest.raises(ValueError, match="n_profiles"):
-            uniqueness_margin(antisymmetric_bilinear(), n_profiles=0)
+            uniqueness_margin(antisymmetric_bilinear(), n_profiles=0, seed=0, n_pairs=1)
 
     def test_report_text_has_all_fields(self):
-        rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=2, seed=2)
+        rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=2, seed=2, n_pairs=2)
         text = rep.as_text()
         for key in ("lambda_omega_l", "tau_sampled", "uniqueness_margin", "monotone_violations"):
             assert key in text
@@ -236,18 +260,20 @@ class TestSvmGameDiagnostics:
         return game_operator(GameSpec(Dataset(X, y), rho, rho, lb, ab, bias_reg=bias_reg))
 
     def test_default_game_has_flat_bias_direction(self):
-        rep = uniqueness_margin(self._ops(), n_profiles=2, seed=0)
+        rep = uniqueness_margin(self._ops(), n_profiles=2, seed=0, n_pairs=2)
         assert rep.lambda_omega_l == 0.0
         assert rep.lambda_omega_d == 1.0
 
     def test_bias_regularized_game_has_positive_floor(self):
-        rep = uniqueness_margin(self._ops(bias_reg=1.0, rho=100.0), n_profiles=2, seed=0)
+        rep = uniqueness_margin(self._ops(bias_reg=1.0, rho=100.0), n_profiles=2, seed=0, n_pairs=2)
         assert rep.lambda_omega_l == pytest.approx(0.01)
         assert 100.0 * rep.lambda_omega_l == pytest.approx(1.0)
 
     def test_margin_calls_only_the_pseudo_gradient(self):
+        # one closed-form Jacobian per profile; the pseudo-gradient only for
+        # the monotonicity pairs, and no scalar cost at all
         ops = self._ops(bias_reg=1.0, rho=100.0)
-        calls = {"cost": 0, "pgrad": 0}
+        calls = {"cost": 0, "jacobian": 0, "pgrad": 0}
 
         def counted(key, fn):
             def call(v):
@@ -261,24 +287,21 @@ class TestSvmGameDiagnostics:
             cost_l=counted("cost", ops.cost_l),
             cost_d=counted("cost", ops.cost_d),
             pseudo_grad=counted("pgrad", ops.pseudo_grad),
+            jacobian=counted("jacobian", ops.jacobian),
         )
         uniqueness_margin(ops, n_profiles=3, seed=0, n_pairs=7)
-        assert calls == {"cost": 0, "pgrad": 3 * 2 * ops.dim + 2 * 7}
+        assert calls == {"cost": 0, "jacobian": 3, "pgrad": 2 * 7}
 
     def test_loss_hessians_match_scalar_oracle(self):
-        # distinct rho so that r_d = rho_l / rho_d != 1 is divided out
-        rng = np.random.default_rng(3)
-        n, k, rho_l, rho_d, bias_reg = 3, 2, 2.0, 5.0, 0.5
-        X = rng.uniform(size=(n, k))
-        lb, ab = default_boxes(n, k, W=0.5)
-        game = GameSpec(Dataset(X, np.array([-1.0, 1.0, 1.0])), rho_l, rho_d, lb, ab, bias_reg)
-        ops = game_operator(game)
+        ops, theta, X = near_kink_primal()
+        n, k = X.shape
+        rho_l, rho_d = ops.rho
         m = k + 1
 
         def loss_l(v):
             mu_w, sig_w = v[:m], v[m : 2 * m]
             reg = 0.5 * rho_l * (mu_w[:k] @ mu_w[:k] + sig_w[:k] @ sig_w[:k])
-            reg += 0.5 * bias_reg * (mu_w[k] ** 2 + sig_w[k] ** 2)
+            reg += 0.5 * NEAR_KINK_BIAS_REG * (mu_w[k] ** 2 + sig_w[k] ** 2)
             return ops.cost_l(v) - reg
 
         def loss_d(v):
@@ -286,13 +309,6 @@ class TestSvmGameDiagnostics:
             reg = 0.5 * rho_d * (((blocks[:, :k] - X) ** 2).sum() + (blocks[:, k:] ** 2).sum())
             return ops.cost_d(v) - reg
 
-        theta = ops.lower + rng.uniform(0.1, 0.9, size=ops.dim) * (ops.upper - ops.lower)
-        # score 0.92 at x = (0.9, 0.9): the learner margin of sample 1 and the
-        # attacker margin of sample 0 sit near the hinge kink, so both own
-        # blocks carry loss curvature
-        theta[:m] = (0.4, 0.4, 0.2)
-        theta[2 * m : 2 * m + k] = 0.9
-        theta[2 * m + 2 * k : 2 * m + 3 * k] = 0.9
         idx_l, idx_d = np.arange(ops.dim_l), np.arange(ops.dim_l, ops.dim)
         box = dict(lower=ops.lower, upper=ops.upper)
         oracle = (
@@ -301,7 +317,173 @@ class TestSvmGameDiagnostics:
             fd_hessian_block(loss_d, theta, idx_d, idx_l, **box),
             fd_hessian_block(loss_d, theta, idx_d, idx_d, **box),
         )
-        blocks = loss_hessians(ops, pseudo_jacobian(ops, theta))
-        for got, want in zip(blocks, oracle):
-            assert got.shape == want.shape
+        H = assemble(loss_hessians(ops, ops.jacobian(theta)))
+        L = ops.dim_l
+        for got, want in zip((H[:L, :L], H[:L, L:], H[L:, :L], H[L:, L:]), oracle):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+        assert np.abs(oracle[0]).max() > 0.1 and np.abs(oracle[3]).max() > 0.1
+
+
+NEAR_KINK_BIAS_REG = 0.5
+
+
+def near_kink_primal():
+    """(ops, theta, X): a 3-point primal game with distinct rho, so that
+    r_d = rho_l / rho_d != 1 matters, and bias_reg > 0, at a profile where the
+    learner margin of sample 1 and the attacker margin of sample 0 sit near
+    the hinge kink (score 0.92 at x = (0.9, 0.9)), so that both own blocks
+    carry loss curvature."""
+    rng = np.random.default_rng(3)
+    n, k = 3, 2
+    X = rng.uniform(size=(n, k))
+    lb, ab = default_boxes(n, k, W=0.5)
+    game = GameSpec(Dataset(X, np.array([-1.0, 1.0, 1.0])), 2.0, 5.0, lb, ab, NEAR_KINK_BIAS_REG)
+    ops = game_operator(game)
+    m = k + 1
+    theta = ops.lower + rng.uniform(0.1, 0.9, size=ops.dim) * (ops.upper - ops.lower)
+    theta[:m] = (0.4, 0.4, 0.2)
+    theta[2 * m : 2 * m + k] = 0.9
+    theta[2 * m + 2 * k : 2 * m + 3 * k] = 0.9
+    return ops, theta, X
+
+
+def rbf_dual(n_per_class=3, rho_l=3.0, rho_d=7.0, bias_reg=0.5):
+    return dual_game_operator(synth_2d(n_per_class, 0.4, 1), Kernel("rbf", 1.0), rho_l, rho_d,
+                              bias_reg)
+
+
+def random_profiles(ops, seed, count):
+    rng = np.random.default_rng(seed)
+    return [ops.lower + rng.uniform(0.05, 0.95, ops.dim) * (ops.upper - ops.lower)
+            for _ in range(count)]
+
+
+class TestClosedFormJacobian:
+    """The Jacobian blocks of both games against the central-difference
+    Jacobian of the pseudo-gradient, and every diagnostics number against
+    dense eigenvalues of the assembled blocks."""
+
+    def test_primal_blocks_match_fd_near_the_kink(self):
+        ops, theta, _ = near_kink_primal()
+        J_fd = pseudo_jacobian(ops, theta)
+        # the FD truncation error near the kink is about 5e-7
+        np.testing.assert_allclose(assemble(ops.jacobian(theta)), J_fd, rtol=0, atol=2e-6)
+
+    def test_dual_blocks_match_fd(self):
+        ops = rbf_dual()
+        for theta in random_profiles(ops, 0, 2):
+            J_fd = pseudo_jacobian(ops, theta)
+            np.testing.assert_allclose(assemble(ops.jacobian(theta)), J_fd, rtol=0,
+                                       atol=1e-6 * np.abs(J_fd).max())
+
+    def test_dual_loss_hessians_match_scalar_oracle(self):
+        # the dual regularizers are K-weighted, so the loss split subtracts
+        # the dense regularizer Hessians of the operator
+        data = synth_2d(2, 0.4, 1)
+        n, rho_l, rho_d, bias_reg = data.n, 3.0, 7.0, 0.5
+        ops = dual_game_operator(data, Kernel("rbf", 1.0), rho_l, rho_d, bias_reg)
+        d = data.features[:, None, :] - data.features[None, :, :]
+        K = np.exp(-(d**2).sum(axis=2))
+
+        def loss_l(v):
+            mu_a, mu_b, sig_a, sig_b = v[:n], v[n], v[n + 1 : 2 * n + 1], v[2 * n + 1]
+            reg = 0.5 * rho_l * (mu_a @ K @ mu_a + np.diag(K) @ sig_a**2)
+            return ops.cost_l(v) - reg - 0.5 * bias_reg * (mu_b**2 + sig_b**2)
+
+        def loss_d(v):
+            rows = v[2 * n + 2 :].reshape(n, 2 * n)
+            shift, sig = rows[:, :n] - np.eye(n), rows[:, n:]
+            reg = np.einsum("ij,jk,ik->", shift, K, shift) + ((sig**2) @ np.diag(K)).sum()
+            return ops.cost_d(v) - 0.5 * rho_d * reg
+
+        theta = random_profiles(ops, 3, 1)[0]
+        idx_l, idx_d = np.arange(ops.dim_l), np.arange(ops.dim_l, ops.dim)
+        box = dict(lower=ops.lower, upper=ops.upper)
+        H = assemble(loss_hessians(ops, ops.jacobian(theta)))
+        L = ops.dim_l
+        np.testing.assert_allclose(H[:L, :L], fd_hessian_block(loss_l, theta, idx_l, idx_l, **box),
+                                   rtol=0, atol=1e-5)
+        np.testing.assert_allclose(H[L:, L:], fd_hessian_block(loss_d, theta, idx_d, idx_d, **box),
+                                   rtol=0, atol=1e-5)
+
+    def test_fd_sees_no_entries_between_attacker_rows(self):
+        # the block form drops them: check that the FD Jacobian has none
+        ops, theta, X = near_kink_primal()
+        J_fd = pseudo_jacobian(ops, theta)
+        b = 2 * X.shape[1]
+        np.testing.assert_allclose(J_fd[ops.dim_l : ops.dim_l + b, ops.dim_l + b :], 0.0,
+                                   atol=1e-12)
+
+    @staticmethod
+    def _game(game, rho):
+        if game == "dual":
+            return rbf_dual(rho_l=rho, rho_d=rho)
+        rng = np.random.default_rng(4)
+        n, k = 12, 3
+        X = rng.uniform(size=(n, k))
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        return game_operator(GameSpec(Dataset(X, y), rho, 2.0 * rho, *default_boxes(n, k, 1.0),
+                                      bias_reg=0.3))
+
+    @pytest.mark.parametrize("game, rho", [("primal", 0.5), ("dual", 10.0)])
+    def test_profile_numbers_match_dense_eigenvalues(self, game, rho):
+        ops = self._game(game, rho)
+        L = ops.dim_l
+        for theta in random_profiles(ops, 5, 4):
+            J = assemble(ops.jacobian(theta))
+            H = assemble(loss_hessians(ops, ops.jacobian(theta)))
+            R = 0.5 * (H[:L, L:].T + H[L:, :L])
+            c = profile_curvature(ops, theta)
+            assert c.min_jacobian_eig == pytest.approx(min_sym_eig(J), abs=1e-9)
+            assert c.lambda_L_l == pytest.approx(min_sym_eig(H[:L, :L]), abs=1e-9)
+            assert c.lambda_L_d == pytest.approx(min_sym_eig(H[L:, L:]), abs=1e-9)
+            assert c.tau == pytest.approx(np.linalg.eigvalsh(R @ R.T).max(), abs=1e-9)
+
+    @pytest.mark.parametrize("game", ["primal", "dual"])
+    def test_eigenvalue_root_search_takes_few_steps(self, game, monkeypatch):
+        # each step of the search is one eigh of the L x L Schur complement;
+        # bisection alone would need about 47 to reach the tolerance, and
+        # without the overshoot by tol these profiles take up to 41
+        ops, steps, eigh = self._game(game, 1.0), [], np.linalg.eigh
+
+        def counted(A):
+            steps.append(A.ndim == 2)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for theta in random_profiles(ops, 5, 8):
+            steps.clear()
+            profile_curvature(ops, theta)
+            assert 1 <= sum(steps) <= 24
+
+    def test_dual_equilibrium_on_the_box_boundary(self):
+        # where the dual solve stops, coordinates sit on the box: the FD
+        # Jacobian cannot be taken there, the closed-form one can
+        ops = dual_game_operator(synth_2d(15, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0)
+        theta = extragradient_solve(ops, None, SolverConfig(max_iter=300, seed=0)).theta
+        assert np.any((theta == ops.lower) | (theta == ops.upper))
+        with pytest.raises(BoundaryError):
+            pseudo_jacobian(ops, theta)
+        c = profile_curvature(ops, theta)
+        J = assemble(ops.jacobian(theta))
+        assert c.min_jacobian_eig == pytest.approx(min_sym_eig(J), abs=1e-9)
+        rep = uniqueness_margin(ops, n_profiles=1, seed=0, n_pairs=1)
+        assert np.isfinite(rep.uniqueness_margin)
+
+    def test_one_profile_at_n5000_stays_small(self):
+        # the dense Jacobian would be dim^2 = 20006^2 doubles, 3.2 GB
+        rng = np.random.default_rng(6)
+        n, k = 5000, 2
+        X = rng.uniform(size=(n, k))
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        ops = game_operator(GameSpec(Dataset(X, y), 10.0, 10.0, *default_boxes(n, k, 1.0),
+                                     bias_reg=1.0))
+        theta = random_profiles(ops, 7, 1)[0]
+        tracemalloc.start()
+        try:
+            c = profile_curvature(ops, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(c.min_jacobian_eig)
+        assert peak < 100e6

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from randgame.costs import costs_and_grads
-from randgame.hinge import hinge_expect
+from randgame.hinge import hinge_expect, hinge_hessian
 from randgame.model import AttackerParams, Dataset, GameSpec, LearnerParams, default_boxes
 
 
@@ -87,6 +87,41 @@ class TestHingeDerivatives:
         rng = np.random.default_rng(2)
         d = hinge_expect(rng.normal(size=50), rng.uniform(0.1, 2.0, size=50))[2]
         assert np.all(d > 0)
+
+
+class TestHingeHessian:
+    """The second derivatives against central differences of hinge_expect's
+    first derivatives, in mu and in sigma^2, including the lower tail."""
+
+    POINTS = [(mu, sigma) for mu in (-10.0, -1.5, -0.2, 0.0, 0.7, 2.0) for sigma in (0.3, 1.0, 2.5)]
+
+    @pytest.mark.parametrize("mu, sigma", POINTS)
+    def test_matches_central_differences(self, mu, sigma):
+        h_mu, h_var = 1e-5 * sigma, 1e-5 * sigma**2
+        _, p_hi, v_hi = hinge_expect(mu + h_mu, sigma)
+        _, p_lo, v_lo = hinge_expect(mu - h_mu, sigma)
+        var = sigma**2
+        _, pv_hi, vv_hi = hinge_expect(mu, np.sqrt(var + h_var))
+        _, pv_lo, vv_lo = hinge_expect(mu, np.sqrt(var - h_var))
+        d_mumu, d_muvar, d_varvar = hinge_hessian(mu, sigma)
+        # each derivative is checked twice where both differences exist: d/dmu
+        # of dE/d(sigma^2) and d/d(sigma^2) of dE/dmu are the same mixed term
+        scale = 1e-7 / sigma**3
+        assert d_mumu == pytest.approx((p_hi - p_lo) / (2 * h_mu), rel=1e-6, abs=scale)
+        assert d_muvar == pytest.approx((v_hi - v_lo) / (2 * h_mu), rel=1e-6, abs=scale)
+        assert d_muvar == pytest.approx((pv_hi - pv_lo) / (2 * h_var), rel=1e-6, abs=scale)
+        assert d_varvar == pytest.approx((vv_hi - vv_lo) / (2 * h_var), rel=1e-6, abs=scale)
+
+    def test_lower_tail_is_tiny_not_zero(self):
+        # at mu = -10, sigma = 1 every derivative is about phi(10) = 7.7e-23
+        d_mumu, d_muvar, d_varvar = hinge_hessian(-10.0, 1.0)
+        assert d_mumu == pytest.approx(norm.pdf(-10.0), rel=1e-12)
+        assert d_muvar == pytest.approx(5.0 * norm.pdf(-10.0), rel=1e-12)
+        assert d_varvar == pytest.approx(0.25 * 99.0 * norm.pdf(-10.0), rel=1e-12)
+
+    def test_rejects_nonpositive_sigma(self):
+        with pytest.raises(ValueError):
+            hinge_hessian(0.0, 0.0)
 
 
 class TestMarginMoments:
