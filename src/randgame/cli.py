@@ -140,9 +140,11 @@ def _cmd_train(args) -> int:
     game, scfg = _game_from_config(cfg, dataset)
     theta_l, theta_d, result = solver.solve_svm_game(game, cfg=scfg)
     model.save_flat_csv(args.out, result.theta)
+    attempts = result.newton_accepted + result.newton_rejected
     print(
         f"iterations={result.iterations} residual={result.residual:.3e} "
-        f"termination={result.termination}"
+        f"termination={result.termination} evaluations={result.evaluations} "
+        f"newton={result.newton_accepted}/{attempts}"
     )
     return 0 if result.converged else 2
 

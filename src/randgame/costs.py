@@ -20,6 +20,27 @@ rho_d multiplies the attacker's regularizer, and the gradient below is the
 derivative of that cost as written. (The published gradient display instead
 attaches rho_d to the loss terms, which is inconsistent with the cost it is
 derived from; we keep cost/gradient consistency.)
+
+Deviations are dominated. With v = dh/d(sigma^2) = phi(mu/sigma) / (2 sigma),
+which is > 0 for every margin since phi > 0 and sigma > 0, evaluate's
+gradient in each player's own deviations is
+
+    sigma_a:    rho_l diag(M) sigma_a + 2 sigma_a ((Mx)^2 v_s + (M*M)(sigma_x^2 v_s))
+    sigma_b:    bias_reg sigma_b + 2 sigma_b sum(v_s)
+    sigma_x_i:  (rho_d diag(M) + 2 w_x v_t_i) sigma_x_i,  w_x = (M mu_a)^2 + (M*M) sigma_a^2
+
+with squares taken entrywise and sums over the samples. Every factor of the
+loss terms is >= 0 (M*M is entrywise non-negative), every deviation is > 0 on
+the box, and diag(M) > 0 for M = I and for a Gram matrix with no zero point in
+feature space (an RBF K has diag(K) = 1). So with rho_l, rho_d > 0 each entry
+is > 0 at every profile in the box, sigma_b's whenever bias_reg > 0 or some
+v_s > 0, and the pseudo-gradient's positive weights keep the sign. A solution
+of the VI on a box has F_j (theta_j - theta*_j) >= 0 for every theta_j in
+[lower_j, upper_j], so F_j > 0 puts theta*_j at lower_j: every equilibrium
+plays every deviation at its floor, and is the equilibrium of the means with
+the deviations fixed there. In floating point sum(v_s) can underflow to 0
+when every margin lies many sigma from the kink, so at bias_reg = 0 sigma_b
+may end above its floor.
 """
 
 from __future__ import annotations
@@ -100,13 +121,17 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     return float(cost_l), float(cost_d), grad
 
 
-def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
-    """Derivative of evaluate's flat gradient at theta, as the four arrays
-    (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block;
-    ld[i] (L, 2m) is the learner gradient along attacker row i, dl[i] (2m, L)
-    row i's gradient along the learner block and dd[i] (2m, 2m) row i's own
-    block. Row i's gradient does not depend on any other row, so every other
-    block is zero and the memory is O(n m^2), not O(dim^2).
+def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=slice(None)):
+    """Derivative of evaluate's flat gradient at theta over the attacker rows
+    in the unit-step slice rows, as the four arrays (ll, ld, dl, dd): ld[i]
+    (L, 2m) is the learner gradient along attacker row i, dl[i] (2m, L) row
+    i's gradient along the learner block and dd[i] (2m, 2m) row i's own block,
+    for the rows in the range; ll (L, L), L = 2m + 2, is the range's share of
+    the learner's own block: the loss terms of its samples, plus the
+    regularizer when the range starts at row 0. So the shares of ranges that
+    partition the rows sum to the whole block, and the default range gives it.
+    Row i's gradient does not depend on any other row, so every other block is
+    zero and the memory is O(rows m^2), not O(dim^2).
 
     Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
     rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
@@ -116,10 +141,12 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2 * m + 2 + 2 * n * m,):
         raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
-    if not np.isfinite(theta).all():
+    start, stop, _ = rows.indices(n)
+    x_rows = theta[2 * m + 2 :].reshape(n, 2 * m)[start:stop]
+    if not (np.isfinite(theta[: 2 * m + 2]).all() and np.isfinite(x_rows).all()):
         raise ValueError("parameters must be finite")
-    rows = theta[2 * m + 2 :].reshape(n, 2 * m)
-    mu_x, sig_x = rows[:, :m], rows[:, m:]  # row i is mu_x_i, sigma_x_i
+    mu_x, sig_x = x_rows[:, :m], x_rows[:, m:]  # row i is mu_x_i, sigma_x_i
+    y = y[start:stop]
     mu_a, mu_b = theta[:m], theta[m]
     sig_a, sig_b = theta[m + 1 : 2 * m + 1], theta[2 * m + 1]
     if not ((sig_a > 0).all() and sig_b > 0 and (sig_x > 0).all()):
@@ -127,6 +154,7 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     eye = np.eye(m)
     M, M2 = by_M(eye), by_M2(eye)
     a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
+    r, L = mu_x.shape[0], 2 * m + 2
 
     s2a, s2x = sig_a**2, sig_x**2
     Mx = mu_x @ M  # row i is M mu_x_i, as M is symmetric
@@ -135,57 +163,62 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     score = Mx @ mu_a + mu_b
     sigma = np.sqrt(Mx**2 @ s2a + s2x @ w_x + sig_b**2)
 
-    # Gradients of score and of sigma^2 per sample, in the learner block and
-    # in the sample's attacker row.
-    ds_l, dv_l = np.zeros((n, 2 * m + 2)), np.zeros((n, 2 * m + 2))
-    ds_l[:, a_], ds_l[:, m] = Mx, 1.0
-    dv_l[:, a_] = 2.0 * (s2x * Ma) @ M
-    dv_l[:, s_] = 2.0 * sig_a * (Mx**2 + s2x @ M2)
-    dv_l[:, 2 * m + 1] = 2.0 * sig_b
-    ds_x, dv_x = np.zeros((n, 2 * m)), np.empty((n, 2 * m))
-    ds_x[:, a_] = Ma
-    dv_x[:, a_] = 2.0 * (s2a * Mx) @ M
-    dv_x[:, x_] = 2.0 * sig_x * w_x
+    # Per sample, the gradients of score (row 0) and of sigma^2 (row 1) in the
+    # learner block (U_l) and in the sample's attacker row (U_x).
+    U_l, U_x = np.zeros((r, 2, L)), np.zeros((r, 2, 2 * m))
+    U_l[:, 0, a_], U_l[:, 0, m] = Mx, 1.0
+    U_l[:, 1, a_] = 2.0 * (s2x * Ma) @ M
+    U_l[:, 1, s_] = 2.0 * sig_a * (Mx**2 + s2x @ M2)
+    U_l[:, 1, 2 * m + 1] = 2.0 * sig_b
+    U_x[:, 0, a_] = Ma
+    U_x[:, 1, a_] = 2.0 * (s2a * Mx) @ M
+    U_x[:, 1, x_] = 2.0 * sig_x * w_x
     # Second derivatives of sigma^2 across the blocks (score's is M in the
     # mu_a x mu_x corner): learner coordinates by row-i coordinates.
-    cross = np.zeros((n, 2 * m + 2, 2 * m))
+    cross = np.zeros((r, L, 2 * m))
     cross[:, a_, x_] = 4.0 * M * (sig_x * Ma)[:, None, :]
     cross[:, s_, a_] = 4.0 * (sig_a * Mx)[:, :, None] * M
     cross[:, s_, x_] = 4.0 * sig_a[:, None] * M2 * sig_x[:, None, :]
 
     def margin(sign):
-        """Derivatives of h at the margins 1 + sign * y * score, per sample and
-        taken in score and sigma^2: (h_s, h_v, [[h_ss, h_sv], [h_sv, h_vv]])."""
+        """At the margins 1 + sign * y * score, per sample: h's derivative in
+        score, its derivative in sigma^2, and H (r, 2, 2), its Hessian in
+        (score, sigma^2)."""
         mu = 1.0 + sign * y * score
         _, p, v = hinge_expect(mu, sigma)
         h_mm, h_mv, h_vv = hinge_hessian(mu, sigma)
-        return sign * y * p, v, (h_mm[:, None], (sign * y * h_mv)[:, None], h_vv[:, None])
+        H = np.empty((r, 2, 2))
+        H[:, 0, 0], H[:, 1, 1] = h_mm, h_vv
+        H[:, 0, 1] = H[:, 1, 0] = sign * y * h_mv
+        return sign * y * p, v, H
 
-    def chain(ds_u, dv_u, ds_w, dv_w, hess):
-        """Per sample, [ds_u, dv_u] hess [ds_w, dv_w]^T: the part of h's
-        Hessian that comes from the gradients of score and sigma^2."""
-        h_ss, h_sv, h_vv = hess
-        f_s, f_v = h_ss * ds_w + h_sv * dv_w, h_sv * ds_w + h_vv * dv_w
-        return ds_u[:, :, None] * f_s[:, None, :] + dv_u[:, :, None] * f_v[:, None, :]
-
+    # The chain-rule part of each block is U_u^T H U_w per sample.
     # The learner's losses, at the margins 1 - y score.
-    p, v, hess = margin(-1.0)
-    ll = chain(ds_l, dv_l, ds_l, dv_l, hess).sum(axis=0)
-    ll[a_, a_] += (M * (2.0 * (v @ s2x))) @ M + rho_l * M
-    ll[s_, s_] += np.diag(2.0 * (v @ Mx**2 + M2 @ (v @ s2x)) + rho_l * dM)
-    ll[m, m] += bias_reg
-    ll[2 * m + 1, 2 * m + 1] += 2.0 * v.sum() + bias_reg
-    ld = chain(ds_l, dv_l, ds_x, dv_x, hess) + v[:, None, None] * cross
+    p, v, H = margin(-1.0)
+    HU_l = H @ U_l
+    ll = U_l.reshape(2 * r, L).T @ HU_l.reshape(2 * r, L)
+    ll[a_, a_] += (M * (2.0 * (v @ s2x))) @ M
+    ll[s_, s_] += np.diag(2.0 * (v @ Mx**2 + M2 @ (v @ s2x)))
+    ll[2 * m + 1, 2 * m + 1] += 2.0 * v.sum()
+    if start == 0:
+        ll[a_, a_] += rho_l * M
+        ll[s_, s_] += np.diag(rho_l * dM)
+        ll[m, m] += bias_reg
+        ll[2 * m + 1, 2 * m + 1] += bias_reg
+    ld = HU_l.transpose(0, 2, 1) @ U_x
+    ld += v[:, None, None] * cross
     ld[:, a_, a_] += p[:, None, None] * M
 
     # The attacker's losses, at the margins 1 + y score.
-    p, v, hess = margin(1.0)
-    dl = chain(ds_x, dv_x, ds_l, dv_l, hess) + v[:, None, None] * cross.transpose(0, 2, 1)
+    p, v, H = margin(1.0)
+    HU_x = H @ U_x
+    dl = HU_x.transpose(0, 2, 1) @ U_l
+    dl += v[:, None, None] * cross.transpose(0, 2, 1)
     dl[:, a_, a_] += p[:, None, None] * M
-    dd = chain(ds_x, dv_x, ds_x, dv_x, hess)
+    dd = U_x.transpose(0, 2, 1) @ HU_x
     dd[:, a_, a_] += 2.0 * v[:, None, None] * ((M * s2a) @ M) + rho_d * M
-    diag_x = m + np.arange(m)
-    dd[:, diag_x, diag_x] += 2.0 * v[:, None] * w_x + rho_d * dM
+    diag_x = dd.reshape(r, 4 * m * m)[:, m * (2 * m + 1) :: 2 * m + 1]  # row i's sigma_x diagonal
+    diag_x += 2.0 * v[:, None] * w_x + rho_d * dM
     return ll, ld, dl, dd
 
 
@@ -193,7 +226,7 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
     """Operator whose costs and pseudo-gradient (with r = (1, rho_l/rho_d)) all
     come from one evaluate(theta, *terms) call, and whose Jacobian blocks come
     from one jacobian(theta, *terms) call."""
-    _, _, _, _, _, rho_l, rho_d, _ = terms
+    _, _, _, anchors, _, rho_l, rho_d, _ = terms
     dim_l = learner_box.dim
     r_d = rho_l / rho_d
 
@@ -205,8 +238,8 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
         g[dim_l:] *= r_d
         return g
 
-    def pjac(theta):
-        ll, ld, dl, dd = jacobian(theta, *terms)
+    def pjac(theta, rows=slice(None)):
+        ll, ld, dl, dd = jacobian(theta, *terms, rows)
         dl *= r_d
         dd *= r_d
         return ll, ld, dl, dd
@@ -220,6 +253,7 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
         cost_d=lambda theta: joint(theta)[1],
         pseudo_grad=pgrad,
         jacobian=pjac,
+        row_size=2 * anchors.shape[0],
         rho=(rho_l, rho_d),
         **reg_hess,
     )

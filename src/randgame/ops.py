@@ -18,13 +18,17 @@ class VIGame:
 
     cost_l/cost_d evaluate the full player costs at a joint flat vector;
     pseudo_grad stacks the r-weighted own-block gradients. The rest is
-    optional and only needed by diagnostics:
+    optional: the solver's Newton steps need jacobian, the diagnostics need
+    jacobian and reg_hess_*:
 
-    - jacobian(theta) gives the Jacobian of pseudo_grad as the blocks
-      (ll, ld, dl, dd) for an attacker block of n rows of b entries, each row
-      seeing only itself and the learner: ll (dim_l, dim_l) is the learner's
-      own block, and ld[i] (dim_l, b), dl[i] (b, dim_l) and dd[i] (b, b) are
-      row i's cross blocks and own block;
+    - jacobian(theta, rows=slice(None)) gives the Jacobian of pseudo_grad as
+      the blocks (ll, ld, dl, dd) for an attacker block of n rows of
+      row_size = b entries, each row seeing only itself and the learner:
+      ld[i] (dim_l, b), dl[i] (b, dim_l) and dd[i] (b, b) are row i's cross
+      blocks and own block for the rows in the unit-step slice rows, and ll
+      (dim_l, dim_l) is that range's share of the learner's own block, so the
+      shares of ranges that partition the rows sum to the whole block (the
+      solver's Newton step streams over ranges; the diagnostics take all rows);
     - reg_hess_* are the constant Hessians of the expected regularizers,
       without their rho weights: a vector is a diagonal, and a matrix is the
       learner's whole block or one (b, b) block shared by every attacker row.
@@ -42,7 +46,8 @@ class VIGame:
     rho: tuple[float, float] = (1.0, 1.0)
     reg_hess_l: Optional[np.ndarray | Callable[[], np.ndarray]] = None
     reg_hess_d: Optional[np.ndarray | Callable[[], np.ndarray]] = None
-    jacobian: Optional[Callable[[np.ndarray], tuple]] = None
+    jacobian: Optional[Callable[..., tuple]] = None
+    row_size: int = 1
 
     @property
     def r(self) -> tuple[float, float]:

@@ -1,4 +1,5 @@
-"""Adaptive-step extragradient method for the game's variational inequality.
+"""Adaptive-step extragradient method for the game's variational inequality,
+with guarded projected Newton steps where the operator has a Jacobian.
 
 Korpelevich's extragradient with a local-Lipschitz step (Khobotov 1987;
 Marcotte 1991). One iteration from the feasible point theta, with g = F(theta)
@@ -11,6 +12,35 @@ the pseudo-gradient and P the clamp onto the box:
 
 The natural residual r is zero exactly at a solution; F(theta') both opens the
 next iteration and measures its residual.
+
+For an operator with a jacobian, an iteration may first try a projected
+Newton step on the box VI, globalized by the natural residual (Josephy 1979;
+Facchinei & Pang 2003, ch. 7-8):
+
+    pre-step  z = theta with the coordinates that P(theta - g) clamps moved
+              onto that bound, and g_z = F(z) (one evaluation);
+    active    the coordinates of z at a bound whose g_z points out of the box;
+              the rest are free;
+    step      J_FF d = -g_z,F on the free coordinates, d = 0 on the active
+              ones, with J the Jacobian at z; candidate c = P(z + d).
+
+The candidate replaces theta, and ends the iteration, when its residual is at
+most NEWTON_ACCEPT r; otherwise the iteration takes the extragradient step
+from theta unchanged. A singular system or a non-finite step is a rejection
+too, never regularized. J is arrow-shaped: the learner block and one
+(b, b) block per attacker row, coupled only to the learner. Each row block is
+eliminated by a batched solve, leaving one Schur system on the learner
+block. The Jacobian is taken over ranges of attacker rows whose cross blocks
+hold at most NEWTON_RANGE_ENTRIES entries, so the step never forms a dim x dim
+matrix and its temporaries stay O(NEWTON_RANGE_ENTRIES), whatever n.
+
+An attempt is priced in operator evaluations from the block shapes:
+(L^2 + n (2 L b + b^2 + b^3 + b^2 (L + 1))) / dim for a learner block of L
+coordinates and n rows of b. It is made once the extragradient steps since
+the last attempt have spent price * gap evaluations, where gap starts at 1,
+doubles on each rejection and resets to 1 on an acceptance, after which the
+next iteration tries again at once. An operator without a jacobian, and a
+solve that never spends its first price, runs the extragradient method alone.
 """
 
 from __future__ import annotations
@@ -30,6 +60,10 @@ TERM_LINESEARCH = "linesearch_fail"
 
 MU = 0.9  # largest accepted ratio of lam ||F(y) - g|| to ||y - theta||
 GROWTH = 1.05  # step growth after each accepted iteration
+NEWTON_ACCEPT = 0.5  # largest accepted ratio of the candidate's residual to r
+# A Newton step takes the Jacobian over ranges of attacker rows holding at
+# most this many entries of one cross block (512 rows of 24 at k = 2).
+NEWTON_RANGE_ENTRIES = 12288
 BEST_RESPONSE_STEPS = 200  # descent steps per player in nash_verify
 
 
@@ -53,6 +87,9 @@ class EquilibriumResult:
     residual: float  # natural residual at theta
     converged: bool
     termination: str
+    evaluations: int  # pseudo-gradient calls, Newton pre-steps and candidates included
+    newton_accepted: int
+    newton_rejected: int  # singular systems and non-finite steps included
 
     @property
     def theta_l(self) -> np.ndarray:
@@ -79,10 +116,86 @@ def _residual(ops: VIGame, theta: np.ndarray, g: np.ndarray) -> float:
     return float(np.linalg.norm(ops.project(theta - g) - theta))
 
 
+def _newton_price(ops: VIGame) -> float:
+    """Operator evaluations that one Newton attempt costs, from the shapes of
+    the Jacobian blocks: learner block L, n attacker rows of b."""
+    L, b = ops.dim_l, ops.row_size
+    n = ops.dim_d // b
+    return (L * L + n * (2 * L * b + b * b + b**3 + b * b * (L + 1))) / ops.dim
+
+
+def _newton_step(ops: VIGame, z: np.ndarray, g: np.ndarray, free: np.ndarray):
+    """d with J_FF d_F = -g_F and d = 0 off the free coordinates, J the
+    Jacobian at z; None when a system is singular or d is not finite.
+
+    A fixed coordinate of an attacker row is decoupled: its row and column of
+    the row block become the identity's, and its entries of the cross blocks
+    and of g are zero, so the row's solve returns 0 there; the learner's fixed
+    coordinates are decoupled in the Schur system the same way. A first pass
+    over the row ranges forms S = (sum of the ranges' ll) - sum_i C_i D_i^-1 E_i
+    and the right side -g_l + sum_i C_i D_i^-1 g_i, for row i's own block D_i,
+    its learner coupling E_i and its coupling C_i into the learner block; the
+    learner step solves S d_l = rhs. A second pass takes the ranges' blocks
+    again and gives d_i = -D_i^-1 (g_i + E_i d_l), so no per-row solve is kept
+    between the passes.
+    """
+    L, b = ops.dim_l, ops.row_size
+    n = ops.dim_d // b
+    free_d, g_d = free[L:].reshape(n, b), g[L:].reshape(n, b)
+    size = max(1, NEWTON_RANGE_ENTRIES // (L * b))
+    ranges = [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+    def blocks(rows):
+        ll, ld, dl, dd = ops.jacobian(z, rows)
+        f = free_d[rows]
+        dd = np.where(f[:, :, None] & f[:, None, :], dd, np.eye(b))
+        return ll, ld * f[:, None, :], dl * f[:, :, None], dd, np.where(f, g_d[rows], 0.0)
+
+    S, rhs = np.zeros((L, L)), -g[:L]
+    d = np.empty(ops.dim)
+    try:
+        for rows in ranges:
+            ll, ld, dl, dd, g_r = blocks(rows)
+            X = np.linalg.solve(dd, np.concatenate([g_r[:, :, None], dl], axis=2))
+            C = ld.transpose(1, 0, 2).reshape(L, -1)
+            S += ll
+            S -= C @ X[:, :, 1:].reshape(-1, L)
+            rhs += C @ X[:, :, 0].ravel()
+        fixed = ~free[:L]
+        S[fixed, :] = 0.0
+        S[:, fixed] = 0.0
+        S[fixed, fixed] = 1.0
+        rhs[fixed] = 0.0
+        d_l = d[:L] = np.linalg.solve(S, rhs)
+        d_d = d[L:].reshape(n, b)
+        for rows in ranges:
+            _, _, dl, dd, g_r = blocks(rows)
+            d_d[rows] = -np.linalg.solve(dd, (g_r + dl @ d_l)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    return d if np.isfinite(d).all() else None
+
+
+def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
+    """The Newton candidate P(z + d) from the pre-step point z, or None when
+    the step fails. z is theta with the coordinates that P(theta - g) puts on
+    a bound moved there."""
+    z = ops.project(theta - g)
+    np.copyto(z, theta, where=(ops.lower < z) & (z < ops.upper))
+    g_z = _grad(ops, z)
+    free = ~(((z == ops.lower) & (g_z > 0.0)) | ((z == ops.upper) & (g_z < 0.0)))
+    d = _newton_step(ops, z, g_z, free)
+    if d is None:
+        return None
+    d += z
+    return ops.project(d)
+
+
 def extragradient_solve(
     ops: VIGame, init: np.ndarray | None = None, cfg: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
-    """Run the adaptive-step extragradient method on a game operator."""
+    """Run the adaptive-step extragradient method on a game operator, with
+    guarded Newton steps when the operator has a jacobian."""
     if init is None:
         init = _uniform_init(ops, np.random.default_rng(cfg.seed))
     theta = ops.project(np.asarray(init, dtype=float))
@@ -90,13 +203,33 @@ def extragradient_solve(
     residual = _residual(ops, theta, g)
     lam = 1.0
     trace: list[float] = []
+    evaluations, accepted, rejected = 1, 0, 0
+    price = _newton_price(ops) if ops.jacobian is not None else np.inf
+    # the extragradient steps' evaluations since the last attempt are
+    # evaluations - since
+    since, gap, retry = evaluations, 1, False
     for _ in range(cfg.max_iter):
         trace.append(residual)
         if residual <= cfg.epsilon:
             break
+        if retry or evaluations - since >= price * gap:
+            cand = _newton_candidate(ops, theta, g)
+            evaluations += 1
+            if cand is not None:
+                g_c = _grad(ops, cand)
+                evaluations += 1
+                r_c = _residual(ops, cand, g_c)
+                if r_c <= NEWTON_ACCEPT * residual:
+                    theta, g, residual = cand, g_c, r_c
+                    accepted += 1
+                    gap, retry, since = 1, True, evaluations
+                    continue
+            rejected += 1
+            gap, retry, since = 2 * gap, False, evaluations
         while True:
             y = ops.project(theta - lam * g)
             g_y = _grad(ops, y)
+            evaluations += 1
             dy = float(np.linalg.norm(y - theta))
             dg = float(np.linalg.norm(g_y - g))
             if lam * dg <= MU * dy:
@@ -104,6 +237,7 @@ def extragradient_solve(
             lam = 0.99 * MU * dy / dg
         theta = ops.project(theta - lam * g_y)
         g = _grad(ops, theta)
+        evaluations += 1
         residual = _residual(ops, theta, g)
         lam *= GROWTH
 
@@ -116,6 +250,9 @@ def extragradient_solve(
         residual=residual,
         converged=converged,
         termination=TERM_TOLERANCE if converged else TERM_MAX_ITER,
+        evaluations=evaluations,
+        newton_accepted=accepted,
+        newton_rejected=rejected,
     )
 
 

@@ -1,10 +1,12 @@
 """Helpers that only the tests need: a nominal attacker, per-sample margin
 moments and costs and gradients written out one sample at a time (independent
 of the vectorized evaluation in randgame.costs), an operator that counts its
-evaluations, the central finite-difference Jacobian of a pseudo-gradient and
-the dense matrix of a block Jacobian (the oracles of the closed-form blocks),
-and per-sample loop versions of the batched attacks and of the TP-at-FP
-threshold search in randgame.attacks."""
+evaluations, the deviation coordinates of a game's profile, the first-order
+extragradient loop the solver ran before it took Newton steps, the central
+finite-difference Jacobian of a pseudo-gradient and the dense matrix of a
+block Jacobian (the oracles of the closed-form blocks), and per-sample loop
+versions of the batched attacks and of the TP-at-FP threshold search in
+randgame.attacks."""
 
 import dataclasses
 import math
@@ -107,6 +109,48 @@ def counting_operator(ops):
 
     names = ("cost_l", "cost_d", "pseudo_grad")
     return dataclasses.replace(ops, **{name: counted(name) for name in names}), calls
+
+
+def deviation_mask(ops):
+    """True at the deviation coordinates of an SVM game operator's flat
+    profile: the learner's sigma_a and sigma_b (the second half of its block)
+    and the second half of each attacker row, its sigma_x."""
+    dev = np.zeros(ops.dim, dtype=bool)
+    dev[ops.dim_l // 2 : ops.dim_l] = True
+    dev[ops.dim_l :].reshape(-1, ops.row_size)[:, ops.row_size // 2 :] = True
+    return dev
+
+
+def extragradient_reference(ops, init, epsilon, max_iter):
+    """(theta, residual trace) of the adaptive-step extragradient loop alone,
+    written out as randgame.solver ran it before it took Newton steps: the
+    oracle of the solver's path on an operator without a jacobian."""
+    mu, growth = 0.9, 1.05
+
+    def residual(theta, g):
+        return float(np.linalg.norm(ops.project(theta - g) - theta))
+
+    theta = ops.project(np.asarray(init, dtype=float))
+    g = ops.pseudo_grad(theta)
+    r = residual(theta, g)
+    lam, trace = 1.0, []
+    for _ in range(max_iter):
+        trace.append(r)
+        if r <= epsilon:
+            break
+        while True:
+            y = ops.project(theta - lam * g)
+            g_y = ops.pseudo_grad(y)
+            dy = float(np.linalg.norm(y - theta))
+            dg = float(np.linalg.norm(g_y - g))
+            if lam * dg <= mu * dy:
+                break
+            lam = 0.99 * mu * dy / dg
+        theta = ops.project(theta - lam * g_y)
+        g = ops.pseudo_grad(theta)
+        r = residual(theta, g)
+        lam *= growth
+    return theta, np.asarray(trace)
 
 
 FD_STEP = 1e-4  # relative central-difference step, h = FD_STEP * (1 + |theta|)

@@ -1,0 +1,45 @@
+"""tools/ab_timing.py at tiny sizes: every registry entry's report has its
+keys, cases timed in the change alone carry no parent numbers, and a checkout
+without randgame is refused rather than timed."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("ab_timing", ROOT / "tools" / "ab_timing.py")
+timing = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(timing)
+
+
+@pytest.mark.parametrize("entry", sorted(timing.ENTRIES))
+def test_compare_reports_every_case(entry):
+    report = json.loads(json.dumps(timing.compare(entry, ROOT, ROOT, tiny=True, rounds=1,
+                                                  passes=1)))
+    assert {"entry", "metric", "rounds", "passes", "blas_threads", "cores", "blas",
+            "peak_rss_mb", "cases"} <= set(report)
+    assert report["blas_threads"] == 1 and report["cores"] >= 1 and report["blas"]
+    assert report["peak_rss_mb"]["parent"] > 0 and report["peak_rss_mb"]["change"] > 0
+    labels = [label for label, _, _ in timing.ENTRIES[entry][0](True)]
+    assert list(report["cases"]) == labels
+    for label, change_only, _ in timing.ENTRIES[entry][0](True):
+        row = report["cases"][label]
+        sides = ("change",) if change_only else ("parent", "change")
+        assert {f"{side}_{key}" for side in sides for key in ("ms", "pass_ms")} <= set(row)
+        assert ("ratio" in row) == (not change_only) and ("parent_ms" in row) != change_only
+        assert all(row[f"{side}_ms"] > 0 and len(row[f"{side}_pass_ms"]) == 1 for side in sides)
+        if entry == "solve":
+            for side in sides:
+                assert row[side]["evaluations"] > 0 and row[side]["residual"] <= 1e-8
+                assert "theta" not in row[side]
+            assert row["max_abs_theta_diff"] == 0.0  # both sides ran the same code
+
+
+def test_checkout_without_randgame_is_refused(tmp_path):
+    # Without src/randgame the worker either fails to import randgame or picks
+    # up an installed copy; either way no timing of the wrong code comes back.
+    with pytest.raises((RuntimeError, subprocess.CalledProcessError)):
+        timing.time_checkout(tmp_path, "pgrad", tiny=True, rounds=1)

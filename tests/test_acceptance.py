@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from oracles import counting_operator, nominal_attacker
+from oracles import counting_operator, deviation_mask, nominal_attacker
 from randgame.attacks import (
     attack_flip_binary,
     attack_l2_box,
@@ -307,7 +307,12 @@ def test_criterion_05_nash_property_on_the_svm_game():
     lb, ab = default_boxes(ds.n, ds.k, W=1.0)
     game = GameSpec(ds, 10.0, 10.0, lb, ab)
     ops, evals = counting_operator(game_operator(game))
-    fails, most = [], 0
+    # Every deviation is dominated (costs module docstring), so each one ends
+    # on its floor. The exception is sigma_b: with bias_reg = 0 its entry
+    # 2 sigma_b sum(v) underflows to about 0 and does not move it.
+    dev = deviation_mask(ops)
+    dev[ops.dim_l - 1] = False
+    fails, off_floor, most = [], [], 0
     for seed in range(5):
         _, _, res = solve_svm_game(game, initial_point(game, seed))
         evals.clear()
@@ -315,13 +320,16 @@ def test_criterion_05_nash_property_on_the_svm_game():
             res.converged and res.residual <= 1e-6 and nash_verify(res.theta, ops, tol=1e-4)
         ):
             fails.append(seed)
+        if not np.array_equal(res.theta[dev], ops.lower[dev]):
+            off_floor.append(seed)
         most = max(most, len(evals))
     _report(
         5,
         "equilibria of the n=50 synthetic game reach residual 1e-6 and pass the Nash "
-        "check at 1e-4 for 5 seeds, each in at most 110 operator evaluations",
-        not fails and most <= 110,
-        f"failing seeds: {fails}, at most {most} evaluations",
+        "check at 1e-4 for 5 seeds, each in at most 110 operator evaluations, with "
+        "every deviation but sigma_b on its floor",
+        not fails and not off_floor and most <= 110,
+        f"failing seeds: {fails}, off the floor: {off_floor}, at most {most} evaluations",
     )
 
 

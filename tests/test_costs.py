@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from oracles import evaluate_loop, margin_moments, nominal_attacker
+from oracles import deviation_mask, evaluate_loop, margin_moments, nominal_attacker
 from randgame.costs import (
     _primal_terms,
     costs_and_grads,
     evaluate,
     game_operator,
+    jacobian,
     train_baseline_svm,
 )
+from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
-from randgame.kernel import _dual_terms, dual_costs_and_grads
+from randgame.kernel import Kernel, _dual_terms, dual_costs_and_grads, dual_game_operator
 from randgame.model import (
     AttackerParams,
     Dataset,
@@ -184,6 +186,64 @@ class TestEvaluateOracle:
         assert not np.shares_memory(g1, g2)
         assert not np.shares_memory(g1, theta)
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestJacobianRowRanges:
+    """costs.jacobian over row ranges that partition the attacker rows: the
+    ranges' blocks are the whole Jacobian's rows, and their learner shares sum
+    to its learner block."""
+
+    @pytest.mark.parametrize("which", ["primal", "dual"])
+    def test_ranges_sum_to_the_full_blocks(self, which):
+        theta, terms = _flat_case(which)
+        n = terms[3].shape[1]
+        full = jacobian(theta, *terms)
+        assert all(a.shape == b.shape for a, b in zip(full, jacobian(theta, *terms, slice(0, n))))
+        cuts = [0, 2, 2, 3, n]  # with an empty range
+        parts = [jacobian(theta, *terms, slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+        ll = sum(p[0] for p in parts)
+        scale = np.abs(full[0]).max()
+        assert np.abs(ll - full[0]).max() <= 1e-13 * scale
+        for j in (1, 2, 3):
+            joined = np.concatenate([p[j] for p in parts])
+            assert joined.shape == full[j].shape
+            assert np.abs(joined - full[j]).max() <= 1e-13 * np.abs(full[j]).max()
+
+    def test_range_reads_only_its_rows(self):
+        # a non-finite entry outside the range is not read
+        theta, terms = _flat_case("primal")
+        m, n = terms[3].shape
+        bad = theta.copy()
+        bad[-1] = np.nan  # the last row's last deviation
+        want = jacobian(theta, *terms, slice(0, n - 1))
+        got = jacobian(bad, *terms, slice(0, n - 1))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            jacobian(bad, *terms, slice(n - 1, n))
+
+
+class TestDeviationsAreDominated:
+    """The own-deviation entries of the pseudo-gradient are > 0 at every
+    profile of the box (costs module docstring), so every equilibrium holds
+    the deviations at their floor."""
+
+    @staticmethod
+    def _profiles(ops, count, seed):
+        rng = np.random.default_rng(seed)
+        return ops.lower + rng.uniform(size=(count, ops.dim)) * (ops.upper - ops.lower)
+
+    @pytest.mark.parametrize("game", ["primal", "dual"])
+    def test_own_deviation_entries_are_positive(self, game):
+        ds = synth_2d(25 if game == "primal" else 10, 0.4, 0)
+        if game == "primal":
+            lb, ab = default_boxes(ds.n, ds.k, W=1.0)
+            ops = game_operator(GameSpec(ds, 1.0, 1.0, lb, ab, bias_reg=1.0))
+        else:
+            ops = dual_game_operator(ds, Kernel("rbf", 1.0), 1.0, 1.0, bias_reg=1.0)
+        dev = deviation_mask(ops)
+        for theta in self._profiles(ops, 200, 8):
+            assert (ops.pseudo_grad(theta)[dev] > 0.0).all()
 
 
 class TestOperator:

@@ -1,12 +1,15 @@
-"""Extragradient solver on toy games with known equilibria, plus the
-numeric Nash verifier."""
+"""Extragradient solver on toy games with known equilibria, its guarded
+Newton steps on the SVM games, plus the numeric Nash verifier."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from oracles import counting_operator
+from oracles import counting_operator, deviation_mask, extragradient_reference
+from randgame.costs import game_operator
+from randgame.data import synth_2d
+from randgame.kernel import Kernel, dual_game_operator
 from randgame.model import Dataset, GameSpec, default_boxes
 from randgame.ops import VIGame
 from randgame.solver import (
@@ -68,6 +71,20 @@ def boundary_game():
         cost_d=lambda v: 3.0 * v[1],
         pseudo_grad=lambda v: np.array([2.0, 3.0]),
     )
+
+
+def assert_deviations_on_floor(ops, theta):
+    """Every deviation coordinate of an SVM game profile sits exactly on its
+    lower bound (costs module docstring: the own-deviation entries of the
+    pseudo-gradient are positive everywhere in the box)."""
+    dev = deviation_mask(ops)
+    np.testing.assert_array_equal(theta[dev], ops.lower[dev])
+
+
+def regularized_game(rho, bias_reg=1.0):
+    ds = synth_2d(25, 0.4, 0)
+    lb, ab = default_boxes(ds.n, ds.k, W=1.0)
+    return GameSpec(ds, rho, rho, lb, ab, bias_reg=bias_reg)
 
 
 class TestExtragradient:
@@ -209,6 +226,8 @@ class TestSvmGame:
             for seed in range(4):
                 _, _, res = solve_svm_game(game, initial_point(game, seed))
                 assert res.converged
+                if bias_reg > 0:
+                    assert_deviations_on_floor(game_operator(game), res.theta)
                 sols.append(res.theta)
             spread[bias_reg] = max(np.abs(a - b).max() for a in sols for b in sols)
         # bias_reg=0 (the CLI default): converged solves from different starts
@@ -232,3 +251,93 @@ class TestSvmGame:
         assert res.converged and res.residual <= 1e-8
         assert res.residual == vi_residual(res.theta, ops)
         assert len(calls) < 1000
+
+
+class TestNewton:
+    """The guarded Newton steps of extragradient_solve, against the
+    first-order path of the same operator without its jacobian."""
+
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 100.0])
+    def test_agrees_with_the_first_order_solve(self, rho):
+        game = regularized_game(rho)
+        ops = game_operator(game)
+        init = initial_point(game, 0)
+        res = extragradient_solve(ops, init)
+        first = extragradient_solve(dataclasses.replace(ops, jacobian=None), init)
+        assert res.converged and first.converged
+        assert res.newton_accepted >= 1
+        assert first.newton_accepted == first.newton_rejected == 0
+        assert np.abs(res.theta - first.theta).max() <= 1e-7
+        for r in (res, first):
+            assert_deviations_on_floor(ops, r.theta)
+        if rho == 0.1:  # the first-order path takes about 3800 evaluations
+            assert res.evaluations <= 200 < first.evaluations
+
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    def test_evaluations_count_every_pseudo_gradient_call(self, with_jacobian):
+        game = regularized_game(10.0)
+        ops = game_operator(game)
+        if not with_jacobian:
+            ops = dataclasses.replace(ops, jacobian=None)
+        counted, calls = counting_operator(ops)
+        res = extragradient_solve(counted, initial_point(game, 0))
+        assert res.converged
+        assert res.evaluations == len(calls)
+        assert (res.newton_accepted > 0) == with_jacobian
+
+    def test_without_jacobian_follows_the_first_order_loop_exactly(self):
+        game = regularized_game(10.0)
+        cases = [
+            (dataclasses.replace(game_operator(game), jacobian=None), initial_point(game, 0), 1e-8),
+            (bilinear_game(), np.array([3.0, -4.0]), 1e-8),
+            (boundary_game(), np.array([0.7, 0.4]), 1e-12),
+        ]
+        for ops, init, eps in cases:
+            res = extragradient_solve(ops, init, SolverConfig(epsilon=eps))
+            theta, trace = extragradient_reference(ops, init, eps, SolverConfig().max_iter)
+            np.testing.assert_array_equal(res.theta, theta)
+            np.testing.assert_array_equal(res.residual_trace, trace)
+
+    def test_dual_game_makes_no_attempt_within_its_price(self):
+        # the RBF dual game of 60 points (dim 7322): an attempt is priced at
+        # about 2.9e4 evaluations, which 100 iterations do not reach, so the
+        # path is the first-order loop's, bit for bit
+        ops = dual_game_operator(synth_2d(30, 0.4, 1), Kernel("rbf", 1.0), 10.0, 10.0)
+        u = np.random.default_rng(5).uniform(size=ops.dim)
+        init = ops.lower + u * (ops.upper - ops.lower)
+        res = extragradient_solve(ops, init, SolverConfig(max_iter=100))
+        assert res.iterations == 100
+        assert res.newton_accepted == res.newton_rejected == 0
+        theta, trace = extragradient_reference(ops, init, 1e-8, 100)
+        np.testing.assert_array_equal(res.theta, theta)
+        np.testing.assert_array_equal(res.residual_trace, trace)
+
+    def test_a_wrong_jacobian_is_always_rejected(self):
+        # the planted Jacobian is the true one negated, so every Newton step
+        # heads away from the solution: only the residual guard keeps the
+        # solve converging
+        game = regularized_game(10.0)
+        ops = game_operator(game)
+
+        def negated(theta, rows=slice(None)):
+            return tuple(-block for block in ops.jacobian(theta, rows))
+
+        res = extragradient_solve(dataclasses.replace(ops, jacobian=negated),
+                                  initial_point(game, 0))
+        assert res.converged
+        assert res.newton_accepted == 0 and res.newton_rejected >= 2
+        assert_deviations_on_floor(ops, res.theta)
+
+    def test_linear_game_takes_one_exact_newton_step(self):
+        # one row of one entry: an attempt is priced at 3.5 evaluations, and
+        # on an affine operator the Newton step lands on the solution
+        J = np.array([[1.0, 1.0], [-1.0, 1.0]])
+
+        def blocks(theta, rows=slice(None)):
+            return J[:1, :1], J[None, :1, 1:][rows], J[None, 1:, :1][rows], J[None, 1:, 1:][rows]
+
+        ops = dataclasses.replace(bilinear_game(), jacobian=blocks)
+        res = extragradient_solve(ops, np.array([3.0, -4.0]), SolverConfig(epsilon=1e-12))
+        assert res.converged and res.newton_accepted == 1 and res.newton_rejected == 0
+        assert res.iterations <= 4
+        assert np.abs(res.theta).max() <= 1e-12

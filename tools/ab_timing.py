@@ -1,0 +1,251 @@
+"""Time one randgame operation in two checkouts and write the before/after
+numbers as JSON.
+
+    python tools/ab_timing.py ENTRY --parent PATH [--change PATH] [--out FILE]
+
+ENTRY names a registry entry (ENTRIES): a list of cases, each a setup that
+builds its inputs and returns the call to time. pgrad times one pseudo-
+gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile and solve one
+extragradient_solve to natural residual 1e-8 (at most 5000 iterations,
+the default), each on the games its cases
+build. Each checkout runs in its own Python process with PYTHONPATH set to its
+src/ and one BLAS thread. After a warm-up call, a round repeats the call for at
+least MIN_ROUND_S; a pass reports the median per-call time of its rounds, and
+the parent and the change alternate pass by pass so that slow drift of the host
+hits both alike. The JSON holds per case the median over passes, every pass's
+median, the ratio change / parent and what the warm-up call reported (for a
+solve: its evaluations, Jacobian calls, iterations, residual and the largest
+coordinate distance between the two sides' solutions), then each side's peak
+worker RSS and bench/run.py's environment(): the core count and the BLAS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+from statistics import median
+
+ROOT = Path(__file__).resolve().parent.parent
+MIN_ROUND_S = 0.02  # a round repeats the call until it lasts at least this
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pgrad_cases(tiny):
+    """(label, change only, setup) per game: four primal games and an RBF dual
+    game on 60 points, inputs from fixed seeds."""
+    import numpy as np
+
+    from randgame.costs import game_operator
+    from randgame.kernel import Kernel, dual_game_operator
+    from randgame.model import Dataset, GameSpec, default_boxes
+
+    def setup(seed, n, k, operator):
+        rng = np.random.default_rng(seed)
+        X, y = rng.uniform(size=(n, k)), rng.choice([-1.0, 1.0], size=n)
+        y[0] = -y[-1] if n > 1 else y[0]
+        ops = operator(Dataset(X, y))
+        theta = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
+        return lambda: ops.pseudo_grad(theta)
+
+    sizes, dual_n = (((3, 2),), 4) if tiny else (((10, 2), (4000, 2), (1000, 200), (500, 1000)), 60)
+    for n, k in sizes:
+        yield f"primal n={n} k={k}", False, lambda n=n, k=k: setup(
+            n * 7919 + k, n, k,
+            lambda d: game_operator(GameSpec(d, 10.0, 10.0, *default_boxes(n, k, 1.0))))
+    yield f"dual rbf n={dual_n}", False, lambda: setup(
+        dual_n, dual_n, 2, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0))
+
+
+def _diag_cases(tiny):
+    """The benchmark's certifying diagnostics game (rho = 100, bias_reg = 1,
+    W = 0.5) on n uniform points in [0, 1]^2; n = 5000 runs in the change only,
+    as the dense Jacobian of older checkouts does not fit there."""
+    import numpy as np
+
+    from randgame.costs import game_operator
+    from randgame.diagnostics import uniqueness_margin
+    from randgame.model import Dataset, GameSpec, default_boxes
+
+    def setup(n):
+        rng = np.random.default_rng(n)
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        ops = game_operator(GameSpec(Dataset(rng.uniform(size=(n, 2)), y), 100.0, 100.0,
+                                     *default_boxes(n, 2, 0.5), bias_reg=1.0))
+        return lambda: uniqueness_margin(ops, n_profiles=1, seed=0, n_pairs=1)
+
+    for n, change_only in ((3, False), (4, True)) if tiny else ((10, False), (500, False),
+                                                                (5000, True)):
+        yield f"n={n} k=2", change_only, lambda n=n: setup(n)
+
+
+def _solve_cases(tiny):
+    """{(50, 2), (4000, 2), (500, 20)} x rho_l = rho_d in {0.1, 10, 100}, W = 1,
+    bias_reg = 1, from initial_point(game, 0): the 2-D sets are synth_2d(n / 2,
+    0.4, 0), the k = 20 set uniform with y = sign(x_1 + x_2 + x_3 - 1.5)."""
+    import dataclasses
+
+    import numpy as np
+
+    from randgame.costs import game_operator
+    from randgame.data import synth_2d
+    from randgame.model import Dataset, GameSpec, default_boxes
+    from randgame.solver import SolverConfig, extragradient_solve, initial_point
+
+    def setup(n, k, rho):
+        if k == 2:
+            ds = synth_2d(n // 2, 0.4, 0)
+        else:
+            X = np.random.default_rng(k).uniform(size=(n, k))
+            ds = Dataset(X, np.where(X[:, :3].sum(axis=1) > 1.5, 1.0, -1.0))
+        game = GameSpec(ds, rho, rho, *default_boxes(n, k, 1.0), bias_reg=1.0)
+        ops, init = game_operator(game), initial_point(game, 0)
+        count = {"evaluations": 0, "jacobian_calls": 0}
+
+        def pgrad(theta):
+            count["evaluations"] += 1
+            return ops.pseudo_grad(theta)
+
+        def jacobian(*args):
+            count["jacobian_calls"] += 1
+            return ops.jacobian(*args)
+
+        counted = dataclasses.replace(ops, pseudo_grad=pgrad, jacobian=jacobian)
+
+        def call():
+            count.update(evaluations=0, jacobian_calls=0)
+            res = extragradient_solve(counted, init, SolverConfig(epsilon=1e-8))
+            return dict(count, iterations=res.iterations, residual=res.residual,
+                        newton_accepted=getattr(res, "newton_accepted", 0),
+                        newton_rejected=getattr(res, "newton_rejected", 0),
+                        theta=res.theta.tolist())
+
+        return call
+
+    grid = [(6, 2, 10.0)] if tiny else [(n, k, rho) for n, k in ((50, 2), (4000, 2), (500, 20))
+                                        for rho in (0.1, 10.0, 100.0)]
+    for n, k, rho in grid:
+        yield f"n={n} k={k} rho={rho:g}", False, lambda n=n, k=k, rho=rho: setup(n, k, rho)
+
+
+# name: (cases, default output, metric, rounds, passes)
+ENTRIES = {
+    "pgrad": (_pgrad_cases, "BENCH_planar_evaluate.json",
+              "pseudo_grad wall time per call", 11, 7),
+    "diag": (_diag_cases, "BENCH_analytic_jacobian.json",
+             "uniqueness_margin(n_profiles=1, n_pairs=1) wall time per call", 5, 5),
+    "solve": (_solve_cases, "BENCH_newton_solve.json",
+              "wall time of one solve to natural residual 1e-8", 1, 5),
+}
+
+
+def _worker(spec: dict) -> dict:
+    """Per case: median seconds per call and the warm-up call's report; the
+    peak RSS and the file of the randgame package that was timed."""
+    import resource
+
+    import randgame
+
+    result = {"cases": {}, "randgame": randgame.__file__}
+    for label, change_only, setup in ENTRIES[spec["entry"]][0](spec["tiny"]):
+        if change_only and spec["side"] == "parent":
+            continue
+        call = setup()
+        t0 = time.perf_counter()
+        info = call()
+        calls = max(1, int(MIN_ROUND_S / max(time.perf_counter() - t0, 1e-9)))
+        rounds = []
+        for _ in range(spec["rounds"]):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                call()
+            rounds.append((time.perf_counter() - t0) / calls)
+        result["cases"][label] = {"s": median(rounds),
+                                  "info": info if isinstance(info, dict) else None}
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return result
+
+
+def time_checkout(checkout, entry, side="change", tiny=False, rounds=None) -> dict:
+    """One pass of entry in a fresh process with one BLAS thread, on the
+    checkout at path. Raises RuntimeError if that process imported a randgame
+    from elsewhere (an installed copy), which would time the wrong code."""
+    src = Path(checkout).resolve() / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
+    spec = {"entry": entry, "side": side, "tiny": tiny, "rounds": rounds or ENTRIES[entry][3]}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    if not Path(result["randgame"]).resolve().is_relative_to(src):
+        raise RuntimeError(f"{checkout}: timed randgame from {result['randgame']}, not {src}")
+    return result
+
+
+def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict:
+    """Alternate passes of entry over the parent and the change checkout."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import environment
+
+    _, _, metric, default_rounds, default_passes = ENTRIES[entry]
+    rounds, passes = rounds or default_rounds, passes or default_passes
+    runs = {"parent": [], "change": []}
+    for _ in range(passes):
+        for side, path in (("parent", parent), ("change", change)):
+            runs[side].append(time_checkout(path, entry, side, tiny, rounds))
+    cases = {}
+    for label in runs["change"][0]["cases"]:
+        row = {}
+        for side in [side for side in runs if label in runs[side][0]["cases"]]:
+            ms = [1e3 * r["cases"][label]["s"] for r in runs[side]]
+            row.update({f"{side}_ms": median(ms), f"{side}_pass_ms": ms})
+            if runs[side][0]["cases"][label]["info"]:
+                row[side] = runs[side][0]["cases"][label]["info"]
+        if "parent_ms" in row:
+            row["ratio"] = row["change_ms"] / row["parent_ms"]
+        if "theta" in row.get("parent", {}):
+            row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
+                row["change"].pop("theta"), row["parent"].pop("theta")))
+        cases[label] = row
+    return {
+        "entry": entry,
+        "metric": f"{metric}, median of rounds, median over passes",
+        "rounds": rounds,
+        "passes": passes,
+        **environment(),
+        "machine": platform.machine(),
+        "peak_rss_mb": {side: max(r["peak_rss_mb"] for r in runs[side]) for side in runs},
+        "cases": cases,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("entry", choices=sorted(ENTRIES))
+    p.add_argument("--parent", help="checkout of the parent commit")
+    p.add_argument("--change", default=str(ROOT),
+                   help="checkout of the change (default: this repository)")
+    p.add_argument("--out", help="output file (default: the entry's BENCH file)")
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        print(json.dumps(_worker(json.loads(args.worker))))
+        return 0
+    if not args.parent:
+        p.error("--parent is required")
+    report = compare(args.entry, args.parent, args.change)
+    Path(args.out or ENTRIES[args.entry][1]).write_text(json.dumps(report, indent=2) + "\n")
+    for label, row in report["cases"].items():
+        print(f"{label:24s} {row.get('parent_ms', float('nan')):10.3f} -> "
+              f"{row['change_ms']:10.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
