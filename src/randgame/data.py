@@ -3,6 +3,8 @@ for the qualitative desk-scale experiments."""
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,33 +22,81 @@ def _parse_label(tok, path, lineno):
     return val
 
 
+# Content lines a loader joins, splits and converts at once: enough to spread
+# the calls' cost, few enough that a block's token strings stay small (loading
+# a 500 x 20 dense file peaks at 0.25 MB under tracemalloc).
+BLOCK_LINES = 64
+
+
+def _content_blocks(path):
+    """The stripped lines of a file that are not blank or a '#' comment, in
+    lists of up to BLOCK_LINES."""
+    with open(path) as fh:
+        lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+        while block := list(itertools.islice(lines, BLOCK_LINES)):
+            yield block
+
+
+def _raise_first_bad_line(path, check, *args):
+    """After a bulk parse failed, raise the ParseError that check(path,
+    lineno, line, *args) gives the file's first bad content line."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                check(path, lineno, line, *args)
+    raise AssertionError(f"{path}: no line fails the check that failed in bulk")
+
+
 def _dataset(path, X, labels, feature_kind) -> Dataset:
     """The Dataset of a loaded file; a value Dataset rejects is a ParseError."""
     try:
-        return Dataset(X, np.array(labels), feature_kind)
+        return Dataset(X, labels, feature_kind)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _check_dense_line(path, lineno, line, width):
+    """Raise the ParseError of a bad 'label,f1,f2,...' line, in the order
+    label, values, count; width is the first line's count of values."""
+    toks = line.split(",")
+    _parse_label(toks[0], path, lineno)
+    try:
+        list(map(float, toks[1:]))
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: malformed feature value") from None
+    if len(toks) - 1 != width:
+        raise ParseError(f"{path}:{lineno}: inconsistent feature count")
+
+
+def _dense_block(block, width):
+    """The (len(block), width + 1) labels and values of a block of
+    'label,f1,f2,...' lines; ValueError when a line is bad."""
+    if not all(line.count(",") == width for line in block):
+        raise ValueError
+    flat = np.fromiter(map(float, ",".join(block).split(",")), float, len(block) * (width + 1))
+    return flat.reshape(len(block), width + 1)
+
+
 def load_dense_csv(path, feature_kind="continuous_unit_interval") -> Dataset:
-    """Load 'label,f1,f2,...' lines; labels must be -1 or +1."""
-    labels, rows = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split(",")
-            labels.append(_parse_label(toks[0], path, lineno))
-            try:
-                rows.append([float(t) for t in toks[1:]])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: malformed feature value") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise ParseError(f"{path}:{lineno}: inconsistent feature count")
-    if not rows:
+    """Load 'label,f1,f2,...' lines; labels must be -1 or +1.
+
+    Each block of lines is joined and split once, and its labels and values
+    are converted in one call. Only a file that fails in bulk is read line by
+    line, for the first bad line's error."""
+    blocks = _content_blocks(path)
+    first = next(blocks, None)
+    if first is None:
         raise ParseError(f"{path}: no samples")
-    return _dataset(path, np.array(rows), labels, feature_kind)
+    width = first[0].count(",")
+    try:
+        flat = np.concatenate([_dense_block(block, width)
+                               for block in itertools.chain([first], blocks)])
+        if not np.isin(flat[:, 0], (-1.0, 1.0)).all():
+            raise ValueError
+    except ValueError:
+        _raise_first_bad_line(path, _check_dense_line, width)
+    return _dataset(path, np.ascontiguousarray(flat[:, 1:]), flat[:, 0].copy(), feature_kind)
 
 
 def save_dense_csv(path, features, labels) -> None:
@@ -59,42 +109,73 @@ def save_dense_csv(path, features, labels) -> None:
     atomic_write(path, "".join(lines))
 
 
+# a token with two colons, which no idx:value pair has
+_DOUBLE_COLON = re.compile(r":\S*:")
+
+
+def _check_sparse_line(path, lineno, line):
+    """Raise the ParseError of a bad 'label idx:val ...' line, token by token."""
+    toks = line.split()
+    _parse_label(toks[0], path, lineno)
+    for tok in toks[1:]:
+        if ":" not in tok:
+            raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
+        idx_s, _, val_s = tok.partition(":")
+        try:
+            idx, _ = int(idx_s), float(val_s)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
+        if idx < 1:
+            raise ParseError(f"{path}:{lineno}: indices are 1-based")
+
+
+def _sparse_block(block):
+    """The labels, each line's count of pairs, and the 0-based columns and
+    values of the pairs of a block of 'label idx:val ...' lines; ValueError
+    when a line is bad."""
+    heads = [line.split(None, 1) for line in block]
+    tails = [head[1] if len(head) > 1 else "" for head in heads]
+    counts = [tail.count(":") for tail in tails]
+    text = "\n".join(tails)
+    n_tokens = len(text.split())
+    parts = text.replace(":", " ").split()
+    # every token is one idx:value pair exactly when no token holds two
+    # colons, the colons are as many as the tokens, and they cut the tokens
+    # into twice as many pieces
+    if sum(counts) != n_tokens or len(parts) != 2 * n_tokens or _DOUBLE_COLON.search(text):
+        raise ValueError
+    y = np.fromiter(map(float, [head[0] for head in heads]), float, len(heads))
+    cols = np.fromiter(map(int, parts[0::2]), np.int64, n_tokens) - 1
+    if not np.isin(y, (-1.0, 1.0)).all() or (cols < 0).any():
+        raise ValueError
+    return y, counts, cols, np.fromiter(map(float, parts[1::2]), float, n_tokens)
+
+
 def load_sparse(path, k: int | None = None) -> Dataset:
     """Load 'label idx:val ...' lines with 1-based indices; absent indices are
-    zero and k defaults to the maximum index seen."""
-    labels, rows, cols, vals = [], [], [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            labels.append(_parse_label(toks[0], path, lineno))
-            row = len(labels) - 1
-            for tok in toks[1:]:
-                if ":" not in tok:
-                    raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
-                idx_s, _, val_s = tok.partition(":")
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
-                if idx < 1:
-                    raise ParseError(f"{path}:{lineno}: indices are 1-based")
-                rows.append(row)
-                cols.append(idx - 1)
-                vals.append(val)
-    if not labels:
+    zero and k defaults to the maximum index seen.
+
+    Each block of lines is cut once at the labels, its rest joined and split
+    once, and its indices and values are converted in one call each; the
+    pairs are scattered at once. Only a file that fails in bulk is read token
+    by token, for the first bad line's error."""
+    try:
+        blocks = [_sparse_block(block) for block in _content_blocks(path)]
+    except ValueError:
+        _raise_first_bad_line(path, _check_sparse_line)
+    if not blocks:
         raise ParseError(f"{path}: no samples")
-    max_idx = max(cols, default=-1) + 1
+    y, counts, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    max_idx = int(cols.max(initial=-1)) + 1
     k = k if k is not None else max_idx
     if max_idx > k:
         raise ParseError(f"{path}: index {max_idx} exceeds k override {k}")
-    X = np.zeros((len(labels), k))
+    rows = np.repeat(np.arange(y.size), counts)
+    X = np.zeros((y.size, k))
     X[rows, cols] = vals  # a repeated index keeps its last value
     # absent entries are 0, so the values X kept decide the kind
     kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"
-    return _dataset(path, X, labels, kind)
+    return _dataset(path, X, y, kind)
 
 
 SYNTH_LEGIT_CENTER = (0.3, 0.3)

@@ -291,7 +291,7 @@ def atomic_write(path, text: str) -> None:
 def save_flat_csv(path, v) -> None:
     """Write a parameter vector as one CSV line in the flattening order."""
     v = _as_float_array(v, 1)
-    atomic_write(path, ",".join(f"{x:.17g}" for x in v) + "\n")
+    atomic_write(path, ",".join(["%.17g" % x for x in v.tolist()]) + "\n")
 
 
 def load_flat_csv(path) -> np.ndarray:
@@ -301,7 +301,8 @@ def load_flat_csv(path) -> np.ndarray:
     if not line:
         raise ParseError(f"{path}: empty parameter file")
     try:
-        v = np.array([float(tok) for tok in line.split(",")], dtype=float)
+        toks = line.split(",")
+        v = np.fromiter(map(float, toks), float, len(toks))
     except ValueError:
         raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
     if not np.isfinite(v).all():

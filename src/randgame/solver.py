@@ -30,9 +30,11 @@ from theta unchanged. A singular system or a non-finite step is a rejection
 too, never regularized. J is arrow-shaped: the learner block and one
 (b, b) block per attacker row, coupled only to the learner. Each row block is
 eliminated by a batched solve, leaving one Schur system on the learner
-block. The Jacobian is taken over ranges of attacker rows whose cross blocks
-hold at most NEWTON_RANGE_ENTRIES entries, so the step never forms a dim x dim
-matrix and its temporaries stay O(NEWTON_RANGE_ENTRIES), whatever n.
+block. One pass takes the Jacobian over ranges of attacker rows whose cross
+blocks hold at most NEWTON_RANGE_ENTRIES entries, so each range's blocks are
+built and factored once and the step never forms a dim x dim matrix. It
+keeps each row's solves for the rows' back-substitution: n b (L + 1) floats,
+the order of the all-rows Jacobian the diagnostics take.
 
 An attempt is priced in operator evaluations from the block shapes:
 (L^2 + n (2 L b + b^2 + b^3 + b^2 (L + 1))) / dim for a learner block of L
@@ -131,48 +133,45 @@ def _newton_step(ops: VIGame, z: np.ndarray, g: np.ndarray, free: np.ndarray):
     A fixed coordinate of an attacker row is decoupled: its row and column of
     the row block become the identity's, and its entries of the cross blocks
     and of g are zero, so the row's solve returns 0 there; the learner's fixed
-    coordinates are decoupled in the Schur system the same way. A first pass
-    over the row ranges forms S = (sum of the ranges' ll) - sum_i C_i D_i^-1 E_i
-    and the right side -g_l + sum_i C_i D_i^-1 g_i, for row i's own block D_i,
-    its learner coupling E_i and its coupling C_i into the learner block; the
-    learner step solves S d_l = rhs. A second pass takes the ranges' blocks
-    again and gives d_i = -D_i^-1 (g_i + E_i d_l), so no per-row solve is kept
-    between the passes.
+    coordinates are decoupled in the Schur system the same way. One pass over
+    the row ranges takes each range's blocks from one jacobian call and solves
+    X_i = D_i^-1 [g_i, E_i] for row i's own block D_i and its learner coupling
+    E_i; with C_i its coupling into the learner block, it forms
+    S = (sum of the ranges' ll) - sum_i C_i X_i[:, 1:] and the right side
+    -g_l + sum_i C_i X_i[:, 0]. The learner step solves S d_l = rhs, and the
+    rows follow as d_i = -(X_i[:, 0] + X_i[:, 1:] d_l). The kept X holds
+    n b (L + 1) floats (0.9 MB at n = 4000, k = 2), the order of the all-rows
+    Jacobian the diagnostics take.
     """
     L, b = ops.dim_l, ops.row_size
     n = ops.dim_d // b
     free_d, g_d = free[L:].reshape(n, b), g[L:].reshape(n, b)
     size = max(1, NEWTON_RANGE_ENTRIES // (L * b))
-    ranges = [slice(start, min(start + size, n)) for start in range(0, n, size)]
-
-    def blocks(rows):
-        ll, ld, dl, dd = ops.jacobian(z, rows)
-        f = free_d[rows]
-        dd = np.where(f[:, :, None] & f[:, None, :], dd, np.eye(b))
-        return ll, ld * f[:, None, :], dl * f[:, :, None], dd, np.where(f, g_d[rows], 0.0)
-
     S, rhs = np.zeros((L, L)), -g[:L]
-    d = np.empty(ops.dim)
+    X = np.empty((n, b, L + 1))
     try:
-        for rows in ranges:
-            ll, ld, dl, dd, g_r = blocks(rows)
-            X = np.linalg.solve(dd, np.concatenate([g_r[:, :, None], dl], axis=2))
-            C = ld.transpose(1, 0, 2).reshape(L, -1)
+        for start in range(0, n, size):
+            rows = slice(start, min(start + size, n))
+            ll, ld, dl, dd = ops.jacobian(z, rows)
+            f = free_d[rows]
+            dd = np.where(f[:, :, None] & f[:, None, :], dd, np.eye(b))
+            X[rows, :, 0] = np.where(f, g_d[rows], 0.0)
+            X[rows, :, 1:] = dl * f[:, :, None]
+            X[rows] = np.linalg.solve(dd, X[rows])
+            C = (ld * f[:, None, :]).transpose(1, 0, 2).reshape(L, -1)
             S += ll
-            S -= C @ X[:, :, 1:].reshape(-1, L)
-            rhs += C @ X[:, :, 0].ravel()
+            S -= C @ X[rows, :, 1:].reshape(-1, L)
+            rhs += C @ X[rows, :, 0].ravel()
         fixed = ~free[:L]
         S[fixed, :] = 0.0
         S[:, fixed] = 0.0
         S[fixed, fixed] = 1.0
         rhs[fixed] = 0.0
-        d_l = d[:L] = np.linalg.solve(S, rhs)
-        d_d = d[L:].reshape(n, b)
-        for rows in ranges:
-            _, _, dl, dd, g_r = blocks(rows)
-            d_d[rows] = -np.linalg.solve(dd, (g_r + dl @ d_l)[:, :, None])[:, :, 0]
+        d_l = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError:
         return None
+    X[:, :, 0] += X[:, :, 1:] @ d_l
+    d = np.concatenate([d_l, -X[:, :, 0].ravel()])
     return d if np.isfinite(d).all() else None
 
 

@@ -6,14 +6,15 @@ extragradient loop the solver ran before it took Newton steps, the central
 finite-difference Jacobian of a pseudo-gradient and the dense matrix of a
 block Jacobian (the oracles of the closed-form blocks), and per-sample loop
 versions of the batched attacks and of the TP-at-FP threshold search in
-randgame.attacks."""
+randgame.attacks, and token-by-token readers of the data and parameter files
+(the oracles of the bulk parsers in randgame.data and randgame.model)."""
 
 import dataclasses
 import math
 
 import numpy as np
 
-from randgame.model import AttackerParams, GameSpec, LearnerParams
+from randgame.model import AttackerParams, Dataset, GameSpec, LearnerParams, ParseError
 
 
 def nominal_attacker(game: GameSpec) -> AttackerParams:
@@ -255,3 +256,91 @@ def tp_at_fp_scan(scores_legit, scores_malicious, fp_target):
         if float((legit >= t).mean()) <= fp_target:
             return float(t), float((mal >= t).mean())
     raise AssertionError("unreachable: +inf threshold always satisfies the FP bound")
+
+
+def _label_token(tok, path, lineno):
+    try:
+        val = float(tok)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: bad label {tok!r}") from None
+    if val not in (-1.0, 1.0):
+        raise ParseError(f"{path}:{lineno}: label must be -1 or +1, got {tok!r}")
+    return val
+
+
+def _read_dataset(path, X, labels, kind):
+    try:
+        return Dataset(X, np.array(labels), kind)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def load_dense_tokens(path):
+    """load_dense_csv one line and one value at a time."""
+    labels, rows = [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.split(",")
+            labels.append(_label_token(toks[0], path, lineno))
+            try:
+                rows.append([float(t) for t in toks[1:]])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: malformed feature value") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ParseError(f"{path}:{lineno}: inconsistent feature count")
+    if not rows:
+        raise ParseError(f"{path}: no samples")
+    return _read_dataset(path, np.array(rows), labels, "continuous_unit_interval")
+
+
+def load_sparse_tokens(path, k=None):
+    """load_sparse one line and one idx:value token at a time."""
+    labels, rows, cols, vals = [], [], [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.split()
+            labels.append(_label_token(toks[0], path, lineno))
+            for tok in toks[1:]:
+                if ":" not in tok:
+                    raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
+                idx_s, _, val_s = tok.partition(":")
+                try:
+                    idx, val = int(idx_s), float(val_s)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
+                if idx < 1:
+                    raise ParseError(f"{path}:{lineno}: indices are 1-based")
+                rows.append(len(labels) - 1)
+                cols.append(idx - 1)
+                vals.append(val)
+    if not labels:
+        raise ParseError(f"{path}: no samples")
+    max_idx = max(cols, default=-1) + 1
+    k = k if k is not None else max_idx
+    if max_idx > k:
+        raise ParseError(f"{path}: index {max_idx} exceeds k override {k}")
+    X = np.zeros((len(labels), k))
+    X[rows, cols] = vals
+    kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"
+    return _read_dataset(path, X, labels, kind)
+
+
+def load_flat_tokens(path):
+    """load_flat_csv one value at a time."""
+    with open(path) as fh:
+        line = fh.readline().strip()
+    if not line:
+        raise ParseError(f"{path}: empty parameter file")
+    try:
+        v = np.array([float(tok) for tok in line.split(",")], dtype=float)
+    except ValueError:
+        raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
+    if not np.isfinite(v).all():
+        raise ParseError(f"{path}: non-finite parameter value")
+    return v

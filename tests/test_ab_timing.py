@@ -34,7 +34,10 @@ def test_compare_reports_every_case(entry):
         if entry == "solve":
             for side in sides:
                 assert row[side]["evaluations"] > 0 and row[side]["residual"] <= 1e-8
-                assert "theta" not in row[side]
+        if entry == "newton":
+            assert all(row[side]["step"] for side in sides)
+        if entry in ("solve", "newton"):
+            assert all("theta" not in row[side] for side in sides)
             assert row["max_abs_theta_diff"] == 0.0  # both sides ran the same code
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import load_dense_tokens, load_sparse_tokens
+from randgame import data as data_io
 from randgame.cli import EX_NOINPUT, EX_USAGE, main
 from randgame.data import (
     DEFAULT_GRID,
@@ -120,6 +122,80 @@ class TestSparse:
         p.write_text("+1 0:1\n")
         with pytest.raises(ParseError, match="1-based"):
             load_sparse(p)
+
+
+def read_outcome(load, path, *args):
+    """What a loader makes of a file: its error text, or the bytes of the
+    Dataset's arrays and its feature kind."""
+    try:
+        ds = load(path, *args)
+    except ParseError as exc:
+        return "error", str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.feature_kind
+
+
+class TestBulkParsers:
+    """The bulk loaders against token-by-token readers: the same bits on
+    every file that loads, the same error text and line on every file that
+    does not, whichever of several bad lines comes first, with the lines in
+    one block or cut into blocks of 1 and 3."""
+
+    @pytest.fixture(autouse=True, params=[1, 3, None])
+    def block_lines(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(data_io, "BLOCK_LINES", request.param)
+
+    @pytest.mark.parametrize("text", [
+        "+1,0.1,0.2\n-1,0.3,0.4\n",
+        "# header\n\n+1,0.1,0.2\n   \n-1,0.3,0.4\n# tail",
+        "+1,-0.0,5e-324\n-1, 0.5 ,1e-3\n",
+        "+1,1\n-1.0,0\n",
+        "+1\n-1\n",  # no values at all
+        "+1,0.1,0.2\n0,0.3,0.4\n",  # label not +-1 on line 2
+        "+1,0.1,0.2\nx,0.3,0.4\n",  # label not a number
+        "+1,0.1,0.2\n-1,0.3,abc\n",  # malformed value
+        "+1,0.1,0.2\n-1,,0.4\n",  # empty value
+        "+1,\n",
+        "+1,0.1,zz\n0,0.3,0.4\n",  # a malformed value before a bad label
+        "+1,0.1,0.2\n2,0.3,0.4\n-1,q,0.4\n",  # a bad label before a malformed value
+        "0,abc\n",  # label before values on one line
+        "+1,0.1,0.2\n\n# c\n-1,0.3\n0,0.1,0.2\n",  # ragged on line 4, then a bad label
+        "+1,0.1\n-1,0.3,0.4\n-1,0.3,0.4\n",
+        "+1,0.1,0.2\n-1,nan,0.4\n",  # a value the Dataset rejects
+        "",
+        "# only a comment\n\n",
+    ])
+    def test_dense(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        assert read_outcome(load_dense_csv, p) == read_outcome(load_dense_tokens, p)
+
+    @pytest.mark.parametrize("text, k", [
+        ("+1 1:0.5 3:1\n-1\n# c\n\n-1\t2:0.25  3:1\n", None),
+        ("+1 1:1 3:1\n-1 2:1\n", 5),
+        ("+1 1:1 3:1\n-1 2:1\n", 2),  # an index over the override
+        ("+1 2:1 2:0.5 1:1\n-1 1:1\n", None),  # a repeated index keeps its last value
+        ("+1 1:1 2\n", None),  # a token without a colon
+        ("+1 1:2:3 4\n", None),  # two colons in one token, none in the next
+        ("+1 1:\n", None),
+        ("+1 :1\n", None),
+        ("+1 a:1\n", None),
+        ("+1 1:abc\n", None),
+        ("+1 0:1\n", None),
+        ("+1 1:1 0:1 x\n", None),  # the first bad token of a line decides
+        ("+1 1:1\nz 1:1\n", None),
+        ("+1 1:1 4\n0 1:1\n", None),  # a bad pair before a bad label
+        ("+1 1:1\n0 1:1\n-1 1:x\n", None),  # a bad label before a bad pair
+        ("0 1:1 4\n", None),  # label before pairs on one line
+        ("+1 1:1\n-1 0:1\nq 1:1\n", None),
+        ("+1 1:0.5\n-1 2:nan\n", None),
+        ("", None),
+        ("# only a comment\n", None),
+    ])
+    def test_sparse(self, tmp_path, text, k):
+        p = tmp_path / "s.svm"
+        p.write_text(text)
+        assert read_outcome(load_sparse, p, k) == read_outcome(load_sparse_tokens, p, k)
 
 
 class TestNormalizeAndSplit:

@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+from oracles import load_flat_tokens
 from randgame.model import (
     ATTACKER_DEV_BOUNDS,
     AttackerParams,
@@ -192,6 +193,28 @@ class TestSerialization:
         p = tmp_path / "params.csv"
         save_flat_csv(p, v)
         assert np.array_equal(load_flat_csv(p), v)
+
+    def test_flat_csv_bytes_match_per_value_formatting(self, tmp_path):
+        v = np.array([-0.0, 5e-324, 0.1, 1e308, -1.5e-300, 2.0 / 3.0])
+        p = tmp_path / "params.csv"
+        save_flat_csv(p, v)
+        assert p.read_text() == ",".join(f"{x:.17g}" for x in v) + "\n"
+        assert load_flat_csv(p).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n", "-0.0,5e-324,0.1,1e308\n", "1, 2 ,3\nignored,second,line\n", "7",
+        "1,abc\n", "1,,2\n", "1,inf\n", "nan\n", "\n",
+    ])
+    def test_flat_csv_reads_as_value_by_value(self, tmp_path, text):
+        p = tmp_path / "params.csv"
+        p.write_text(text)
+        outcomes = []
+        for load in (load_flat_csv, load_flat_tokens):
+            try:
+                outcomes.append(load(p).tobytes())
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_written_file_mode_follows_umask(self, tmp_path):
         p = tmp_path / "params.csv"

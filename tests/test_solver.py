@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import counting_operator, deviation_mask, extragradient_reference
+from oracles import assemble, counting_operator, deviation_mask, extragradient_reference
+from randgame import solver
 from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.kernel import Kernel, dual_game_operator
@@ -327,6 +328,61 @@ class TestNewton:
         assert res.converged
         assert res.newton_accepted == 0 and res.newton_rejected >= 2
         assert_deviations_on_floor(ops, res.theta)
+
+    @staticmethod
+    def _ranged_game(k, monkeypatch):
+        """A primal game on 7 random rows whose Newton step streams over the
+        row ranges 0-2, 3-5 and the ragged 6, with a jacobian that logs the
+        ranges it is asked for, and a profile inside the box."""
+        n = 7
+        rng = np.random.default_rng(k)
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        game = GameSpec(Dataset(rng.uniform(size=(n, k)), y), 10.0, 10.0,
+                        *default_boxes(n, k, 1.0), bias_reg=1.0)
+        ops = game_operator(game)
+        monkeypatch.setattr(solver, "NEWTON_RANGE_ENTRIES", 3 * ops.dim_l * ops.row_size)
+        calls = []
+
+        def logged(theta, rows=slice(None)):
+            calls.append((rows.start, rows.stop))
+            return ops.jacobian(theta, rows)
+
+        z = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
+        return ops, dataclasses.replace(ops, jacobian=logged), calls, z
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_step_matches_a_dense_solve_on_the_free_coordinates(self, k, monkeypatch):
+        ops, logged, calls, z = self._ranged_game(k, monkeypatch)
+        L, b = ops.dim_l, ops.row_size
+        g = ops.pseudo_grad(z)
+        free = np.ones(ops.dim, dtype=bool)
+        free[[1, L - 1]] = False  # a learner mean and a learner deviation
+        for row, j in ((0, 1), (1, b - 1), (6, 0)):  # one coordinate of rows in each range
+            free[L + row * b + j] = False
+        free[L + 4 * b : L + 5 * b] = False  # all of row 4
+        d = solver._newton_step(logged, z, g, free)
+        assert calls == [(0, 3), (3, 6), (6, 7)]  # one jacobian call per range
+        J = assemble(ops.jacobian(z))
+        want = np.zeros(ops.dim)
+        want[free] = np.linalg.solve(J[np.ix_(free, free)], -g[free])
+        assert np.all(d[~free] == 0.0)
+        assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_a_singular_row_block_gives_no_step(self, monkeypatch):
+        ops, _, _, z = self._ranged_game(2, monkeypatch)
+
+        def planted(theta, rows=slice(None)):  # row 4's own block is zero
+            ll, ld, dl, dd = ops.jacobian(theta, rows)
+            if rows.start <= 4 < rows.stop:
+                dd = dd.copy()
+                dd[4 - rows.start] = 0.0
+            return ll, ld, dl, dd
+
+        free = np.ones(ops.dim, dtype=bool)
+        g = ops.pseudo_grad(z)
+        assert solver._newton_step(dataclasses.replace(ops, jacobian=planted), z, g, free) is None
+        # the same step without the planted block exists
+        assert solver._newton_step(ops, z, g, free) is not None
 
     def test_linear_game_takes_one_exact_newton_step(self):
         # one row of one entry: an attempt is priced at 3.5 evaluations, and

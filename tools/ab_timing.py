@@ -1,22 +1,25 @@
 """Time one randgame operation in two checkouts and write the before/after
 numbers as JSON.
 
-    python tools/ab_timing.py ENTRY --parent PATH [--change PATH] [--out FILE]
+    python tools/ab_timing.py ENTRY [ENTRY ...] --parent PATH [--change PATH] [--out FILE]
 
 ENTRY names a registry entry (ENTRIES): a list of cases, each a setup that
 builds its inputs and returns the call to time. pgrad times one pseudo-
-gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile and solve one
-extragradient_solve to natural residual 1e-8 (at most 5000 iterations,
-the default), each on the games its cases
-build. Each checkout runs in its own Python process with PYTHONPATH set to its
-src/ and one BLAS thread. After a warm-up call, a round repeats the call for at
-least MIN_ROUND_S; a pass reports the median per-call time of its rounds, and
-the parent and the change alternate pass by pass so that slow drift of the host
-hits both alike. The JSON holds per case the median over passes, every pass's
-median, the ratio change / parent and what the warm-up call reported (for a
-solve: its evaluations, Jacobian calls, iterations, residual and the largest
-coordinate distance between the two sides' solutions), then each side's peak
-worker RSS and bench/run.py's environment(): the core count and the BLAS.
+gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile, solve one
+extragradient_solve to natural residual 1e-8 (at most 5000 iterations, the
+default) and newton one Newton candidate of the solver, each on the games its
+cases build. Each checkout runs in its own Python process with PYTHONPATH set
+to its src/ and one BLAS thread. After a warm-up call, a round repeats the
+call for at least MIN_ROUND_S; a pass reports the median per-call time of its
+rounds, and the parent and the change alternate pass by pass so that slow
+drift of the host hits both alike. The JSON holds per case the median over
+passes, every pass's median, the ratio change / parent and what the warm-up
+call reported (for a solve: its evaluations, Jacobian calls, iterations,
+residual and the largest coordinate distance between the two sides'
+solutions; for a Newton candidate: whether there was a step and that distance
+between the two sides' candidates), then each side's peak worker RSS and
+bench/run.py's environment(): the core count and the BLAS. Several entries
+write one file that maps each entry's name to its report.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_ROUND_S = 0.02  # a round repeats the call until it lasts at least this
+NEWTON_ITERATE = 10  # first-order iterations to the iterate of a newton case
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -84,26 +88,33 @@ def _diag_cases(tiny):
         yield f"n={n} k=2", change_only, lambda n=n: setup(n)
 
 
-def _solve_cases(tiny):
-    """{(50, 2), (4000, 2), (500, 20)} x rho_l = rho_d in {0.1, 10, 100}, W = 1,
-    bias_reg = 1, from initial_point(game, 0): the 2-D sets are synth_2d(n / 2,
-    0.4, 0), the k = 20 set uniform with y = sign(x_1 + x_2 + x_3 - 1.5)."""
-    import dataclasses
-
+def _game(n, k, rho, bias_reg):
+    """The game of a solve or newton case at rho_l = rho_d = rho, W = 1: on
+    synth_2d(n / 2, 0.4, 0) for k = 2, else on n uniform points in [0, 1]^k
+    with y = sign(x_1 + x_2 + x_3 - 1.5)."""
     import numpy as np
 
-    from randgame.costs import game_operator
     from randgame.data import synth_2d
     from randgame.model import Dataset, GameSpec, default_boxes
+
+    if k == 2:
+        ds = synth_2d(n // 2, 0.4, 0)
+    else:
+        X = np.random.default_rng(k).uniform(size=(n, k))
+        ds = Dataset(X, np.where(X[:, :3].sum(axis=1) > 1.5, 1.0, -1.0))
+    return GameSpec(ds, rho, rho, *default_boxes(n, k, 1.0), bias_reg=bias_reg)
+
+
+def _solve_cases(tiny):
+    """{(50, 2), (4000, 2), (500, 20)} x rho in {0.1, 10, 100}, bias_reg = 1,
+    from initial_point(game, 0)."""
+    import dataclasses
+
+    from randgame.costs import game_operator
     from randgame.solver import SolverConfig, extragradient_solve, initial_point
 
     def setup(n, k, rho):
-        if k == 2:
-            ds = synth_2d(n // 2, 0.4, 0)
-        else:
-            X = np.random.default_rng(k).uniform(size=(n, k))
-            ds = Dataset(X, np.where(X[:, :3].sum(axis=1) > 1.5, 1.0, -1.0))
-        game = GameSpec(ds, rho, rho, *default_boxes(n, k, 1.0), bias_reg=1.0)
+        game = _game(n, k, rho, 1.0)
         ops, init = game_operator(game), initial_point(game, 0)
         count = {"evaluations": 0, "jacobian_calls": 0}
 
@@ -133,6 +144,39 @@ def _solve_cases(tiny):
         yield f"n={n} k={k} rho={rho:g}", False, lambda n=n, k=k, rho=rho: setup(n, k, rho)
 
 
+def _newton_cases(tiny):
+    """One Newton candidate at rho = 10: (4000, 2) with bias_reg = 0, the
+    solve-primal workload's game, and (500, 20) with bias_reg = 1, at the
+    iterate that NEWTON_ITERATE extragradient iterations without the jacobian
+    reach from initial_point(game, 0). Both iterates give a step, which the
+    solver would keep at (4000, 2) and reject at (500, 20); from 15
+    iterations on, the (4000, 2) system is singular."""
+    import dataclasses
+
+    from randgame import solver
+    from randgame.costs import game_operator
+
+    def setup(n, k, bias_reg):
+        game = _game(n, k, 10.0, bias_reg)
+        ops = game_operator(game)
+        first_order = dataclasses.replace(ops, jacobian=None)
+        theta = solver.extragradient_solve(first_order, solver.initial_point(game, 0),
+                                           solver.SolverConfig(max_iter=NEWTON_ITERATE)).theta
+        g = ops.pseudo_grad(theta)
+
+        def call():
+            cand = solver._newton_candidate(ops, theta, g)
+            # without a step the iterate stands in for the candidate
+            return {"step": cand is not None,
+                    "theta": (theta if cand is None else cand).tolist()}
+
+        return call
+
+    for n, k, bias_reg in ((6, 2, 1.0),) if tiny else ((4000, 2, 0.0), (500, 20, 1.0)):
+        yield f"n={n} k={k} bias_reg={bias_reg:g}", False, lambda n=n, k=k, b=bias_reg: setup(
+            n, k, b)
+
+
 # name: (cases, default output, metric, rounds, passes)
 ENTRIES = {
     "pgrad": (_pgrad_cases, "BENCH_planar_evaluate.json",
@@ -141,6 +185,8 @@ ENTRIES = {
              "uniqueness_margin(n_profiles=1, n_pairs=1) wall time per call", 5, 5),
     "solve": (_solve_cases, "BENCH_newton_solve.json",
               "wall time of one solve to natural residual 1e-8", 1, 5),
+    "newton": (_newton_cases, "BENCH_newton_onepass.json",
+               "_newton_candidate wall time per call", 7, 7),
 }
 
 
@@ -227,11 +273,11 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("entry", choices=sorted(ENTRIES))
+    p.add_argument("entries", nargs="+", choices=sorted(ENTRIES), metavar="ENTRY")
     p.add_argument("--parent", help="checkout of the parent commit")
     p.add_argument("--change", default=str(ROOT),
                    help="checkout of the change (default: this repository)")
-    p.add_argument("--out", help="output file (default: the entry's BENCH file)")
+    p.add_argument("--out", help="output file (default: the first entry's BENCH file)")
     p.add_argument("--worker", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
@@ -239,11 +285,13 @@ def main(argv=None) -> int:
         return 0
     if not args.parent:
         p.error("--parent is required")
-    report = compare(args.entry, args.parent, args.change)
-    Path(args.out or ENTRIES[args.entry][1]).write_text(json.dumps(report, indent=2) + "\n")
-    for label, row in report["cases"].items():
-        print(f"{label:24s} {row.get('parent_ms', float('nan')):10.3f} -> "
-              f"{row['change_ms']:10.3f} ms")
+    reports = {entry: compare(entry, args.parent, args.change) for entry in args.entries}
+    out = reports[args.entries[0]] if len(reports) == 1 else reports
+    Path(args.out or ENTRIES[args.entries[0]][1]).write_text(json.dumps(out, indent=2) + "\n")
+    for entry, report in reports.items():
+        for label, row in report["cases"].items():
+            print(f"{entry:6s} {label:24s} {row.get('parent_ms', float('nan')):10.3f} -> "
+                  f"{row['change_ms']:10.3f} ms")
     return 0
 
 
