@@ -10,7 +10,6 @@ from .attacks import (
     attack_flip_binary,
     attack_l2_box,
     attack_l2_closed,
-    predict,
     security_curve,
     tp_at_fp,
 )

@@ -1,5 +1,5 @@
-"""Worst-case evasion attacks against linear classifiers, randomized
-prediction, and security-evaluation curves (TP at fixed FP vs. attack budget).
+"""Worst-case evasion attacks against linear classifiers and security-evaluation
+curves (TP at fixed FP vs. attack budget).
 
 Attacks minimize y * f(x) subject to a distance budget d_max from the original
 sample; the attacked decision function is the expected one f(x) = mu_w~.x + mu_b
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LearnerParams, ShapeError, atomic_write
+from .model import Dataset, LearnerParams, atomic_write
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
 SUBSAMPLE = 0.8  # share of each class drawn for one repetition of a security curve
@@ -124,30 +124,6 @@ def attack_flip_binary(w, X, y, d_max):
     out = X.copy()
     out[rows, cols] = 1.0 - out[rows, cols]
     return out[0] if one else out
-
-
-def predict(theta_l: LearnerParams, X, mode: str = "expected", n_draws: int = 1000, seed: int = 0):
-    """Scores of samples under the randomized linear classifier.
-
-    expected: mu_w~ . x + mu_b.
-    sampled:  mean score over n_draws weight draws, plus positive-vote fraction.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != theta_l.k:
-        raise ShapeError("sample dimension inconsistent with learner")
-    if mode == "expected":
-        scores = X @ theta_l.mu_tilde + theta_l.mu_b
-        return scores if scores.size > 1 else float(scores[0])
-    if mode != "sampled":
-        raise ValueError(f"unknown prediction mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    W = rng.normal(theta_l.mu_w, theta_l.sigma_w, size=(n_draws, theta_l.k + 1))
-    scores = X @ W[:, :-1].T + W[:, -1]  # n_samples x n_draws
-    mean_scores = scores.mean(axis=1)
-    votes = (scores > 0).mean(axis=1)
-    if mean_scores.size == 1:
-        return float(mean_scores[0]), float(votes[0])
-    return mean_scores, votes
 
 
 def tp_at_fp(scores_legit, scores_malicious, fp_target):

@@ -100,6 +100,11 @@ def _check_budgets(mode, budgets) -> None:
         raise _UsageError("binary_flip budgets must be whole numbers")
 
 
+def _check_both_classes(data, path, what) -> None:
+    if not np.isin((-1.0, 1.0), data.labels).all():
+        raise model.ParseError(f"{path}: {what} needs samples of both classes")
+
+
 def _load_learner(params_path, k) -> model.LearnerParams:
     """The learner block of a parameter file written by train (2(k+1) values
     plus 2k per attacked sample) or train-baseline (2(k+1) values)."""
@@ -173,6 +178,7 @@ def _cmd_attack(args) -> int:
 def _cmd_secure_eval(args) -> int:
     dataset = _load_dataset(args.data)
     learner = _load_learner(args.params, dataset.k)
+    _check_both_classes(dataset, args.data, "secure-eval")
     d_list = args.dmax_list
     _check_budgets(args.mode, d_list)
     curve = attacks.security_curve(
@@ -200,11 +206,14 @@ def _cmd_grid_search(args) -> int:
     dataset = _load_dataset(args.data)
     grids = _grids_from_config(model.load_config(args.grids) if args.grids else {})
     n = dataset.n
+    if n < 4:
+        raise model.ParseError(f"{args.data}: grid-search needs at least 4 samples, got {n}")
     train_n = max(2, n // 2)
     val_n = n - train_n
     train, val, _ = data_io.split(
         dataset, data_io.SplitSpec(train_n, max(1, val_n - 1), 1, seed=args.seed)
     )
+    _check_both_classes(val, args.data, f"grid-search's validation split ({val.n} of {n})")
     d_list = args.dmax_list
     best = None
     for rho_l in grids.rho_l_grid:

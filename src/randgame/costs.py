@@ -121,6 +121,21 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     return float(cost_l), float(cost_d), grad
 
 
+def reg_hess(M, dM, rho_l, rho_d, bias_reg):
+    """The constant Hessians of both expected regularizers in their cost
+    weights, from M = by_M(eye): the learner's (L, L) block, L = 2m + 2, and
+    the (2m, 2m) block that every attacker row shares. Each is M on the means
+    and diag(M) on the deviations times its rho; the bias mean and deviation
+    carry bias_reg."""
+    m = dM.size
+    reg_l, reg_d = np.zeros((2 * m + 2, 2 * m + 2)), np.zeros((2 * m, 2 * m))
+    reg_l[:m, :m], reg_d[:m, :m] = rho_l * M, rho_d * M
+    reg_l[m + 1 : 2 * m + 1, m + 1 : 2 * m + 1] = np.diag(rho_l * dM)
+    reg_d[m:, m:] = np.diag(rho_d * dM)
+    reg_l[m, m] = reg_l[-1, -1] = bias_reg
+    return reg_l, reg_d
+
+
 def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=slice(None)):
     """Derivative of evaluate's flat gradient at theta over the attacker rows
     in the unit-step slice rows, as the four arrays (ll, ld, dl, dd): ld[i]
@@ -153,6 +168,7 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
         raise ValueError("deviations must be strictly positive")
     eye = np.eye(m)
     M, M2 = by_M(eye), by_M2(eye)
+    reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
     a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
     r, L = mu_x.shape[0], 2 * m + 2
 
@@ -201,10 +217,7 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     ll[s_, s_] += np.diag(2.0 * (v @ Mx**2 + M2 @ (v @ s2x)))
     ll[2 * m + 1, 2 * m + 1] += 2.0 * v.sum()
     if start == 0:
-        ll[a_, a_] += rho_l * M
-        ll[s_, s_] += np.diag(rho_l * dM)
-        ll[m, m] += bias_reg
-        ll[2 * m + 1, 2 * m + 1] += bias_reg
+        ll += reg_l
     ld = HU_l.transpose(0, 2, 1) @ U_x
     ld += v[:, None, None] * cross
     ld[:, a_, a_] += p[:, None, None] * M
@@ -216,17 +229,18 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     dl += v[:, None, None] * cross.transpose(0, 2, 1)
     dl[:, a_, a_] += p[:, None, None] * M
     dd = U_x.transpose(0, 2, 1) @ HU_x
-    dd[:, a_, a_] += 2.0 * v[:, None, None] * ((M * s2a) @ M) + rho_d * M
+    dd[:, a_, a_] += 2.0 * v[:, None, None] * ((M * s2a) @ M) + reg_d[a_, a_]
     diag_x = dd.reshape(r, 4 * m * m)[:, m * (2 * m + 1) :: 2 * m + 1]  # row i's sigma_x diagonal
-    diag_x += 2.0 * v[:, None] * w_x + rho_d * dM
+    diag_x += 2.0 * v[:, None] * w_x + reg_d.diagonal()[m:]
     return ll, ld, dl, dd
 
 
-def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -> VIGame:
+def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox) -> VIGame:
     """Operator whose costs and pseudo-gradient (with r = (1, rho_l/rho_d)) all
-    come from one evaluate(theta, *terms) call, and whose Jacobian blocks come
-    from one jacobian(theta, *terms) call."""
-    _, _, _, anchors, _, rho_l, rho_d, _ = terms
+    come from one evaluate(theta, *terms) call, whose Jacobian blocks come
+    from one jacobian(theta, *terms) call and whose regularizer Hessians come
+    from reg_hess, built only when asked."""
+    by_M, dM, _, anchors, _, rho_l, rho_d, bias_reg = terms
     dim_l = learner_box.dim
     r_d = rho_l / rho_d
 
@@ -255,7 +269,7 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox, **reg_hess) -
         jacobian=pjac,
         row_size=2 * anchors.shape[0],
         rho=(rho_l, rho_d),
-        **reg_hess,
+        reg_hess=lambda: reg_hess(by_M(np.eye(dM.size)), dM, rho_l, rho_d, bias_reg),
     )
 
 
@@ -284,17 +298,7 @@ def game_operator(game: GameSpec) -> VIGame:
     """Flat-vector operator view of the SVM game, as consumed by the solver
     and the diagnostics; its costs and pseudo-gradient (with
     r = (1, rho_l/rho_d)) all come from one evaluation."""
-    # Expected-regularizer Hessians (diagonal, constant), without rho weights.
-    # The optional bias term enters the learner's diagonal scaled by 1/rho_l so
-    # that rho_l * reg_hess_l is the Hessian of the full regularization part.
-    k, eps = game.k, game.bias_reg / game.rho_l
-    return _vi_game(
-        _primal_terms(game),
-        game.learner_box,
-        game.attacker_box,
-        reg_hess_l=np.concatenate([np.ones(k), [eps], np.ones(k), [eps]]),
-        reg_hess_d=np.ones(game.dim_d),
-    )
+    return _vi_game(_primal_terms(game), game.learner_box, game.attacker_box)
 
 
 # Subgradient descent of the baseline C-SVM: restarts, steps per restart and

@@ -78,7 +78,7 @@ def _dense_block(block, width):
     return flat.reshape(len(block), width + 1)
 
 
-def load_dense_csv(path, feature_kind="continuous_unit_interval") -> Dataset:
+def load_dense_csv(path) -> Dataset:
     """Load 'label,f1,f2,...' lines; labels must be -1 or +1.
 
     Each block of lines is joined and split once, and its labels and values
@@ -96,7 +96,8 @@ def load_dense_csv(path, feature_kind="continuous_unit_interval") -> Dataset:
             raise ValueError
     except ValueError:
         _raise_first_bad_line(path, _check_dense_line, width)
-    return _dataset(path, np.ascontiguousarray(flat[:, 1:]), flat[:, 0].copy(), feature_kind)
+    return _dataset(path, np.ascontiguousarray(flat[:, 1:]), flat[:, 0].copy(),
+                    "continuous_unit_interval")
 
 
 def save_dense_csv(path, features, labels) -> None:

@@ -38,38 +38,18 @@ def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _reg_hessians(ops: VIGame):
-    return tuple(np.asarray(r() if callable(r) else r) for r in (ops.reg_hess_l, ops.reg_hess_d))
-
-
-def _reg_blocks(ops: VIGame, n: int, b: int):
-    """The regularizer Hessians as matrices: the learner's block, and the
-    attacker's as (n, b, b) or one (b, b) block shared by every row."""
-    reg_l, reg_d = _reg_hessians(ops)
-    if reg_l.ndim == 1:
-        reg_l = np.diag(reg_l)
-    if reg_d.ndim == 1:
-        reg_d = reg_d.reshape(n, b)[:, :, None] * np.eye(b)
-    return reg_l, reg_d
-
-
 def loss_hessians(ops: VIGame, blocks):
     """Loss Hessian blocks (ll, ld, dl, dd) from the Jacobian blocks of
     ops.jacobian.
 
     Dividing row block i by r_i gives the cost Hessians. The regularizers are
     separable with constant Hessians, so the cross blocks are already loss
-    blocks and each own block loses rho_i times its regularizer Hessian.
+    blocks and each own block loses its regularizer's Hessian, ops.reg_hess().
     """
     ll, ld, dl, dd = blocks
-    reg_l, reg_d = _reg_blocks(ops, *dd.shape[:2])
+    reg_l, reg_d = ops.reg_hess()
     r_l, r_d = ops.r
-    return (
-        ll / r_l - ops.rho[0] * reg_l,
-        ld / r_l,
-        dl / r_d,
-        dd / r_d - ops.rho[1] * reg_d,
-    )
+    return ll / r_l - reg_l, ld / r_l, dl / r_d, dd / r_d - reg_d
 
 
 def _min_sym_eig(blocks) -> float:
@@ -160,8 +140,6 @@ class DiagnosticsReport:
     uniqueness_margin: float
     min_jacobian_eig: tuple
     monotone_violations: int
-    rho_l: float
-    rho_d: float
 
     def as_text(self) -> str:
         lines = [
@@ -202,7 +180,7 @@ def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> 
     for the monotonicity sample."""
     if n_profiles < 1:
         raise ValueError("n_profiles must be at least 1: a margin over no profile reads inf")
-    if ops.jacobian is None or ops.reg_hess_l is None or ops.reg_hess_d is None:
+    if ops.jacobian is None or ops.reg_hess is None:
         raise ValueError(
             "operator lacks the Jacobian blocks or the regularizer Hessians of the "
             "loss/regularizer split"
@@ -212,7 +190,7 @@ def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> 
 
     curv = [profile_curvature(ops, _interior_sample(ops, rng)) for _ in range(n_profiles)]
     lam_omega_l, lam_omega_d = (
-        float(r.min() if r.ndim == 1 else np.linalg.eigvalsh(r)[0]) for r in _reg_hessians(ops)
+        float(np.linalg.eigvalsh(reg)[0] / rho) for reg, rho in zip(ops.reg_hess(), ops.rho)
     )
     lam_L_l = min(c.lambda_L_l for c in curv)
     lam_L_d = min(c.lambda_L_d for c in curv)
@@ -228,6 +206,4 @@ def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> 
         uniqueness_margin=float(margin),
         min_jacobian_eig=tuple(c.min_jacobian_eig for c in curv),
         monotone_violations=monotonicity_sample(ops, n_pairs, seed + 1),
-        rho_l=rho_l,
-        rho_d=rho_d,
     )

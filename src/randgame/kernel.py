@@ -109,23 +109,5 @@ def dual_game_operator(
     in XI_MEAN_BOUNDS; deviations share the primal intervals."""
     K = gram(data, kernel)
     check_psd(K)
-    n = data.n
-    boxes = _box_pair(n, n, DUAL_W, XI_MEAN_BOUNDS)
-
-    # Regularizer Hessians without rho weights, as for the primal game: K on
-    # the means, diag(K) on the deviations and bias_reg / rho_l on the bias.
-    # Built when diagnostics ask, so an operator that is only solved does not
-    # hold four more n x n arrays.
-    def reg_hess_d():
-        reg = np.zeros((2 * n, 2 * n))
-        reg[:n, :n], reg[n:, n:] = K, np.diag(np.diag(K))
-        return reg
-
-    def reg_hess_l():
-        reg = np.zeros((2 * n + 2, 2 * n + 2))
-        reg[:n, :n], reg[n + 1 : 2 * n + 1, n + 1 : 2 * n + 1] = K, np.diag(np.diag(K))
-        reg[n, n] = reg[-1, -1] = bias_reg / rho_l
-        return reg
-
-    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), *boxes,
-                    reg_hess_l=reg_hess_l, reg_hess_d=reg_hess_d)
+    boxes = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
+    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), *boxes)

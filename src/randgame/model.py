@@ -319,7 +319,7 @@ def load_config(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ParseError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
             try:

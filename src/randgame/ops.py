@@ -19,7 +19,7 @@ class VIGame:
     cost_l/cost_d evaluate the full player costs at a joint flat vector;
     pseudo_grad stacks the r-weighted own-block gradients. The rest is
     optional: the solver's Newton steps need jacobian, the diagnostics need
-    jacobian and reg_hess_*:
+    jacobian and reg_hess:
 
     - jacobian(theta, rows=slice(None)) gives the Jacobian of pseudo_grad as
       the blocks (ll, ld, dl, dd) for an attacker block of n rows of
@@ -29,11 +29,9 @@ class VIGame:
       (dim_l, dim_l) is that range's share of the learner's own block, so the
       shares of ranges that partition the rows sum to the whole block (the
       solver's Newton step streams over ranges; the diagnostics take all rows);
-    - reg_hess_* are the constant Hessians of the expected regularizers,
-      without their rho weights: a vector is a diagonal, and a matrix is the
-      learner's whole block or one (b, b) block shared by every attacker row.
-      Either may be a callable that returns it, for a game that builds a
-      dense matrix only when diagnostics ask.
+    - reg_hess() gives the constant Hessians of both expected regularizers
+      in their cost weights: the learner's (dim_l, dim_l) block and the
+      (b, b) block that every attacker row shares.
     """
 
     dim_l: int
@@ -44,8 +42,7 @@ class VIGame:
     cost_d: Callable[[np.ndarray], float]
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
     rho: tuple[float, float] = (1.0, 1.0)
-    reg_hess_l: Optional[np.ndarray | Callable[[], np.ndarray]] = None
-    reg_hess_d: Optional[np.ndarray | Callable[[], np.ndarray]] = None
+    reg_hess: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None
     jacobian: Optional[Callable[..., tuple]] = None
     row_size: int = 1
 

@@ -15,7 +15,6 @@ from randgame.attacks import (
     attack_flip_binary,
     attack_l2_box,
     attack_l2_closed,
-    predict,
     security_curve,
     tp_at_fp,
 )
@@ -219,27 +218,6 @@ class TestBinaryFlip:
             single = attack_flip_binary(w, X[0], y, d_max)
             assert single.shape == (k,)
             np.testing.assert_array_equal(single, ref[0])
-
-
-class TestPredict:
-    def _learner(self):
-        return LearnerParams(np.array([1.0, -0.5, 0.2]), np.full(3, 0.05))
-
-    def test_expected_scores(self):
-        tl = self._learner()
-        X = np.array([[0.5, 0.5], [1.0, 0.0]])
-        np.testing.assert_allclose(predict(tl, X), X @ tl.mu_tilde + tl.mu_b)
-
-    def test_sampled_mean_approaches_expected(self):
-        tl = self._learner()
-        x = np.array([[0.4, 0.7]])
-        mean, votes = predict(tl, x, mode="sampled", n_draws=200_000, seed=0)
-        assert mean == pytest.approx(float(predict(tl, x)), abs=2e-3)
-        assert 0.0 <= votes <= 1.0
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            predict(self._learner(), np.zeros((1, 2)), mode="exact")
 
 
 class TestTpAtFp:

@@ -14,7 +14,13 @@ from randgame.costs import (
 )
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
-from randgame.kernel import Kernel, _dual_terms, dual_costs_and_grads, dual_game_operator
+from randgame.kernel import (
+    Kernel,
+    _dual_terms,
+    dual_costs_and_grads,
+    dual_game_operator,
+    gram,
+)
 from randgame.model import (
     AttackerParams,
     Dataset,
@@ -293,14 +299,46 @@ class TestOperator:
 
     def test_reg_hessian_diagonals(self):
         game = random_game(6, rho_l=4.0, bias_reg=2.0)
-        ops = game_operator(game)
-        k = game.k
-        # bias coordinates carry bias_reg / rho_l so that rho_l * reg_hess_l
-        # is the true regularizer Hessian
-        assert ops.reg_hess_l[k] == pytest.approx(0.5)
-        assert ops.reg_hess_l[2 * k + 1] == pytest.approx(0.5)
-        assert np.all(ops.reg_hess_l[:k] == 1.0)
-        assert np.all(ops.reg_hess_d == 1.0)
+        reg_l, reg_d = game_operator(game).reg_hess()
+        # rho_l on the weights' means and deviations, bias_reg on the bias's
+        np.testing.assert_array_equal(reg_l, np.diag([4.0, 4.0, 4.0, 2.0, 4.0, 4.0, 4.0, 2.0]))
+        np.testing.assert_array_equal(reg_d, 3.0 * np.eye(6))
+
+    @pytest.mark.parametrize("game, bias_reg", [("primal", 0.0), ("primal", 0.5),
+                                                ("dual", 0.5)])
+    def test_reg_hess_is_the_weighted_minus_unweighted_hessian(self, game, bias_reg):
+        # The regularizers are the only terms that rho_l, rho_d and bias_reg
+        # weight, so their Hessian is the finite-difference Jacobian of
+        # evaluate's gradient minus the same with every weight at zero; each
+        # row's block is the shared reg_d, and no block couples two players.
+        if game == "primal":
+            spec = random_game(8, bias_reg=bias_reg)
+            ops, terms = game_operator(spec), _primal_terms(spec)
+            theta = flatten(*random_profile(spec, 8))
+        else:
+            data = synth_2d(2, 0.4, 1)
+            ops = dual_game_operator(data, Kernel("rbf", 1.0), 2.0, 3.0, bias_reg)
+            terms = _dual_terms(gram(data, Kernel("rbf", 1.0)), data.labels, 2.0, 3.0, bias_reg)
+            theta = ops.lower + np.random.default_rng(8).uniform(0.2, 0.8, ops.dim) * (
+                ops.upper - ops.lower)
+        unweighted = terms[:5] + (0.0, 0.0, 0.0)
+
+        def reg_grad(v):
+            return evaluate(v, *terms)[2] - evaluate(v, *unweighted)[2]
+
+        h, dim, L, b = 1e-5, ops.dim, ops.dim_l, ops.row_size
+        fd = np.empty((dim, dim))
+        for j in range(dim):
+            step = np.zeros(dim)
+            step[j] = h
+            fd[:, j] = (reg_grad(theta + step) - reg_grad(theta - step)) / (2 * h)
+        reg_l, reg_d = ops.reg_hess()
+        assert reg_l.shape == (L, L) and reg_d.shape == (b, b)
+        want = np.zeros((dim, dim))
+        want[:L, :L] = reg_l
+        for i in range(L, dim, b):
+            want[i : i + b, i : i + b] = reg_d
+        np.testing.assert_allclose(want, fd, rtol=0, atol=1e-8)
 
     def test_nominal_attacker_sits_on_data(self):
         game = random_game(7)

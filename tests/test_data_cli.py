@@ -423,6 +423,55 @@ class TestCliPipeline:
         assert len(err) == 1 and err[0].startswith(f"error: {params}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [("train", "--game"), ("check-eq", "--game"),
+                                               ("grid-search", "--grids")])
+    def test_config_line_without_equals_is_an_input_error(self, tmp_path, capsys, command,
+                                                          flag):
+        data = self._gen(tmp_path, n=3)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\nrho_l 3\n")
+        out = tmp_path / "out.csv"
+        argv = [command, "--data", str(data), flag, str(cfg)]
+        argv += [] if command == "check-eq" else ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: expected key=value"]
+        assert not out.exists()
+
+    def test_secure_eval_on_one_class_is_an_input_error(self, tmp_path, capsys):
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "p.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1",
+                     "--out", str(params)]) == 0
+        legit = tmp_path / "legit.csv"
+        legit.write_text("".join(line for line in data.read_text().splitlines(keepends=True)
+                                 if line.startswith("-1")))
+        out = tmp_path / "c.csv"
+        capsys.readouterr()
+        assert main(["secure-eval", "--params", str(params), "--data", str(legit),
+                     "--dmax-list", "0,0.3", "--out", str(out)]) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {legit}: secure-eval needs samples of both classes"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (3, "grid-search needs at least 4 samples, got 3"),
+        # two rows train, one validates and one tests: the validation split
+        # cannot hold both classes
+        (4, "grid-search's validation split (1 of 4) needs samples of both classes"),
+    ])
+    def test_grid_search_on_too_few_samples_is_an_input_error(self, tmp_path, capsys, rows,
+                                                              message):
+        data = self._gen(tmp_path, n=3)
+        small = tmp_path / "small.csv"
+        small.write_text("".join(data.read_text().splitlines(keepends=True)[1 : rows + 1]))
+        out = tmp_path / "best.csv"
+        capsys.readouterr()
+        assert main(["grid-search", "--data", str(small), "--max-iter", "5",
+                     "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {small}: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-synth", "train-baseline", "secure-eval",
                                          "check-eq", "grid-search"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):

@@ -92,8 +92,7 @@ def coupled_quadratic(c):
         cost_d=lambda v: 0.5 * v[1] ** 2 + c * v[0] * v[1],
         pseudo_grad=lambda v: np.array([v[0] + c * v[1], v[1] + c * v[0]]),
         jacobian=constant_blocks([[1.0, c], [c, 1.0]]),
-        reg_hess_l=np.ones(1),
-        reg_hess_d=np.ones(1),
+        reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
 
 
@@ -113,8 +112,7 @@ def antisymmetric_bilinear():
         cost_d=lambda v: 0.5 * v[1] ** 2 - v[0] * v[1],
         pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
         jacobian=constant_blocks([[1.0, 1.0], [-1.0, 1.0]]),
-        reg_hess_l=np.ones(1),
-        reg_hess_d=np.ones(1),
+        reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
 
 

@@ -55,8 +55,7 @@ def bilinear_game(box=5.0):
         cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
         cost_d=lambda v: 0.5 * v[1] ** 2 - v[0] * v[1],
         pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
-        reg_hess_l=np.ones(1),
-        reg_hess_d=np.ones(1),
+        reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
 
 

@@ -68,24 +68,33 @@ def _pgrad_cases(tiny):
 
 def _diag_cases(tiny):
     """The benchmark's certifying diagnostics game (rho = 100, bias_reg = 1,
-    W = 0.5) on n uniform points in [0, 1]^2; n = 5000 runs in the change only,
-    as the dense Jacobian of older checkouts does not fit there."""
+    W = 0.5) on n uniform points in [0, 1]^2, and an RBF dual game (gamma = 1,
+    rho = 10, bias_reg = 1) on 60 such points, whose lambda_omega comes from
+    the Gram matrix; n = 5000 runs in the change only, as the dense Jacobian
+    of older checkouts does not fit there."""
     import numpy as np
 
     from randgame.costs import game_operator
     from randgame.diagnostics import uniqueness_margin
+    from randgame.kernel import Kernel, dual_game_operator
     from randgame.model import Dataset, GameSpec, default_boxes
 
-    def setup(n):
+    def setup(n, operator):
         rng = np.random.default_rng(n)
         y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
-        ops = game_operator(GameSpec(Dataset(rng.uniform(size=(n, 2)), y), 100.0, 100.0,
-                                     *default_boxes(n, 2, 0.5), bias_reg=1.0))
+        ops = operator(Dataset(rng.uniform(size=(n, 2)), y))
         return lambda: uniqueness_margin(ops, n_profiles=1, seed=0, n_pairs=1)
+
+    def primal(n):
+        return lambda d: game_operator(GameSpec(d, 100.0, 100.0, *default_boxes(n, 2, 0.5),
+                                                bias_reg=1.0))
 
     for n, change_only in ((3, False), (4, True)) if tiny else ((10, False), (500, False),
                                                                 (5000, True)):
-        yield f"n={n} k=2", change_only, lambda n=n: setup(n)
+        yield f"n={n} k=2", change_only, lambda n=n: setup(n, primal(n))
+    dual_n = 4 if tiny else 60
+    yield f"dual rbf n={dual_n}", False, lambda: setup(
+        dual_n, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0, 1.0))
 
 
 def _game(n, k, rho, bias_reg):
