@@ -13,7 +13,7 @@ from .attacks import (
     security_curve,
     tp_at_fp,
 )
-from .costs import costs_and_grads, game_operator, train_baseline_svm
+from .costs import game_operator, train_baseline_svm
 from .data import GridSpec, SplitSpec, load_dense_csv, load_sparse, split, synth_2d
 from .diagnostics import (
     DiagnosticsReport,
@@ -23,18 +23,8 @@ from .diagnostics import (
     uniqueness_margin,
 )
 from .hinge import hinge_expect
-from .kernel import Kernel, dual_costs_and_grads, dual_game_operator, gram
-from .model import (
-    AttackerParams,
-    Dataset,
-    GameSpec,
-    LearnerParams,
-    ParamBox,
-    ShapeError,
-    default_boxes,
-    flatten,
-    unflatten,
-)
+from .kernel import Kernel, dual_game_operator, gram
+from .model import Dataset, GameSpec, ParamBox, ShapeError, default_boxes
 from .ops import VIGame
 from .solver import (
     EquilibriumResult,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LearnerParams, atomic_write
+from .model import Dataset, atomic_write
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
 SUBSAMPLE = 0.8  # share of each class drawn for one repetition of a security curve
@@ -188,7 +188,7 @@ def _attack_rows(w, X, mode, d_max, monotone=False):
 
 
 def security_curve(
-    theta_l: LearnerParams,
+    mu_w,
     test: Dataset,
     mode: str,
     d_max_list,
@@ -198,14 +198,14 @@ def security_curve(
 ) -> SecurityCurve:
     """Attack every malicious test sample at each budget (one batched attack
     per budget) and track TP at the fixed FP rate, mean/std over seeded
-    re-subsamplings of the test set."""
+    re-subsamplings of the test set, for the learner's means mu_w = [w; b]
+    (k + 1 values, the first block of the flat profile)."""
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1: a curve needs a measurement")
     d_max_list = [_check_budget(d, whole=mode == "binary_flip") for d in d_max_list]
     if any(b >= a for a, b in zip(d_max_list[1:], d_max_list)):
         raise ValueError("d_max_list must be strictly increasing")
-    w = theta_l.mu_tilde
-    b = theta_l.mu_b
+    w, b = mu_w[:-1], float(mu_w[-1])
     X, y = test.features, test.labels
     mal_idx = np.flatnonzero(y == 1)
     leg_idx = np.flatnonzero(y == -1)

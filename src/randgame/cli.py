@@ -95,25 +95,27 @@ _budgets = _flag(
 )
 
 
-def _check_budgets(mode, budgets) -> None:
-    if mode == "binary_flip" and any(d != int(d) for d in budgets):
-        raise _UsageError("binary_flip budgets must be whole numbers")
-
-
 def _check_both_classes(data, path, what) -> None:
     if not np.isin((-1.0, 1.0), data.labels).all():
         raise model.ParseError(f"{path}: {what} needs samples of both classes")
 
 
-def _load_learner(params_path, k) -> model.LearnerParams:
-    """The learner block of a parameter file written by train (2(k+1) values
-    plus 2k per attacked sample) or train-baseline (2(k+1) values)."""
+def _load_learner(params_path, k) -> np.ndarray:
+    """The learner's means [w; b] from a parameter file written by
+    train-baseline (2(k+1) values, zero deviations) or by train (2(k+1)
+    values plus 2k per attacked sample, every deviation inside its default
+    interval)."""
     v = model.load_flat_csv(params_path)
     m = k + 1
-    if v.size < 2 * m or (v.size - 2 * m) % (2 * k):
+    fits = v.size >= 2 * m and (v.size - 2 * m) % (2 * k) == 0
+    if fits and v.size > 2 * m:  # a train output, projected onto the default box
+        (lo, up), (lo_x, up_x) = model.LEARNER_DEV_BOUNDS, model.ATTACKER_DEV_BOUNDS
+        dev_l, dev_x = v[m : 2 * m], v[2 * m :].reshape(-1, 2 * k)[:, k:]
+        fits = (lo <= dev_l.min() <= dev_l.max() <= up
+                and lo_x <= dev_x.min() <= dev_x.max() <= up_x)
+    if not fits:
         raise model.ParseError(f"{params_path}: {v.size} values do not fit a model with k={k}")
-    sigma = np.maximum(v[m : 2 * m], 1e-12)  # baseline files store zero deviations
-    return model.LearnerParams(v[:m], sigma)
+    return v[:m]
 
 
 def _grids_from_config(cfg: dict) -> data_io.GridSpec:
@@ -143,7 +145,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
     cfg = model.load_config(args.game) if args.game else {}
     game, scfg = _game_from_config(cfg, dataset)
-    theta_l, theta_d, result = solver.solve_svm_game(game, cfg=scfg)
+    result = solver.solve_svm_game(game, cfg=scfg)
     model.save_flat_csv(args.out, result.theta)
     attempts = result.newton_accepted + result.newton_rejected
     print(
@@ -164,25 +166,30 @@ def _cmd_train_baseline(args) -> int:
 
 def _cmd_attack(args) -> int:
     dataset = _load_dataset(args.data)
-    learner = _load_learner(args.params, dataset.k)
-    _check_budgets(args.mode, [args.dmax])
+    mu_w = _load_learner(args.params, dataset.k)
+    try:
+        attacks._check_budget(args.dmax, whole=args.mode == "binary_flip")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     rows = dataset.features.copy()
     mal = dataset.labels == 1
-    rows[mal] = attacks._attack_rows(
-        learner.mu_tilde, rows[mal], args.mode, args.dmax, args.monotone
-    )
+    rows[mal] = attacks._attack_rows(mu_w[:-1], rows[mal], args.mode, args.dmax, args.monotone)
     data_io.save_dense_csv(args.out, rows, dataset.labels)
     return 0
 
 
 def _cmd_secure_eval(args) -> int:
     dataset = _load_dataset(args.data)
-    learner = _load_learner(args.params, dataset.k)
+    mu_w = _load_learner(args.params, dataset.k)
     _check_both_classes(dataset, args.data, "secure-eval")
     d_list = args.dmax_list
-    _check_budgets(args.mode, d_list)
+    try:
+        for d in d_list:
+            attacks._check_budget(d, whole=args.mode == "binary_flip")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     curve = attacks.security_curve(
-        learner, dataset, args.mode, d_list, repetitions=args.reps, seed=args.seed,
+        mu_w, dataset, args.mode, d_list, repetitions=args.reps, seed=args.seed,
         fp_target=args.fp,
     )
     curve.write_csv(args.out, seed=args.seed)
@@ -222,10 +229,9 @@ def _cmd_grid_search(args) -> int:
                 lb, ab = model.default_boxes(train.n, train.k, W)
                 game = model.GameSpec(train, rho_l, rho_d, lb, ab)
                 scfg = solver.SolverConfig(max_iter=args.max_iter, seed=args.seed)
-                theta_l, _, _ = solver.solve_svm_game(game, cfg=scfg)
-                curve = attacks.security_curve(
-                    theta_l, val, "l2_box_pgd", d_list, repetitions=args.reps, seed=args.seed
-                )
+                result = solver.solve_svm_game(game, cfg=scfg)
+                curve = attacks.security_curve(result.theta_l[: train.k + 1], val, "l2_box_pgd",
+                                               d_list, repetitions=args.reps, seed=args.seed)
                 auc = curve.auc()
                 if best is None or auc > best[0]:
                     best = (auc, rho_l, rho_d, W)

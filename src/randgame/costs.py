@@ -48,15 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hinge import hinge_expect, hinge_hessian
-from .model import (
-    AttackerParams,
-    Dataset,
-    GameSpec,
-    LearnerParams,
-    ParamBox,
-    ShapeError,
-    flatten,
-)
+from .model import Dataset, GameSpec, ParamBox, ShapeError
 from .ops import VIGame
 
 
@@ -281,17 +273,6 @@ def _primal_terms(game: GameSpec):
     """The fixed arguments of evaluate for the SVM game: M = I, anchors = X."""
     return (_identity, np.ones(game.k), _identity, np.ascontiguousarray(game.dataset.features.T),
             game.dataset.labels, game.rho_l, game.rho_d, game.bias_reg)
-
-
-def costs_and_grads(theta_l: LearnerParams, theta_d: AttackerParams, game: GameSpec):
-    """Both players' costs and the gradient of each cost in its own block.
-
-    Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the joint
-    layout with the learner block (game.dim_l entries) first.
-    """
-    if theta_l.k != game.k or theta_d.k != game.k or theta_d.n != game.n:
-        raise ShapeError("parameters inconsistent with the game's dataset")
-    return evaluate(flatten(theta_l, theta_d), *_primal_terms(game))
 
 
 def game_operator(game: GameSpec) -> VIGame:

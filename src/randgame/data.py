@@ -152,9 +152,9 @@ def _sparse_block(block):
     return y, counts, cols, np.fromiter(map(float, parts[1::2]), float, n_tokens)
 
 
-def load_sparse(path, k: int | None = None) -> Dataset:
+def load_sparse(path) -> Dataset:
     """Load 'label idx:val ...' lines with 1-based indices; absent indices are
-    zero and k defaults to the maximum index seen.
+    zero and k is the maximum index seen.
 
     Each block of lines is cut once at the labels, its rest joined and split
     once, and its indices and values are converted in one call each; the
@@ -167,12 +167,8 @@ def load_sparse(path, k: int | None = None) -> Dataset:
     if not blocks:
         raise ParseError(f"{path}: no samples")
     y, counts, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    max_idx = int(cols.max(initial=-1)) + 1
-    k = k if k is not None else max_idx
-    if max_idx > k:
-        raise ParseError(f"{path}: index {max_idx} exceeds k override {k}")
     rows = np.repeat(np.arange(y.size), counts)
-    X = np.zeros((y.size, k))
+    X = np.zeros((y.size, int(cols.max(initial=-1)) + 1))
     X[rows, cols] = vals  # a repeated index keeps its last value
     # absent entries are 0, so the values X kept decide the kind
     kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"

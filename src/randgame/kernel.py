@@ -15,8 +15,7 @@ primal game is the case M = I with the training points as anchors. Costs and
 gradients here are that one evaluation, on a K that check_psd has found
 symmetric and PSD, as evaluate multiplies by K from one side only.
 
-The strategies are LearnerParams and AttackerParams with k = n, flattened by
-model.flatten / model.unflatten(v, n, n) to the joint layout
+The strategies are the primal game's flat joint profile with k = n:
 [mu_alpha (n); mu_b; sigma_alpha (n); sigma_b; mu_xi_1 (n); sigma_xi_1 (n); ...].
 """
 
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _vi_game, evaluate
-from .model import AttackerParams, Dataset, LearnerParams, ShapeError, _box_pair, flatten
+from .costs import _vi_game
+from .model import Dataset, _box_pair
 from .ops import VIGame
 
 PSD_TOL = 1e-10
@@ -80,25 +79,6 @@ def _dual_terms(K, y, rho_l, rho_d, bias_reg):
     K2 = K * K
     return (lambda A: K @ A, np.diag(K).copy(), lambda v: K2 @ v, np.eye(K.shape[0]),
             np.asarray(y, dtype=float), rho_l, rho_d, bias_reg)
-
-
-def dual_costs_and_grads(
-    theta_l: LearnerParams, theta_d: AttackerParams, K, rho_l, rho_d, y, bias_reg: float = 0.0
-):
-    """Closed-form dual costs and the gradient of each cost in its own block.
-
-    Expected regularizers use E[a.Ka] = mu.K mu + diag(K).sigma^2 and, for the
-    attacker, the same with the shift to the unit coefficient vector e_i.
-
-    Returns (cost_l, cost_d, grad): grad is flat and unweighted, in the layout
-    of model.flatten with the learner block (2n + 2 entries) first.
-    """
-    K = np.asarray(K, dtype=float)
-    n = theta_l.k
-    if K.shape != (n, n) or theta_d.n != n or theta_d.k != n:
-        raise ShapeError("kernel size inconsistent with dual parameters")
-    check_psd(K)
-    return evaluate(flatten(theta_l, theta_d), *_dual_terms(K, y, rho_l, rho_d, bias_reg))
 
 
 def dual_game_operator(

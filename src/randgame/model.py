@@ -1,11 +1,12 @@
-"""Core data model: datasets, Gaussian strategy parameters, feasible boxes.
+"""Core data model: datasets, feasible boxes and games; parameter and config
+files.
 
-All types are immutable after construction; the free functions are pure.
-The flattened joint parameter layout is fixed as
+Both players' Gaussian strategies are one flat joint profile,
 
     [mu_w (k+1) ; sigma_w (k+1) ; mu_x_1 (k) ; sigma_x_1 (k) ; ... ; sigma_x_n (k)]
 
-with the last coordinate of each learner block belonging to the bias.
+with the last coordinate of each learner block belonging to the bias; the
+boxes bound it coordinate by coordinate, and the costs read it as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ ATTACKER_DEV_BOUNDS = (1e-3, 0.5)
 
 
 class ShapeError(ValueError):
-    """Dimension mismatch between parameter objects."""
+    """Dimension mismatch between arrays and the game they belong to."""
 
 
 class ParseError(ValueError):
@@ -78,80 +79,8 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class LearnerParams:
-    """Gaussian strategy of the learner: mean/deviation of w = [w_tilde; b]."""
-
-    mu_w: np.ndarray
-    sigma_w: np.ndarray
-
-    def __post_init__(self):
-        mu = _as_float_array(self.mu_w, 1)
-        sig = _as_float_array(self.sigma_w, 1)
-        if mu.shape != sig.shape:
-            raise ShapeError("mu_w and sigma_w must have equal length")
-        if mu.shape[0] < 2:
-            raise ShapeError("learner needs at least one feature plus bias")
-        if not np.all(sig > 0):
-            raise ValueError("sigma_w must be strictly positive")
-        mu.setflags(write=False)
-        sig.setflags(write=False)
-        object.__setattr__(self, "mu_w", mu)
-        object.__setattr__(self, "sigma_w", sig)
-
-    @property
-    def k(self) -> int:
-        return self.mu_w.shape[0] - 1
-
-    @property
-    def mu_tilde(self) -> np.ndarray:
-        return self.mu_w[:-1]
-
-    @property
-    def mu_b(self) -> float:
-        return float(self.mu_w[-1])
-
-    @property
-    def sigma_tilde(self) -> np.ndarray:
-        return self.sigma_w[:-1]
-
-    @property
-    def sigma_b(self) -> float:
-        return float(self.sigma_w[-1])
-
-
-@dataclass(frozen=True)
-class AttackerParams:
-    """Per-sample Gaussian strategies of the data generator, stored row-wise."""
-
-    mu_x: np.ndarray
-    sigma_x: np.ndarray
-
-    def __post_init__(self):
-        mu = _as_float_array(self.mu_x, 2)
-        sig = _as_float_array(self.sigma_x, 2)
-        if mu.shape != sig.shape:
-            raise ShapeError("mu_x and sigma_x must have equal shape")
-        if mu.shape[0] < 1 or mu.shape[1] < 1:
-            raise ShapeError("attacker needs n >= 1 samples and k >= 1 features")
-        if not np.all(sig > 0):
-            raise ValueError("sigma_x must be strictly positive")
-        mu.setflags(write=False)
-        sig.setflags(write=False)
-        object.__setattr__(self, "mu_x", mu)
-        object.__setattr__(self, "sigma_x", sig)
-
-    @property
-    def n(self) -> int:
-        return self.mu_x.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.mu_x.shape[1]
-
-
-@dataclass(frozen=True)
 class ParamBox:
-    """Axis-aligned feasible box for a flattened parameter block."""
+    """Axis-aligned feasible box for one player's block of the flat profile."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -246,28 +175,6 @@ class GameSpec:
         return 2 * self.n * self.k
 
 
-def flatten(theta_l: LearnerParams, theta_d: AttackerParams) -> np.ndarray:
-    """Concatenate both players' parameters in the fixed joint layout."""
-    if theta_l.k != theta_d.k:
-        raise ShapeError("learner and attacker feature dims differ")
-    attacker_blocks = np.hstack([theta_d.mu_x, theta_d.sigma_x]).ravel()
-    return np.concatenate([theta_l.mu_w, theta_l.sigma_w, attacker_blocks])
-
-
-def unflatten(v, n: int, k: int) -> tuple[LearnerParams, AttackerParams]:
-    """Inverse of :func:`flatten` for known dataset dimensions."""
-    v = _as_float_array(v, 1)
-    m = k + 1
-    if v.shape[0] != 2 * m + 2 * n * k:
-        raise ShapeError(
-            f"vector length {v.shape[0]} inconsistent with n={n}, k={k}"
-        )
-    theta_l = LearnerParams(v[:m].copy(), v[m : 2 * m].copy())
-    blocks = v[2 * m :].reshape(n, 2 * k)
-    theta_d = AttackerParams(blocks[:, :k].copy(), blocks[:, k:].copy())
-    return theta_l, theta_d
-
-
 # --- serialization ----------------------------------------------------------
 
 def atomic_write(path, text: str) -> None:
@@ -289,7 +196,7 @@ def atomic_write(path, text: str) -> None:
 
 
 def save_flat_csv(path, v) -> None:
-    """Write a parameter vector as one CSV line in the flattening order."""
+    """Write a parameter vector as one CSV line, in the order of its entries."""
     v = _as_float_array(v, 1)
     atomic_write(path, ",".join(["%.17g" % x for x in v.tolist()]) + "\n")
 

@@ -1,4 +1,4 @@
-"""Generic two-player game operator over a flattened parameter vector.
+"""Generic two-player game operator over a flat parameter vector.
 
 The extragradient solver and the diagnostics work on this interface only, so
 toy games used in tests and the primal/dual SVM games share one code path.

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs as _costs
-from .model import AttackerParams, GameSpec, LearnerParams, unflatten
+from .model import GameSpec
 from .ops import VIGame
 
 TERM_TOLERANCE = "tolerance"
@@ -294,7 +294,7 @@ def _best_response_descent(ops, theta, block):
     return best
 
 
-def nash_verify(theta: np.ndarray, ops: VIGame, tol: float = 1e-6) -> bool:
+def nash_verify(theta: np.ndarray, ops: VIGame, tol: float) -> bool:
     """Check the Nash condition numerically: neither player can improve its own
     cost by more than tol via projected descent with the opponent fixed."""
     base_l = ops.cost_l(theta)
@@ -307,21 +307,17 @@ def nash_verify(theta: np.ndarray, ops: VIGame, tol: float = 1e-6) -> bool:
 def initial_point(game: GameSpec, seed: int) -> np.ndarray:
     """Uniform draw inside the boxes, with the learner means shrunk toward 0
     so the hinge probabilities do not saturate at iteration 0."""
-    ops = _costs.game_operator(game)
-    rng = np.random.default_rng(seed)
-    theta = _uniform_init(ops, rng)
-    m = game.k + 1
-    theta[:m] *= 0.1
-    return ops.project(theta)
+    lower = np.concatenate([game.learner_box.lower, game.attacker_box.lower])
+    upper = np.concatenate([game.learner_box.upper, game.attacker_box.upper])
+    theta = lower + np.random.default_rng(seed).uniform(size=lower.size) * (upper - lower)
+    theta[: game.k + 1] *= 0.1
+    return np.clip(theta, lower, upper)
 
 
 def solve_svm_game(
     game: GameSpec, init: np.ndarray | None = None, cfg: SolverConfig = SolverConfig()
-) -> tuple[LearnerParams, AttackerParams, EquilibriumResult]:
-    """Solve the randomized SVM game and return typed equilibrium strategies."""
-    ops = _costs.game_operator(game)
+) -> EquilibriumResult:
+    """Solve the randomized SVM game from init, by default initial_point(game, cfg.seed)."""
     if init is None:
         init = initial_point(game, cfg.seed)
-    result = extragradient_solve(ops, init, cfg)
-    theta_l, theta_d = unflatten(result.theta, game.n, game.k)
-    return theta_l, theta_d, result
+    return extragradient_solve(_costs.game_operator(game), init, cfg)

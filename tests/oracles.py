@@ -1,6 +1,7 @@
-"""Helpers that only the tests need: a nominal attacker, per-sample margin
-moments and costs and gradients written out one sample at a time (independent
-of the vectorized evaluation in randgame.costs), an operator that counts its
+"""Helpers that only the tests need: the flat joint profile of both players'
+strategies, a nominal attacker, per-sample margin moments and costs and
+gradients written out one sample at a time (independent of the vectorized
+evaluation in randgame.costs), an operator that counts its
 evaluations, the deviation coordinates of a game's profile, the first-order
 extragradient loop the solver ran before it took Newton steps, the central
 finite-difference Jacobian of a pseudo-gradient and the dense matrix of a
@@ -14,30 +15,39 @@ import math
 
 import numpy as np
 
-from randgame.model import AttackerParams, Dataset, GameSpec, LearnerParams, ParseError
+from randgame.model import Dataset, GameSpec, ParseError
 
 
-def nominal_attacker(game: GameSpec) -> AttackerParams:
-    """Attacker parked at the training points with deviations at the box floor."""
+def profile(mu_w, sigma_w, mu_x, sigma_x):
+    """The flat joint profile [mu_w; sigma_w; mu_x_1; sigma_x_1; ...] of the
+    learner's means and deviations mu_w, sigma_w (k + 1 each, the bias last)
+    and the attacker's mu_x, sigma_x (n, k), whose row i is sample i's."""
+    return np.concatenate([mu_w, sigma_w, np.hstack([mu_x, sigma_x]).ravel()])
+
+
+def nominal_attacker(game: GameSpec):
+    """(mu_x, sigma_x) of the attacker parked at the training points with
+    deviations at the box floor."""
     n, k = game.n, game.k
     lower = game.attacker_box.lower.reshape(n, 2 * k)
     upper = game.attacker_box.upper.reshape(n, 2 * k)
-    return AttackerParams(np.clip(game.dataset.features, lower[:, :k], upper[:, :k]), lower[:, k:])
+    return np.clip(game.dataset.features, lower[:, :k], upper[:, :k]), lower[:, k:]
 
 
-def margin_moments(side, y, theta_l: LearnerParams, mu_x, sigma_x, M=None):
+def margin_moments(side, y, mu_w, sigma_w, mu_x, sigma_x, M=None):
     """(mean, variance) of the learner margin 1 - y(a.M x + b) or the attacker
-    margin 1 + y(a.M x + b) for independent axis-aligned Gaussians a, b and x;
-    M defaults to the identity (the primal game)."""
+    margin 1 + y(a.M x + b) for independent axis-aligned Gaussians [a; b] with
+    means mu_w and deviations sigma_w, and x; M defaults to the identity (the
+    primal game)."""
     if side not in ("learner", "attacker"):
         raise ValueError(f"unknown side {side!r}")
-    M = np.eye(theta_l.k) if M is None else np.asarray(M, dtype=float)
-    mu_a, s2a = theta_l.mu_tilde, theta_l.sigma_tilde**2
+    M = np.eye(len(mu_w) - 1) if M is None else np.asarray(M, dtype=float)
+    mu_a, s2a = mu_w[:-1], sigma_w[:-1] ** 2
     mu_x, s2x = np.asarray(mu_x, dtype=float), np.asarray(sigma_x, dtype=float) ** 2
     Mx, Ma = M @ mu_x, M.T @ mu_a
     sign = -1.0 if side == "learner" else 1.0
-    mu = 1.0 + sign * y * (mu_a @ Mx + theta_l.mu_b)
-    var = s2a @ Mx**2 + s2x @ Ma**2 + s2a @ (M * M) @ s2x + theta_l.sigma_b**2
+    mu = 1.0 + sign * y * (mu_a @ Mx + mu_w[-1])
+    var = s2a @ Mx**2 + s2x @ Ma**2 + s2a @ (M * M) @ s2x + sigma_w[-1] ** 2
     return float(mu), float(var)
 
 
@@ -296,7 +306,7 @@ def load_dense_tokens(path):
     return _read_dataset(path, np.array(rows), labels, "continuous_unit_interval")
 
 
-def load_sparse_tokens(path, k=None):
+def load_sparse_tokens(path):
     """load_sparse one line and one idx:value token at a time."""
     labels, rows, cols, vals = [], [], [], []
     with open(path) as fh:
@@ -321,11 +331,7 @@ def load_sparse_tokens(path, k=None):
                 vals.append(val)
     if not labels:
         raise ParseError(f"{path}: no samples")
-    max_idx = max(cols, default=-1) + 1
-    k = k if k is not None else max_idx
-    if max_idx > k:
-        raise ParseError(f"{path}: index {max_idx} exceeds k override {k}")
-    X = np.zeros((len(labels), k))
+    X = np.zeros((len(labels), max(cols, default=-1) + 1))
     X[rows, cols] = vals
     kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"
     return _read_dataset(path, X, labels, kind)

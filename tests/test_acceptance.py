@@ -10,27 +10,19 @@ from itertools import combinations
 
 import numpy as np
 
-from oracles import counting_operator, deviation_mask, nominal_attacker
+from oracles import counting_operator, deviation_mask, nominal_attacker, profile
 from randgame.attacks import (
     attack_flip_binary,
     attack_l2_box,
     attack_l2_closed,
     tp_at_fp,
 )
-from randgame.costs import costs_and_grads, game_operator, train_baseline_svm
+from randgame.costs import _primal_terms, evaluate, game_operator, train_baseline_svm
 from randgame.data import synth_2d
 from randgame.diagnostics import uniqueness_margin
 from randgame.hinge import hinge_expect
-from randgame.kernel import Kernel, dual_costs_and_grads, gram
-from randgame.model import (
-    AttackerParams,
-    Dataset,
-    GameSpec,
-    LearnerParams,
-    default_boxes,
-    flatten,
-    unflatten,
-)
+from randgame.kernel import Kernel, _dual_terms, check_psd, gram
+from randgame.model import Dataset, GameSpec, default_boxes
 from randgame.ops import VIGame
 from randgame.solver import (
     SolverConfig,
@@ -100,26 +92,22 @@ def test_criterion_02_gradients_match_finite_differences():
             y[0] = -y[0]
         lb, ab = default_boxes(n, k, W=2.0)
         game = GameSpec(Dataset(X, y), 2.0, 3.0, lb, ab, bias_reg=0.5)
-        theta_l = LearnerParams(
-            rng.normal(scale=0.5, size=k + 1), rng.uniform(0.05, 0.3, size=k + 1)
-        )
-        theta_d = AttackerParams(
-            rng.uniform(size=(n, k)), rng.uniform(0.05, 0.3, size=(n, k))
-        )
+        mu_w, sigma_w = rng.normal(scale=0.5, size=k + 1), rng.uniform(0.05, 0.3, size=k + 1)
+        mu_x, sigma_x = rng.uniform(size=(n, k)), rng.uniform(0.05, 0.3, size=(n, k))
+        terms = _primal_terms(game)
         m = k + 1
-        vl = np.concatenate([theta_l.mu_w, theta_l.sigma_w])
-        g = costs_and_grads(theta_l, theta_d, game)[2]
+        vl = np.concatenate([mu_w, sigma_w])
+        g = evaluate(profile(mu_w, sigma_w, mu_x, sigma_x), *terms)[2]
         fd = _fd_gradient(
-            lambda v: costs_and_grads(LearnerParams(v[:m], v[m:]), theta_d, game)[0], vl
+            lambda v: evaluate(profile(v[:m], v[m:], mu_x, sigma_x), *terms)[0], vl
         )
         worst = max(worst, _rel_err(g[: game.dim_l], fd))
 
-        va = np.concatenate([theta_d.mu_x.ravel(), theta_d.sigma_x.ravel()])
+        va = np.concatenate([mu_x.ravel(), sigma_x.ravel()])
         fd = _fd_gradient(
-            lambda v: costs_and_grads(
-                theta_l,
-                AttackerParams(v[: n * k].reshape(n, k), v[n * k :].reshape(n, k)),
-                game,
+            lambda v: evaluate(
+                profile(mu_w, sigma_w, v[: n * k].reshape(n, k), v[n * k :].reshape(n, k)),
+                *terms,
             )[1],
             va,
         )
@@ -134,20 +122,17 @@ def test_criterion_02_gradients_match_finite_differences():
         y = rng.choice([-1.0, 1.0], size=n)
         mu_a, s_a = rng.normal(scale=0.5, size=n), rng.uniform(0.05, 0.3, size=n)
         mu_b, s_b = rng.normal(scale=0.3), rng.uniform(0.05, 0.3)
-        theta_l = LearnerParams(np.append(mu_a, mu_b), np.append(s_a, s_b))
-        theta_d = AttackerParams(
-            rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, size=(n, n))
-        )
-        _, _, g = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, y, bias_reg=0.5)
-        v = flatten(theta_l, theta_d)
+        v = profile(np.append(mu_a, mu_b), np.append(s_a, s_b),
+                    rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, size=(n, n)))
+        check_psd(K)
+        terms = _dual_terms(K, y, 2.0, 3.0, 0.5)
+        _, _, g = evaluate(v, *terms)
 
         def cl(vv):
-            c, _, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
-            return c
+            return evaluate(vv, *terms)[0]
 
         def cd(vv):
-            _, c, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
-            return c
+            return evaluate(vv, *terms)[1]
 
         m = 2 * n + 2
         worst = max(worst, _rel_err(g[:m], _fd_gradient(cl, v)[:m]))
@@ -197,9 +182,7 @@ def test_criterion_03_margin_moments_match_sampling(hinge_inputs):
     for seed in range(5):
         rng = np.random.default_rng(10 + seed)
         k = 4
-        theta_l = LearnerParams(
-            rng.normal(size=k + 1), rng.uniform(0.05, 0.4, size=k + 1)
-        )
+        mu_w, sigma_w = rng.normal(size=k + 1), rng.uniform(0.05, 0.4, size=k + 1)
         mu_x = rng.uniform(size=k)
         sigma_x = rng.uniform(0.05, 0.3, size=k)
         y = float(rng.choice([-1.0, 1.0]))
@@ -212,11 +195,11 @@ def test_criterion_03_margin_moments_match_sampling(hinge_inputs):
         lb, ab = default_boxes(n, k, W=1.0)
         game = GameSpec(Dataset(mu_rows, labels), 1.0, 1.0, lb, ab)
         hinge_inputs.clear()
-        costs_and_grads(theta_l, AttackerParams(mu_rows, sig_rows), game)
+        game_operator(game).pseudo_grad(profile(mu_w, sigma_w, mu_rows, sig_rows))
 
         def primal_score(rng, m):
-            w = rng.normal(theta_l.mu_tilde, theta_l.sigma_tilde, size=(m, k))
-            b = rng.normal(theta_l.mu_b, theta_l.sigma_b, size=m)
+            w = rng.normal(mu_w[:-1], sigma_w[:-1], size=(m, k))
+            b = rng.normal(mu_w[-1], sigma_w[-1], size=m)
             x = rng.normal(mu_x, sigma_x, size=(m, k))
             return (w * x).sum(axis=1) + b
 
@@ -241,10 +224,9 @@ def test_criterion_03_margin_moments_match_sampling(hinge_inputs):
         labels = np.resize([1.0, -1.0], n)
         labels[i] = y
         hinge_inputs.clear()
-        dual_costs_and_grads(
-            LearnerParams(np.append(mu_a, mu_b), np.append(s_a, s_b)),
-            AttackerParams(mu_rows, sig_rows), K, 1.0, 1.0, labels,
-        )
+        check_psd(K)
+        evaluate(profile(np.append(mu_a, mu_b), np.append(s_a, s_b), mu_rows, sig_rows),
+                 *_dual_terms(K, labels, 1.0, 1.0, 0.0))
 
         def dual_score(rng, m):
             a = rng.normal(mu_a, s_a, size=(m, n))
@@ -314,7 +296,7 @@ def test_criterion_05_nash_property_on_the_svm_game():
     dev[ops.dim_l - 1] = False
     fails, off_floor, most = [], [], 0
     for seed in range(5):
-        _, _, res = solve_svm_game(game, initial_point(game, seed))
+        res = solve_svm_game(game, initial_point(game, seed))
         evals.clear()
         if not (
             res.converged and res.residual <= 1e-6 and nash_verify(res.theta, ops, tol=1e-4)
@@ -392,11 +374,10 @@ def test_criterion_07_deterministic_svm_limit():
         game = GameSpec(Dataset(X, y), 1.7, 1.0, lb, ab)
         m = k + 1
         mu_w = rng.normal(scale=0.5, size=m)
-        theta_l = LearnerParams(mu_w, np.full(m, game.learner_box.lower[m]))
-        theta_d = nominal_attacker(game)
+        theta = profile(mu_w, np.full(m, game.learner_box.lower[m]), *nominal_attacker(game))
         margins = 1.0 - y * (X @ mu_w[:-1] + mu_w[-1])
         det = 0.5 * game.rho_l * mu_w[:-1] @ mu_w[:-1] + np.maximum(margins, 0).sum()
-        worst = max(worst, abs(costs_and_grads(theta_l, theta_d, game)[0] - det))
+        worst = max(worst, abs(evaluate(theta, *_primal_terms(game))[0] - det))
     _report(
         7,
         "learner cost at the deviation floor reproduces the deterministic C-SVM objective",
@@ -413,16 +394,17 @@ def test_criterion_08_identity_kernel_reduces_to_primal():
     mu_xi = rng.uniform(size=(n, n))
     mu_a, s_a = rng.normal(scale=0.5, size=n), rng.uniform(0.05, 0.3, size=n)
     mu_b, s_b = rng.normal(scale=0.3), rng.uniform(0.05, 0.3)
-    # the dual strategies are the primal containers with k = n
-    theta_l = LearnerParams(np.append(mu_a, mu_b), np.append(s_a, s_b))
-    theta_d = AttackerParams(mu_xi, rng.uniform(0.05, 0.3, size=(n, n)))
+    # the dual strategies are the primal flat profile with k = n
+    theta = profile(np.append(mu_a, mu_b), np.append(s_a, s_b), mu_xi,
+                    rng.uniform(0.05, 0.3, size=(n, n)))
     lb, ab = default_boxes(n, n, W=2.0)
     game = GameSpec(ds, 2.0, 3.0, lb, ab)
-    cl, cd, g = dual_costs_and_grads(theta_l, theta_d, K, game.rho_l, game.rho_d, ds.labels)
-    pg = game_operator(game).pseudo_grad(flatten(theta_l, theta_d))
+    check_psd(K)
+    cl, cd, g = evaluate(theta, *_dual_terms(K, ds.labels, game.rho_l, game.rho_d, 0.0))
+    pg = game_operator(game).pseudo_grad(theta)
     # with k = n the dual and primal flat layouts coincide
     g[game.dim_l :] *= game.rho_l / game.rho_d
-    primal_l, primal_d, _ = costs_and_grads(theta_l, theta_d, game)
+    primal_l, primal_d, _ = evaluate(theta, *_primal_terms(game))
     gap = max(
         abs(cl - primal_l),
         abs(cd - primal_d),
@@ -488,13 +470,13 @@ def test_criterion_10_security_gain_over_baseline():
         w_base, b_base = train_baseline_svm(train, C=1.0)
         lb, ab = default_boxes(train.n, train.k, W=1.0)
         game = GameSpec(train, 10.0, 10.0, lb, ab)
-        theta_l, _, _ = solve_svm_game(game, initial_point(game, seed))
+        mu_w = solve_svm_game(game, initial_point(game, seed)).theta_l[: train.k + 1]
 
         legit = test.features[test.labels == -1]
         mal = test.features[test.labels == 1]
         for name, (w, b) in (
             ("base", (w_base, b_base)),
-            ("eq", (theta_l.mu_w[:-1], theta_l.mu_b)),
+            ("eq", (mu_w[:-1], mu_w[-1])),
         ):
             s_legit = legit @ w + b
             for d_max in d_grid:
@@ -505,8 +487,8 @@ def test_criterion_10_security_gain_over_baseline():
         # margin) must strictly decrease, i.e. the boundary moves toward the
         # legitimate cluster
         base_score = -float(np.mean(legit @ w_base + b_base)) / np.linalg.norm(w_base)
-        w_eq = theta_l.mu_w[:-1]
-        eq_score = -float(np.mean(legit @ w_eq + theta_l.mu_b)) / np.linalg.norm(w_eq)
+        w_eq = mu_w[:-1]
+        eq_score = -float(np.mean(legit @ w_eq + mu_w[-1])) / np.linalg.norm(w_eq)
         shift_ok.append(eq_score < base_score)
 
     elapsed = time.perf_counter() - start

@@ -18,7 +18,7 @@ from randgame.attacks import (
     security_curve,
     tp_at_fp,
 )
-from randgame.model import Dataset, LearnerParams
+from randgame.model import Dataset
 
 
 class TestClosedFormL2:
@@ -59,10 +59,10 @@ class TestClosedFormL2:
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(20, 2))
         ds = Dataset(X, np.where(np.arange(20) < 10, -1.0, 1.0))
-        tl = LearnerParams(np.zeros(3), np.full(3, 1e-3))
+        mu_w = np.zeros(3)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            security_curve(tl, ds, "l2_closed_form", [0.0, 0.5, 1.0], repetitions=2)
+            security_curve(mu_w, ds, "l2_closed_form", [0.0, 0.5, 1.0], repetitions=2)
         assert len(rec) == 2  # the two nonzero budgets, not one per sample
 
     def test_batch_equals_rows(self):
@@ -278,20 +278,19 @@ class TestSecurityCurve:
             1,
         )
         y = np.concatenate([-np.ones(n), np.ones(n)])
-        tl = LearnerParams(np.array([1.0, 1.0, -1.0]), np.full(3, 1e-3))
-        return tl, Dataset(X, y), "l2_box_pgd"
+        return np.array([1.0, 1.0, -1.0]), Dataset(X, y), "l2_box_pgd"
 
     def test_tp_degrades_with_budget(self):
-        tl, ds, mode = self._setup()
-        curve = security_curve(tl, ds, mode, [0.0, 0.3, 0.8], repetitions=3, seed=0)
+        mu_w, ds, mode = self._setup()
+        curve = security_curve(mu_w, ds, mode, [0.0, 0.3, 0.8], repetitions=3, seed=0)
         tps = [p[1] for p in curve.points]
         assert tps[0] >= tps[1] >= tps[2]
         assert tps[0] > 0.9  # clean well-separated data is detected
 
     def test_deterministic_given_seed(self):
-        tl, ds, mode = self._setup()
-        c1 = security_curve(tl, ds, mode, [0.0, 0.4], repetitions=2, seed=3)
-        c2 = security_curve(tl, ds, mode, [0.0, 0.4], repetitions=2, seed=3)
+        mu_w, ds, mode = self._setup()
+        c1 = security_curve(mu_w, ds, mode, [0.0, 0.4], repetitions=2, seed=3)
+        c2 = security_curve(mu_w, ds, mode, [0.0, 0.4], repetitions=2, seed=3)
         assert c1.points == c2.points
 
     def test_dense_box_curve_is_fast(self):
@@ -300,22 +299,22 @@ class TestSecurityCurve:
         y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
         X = np.clip(0.5 + 0.1 * rng.normal(size=(n, k)) + 0.1 * y[:, None], 0.0, 1.0)
         w = 1.0 + 0.3 * rng.normal(size=k)
-        tl = LearnerParams(np.append(w, -0.5 * w.sum()), np.full(k + 1, 1e-3))
+        mu_w = np.append(w, -0.5 * w.sum())
         start = time.perf_counter()
-        curve = security_curve(tl, Dataset(X, y), "l2_box_pgd", [0.0, 0.5, 1.0], repetitions=5)
+        curve = security_curve(mu_w, Dataset(X, y), "l2_box_pgd", [0.0, 0.5, 1.0], repetitions=5)
         assert time.perf_counter() - start < 0.5
         tps = [p[1] for p in curve.points]
         assert tps[0] > 0.9 and tps[0] > tps[1] > tps[2]
 
     def test_requires_increasing_budgets(self):
-        tl, ds, mode = self._setup()
+        mu_w, ds, mode = self._setup()
         with pytest.raises(ValueError, match="increasing"):
-            security_curve(tl, ds, mode, [0.5, 0.5])
+            security_curve(mu_w, ds, mode, [0.5, 0.5])
 
     def test_requires_a_repetition(self):
-        tl, ds, mode = self._setup()
+        mu_w, ds, mode = self._setup()
         with pytest.raises(ValueError, match="repetitions"):
-            security_curve(tl, ds, mode, [0.0, 0.5], repetitions=0)
+            security_curve(mu_w, ds, mode, [0.0, 0.5], repetitions=0)
 
     def test_auc_trapezoid(self):
         curve = SecurityCurve(
@@ -326,8 +325,8 @@ class TestSecurityCurve:
         assert curve.auc() == pytest.approx(1.0)
 
     def test_write_csv(self, tmp_path):
-        tl, ds, mode = self._setup()
-        curve = security_curve(tl, ds, mode, [0.0, 0.4], repetitions=2, seed=1)
+        mu_w, ds, mode = self._setup()
+        curve = security_curve(mu_w, ds, mode, [0.0, 0.4], repetitions=2, seed=1)
         p = tmp_path / "curve.csv"
         curve.write_csv(p, seed=1)
         lines = p.read_text().splitlines()
@@ -346,11 +345,10 @@ BAD_BUDGETS = [(-0.3, [-0.3, 1.0]), (np.nan, [0.0, np.nan]), (np.inf, [0.0, np.i
 
 
 def _binary_case():
-    """A learner and a binary test set that every attack mode accepts."""
+    """A learner's means [w; b] and a binary test set that every attack mode accepts."""
     X = np.random.default_rng(13).integers(0, 2, size=(20, 4)).astype(float)
     y = np.where(np.arange(20) < 10, -1.0, 1.0)
-    tl = LearnerParams(np.array([1.0, -1.0, 0.5, 0.2, 0.0]), np.full(5, 1e-3))
-    return tl, Dataset(X, y, "binary")
+    return np.array([1.0, -1.0, 0.5, 0.2, 0.0]), Dataset(X, y, "binary")
 
 
 class TestAttackSpecValidation:
@@ -358,43 +356,43 @@ class TestAttackSpecValidation:
     mode and every budget of its grid."""
 
     def test_rejects_negative_budget(self):
-        tl, ds = _binary_case()
+        mu_w, ds = _binary_case()
         for mode, attack in ATTACKS.items():
             with pytest.raises(ValueError, match="non-negative"):
-                attack(tl.mu_tilde, ds.features, 1.0, -1.0)
+                attack(mu_w[:-1], ds.features, 1.0, -1.0)
             with pytest.raises(ValueError, match="non-negative"):
-                _attack_rows(tl.mu_tilde, ds.features, mode, -1.0)
+                _attack_rows(mu_w[:-1], ds.features, mode, -1.0)
 
     def test_rejects_unknown_mode(self):
-        tl, ds = _binary_case()
+        mu_w, ds = _binary_case()
         for d_max in (0.0, 1.0):
             with pytest.raises(ValueError, match="mode"):
-                _attack_rows(tl.mu_tilde, ds.features, "teleport", d_max)
+                _attack_rows(mu_w[:-1], ds.features, "teleport", d_max)
         with pytest.raises(ValueError, match="mode"):
-            security_curve(tl, ds, "teleport", [0.0, 1.0])
+            security_curve(mu_w, ds, "teleport", [0.0, 1.0])
 
     def test_binary_flip_needs_integer_budget(self):
-        tl, ds = _binary_case()
+        mu_w, ds = _binary_case()
         for d_max in (1.5, 1.7):  # never truncated to 1
             with pytest.raises(ValueError, match="integer"):
-                attack_flip_binary(tl.mu_tilde, ds.features, 1.0, d_max)
+                attack_flip_binary(mu_w[:-1], ds.features, 1.0, d_max)
             with pytest.raises(ValueError, match="integer"):
-                _attack_rows(tl.mu_tilde, ds.features, "binary_flip", d_max)
+                _attack_rows(mu_w[:-1], ds.features, "binary_flip", d_max)
             with pytest.raises(ValueError, match="integer"):
-                security_curve(tl, ds, "binary_flip", [0.0, d_max])
+                security_curve(mu_w, ds, "binary_flip", [0.0, d_max])
         # whole budgets given as floats still run
-        attack_flip_binary(tl.mu_tilde, ds.features, 1.0, 2.0)
-        security_curve(tl, ds, "binary_flip", [0.0, 1.0, 2.0], repetitions=1)
+        attack_flip_binary(mu_w[:-1], ds.features, 1.0, 2.0)
+        security_curve(mu_w, ds, "binary_flip", [0.0, 1.0, 2.0], repetitions=1)
 
     @pytest.mark.parametrize("mode", ATTACK_MODES)
     @pytest.mark.parametrize("d_max, grid", BAD_BUDGETS, ids=["negative", "nan", "inf"])
     def test_bad_budget_raises(self, mode, d_max, grid):
         # unchecked, a negative box-L2 budget attacked with |d_max|, NaN gave
         # the box corner and a curve up to inf reported AUC inf
-        tl, ds = _binary_case()
+        mu_w, ds = _binary_case()
         with pytest.raises(ValueError, match="budget"):
-            ATTACKS[mode](tl.mu_tilde, ds.features[0], 1.0, d_max)
+            ATTACKS[mode](mu_w[:-1], ds.features[0], 1.0, d_max)
         with pytest.raises(ValueError, match="budget"):
-            ATTACKS[mode](tl.mu_tilde, ds.features, 1.0, d_max)
+            ATTACKS[mode](mu_w[:-1], ds.features, 1.0, d_max)
         with pytest.raises(ValueError, match="budget"):
-            security_curve(tl, ds, mode, grid, repetitions=1)
+            security_curve(mu_w, ds, mode, grid, repetitions=1)

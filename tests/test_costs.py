@@ -3,32 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import deviation_mask, evaluate_loop, margin_moments, nominal_attacker
-from randgame.costs import (
-    _primal_terms,
-    costs_and_grads,
-    evaluate,
-    game_operator,
-    jacobian,
-    train_baseline_svm,
-)
+from oracles import deviation_mask, evaluate_loop, margin_moments, nominal_attacker, profile
+from randgame.costs import _primal_terms, evaluate, game_operator, jacobian, train_baseline_svm
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
-from randgame.kernel import (
-    Kernel,
-    _dual_terms,
-    dual_costs_and_grads,
-    dual_game_operator,
-    gram,
-)
-from randgame.model import (
-    AttackerParams,
-    Dataset,
-    GameSpec,
-    LearnerParams,
-    default_boxes,
-    flatten,
-)
+from randgame.kernel import Kernel, _dual_terms, dual_game_operator, gram
+from randgame.model import Dataset, GameSpec, default_boxes
 
 
 def random_game(seed, n=5, k=3, rho_l=2.0, rho_d=3.0, bias_reg=0.0):
@@ -42,15 +22,17 @@ def random_game(seed, n=5, k=3, rho_l=2.0, rho_d=3.0, bias_reg=0.0):
 
 
 def random_profile(game, seed, sigma_scale=0.3):
+    """(mu_w, sigma_w, mu_x, sigma_x) of a random profile of the game."""
     rng = np.random.default_rng(seed)
     n, k = game.n, game.k
-    theta_l = LearnerParams(
-        rng.normal(scale=0.5, size=k + 1), rng.uniform(0.05, sigma_scale, size=k + 1)
-    )
-    theta_d = AttackerParams(
-        rng.uniform(size=(n, k)), rng.uniform(0.05, sigma_scale, size=(n, k))
-    )
-    return theta_l, theta_d
+    mu_w, sigma_w = rng.normal(scale=0.5, size=k + 1), rng.uniform(0.05, sigma_scale, size=k + 1)
+    return mu_w, sigma_w, rng.uniform(size=(n, k)), rng.uniform(0.05, sigma_scale, size=(n, k))
+
+
+def primal(game, *parts):
+    """evaluate's (cost_l, cost_d, unweighted gradient) of the game at the
+    profile of parts (mu_w, sigma_w, mu_x, sigma_x)."""
+    return evaluate(profile(*parts), *_primal_terms(game))
 
 
 def fd_gradient(f, v, h=1e-6):
@@ -66,29 +48,28 @@ class TestGradients:
     def test_learner_gradient_vs_fd(self):
         for seed in range(5):
             game = random_game(seed)
-            theta_l, theta_d = random_profile(game, 50 + seed)
+            mu_w, sigma_w, mu_x, sigma_x = random_profile(game, 50 + seed)
             m = game.k + 1
 
             def f(v):
-                tl = LearnerParams(v[:m], v[m:])
-                return costs_and_grads(tl, theta_d, game)[0]
+                return primal(game, v[:m], v[m:], mu_x, sigma_x)[0]
 
-            v = np.concatenate([theta_l.mu_w, theta_l.sigma_w])
-            g = costs_and_grads(theta_l, theta_d, game)[2]
+            v = np.concatenate([mu_w, sigma_w])
+            g = primal(game, mu_w, sigma_w, mu_x, sigma_x)[2]
             np.testing.assert_allclose(
                 g[: game.dim_l], fd_gradient(f, v), rtol=1e-6, atol=1e-8
             )
 
     def test_learner_gradient_with_bias_reg(self):
         game = random_game(3, bias_reg=1.5)
-        theta_l, theta_d = random_profile(game, 53)
+        mu_w, sigma_w, mu_x, sigma_x = random_profile(game, 53)
         m = game.k + 1
 
         def f(v):
-            return costs_and_grads(LearnerParams(v[:m], v[m:]), theta_d, game)[0]
+            return primal(game, v[:m], v[m:], mu_x, sigma_x)[0]
 
-        v = np.concatenate([theta_l.mu_w, theta_l.sigma_w])
-        g = costs_and_grads(theta_l, theta_d, game)[2]
+        v = np.concatenate([mu_w, sigma_w])
+        g = primal(game, mu_w, sigma_w, mu_x, sigma_x)[2]
         np.testing.assert_allclose(
             g[: game.dim_l], fd_gradient(f, v), rtol=1e-6, atol=1e-8
         )
@@ -96,26 +77,26 @@ class TestGradients:
     def test_attacker_gradient_vs_fd(self):
         for seed in range(5):
             game = random_game(seed)
-            theta_l, theta_d = random_profile(game, 70 + seed)
+            mu_w, sigma_w, mu_x, sigma_x = random_profile(game, 70 + seed)
             n, k = game.n, game.k
 
             def f(v):
-                td = AttackerParams(v[: n * k].reshape(n, k), v[n * k :].reshape(n, k))
-                return costs_and_grads(theta_l, td, game)[1]
+                return primal(game, mu_w, sigma_w, v[: n * k].reshape(n, k),
+                              v[n * k :].reshape(n, k))[1]
 
-            v = np.concatenate([theta_d.mu_x.ravel(), theta_d.sigma_x.ravel()])
-            g = costs_and_grads(theta_l, theta_d, game)[2][game.dim_l :]
+            v = np.concatenate([mu_x.ravel(), sigma_x.ravel()])
+            g = primal(game, mu_w, sigma_w, mu_x, sigma_x)[2][game.dim_l :]
             # the flat layout interleaves each sample's (mu_x_i, sigma_x_i) rows
             g = g.reshape(n, 2, k).transpose(1, 0, 2).ravel()
             np.testing.assert_allclose(g, fd_gradient(f, v), rtol=1e-6, atol=1e-8)
 
     def test_pseudo_gradient_weights(self):
         game = random_game(2, rho_l=6.0, rho_d=2.0)
-        theta_l, theta_d = random_profile(game, 72)
+        parts = random_profile(game, 72)
         ops = game_operator(game)
-        pg = ops.pseudo_grad(flatten(theta_l, theta_d))
+        pg = ops.pseudo_grad(profile(*parts))
         assert ops.r == (1.0, 3.0)
-        raw = costs_and_grads(theta_l, theta_d, game)[2]
+        raw = primal(game, *parts)[2]
         np.testing.assert_allclose(pg[: game.dim_l], raw[: game.dim_l], rtol=1e-14)
         np.testing.assert_allclose(pg[game.dim_l :], 3.0 * raw[game.dim_l :], rtol=1e-14)
         assert pg.size == game.dim_l + game.dim_d
@@ -130,23 +111,23 @@ def assert_same_evaluation(got, want, rel=1e-12):
 
 
 def _dual_case(seed=30, n=6):
-    """(theta_l, theta_d, K, y) of a dual game on a random SPD K."""
+    """(theta, K, y) of a dual game on a random SPD K."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     K = A @ A.T / n + 0.1 * np.eye(n)
     y = np.where(np.arange(n) % 2, 1.0, -1.0)
-    theta_l = LearnerParams(rng.normal(scale=0.5, size=n + 1), rng.uniform(0.05, 0.3, n + 1))
-    theta_d = AttackerParams(rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, (n, n)))
-    return theta_l, theta_d, K, y
+    theta = profile(rng.normal(scale=0.5, size=n + 1), rng.uniform(0.05, 0.3, n + 1),
+                    rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, (n, n)))
+    return theta, K, y
 
 
 def _flat_case(which):
     """(theta, evaluate's fixed terms) of a small primal or dual game."""
     if which == "primal":
         game = random_game(31, bias_reg=0.7)
-        return flatten(*random_profile(game, 31)), _primal_terms(game)
-    theta_l, theta_d, K, y = _dual_case()
-    return flatten(theta_l, theta_d), _dual_terms(K, y, 2.0, 3.0, 0.7)
+        return profile(*random_profile(game, 31)), _primal_terms(game)
+    theta, K, y = _dual_case()
+    return theta, _dual_terms(K, y, 2.0, 3.0, 0.7)
 
 
 class TestEvaluateOracle:
@@ -156,16 +137,16 @@ class TestEvaluateOracle:
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_primal_matches_per_sample_loop(self, n, k):
         game = random_game(10 * n + k, n=n, k=k, bias_reg=0.7)
-        theta_l, theta_d = random_profile(game, 20 * n + k)
+        parts = random_profile(game, 20 * n + k)
         X, y = game.dataset.features, game.dataset.labels
-        want = evaluate_loop(flatten(theta_l, theta_d), np.eye(k), X, y,
+        want = evaluate_loop(profile(*parts), np.eye(k), X, y,
                              game.rho_l, game.rho_d, game.bias_reg)
-        assert_same_evaluation(costs_and_grads(theta_l, theta_d, game), want)
+        assert_same_evaluation(primal(game, *parts), want)
 
     def test_dual_matches_per_sample_loop(self):
-        theta_l, theta_d, K, y = _dual_case()
-        got = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, y, bias_reg=0.7)
-        want = evaluate_loop(flatten(theta_l, theta_d), K, np.eye(K.shape[0]), y, 2.0, 3.0, 0.7)
+        theta, K, y = _dual_case()
+        got = evaluate(theta, *_dual_terms(K, y, 2.0, 3.0, 0.7))
+        want = evaluate_loop(theta, K, np.eye(K.shape[0]), y, 2.0, 3.0, 0.7)
         assert_same_evaluation(got, want)
 
     @pytest.mark.parametrize("which", ["primal", "dual"])
@@ -253,12 +234,12 @@ class TestDeviationsAreDominated:
 
 
 class TestOperator:
-    def test_operator_matches_typed_api(self):
+    def test_operator_matches_evaluate(self):
         game = random_game(4, rho_l=2.0, rho_d=5.0)
-        theta_l, theta_d = random_profile(game, 74)
-        v = flatten(theta_l, theta_d)
+        parts = random_profile(game, 74)
+        v = profile(*parts)
         ops = game_operator(game)
-        cost_l, cost_d, grad = costs_and_grads(theta_l, theta_d, game)
+        cost_l, cost_d, grad = primal(game, *parts)
         grad[game.dim_l :] *= ops.r[1]
         assert ops.cost_l(v) == cost_l
         assert ops.cost_d(v) == cost_d
@@ -268,7 +249,7 @@ class TestOperator:
         import randgame.costs as costs_module
 
         game = random_game(8)
-        v = flatten(*random_profile(game, 78))
+        v = profile(*random_profile(game, 78))
         ops = game_operator(game)
         calls = count_hinge_calls(costs_module)
         ops.pseudo_grad(v)
@@ -276,25 +257,22 @@ class TestOperator:
 
     def test_cost_splits_into_loss_plus_regularizer(self):
         game = random_game(5)
-        theta_l, theta_d = random_profile(game, 75)
-        v = flatten(theta_l, theta_d)
+        mu_w, sigma_w, mu_x, sigma_x = random_profile(game, 75)
+        v = profile(mu_w, sigma_w, mu_x, sigma_x)
         ops = game_operator(game)
 
         def expected_loss(side):
             # per-sample margin moments, independent of the vectorized costs
             mm = [
-                margin_moments(side, y, theta_l, mu_x, sig_x)
-                for y, mu_x, sig_x in zip(game.dataset.labels, theta_d.mu_x, theta_d.sigma_x)
+                margin_moments(side, y, mu_w, sigma_w, mu_xi, sig_xi)
+                for y, mu_xi, sig_xi in zip(game.dataset.labels, mu_x, sigma_x)
             ]
             return sum(hinge_expect(mu, np.sqrt(var))[0] for mu, var in mm)
 
-        reg_l = 0.5 * game.rho_l * (
-            theta_l.mu_tilde @ theta_l.mu_tilde
-            + theta_l.sigma_tilde @ theta_l.sigma_tilde
-        )
+        reg_l = 0.5 * game.rho_l * (mu_w[:-1] @ mu_w[:-1] + sigma_w[:-1] @ sigma_w[:-1])
         assert ops.cost_l(v) == pytest.approx(expected_loss("learner") + reg_l, rel=1e-12)
-        diff = theta_d.mu_x - game.dataset.features
-        reg_d = 0.5 * game.rho_d * ((diff**2).sum() + (theta_d.sigma_x**2).sum())
+        diff = mu_x - game.dataset.features
+        reg_d = 0.5 * game.rho_d * ((diff**2).sum() + (sigma_x**2).sum())
         assert ops.cost_d(v) == pytest.approx(expected_loss("attacker") + reg_d, rel=1e-12)
 
     def test_reg_hessian_diagonals(self):
@@ -314,7 +292,7 @@ class TestOperator:
         if game == "primal":
             spec = random_game(8, bias_reg=bias_reg)
             ops, terms = game_operator(spec), _primal_terms(spec)
-            theta = flatten(*random_profile(spec, 8))
+            theta = profile(*random_profile(spec, 8))
         else:
             data = synth_2d(2, 0.4, 1)
             ops = dual_game_operator(data, Kernel("rbf", 1.0), 2.0, 3.0, bias_reg)
@@ -342,9 +320,9 @@ class TestOperator:
 
     def test_nominal_attacker_sits_on_data(self):
         game = random_game(7)
-        td = nominal_attacker(game)
-        np.testing.assert_allclose(td.mu_x, game.dataset.features)
-        assert np.all(td.sigma_x == game.attacker_box.lower.reshape(game.n, -1)[:, game.k :])
+        mu_x, sigma_x = nominal_attacker(game)
+        np.testing.assert_allclose(mu_x, game.dataset.features)
+        assert np.all(sigma_x == game.attacker_box.lower.reshape(game.n, -1)[:, game.k :])
 
 
 class TestDeterministicLimit:
@@ -356,12 +334,12 @@ class TestDeterministicLimit:
             rng = np.random.default_rng(200 + seed)
             m = game.k + 1
             mu_w = rng.normal(scale=0.5, size=m)
-            theta_l = LearnerParams(mu_w, np.full(m, game.learner_box.lower[m]))
-            theta_d = nominal_attacker(game)
+            sigma_w = np.full(m, game.learner_box.lower[m])
             X, y = game.dataset.features, game.dataset.labels
             margins = 1.0 - y * (X @ mu_w[:-1] + mu_w[-1])
             det = 0.5 * game.rho_l * mu_w[:-1] @ mu_w[:-1] + np.maximum(margins, 0).sum()
-            assert costs_and_grads(theta_l, theta_d, game)[0] == pytest.approx(det, abs=1e-3)
+            cost_l = primal(game, mu_w, sigma_w, *nominal_attacker(game))[0]
+            assert cost_l == pytest.approx(det, abs=1e-3)
 
 
 class TestBaselineSvm:

@@ -23,7 +23,7 @@ from randgame.data import (
     split,
     synth_2d,
 )
-from randgame.model import Dataset, atomic_write, load_flat_csv
+from randgame.model import Dataset, atomic_write, load_flat_csv, save_flat_csv
 
 
 def save_sparse(path, data: Dataset) -> None:
@@ -104,13 +104,6 @@ class TestSparse:
         np.testing.assert_array_equal(ds.features, [[0.0, value], [1.0, 0.0]])
         assert ds.feature_kind == kind
 
-    def test_k_override(self, tmp_path):
-        p = tmp_path / "s.txt"
-        p.write_text("+1 1:1\n-1 2:1\n")
-        assert load_sparse(p, k=5).k == 5
-        with pytest.raises(ParseError, match="exceeds"):
-            load_sparse(p, k=1)
-
     def test_non_finite_value_rejected(self, tmp_path):
         p = tmp_path / "d.svm"
         p.write_text("+1 1:0.5\n-1 2:nan\n")
@@ -170,32 +163,31 @@ class TestBulkParsers:
         p.write_text(text)
         assert read_outcome(load_dense_csv, p) == read_outcome(load_dense_tokens, p)
 
-    @pytest.mark.parametrize("text, k", [
-        ("+1 1:0.5 3:1\n-1\n# c\n\n-1\t2:0.25  3:1\n", None),
-        ("+1 1:1 3:1\n-1 2:1\n", 5),
-        ("+1 1:1 3:1\n-1 2:1\n", 2),  # an index over the override
-        ("+1 2:1 2:0.5 1:1\n-1 1:1\n", None),  # a repeated index keeps its last value
-        ("+1 1:1 2\n", None),  # a token without a colon
-        ("+1 1:2:3 4\n", None),  # two colons in one token, none in the next
-        ("+1 1:\n", None),
-        ("+1 :1\n", None),
-        ("+1 a:1\n", None),
-        ("+1 1:abc\n", None),
-        ("+1 0:1\n", None),
-        ("+1 1:1 0:1 x\n", None),  # the first bad token of a line decides
-        ("+1 1:1\nz 1:1\n", None),
-        ("+1 1:1 4\n0 1:1\n", None),  # a bad pair before a bad label
-        ("+1 1:1\n0 1:1\n-1 1:x\n", None),  # a bad label before a bad pair
-        ("0 1:1 4\n", None),  # label before pairs on one line
-        ("+1 1:1\n-1 0:1\nq 1:1\n", None),
-        ("+1 1:0.5\n-1 2:nan\n", None),
-        ("", None),
-        ("# only a comment\n", None),
-    ])
-    def test_sparse(self, tmp_path, text, k):
+    # the ids end in "-None", the k override these cases were once read with
+    @pytest.mark.parametrize("text", [
+        "+1 1:0.5 3:1\n-1\n# c\n\n-1\t2:0.25  3:1\n",
+        "+1 2:1 2:0.5 1:1\n-1 1:1\n",  # a repeated index keeps its last value
+        "+1 1:1 2\n",  # a token without a colon
+        "+1 1:2:3 4\n",  # two colons in one token, none in the next
+        "+1 1:\n",
+        "+1 :1\n",
+        "+1 a:1\n",
+        "+1 1:abc\n",
+        "+1 0:1\n",
+        "+1 1:1 0:1 x\n",  # the first bad token of a line decides
+        "+1 1:1\nz 1:1\n",
+        "+1 1:1 4\n0 1:1\n",  # a bad pair before a bad label
+        "+1 1:1\n0 1:1\n-1 1:x\n",  # a bad label before a bad pair
+        "0 1:1 4\n",  # label before pairs on one line
+        "+1 1:1\n-1 0:1\nq 1:1\n",
+        "+1 1:0.5\n-1 2:nan\n",
+        "",
+        "# only a comment\n",
+    ], ids=lambda text: f"{text}-None")
+    def test_sparse(self, tmp_path, text):
         p = tmp_path / "s.svm"
         p.write_text(text)
-        assert read_outcome(load_sparse, p, k) == read_outcome(load_sparse_tokens, p, k)
+        assert read_outcome(load_sparse, p) == read_outcome(load_sparse_tokens, p)
 
 
 class TestNormalizeAndSplit:
@@ -386,7 +378,7 @@ class TestCliPipeline:
         ):
             argv += ["--params", str(params), "--data", str(data), "--mode", "binary_flip"]
             assert main(argv) == EX_USAGE
-            assert capsys.readouterr().err == "error: binary_flip budgets must be whole numbers\n"
+            assert capsys.readouterr().err == "error: binary_flip requires an integer budget, got 0.5\n"
         assert not (tmp_path / "adv.csv").exists() and not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("command", ["attack", "secure-eval"])
@@ -409,6 +401,51 @@ class TestCliPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "k=5" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "secure-eval"])
+    def test_baseline_params_of_another_k_that_fit_in_length_are_rejected(self, tmp_path, capsys,
+                                                                           command):
+        # a train-baseline file of a 4-feature set holds 2 * 5 = 10 values, as
+        # many as a train file at k = 2 with one attacked sample; read that way
+        # its learner deviations are [w_4, b, 0], off the default box
+        wide = tmp_path / "wide.csv"
+        rows = np.random.default_rng(3).uniform(size=(8, 4))
+        save_dense_csv(wide, rows, np.array([-1.0, 1.0] * 4))
+        params = tmp_path / "base.csv"
+        assert main(["train-baseline", "--data", str(wide), "--C", "1", "--out", str(params)]) == 0
+        assert load_flat_csv(params).size == 10
+        sparse = tmp_path / "s.svm"
+        sparse.write_text("+1 1:1 2:1\n-1 2:1\n+1 1:1\n-1 1:1\n")
+        out = tmp_path / "out.csv"
+        argv = [command, "--params", str(params), "--data", str(sparse), "--out", str(out)]
+        argv += ["--dmax", "1"] if command == "attack" else ["--dmax-list", "0,1"]
+        capsys.readouterr()
+        assert main(argv) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {params}: 10 values do not fit a model with k=2"]
+        assert not out.exists()
+
+    def test_train_params_with_deviations_off_the_default_box_are_rejected(self, tmp_path,
+                                                                           capsys):
+        data = self._gen(tmp_path, n=3)
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("max_iter=5\n")
+        params = tmp_path / "eq.csv"
+        main(["train", "--data", str(data), "--game", str(cfg), "--out", str(params)])
+        v = load_flat_csv(params)
+        out = tmp_path / "c.csv"
+        argv = ["secure-eval", "--params", str(params), "--data", str(data),
+                "--dmax-list", "0,0.3", "--reps", "1", "--out", str(out)]
+        assert main(argv) == 0
+        # a learner deviation (k + 1 = 3 onward), then an attacker row's (6 + 2 onward)
+        for i, bad in ((3, 0.0), (5, 2e-3), (8, 0.6), (6 + 4 + 3, 1e-4)):
+            edited = v.copy()
+            edited[i] = bad
+            save_flat_csv(params, edited)
+            capsys.readouterr()
+            assert main(argv) == EX_NOINPUT
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {params}: {v.size} values do not fit a model with k=2"]
 
     @pytest.mark.parametrize("text", ["1,abc\n", "\n", "", "1,2,3,4,5,nan\n"])
     def test_malformed_params_file_is_an_input_error(self, tmp_path, capsys, text):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from randgame.costs import costs_and_grads
+from oracles import profile
+from randgame.costs import game_operator
 from randgame.hinge import hinge_expect, hinge_hessian
-from randgame.model import AttackerParams, Dataset, GameSpec, LearnerParams, default_boxes
+from randgame.model import Dataset, GameSpec, default_boxes
 
 
 def value(mu, sigma):
@@ -125,36 +126,36 @@ class TestHingeHessian:
 
 
 class TestMarginMoments:
-    """The (mu, sigma) that costs_and_grads passes to hinge_expect for a
-    one-sample game, checked against the sampled margin."""
+    """The (mu, sigma) that the game's evaluation passes to hinge_expect for
+    a one-sample game, checked against the sampled margin."""
 
     def _random_setup(self, seed, k=4):
         rng = np.random.default_rng(seed)
-        theta_l = LearnerParams(rng.normal(size=k + 1), rng.uniform(0.05, 0.4, size=k + 1))
+        mu_w, sigma_w = rng.normal(size=k + 1), rng.uniform(0.05, 0.4, size=k + 1)
         mu_x = rng.uniform(size=k)
         sigma_x = rng.uniform(0.05, 0.3, size=k)
         y = float(rng.choice([-1.0, 1.0]))
-        return theta_l, mu_x, sigma_x, y
+        return mu_w, sigma_w, mu_x, sigma_x, y
 
-    def _captured(self, hinge_inputs, theta_l, mu_x, sigma_x, y):
+    def _captured(self, hinge_inputs, mu_w, sigma_w, mu_x, sigma_x, y):
         lb, ab = default_boxes(1, mu_x.size, W=1.0)
         game = GameSpec(Dataset(mu_x[None], [y]), 1.0, 1.0, lb, ab)
         hinge_inputs.clear()
-        costs_and_grads(theta_l, AttackerParams(mu_x[None], sigma_x[None]), game)
+        game_operator(game).pseudo_grad(profile(mu_w, sigma_w, mu_x[None], sigma_x[None]))
         (mu_s, sig_s), (mu_t, sig_t) = hinge_inputs
         return float(mu_s[0]), float(sig_s[0]), float(mu_t[0]), float(sig_t[0])
 
     def test_monte_carlo_oracle(self, hinge_inputs):
         n = 1_000_000
         for seed in range(5):
-            theta_l, mu_x, sigma_x, y = self._random_setup(seed)
+            mu_w, sigma_w, mu_x, sigma_x, y = self._random_setup(seed)
             rng = np.random.default_rng(100 + seed)
             k = mu_x.size
-            w = rng.normal(theta_l.mu_tilde, theta_l.sigma_tilde, size=(n, k))
-            b = rng.normal(theta_l.mu_b, theta_l.sigma_b, size=n)
+            w = rng.normal(mu_w[:-1], sigma_w[:-1], size=(n, k))
+            b = rng.normal(mu_w[-1], sigma_w[-1], size=n)
             x = rng.normal(mu_x, sigma_x, size=(n, k))
             s = 1.0 - y * ((w * x).sum(axis=1) + b)
-            mu, sigma, _, _ = self._captured(hinge_inputs, theta_l, mu_x, sigma_x, y)
+            mu, sigma, _, _ = self._captured(hinge_inputs, mu_w, sigma_w, mu_x, sigma_x, y)
             se_mean = s.std() / np.sqrt(n)
             se_var = s.var() * np.sqrt(2.0 / (n - 1))
             assert abs(mu - s.mean()) <= 4 * se_mean

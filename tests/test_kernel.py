@@ -5,37 +5,30 @@ reduction to the primal game."""
 import numpy as np
 import pytest
 
-from oracles import margin_moments
-from randgame.costs import costs_and_grads, game_operator
+from oracles import margin_moments, profile
+from randgame.costs import _primal_terms, evaluate, game_operator
 from randgame.hinge import hinge_expect
-from randgame.kernel import (
-    Kernel,
-    check_psd,
-    dual_costs_and_grads,
-    dual_game_operator,
-    gram,
-)
-from randgame.model import (
-    AttackerParams,
-    Dataset,
-    GameSpec,
-    LearnerParams,
-    ShapeError,
-    default_boxes,
-    flatten,
-    unflatten,
-)
+from randgame.kernel import Kernel, _dual_terms, check_psd, dual_game_operator, gram
+from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
 from randgame.solver import SolverConfig, extragradient_solve
 
 
 def random_dual(seed, n=4):
-    """Dual strategies (theta_l, theta_d): the primal containers with k = n."""
+    """(mu_w, sigma_w, mu_x, sigma_x) of a dual profile: the primal game's
+    strategies with k = n, the alpha means and deviations plus the bias's and
+    the rows of xi."""
     rng = np.random.default_rng(seed)
     mu_a, sig_a = rng.normal(scale=0.5, size=n), rng.uniform(0.05, 0.3, size=n)
     mu_b, sig_b = rng.normal(scale=0.3), rng.uniform(0.05, 0.3)
-    theta_l = LearnerParams(np.append(mu_a, mu_b), np.append(sig_a, sig_b))
-    theta_d = AttackerParams(rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, size=(n, n)))
-    return theta_l, theta_d
+    return (np.append(mu_a, mu_b), np.append(sig_a, sig_b),
+            rng.normal(scale=0.5, size=(n, n)), rng.uniform(0.05, 0.3, size=(n, n)))
+
+
+def dual(parts, K, y, rho_l=1.0, rho_d=1.0, bias_reg=0.0):
+    """evaluate's (cost_l, cost_d, unweighted gradient) of the dual game on K,
+    after check_psd as the dual operator does, at the profile of parts."""
+    check_psd(K)
+    return evaluate(profile(*parts), *_dual_terms(K, y, rho_l, rho_d, bias_reg))
 
 
 def random_psd(seed, n=4):
@@ -86,7 +79,7 @@ class TestGram:
         with pytest.raises(ValueError, match="symmetric"):
             check_psd(K)
         with pytest.raises(ValueError, match="symmetric"):
-            dual_costs_and_grads(*random_dual(0, n=2), K, 1.0, 1.0, np.array([1.0, -1.0]))
+            dual(random_dual(0, n=2), K, np.array([1.0, -1.0]))
 
     def test_check_psd_accepts_roundoff_asymmetry_of_large_entries(self):
         # a linear Gram matrix over many large features, one row at a time
@@ -95,7 +88,7 @@ class TestGram:
         assert np.abs(K - K.T).max() > 1e-10
         check_psd(K)
         y = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
-        dual_costs_and_grads(*random_dual(0, n=30), K, 1.0, 1.0, y)
+        dual(random_dual(0, n=30), K, y)
 
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
@@ -106,74 +99,60 @@ class TestGram:
 
 
 class TestDualParams:
-    """The dual strategies are LearnerParams and AttackerParams with k = n."""
-
-    def test_flatten_roundtrip(self):
-        theta_l, theta_d = random_dual(5)
-        v = flatten(theta_l, theta_d)
-        back_l, back_d = unflatten(v, theta_d.n, theta_d.n)
-        np.testing.assert_array_equal(v, flatten(back_l, back_d))
-        np.testing.assert_array_equal(back_l.mu_w, theta_l.mu_w)
-        np.testing.assert_array_equal(back_d.sigma_x, theta_d.sigma_x)
-        n = theta_d.n
-        # [mu_alpha; mu_b; sigma_alpha; sigma_b; mu_xi_1; sigma_xi_1; ...]
-        assert v[n] == theta_l.mu_b and v[2 * n + 1] == theta_l.sigma_b
-        np.testing.assert_array_equal(v[2 * n + 2 : 3 * n + 2], theta_d.mu_x[0])
-        np.testing.assert_array_equal(v[3 * n + 2 : 4 * n + 2], theta_d.sigma_x[0])
+    """The dual strategies are one flat profile of the primal layout with k = n."""
 
     def test_rejects_nonpositive_deviations(self):
-        with pytest.raises(ValueError):
-            LearnerParams(np.zeros(3), np.array([0.1, 0.0, 0.1]))
-        sig = np.full((2, 2), 0.1)
-        sig[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            AttackerParams(np.zeros((2, 2)), sig)
-        with pytest.raises(ValueError):
-            LearnerParams(np.zeros(3), np.array([0.1, 0.1, np.nan]))  # sigma_b
-
-    def test_unflatten_rejects_wrong_length(self):
-        with pytest.raises(ShapeError):
-            unflatten(np.zeros(11), 2, 2)
+        ops = dual_game_operator(random_dataset(5, n=2), Kernel("rbf", 1.0), 1.0, 1.0)
+        inside = 0.5 * (ops.lower + ops.upper)
+        # sigma_alpha_1 (0), sigma_xi of row 2 (nan), sigma_b (nan)
+        for i, bad in ((3, 0.0), (ops.dim_l + 4 + 2, np.nan), (ops.dim_l - 1, np.nan)):
+            v = inside.copy()
+            v[i] = bad
+            for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+                with pytest.raises(ValueError):
+                    fn(v)
 
     def test_costs_reject_sizes_other_than_the_kernel(self):
         K = random_psd(3, n=3)
         y = np.array([1.0, -1.0, 1.0])
-        theta_l, theta_d = random_dual(4, n=3)
-        small_l, small_d = random_dual(4, n=2)
-        wide_d = AttackerParams(np.zeros((3, 2)), np.full((3, 2), 0.1))  # n = 3, k = 2
-        for tl, td in ((small_l, theta_d), (theta_l, small_d), (small_l, small_d), (theta_l, wide_d)):
+        mu_w, sigma_w, mu_x, sigma_x = random_dual(4, n=3)
+        small = random_dual(4, n=2)
+        wide = (np.zeros((3, 2)), np.full((3, 2), 0.1))  # n = 3, k = 2
+        for parts in (small[:2] + (mu_x, sigma_x), (mu_w, sigma_w) + small[2:], small,
+                      (mu_w, sigma_w) + wide):
             with pytest.raises(ShapeError):
-                dual_costs_and_grads(tl, td, K, 1.0, 1.0, y)
+                dual(parts, K, y)
 
 
 class TestDualMoments:
-    """The (mu, sigma) that dual_costs_and_grads passes to hinge_expect,
+    """The (mu, sigma) that the dual game's evaluation passes to hinge_expect,
     checked against the sampled margin of one sample's xi Gaussian."""
 
     def test_monte_carlo_oracle(self, hinge_inputs):
         n_draws = 1_000_000
         for seed in range(5):
-            theta_l, theta_d = random_dual(seed)
-            n = theta_d.n
+            parts = random_dual(seed)
+            mu_w, sigma_w, mu_x, sigma_x = parts
+            n = mu_x.shape[0]
             K = random_psd(30 + seed)
             rng = np.random.default_rng(60 + seed)
             y = 1.0 if seed % 2 else -1.0
             i = seed % n
             labels = np.resize([1.0, -1.0], n)
             labels[i] = y
-            a = rng.normal(theta_l.mu_tilde, theta_l.sigma_tilde, size=(n_draws, n))
-            b = rng.normal(theta_l.mu_b, theta_l.sigma_b, size=n_draws)
-            xi = rng.normal(theta_d.mu_x[i], theta_d.sigma_x[i], size=(n_draws, n))
+            a = rng.normal(mu_w[:-1], sigma_w[:-1], size=(n_draws, n))
+            b = rng.normal(mu_w[-1], sigma_w[-1], size=n_draws)
+            xi = rng.normal(mu_x[i], sigma_x[i], size=(n_draws, n))
             s = 1.0 - y * (np.einsum("ij,jk,ik->i", a, K, xi) + b)
             hinge_inputs.clear()
-            dual_costs_and_grads(theta_l, theta_d, K, 1.0, 1.0, labels)
+            dual(parts, K, labels)
             (mu, sigma), _ = hinge_inputs
             assert abs(mu[i] - s.mean()) <= 4 * s.std() / np.sqrt(n_draws)
             assert abs(sigma[i] ** 2 - s.var()) <= 4 * s.var() * np.sqrt(2.0 / (n_draws - 1))
 
     def test_sides_mirror(self, hinge_inputs):
-        theta_l, theta_d = random_dual(8)
-        dual_costs_and_grads(theta_l, theta_d, random_psd(9), 1.0, 1.0, np.ones(theta_d.n))
+        parts = random_dual(8)
+        dual(parts, random_psd(9), np.ones(parts[2].shape[0]))
         (mu_s, sig_s), (mu_t, sig_t) = hinge_inputs
         np.testing.assert_allclose(mu_s + mu_t, 2.0, rtol=1e-14)
         np.testing.assert_array_equal(sig_s, sig_t)
@@ -191,19 +170,17 @@ class TestDualGradients:
     def test_all_blocks_vs_fd(self):
         for seed in range(5):
             n = 4
-            theta_l, theta_d = random_dual(seed, n)
             K = random_psd(40 + seed, n)
             y = np.random.default_rng(80 + seed).choice([-1.0, 1.0], size=n)
-            v = flatten(theta_l, theta_d)
-            _, _, g = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, y, bias_reg=0.5)
+            terms = _dual_terms(K, y, 2.0, 3.0, 0.5)
+            v = profile(*random_dual(seed, n))
+            _, _, g = evaluate(v, *terms)
 
             def cl(vv):
-                c, _, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
-                return c
+                return evaluate(vv, *terms)[0]
 
             def cd(vv):
-                _, c, _ = dual_costs_and_grads(*unflatten(vv, n, n), K, 2.0, 3.0, y, 0.5)
-                return c
+                return evaluate(vv, *terms)[1]
 
             m = 2 * n + 2
             np.testing.assert_allclose(g[:m], self._fd(cl, v)[:m], rtol=1e-5, atol=1e-8)
@@ -222,24 +199,22 @@ class TestIdentityKernelReduction:
         K = gram(ds, Kernel("linear"))
         np.testing.assert_array_equal(K, np.eye(n))
         # one profile plays both games: w~ <-> alpha, x_i <-> xi_i (same coordinates)
-        theta_l, theta_d = random_dual(seed, n)
-        theta_d = AttackerParams(np.clip(theta_d.mu_x, 0.0, 1.0), theta_d.sigma_x)
+        mu_w, sigma_w, mu_x, sigma_x = random_dual(seed, n)
+        parts = (mu_w, sigma_w, np.clip(mu_x, 0.0, 1.0), sigma_x)
         lb, ab = default_boxes(n, n, W=2.0)
         game = GameSpec(ds, rho_l=2.0, rho_d=3.0, learner_box=lb, attacker_box=ab)
-        return ds, K, theta_l, theta_d, game
+        primal = evaluate(profile(*parts), *_primal_terms(game))
+        return dual(parts, K, ds.labels, game.rho_l, game.rho_d), primal
 
     def test_costs_match(self):
-        ds, K, theta_l, theta_d, game = self._setup()
-        cl, cd, _ = dual_costs_and_grads(theta_l, theta_d, K, game.rho_l, game.rho_d, ds.labels)
-        primal_l, primal_d, _ = costs_and_grads(theta_l, theta_d, game)
+        (cl, cd, _), (primal_l, primal_d, _) = self._setup()
         assert cl == pytest.approx(primal_l, abs=1e-12)
         assert cd == pytest.approx(primal_d, abs=1e-12)
 
     def test_gradients_match(self):
-        ds, K, theta_l, theta_d, game = self._setup(seed=1)
-        _, _, g = dual_costs_and_grads(theta_l, theta_d, K, game.rho_l, game.rho_d, ds.labels)
+        (_, _, g), (_, _, primal_g) = self._setup(seed=1)
         # with k = n the dual and primal flat layouts coincide
-        np.testing.assert_allclose(g, costs_and_grads(theta_l, theta_d, game)[2], atol=1e-12)
+        np.testing.assert_allclose(g, primal_g, atol=1e-12)
 
 
 class TestDualOperator:
@@ -269,7 +244,7 @@ class TestDualOperator:
         rng = np.random.default_rng(12)
         v = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
         K = gram(ds, Kernel("rbf", 1.0))
-        cost_l, cost_d, grad = dual_costs_and_grads(*unflatten(v, 4, 4), K, 2.0, 5.0, ds.labels)
+        cost_l, cost_d, grad = evaluate(v, *_dual_terms(K, ds.labels, 2.0, 5.0, 0.0))
         grad[ops.dim_l :] *= ops.r[1]
         assert ops.r == (1.0, 0.4)
         assert ops.cost_l(v) == cost_l
@@ -290,25 +265,26 @@ class TestDualOperator:
         ds = random_dataset(14, n=n)
         K = gram(ds, Kernel("rbf", 2.0))
         assert not np.allclose(K, np.eye(n))
-        theta_l, theta_d = random_dual(15, n)
+        parts = random_dual(15, n)
+        mu_w, sigma_w, mu_x, sigma_x = parts
         bias_reg = 0.7
-        cl, cd, _ = dual_costs_and_grads(theta_l, theta_d, K, 2.0, 3.0, ds.labels, bias_reg)
+        cl, cd, _ = dual(parts, K, ds.labels, 2.0, 3.0, bias_reg)
 
         def expected_loss(side):
             # per-sample margin moments, independent of the vectorized costs
             total = 0.0
-            for y, mu_xi, sig_xi in zip(ds.labels, theta_d.mu_x, theta_d.sigma_x):
-                mu, var = margin_moments(side, y, theta_l, mu_xi, sig_xi, K)
+            for y, mu_xi, sig_xi in zip(ds.labels, mu_x, sigma_x):
+                mu, var = margin_moments(side, y, mu_w, sigma_w, mu_xi, sig_xi, K)
                 total += hinge_expect(mu, np.sqrt(var))[0]
             return total
 
         dK = np.diag(K)
-        mu_a, sig_a = theta_l.mu_tilde, theta_l.sigma_tilde
+        mu_a, sig_a = mu_w[:-1], sigma_w[:-1]
         reg_l = mu_a @ K @ mu_a + dK @ sig_a**2
-        reg_l_b = theta_l.mu_b**2 + theta_l.sigma_b**2
+        reg_l_b = mu_w[-1] ** 2 + sigma_w[-1] ** 2
         reg_d = sum(
             (mu_xi - e) @ K @ (mu_xi - e) + dK @ sig_xi**2
-            for mu_xi, sig_xi, e in zip(theta_d.mu_x, theta_d.sigma_x, np.eye(n))
+            for mu_xi, sig_xi, e in zip(mu_x, sigma_x, np.eye(n))
         )
         expected_l = expected_loss("learner") + 0.5 * 2.0 * reg_l + 0.5 * bias_reg * reg_l_b
         assert cl == pytest.approx(expected_l, rel=1e-12)

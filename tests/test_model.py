@@ -1,4 +1,4 @@
-"""Data model: validation, boxes, flatten/unflatten, serialization."""
+"""Data model: validation of datasets, games and flat profiles, boxes, serialization."""
 
 import os
 import stat
@@ -7,34 +7,36 @@ import numpy as np
 import pytest
 
 from oracles import load_flat_tokens
+from randgame.costs import game_operator
 from randgame.model import (
     ATTACKER_DEV_BOUNDS,
-    AttackerParams,
     Dataset,
     GameSpec,
     LEARNER_DEV_BOUNDS,
-    LearnerParams,
     ParamBox,
     ParseError,
     ShapeError,
     default_boxes,
-    flatten,
     load_config,
     load_flat_csv,
     save_flat_csv,
-    unflatten,
 )
 from randgame.ops import VIGame
 
 
-def _learner(k=3, seed=0):
+def _operator_and_profile(n=2, k=2, seed=0):
+    """The operator of a small game and a flat profile inside its box."""
     rng = np.random.default_rng(seed)
-    return LearnerParams(rng.normal(size=k + 1), rng.uniform(0.1, 0.5, size=k + 1))
+    lb, ab = default_boxes(n, k, 1.0)
+    y = np.where(np.arange(n) % 2, 1.0, -1.0)
+    ops = game_operator(GameSpec(Dataset(rng.uniform(size=(n, k)), y), 1.0, 1.0, lb, ab))
+    return ops, ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
 
 
-def _attacker(n=4, k=3, seed=1):
-    rng = np.random.default_rng(seed)
-    return AttackerParams(rng.uniform(size=(n, k)), rng.uniform(0.1, 0.5, size=(n, k)))
+def _rejected(ops, theta, error, match):
+    for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+        with pytest.raises(error, match=match):
+            fn(theta)
 
 
 class TestValidation:
@@ -63,18 +65,28 @@ class TestValidation:
             ds.features[0, 0] = 0.0
 
     def test_learner_rejects_nonpositive_sigma(self):
-        for bad in (0.0, np.nan):
-            with pytest.raises(ValueError, match="positive"):
-                LearnerParams(np.zeros(3), np.array([0.1, bad, 0.1]))
+        # a flat profile's learner deviations sit at [k + 1, 2k + 2)
+        ops, theta = _operator_and_profile()
+        for bad, match in ((0.0, "positive"), (-0.1, "positive"), (np.nan, "finite")):
+            for i in (4, 5):  # a weight's deviation, the bias's
+                v = theta.copy()
+                v[i] = bad
+                _rejected(ops, v, ValueError, match)
 
     def test_attacker_rejects_nonpositive_sigma(self):
-        for bad in (0.0, np.nan):
-            with pytest.raises(ValueError, match="positive"):
-                AttackerParams(np.zeros((2, 2)), np.array([[0.1, 0.1], [bad, 0.1]]))
+        # the deviations of attacker row i sit in the second half of its block
+        ops, theta = _operator_and_profile()
+        for bad, match in ((0.0, "positive"), (-0.1, "positive"), (np.nan, "finite")):
+            v = theta.copy()
+            v[ops.dim_l + 4 + 2] = bad  # the second row's first deviation
+            _rejected(ops, v, ValueError, match)
 
     def test_attacker_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            AttackerParams(np.ones((2, 3)), np.ones((3, 2)))
+        # a profile for another n or k does not fit the game's attacker block
+        ops, theta = _operator_and_profile(n=2, k=2)
+        for other in (_operator_and_profile(n=3, k=2)[1], _operator_and_profile(n=2, k=3)[1],
+                      theta[:-1], np.append(theta, 0.1)):
+            _rejected(ops, other, ShapeError, "inconsistent")
 
     def test_box_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="lower"):
@@ -157,34 +169,6 @@ class TestBoxes:
             # no feasible point is closer (check random candidates)
             cands = rng.uniform(-1.0, 1.0, size=(100, 4))
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - cands, axis=1).min() + 1e-12
-
-
-class TestFlatten:
-    def test_roundtrip(self):
-        tl, td = _learner(), _attacker()
-        v = flatten(tl, td)
-        tl2, td2 = unflatten(v, td.n, td.k)
-        assert np.array_equal(tl.mu_w, tl2.mu_w)
-        assert np.array_equal(tl.sigma_w, tl2.sigma_w)
-        assert np.array_equal(td.mu_x, td2.mu_x)
-        assert np.array_equal(td.sigma_x, td2.sigma_x)
-
-    def test_layout_order(self):
-        tl, td = _learner(k=2), _attacker(n=2, k=2)
-        v = flatten(tl, td)
-        m = 3
-        assert np.array_equal(v[:m], tl.mu_w)
-        assert np.array_equal(v[m : 2 * m], tl.sigma_w)
-        assert np.array_equal(v[2 * m : 2 * m + 2], td.mu_x[0])
-        assert np.array_equal(v[2 * m + 2 : 2 * m + 4], td.sigma_x[0])
-
-    def test_unflatten_rejects_wrong_length(self):
-        with pytest.raises(ShapeError):
-            unflatten(np.zeros(10), n=3, k=3)
-
-    def test_flatten_rejects_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            flatten(_learner(k=3), _attacker(n=2, k=2))
 
 
 class TestSerialization:

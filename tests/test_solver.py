@@ -194,15 +194,16 @@ class TestSvmGame:
         from randgame.costs import game_operator
 
         game = self._game()
-        theta_l, theta_d, res = solve_svm_game(game)
+        res = solve_svm_game(game)
         assert res.converged
         assert nash_verify(res.theta, game_operator(game), tol=1e-4)
 
     def test_typed_results_have_game_shapes(self):
         game = self._game(seed=2, n_per_class=5)
-        theta_l, theta_d, res = solve_svm_game(game)
-        assert theta_l.k == game.k and theta_d.n == game.n
+        res = solve_svm_game(game)
+        assert isinstance(res, EquilibriumResult) and res.dim_l == game.dim_l
         assert res.theta_l.size == game.dim_l and res.theta_d.size == game.dim_d
+        np.testing.assert_array_equal(np.concatenate([res.theta_l, res.theta_d]), res.theta)
 
     def test_initial_point_feasible_and_seeded(self):
         game = self._game(seed=3, n_per_class=4)
@@ -213,6 +214,10 @@ class TestSvmGame:
         ops = game_operator(game)
         assert np.all(p1 >= ops.lower) and np.all(p1 <= ops.upper)
         assert not np.array_equal(p1, initial_point(game, 8))
+        # one uniform draw over both boxes, the learner means then shrunk by 0.1
+        want = ops.lower + np.random.default_rng(7).uniform(size=ops.dim) * (ops.upper - ops.lower)
+        want[: game.k + 1] *= 0.1
+        np.testing.assert_array_equal(p1, want)
 
     def test_default_game_has_no_unique_equilibrium_until_the_bias_is_regularized(self):
         from randgame.data import synth_2d
@@ -224,7 +229,7 @@ class TestSvmGame:
             game = GameSpec(ds, 10.0, 10.0, lb, ab, bias_reg=bias_reg)
             sols = []
             for seed in range(4):
-                _, _, res = solve_svm_game(game, initial_point(game, seed))
+                res = solve_svm_game(game, initial_point(game, seed))
                 assert res.converged
                 if bias_reg > 0:
                     assert_deviations_on_floor(game_operator(game), res.theta)
