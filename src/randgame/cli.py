@@ -100,6 +100,15 @@ def _check_both_classes(data, path, what) -> None:
         raise model.ParseError(f"{path}: {what} needs samples of both classes")
 
 
+def _check_flip_features(data, path, mode) -> None:
+    """binary_flip flips the features of the malicious samples, so those must
+    be 0 or 1; a sparse file of 0/1 values is known to be binary."""
+    if mode == "binary_flip" and data.feature_kind != "binary":
+        if not np.isin(data.features[data.labels == 1], (0.0, 1.0)).all():
+            raise model.ParseError(f"{path}: binary_flip needs binary features, but a "
+                                   "malicious sample has a value other than 0 or 1")
+
+
 def _load_learner(params_path, k) -> np.ndarray:
     """The learner's means [w; b] from a parameter file written by
     train-baseline (2(k+1) values, zero deviations) or by train (2(k+1)
@@ -171,6 +180,7 @@ def _cmd_attack(args) -> int:
         attacks._check_budget(args.dmax, whole=args.mode == "binary_flip")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    _check_flip_features(dataset, args.data, args.mode)
     rows = dataset.features.copy()
     mal = dataset.labels == 1
     rows[mal] = attacks._attack_rows(mu_w[:-1], rows[mal], args.mode, args.dmax, args.monotone)
@@ -188,6 +198,7 @@ def _cmd_secure_eval(args) -> int:
             attacks._check_budget(d, whole=args.mode == "binary_flip")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    _check_flip_features(dataset, args.data, args.mode)
     curve = attacks.security_curve(
         mu_w, dataset, args.mode, d_list, repetitions=args.reps, seed=args.seed,
         fp_target=args.fp,

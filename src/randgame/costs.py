@@ -51,6 +51,9 @@ from .hinge import hinge_expect, hinge_hessian
 from .model import Dataset, GameSpec, ParamBox, ShapeError
 from .ops import VIGame
 
+# 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
+_SIGNS = np.array([[-1.0], [1.0]])
+
 
 def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     """Both players' costs and the gradient of each cost in its own block at
@@ -83,8 +86,7 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     w_x = Ma**2 + by_M2(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
     score = mu_a @ Mx + mu_b
     sigma = np.sqrt(s2a @ Mx2 + w_x @ s2x + sig_b**2)
-    h_s, p_s, v_s = hinge_expect(1.0 - y * score, sigma)
-    h_t, p_t, v_t = hinge_expect(1.0 + y * score, sigma)
+    (h_s, h_t), (p_s, p_t), (v_s, v_t) = hinge_expect(1.0 + _SIGNS * (y * score), sigma)
 
     py_s = p_s * y
     s2x_w = s2x @ v_s  # sum_i v_s_i * sigma_x_i^2
@@ -188,42 +190,40 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     cross[:, s_, a_] = 4.0 * (sig_a * Mx)[:, :, None] * M
     cross[:, s_, x_] = 4.0 * sig_a[:, None] * M2 * sig_x[:, None, :]
 
-    def margin(sign):
-        """At the margins 1 + sign * y * score, per sample: h's derivative in
-        score, its derivative in sigma^2, and H (r, 2, 2), its Hessian in
-        (score, sigma^2)."""
-        mu = 1.0 + sign * y * score
-        _, p, v = hinge_expect(mu, sigma)
-        h_mm, h_mv, h_vv = hinge_hessian(mu, sigma)
-        H = np.empty((r, 2, 2))
-        H[:, 0, 0], H[:, 1, 1] = h_mm, h_vv
-        H[:, 0, 1] = H[:, 1, 0] = sign * y * h_mv
-        return sign * y * p, v, H
+    # Per sample, h's derivative in score (p), its derivative in sigma^2 (v)
+    # and its Hessian in (score, sigma^2) (H, (r, 2, 2)): row 0 at the
+    # learner's margins 1 - y score, row 1 at the attacker's 1 + y score.
+    sy = _SIGNS * y
+    mu = 1.0 + sy * score
+    _, p, v = hinge_expect(mu, sigma)
+    h_mm, h_mv, h_vv = hinge_hessian(mu, sigma)
+    H = np.empty((2, r, 2, 2))
+    H[..., 0, 0], H[..., 1, 1] = h_mm, h_vv
+    H[..., 0, 1] = H[..., 1, 0] = sy * h_mv
+    (p_s, p_t), (v_s, v_t), (H_s, H_t) = sy * p, v, H
 
     # The chain-rule part of each block is U_u^T H U_w per sample.
-    # The learner's losses, at the margins 1 - y score.
-    p, v, H = margin(-1.0)
-    HU_l = H @ U_l
+    # The learner's losses.
+    HU_l = H_s @ U_l
     ll = U_l.reshape(2 * r, L).T @ HU_l.reshape(2 * r, L)
-    ll[a_, a_] += (M * (2.0 * (v @ s2x))) @ M
-    ll[s_, s_] += np.diag(2.0 * (v @ Mx**2 + M2 @ (v @ s2x)))
-    ll[2 * m + 1, 2 * m + 1] += 2.0 * v.sum()
+    ll[a_, a_] += (M * (2.0 * (v_s @ s2x))) @ M
+    ll[s_, s_] += np.diag(2.0 * (v_s @ Mx**2 + M2 @ (v_s @ s2x)))
+    ll[2 * m + 1, 2 * m + 1] += 2.0 * v_s.sum()
     if start == 0:
         ll += reg_l
     ld = HU_l.transpose(0, 2, 1) @ U_x
-    ld += v[:, None, None] * cross
-    ld[:, a_, a_] += p[:, None, None] * M
+    ld += v_s[:, None, None] * cross
+    ld[:, a_, a_] += p_s[:, None, None] * M
 
-    # The attacker's losses, at the margins 1 + y score.
-    p, v, H = margin(1.0)
-    HU_x = H @ U_x
+    # The attacker's losses.
+    HU_x = H_t @ U_x
     dl = HU_x.transpose(0, 2, 1) @ U_l
-    dl += v[:, None, None] * cross.transpose(0, 2, 1)
-    dl[:, a_, a_] += p[:, None, None] * M
+    dl += v_t[:, None, None] * cross.transpose(0, 2, 1)
+    dl[:, a_, a_] += p_t[:, None, None] * M
     dd = U_x.transpose(0, 2, 1) @ HU_x
-    dd[:, a_, a_] += 2.0 * v[:, None, None] * ((M * s2a) @ M) + reg_d[a_, a_]
+    dd[:, a_, a_] += 2.0 * v_t[:, None, None] * ((M * s2a) @ M) + reg_d[a_, a_]
     diag_x = dd.reshape(r, 4 * m * m)[:, m * (2 * m + 1) :: 2 * m + 1]  # row i's sigma_x diagonal
-    diag_x += 2.0 * v[:, None] * w_x + reg_d.diagonal()[m:]
+    diag_x += 2.0 * v_t[:, None] * w_x + reg_d.diagonal()[m:]
     return ll, ld, dl, dd
 
 

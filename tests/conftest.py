@@ -28,13 +28,15 @@ def count_hinge_calls(monkeypatch):
 
 @pytest.fixture
 def hinge_inputs(monkeypatch):
-    """Returns the list that records, as copies, the (mu, sigma) arrays of each
-    hinge_expect call made by randgame.costs: the learner's margins first,
-    then the attacker's, for every evaluation."""
+    """Returns the list that records, as copies broadcast to one shape, the
+    (mu, sigma) arrays of each hinge_expect call made by randgame.costs. An
+    evaluation makes one call: row 0 holds the learner's margins, row 1 the
+    attacker's."""
     inputs = []
 
     def spy(mu, sigma):
-        inputs.append((np.array(mu, dtype=float), np.array(sigma, dtype=float)))
+        inputs.append(tuple(np.array(a) for a in np.broadcast_arrays(
+            np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))))
         return hinge.hinge_expect(mu, sigma)
 
     monkeypatch.setattr(costs, "hinge_expect", spy)

@@ -162,10 +162,11 @@ def _sampled_margin_moments(rng, y, draw_score, n_draws=10_000_000, chunks=10):
 
 def _moment_deviation(captured, i, sampled):
     """Largest deviation, in standard errors, of the (mu, sigma) arrays that
-    costs.evaluate passed to hinge_expect at sample i from the sampled margin
+    costs.evaluate passed to hinge_expect in its one call (row 0 the learner's
+    margins, row 1 the attacker's) at sample i from the sampled margin
     moments; the attacker's margin 1 + y * score has mean 2 - mean."""
     mean, var, n_draws = sampled
-    (mu_s, sig_s), (mu_t, sig_t) = captured
+    [((mu_s, mu_t), (sig_s, sig_t))] = captured
     se_mean, se_var = np.sqrt(var / n_draws), var * np.sqrt(2.0 / (n_draws - 1))
     return max(
         abs(mu_s[i] - mean) / se_mean,

@@ -253,7 +253,7 @@ class TestOperator:
         ops = game_operator(game)
         calls = count_hinge_calls(costs_module)
         ops.pseudo_grad(v)
-        assert calls == ["hinge_expect", "hinge_expect"]
+        assert calls == ["hinge_expect"]
 
     def test_cost_splits_into_loss_plus_regularizer(self):
         game = random_game(5)

@@ -26,6 +26,24 @@ from randgame.data import (
 from randgame.model import Dataset, atomic_write, load_flat_csv, save_flat_csv
 
 
+# Runs the CLI on its arguments with every import of scipy refused.
+NO_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from randgame.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def save_sparse(path, data: Dataset) -> None:
     """Write 'label idx:val ...' lines with 1-based indices of the nonzero
     features, the format load_sparse reads."""
@@ -382,6 +400,21 @@ class TestCliPipeline:
         assert not (tmp_path / "adv.csv").exists() and not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("command", ["attack", "secure-eval"])
+    def test_flip_on_continuous_features_is_an_input_error(self, tmp_path, capsys, command):
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "base.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(params)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        budget = ["--dmax", "1"] if command == "attack" else ["--dmax-list", "0,1"]
+        assert main([command, "--params", str(params), "--data", str(data), "--mode",
+                     "binary_flip", *budget, "--out", str(out)]) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {data}: binary_flip needs binary features, but a malicious "
+                       "sample has a value other than 0 or 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "secure-eval"])
     def test_params_for_another_k_are_rejected(self, tmp_path, capsys, command):
         # a model trained on k=2 data, read on k=5 data: 2(k+1) + 2nk values
         # fit neither 2*6 nor 2*6 + a whole number of 2*5-value rows
@@ -605,6 +638,28 @@ class TestCliPipeline:
             text=True,
         )
         assert proc.returncode == 0 and out.exists()
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: the CLI neither imports it nor needs it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        probe = ("import sys, randgame.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "[]\n"
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-c", NO_SCIPY, *map(str, argv)], env=env,
+                                  capture_output=True, text=True).returncode
+
+        data, params, cfg = tmp_path / "d.csv", tmp_path / "eq.csv", tmp_path / "game.cfg"
+        cfg.write_text("rho_l=100\nrho_d=100\nbias_reg=1\nW=0.5\n")
+        assert run("gen-synth", "--n", 3, "--seed", 1, "--out", data) == 0
+        assert run("train", "--data", data, "--game", cfg, "--out", params) == 0
+        assert run("check-eq", "--data", data, "--game", cfg, "--profiles", 2, "--pairs", 20) == 0
+        assert load_flat_csv(params).size == 2 * 3 + 2 * 6 * 2
 
     def test_pipeline_byte_identical_across_runs(self, tmp_path):
         outs = []

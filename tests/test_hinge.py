@@ -1,11 +1,15 @@
 """Rectified-Gaussian expectation: Monte-Carlo and finite-difference oracles,
 and the margin moments that the game's costs feed to it."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from oracles import profile
+from randgame import hinge
 from randgame.costs import game_operator
 from randgame.hinge import hinge_expect, hinge_hessian
 from randgame.model import Dataset, GameSpec, default_boxes
@@ -60,6 +64,56 @@ class TestHingeExpect:
             h, p, _ = hinge_expect(mu, 1.0)
             assert p == pytest.approx(norm.cdf(mu), rel=1e-12)
             assert h == pytest.approx(norm.pdf(mu) + mu * norm.cdf(mu), rel=1e-10)
+
+
+class TestNormalCdf:
+    """p = Phi(mu / sigma) from both of hinge's methods, which the array size
+    picks, against scipy's ndtr: a relative error of at most 1e-12 wherever
+    Phi >= 1e-300, exactly 0 or 1 where exp(-z^2 / 2) underflows, and no
+    RuntimeWarning up to |z| = 1e150."""
+
+    # zero, the band edges |z| / sqrt(2) = 1 and 8, the underflow of
+    # exp(-z^2 / 2) near |z| = 38.6, and the far tails
+    FIXED = [0.0, -0.0, 2**0.5, -(2**0.5), 8 * 2**0.5, -8 * 2**0.5, 38.5, -38.5, 38.7, -38.7,
+             1e3, -1e3, 1e100, -1e100, 1e150, -1e150]
+
+    def _z(self, size, seed):
+        rng = np.random.default_rng(seed)
+        k = (size - len(self.FIXED)) // 2
+        rest = size - len(self.FIXED) - k
+        return np.concatenate([self.FIXED, np.linspace(-38.0, 38.0, k),
+                               rng.normal(scale=15.0, size=rest)])
+
+    def _check(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = hinge_expect(z, 1.0)[1]
+            e = np.exp(-0.5 * z * z)
+        assert np.shape(p) == np.shape(z)
+        p, ref = np.asarray(p), ndtr(z)
+        live = ref >= 1e-300
+        assert np.all(np.abs(p[live] - ref[live]) <= 1e-12 * ref[live])
+        np.testing.assert_array_equal(p[e == 0.0], z[e == 0.0] > 0)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_both_sides_of_the_switch(self, offset):
+        size = hinge._RATIONAL_MIN_SIZE + offset
+        z = self._z(size, seed=size)
+        for shape in ((size,), (1, size), (size, 1)):
+            self._check(z.reshape(shape))
+
+    def test_nan_stays_nan(self):
+        for size in (1, hinge._RATIONAL_MIN_SIZE):
+            assert np.isnan(hinge_expect(np.full(size, np.nan), 1.0)[1]).all()
+
+    def test_stacked_margins(self):
+        # the costs' (2, n) shape, at and below the switch
+        for n in (hinge._RATIONAL_MIN_SIZE // 2 - 1, hinge._RATIONAL_MIN_SIZE // 2):
+            self._check(self._z(2 * n, seed=n).reshape(2, n))
+
+    def test_scalars(self):
+        for z in self._z(64, seed=3):
+            self._check(np.array(z))
 
 
 class TestHingeDerivatives:
@@ -142,7 +196,7 @@ class TestMarginMoments:
         game = GameSpec(Dataset(mu_x[None], [y]), 1.0, 1.0, lb, ab)
         hinge_inputs.clear()
         game_operator(game).pseudo_grad(profile(mu_w, sigma_w, mu_x[None], sigma_x[None]))
-        (mu_s, sig_s), (mu_t, sig_t) = hinge_inputs
+        [((mu_s, mu_t), (sig_s, sig_t))] = hinge_inputs
         return float(mu_s[0]), float(sig_s[0]), float(mu_t[0]), float(sig_t[0])
 
     def test_monte_carlo_oracle(self, hinge_inputs):

@@ -4,11 +4,13 @@ numbers as JSON.
     python tools/ab_timing.py ENTRY [ENTRY ...] --parent PATH [--change PATH] [--out FILE]
 
 ENTRY names a registry entry (ENTRIES): a list of cases, each a setup that
-builds its inputs and returns the call to time. pgrad times one pseudo-
-gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile, solve one
-extragradient_solve to natural residual 1e-8 (at most 5000 iterations, the
-default) and newton one Newton candidate of the solver, each on the games its
-cases build. Each checkout runs in its own Python process with PYTHONPATH set
+builds its inputs and returns the call to time. cold times one fresh
+interpreter that imports randgame.cli, which every CLI command pays before it
+starts its work, and reports the modules it loaded and its peak RSS; pgrad
+times one pseudo-gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile,
+solve one extragradient_solve to natural residual 1e-8 (at most 5000
+iterations, the default) and newton one Newton candidate of the solver, each
+on the games its cases build. Each checkout runs in its own Python process with PYTHONPATH set
 to its src/ and one BLAS thread. After a warm-up call, a round repeats the
 call for at least MIN_ROUND_S; a pass reports the median per-call time of its
 rounds, and the parent and the change alternate pass by pass so that slow
@@ -38,6 +40,22 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_ROUND_S = 0.02  # a round repeats the call until it lasts at least this
 NEWTON_ITERATE = 10  # first-order iterations to the iterate of a newton case
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cold_cases(tiny):
+    """A fresh `python -c "import randgame.cli"`, with the worker's
+    environment and so the checkout's src/; the same at every size."""
+    import resource
+
+    probe = "import sys, randgame.cli; print(len(sys.modules))"
+
+    def call():
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        return {"modules": int(proc.stdout), "child_peak_rss_mb": peak_mb}
+
+    yield "import randgame.cli", False, lambda: call
 
 
 def _pgrad_cases(tiny):
@@ -188,6 +206,8 @@ def _newton_cases(tiny):
 
 # name: (cases, default output, metric, rounds, passes)
 ENTRIES = {
+    "cold": (_cold_cases, "BENCH_scipy_free.json",
+             "wall time of a fresh interpreter importing randgame.cli", 5, 7),
     "pgrad": (_pgrad_cases, "BENCH_planar_evaluate.json",
               "pseudo_grad wall time per call", 11, 7),
     "diag": (_diag_cases, "BENCH_analytic_jacobian.json",
