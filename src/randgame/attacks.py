@@ -102,27 +102,46 @@ def attack_l2_box(w, X, y, d_max, monotone=False):
     return out[0] if one else out
 
 
-def attack_flip_binary(w, X, y, d_max):
-    """Greedy flip of up to d_max binary features of each row of X in
-    descending |w| (ties by index), flipping only where the flip strictly
-    decreases y*f. Optimal for linear scores."""
-    d_max = int(_check_budget(d_max, whole=True))
-    w = np.asarray(w, dtype=float)
-    X, one = _rows(X)
-    order = np.lexsort((np.arange(w.size), -np.abs(w)))
-    flip = (X == 1.0)[:, order]  # the features that are on, in flip order
-    if np.count_nonzero(flip) != np.count_nonzero(X):
+def _flip_ranks(w, X, y, d_max):
+    """Each binary row's first d_max flip candidates in flip order (descending
+    |w|, ties by index) as flat indices row * k + column into X, and ranks that
+    count the row's candidates up to each; a candidate strictly decreases y*f.
+    The order is read once, in column blocks doubling from 2 * d_max, and only
+    the rows still short of d_max candidates are compared, counted and ranked."""
+    on = X == 1.0
+    if np.count_nonzero(on) + np.count_nonzero(X == 0.0) != X.size:
         raise ValueError("binary flip attack needs binary features")
-    # boolean masks only, one row copy: a flip helps where the feature is on
-    # and y*w > 0, or off and y*w < 0; ranks count the candidates in flip order
-    yw = y * w[order]
-    np.equal(flip, yw > 0.0, out=flip)
-    flip &= yw != 0.0
-    flip &= np.cumsum(flip, axis=1, dtype=np.int32) <= d_max
-    rows, cols = np.nonzero(flip)
-    cols = order[cols]
+    order = np.lexsort((np.arange(X.shape[1]), -np.abs(w)))
+    yw = y * np.asarray(w, dtype=float)[order]
+    held = np.zeros(X.shape[0], dtype=np.intp)  # candidates so far, per row
+    live = np.arange(X.shape[0] if d_max else 0)  # the rows still short of d_max
+    found = [(np.empty(0, dtype=np.intp),) * 2]
+    start, width = 0, 2 * d_max
+    while live.size and start < X.shape[1]:
+        cols, ywb = order[start:start + width], yw[start:start + width]
+        cand = on[:, cols][live] == (ywb > 0.0)  # on and y*w > 0, or off and y*w < 0
+        cand &= ywb != 0.0
+        r, c = np.divmod(np.flatnonzero(cand), cols.size)  # row by row
+        counts = np.bincount(r, minlength=live.size)
+        rank = np.arange(1, r.size + 1) + (held[live] - np.cumsum(counts) + counts)[r]
+        keep = rank <= d_max
+        found.append((live[r[keep]] * X.shape[1] + cols[c[keep]], rank[keep]))
+        held[live] += counts
+        live = live[held[live] < d_max]
+        start, width = start + width, 2 * width
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def attack_flip_binary(w, X, y, d_max):
+    """Greedy flip of up to d_max binary features of each row of X, in
+    descending |w| (ties by index) and only where the flip strictly decreases
+    y*f: the row's first d_max candidates from `_flip_ranks`. Optimal for
+    linear scores."""
+    d_max = int(_check_budget(d_max, whole=True))
+    X, one = _rows(X)
+    flat, _ = _flip_ranks(w, X, y, d_max)
     out = X.copy()
-    out[rows, cols] = 1.0 - out[rows, cols]
+    out.put(flat, 1.0 - out.take(flat))
     return out[0] if one else out
 
 
@@ -196,15 +215,19 @@ def security_curve(
     seed: int = 0,
     fp_target: float = 0.01,
 ) -> SecurityCurve:
-    """Attack every malicious test sample at each budget (one batched attack
-    per budget) and track TP at the fixed FP rate, mean/std over seeded
-    re-subsamplings of the test set, for the learner's means mu_w = [w; b]
-    (k + 1 values, the first block of the flat profile)."""
+    """Attack every malicious test sample at each budget and track TP at the
+    fixed FP rate, mean/std over seeded re-subsamplings of the test set, for
+    the learner's means mu_w = [w; b] (k + 1 values, the first block of the
+    flat profile). The L2 modes attack in one batch per budget; binary_flip
+    ranks once, at the largest budget, and flips the entries ranked in
+    (previous budget, budget] in place."""
+    if mode not in ATTACK_MODES:
+        raise ValueError(f"unknown attack mode {mode!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1: a curve needs a measurement")
     d_max_list = [_check_budget(d, whole=mode == "binary_flip") for d in d_max_list]
-    if any(b >= a for a, b in zip(d_max_list[1:], d_max_list)):
-        raise ValueError("d_max_list must be strictly increasing")
+    if not d_max_list or any(b >= a for a, b in zip(d_max_list[1:], d_max_list)):
+        raise ValueError("d_max_list must be non-empty and strictly increasing")
     w, b = mu_w[:-1], float(mu_w[-1])
     X, y = test.features, test.labels
     mal_idx = np.flatnonzero(y == 1)
@@ -219,9 +242,15 @@ def security_curve(
         leg = rng.choice(leg_idx, size=max(1, int(SUBSAMPLE * leg_idx.size)), replace=False)
         draws.append((pos, X[leg] @ w + b))
 
+    X_mal = X[mal_idx]  # a copy: binary_flip flips it in place
+    if mode == "binary_flip" and d_max_list[-1] > 0:  # checked binary only if a budget attacks
+        flat, rank = _flip_ranks(w, X_mal, 1.0, int(d_max_list[-1]))
     tp = np.empty((repetitions, len(d_max_list)))
-    for j, d in enumerate(d_max_list):
-        attacked = _attack_rows(w, X[mal_idx], mode, d)
+    for j, (done, d) in enumerate(zip([0.0] + d_max_list, d_max_list)):
+        if mode == "binary_flip" and d > 0:
+            new = flat[(rank > done) & (rank <= d)]
+            X_mal.put(new, 1.0 - X_mal.take(new))
+        attacked = X_mal if mode == "binary_flip" else _attack_rows(w, X_mal, mode, d)
         for rep, (pos, legit_scores) in enumerate(draws):
             _, tp[rep, j] = tp_at_fp(legit_scores, attacked[pos] @ w + b, fp_target)
         del attacked  # free this budget's rows before the next batch

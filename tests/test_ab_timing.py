@@ -39,6 +39,9 @@ def test_compare_reports_every_case(entry):
         if entry in ("solve", "newton"):
             assert all("theta" not in row[side] for side in sides)
             assert row["max_abs_theta_diff"] == 0.0  # both sides ran the same code
+        if entry == "curve":
+            assert all(len(row[side]["points"]) >= 2 for side in sides)
+            assert row["same_points"]  # both sides ran the same code
 
 
 def test_checkout_without_randgame_is_refused(tmp_path):

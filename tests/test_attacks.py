@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from oracles import attack_l2_box_bisection, flip_binary_greedy, tp_at_fp_scan
 
+from randgame import attacks
 from randgame.attacks import (
     ATTACK_MODES,
+    SUBSAMPLE,
     SecurityCurve,
     _attack_rows,
     attack_flip_binary,
@@ -219,6 +221,24 @@ class TestBinaryFlip:
             assert single.shape == (k,)
             np.testing.assert_array_equal(single, ref[0])
 
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_wide_rows_match_greedy_oracle(self, y):
+        # k from 300 to 3000 at 0.5-5% density, so the block scan of the flip
+        # order runs past its first block of 2 * d_max columns
+        rng = np.random.default_rng(14)
+        for trial in range(30):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(300, 3001))
+            X = (rng.random((n, k)) < rng.uniform(0.005, 0.05)).astype(float)
+            w = rng.normal(size=k)
+            if trial % 3 == 0:  # all positive: at y = +1 rows hold fewer candidates than d_max
+                w = np.abs(w)
+            elif trial % 3 == 1:  # ties in |w| and zero weights
+                w = np.round(w, 1)
+            d_max = [0, 1, 2, 5, 20, 60, 400, k, k + 7][trial % 9]
+            adv = attack_flip_binary(w, X, y, d_max)
+            ref = np.array([flip_binary_greedy(w, x, y, d_max) for x in X])
+            np.testing.assert_array_equal(adv, ref)
+
 
 class TestTpAtFp:
     def test_documented_example(self):
@@ -306,6 +326,34 @@ class TestSecurityCurve:
         tps = [p[1] for p in curve.points]
         assert tps[0] > 0.9 and tps[0] > tps[1] > tps[2]
 
+    def test_binary_flip_curve_equals_one_attack_per_budget(self):
+        # the curve ranks the flips once and applies them in place, budget by
+        # budget; the reference attacks a fresh copy of the rows per budget
+        rng = np.random.default_rng(15)
+        n, k, reps, seed = 120, 400, 3, 5
+        y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        X = (rng.random((n, k)) < np.where(y[:, None] > 0, 0.06, 0.02)).astype(float)
+        w, b = np.round(rng.normal(size=k), 1), -0.3  # ties in |w| and zero weights
+        ds = Dataset(X, y, "binary")
+        before = ds.features.copy()
+        budgets = [0, 1, 3, 8, 20, 50]
+        curve = security_curve(np.append(w, b), ds, "binary_flip", budgets, repetitions=reps,
+                               seed=seed)
+        np.testing.assert_array_equal(ds.features, before)
+        mal, leg = np.flatnonzero(y == 1), np.flatnonzero(y == -1)
+        tp = np.empty((reps, len(budgets)))
+        for rep in range(reps):
+            draw = np.random.default_rng(seed + rep)
+            pos = draw.choice(mal.size, size=int(SUBSAMPLE * mal.size), replace=False)
+            legit = X[draw.choice(leg, size=int(SUBSAMPLE * leg.size), replace=False)] @ w + b
+            for j, d in enumerate(budgets):
+                attacked = attack_flip_binary(w, X[mal], 1.0, d)
+                tp[rep, j] = tp_at_fp(legit, attacked[pos] @ w + b, curve.fp_target)[1]
+        ref = tuple((d, float(tp[:, j].mean()), float(tp[:, j].std()))
+                    for j, d in enumerate(budgets))
+        assert curve.points == ref
+        assert ref[0][1] > ref[-1][1]  # the attack moves the curve
+
     def test_requires_increasing_budgets(self):
         mu_w, ds, mode = self._setup()
         with pytest.raises(ValueError, match="increasing"):
@@ -370,6 +418,23 @@ class TestAttackSpecValidation:
                 _attack_rows(mu_w[:-1], ds.features, "teleport", d_max)
         with pytest.raises(ValueError, match="mode"):
             security_curve(mu_w, ds, "teleport", [0.0, 1.0])
+
+    def test_curve_checks_grid_and_mode_before_any_attack(self, monkeypatch):
+        # an empty grid gave points == () and AUC 0.0, and an unknown mode
+        # with an empty grid passed silently
+        mu_w, ds = _binary_case()
+
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attack work before the arguments were checked")
+
+        monkeypatch.setattr(attacks, "_flip_ranks", no_attack)
+        monkeypatch.setattr(attacks, "_attack_rows", no_attack)
+        for mode in ATTACK_MODES:
+            with pytest.raises(ValueError, match="non-empty"):
+                security_curve(mu_w, ds, mode, [])
+        for grid in ([], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="mode"):
+                security_curve(mu_w, ds, "nonsense", grid)
 
     def test_binary_flip_needs_integer_budget(self):
         mu_w, ds = _binary_case()

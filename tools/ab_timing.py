@@ -10,18 +10,20 @@ starts its work, and reports the modules it loaded and its peak RSS; pgrad
 times one pseudo-gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile,
 solve one extragradient_solve to natural residual 1e-8 (at most 5000
 iterations, the default) and newton one Newton candidate of the solver, each
-on the games its cases build. Each checkout runs in its own Python process with PYTHONPATH set
-to its src/ and one BLAS thread. After a warm-up call, a round repeats the
-call for at least MIN_ROUND_S; a pass reports the median per-call time of its
-rounds, and the parent and the change alternate pass by pass so that slow
-drift of the host hits both alike. The JSON holds per case the median over
-passes, every pass's median, the ratio change / parent and what the warm-up
-call reported (for a solve: its evaluations, Jacobian calls, iterations,
-residual and the largest coordinate distance between the two sides'
-solutions; for a Newton candidate: whether there was a step and that distance
-between the two sides' candidates), then each side's peak worker RSS and
-bench/run.py's environment(): the core count and the BLAS. Several entries
-write one file that maps each entry's name to its report.
+on the games its cases build; curve times one security_curve (binary_flip
+and box-L2) on the sets its cases build. Each checkout runs in its own Python
+process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
+call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
+median per-call time of its rounds, and the parent and the change alternate
+pass by pass so that slow drift of the host hits both alike. The JSON holds
+per case the median over passes, every pass's median, the ratio change /
+parent and what the warm-up call reported (for a solve: its evaluations,
+Jacobian calls, iterations, residual and the largest coordinate distance
+between the two sides' solutions; for a Newton candidate: whether there was
+a step and that distance between the two sides' candidates; for a curve: its
+points, and whether the two sides' points are equal), then each side's peak
+worker RSS and bench/run.py's environment(): the core count and the BLAS.
+Several entries write one file that maps each entry's name to its report.
 """
 
 from __future__ import annotations
@@ -204,6 +206,55 @@ def _newton_cases(tiny):
             n, k, b)
 
 
+def _curve_cases(tiny):
+    """One security_curve at fp_target 0.01, seed 0: binary_flip on spam-like
+    rows as in the benchmark's security-curve workload (malicious rows at
+    about 3% density, budgets 0, 2, 5, 10, 20, 3 repetitions); binary_flip
+    with all weights positive on rows at 1% density and one attacking budget,
+    20, so almost no row holds enough candidates to leave the flip order's
+    scan early (its worst case); and box-L2 on two dense classes (budgets 0, 1, 2, 1
+    repetition), which never ranks flips."""
+    import numpy as np
+
+    from randgame.attacks import security_curve
+    from randgame.model import Dataset
+
+    def setup(mu_w, data, mode, budgets, reps):
+        def call():
+            curve = security_curve(mu_w, data, mode, budgets, repetitions=reps)
+            return {"points": [list(p) for p in curve.points]}
+
+        return call
+
+    def spam(n, k, positive):
+        rng = np.random.default_rng(k + positive)
+        y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        p_legit = np.full(k, 0.01)
+        p_mal = p_legit.copy()
+        if not positive:
+            words = rng.permutation(k)[: k // 10]
+            p_legit[words], p_mal[words] = 0.02, 0.2
+        X = (rng.random((n, k)) < np.where(y[:, None] > 0, p_mal, p_legit)).astype(float)
+        w = np.abs(rng.normal(size=k)) if positive else (
+            np.log(p_mal / p_legit) + 0.1 * rng.normal(size=k))
+        return np.append(w, 0.0), Dataset(X, y, "binary")
+
+    def box(n, k):
+        rng = np.random.default_rng(n)
+        y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        u = rng.normal(size=k)
+        u /= np.linalg.norm(u)
+        X = np.clip(0.5 + 0.1 * rng.normal(size=(n, k)) + 0.5 * y[:, None] * u, 0.0, 1.0)
+        return np.append(u + 0.2 * rng.normal(size=k) / np.sqrt(k), 0.0), Dataset(X, y)
+
+    (fn, fk), (bn, bk) = ((40, 60), (20, 5)) if tiny else ((1000, 1000), (500, 20))
+    yield f"flip spam {fn}x{fk} d=0..20", False, lambda: setup(
+        *spam(fn, fk, False), "binary_flip", [0, 2, 5, 10, 20], 3)
+    yield f"flip w>0 {fn}x{fk} d=0,20", False, lambda: setup(
+        *spam(fn, fk, True), "binary_flip", [0, 20], 3)
+    yield f"box {bn}x{bk} d=0,1,2", False, lambda: setup(*box(bn, bk), "l2_box_pgd", [0, 1, 2], 1)
+
+
 # name: (cases, default output, metric, rounds, passes)
 ENTRIES = {
     "cold": (_cold_cases, "BENCH_scipy_free.json",
@@ -216,6 +267,7 @@ ENTRIES = {
               "wall time of one solve to natural residual 1e-8", 1, 5),
     "newton": (_newton_cases, "BENCH_newton_onepass.json",
                "_newton_candidate wall time per call", 7, 7),
+    "curve": (_curve_cases, "BENCH_flip_ranking.json", "security_curve wall time per call", 7, 9),
 }
 
 
@@ -287,6 +339,8 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
         if "theta" in row.get("parent", {}):
             row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
                 row["change"].pop("theta"), row["parent"].pop("theta")))
+        if "points" in row.get("parent", {}):
+            row["same_points"] = row["parent"]["points"] == row["change"]["points"]
         cases[label] = row
     return {
         "entry": entry,
