@@ -24,7 +24,7 @@ from .diagnostics import (
 )
 from .hinge import hinge_expect
 from .kernel import Kernel, dual_game_operator, gram
-from .model import Dataset, GameSpec, ParamBox, ShapeError, default_boxes
+from .model import Dataset, GameSpec, ShapeError, default_boxes
 from .ops import VIGame
 from .solver import (
     EquilibriumResult,

@@ -63,8 +63,8 @@ def _game_from_config(cfg: dict, dataset) -> tuple[model.GameSpec, solver.Solver
         if key not in _GAME_KEYS:
             raise _UsageError(f"unknown game config key {key!r}")
     v = {key: _game_value(cfg, key) for key in _GAME_KEYS}
-    lb, ab = model.default_boxes(dataset.n, dataset.k, v["W"])
-    game = model.GameSpec(dataset, v["rho_l"], v["rho_d"], lb, ab, v["bias_reg"])
+    lower, upper = model.default_boxes(dataset.n, dataset.k, v["W"])
+    game = model.GameSpec(dataset, v["rho_l"], v["rho_d"], lower, upper, v["bias_reg"])
     scfg = solver.SolverConfig(v["epsilon"], v["max_iter"], v["seed"])
     return game, scfg
 
@@ -237,8 +237,8 @@ def _cmd_grid_search(args) -> int:
     for rho_l in grids.rho_l_grid:
         for rho_d in grids.rho_d_grid:
             for W in grids.W_grid:
-                lb, ab = model.default_boxes(train.n, train.k, W)
-                game = model.GameSpec(train, rho_l, rho_d, lb, ab)
+                lower, upper = model.default_boxes(train.n, train.k, W)
+                game = model.GameSpec(train, rho_l, rho_d, lower, upper)
                 scfg = solver.SolverConfig(max_iter=args.max_iter, seed=args.seed)
                 result = solver.solve_svm_game(game, cfg=scfg)
                 curve = attacks.security_curve(result.theta_l[: train.k + 1], val, "l2_box_pgd",

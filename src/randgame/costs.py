@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hinge import hinge_expect, hinge_hessian
-from .model import Dataset, GameSpec, ParamBox, ShapeError
+from .model import Dataset, GameSpec, ShapeError
 from .ops import VIGame
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
@@ -227,13 +227,13 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     return ll, ld, dl, dd
 
 
-def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox) -> VIGame:
-    """Operator whose costs and pseudo-gradient (with r = (1, rho_l/rho_d)) all
-    come from one evaluate(theta, *terms) call, whose Jacobian blocks come
-    from one jacobian(theta, *terms) call and whose regularizer Hessians come
-    from reg_hess, built only when asked."""
-    by_M, dM, _, anchors, _, rho_l, rho_d, bias_reg = terms
-    dim_l = learner_box.dim
+def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
+    """Operator on the joint box [lower, upper] whose costs and pseudo-gradient
+    (with r = (1, rho_l/rho_d)) all come from one evaluate(theta, *terms) call,
+    whose Jacobian blocks come from one jacobian(theta, *terms) call and whose
+    regularizer Hessians come from reg_hess, built only when asked."""
+    by_M, dM, _, _, _, rho_l, rho_d, bias_reg = terms
+    dim_l = 2 * (dM.size + 1)
     r_d = rho_l / rho_d
 
     def joint(theta):
@@ -252,14 +252,13 @@ def _vi_game(terms, learner_box: ParamBox, attacker_box: ParamBox) -> VIGame:
 
     return VIGame(
         dim_l=dim_l,
-        dim_d=attacker_box.dim,
-        lower=np.concatenate([learner_box.lower, attacker_box.lower]),
-        upper=np.concatenate([learner_box.upper, attacker_box.upper]),
+        lower=lower,
+        upper=upper,
         cost_l=lambda theta: joint(theta)[0],
         cost_d=lambda theta: joint(theta)[1],
         pseudo_grad=pgrad,
         jacobian=pjac,
-        row_size=2 * anchors.shape[0],
+        row_size=2 * dM.size,
         rho=(rho_l, rho_d),
         reg_hess=lambda: reg_hess(by_M(np.eye(dM.size)), dM, rho_l, rho_d, bias_reg),
     )
@@ -279,7 +278,7 @@ def game_operator(game: GameSpec) -> VIGame:
     """Flat-vector operator view of the SVM game, as consumed by the solver
     and the diagnostics; its costs and pseudo-gradient (with
     r = (1, rho_l/rho_d)) all come from one evaluation."""
-    return _vi_game(_primal_terms(game), game.learner_box, game.attacker_box)
+    return _vi_game(_primal_terms(game), game.lower, game.upper)
 
 
 # Subgradient descent of the baseline C-SVM: restarts, steps per restart and

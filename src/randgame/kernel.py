@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import _vi_game
-from .model import Dataset, _box_pair
+from .model import Dataset, _box_pair, _check_weights
 from .ops import VIGame
 
 PSD_TOL = 1e-10
@@ -86,8 +86,10 @@ def dual_game_operator(
 ) -> VIGame:
     """Flat-vector operator view of the dual game for the solver. Learner
     coefficients and bias mean lie in [-DUAL_W, DUAL_W], attacker coefficients
-    in XI_MEAN_BOUNDS; deviations share the primal intervals."""
+    in XI_MEAN_BOUNDS; deviations share the primal intervals. The weights are
+    checked as GameSpec checks them."""
+    _check_weights(rho_l, rho_d, bias_reg)
     K = gram(data, kernel)
     check_psd(K)
-    boxes = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
-    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), *boxes)
+    box = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
+    return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), *box)

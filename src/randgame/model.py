@@ -1,12 +1,15 @@
-"""Core data model: datasets, feasible boxes and games; parameter and config
+"""Core data model: datasets, the feasible box and games; parameter and config
 files.
 
 Both players' Gaussian strategies are one flat joint profile,
 
     [mu_w (k+1) ; sigma_w (k+1) ; mu_x_1 (k) ; sigma_x_1 (k) ; ... ; sigma_x_n (k)]
 
-with the last coordinate of each learner block belonging to the bias; the
-boxes bound it coordinate by coordinate, and the costs read it as it is.
+with the last coordinate of each learner block belonging to the bias. The
+feasible set, the product of the players' strategy sets, is one axis-aligned
+box (lower, upper) over that profile; it bounds the profile coordinate by
+coordinate, and the costs read the profile as it is. This module alone
+decides the box's layout.
 """
 
 from __future__ import annotations
@@ -78,33 +81,10 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class ParamBox:
-    """Axis-aligned feasible box for one player's block of the flat profile."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = _as_float_array(self.lower, 1)
-        up = _as_float_array(self.upper, 1)
-        if lo.shape != up.shape:
-            raise ShapeError("box bounds must have equal length")
-        if not np.all(lo <= up):  # NaN fails the comparison too
-            raise ValueError("box lower bound exceeds upper bound or is NaN")
-        lo.setflags(write=False)
-        up.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-
-def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[ParamBox, ParamBox]:
-    """Learner means (m + 1) in [-W, W], each attacker row's m means in
-    mean_bounds, deviation coordinates in the standard intervals above."""
+def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of the flat joint profile: learner means (m + 1) in
+    [-W, W], each attacker row's m means in mean_bounds, deviation coordinates
+    in the standard intervals above."""
     if not 0 < W < np.inf:
         raise ValueError("W must be finite and positive")
     if n < 1 or m < 1:
@@ -114,18 +94,29 @@ def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[ParamBox, ParamBox
         np.tile(np.repeat([mean, dev], m), n)
         for mean, dev in zip(mean_bounds, ATTACKER_DEV_BOUNDS)
     ]
-    return ParamBox(*learner), ParamBox(*attacker)
+    return tuple(map(np.concatenate, zip(learner, attacker)))
 
 
-def default_boxes(n: int, k: int, W: float) -> tuple[ParamBox, ParamBox]:
-    """Default feasible boxes: learner means in [-W, W], attacker means in [0, 1],
-    deviation coordinates in the standard intervals above."""
+def default_boxes(n: int, k: int, W: float) -> tuple[np.ndarray, np.ndarray]:
+    """Default feasible box (lower, upper) of the flat joint profile: learner
+    means in [-W, W], attacker means in [0, 1], deviation coordinates in the
+    standard intervals above."""
     return _box_pair(n, k, W, (0.0, 1.0))
+
+
+def _check_weights(rho_l: float, rho_d: float, bias_reg: float) -> None:
+    """The trade-off weights of a game: rho_l, rho_d finite and positive,
+    bias_reg finite and non-negative (NaN fails every comparison)."""
+    if not (0 < rho_l < np.inf and 0 < rho_d < np.inf):
+        raise ValueError("rho_l and rho_d must be finite and positive")
+    if not 0 <= bias_reg < np.inf:
+        raise ValueError("bias_reg must be finite and non-negative")
 
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A full game instance: dataset, trade-off weights and feasible boxes.
+    """A full game instance: dataset, trade-off weights and the feasible box
+    [lower, upper] of the flat joint profile.
 
     bias_reg adds (bias_reg/2) * b^2 to the learner's objective; the default 0
     keeps the plain unregularized-bias C-SVM learner.
@@ -134,29 +125,31 @@ class GameSpec:
     dataset: Dataset
     rho_l: float
     rho_d: float
-    learner_box: ParamBox
-    attacker_box: ParamBox
+    lower: np.ndarray
+    upper: np.ndarray
     bias_reg: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.rho_l < np.inf and 0 < self.rho_d < np.inf):
-            raise ValueError("rho_l and rho_d must be finite and positive")
-        if not 0 <= self.bias_reg < np.inf:
-            raise ValueError("bias_reg must be finite and non-negative")
-        n, k = self.dataset.n, self.dataset.k
-        if self.learner_box.dim != 2 * (k + 1):
-            raise ShapeError("learner box dim must be 2*(k+1)")
-        if self.attacker_box.dim != 2 * n * k:
-            raise ShapeError("attacker box dim must be 2*n*k")
+        _check_weights(self.rho_l, self.rho_d, self.bias_reg)
+        lo = _as_float_array(self.lower, 1)
+        up = _as_float_array(self.upper, 1)
+        dim = self.dim_l + self.dim_d
+        if lo.shape != (dim,) or up.shape != (dim,):
+            raise ShapeError(f"box bounds must have length dim_l + dim_d = {dim}")
+        if not np.all(lo <= up):  # NaN fails the comparison too
+            raise ValueError("box lower bound exceeds upper bound or is NaN")
         # Deviation coordinates must be bounded away from zero (compact strategy
-        # sets with sigma > 0). Learner deviations are the trailing k+1 coords,
-        # attacker deviations the trailing k of each per-sample block.
-        m = k + 1
-        if np.any(self.learner_box.lower[m:] <= 0):
+        # sets with sigma > 0). Learner deviations are the second half of its
+        # block, attacker deviations the trailing k of each per-sample block.
+        n, k, m = self.n, self.k, self.k + 1
+        if np.any(lo[m : 2 * m] <= 0):
             raise ValueError("learner deviation lower bounds must be positive")
-        a_lo = self.attacker_box.lower.reshape(n, 2 * k)
-        if np.any(a_lo[:, k:] <= 0):
+        if np.any(lo[2 * m :].reshape(n, 2 * k)[:, k:] <= 0):
             raise ValueError("attacker deviation lower bounds must be positive")
+        lo.setflags(write=False)
+        up.setflags(write=False)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
 
     @property
     def n(self) -> int:

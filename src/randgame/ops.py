@@ -2,6 +2,8 @@
 
 The extragradient solver and the diagnostics work on this interface only, so
 toy games used in tests and the primal/dual SVM games share one code path.
+The feasible set is one box [lower, upper] over the whole vector: the
+learner's block is its first dim_l coordinates, the attacker's the rest.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class VIGame:
     """
 
     dim_l: int
-    dim_d: int
     lower: np.ndarray
     upper: np.ndarray
     cost_l: Callable[[np.ndarray], float]
@@ -54,10 +55,11 @@ class VIGame:
 
     @property
     def dim(self) -> int:
-        return self.dim_l + self.dim_d
+        return self.lower.size
+
+    @property
+    def dim_d(self) -> int:
+        return self.lower.size - self.dim_l
 
     def project(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(theta, self.lower, self.upper)
-
-    def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return theta[: self.dim_l], theta[self.dim_l :]

@@ -76,7 +76,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.max_iter < 1:
+        if not 0 < self.epsilon < np.inf or self.max_iter < 1:  # NaN fails too
             raise ValueError("bad solver configuration")
 
 
@@ -305,10 +305,9 @@ def nash_verify(theta: np.ndarray, ops: VIGame, tol: float) -> bool:
 
 
 def initial_point(game: GameSpec, seed: int) -> np.ndarray:
-    """Uniform draw inside the boxes, with the learner means shrunk toward 0
+    """Uniform draw inside the game's box, with the learner means shrunk toward 0
     so the hinge probabilities do not saturate at iteration 0."""
-    lower = np.concatenate([game.learner_box.lower, game.attacker_box.lower])
-    upper = np.concatenate([game.learner_box.upper, game.attacker_box.upper])
+    lower, upper = game.lower, game.upper
     theta = lower + np.random.default_rng(seed).uniform(size=lower.size) * (upper - lower)
     theta[: game.k + 1] *= 0.1
     return np.clip(theta, lower, upper)

@@ -29,8 +29,8 @@ def nominal_attacker(game: GameSpec):
     """(mu_x, sigma_x) of the attacker parked at the training points with
     deviations at the box floor."""
     n, k = game.n, game.k
-    lower = game.attacker_box.lower.reshape(n, 2 * k)
-    upper = game.attacker_box.upper.reshape(n, 2 * k)
+    lower = game.lower[game.dim_l :].reshape(n, 2 * k)
+    upper = game.upper[game.dim_l :].reshape(n, 2 * k)
     return np.clip(game.dataset.features, lower[:, :k], upper[:, :k]), lower[:, k:]
 
 

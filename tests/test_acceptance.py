@@ -249,7 +249,6 @@ def test_criterion_03_margin_moments_match_sampling(hinge_inputs):
 def _bilinear():
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
         cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
@@ -267,7 +266,6 @@ def test_criterion_04_solver_on_toy_games():
 
     pinned = VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.zeros(2),
         upper=np.ones(2),
         cost_l=lambda v: 2.0 * v[0],
@@ -375,7 +373,7 @@ def test_criterion_07_deterministic_svm_limit():
         game = GameSpec(Dataset(X, y), 1.7, 1.0, lb, ab)
         m = k + 1
         mu_w = rng.normal(scale=0.5, size=m)
-        theta = profile(mu_w, np.full(m, game.learner_box.lower[m]), *nominal_attacker(game))
+        theta = profile(mu_w, np.full(m, game.lower[m]), *nominal_attacker(game))
         margins = 1.0 - y * (X @ mu_w[:-1] + mu_w[-1])
         det = 0.5 * game.rho_l * mu_w[:-1] @ mu_w[:-1] + np.maximum(margins, 0).sum()
         worst = max(worst, abs(evaluate(theta, *_primal_terms(game))[0] - det))

@@ -322,7 +322,7 @@ class TestOperator:
         game = random_game(7)
         mu_x, sigma_x = nominal_attacker(game)
         np.testing.assert_allclose(mu_x, game.dataset.features)
-        assert np.all(sigma_x == game.attacker_box.lower.reshape(game.n, -1)[:, game.k :])
+        assert np.all(sigma_x == game.lower[game.dim_l :].reshape(game.n, -1)[:, game.k :])
 
 
 class TestDeterministicLimit:
@@ -334,7 +334,7 @@ class TestDeterministicLimit:
             rng = np.random.default_rng(200 + seed)
             m = game.k + 1
             mu_w = rng.normal(scale=0.5, size=m)
-            sigma_w = np.full(m, game.learner_box.lower[m])
+            sigma_w = np.full(m, game.lower[m])
             X, y = game.dataset.features, game.dataset.labels
             margins = 1.0 - y * (X @ mu_w[:-1] + mu_w[-1])
             det = 0.5 * game.rho_l * mu_w[:-1] @ mu_w[:-1] + np.maximum(margins, 0).sum()

@@ -61,7 +61,6 @@ def unit_box_game(pseudo_grad):
     """Two scalar players on [0, 1]^2 whose only callable is the gradient."""
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.zeros(2),
         upper=np.ones(2),
         cost_l=lambda v: 0.0,
@@ -85,7 +84,6 @@ def coupled_quadratic(c):
     """
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
         cost_l=lambda v: 0.5 * v[0] ** 2 + c * v[0] * v[1],
@@ -105,7 +103,6 @@ def antisymmetric_bilinear():
     """
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
         cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
@@ -195,7 +192,6 @@ class TestMonotonicity:
     def test_violations_detected(self):
         g = VIGame(
             dim_l=1,
-            dim_d=1,
             lower=np.full(2, -1.0),
             upper=np.full(2, 1.0),
             cost_l=lambda v: -0.5 * v[0] ** 2,
@@ -227,7 +223,6 @@ class TestUniquenessMargin:
     def test_requires_loss_split(self):
         g = VIGame(
             dim_l=1,
-            dim_d=1,
             lower=np.zeros(2),
             upper=np.ones(2),
             cost_l=lambda v: 0.0,

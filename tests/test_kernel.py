@@ -201,8 +201,8 @@ class TestIdentityKernelReduction:
         # one profile plays both games: w~ <-> alpha, x_i <-> xi_i (same coordinates)
         mu_w, sigma_w, mu_x, sigma_x = random_dual(seed, n)
         parts = (mu_w, sigma_w, np.clip(mu_x, 0.0, 1.0), sigma_x)
-        lb, ab = default_boxes(n, n, W=2.0)
-        game = GameSpec(ds, rho_l=2.0, rho_d=3.0, learner_box=lb, attacker_box=ab)
+        lower, upper = default_boxes(n, n, W=2.0)
+        game = GameSpec(ds, rho_l=2.0, rho_d=3.0, lower=lower, upper=upper)
         primal = evaluate(profile(*parts), *_primal_terms(game))
         return dual(parts, K, ds.labels, game.rho_l, game.rho_d), primal
 
@@ -223,6 +223,17 @@ class TestDualOperator:
         ops = dual_game_operator(ds, Kernel("rbf", 1.0), 1.0, 2.0)
         assert ops.dim_l == 2 * 3 + 2 and ops.dim_d == 2 * 9
         assert ops.r == (1.0, 0.5)
+
+    @pytest.mark.parametrize("rho_l, rho_d, bias_reg", [
+        (-1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, np.inf, 0.0), (np.nan, 1.0, 0.0),
+        (1.0, 1.0, -5.0), (1.0, 1.0, np.nan),
+    ])
+    def test_rejects_bad_weights(self, rho_l, rho_d, bias_reg):
+        # the weights GameSpec rejects for the primal game; rho_d = 0 must not
+        # reach the division by rho_d
+        with pytest.raises(ValueError, match="finite"):
+            dual_game_operator(random_dataset(6, n=3), Kernel("rbf", 1.0), rho_l, rho_d,
+                               bias_reg)
 
     def test_pseudo_grad_consistent_with_costs(self):
         ds = random_dataset(7, n=3)
@@ -307,11 +318,11 @@ class TestDualOperator:
 
     def test_default_dual_boxes_shape(self):
         ops = dual_game_operator(random_dataset(14, n=3), Kernel("rbf", 1.0), 1.0, 1.0)
-        lower, upper = ops.split(ops.lower), ops.split(ops.upper)
-        np.testing.assert_array_equal(lower[0], [-1.0] * 4 + [1e-6] * 4)
-        np.testing.assert_array_equal(upper[0], [1.0] * 4 + [1e-3] * 4)
-        np.testing.assert_array_equal(lower[1], ([-1.0] * 3 + [1e-3] * 3) * 3)
-        np.testing.assert_array_equal(upper[1], ([2.0] * 3 + [0.5] * 3) * 3)
+        L = ops.dim_l
+        np.testing.assert_array_equal(ops.lower[:L], [-1.0] * 4 + [1e-6] * 4)
+        np.testing.assert_array_equal(ops.upper[:L], [1.0] * 4 + [1e-3] * 4)
+        np.testing.assert_array_equal(ops.lower[L:], ([-1.0] * 3 + [1e-3] * 3) * 3)
+        np.testing.assert_array_equal(ops.upper[L:], ([2.0] * 3 + [0.5] * 3) * 3)
 
 
 def _both_operators():
@@ -337,7 +348,7 @@ class TestBothOperators:
         v = self._inside(ops)
         before = v.copy()
         v.setflags(write=False)
-        for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad, ops.project, ops.split):
+        for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad, ops.project):
             fn(v)
         np.testing.assert_array_equal(v, before)
         g = ops.pseudo_grad(v)

@@ -13,7 +13,6 @@ from randgame.model import (
     Dataset,
     GameSpec,
     LEARNER_DEV_BOUNDS,
-    ParamBox,
     ParseError,
     ShapeError,
     default_boxes,
@@ -24,12 +23,15 @@ from randgame.model import (
 from randgame.ops import VIGame
 
 
+_ONE_POINT = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
+
+
 def _operator_and_profile(n=2, k=2, seed=0):
     """The operator of a small game and a flat profile inside its box."""
     rng = np.random.default_rng(seed)
-    lb, ab = default_boxes(n, k, 1.0)
     y = np.where(np.arange(n) % 2, 1.0, -1.0)
-    ops = game_operator(GameSpec(Dataset(rng.uniform(size=(n, k)), y), 1.0, 1.0, lb, ab))
+    ops = game_operator(GameSpec(Dataset(rng.uniform(size=(n, k)), y), 1.0, 1.0,
+                                 *default_boxes(n, k, 1.0)))
     return ops, ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
 
 
@@ -64,6 +66,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 0.0
 
+    def test_gamespec_box_is_immutable(self):
+        game = GameSpec(_ONE_POINT, 1.0, 1.0, *default_boxes(1, 2, 1.0))
+        for bound in (game.lower, game.upper):
+            with pytest.raises(ValueError):
+                bound[0] = 0.0
+
     def test_learner_rejects_nonpositive_sigma(self):
         # a flat profile's learner deviations sit at [k + 1, 2k + 2)
         ops, theta = _operator_and_profile()
@@ -89,15 +97,22 @@ class TestValidation:
             _rejected(ops, other, ShapeError, "inconsistent")
 
     def test_box_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError, match="lower"):
-            ParamBox(np.array([1.0]), np.array([0.0]))
+        # learner mean, learner deviation, attacker mean, attacker deviation
+        for i in (0, 3, 6, 8):
+            lower, upper = default_boxes(1, 2, 1.0)
+            lower[i] = upper[i] + 0.5
+            with pytest.raises(ValueError, match="lower"):
+                GameSpec(_ONE_POINT, 1.0, 1.0, lower, upper)
 
     @pytest.mark.parametrize("lower, upper", [
         ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]), ([np.nan], [np.nan]),
     ])
     def test_box_rejects_nan_bounds(self, lower, upper):
+        # the listed bounds replace the first coordinates of a valid joint box
+        lo, up = default_boxes(1, 2, 1.0)
+        lo[: len(lower)], up[: len(upper)] = lower, upper
         with pytest.raises(ValueError, match="NaN"):
-            ParamBox(np.array(lower), np.array(upper))
+            GameSpec(_ONE_POINT, 1.0, 1.0, lo, up)
 
     @pytest.mark.parametrize("W", [np.nan, np.inf, 0.0, -1.0])
     def test_default_boxes_reject_bad_W(self, W):
@@ -105,12 +120,14 @@ class TestValidation:
             default_boxes(1, 2, W)
 
     def test_gamespec_rejects_zero_deviation_floor(self):
-        ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
-        lb, ab = default_boxes(1, 2, 1.0)
-        bad_lo = ab.lower.copy()
-        bad_lo[2] = 0.0  # first deviation coordinate of the only sample
-        with pytest.raises(ValueError, match="deviation"):
-            GameSpec(ds, 1.0, 1.0, lb, ParamBox(bad_lo, ab.upper))
+        # the learner's first and last (bias) deviation, then the first
+        # deviation of the only sample, which follows the learner's 6
+        # coordinates and the sample's 2 means
+        for i, player in ((3, "learner"), (5, "learner"), (8, "attacker")):
+            lower, upper = default_boxes(1, 2, 1.0)
+            lower[i] = 0.0
+            with pytest.raises(ValueError, match=f"{player} deviation"):
+                GameSpec(_ONE_POINT, 1.0, 1.0, lower, upper)
 
     @pytest.mark.parametrize("rho_l, rho_d, bias_reg", [
         (np.nan, 1.0, 0.0), (1.0, np.nan, 0.0), (np.inf, 1.0, 0.0), (0.0, 1.0, 0.0),
@@ -124,48 +141,53 @@ class TestValidation:
             GameSpec(ds, rho_l, rho_d, lb, ab, bias_reg)
 
     def test_gamespec_rejects_wrong_box_dims(self):
-        ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
-        lb, ab = default_boxes(2, 2, 1.0)  # boxes for n=2, dataset has n=1
+        lower, upper = default_boxes(2, 2, 1.0)  # the box for n=2, the dataset has n=1
         with pytest.raises(ShapeError):
-            GameSpec(ds, 1.0, 1.0, lb, ab)
+            GameSpec(_ONE_POINT, 1.0, 1.0, lower, upper)
+        lower, upper = default_boxes(1, 2, 1.0)
+        # one bound, or both, a coordinate short; a 2-d bound of the right size
+        for lo, up in ((lower[:-1], upper), (lower, upper[:-1]), (lower[:-1], upper[:-1]),
+                       (lower[None, :], upper)):
+            with pytest.raises(ShapeError):
+                GameSpec(_ONE_POINT, 1.0, 1.0, lo, up)
 
 
-def project_box(v, box: ParamBox):
+def project_box(v, lower, upper):
     """The solver's projection onto a box: the clamp of a VIGame over it."""
-    ops = VIGame(box.dim, 0, box.lower, box.upper, None, None, None)
+    ops = VIGame(lower.size, lower, upper, None, None, None)
     return ops.project(v)
 
 
 class TestBoxes:
     def test_default_box_dims(self):
-        lb, ab = default_boxes(n=5, k=3, W=0.5)
-        assert lb.dim == 2 * 4 and ab.dim == 2 * 5 * 3
+        lower, upper = default_boxes(n=5, k=3, W=0.5)
+        assert lower.shape == upper.shape == (2 * 4 + 2 * 5 * 3,)
 
     def test_default_box_values(self):
-        lb, ab = default_boxes(n=2, k=2, W=0.5)
-        assert np.all(lb.lower[:3] == -0.5) and np.all(lb.upper[:3] == 0.5)
-        assert np.all(lb.lower[3:] == LEARNER_DEV_BOUNDS[0])
-        assert np.all(lb.upper[3:] == LEARNER_DEV_BOUNDS[1])
-        blocks = ab.lower.reshape(2, 4)
+        lower, upper = default_boxes(n=2, k=2, W=0.5)
+        # the learner's 3 means and 3 deviations, then 2 rows of 2 means and 2 deviations
+        assert np.all(lower[:3] == -0.5) and np.all(upper[:3] == 0.5)
+        assert np.all(lower[3:6] == LEARNER_DEV_BOUNDS[0])
+        assert np.all(upper[3:6] == LEARNER_DEV_BOUNDS[1])
+        blocks = lower[6:].reshape(2, 4)
         assert np.all(blocks[:, :2] == 0.0)
         assert np.all(blocks[:, 2:] == ATTACKER_DEV_BOUNDS[0])
-        assert np.all(ab.upper.reshape(2, 4)[:, 2:] == ATTACKER_DEV_BOUNDS[1])
+        assert np.all(upper[6:].reshape(2, 4)[:, :2] == 1.0)
+        assert np.all(upper[6:].reshape(2, 4)[:, 2:] == ATTACKER_DEV_BOUNDS[1])
 
     def test_projection_is_identity_inside(self):
-        box = ParamBox(np.zeros(3), np.ones(3))
         v = np.array([0.2, 0.5, 0.9])
-        assert np.array_equal(project_box(v, box), v)
+        assert np.array_equal(project_box(v, np.zeros(3), np.ones(3)), v)
 
     def test_projection_clamps(self):
-        box = ParamBox(np.zeros(2), np.ones(2))
-        assert np.array_equal(project_box(np.array([-1.0, 2.0]), box), [0.0, 1.0])
+        p = project_box(np.array([-1.0, 2.0]), np.zeros(2), np.ones(2))
+        assert np.array_equal(p, [0.0, 1.0])
 
     def test_projection_is_nearest_point(self):
         rng = np.random.default_rng(3)
-        box = ParamBox(-np.ones(4), np.ones(4))
         for _ in range(20):
             v = rng.normal(scale=2.0, size=4)
-            p = project_box(v, box)
+            p = project_box(v, -np.ones(4), np.ones(4))
             # no feasible point is closer (check random candidates)
             cands = rng.uniform(-1.0, 1.0, size=(100, 4))
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - cands, axis=1).min() + 1e-12

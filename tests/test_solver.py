@@ -32,7 +32,6 @@ def quadratic_game(target=(0.3, -0.2), box=2.0):
 
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.full(2, -box),
         upper=np.full(2, box),
         cost_l=lambda v: 0.5 * (v[0] - a) ** 2,
@@ -49,7 +48,6 @@ def bilinear_game(box=5.0):
     """
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.full(2, -box),
         upper=np.full(2, box),
         cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
@@ -64,7 +62,6 @@ def boundary_game():
     pinned at the lower-left box corner."""
     return VIGame(
         dim_l=1,
-        dim_d=1,
         lower=np.zeros(2),
         upper=np.ones(2),
         cost_l=lambda v: 2.0 * v[0],
@@ -148,6 +145,13 @@ class TestExtragradient:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        # epsilon = inf would stop every solve at once as converged, and NaN
+        # would never stop one, since residual <= nan is False
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=epsilon)
 
 
 class TestResidualAndNash:
