@@ -55,6 +55,25 @@ from .ops import VIGame
 _SIGNS = np.array([[-1.0], [1.0]])
 
 
+def _unpack(theta, m, n, rows):
+    """The checked parts (mu_a, mu_b, sigma_a, sigma_b, planes) of the flat
+    joint profile theta of n attacker rows of m means and m deviations, where
+    planes is a contiguous (2m, rows) copy of the attacker rows in the
+    unit-step slice rows: column i is (mu_x_i; sigma_x_i). Only the learner
+    block and those rows are checked: finite first, then every deviation
+    strictly positive (on the planes, where the check runs along the rows)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (2 * m + 2 + 2 * n * m,):
+        raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
+    learner = theta[: 2 * m + 2]
+    planes = theta[2 * m + 2 :].reshape(n, 2 * m)[rows].T.copy()
+    if not (np.isfinite(learner).all() and np.isfinite(planes).all()):
+        raise ValueError("parameters must be finite")
+    if not ((learner[m + 1 :] > 0).all() and (planes[m:] > 0).all()):
+        raise ValueError("deviations must be strictly positive")
+    return learner[:m], learner[m], learner[m + 1 : 2 * m + 1], learner[2 * m + 1], planes
+
+
 def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     """Both players' costs and the gradient of each cost in its own block at
     the flat joint profile theta = [mu_a (m); mu_b; sigma_a (m); sigma_b; per
@@ -67,17 +86,8 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     grad is flat and unweighted in the layout of theta.
     """
     m, n = anchors.shape
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * m + 2 + 2 * n * m,):
-        raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
-    if not np.isfinite(theta).all():
-        raise ValueError("parameters must be finite")
-    planes = theta[2 * m + 2 :].reshape(n, 2 * m).T.copy()
+    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, slice(None))
     mu_x, sig_x = planes[:m], planes[m:]  # column i is mu_x_i, sigma_x_i
-    if not ((theta[m + 1 : 2 * m + 2] > 0).all() and (sig_x > 0).all()):
-        raise ValueError("deviations must be strictly positive")
-    mu_a, mu_b = theta[:m], theta[m]
-    sig_a, sig_b = theta[m + 1 : 2 * m + 1], theta[2 * m + 1]
 
     s2a, s2x = sig_a**2, sig_x**2
     Mx = by_M(mu_x)  # column i is M mu_x_i; mu_x itself when M = I
@@ -90,7 +100,7 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
 
     py_s = p_s * y
     s2x_w = s2x @ v_s  # sum_i v_s_i * sigma_x_i^2
-    grad = np.empty(theta.shape)
+    grad = np.empty(2 * m + 2 + 2 * n * m)
     grad[:m] = rho_l * Ma - Mx @ py_s + 2.0 * by_M(s2x_w * Ma)
     grad[m] = bias_reg * mu_b - py_s.sum()
     grad[m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (Mx2 @ v_s + by_M2(s2x_w))
@@ -147,19 +157,11 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     and sigma^2 are differentiated in closed form.
     """
     m, n = anchors.shape
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * m + 2 + 2 * n * m,):
-        raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
-    start, stop, _ = rows.indices(n)
-    x_rows = theta[2 * m + 2 :].reshape(n, 2 * m)[start:stop]
-    if not (np.isfinite(theta[: 2 * m + 2]).all() and np.isfinite(x_rows).all()):
-        raise ValueError("parameters must be finite")
+    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, rows)
+    x_rows = planes.T.copy()  # row-major again, the layout the products below expect
     mu_x, sig_x = x_rows[:, :m], x_rows[:, m:]  # row i is mu_x_i, sigma_x_i
+    start, stop, _ = rows.indices(n)
     y = y[start:stop]
-    mu_a, mu_b = theta[:m], theta[m]
-    sig_a, sig_b = theta[m + 1 : 2 * m + 1], theta[2 * m + 1]
-    if not ((sig_a > 0).all() and sig_b > 0 and (sig_x > 0).all()):
-        raise ValueError("deviations must be strictly positive")
     eye = np.eye(m)
     M, M2 = by_M(eye), by_M2(eye)
     reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
@@ -228,19 +230,17 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
 
 
 def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
-    """Operator on the joint box [lower, upper] whose costs and pseudo-gradient
-    (with r = (1, rho_l/rho_d)) all come from one evaluate(theta, *terms) call,
-    whose Jacobian blocks come from one jacobian(theta, *terms) call and whose
-    regularizer Hessians come from reg_hess, built only when asked."""
+    """Operator on the joint box [lower, upper] whose pair of costs and whose
+    pseudo-gradient (with r = (1, rho_l/rho_d)) each come from one
+    evaluate(theta, *terms) call, whose Jacobian blocks come from one
+    jacobian(theta, *terms) call and whose regularizer Hessians come from
+    reg_hess, built only when asked."""
     by_M, dM, _, _, _, rho_l, rho_d, bias_reg = terms
     dim_l = 2 * (dM.size + 1)
     r_d = rho_l / rho_d
 
-    def joint(theta):
-        return evaluate(theta, *terms)
-
     def pgrad(theta):
-        g = joint(theta)[2]
+        g = evaluate(theta, *terms)[2]
         g[dim_l:] *= r_d
         return g
 
@@ -254,8 +254,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
         dim_l=dim_l,
         lower=lower,
         upper=upper,
-        cost_l=lambda theta: joint(theta)[0],
-        cost_d=lambda theta: joint(theta)[1],
+        costs=lambda theta: evaluate(theta, *terms)[:2],
         pseudo_grad=pgrad,
         jacobian=pjac,
         row_size=2 * dM.size,
@@ -295,8 +294,8 @@ def train_baseline_svm(data: Dataset, C: float, seed: int = 0):
 
     Returns (w_tilde, b).
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:  # NaN fails too
+        raise ValueError("C must be positive and finite")
     X, y = data.features, data.labels
     n, k = X.shape
 

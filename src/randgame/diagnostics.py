@@ -180,6 +180,8 @@ def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> 
     for the monotonicity sample."""
     if n_profiles < 1:
         raise ValueError("n_profiles must be at least 1: a margin over no profile reads inf")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1: a sample of no pair reads no violation")
     if ops.jacobian is None or ops.reg_hess is None:
         raise ValueError(
             "operator lacks the Jacobian blocks or the regularizer Hessians of the "

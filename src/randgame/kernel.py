@@ -45,8 +45,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.gamma <= 0:
-            raise ValueError("rbf gamma must be positive")
+        if self.kind == "rbf" and not 0 < self.gamma < np.inf:  # NaN fails too
+            raise ValueError("rbf gamma must be positive and finite")
 
 
 def gram(data: Dataset, kernel: Kernel) -> np.ndarray:
@@ -64,8 +64,10 @@ def gram(data: Dataset, kernel: Kernel) -> np.ndarray:
 
 
 def check_psd(K: np.ndarray) -> None:
-    """Raise ValueError unless K is symmetric to within PSD_TOL * max(1, max|K|)
-    and its smallest eigenvalue is at least -PSD_TOL."""
+    """Raise ValueError unless K is finite, symmetric to within
+    PSD_TOL * max(1, max|K|) and its smallest eigenvalue is at least -PSD_TOL."""
+    if not np.isfinite(K).all():
+        raise ValueError("Gram matrix has non-finite entries")
     asym = np.abs(K - K.T).max()
     if asym > PSD_TOL * max(1.0, np.abs(K).max()):
         raise ValueError(f"Gram matrix not symmetric (max |K - K^T| {asym:.3e})")

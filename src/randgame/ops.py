@@ -18,8 +18,8 @@ import numpy as np
 class VIGame:
     """Variational-inequality view of a two-player game.
 
-    cost_l/cost_d evaluate the full player costs at a joint flat vector;
-    pseudo_grad stacks the r-weighted own-block gradients. The rest is
+    costs gives both players' full costs (cost_l, cost_d) at a joint flat
+    vector; pseudo_grad stacks the r-weighted own-block gradients. The rest is
     optional: the solver's Newton steps need jacobian, the diagnostics need
     jacobian and reg_hess:
 
@@ -39,8 +39,7 @@ class VIGame:
     dim_l: int
     lower: np.ndarray
     upper: np.ndarray
-    cost_l: Callable[[np.ndarray], float]
-    cost_d: Callable[[np.ndarray], float]
+    costs: Callable[[np.ndarray], tuple[float, float]]
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
     rho: tuple[float, float] = (1.0, 1.0)
     reg_hess: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None

@@ -76,8 +76,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf or self.max_iter < 1:  # NaN fails too
-            raise ValueError("bad solver configuration")
+        whole = all(isinstance(v, (int, np.integer)) for v in (self.max_iter, self.seed))
+        if not (0 < self.epsilon < np.inf and whole and self.max_iter >= 1 and self.seed >= 0):
+            raise ValueError("bad solver configuration")  # a NaN epsilon fails too
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,8 @@ class EquilibriumResult:
         return self.theta[self.dim_l :]
 
 
-def _uniform_init(ops: VIGame, rng: np.random.Generator) -> np.ndarray:
-    u = rng.uniform(size=ops.dim)
-    return ops.lower + u * (ops.upper - ops.lower)
+def _uniform_init(lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return lower + rng.uniform(size=lower.size) * (upper - lower)
 
 
 def _grad(ops: VIGame, theta: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def extragradient_solve(
     """Run the adaptive-step extragradient method on a game operator, with
     guarded Newton steps when the operator has a jacobian."""
     if init is None:
-        init = _uniform_init(ops, np.random.default_rng(cfg.seed))
+        init = _uniform_init(ops.lower, ops.upper, np.random.default_rng(cfg.seed))
     theta = ops.project(np.asarray(init, dtype=float))
     g = _grad(ops, theta)
     residual = _residual(ops, theta, g)
@@ -260,18 +260,17 @@ def vi_residual(theta: np.ndarray, ops: VIGame) -> float:
     return _residual(ops, theta, ops.pseudo_grad(theta))
 
 
-def _best_response_descent(ops, theta, block):
-    """Projected descent on one player's own block, opponent fixed.
+def _best_response_descent(ops, theta, player, best):
+    """Projected descent on one player's own block (player 0 the learner, 1
+    the attacker, as in ops.costs) from its cost best at theta, opponent fixed.
 
     Returns the best cost found. Step sizes adapt multiplicatively; the
     gradient is re-evaluated only after an accepted step moves the point.
     """
-    cost_fn = ops.cost_l if block == "l" else ops.cost_d
-    sl = slice(0, ops.dim_l) if block == "l" else slice(ops.dim_l, ops.dim)
+    sl = slice(0, ops.dim_l) if player == 0 else slice(ops.dim_l, ops.dim)
     lo, up = ops.lower[sl], ops.upper[sl]
     full = theta.copy()
     x = full[sl].copy()
-    best = cost_fn(full)
     g = None
     step = 1.0
     for _ in range(BEST_RESPONSE_STEPS):
@@ -280,7 +279,7 @@ def _best_response_descent(ops, theta, block):
         cand = np.clip(x - step * g, lo, up)
         full_cand = full.copy()
         full_cand[sl] = cand
-        c = cost_fn(full_cand)
+        c = ops.costs(full_cand)[player]
         if c < best:
             best = c
             x = cand
@@ -297,20 +296,18 @@ def _best_response_descent(ops, theta, block):
 def nash_verify(theta: np.ndarray, ops: VIGame, tol: float) -> bool:
     """Check the Nash condition numerically: neither player can improve its own
     cost by more than tol via projected descent with the opponent fixed."""
-    base_l = ops.cost_l(theta)
-    base_d = ops.cost_d(theta)
-    best_l = _best_response_descent(ops, theta, "l")
-    best_d = _best_response_descent(ops, theta, "d")
+    base_l, base_d = ops.costs(theta)
+    best_l = _best_response_descent(ops, theta, 0, base_l)
+    best_d = _best_response_descent(ops, theta, 1, base_d)
     return (base_l - best_l) <= tol and (base_d - best_d) <= tol
 
 
 def initial_point(game: GameSpec, seed: int) -> np.ndarray:
     """Uniform draw inside the game's box, with the learner means shrunk toward 0
     so the hinge probabilities do not saturate at iteration 0."""
-    lower, upper = game.lower, game.upper
-    theta = lower + np.random.default_rng(seed).uniform(size=lower.size) * (upper - lower)
+    theta = _uniform_init(game.lower, game.upper, np.random.default_rng(seed))
     theta[: game.k + 1] *= 0.1
-    return np.clip(theta, lower, upper)
+    return np.clip(theta, game.lower, game.upper)
 
 
 def solve_svm_game(

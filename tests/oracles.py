@@ -106,7 +106,7 @@ def evaluate_loop(theta, M, anchors, y, rho_l, rho_d, bias_reg):
 
 def counting_operator(ops):
     """A copy of the VIGame ops that appends (name, copy of theta) for each
-    cost_l, cost_d and pseudo_grad call to the returned list."""
+    costs and pseudo_grad call to the returned list."""
     calls = []
 
     def counted(name):
@@ -118,7 +118,7 @@ def counting_operator(ops):
 
         return call
 
-    names = ("cost_l", "cost_d", "pseudo_grad")
+    names = ("costs", "pseudo_grad")
     return dataclasses.replace(ops, **{name: counted(name) for name in names}), calls
 
 

@@ -251,8 +251,7 @@ def _bilinear():
         dim_l=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
-        cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
-        cost_d=lambda v: 0.5 * v[1] ** 2 - v[0] * v[1],
+        costs=lambda v: (0.5 * v[0] ** 2 + v[0] * v[1], 0.5 * v[1] ** 2 - v[0] * v[1]),
         pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
     )
 
@@ -268,8 +267,7 @@ def test_criterion_04_solver_on_toy_games():
         dim_l=1,
         lower=np.zeros(2),
         upper=np.ones(2),
-        cost_l=lambda v: 2.0 * v[0],
-        cost_d=lambda v: 3.0 * v[1],
+        costs=lambda v: (2.0 * v[0], 3.0 * v[1]),
         pseudo_grad=lambda v: np.array([2.0, 3.0]),
     )
     res_b = extragradient_solve(pinned, np.array([0.7, 0.4]), SolverConfig(epsilon=1e-12))

@@ -241,8 +241,7 @@ class TestOperator:
         ops = game_operator(game)
         cost_l, cost_d, grad = primal(game, *parts)
         grad[game.dim_l :] *= ops.r[1]
-        assert ops.cost_l(v) == cost_l
-        assert ops.cost_d(v) == cost_d
+        assert ops.costs(v) == (cost_l, cost_d)
         np.testing.assert_array_equal(ops.pseudo_grad(v), grad)
 
     def test_one_evaluation_per_pseudo_gradient(self, count_hinge_calls):
@@ -270,10 +269,10 @@ class TestOperator:
             return sum(hinge_expect(mu, np.sqrt(var))[0] for mu, var in mm)
 
         reg_l = 0.5 * game.rho_l * (mu_w[:-1] @ mu_w[:-1] + sigma_w[:-1] @ sigma_w[:-1])
-        assert ops.cost_l(v) == pytest.approx(expected_loss("learner") + reg_l, rel=1e-12)
+        assert ops.costs(v)[0] == pytest.approx(expected_loss("learner") + reg_l, rel=1e-12)
         diff = mu_x - game.dataset.features
         reg_d = 0.5 * game.rho_d * ((diff**2).sum() + (sigma_x**2).sum())
-        assert ops.cost_d(v) == pytest.approx(expected_loss("attacker") + reg_d, rel=1e-12)
+        assert ops.costs(v)[1] == pytest.approx(expected_loss("attacker") + reg_d, rel=1e-12)
 
     def test_reg_hessian_diagonals(self):
         game = random_game(6, rho_l=4.0, bias_reg=2.0)
@@ -359,6 +358,12 @@ class TestBaselineSvm:
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ValueError):
             train_baseline_svm(Dataset(*_blob_data()), C=0.0)
+
+    @pytest.mark.parametrize("C", [np.nan, np.inf])
+    def test_rejects_non_finite_c(self, C):
+        # a NaN C passes C <= 0 and would return w = 0, b = 0 with no error
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            train_baseline_svm(Dataset(*_blob_data()), C=C)
 
     def test_deterministic_given_seed(self):
         ds = Dataset(*_blob_data())

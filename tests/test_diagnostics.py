@@ -63,8 +63,7 @@ def unit_box_game(pseudo_grad):
         dim_l=1,
         lower=np.zeros(2),
         upper=np.ones(2),
-        cost_l=lambda v: 0.0,
-        cost_d=lambda v: 0.0,
+        costs=lambda v: (0.0, 0.0),
         pseudo_grad=pseudo_grad,
     )
 
@@ -86,8 +85,7 @@ def coupled_quadratic(c):
         dim_l=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
-        cost_l=lambda v: 0.5 * v[0] ** 2 + c * v[0] * v[1],
-        cost_d=lambda v: 0.5 * v[1] ** 2 + c * v[0] * v[1],
+        costs=lambda v: (0.5 * v[0] ** 2 + c * v[0] * v[1], 0.5 * v[1] ** 2 + c * v[0] * v[1]),
         pseudo_grad=lambda v: np.array([v[0] + c * v[1], v[1] + c * v[0]]),
         jacobian=constant_blocks([[1.0, c], [c, 1.0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
@@ -105,8 +103,7 @@ def antisymmetric_bilinear():
         dim_l=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
-        cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
-        cost_d=lambda v: 0.5 * v[1] ** 2 - v[0] * v[1],
+        costs=lambda v: (0.5 * v[0] ** 2 + v[0] * v[1], 0.5 * v[1] ** 2 - v[0] * v[1]),
         pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
         jacobian=constant_blocks([[1.0, 1.0], [-1.0, 1.0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
@@ -194,8 +191,7 @@ class TestMonotonicity:
             dim_l=1,
             lower=np.full(2, -1.0),
             upper=np.full(2, 1.0),
-            cost_l=lambda v: -0.5 * v[0] ** 2,
-            cost_d=lambda v: -0.5 * v[1] ** 2,
+            costs=lambda v: (-0.5 * v[0] ** 2, -0.5 * v[1] ** 2),
             pseudo_grad=lambda v: -v,
         )
         assert monotonicity_sample(g, 50, seed=0) == 50
@@ -225,8 +221,7 @@ class TestUniquenessMargin:
             dim_l=1,
             lower=np.zeros(2),
             upper=np.ones(2),
-            cost_l=lambda v: 0.0,
-            cost_d=lambda v: 0.0,
+            costs=lambda v: (0.0, 0.0),
             pseudo_grad=lambda v: np.zeros(2),
         )
         with pytest.raises(ValueError, match="split"):
@@ -236,6 +231,12 @@ class TestUniquenessMargin:
         # a margin over no profile would read inf and certify any game
         with pytest.raises(ValueError, match="n_profiles"):
             uniqueness_margin(antisymmetric_bilinear(), n_profiles=0, seed=0, n_pairs=1)
+
+    @pytest.mark.parametrize("n_pairs", [0, -5])
+    def test_rejects_no_pairs(self, n_pairs):
+        # a sample of no pair would read 0 violations for any operator
+        with pytest.raises(ValueError, match="n_pairs"):
+            uniqueness_margin(antisymmetric_bilinear(), n_profiles=1, seed=0, n_pairs=n_pairs)
 
     def test_report_text_has_all_fields(self):
         rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=2, seed=2, n_pairs=2)
@@ -277,8 +278,7 @@ class TestSvmGameDiagnostics:
 
         ops = dataclasses.replace(
             ops,
-            cost_l=counted("cost", ops.cost_l),
-            cost_d=counted("cost", ops.cost_d),
+            costs=counted("cost", ops.costs),
             pseudo_grad=counted("pgrad", ops.pseudo_grad),
             jacobian=counted("jacobian", ops.jacobian),
         )
@@ -295,12 +295,12 @@ class TestSvmGameDiagnostics:
             mu_w, sig_w = v[:m], v[m : 2 * m]
             reg = 0.5 * rho_l * (mu_w[:k] @ mu_w[:k] + sig_w[:k] @ sig_w[:k])
             reg += 0.5 * NEAR_KINK_BIAS_REG * (mu_w[k] ** 2 + sig_w[k] ** 2)
-            return ops.cost_l(v) - reg
+            return ops.costs(v)[0] - reg
 
         def loss_d(v):
             blocks = v[2 * m :].reshape(n, 2 * k)
             reg = 0.5 * rho_d * (((blocks[:, :k] - X) ** 2).sum() + (blocks[:, k:] ** 2).sum())
-            return ops.cost_d(v) - reg
+            return ops.costs(v)[1] - reg
 
         idx_l, idx_d = np.arange(ops.dim_l), np.arange(ops.dim_l, ops.dim)
         box = dict(lower=ops.lower, upper=ops.upper)
@@ -381,13 +381,13 @@ class TestClosedFormJacobian:
         def loss_l(v):
             mu_a, mu_b, sig_a, sig_b = v[:n], v[n], v[n + 1 : 2 * n + 1], v[2 * n + 1]
             reg = 0.5 * rho_l * (mu_a @ K @ mu_a + np.diag(K) @ sig_a**2)
-            return ops.cost_l(v) - reg - 0.5 * bias_reg * (mu_b**2 + sig_b**2)
+            return ops.costs(v)[0] - reg - 0.5 * bias_reg * (mu_b**2 + sig_b**2)
 
         def loss_d(v):
             rows = v[2 * n + 2 :].reshape(n, 2 * n)
             shift, sig = rows[:, :n] - np.eye(n), rows[:, n:]
             reg = np.einsum("ij,jk,ik->", shift, K, shift) + ((sig**2) @ np.diag(K)).sum()
-            return ops.cost_d(v) - 0.5 * rho_d * reg
+            return ops.costs(v)[1] - 0.5 * rho_d * reg
 
         theta = random_profiles(ops, 3, 1)[0]
         idx_l, idx_d = np.arange(ops.dim_l), np.arange(ops.dim_l, ops.dim)

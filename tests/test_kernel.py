@@ -90,11 +90,20 @@ class TestGram:
         y = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
         dual(random_dual(0, n=30), K, y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_psd_rejects_non_finite_entries(self, bad):
+        # NaN fails both the symmetry and the eigenvalue comparisons, so
+        # neither would reject it
+        for K in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([1.0, bad])):
+            with pytest.raises(ValueError, match="non-finite"):
+                check_psd(K)
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             Kernel("polynomial")
-        with pytest.raises(ValueError):
-            Kernel("rbf", gamma=-1.0)
+        for gamma in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                Kernel("rbf", gamma=gamma)
 
 
 
@@ -108,7 +117,7 @@ class TestDualParams:
         for i, bad in ((3, 0.0), (ops.dim_l + 4 + 2, np.nan), (ops.dim_l - 1, np.nan)):
             v = inside.copy()
             v[i] = bad
-            for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+            for fn in (ops.costs, ops.pseudo_grad):
                 with pytest.raises(ValueError):
                     fn(v)
 
@@ -245,8 +254,8 @@ class TestDualOperator:
         for i in (0, ops.dim_l - 1, ops.dim_l, ops.dim - 1):
             vp = v.copy(); vp[i] += h
             vm = v.copy(); vm[i] -= h
-            fn = ops.cost_l if i < ops.dim_l else ops.cost_d
-            fd = (fn(vp) - fn(vm)) / (2 * h)
+            player = 0 if i < ops.dim_l else 1  # the entry of ops.costs that owns i
+            fd = (ops.costs(vp)[player] - ops.costs(vm)[player]) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_operator_matches_costs_and_grads(self):
@@ -258,8 +267,7 @@ class TestDualOperator:
         cost_l, cost_d, grad = evaluate(v, *_dual_terms(K, ds.labels, 2.0, 5.0, 0.0))
         grad[ops.dim_l :] *= ops.r[1]
         assert ops.r == (1.0, 0.4)
-        assert ops.cost_l(v) == cost_l
-        assert ops.cost_d(v) == cost_d
+        assert ops.costs(v) == (cost_l, cost_d)
         np.testing.assert_array_equal(ops.pseudo_grad(v), grad)
 
     def test_one_evaluation_per_pseudo_gradient(self, count_hinge_calls):
@@ -348,7 +356,7 @@ class TestBothOperators:
         v = self._inside(ops)
         before = v.copy()
         v.setflags(write=False)
-        for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad, ops.project):
+        for fn in (ops.costs, ops.pseudo_grad, ops.project):
             fn(v)
         np.testing.assert_array_equal(v, before)
         g = ops.pseudo_grad(v)
@@ -362,7 +370,7 @@ class TestBothOperators:
             for bad in (np.nan, np.inf):
                 v = self._inside(ops)
                 v[i] = bad
-                for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+                for fn in (ops.costs, ops.pseudo_grad):
                     with pytest.raises(ValueError, match="finite"):
                         fn(v)
 
@@ -374,6 +382,6 @@ class TestBothOperators:
         for i in (n_mean + 1, ops.dim_l - 1, ops.dim_l + n_mean):
             v = self._inside(ops)
             v[i] = 0.0
-            for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+            for fn in (ops.costs, ops.pseudo_grad):
                 with pytest.raises(ValueError, match="positive"):
                     fn(v)

@@ -36,7 +36,7 @@ def _operator_and_profile(n=2, k=2, seed=0):
 
 
 def _rejected(ops, theta, error, match):
-    for fn in (ops.cost_l, ops.cost_d, ops.pseudo_grad):
+    for fn in (ops.costs, ops.pseudo_grad):
         with pytest.raises(error, match=match):
             fn(theta)
 

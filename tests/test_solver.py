@@ -34,8 +34,7 @@ def quadratic_game(target=(0.3, -0.2), box=2.0):
         dim_l=1,
         lower=np.full(2, -box),
         upper=np.full(2, box),
-        cost_l=lambda v: 0.5 * (v[0] - a) ** 2,
-        cost_d=lambda v: 0.5 * (v[1] - c) ** 2,
+        costs=lambda v: (0.5 * (v[0] - a) ** 2, 0.5 * (v[1] - c) ** 2),
         pseudo_grad=lambda v: np.array([v[0] - a, v[1] - c]),
     )
 
@@ -50,8 +49,7 @@ def bilinear_game(box=5.0):
         dim_l=1,
         lower=np.full(2, -box),
         upper=np.full(2, box),
-        cost_l=lambda v: 0.5 * v[0] ** 2 + v[0] * v[1],
-        cost_d=lambda v: 0.5 * v[1] ** 2 - v[0] * v[1],
+        costs=lambda v: (0.5 * v[0] ** 2 + v[0] * v[1], 0.5 * v[1] ** 2 - v[0] * v[1]),
         pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
@@ -64,8 +62,7 @@ def boundary_game():
         dim_l=1,
         lower=np.zeros(2),
         upper=np.ones(2),
-        cost_l=lambda v: 2.0 * v[0],
-        cost_d=lambda v: 3.0 * v[1],
+        costs=lambda v: (2.0 * v[0], 3.0 * v[1]),
         pseudo_grad=lambda v: np.array([2.0, 3.0]),
     )
 
@@ -145,6 +142,18 @@ class TestExtragradient:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        # counts and seeds that would fail only inside the solve
+        for bad in (dict(max_iter=2.5), dict(max_iter=3.0), dict(seed=-1), dict(seed=1.5),
+                    dict(seed=None)):
+            with pytest.raises(ValueError, match="bad solver configuration"):
+                SolverConfig(**bad)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SolverConfig(max_iter=np.int64(3), seed=np.uint32(5))
+        res = extragradient_solve(bilinear_game(), None, cfg)
+        assert res.iterations == 3
+        np.testing.assert_array_equal(res.theta, extragradient_solve(
+            bilinear_game(), None, SolverConfig(max_iter=3, seed=5)).theta)
 
     @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
     def test_rejects_non_finite_epsilon(self, epsilon):
@@ -169,21 +178,48 @@ class TestResidualAndNash:
     def test_nash_verify_accepts_boundary_equilibrium(self):
         assert nash_verify(np.array([0.0, 0.0]), boundary_game(), tol=1e-9)
 
-    def test_nash_verify_evaluates_each_gradient_once(self):
+    @staticmethod
+    def _logged_nash_verify(theta, monkeypatch):
+        """nash_verify's verdict on the bilinear game at theta, and its calls in
+        order: (name, theta) for each costs and pseudo_grad call, and
+        ("descent", player) as each player's best-response descent starts."""
+        ops, calls = counting_operator(bilinear_game())
+        descend = solver._best_response_descent
+
+        def logged(ops, theta, player, best):
+            calls.append(("descent", player))
+            return descend(ops, theta, player, best)
+
+        monkeypatch.setattr(solver, "_best_response_descent", logged)
+        verdict = nash_verify(np.array(theta), ops, tol=1e-6)
+        monkeypatch.undo()
+        return verdict, calls
+
+    def test_nash_verify_evaluates_each_gradient_once(self, monkeypatch):
         # a rejected descent step leaves the point unchanged, so its gradient
         # is reused rather than evaluated again
         for theta, verdict in (([0.0, 0.0], True), ([2.0, 2.0], False)):
-            ops, calls = counting_operator(bilinear_game())
-            assert nash_verify(np.array(theta), ops, tol=1e-6) == verdict
-            player, seen = None, set()
-            for name, v in calls:  # a gradient serves the player of the last cost call
-                if name != "pseudo_grad":
-                    player = name
-                    continue
-                assert (player, v.tobytes()) not in seen
-                seen.add((player, v.tobytes()))
+            got, calls = self._logged_nash_verify(theta, monkeypatch)
+            assert got == verdict
+            player, seen = None, {}
+            for name, v in calls:  # a gradient serves the player whose descent runs
+                if name == "descent":
+                    player = v
+                    seen[player] = set()
+                elif name == "pseudo_grad":
+                    assert v.tobytes() not in seen[player]
+                    seen[player].add(v.tobytes())
+            assert sorted(seen) == [0, 1]
             if verdict:  # no step improves on an equilibrium: one gradient per player
-                assert len(seen) == 2
+                assert [len(grads) for grads in seen.values()] == [1, 1]
+
+    def test_nash_verify_reads_both_base_costs_from_one_call(self, monkeypatch):
+        for theta in ([0.0, 0.0], [2.0, 2.0]):
+            _, calls = self._logged_nash_verify(theta, monkeypatch)
+            first_descent = next(i for i, (name, _) in enumerate(calls) if name == "descent")
+            assert first_descent == 1
+            name, v = calls[0]
+            assert name == "costs" and np.array_equal(v, theta)
 
 
 class TestSvmGame:
