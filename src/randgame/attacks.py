@@ -186,7 +186,10 @@ class SecurityCurve:
         atomic_write(path, "".join(rows))
 
     def auc(self) -> float:
-        """Trapezoid-rule area under the curve over the d_max grid."""
+        """Trapezoid-rule area under the curve over the d_max grid, which needs
+        at least two points: one point has no area, so every curve would tie."""
+        if len(self.points) < 2:
+            raise ValueError(f"a curve's area needs at least two points, got {len(self.points)}")
         d = np.array([p[0] for p in self.points])
         tp = np.array([p[1] for p in self.points])
         return float(np.trapezoid(tp, d))

@@ -154,7 +154,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
     cfg = model.load_config(args.game) if args.game else {}
     game, scfg = _game_from_config(cfg, dataset)
-    result = solver.solve_svm_game(game, cfg=scfg)
+    result = solver.extragradient_solve(costs.game_operator(game), cfg=scfg)
     model.save_flat_csv(args.out, result.theta)
     attempts = result.newton_accepted + result.newton_rejected
     print(
@@ -221,18 +221,20 @@ def _cmd_check_eq(args) -> int:
 
 
 def _cmd_grid_search(args) -> int:
+    d_list = args.dmax_list
+    if len(d_list) < 2:
+        raise _UsageError(f"grid-search scores a curve by its area, which needs at least two "
+                          f"--dmax-list budgets, got {len(d_list)}")
     dataset = _load_dataset(args.data)
     grids = _grids_from_config(model.load_config(args.grids) if args.grids else {})
     n = dataset.n
     if n < 4:
         raise model.ParseError(f"{args.data}: grid-search needs at least 4 samples, got {n}")
-    train_n = max(2, n // 2)
-    val_n = n - train_n
-    train, val, _ = data_io.split(
-        dataset, data_io.SplitSpec(train_n, max(1, val_n - 1), 1, seed=args.seed)
-    )
+    # the first half of one seeded permutation trains, every other sample validates
+    idx = np.random.default_rng(args.seed).permutation(n)
+    train, val = (model.Dataset(dataset.features[p], dataset.labels[p], dataset.feature_kind)
+                  for p in np.split(idx, [max(2, n // 2)]))
     _check_both_classes(val, args.data, f"grid-search's validation split ({val.n} of {n})")
-    d_list = args.dmax_list
     best = None
     for rho_l in grids.rho_l_grid:
         for rho_d in grids.rho_d_grid:
@@ -240,8 +242,8 @@ def _cmd_grid_search(args) -> int:
                 lower, upper = model.default_boxes(train.n, train.k, W)
                 game = model.GameSpec(train, rho_l, rho_d, lower, upper)
                 scfg = solver.SolverConfig(max_iter=args.max_iter, seed=args.seed)
-                result = solver.solve_svm_game(game, cfg=scfg)
-                curve = attacks.security_curve(result.theta_l[: train.k + 1], val, "l2_box_pgd",
+                result = solver.extragradient_solve(costs.game_operator(game), cfg=scfg)
+                curve = attacks.security_curve(result.theta[: train.k + 1], val, "l2_box_pgd",
                                                d_list, repetitions=args.reps, seed=args.seed)
                 auc = curve.auc()
                 if best is None or auc > best[0]:

@@ -1,5 +1,5 @@
-"""Dataset ingestion, seeded splits, and the 2-D synthetic generator used
-for the qualitative desk-scale experiments."""
+"""Dataset ingestion, the 2-D synthetic generator used for the qualitative
+desk-scale experiments, and the grid-search grids."""
 
 from __future__ import annotations
 
@@ -191,34 +191,6 @@ def synth_2d(n_per_class: int, separation: float, seed: int) -> Dataset:
     X = np.clip(np.vstack([legit, mal]), 0.0, 1.0)
     y = np.concatenate([-np.ones(n_per_class), np.ones(n_per_class)])
     return Dataset(X, y)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_n: int
-    val_n: int
-    test_n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.train_n, self.val_n, self.test_n) < 1:
-            raise ValueError("split sizes must be positive")
-
-
-def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded random train/val/test split."""
-    total = spec.train_n + spec.val_n + spec.test_n
-    if total > data.n:
-        raise ValueError("split sizes exceed dataset size")
-    idx = np.random.default_rng(spec.seed).permutation(data.n)
-    parts = (
-        idx[: spec.train_n],
-        idx[spec.train_n : spec.train_n + spec.val_n],
-        idx[spec.train_n + spec.val_n : total],
-    )
-    return tuple(
-        Dataset(data.features[p], data.labels[p], data.feature_kind) for p in parts
-    )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ the pseudo-gradient and P the clamp onto the box:
     theta' = P(theta - lam F(y)), then lam <- GROWTH lam
 
 The natural residual r is zero exactly at a solution; F(theta') both opens the
-next iteration and measures its residual.
+next iteration and measures its residual. Every game starts, unless given a
+start, from initial_point: a seeded uniform draw in the box with the learner
+means shrunk by 0.1.
 
 For an operator with a jacobian, an iteration may first try a projected
 Newton step on the box VI, globalized by the natural residual (Josephy 1979;
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import costs as _costs
-from .model import GameSpec
+from .model import ShapeError
 from .ops import VIGame
 
 TERM_TOLERANCE = "tolerance"
@@ -83,8 +84,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    theta: np.ndarray
-    dim_l: int
+    theta: np.ndarray  # the flat joint profile
     iterations: int
     residual_trace: np.ndarray  # natural residual at the start of each iteration
     residual: float  # natural residual at theta
@@ -94,17 +94,16 @@ class EquilibriumResult:
     newton_accepted: int
     newton_rejected: int  # singular systems and non-finite steps included
 
-    @property
-    def theta_l(self) -> np.ndarray:
-        return self.theta[: self.dim_l]
 
-    @property
-    def theta_d(self) -> np.ndarray:
-        return self.theta[self.dim_l :]
-
-
-def _uniform_init(lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return lower + rng.uniform(size=lower.size) * (upper - lower)
+def initial_point(game, seed: int) -> np.ndarray:
+    """The solver's start for a GameSpec or a VIGame: a seeded uniform draw
+    inside the box [game.lower, game.upper], with the learner means (the first
+    dim_l // 2 coordinates, by the flat layout) shrunk toward 0 so the hinge
+    probabilities do not saturate at iteration 0."""
+    lower, upper = game.lower, game.upper
+    theta = lower + np.random.default_rng(seed).uniform(size=lower.size) * (upper - lower)
+    theta[: game.dim_l // 2] *= 0.1
+    return np.clip(theta, lower, upper)
 
 
 def _grad(ops: VIGame, theta: np.ndarray) -> np.ndarray:
@@ -193,11 +192,13 @@ def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
 def extragradient_solve(
     ops: VIGame, init: np.ndarray | None = None, cfg: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
-    """Run the adaptive-step extragradient method on a game operator, with
-    guarded Newton steps when the operator has a jacobian."""
-    if init is None:
-        init = _uniform_init(ops.lower, ops.upper, np.random.default_rng(cfg.seed))
-    theta = ops.project(np.asarray(init, dtype=float))
+    """Run the adaptive-step extragradient method on a game operator from
+    init, by default initial_point(ops, cfg.seed), with guarded Newton steps
+    when the operator has a jacobian."""
+    init = initial_point(ops, cfg.seed) if init is None else np.asarray(init, dtype=float)
+    if init.shape != (ops.dim,):
+        raise ShapeError(f"init has shape {init.shape}, not the profile's ({ops.dim},)")
+    theta = ops.project(init)
     g = _grad(ops, theta)
     residual = _residual(ops, theta, g)
     lam = 1.0
@@ -243,7 +244,6 @@ def extragradient_solve(
     converged = residual <= cfg.epsilon
     return EquilibriumResult(
         theta=theta,
-        dim_l=ops.dim_l,
         iterations=len(trace),
         residual_trace=np.asarray(trace),
         residual=residual,
@@ -300,20 +300,3 @@ def nash_verify(theta: np.ndarray, ops: VIGame, tol: float) -> bool:
     best_l = _best_response_descent(ops, theta, 0, base_l)
     best_d = _best_response_descent(ops, theta, 1, base_d)
     return (base_l - best_l) <= tol and (base_d - best_d) <= tol
-
-
-def initial_point(game: GameSpec, seed: int) -> np.ndarray:
-    """Uniform draw inside the game's box, with the learner means shrunk toward 0
-    so the hinge probabilities do not saturate at iteration 0."""
-    theta = _uniform_init(game.lower, game.upper, np.random.default_rng(seed))
-    theta[: game.k + 1] *= 0.1
-    return np.clip(theta, game.lower, game.upper)
-
-
-def solve_svm_game(
-    game: GameSpec, init: np.ndarray | None = None, cfg: SolverConfig = SolverConfig()
-) -> EquilibriumResult:
-    """Solve the randomized SVM game from init, by default initial_point(game, cfg.seed)."""
-    if init is None:
-        init = initial_point(game, cfg.seed)
-    return extragradient_solve(_costs.game_operator(game), init, cfg)

@@ -29,7 +29,6 @@ from randgame.solver import (
     extragradient_solve,
     initial_point,
     nash_verify,
-    solve_svm_game,
     vi_residual,
 )
 
@@ -293,7 +292,7 @@ def test_criterion_05_nash_property_on_the_svm_game():
     dev[ops.dim_l - 1] = False
     fails, off_floor, most = [], [], 0
     for seed in range(5):
-        res = solve_svm_game(game, initial_point(game, seed))
+        res = extragradient_solve(game_operator(game), initial_point(game, seed))
         evals.clear()
         if not (
             res.converged and res.residual <= 1e-6 and nash_verify(res.theta, ops, tol=1e-4)
@@ -467,7 +466,8 @@ def test_criterion_10_security_gain_over_baseline():
         w_base, b_base = train_baseline_svm(train, C=1.0)
         lb, ab = default_boxes(train.n, train.k, W=1.0)
         game = GameSpec(train, 10.0, 10.0, lb, ab)
-        mu_w = solve_svm_game(game, initial_point(game, seed)).theta_l[: train.k + 1]
+        theta = extragradient_solve(game_operator(game), initial_point(game, seed)).theta
+        mu_w = theta[: train.k + 1]
 
         legit = test.features[test.labels == -1]
         mal = test.features[test.labels == 1]

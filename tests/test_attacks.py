@@ -372,6 +372,13 @@ class TestSecurityCurve:
         )
         assert curve.auc() == pytest.approx(1.0)
 
+    def test_auc_needs_two_points(self):
+        # one point has area 0 whatever its TP, so it cannot rank curves
+        mu_w, ds, mode = self._setup()
+        curve = security_curve(mu_w, ds, mode, [0.5], repetitions=2)
+        with pytest.raises(ValueError, match="at least two points, got 1"):
+            curve.auc()
+
     def test_write_csv(self, tmp_path):
         mu_w, ds, mode = self._setup()
         curve = security_curve(mu_w, ds, mode, [0.0, 0.4], repetitions=2, seed=1)

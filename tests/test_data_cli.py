@@ -1,5 +1,5 @@
-"""Dataset IO round trips, splits, the synthetic generator, and the CLI
-pipeline including exit codes and determinism."""
+"""Dataset IO round trips, the synthetic generator, and the CLI pipeline
+including exit codes and determinism."""
 
 import os
 import stat
@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from oracles import load_dense_tokens, load_sparse_tokens
+from randgame import attacks, solver
 from randgame import data as data_io
+from randgame.attacks import SecurityCurve
 from randgame.cli import EX_NOINPUT, EX_USAGE, main
 from randgame.data import (
     DEFAULT_GRID,
     ParseError,
-    SplitSpec,
     load_dense_csv,
     load_sparse,
     save_dense_csv,
-    split,
     synth_2d,
 )
 from randgame.model import Dataset, atomic_write, load_flat_csv, save_flat_csv
@@ -206,21 +206,6 @@ class TestBulkParsers:
         p = tmp_path / "s.svm"
         p.write_text(text)
         assert read_outcome(load_sparse, p) == read_outcome(load_sparse_tokens, p)
-
-
-class TestNormalizeAndSplit:
-    def test_split_is_seeded_partition(self):
-        ds = synth_2d(20, 0.4, 1)
-        spec = SplitSpec(10, 10, 20, seed=3)
-        a1 = split(ds, spec)
-        a2 = split(ds, spec)
-        for d1, d2 in zip(a1, a2):
-            np.testing.assert_array_equal(d1.features, d2.features)
-        assert sum(d.n for d in a1) == 40
-
-    def test_split_size_overflow_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
-            split(synth_2d(2, 0.4, 0), SplitSpec(3, 1, 1))
 
 
 class TestSynth2d:
@@ -526,15 +511,15 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("rows, message", [
         (3, "grid-search needs at least 4 samples, got 3"),
-        # two rows train, one validates and one tests: the validation split
-        # cannot hold both classes
-        (4, "grid-search's validation split (1 of 4) needs samples of both classes"),
+        # labels -1, +1, +1, +1: seed 0 permutes the rows to (2, 0 | 1, 3), so
+        # the two rows that validate are both +1
+        (4, "grid-search's validation split (2 of 4) needs samples of both classes"),
     ])
     def test_grid_search_on_too_few_samples_is_an_input_error(self, tmp_path, capsys, rows,
                                                               message):
         data = self._gen(tmp_path, n=3)
         small = tmp_path / "small.csv"
-        small.write_text("".join(data.read_text().splitlines(keepends=True)[1 : rows + 1]))
+        small.write_text("".join(data.read_text().splitlines(keepends=True)[6 - rows :]))
         out = tmp_path / "best.csv"
         capsys.readouterr()
         assert main(["grid-search", "--data", str(small), "--max-iter", "5",
@@ -615,6 +600,38 @@ class TestCliPipeline:
             main(["train"])  # missing required arguments
         assert exc.value.code == EX_USAGE
 
+    def test_grid_search_refuses_one_budget_before_any_solve(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # one budget gives every grid point a curve of area 0, and the first
+        # point would win the tie
+        data = self._gen(tmp_path, n=10)
+        solves = []
+        monkeypatch.setattr(solver, "extragradient_solve", lambda *a, **kw: solves.append(1))
+        out = tmp_path / "best.csv"
+        capsys.readouterr()
+        assert main(["grid-search", "--data", str(data), "--dmax-list", "0.5",
+                     "--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid-search scores a curve by its area, which needs at least two "
+            "--dmax-list budgets, got 1"]
+        assert not solves and not out.exists()
+
+    def test_grid_search_validates_on_every_sample_it_does_not_train_on(self, tmp_path,
+                                                                       monkeypatch):
+        data = self._gen(tmp_path, n=5)
+        grids = tmp_path / "grids.cfg"
+        grids.write_text("rho_l_grid=10\nrho_d_grid=10\nW_grid=1\n")
+        sizes = []
+
+        def curve(mu_w, test, *args, **kwargs):
+            sizes.append(test.n)
+            return SecurityCurve(((0.0, 1.0, 0.0), (1.0, 0.5, 0.0)), 0.01, 1)
+
+        monkeypatch.setattr(attacks, "security_curve", curve)
+        assert main(["grid-search", "--data", str(data), "--grids", str(grids),
+                     "--max-iter", "5", "--out", str(tmp_path / "best.csv")]) == 0
+        assert sizes == [5]  # 10 samples: 5 train, the other 5 validate
+
     def test_grid_search_writes_best_row(self, tmp_path):
         data = self._gen(tmp_path, n=6)
         grids = tmp_path / "grids.cfg"
@@ -688,7 +705,8 @@ class TestGoldenOutputs:
     """Seeded `secure-eval` and `attack` runs on the small sets in tests/data
     against outputs written by the per-sample attack code these batched
     attacks replaced: curves, binary flips and closed-form L2 attacks must
-    keep every byte, box-L2 attacks every value to 1e-12."""
+    keep every byte, box-L2 attacks every value to 1e-12. Seeded `train` runs
+    must keep every byte of their params and stdout."""
 
     BOX = ["--params", str(GOLDEN / "box_eq.csv"), "--data", str(GOLDEN / "box.csv")]
     FLIP = ["--params", str(GOLDEN / "flip_eq.csv"), "--data", str(GOLDEN / "flip.svm")]
@@ -712,6 +730,20 @@ class TestGoldenOutputs:
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("bias_reg", [0, 1])
+    def test_train_bytes(self, tmp_path, capsys, bias_reg):
+        # train.csv is gen-synth --n 8 --seed 2. At bias_reg 0 the game has
+        # many equilibria and the start decides which one train writes
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(f"rho_l=10\nrho_d=10\nW=1\nbias_reg={bias_reg}\nseed=0\n")
+        out = tmp_path / "eq.csv"
+        capsys.readouterr()
+        assert main(["train", "--data", str(GOLDEN / "train.csv"), "--game", str(cfg),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"train_eq_bias{bias_reg}.csv").read_bytes()
+        stdout = (GOLDEN / f"train_stdout_bias{bias_reg}.txt").read_text()
+        assert capsys.readouterr().out == stdout
 
     @pytest.mark.parametrize("name, flags", [
         ("box_attacked.csv", []), ("box_attacked_monotone.csv", ["--monotone"]),

@@ -11,7 +11,7 @@ from randgame import solver
 from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.kernel import Kernel, dual_game_operator
-from randgame.model import Dataset, GameSpec, default_boxes
+from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
 from randgame.ops import VIGame
 from randgame.solver import (
     EquilibriumResult,
@@ -21,7 +21,6 @@ from randgame.solver import (
     extragradient_solve,
     initial_point,
     nash_verify,
-    solve_svm_game,
     vi_residual,
 )
 
@@ -133,6 +132,27 @@ class TestExtragradient:
         r2 = extragradient_solve(bilinear_game(), None, cfg)
         assert np.array_equal(r1.theta, r2.theta)
 
+    @pytest.mark.parametrize("init", [np.array([0.5]), np.zeros(3), np.zeros((2, 1))],
+                             ids=["short", "long", "column"])
+    def test_rejects_an_init_of_another_shape(self, init):
+        # clip would broadcast a short init over the box and solve from it
+        with pytest.raises(ShapeError, match=r"init has shape .*, not the profile's \(2,\)"):
+            extragradient_solve(quadratic_game(), init)
+
+    @pytest.mark.parametrize("which", ["primal", "dual"])
+    def test_default_start_is_initial_point(self, which):
+        # one start rule for both games: no init means initial_point(ops, cfg.seed)
+        data = synth_2d(5, 0.4, 2)
+        if which == "primal":
+            ops = game_operator(GameSpec(data, 10.0, 10.0, *default_boxes(data.n, data.k, 1.0)))
+        else:
+            ops = dual_game_operator(data, Kernel("rbf", 1.0), 10.0, 10.0)
+        cfg = SolverConfig(max_iter=50, seed=3)
+        res = extragradient_solve(ops, None, cfg)
+        np.testing.assert_array_equal(
+            res.theta, extragradient_solve(ops, initial_point(ops, cfg.seed), cfg).theta)
+        assert res.evaluations > 1
+
     def test_trace_is_monotone_enough_to_stop(self):
         res = extragradient_solve(quadratic_game(), np.array([1.5, 1.5]))
         assert res.residual_trace[-1] <= SolverConfig().epsilon
@@ -234,16 +254,16 @@ class TestSvmGame:
         from randgame.costs import game_operator
 
         game = self._game()
-        res = solve_svm_game(game)
+        res = extragradient_solve(game_operator(game))
         assert res.converged
         assert nash_verify(res.theta, game_operator(game), tol=1e-4)
 
-    def test_typed_results_have_game_shapes(self):
+    def test_result_is_the_flat_profile(self):
         game = self._game(seed=2, n_per_class=5)
-        res = solve_svm_game(game)
-        assert isinstance(res, EquilibriumResult) and res.dim_l == game.dim_l
-        assert res.theta_l.size == game.dim_l and res.theta_d.size == game.dim_d
-        np.testing.assert_array_equal(np.concatenate([res.theta_l, res.theta_d]), res.theta)
+        res = extragradient_solve(game_operator(game))
+        assert isinstance(res, EquilibriumResult)
+        assert res.theta.shape == (game.dim_l + game.dim_d,)
+        assert not any(hasattr(res, name) for name in ("dim_l", "theta_l", "theta_d"))
 
     def test_initial_point_feasible_and_seeded(self):
         game = self._game(seed=3, n_per_class=4)
@@ -258,6 +278,17 @@ class TestSvmGame:
         want = ops.lower + np.random.default_rng(7).uniform(size=ops.dim) * (ops.upper - ops.lower)
         want[: game.k + 1] *= 0.1
         np.testing.assert_array_equal(p1, want)
+        # the operator's box and layout give the same start as the game's
+        np.testing.assert_array_equal(initial_point(ops, 7), p1)
+
+    def test_initial_point_shrinks_the_dual_learner_means(self):
+        # the dual game's learner means are its n + 1 alpha and bias means
+        ops = dual_game_operator(synth_2d(3, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0)
+        u = np.random.default_rng(4).uniform(size=ops.dim)
+        want = ops.lower + u * (ops.upper - ops.lower)
+        want[: ops.dim_l // 2] *= 0.1
+        assert ops.dim_l // 2 == 7
+        np.testing.assert_array_equal(initial_point(ops, 4), want)
 
     def test_default_game_has_no_unique_equilibrium_until_the_bias_is_regularized(self):
         from randgame.data import synth_2d
@@ -269,7 +300,7 @@ class TestSvmGame:
             game = GameSpec(ds, 10.0, 10.0, lb, ab, bias_reg=bias_reg)
             sols = []
             for seed in range(4):
-                res = solve_svm_game(game, initial_point(game, seed))
+                res = extragradient_solve(game_operator(game), initial_point(game, seed))
                 assert res.converged
                 if bias_reg > 0:
                     assert_deviations_on_floor(game_operator(game), res.theta)
