@@ -8,6 +8,7 @@ Exit codes: 0 success; 2 solver hit max_iter; 3 uniqueness check failed;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -234,6 +235,7 @@ def _cmd_grid_search(args) -> int:
     idx = np.random.default_rng(args.seed).permutation(n)
     train, val = (model.Dataset(dataset.features[p], dataset.labels[p], dataset.feature_kind)
                   for p in np.split(idx, [max(2, n // 2)]))
+    _check_both_classes(train, args.data, f"grid-search's training split ({train.n} of {n})")
     _check_both_classes(val, args.data, f"grid-search's validation split ({val.n} of {n})")
     best = None
     for rho_l in grids.rho_l_grid:
@@ -257,7 +259,10 @@ def _cmd_grid_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; each subcommand's func is
+    the _cmd_* function it was built with."""
     p = _Parser(prog="randgame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -1,6 +1,6 @@
 """Expected player costs of the randomized prediction game and their analytic
-gradients from one evaluation of a joint profile, the game operator, and a
-deterministic baseline SVM.
+gradients from one evaluation of a joint profile (or of a stack of them), the
+game operator, and a deterministic baseline SVM.
 
 One evaluation serves both games. The margins are 1 -+ y_i(a.M x_i + b) for a
 symmetric PSD metric M, and the attacker's regularizer pulls each x_i towards
@@ -53,25 +53,41 @@ from .ops import VIGame
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
 _SIGNS = np.array([[-1.0], [1.0]])
+# In a stack of profiles, the axes that line each profile's scalars up with its
+# n samples and its vectors of n up with its planes and its two margin rows.
+_COL, _ROW = np.s_[..., None], np.s_[..., None, :]
 
 
 def _unpack(theta, m, n, rows):
     """The checked parts (mu_a, mu_b, sigma_a, sigma_b, planes) of the flat
-    joint profile theta of n attacker rows of m means and m deviations, where
-    planes is a contiguous (2m, rows) copy of the attacker rows in the
-    unit-step slice rows: column i is (mu_x_i; sigma_x_i). Only the learner
-    block and those rows are checked: finite first, then every deviation
-    strictly positive (on the planes, where the check runs along the rows)."""
+    joint profiles theta, of shape (..., dim), of n attacker rows of m means
+    and m deviations, where planes is a contiguous (..., 2m, rows) copy of the
+    attacker rows in the unit-step slice rows: column i is (mu_x_i; sigma_x_i).
+    mu_b and sigma_b have the stack's shape (...), and are numpy floats for one
+    profile. Only the learner block and those rows are checked: finite first,
+    then every deviation strictly positive (on the planes, where the check
+    runs along the rows)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * m + 2 + 2 * n * m,):
+    if theta.shape[-1:] != (2 * m + 2 + 2 * n * m,):
         raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
-    learner = theta[: 2 * m + 2]
-    planes = theta[2 * m + 2 :].reshape(n, 2 * m)[rows].T.copy()
+    stack = theta.shape[:-1]
+    learner = theta[..., : 2 * m + 2]
+    planes = theta[..., 2 * m + 2 :].reshape(stack + (n, 2 * m))[..., rows, :]
+    planes = planes.swapaxes(-1, -2).copy()
     if not (np.isfinite(learner).all() and np.isfinite(planes).all()):
         raise ValueError("parameters must be finite")
-    if not ((learner[m + 1 :] > 0).all() and (planes[m:] > 0).all()):
+    if not (learner[..., m + 1 :].min(initial=np.inf) > 0
+            and planes[..., m:, :].min(initial=np.inf) > 0):
         raise ValueError("deviations must be strictly positive")
-    return learner[:m], learner[m], learner[m + 1 : 2 * m + 1], learner[2 * m + 1], planes
+    # one profile's biases are indexed as numpy floats, whose arithmetic costs
+    # no ufunc call
+    b, sb = ((..., m), (..., 2 * m + 1)) if stack else (m, 2 * m + 1)
+    return learner[..., :m], learner[b], learner[..., m + 1 : 2 * m + 1], learner[sb], planes
+
+
+def _on_columns(f):
+    """The map v -> f(v) for each vector v of a stack, as a one-column set."""
+    return lambda v: f(v[..., None])[..., 0]
 
 
 def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
@@ -80,48 +96,68 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     row (mu_x_i (m), sigma_x_i (m))], for anchors of shape (m, n) (column i
     is xhat_i). The attacker rows are read into contiguous (m, n) planes.
 
-    M enters only as by_M(A) = M A (a vector, or each column of a matrix),
-    by_M2(v) = (M*M) v and dM = diag(M); the primal game passes the identity
-    for both maps, so M = I costs nothing. Returns (cost_l, cost_d, grad):
-    grad is flat and unweighted in the layout of theta.
+    theta may also be a stack of profiles, of shape (..., dim), and each
+    profile of it gets the bits of its own call: the products with vectors
+    are np.vecmat, np.matvec and np.vecdot, and the maps take a stack's
+    vectors as one-column sets (one profile's as they are).
+
+    M enters only as by_M(A) = M A (a vector, or each column of a matrix or
+    of a stack of them), by_M2(v) = (M*M) v (likewise) and dM = diag(M); the
+    primal game passes the identity for both maps, so M = I costs nothing.
+    Returns (cost_l, cost_d, grad): the costs have the stack's shape (...),
+    floats for one profile, and grad is unweighted in the layout and shape of
+    theta.
     """
     m, n = anchors.shape
     mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, slice(None))
-    mu_x, sig_x = planes[:m], planes[m:]  # column i is mu_x_i, sigma_x_i
+    stack = planes.shape[:-2]
+    mu_x, sig_x = planes[..., :m, :], planes[..., m:, :]  # column i is mu_x_i, sigma_x_i
+    # one profile needs no new axes, and its vectors go to the maps as they are
+    col, row = (_COL, _ROW) if stack else ((), ())
+    M_v, M2_v = (_on_columns(by_M), _on_columns(by_M2)) if stack else (by_M, by_M2)
 
     s2a, s2x = sig_a**2, sig_x**2
     Mx = by_M(mu_x)  # column i is M mu_x_i; mu_x itself when M = I
     Mx2 = Mx**2
-    Ma = by_M(mu_a)
-    w_x = Ma**2 + by_M2(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
-    score = mu_a @ Mx + mu_b
-    sigma = np.sqrt(s2a @ Mx2 + w_x @ s2x + sig_b**2)
-    (h_s, h_t), (p_s, p_t), (v_s, v_t) = hinge_expect(1.0 + _SIGNS * (y * score), sigma)
+    Ma = M_v(mu_a)
+    w_x = Ma**2 + M2_v(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
+    score = np.vecmat(mu_a, Mx) + mu_b[col]
+    sigma = np.sqrt(np.vecmat(s2a, Mx2) + np.vecmat(w_x, s2x) + (sig_b**2)[col])
+    # the margins 1 -+ y score: (..., 2, n), row 0 the learner's
+    (h_s, h_t), (p_s, p_t), (v_s, v_t) = (
+        (a[..., 0, :], a[..., 1, :])
+        for a in hinge_expect(1.0 + _SIGNS * (y * score)[row], sigma[row]))
 
     py_s = p_s * y
-    s2x_w = s2x @ v_s  # sum_i v_s_i * sigma_x_i^2
-    grad = np.empty(2 * m + 2 + 2 * n * m)
-    grad[:m] = rho_l * Ma - Mx @ py_s + 2.0 * by_M(s2x_w * Ma)
-    grad[m] = bias_reg * mu_b - py_s.sum()
-    grad[m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (Mx2 @ v_s + by_M2(s2x_w))
-    grad[2 * m + 1] = bias_reg * sig_b + 2.0 * sig_b * v_s.sum()
-    cost_l = (0.5 * rho_l * (mu_a @ Ma + dM @ s2a) + 0.5 * bias_reg * (mu_b**2 + sig_b**2)
-              + h_s.sum())
+    s2x_w = np.matvec(s2x, v_s)  # sum_i v_s_i * sigma_x_i^2
+    grad = np.empty(stack + (2 * m + 2 + 2 * n * m,))
+    grad[..., :m] = rho_l * Ma - np.matvec(Mx, py_s) + 2.0 * M_v(s2x_w * Ma)
+    grad[..., m] = bias_reg * mu_b - py_s.sum(axis=-1)
+    grad[..., m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (
+        np.matvec(Mx2, v_s) + M2_v(s2x_w))
+    grad[..., 2 * m + 1] = bias_reg * sig_b + 2.0 * sig_b * v_s.sum(axis=-1)
+    cost_l = (0.5 * rho_l * (np.vecdot(mu_a, Ma) + np.vecdot(dM, s2a))
+              + 0.5 * bias_reg * (mu_b**2 + sig_b**2) + h_s.sum(axis=-1))
 
     # From here on the attacker block is built in place over the planes. Mx is
     # read for the last time: Mx2 becomes 2 v_t s2a Mx and mu_x the shift.
-    np.multiply(Mx, (2.0 * s2a)[:, None], out=Mx2)
+    v_t = v_t[row]
+    np.multiply(Mx, (2.0 * s2a)[..., None], out=Mx2)
     Mx2 *= v_t
     shifted = np.subtract(mu_x, anchors, out=mu_x)  # column i is mu_x_i - xhat_i
-    cost_d = 0.5 * rho_d * (np.vdot(shifted, by_M(shifted)) + dM @ s2x.sum(axis=1)) + h_t.sum()
+    flat = stack + (m * n,)
+    cost_d = (0.5 * rho_d * (np.vecdot(shifted.reshape(flat), by_M(shifted).reshape(flat))
+                             + np.vecdot(dM, s2x.sum(axis=-1))) + h_t.sum(axis=-1))
     shifted *= rho_d
     shifted += Mx2  # M of this is rho_d M shifted + 2 M(v_t s2a Mx), as M is linear
-    np.multiply(Ma[:, None], p_t * y, out=Mx2)
+    np.multiply(Ma[..., None], (p_t * y)[row], out=Mx2)
     np.add(by_M(shifted), Mx2, out=mu_x)
-    np.multiply((2.0 * w_x)[:, None], v_t, out=s2x)
+    np.multiply((2.0 * w_x)[..., None], v_t, out=s2x)
     s2x += (rho_d * dM)[:, None]
     sig_x *= s2x
-    grad[2 * m + 2 :].reshape(n, 2 * m)[...] = planes.T
+    grad[..., 2 * m + 2 :].reshape(stack + (n, 2 * m))[...] = planes.swapaxes(-1, -2)
+    if stack:
+        return cost_l, cost_d, grad
     return float(cost_l), float(cost_d), grad
 
 
@@ -156,6 +192,8 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
     and sigma^2 are differentiated in closed form.
     """
+    if np.ndim(theta) != 1:
+        raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
     m, n = anchors.shape
     mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, rows)
     x_rows = planes.T.copy()  # row-major again, the layout the products below expect
@@ -241,7 +279,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
 
     def pgrad(theta):
         g = evaluate(theta, *terms)[2]
-        g[dim_l:] *= r_d
+        g[..., dim_l:] *= r_d
         return g
 
     def pjac(theta, rows=slice(None)):

@@ -25,9 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ShapeError
 from .ops import VIGame
 
 MONOTONE_TOL = 1e-12  # slack of the monotonicity inner product
+# Entries of the (k, 2, dim) stack of pairs that one pseudo-gradient call of
+# the monotonicity sample takes at most: 89 pairs of a 10-point game (dim 46)
+# per call, and one pair per call above dim 2048, where the overhead of a call
+# is small against its work and a larger stack only adds memory.
+MONOTONE_CHUNK_ENTRIES = 2**13
 # The smallest Jacobian eigenvalue is bracketed to EIG_RTOL times the scale of
 # the spectrum, in at most EIG_MAX_STEPS steps (bisection alone needs about 47).
 EIG_RTOL = 1e-14
@@ -154,30 +160,39 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
-def _interior_sample(ops: VIGame, rng: np.random.Generator) -> np.ndarray:
+def _interior_sample(ops: VIGame, rng: np.random.Generator, stack=()) -> np.ndarray:
+    """Profiles of shape stack + (dim,), each coordinate uniform on the middle
+    80% of its interval."""
     width = ops.upper - ops.lower
-    u = rng.uniform(0.1, 0.9, size=ops.dim)
+    u = rng.uniform(0.1, 0.9, size=stack + (ops.dim,))
     return ops.lower + u * width
 
 
 def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int) -> int:
     """Count violations of (g(a) - g(b)) . (a - b) >= -MONOTONE_TOL over
-    random pairs."""
+    random pairs of interior profiles. The pairs are drawn in chunks of at
+    most MONOTONE_CHUNK_ENTRIES stacked entries (one pair at least), and each
+    chunk's pseudo-gradients come from one ops.pseudo_grad call on its
+    (k, 2, dim) stack, which must return that shape."""
     rng = np.random.default_rng(seed)
+    chunk = max(1, MONOTONE_CHUNK_ENTRIES // (2 * ops.dim))
     violations = 0
-    for _ in range(n_pairs):
-        a = _interior_sample(ops, rng)
-        b = _interior_sample(ops, rng)
-        inner = float((ops.pseudo_grad(a) - ops.pseudo_grad(b)) @ (a - b))
-        if inner < -MONOTONE_TOL:
-            violations += 1
+    for start in range(0, n_pairs, chunk):
+        # row j of the stack is pair start + j, (a, b) as a loop would draw them
+        pairs = _interior_sample(ops, rng, (min(chunk, n_pairs - start), 2))
+        g = ops.pseudo_grad(pairs)
+        if np.shape(g) != pairs.shape:
+            raise ShapeError(f"pseudo_grad gave shape {np.shape(g)} for a stack of profiles "
+                             f"of shape {pairs.shape}")
+        inner = np.vecdot(g[:, 0] - g[:, 1], pairs[:, 0] - pairs[:, 1])
+        violations += int(np.count_nonzero(inner < -MONOTONE_TOL))
     return violations
 
 
 def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> DiagnosticsReport:
     """Estimate the sufficient-condition margin on sampled interior profiles:
-    one ops.jacobian call per profile, and 2 * n_pairs pseudo-gradient calls
-    for the monotonicity sample."""
+    one ops.jacobian call per profile, and for the monotonicity sample one
+    stacked pseudo-gradient call per chunk of pairs."""
     if n_profiles < 1:
         raise ValueError("n_profiles must be at least 1: a margin over no profile reads inf")
     if n_pairs < 1:

@@ -19,7 +19,10 @@ for Mathematical Functions, 1989; after W. J. Cody, Rational Chebyshev
 approximations for the error function, Math. Comp. 23, 1969) with numpy on
 index subsets, reusing exp(-z^2 / 2) from phi: about a hundred numpy calls
 per call but little per entry. Neither is fast at both sizes, so the size picks
-one; on a 2-core x86-64 host they cost the same at about 1000 entries.
+one; on a 2-core x86-64 host they cost the same at about 1000 entries. The
+size is that of the last two axes, one profile's (2, n) margins in the costs:
+the two paths round differently, and a stack of profiles, (..., 2, n), keeps
+the bits that each profile gets alone.
 """
 
 from __future__ import annotations
@@ -68,8 +71,9 @@ def _ratio(x, num, den):
 
 
 def _ndtr(z, e):
-    """Phi(z) for an array z with e = exp(-z^2 / 2), of z's shape."""
-    if z.size < _RATIONAL_MIN_SIZE:
+    """Phi(z) for an array z with e = exp(-z^2 / 2), of z's shape, on the
+    path that the entries of z's last two axes pick."""
+    if math.prod(z.shape[-2:]) < _RATIONAL_MIN_SIZE:
         w = (z * -_SQRT_HALF).ravel().tolist()
         return 0.5 * np.fromiter(map(math.erfc, w), float, len(w)).reshape(z.shape)
     # Integer indices, not boolean masks: on scattered entries they gather and
@@ -94,10 +98,11 @@ def _ndtr(z, e):
 
 def hinge_expect(mu, sigma):
     """(E[max(0, S)], its derivative in mu, its derivative in sigma^2) for
-    S ~ Normal(mu, sigma^2). Vectorized; scalar inputs give three floats."""
+    S ~ Normal(mu, sigma^2). Vectorized, with Phi's path picked by the last
+    two axes of the broadcast shape; scalar inputs give three floats."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
+    if (sigma <= 0).any():
         raise ValueError("sigma must be strictly positive")
     z = mu / sigma
     e = np.exp(-0.5 * z * z)
@@ -114,7 +119,7 @@ def hinge_hessian(mu, sigma):
     S ~ Normal(mu, sigma^2), as arrays of the broadcast shape."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
+    if (sigma <= 0).any():
         raise ValueError("sigma must be strictly positive")
     z = mu / sigma
     phi_s = np.exp(-0.5 * z * z) / (_SQRT2PI * sigma)  # phi / sigma

@@ -19,9 +19,13 @@ class VIGame:
     """Variational-inequality view of a two-player game.
 
     costs gives both players' full costs (cost_l, cost_d) at a joint flat
-    vector; pseudo_grad stacks the r-weighted own-block gradients. The rest is
-    optional: the solver's Newton steps need jacobian, the diagnostics need
-    jacobian and reg_hess:
+    vector; pseudo_grad stacks the r-weighted own-block gradients. Both also
+    take a stack of profiles of shape (..., dim): costs then gives two arrays
+    of shape (...) and pseudo_grad one of shape (..., dim), each profile's
+    entries as its own call gives them (the diagnostics' monotonicity sample
+    passes (k, 2, dim) stacks of pairs). The solver passes one profile. The
+    rest is optional and takes one profile: the solver's Newton steps need
+    jacobian, the diagnostics need jacobian and reg_hess:
 
     - jacobian(theta, rows=slice(None)) gives the Jacobian of pseudo_grad as
       the blocks (ll, ld, dl, dd) for an attacker block of n rows of
@@ -61,4 +65,5 @@ class VIGame:
         return self.lower.size - self.dim_l
 
     def project(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(theta, self.lower, self.upper)
+        # np.clip's result, signed zeros and NaN included, at half its cost
+        return np.minimum(np.maximum(theta, self.lower), self.upper)

@@ -4,7 +4,6 @@ without randgame is refused rather than timed."""
 
 import importlib.util
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -39,6 +38,10 @@ def test_compare_reports_every_case(entry):
         if entry in ("solve", "newton"):
             assert all("theta" not in row[side] for side in sides)
             assert row["max_abs_theta_diff"] == 0.0  # both sides ran the same code
+        if entry == "mono":
+            assert all(type(row[side]["violations"]) is int for side in sides)
+            if not change_only:  # both sides ran the same code on the same pairs
+                assert row["parent"]["violations"] == row["change"]["violations"]
         if entry == "curve":
             assert all(len(row[side]["points"]) >= 2 for side in sides)
             assert row["same_points"]  # both sides ran the same code
@@ -47,5 +50,5 @@ def test_compare_reports_every_case(entry):
 def test_checkout_without_randgame_is_refused(tmp_path):
     # Without src/randgame the worker either fails to import randgame or picks
     # up an installed copy; either way no timing of the wrong code comes back.
-    with pytest.raises((RuntimeError, subprocess.CalledProcessError)):
-        timing.time_checkout(tmp_path, "pgrad", tiny=True, rounds=1)
+    with pytest.raises(RuntimeError):
+        timing.time_pass(tmp_path, ROOT, "pgrad", tiny=True, rounds=1)

@@ -8,7 +8,7 @@ from randgame.costs import _primal_terms, evaluate, game_operator, jacobian, tra
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
 from randgame.kernel import Kernel, _dual_terms, dual_game_operator, gram
-from randgame.model import Dataset, GameSpec, default_boxes
+from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
 
 
 def random_game(seed, n=5, k=3, rho_l=2.0, rho_d=3.0, bias_reg=0.0):
@@ -173,6 +173,76 @@ class TestEvaluateOracle:
         assert not np.shares_memory(g1, g2)
         assert not np.shares_memory(g1, theta)
         np.testing.assert_array_equal(g1, g2)
+
+
+def _stack_case(which):
+    """(ops, evaluate's fixed terms, a (3, 2, dim) stack of interior profiles)
+    of a primal game at n = 10 or 100, where one profile's margins take
+    hinge's erfc path (the stack's 1200 at n = 100 would take its rationals),
+    at n = 600 (the rationals) or of an RBF dual game."""
+    if which == "dual":
+        data = synth_2d(5, 0.4, 2)
+        ops = dual_game_operator(data, Kernel("rbf", 1.0), 2.0, 3.0, bias_reg=0.7)
+        terms = _dual_terms(gram(data, Kernel("rbf", 1.0)), data.labels, 2.0, 3.0, 0.7)
+    else:
+        game = random_game(32, n=int(which.split("=")[1]), k=2, bias_reg=0.7)
+        ops, terms = game_operator(game), _primal_terms(game)
+    rng = np.random.default_rng(33)
+    stack = ops.lower + rng.uniform(0.1, 0.9, size=(3, 2, ops.dim)) * (ops.upper - ops.lower)
+    return ops, terms, stack
+
+
+class TestStackedEvaluation:
+    """evaluate, costs and pseudo_grad on a (3, 2, dim) stack of profiles:
+    every row is the one-profile call, bit for bit, and one bad row raises the
+    one-profile call's error."""
+
+    CASES = ["primal n=10", "primal n=100", "primal n=600", "dual"]
+
+    @pytest.mark.parametrize("which", CASES)
+    def test_rows_equal_one_profile_calls(self, which):
+        ops, terms, stack = _stack_case(which)
+        cost_l, cost_d, grad = evaluate(stack, *terms)
+        pgrad, (op_l, op_d) = ops.pseudo_grad(stack), ops.costs(stack)
+        assert grad.shape == pgrad.shape == stack.shape
+        assert cost_l.shape == cost_d.shape == op_l.shape == op_d.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            one = evaluate(stack[idx], *terms)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert (cost_l[idx], cost_d[idx]) == one[:2] == ops.costs(stack[idx])
+            assert (op_l[idx], op_d[idx]) == one[:2]
+            np.testing.assert_array_equal(grad[idx], one[2])
+            np.testing.assert_array_equal(pgrad[idx], ops.pseudo_grad(stack[idx]))
+
+    def test_one_profile_passes_hinge_its_margins_as_before(self, hinge_inputs):
+        # (2, n) margins over an (n,) sigma for one profile; a stack's margins
+        # are (..., 2, n)
+        ops, _, stack = _stack_case("primal n=10")
+        ops.pseudo_grad(stack[0, 0])
+        ops.pseudo_grad(stack)
+        assert [mu.shape for mu, _ in hinge_inputs] == [(2, 10), (3, 2, 2, 10)]
+
+    @pytest.mark.parametrize("which", CASES)
+    @pytest.mark.parametrize("entry, bad, match", [
+        ("mean", np.nan, "finite"), ("deviation", np.inf, "finite"),
+        ("deviation", 0.0, "positive"), ("learner deviation", -1.0, "positive"),
+    ])
+    def test_one_bad_row_raises_as_its_call(self, which, entry, bad, match):
+        ops, terms, stack = _stack_case(which)
+        i = {"mean": -ops.row_size, "deviation": -1, "learner deviation": ops.dim_l - 1}[entry]
+        stack[2, 1, i] = bad
+        for fn in (ops.pseudo_grad, ops.costs, lambda v: evaluate(v, *terms)):
+            with pytest.raises(ValueError, match=match):
+                fn(stack[2, 1])
+            with pytest.raises(ValueError, match=match):
+                fn(stack)
+
+    def test_stack_of_wrong_length_and_jacobian_of_a_stack_raise(self):
+        ops, terms, stack = _stack_case("primal n=10")
+        with pytest.raises(ShapeError):
+            ops.pseudo_grad(stack[..., :-1])
+        with pytest.raises(ShapeError, match="one profile"):
+            jacobian(stack, *terms)
 
 
 class TestJacobianRowRanges:

@@ -527,6 +527,19 @@ class TestCliPipeline:
         assert capsys.readouterr().err.splitlines() == [f"error: {small}: {message}"]
         assert not out.exists()
 
+    def test_grid_search_needs_both_classes_in_training(self, tmp_path, capsys):
+        # labels +1, -1, +1, +1: seed 0 permutes the rows to (2, 0 | 1, 3), so
+        # the two rows that train are both +1 while validation holds both
+        small = tmp_path / "small.csv"
+        small.write_text("1,0.1,0.2\n-1,0.3,0.4\n1,0.5,0.6\n1,0.7,0.8\n")
+        out = tmp_path / "best.csv"
+        capsys.readouterr()
+        assert main(["grid-search", "--data", str(small), "--max-iter", "5",
+                     "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {small}: grid-search's training split (2 of 4) needs samples of both classes"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-synth", "train-baseline", "secure-eval",
                                          "check-eq", "grid-search"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):

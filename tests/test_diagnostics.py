@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 
 from oracles import BoundaryError, assemble, fd_steps, pseudo_jacobian
+from randgame import diagnostics
 from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.diagnostics import (
+    MONOTONE_TOL,
     loss_hessians,
     monotonicity_sample,
     profile_curvature,
     uniqueness_margin,
 )
 from randgame.kernel import Kernel, dual_game_operator
-from randgame.model import Dataset, GameSpec, default_boxes
+from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
 from randgame.ops import VIGame
 from randgame.solver import SolverConfig, extragradient_solve
 
@@ -80,13 +82,16 @@ def coupled_quadratic(c):
 
     Both regularizers are v^2/2, both losses the bilinear coupling, so the
     cross-block loss Hessians are both c and the symmetrized coupling is c.
+    Like the games' operators, costs and pseudo_grad take a stack of profiles.
     """
     return VIGame(
         dim_l=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
-        costs=lambda v: (0.5 * v[0] ** 2 + c * v[0] * v[1], 0.5 * v[1] ** 2 + c * v[0] * v[1]),
-        pseudo_grad=lambda v: np.array([v[0] + c * v[1], v[1] + c * v[0]]),
+        costs=lambda v: (0.5 * v[..., 0] ** 2 + c * v[..., 0] * v[..., 1],
+                         0.5 * v[..., 1] ** 2 + c * v[..., 0] * v[..., 1]),
+        pseudo_grad=lambda v: np.stack([v[..., 0] + c * v[..., 1], v[..., 1] + c * v[..., 0]],
+                                       axis=-1),
         jacobian=constant_blocks([[1.0, c], [c, 1.0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
@@ -103,8 +108,9 @@ def antisymmetric_bilinear():
         dim_l=1,
         lower=np.full(2, -5.0),
         upper=np.full(2, 5.0),
-        costs=lambda v: (0.5 * v[0] ** 2 + v[0] * v[1], 0.5 * v[1] ** 2 - v[0] * v[1]),
-        pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]),
+        costs=lambda v: (0.5 * v[..., 0] ** 2 + v[..., 0] * v[..., 1],
+                         0.5 * v[..., 1] ** 2 - v[..., 0] * v[..., 1]),
+        pseudo_grad=lambda v: np.stack([v[..., 0] + v[..., 1], v[..., 1] - v[..., 0]], axis=-1),
         jacobian=constant_blocks([[1.0, 1.0], [-1.0, 1.0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
@@ -191,10 +197,37 @@ class TestMonotonicity:
             dim_l=1,
             lower=np.full(2, -1.0),
             upper=np.full(2, 1.0),
-            costs=lambda v: (-0.5 * v[0] ** 2, -0.5 * v[1] ** 2),
+            costs=lambda v: (-0.5 * v[..., 0] ** 2, -0.5 * v[..., 1] ** 2),
             pseudo_grad=lambda v: -v,
         )
         assert monotonicity_sample(g, 50, seed=0) == 50
+
+    def test_one_profile_operator_raises(self):
+        # an operator that reads only one profile per call sees the
+        # (k, 2, dim) stack as a single vector and would miscount it
+        g = dataclasses.replace(antisymmetric_bilinear(),
+                                pseudo_grad=lambda v: np.array([v[0] + v[1], v[1] - v[0]]))
+        with pytest.raises(ShapeError, match="stack"):
+            monotonicity_sample(g, 5, seed=0)
+
+    @pytest.mark.parametrize("n_pairs", [1, 50, 200])
+    def test_counts_as_the_pair_loop(self, n_pairs, monkeypatch):
+        # the stacked chunks draw the profiles of a loop that takes pair after
+        # pair, a then b, one pseudo-gradient call per profile, and count the
+        # same violations; a small chunk bound splits the sample into several
+        # calls. The weakly regularized game on a wide box is not monotone.
+        X = np.random.default_rng(0).uniform(size=(3, 2))
+        ops = game_operator(GameSpec(Dataset(X, np.array([-1.0, 1.0, 1.0])), 0.01, 0.01,
+                                     *default_boxes(3, 2, W=5.0)))
+        rng, width, want = np.random.default_rng(3), ops.upper - ops.lower, 0
+        for _ in range(n_pairs):
+            a = ops.lower + rng.uniform(0.1, 0.9, size=ops.dim) * width
+            b = ops.lower + rng.uniform(0.1, 0.9, size=ops.dim) * width
+            want += float((ops.pseudo_grad(a) - ops.pseudo_grad(b)) @ (a - b)) < -MONOTONE_TOL
+        assert want > 0 or n_pairs == 1
+        assert monotonicity_sample(ops, n_pairs, seed=3) == want
+        monkeypatch.setattr(diagnostics, "MONOTONE_CHUNK_ENTRIES", 5 * ops.dim)
+        assert monotonicity_sample(ops, n_pairs, seed=3) == want
 
 
 class TestUniquenessMargin:
@@ -267,11 +300,13 @@ class TestSvmGameDiagnostics:
         # one closed-form Jacobian per profile; the pseudo-gradient only for
         # the monotonicity pairs, and no scalar cost at all
         ops = self._ops(bias_reg=1.0, rho=100.0)
-        calls = {"cost": 0, "jacobian": 0, "pgrad": 0}
+        calls, shapes = {"cost": 0, "jacobian": 0, "pgrad": 0}, []
 
         def counted(key, fn):
             def call(v):
                 calls[key] += 1
+                if key == "pgrad":
+                    shapes.append(np.shape(v))
                 return fn(v)
 
             return call
@@ -283,7 +318,9 @@ class TestSvmGameDiagnostics:
             jacobian=counted("jacobian", ops.jacobian),
         )
         uniqueness_margin(ops, n_profiles=3, seed=0, n_pairs=7)
-        assert calls == {"cost": 0, "jacobian": 3, "pgrad": 2 * 7}
+        # the monotonicity sample's 7 pairs take one stacked call
+        assert calls == {"cost": 0, "jacobian": 3, "pgrad": 1}
+        assert shapes == [(7, 2, ops.dim)]
 
     def test_loss_hessians_match_scalar_oracle(self):
         ops, theta, X = near_kink_primal()

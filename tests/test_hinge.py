@@ -111,6 +111,15 @@ class TestNormalCdf:
         for n in (hinge._RATIONAL_MIN_SIZE // 2 - 1, hinge._RATIONAL_MIN_SIZE // 2):
             self._check(self._z(2 * n, seed=n).reshape(2, n))
 
+    def test_stack_takes_the_path_of_its_last_two_axes(self):
+        # each (2, 300) profile below the switch keeps the erfc path's bits in
+        # a (3, 2, 300) stack of 1800 entries
+        z = self._z(1800, seed=5).reshape(3, 2, 300)
+        self._check(z)
+        p = hinge_expect(z, 1.0)[1]
+        for i in range(3):
+            np.testing.assert_array_equal(p[i], hinge_expect(z[i], 1.0)[1])
+
     def test_scalars(self):
         for z in self._z(64, seed=3):
             self._check(np.array(z))

@@ -193,6 +193,18 @@ class TestBoxes:
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - cands, axis=1).min() + 1e-12
 
 
+    def test_projection_is_the_bits_of_clip(self):
+        # signed zeros, NaN, infinities and points on either bound, against
+        # bounds of both signs and a point box
+        lower = np.array([-0.0, 0.0, -1.0, 0.0, 0.5, -2.0, 0.25, -0.0])
+        upper = np.array([0.0, 0.0, 1.0, 1.0, 0.5, -1.0, 3.0, 1.0])
+        rng = np.random.default_rng(5)
+        specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -1.0, 1.0, 3.0, -2.0]
+        vs = [np.full(8, x) for x in specials] + list(rng.normal(scale=2.0, size=(20, 8)))
+        for v in vs:
+            got, want = project_box(v, lower, upper), np.clip(v, lower, upper)
+            assert got.tobytes() == want.tobytes()
+
 class TestSerialization:
     def test_flat_csv_roundtrip_exact(self, tmp_path):
         v = np.random.default_rng(7).normal(size=17)

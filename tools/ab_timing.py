@@ -8,22 +8,27 @@ builds its inputs and returns the call to time. cold times one fresh
 interpreter that imports randgame.cli, which every CLI command pays before it
 starts its work, and reports the modules it loaded and its peak RSS; pgrad
 times one pseudo-gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile,
-solve one extragradient_solve to natural residual 1e-8 (at most 5000
+mono one monotonicity_sample(ops, 50, 0) (and its violations) on the diag
+games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
 iterations, the default) and newton one Newton candidate of the solver, each
 on the games its cases build; curve times one security_curve (binary_flip
 and box-L2) on the sets its cases build. Each checkout runs in its own Python
 process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
-call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
-median per-call time of its rounds, and the parent and the change alternate
-pass by pass so that slow drift of the host hits both alike. The JSON holds
-per case the median over passes, every pass's median, the ratio change /
-parent and what the warm-up call reported (for a solve: its evaluations,
-Jacobian calls, iterations, residual and the largest coordinate distance
-between the two sides' solutions; for a Newton candidate: whether there was
-a step and that distance between the two sides' candidates; for a curve: its
-points, and whether the two sides' points are equal), then each side's peak
-worker RSS and bench/run.py's environment(): the core count and the BLAS.
-Several entries write one file that maps each entry's name to its report.
+call, a round repeats the call for at least MIN_ROUND_S. In a pass the two
+processes are both alive and take turns round by round, so that the host's
+drift, which on a shared VM can double a call's time for seconds at a time,
+hits both alike; the side that goes first alternates pass by pass, and each
+pass starts two fresh processes. A pass reports each side's median per-call
+time over its rounds. The JSON holds per case the median over passes, every
+pass's median, the ratio change / parent (the median over passes of the
+pass's ratio) and what the warm-up call reported (for a solve: its
+evaluations, Jacobian calls, iterations, residual and the largest coordinate
+distance between the two sides' solutions; for a Newton candidate: whether
+there was a step and that distance between the two sides' candidates; for a
+monotonicity sample: its violations; for a curve: its points, and whether
+the two sides' points are equal), then each side's peak worker RSS and
+bench/run.py's environment(): the core count and the BLAS. Several entries
+write one file that maps each entry's name to its report.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from statistics import median
 ROOT = Path(__file__).resolve().parent.parent
 MIN_ROUND_S = 0.02  # a round repeats the call until it lasts at least this
 NEWTON_ITERATE = 10  # first-order iterations to the iterate of a newton case
+MONO_PAIRS = 50  # pairs of a mono case's monotonicity sample, as in the diagnostics workload
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -86,16 +92,15 @@ def _pgrad_cases(tiny):
         dual_n, dual_n, 2, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0))
 
 
-def _diag_cases(tiny):
+def _diag_games(tiny, timed):
     """The benchmark's certifying diagnostics game (rho = 100, bias_reg = 1,
     W = 0.5) on n uniform points in [0, 1]^2, and an RBF dual game (gamma = 1,
     rho = 10, bias_reg = 1) on 60 such points, whose lambda_omega comes from
     the Gram matrix; n = 5000 runs in the change only, as the dense Jacobian
-    of older checkouts does not fit there."""
+    of older checkouts does not fit there. Each case times timed(ops)."""
     import numpy as np
 
     from randgame.costs import game_operator
-    from randgame.diagnostics import uniqueness_margin
     from randgame.kernel import Kernel, dual_game_operator
     from randgame.model import Dataset, GameSpec, default_boxes
 
@@ -103,7 +108,7 @@ def _diag_cases(tiny):
         rng = np.random.default_rng(n)
         y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
         ops = operator(Dataset(rng.uniform(size=(n, 2)), y))
-        return lambda: uniqueness_margin(ops, n_profiles=1, seed=0, n_pairs=1)
+        return lambda: timed(ops)
 
     def primal(n):
         return lambda d: game_operator(GameSpec(d, 100.0, 100.0, *default_boxes(n, 2, 0.5),
@@ -115,6 +120,21 @@ def _diag_cases(tiny):
     dual_n = 4 if tiny else 60
     yield f"dual rbf n={dual_n}", False, lambda: setup(
         dual_n, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0, 1.0))
+
+
+def _diag_cases(tiny):
+    """One uniqueness_margin(ops, 1, 0, 1) profile on each _diag_games game."""
+    from randgame.diagnostics import uniqueness_margin
+
+    return _diag_games(tiny, lambda ops: uniqueness_margin(ops, n_profiles=1, seed=0, n_pairs=1))
+
+
+def _mono_cases(tiny):
+    """One monotonicity_sample(ops, MONO_PAIRS, 0) on each _diag_games game,
+    reporting its violations."""
+    from randgame.diagnostics import monotonicity_sample
+
+    return _diag_games(tiny, lambda ops: {"violations": monotonicity_sample(ops, MONO_PAIRS, 0)})
 
 
 def _game(n, k, rho, bias_reg):
@@ -263,6 +283,8 @@ ENTRIES = {
               "pseudo_grad wall time per call", 11, 7),
     "diag": (_diag_cases, "BENCH_analytic_jacobian.json",
              "uniqueness_margin(n_profiles=1, n_pairs=1) wall time per call", 5, 5),
+    "mono": (_mono_cases, "BENCH_stacked_pgrad.json",
+             "monotonicity_sample(n_pairs=50, seed=0) wall time per call", 5, 5),
     "solve": (_solve_cases, "BENCH_newton_solve.json",
               "wall time of one solve to natural residual 1e-8", 1, 5),
     "newton": (_newton_cases, "BENCH_newton_onepass.json",
@@ -271,48 +293,113 @@ ENTRIES = {
 }
 
 
-def _worker(spec: dict) -> dict:
-    """Per case: median seconds per call and the warm-up call's report; the
-    peak RSS and the file of the randgame package that was timed."""
+def _worker(spec: dict) -> None:
+    """Serve the cases of one checkout over stdin and stdout, one JSON object
+    per line. It first reports its case labels and the file of the randgame
+    package it imported; then {"setup": label} builds that case and makes its
+    warm-up call (the reply is the call's report), {"round": label} times one
+    round of it (the reply is seconds per call), and {"done": true} gets the
+    peak RSS and ends the worker."""
     import resource
 
     import randgame
 
-    result = {"cases": {}, "randgame": randgame.__file__}
-    for label, change_only, setup in ENTRIES[spec["entry"]][0](spec["tiny"]):
-        if change_only and spec["side"] == "parent":
-            continue
-        call = setup()
-        t0 = time.perf_counter()
-        info = call()
-        calls = max(1, int(MIN_ROUND_S / max(time.perf_counter() - t0, 1e-9)))
-        rounds = []
-        for _ in range(spec["rounds"]):
+    setups = {label: setup for label, change_only, setup in ENTRIES[spec["entry"]][0](spec["tiny"])
+              if not (change_only and spec["side"] == "parent")}
+    print(json.dumps({"labels": list(setups), "randgame": randgame.__file__}), flush=True)
+    cases = {}  # label: (call, calls per round)
+    for line in sys.stdin:
+        msg = json.loads(line)
+        if "setup" in msg:
+            call = setups[msg["setup"]]()
+            t0 = time.perf_counter()
+            info = call()
+            calls = max(1, int(MIN_ROUND_S / max(time.perf_counter() - t0, 1e-9)))
+            cases[msg["setup"]] = call, calls
+            reply = {"info": info if isinstance(info, dict) else None}
+        elif "round" in msg:
+            call, calls = cases[msg["round"]]
             t0 = time.perf_counter()
             for _ in range(calls):
                 call()
-            rounds.append((time.perf_counter() - t0) / calls)
-        result["cases"][label] = {"s": median(rounds),
-                                  "info": info if isinstance(info, dict) else None}
-    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return result
+            reply = {"s": (time.perf_counter() - t0) / calls}
+        else:
+            reply = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+        print(json.dumps(reply), flush=True)
+        if "done" in msg:
+            return
 
 
-def time_checkout(checkout, entry, side="change", tiny=False, rounds=None) -> dict:
-    """One pass of entry in a fresh process with one BLAS thread, on the
-    checkout at path. Raises RuntimeError if that process imported a randgame
-    from elsewhere (an installed copy), which would time the wrong code."""
-    src = Path(checkout).resolve() / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
-    spec = {"entry": entry, "side": side, "tiny": tiny, "rounds": rounds or ENTRIES[entry][3]}
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    result = json.loads(proc.stdout)
-    if not Path(result["randgame"]).resolve().is_relative_to(src):
-        raise RuntimeError(f"{checkout}: timed randgame from {result['randgame']}, not {src}")
-    return result
+class _Worker:
+    """A _worker process on the checkout at path, with one BLAS thread and
+    PYTHONPATH set to its src/. Raises RuntimeError if it ends early or
+    imported a randgame from elsewhere (an installed copy), which would time
+    the wrong code."""
+
+    def __init__(self, checkout, entry, side, tiny):
+        self.name = str(checkout)
+        src = Path(checkout).resolve() / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
+        spec = {"entry": entry, "side": side, "tiny": tiny}
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            hello = self.ask(None)
+            if not Path(hello["randgame"]).resolve().is_relative_to(src):
+                raise RuntimeError(f"{checkout}: timed randgame from {hello['randgame']}, "
+                                   f"not {src}")
+        except BaseException:
+            self.close()
+            raise
+        self.labels = hello["labels"]
+
+    def ask(self, msg):
+        """The worker's reply to msg (None: its next line, unasked)."""
+        if msg is not None:
+            self.proc.stdin.write(json.dumps(msg) + "\n")
+            self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"{self.name}: the worker ended: {self.proc.stderr.read()}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.kill()
+        self.proc.communicate()
+
+
+def time_pass(parent, change, entry, tiny=False, rounds=None, change_first=False) -> dict:
+    """One pass of entry: a worker on each checkout, both alive, which take
+    turns round by round on each case, so that drift of the host hits both
+    alike. The side that goes first (the parent's, or the change's if
+    change_first) also starts first and sets up each case first. Per side: per
+    case the median seconds per call over the rounds and the warm-up call's
+    report, and the peak RSS."""
+    rounds = rounds or ENTRIES[entry][3]
+    order = (("parent", parent), ("change", change))[:: -1 if change_first else 1]
+    workers = {}
+    try:
+        for side, path in order:
+            workers[side] = _Worker(path, entry, side, tiny)
+        result = {side: {"cases": {}} for side in workers}
+        for label in workers["change"].labels:
+            sides = [side for side in workers if label in workers[side].labels]
+            times = {side: [] for side in sides}
+            for side in sides:
+                result[side]["cases"][label] = workers[side].ask({"setup": label})
+            for r in range(rounds):
+                for side in sides if r % 2 == 0 else sides[::-1]:
+                    times[side].append(workers[side].ask({"round": label})["s"])
+            for side in sides:
+                result[side]["cases"][label]["s"] = median(times[side])
+        for side, worker in workers.items():
+            result[side].update(worker.ask({"done": True}))
+        return result
+    finally:
+        for worker in workers.values():
+            worker.close()
 
 
 def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict:
@@ -323,9 +410,9 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
     _, _, metric, default_rounds, default_passes = ENTRIES[entry]
     rounds, passes = rounds or default_rounds, passes or default_passes
     runs = {"parent": [], "change": []}
-    for _ in range(passes):
-        for side, path in (("parent", parent), ("change", change)):
-            runs[side].append(time_checkout(path, entry, side, tiny, rounds))
+    for i in range(passes):
+        for side, result in time_pass(parent, change, entry, tiny, rounds, i % 2 == 1).items():
+            runs[side].append(result)
     cases = {}
     for label in runs["change"][0]["cases"]:
         row = {}
@@ -334,8 +421,9 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
             row.update({f"{side}_ms": median(ms), f"{side}_pass_ms": ms})
             if runs[side][0]["cases"][label]["info"]:
                 row[side] = runs[side][0]["cases"][label]["info"]
-        if "parent_ms" in row:
-            row["ratio"] = row["change_ms"] / row["parent_ms"]
+        if "parent_ms" in row:  # the median of the passes' ratios: each pass pairs the sides
+            row["ratio"] = median(c / p for c, p in zip(row["change_pass_ms"],
+                                                          row["parent_pass_ms"]))
         if "theta" in row.get("parent", {}):
             row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
                 row["change"].pop("theta"), row["parent"].pop("theta")))
@@ -364,7 +452,7 @@ def main(argv=None) -> int:
     p.add_argument("--worker", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        print(json.dumps(_worker(json.loads(args.worker))))
+        _worker(json.loads(args.worker))
         return 0
     if not args.parent:
         p.error("--parent is required")
