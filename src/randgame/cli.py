@@ -8,7 +8,6 @@ Exit codes: 0 success; 2 solver hit max_iter; 3 uniqueness check failed;
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 import numpy as np
@@ -259,10 +258,7 @@ def _cmd_grid_search(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> _Parser:
-    """The CLI's parser, built once per process; each subcommand's func is
-    the _cmd_* function it was built with."""
     p = _Parser(prog="randgame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

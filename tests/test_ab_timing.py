@@ -4,6 +4,7 @@ without randgame is refused rather than timed."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,5 +51,5 @@ def test_compare_reports_every_case(entry):
 def test_checkout_without_randgame_is_refused(tmp_path):
     # Without src/randgame the worker either fails to import randgame or picks
     # up an installed copy; either way no timing of the wrong code comes back.
-    with pytest.raises(RuntimeError):
-        timing.time_pass(tmp_path, ROOT, "pgrad", tiny=True, rounds=1)
+    with pytest.raises((RuntimeError, subprocess.CalledProcessError)):
+        timing.time_checkout(tmp_path, "pgrad", tiny=True, rounds=1)

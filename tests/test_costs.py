@@ -192,6 +192,28 @@ def _stack_case(which):
     return ops, terms, stack
 
 
+@pytest.mark.parametrize("m, n", [(2, 10), (3, 600), (60, 60), (7, 1001)])
+def test_stacked_products_are_the_bits_of_matmul(m, n):
+    # evaluate's stack-safe products must equal @ and np.vdot bit for bit on
+    # the installed numpy, for one operand and for each row of a stack; the
+    # goldens under tests/data were checked against them on numpy 2.4.6
+    rng = np.random.default_rng(m * n)
+    a, A, v = rng.normal(size=(3, m)), rng.normal(size=(3, m, n)), rng.normal(size=(3, n))
+    flat = A.reshape(3, m * n)
+    other = np.roll(flat, 1, axis=0)
+    why = f"numpy {np.__version__}: {{}} differs from @ in its bits; evaluate's stacks would too"
+    for i in range(3):
+        want = a[i] @ A[i]
+        assert np.vecmat(a[i], A[i]).tobytes() == want.tobytes(), why.format("vecmat")
+        assert np.vecmat(a, A)[i].tobytes() == want.tobytes(), why.format("vecmat")
+        want = A[i] @ v[i]
+        assert np.matvec(A[i], v[i]).tobytes() == want.tobytes(), why.format("matvec")
+        assert np.matvec(A, v)[i].tobytes() == want.tobytes(), why.format("matvec")
+        want = np.vdot(flat[i], other[i])
+        assert np.vecdot(flat[i], other[i]) == want, why.format("vecdot")
+        assert np.vecdot(flat, other)[i] == want, why.format("vecdot")
+
+
 class TestStackedEvaluation:
     """evaluate, costs and pseudo_grad on a (3, 2, dim) stack of profiles:
     every row is the one-profile call, bit for bit, and one bad row raises the

@@ -192,7 +192,6 @@ class TestBoxes:
             cands = rng.uniform(-1.0, 1.0, size=(100, 4))
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - cands, axis=1).min() + 1e-12
 
-
     def test_projection_is_the_bits_of_clip(self):
         # signed zeros, NaN, infinities and points on either bound, against
         # bounds of both signs and a point box
@@ -204,6 +203,7 @@ class TestBoxes:
         for v in vs:
             got, want = project_box(v, lower, upper), np.clip(v, lower, upper)
             assert got.tobytes() == want.tobytes()
+
 
 class TestSerialization:
     def test_flat_csv_roundtrip_exact(self, tmp_path):

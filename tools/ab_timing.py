@@ -14,21 +14,18 @@ iterations, the default) and newton one Newton candidate of the solver, each
 on the games its cases build; curve times one security_curve (binary_flip
 and box-L2) on the sets its cases build. Each checkout runs in its own Python
 process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
-call, a round repeats the call for at least MIN_ROUND_S. In a pass the two
-processes are both alive and take turns round by round, so that the host's
-drift, which on a shared VM can double a call's time for seconds at a time,
-hits both alike; the side that goes first alternates pass by pass, and each
-pass starts two fresh processes. A pass reports each side's median per-call
-time over its rounds. The JSON holds per case the median over passes, every
-pass's median, the ratio change / parent (the median over passes of the
-pass's ratio) and what the warm-up call reported (for a solve: its
-evaluations, Jacobian calls, iterations, residual and the largest coordinate
-distance between the two sides' solutions; for a Newton candidate: whether
-there was a step and that distance between the two sides' candidates; for a
+call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
+median per-call time of its rounds, and the parent and the change alternate
+pass by pass so that slow drift of the host hits both alike. The JSON holds
+per case the median over passes, every pass's median, the ratio change /
+parent and what the warm-up call reported (for a solve: its evaluations,
+Jacobian calls, iterations, residual and the largest coordinate distance
+between the two sides' solutions; for a Newton candidate: whether there was
+a step and that distance between the two sides' candidates; for a
 monotonicity sample: its violations; for a curve: its points, and whether
 the two sides' points are equal), then each side's peak worker RSS and
-bench/run.py's environment(): the core count and the BLAS. Several entries
-write one file that maps each entry's name to its report.
+bench/run.py's environment(): the core count and the BLAS.
+Several entries write one file that maps each entry's name to its report.
 """
 
 from __future__ import annotations
@@ -293,113 +290,48 @@ ENTRIES = {
 }
 
 
-def _worker(spec: dict) -> None:
-    """Serve the cases of one checkout over stdin and stdout, one JSON object
-    per line. It first reports its case labels and the file of the randgame
-    package it imported; then {"setup": label} builds that case and makes its
-    warm-up call (the reply is the call's report), {"round": label} times one
-    round of it (the reply is seconds per call), and {"done": true} gets the
-    peak RSS and ends the worker."""
+def _worker(spec: dict) -> dict:
+    """Per case: median seconds per call and the warm-up call's report; the
+    peak RSS and the file of the randgame package that was timed."""
     import resource
 
     import randgame
 
-    setups = {label: setup for label, change_only, setup in ENTRIES[spec["entry"]][0](spec["tiny"])
-              if not (change_only and spec["side"] == "parent")}
-    print(json.dumps({"labels": list(setups), "randgame": randgame.__file__}), flush=True)
-    cases = {}  # label: (call, calls per round)
-    for line in sys.stdin:
-        msg = json.loads(line)
-        if "setup" in msg:
-            call = setups[msg["setup"]]()
-            t0 = time.perf_counter()
-            info = call()
-            calls = max(1, int(MIN_ROUND_S / max(time.perf_counter() - t0, 1e-9)))
-            cases[msg["setup"]] = call, calls
-            reply = {"info": info if isinstance(info, dict) else None}
-        elif "round" in msg:
-            call, calls = cases[msg["round"]]
+    result = {"cases": {}, "randgame": randgame.__file__}
+    for label, change_only, setup in ENTRIES[spec["entry"]][0](spec["tiny"]):
+        if change_only and spec["side"] == "parent":
+            continue
+        call = setup()
+        t0 = time.perf_counter()
+        info = call()
+        calls = max(1, int(MIN_ROUND_S / max(time.perf_counter() - t0, 1e-9)))
+        rounds = []
+        for _ in range(spec["rounds"]):
             t0 = time.perf_counter()
             for _ in range(calls):
                 call()
-            reply = {"s": (time.perf_counter() - t0) / calls}
-        else:
-            reply = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-        print(json.dumps(reply), flush=True)
-        if "done" in msg:
-            return
+            rounds.append((time.perf_counter() - t0) / calls)
+        result["cases"][label] = {"s": median(rounds),
+                                  "info": info if isinstance(info, dict) else None}
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return result
 
 
-class _Worker:
-    """A _worker process on the checkout at path, with one BLAS thread and
-    PYTHONPATH set to its src/. Raises RuntimeError if it ends early or
-    imported a randgame from elsewhere (an installed copy), which would time
-    the wrong code."""
-
-    def __init__(self, checkout, entry, side, tiny):
-        self.name = str(checkout)
-        src = Path(checkout).resolve() / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
-        spec = {"entry": entry, "side": side, "tiny": tiny}
-        self.proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
-            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True)
-        try:
-            hello = self.ask(None)
-            if not Path(hello["randgame"]).resolve().is_relative_to(src):
-                raise RuntimeError(f"{checkout}: timed randgame from {hello['randgame']}, "
-                                   f"not {src}")
-        except BaseException:
-            self.close()
-            raise
-        self.labels = hello["labels"]
-
-    def ask(self, msg):
-        """The worker's reply to msg (None: its next line, unasked)."""
-        if msg is not None:
-            self.proc.stdin.write(json.dumps(msg) + "\n")
-            self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError(f"{self.name}: the worker ended: {self.proc.stderr.read()}")
-        return json.loads(line)
-
-    def close(self):
-        self.proc.kill()
-        self.proc.communicate()
-
-
-def time_pass(parent, change, entry, tiny=False, rounds=None, change_first=False) -> dict:
-    """One pass of entry: a worker on each checkout, both alive, which take
-    turns round by round on each case, so that drift of the host hits both
-    alike. The side that goes first (the parent's, or the change's if
-    change_first) also starts first and sets up each case first. Per side: per
-    case the median seconds per call over the rounds and the warm-up call's
-    report, and the peak RSS."""
-    rounds = rounds or ENTRIES[entry][3]
-    order = (("parent", parent), ("change", change))[:: -1 if change_first else 1]
-    workers = {}
-    try:
-        for side, path in order:
-            workers[side] = _Worker(path, entry, side, tiny)
-        result = {side: {"cases": {}} for side in workers}
-        for label in workers["change"].labels:
-            sides = [side for side in workers if label in workers[side].labels]
-            times = {side: [] for side in sides}
-            for side in sides:
-                result[side]["cases"][label] = workers[side].ask({"setup": label})
-            for r in range(rounds):
-                for side in sides if r % 2 == 0 else sides[::-1]:
-                    times[side].append(workers[side].ask({"round": label})["s"])
-            for side in sides:
-                result[side]["cases"][label]["s"] = median(times[side])
-        for side, worker in workers.items():
-            result[side].update(worker.ask({"done": True}))
-        return result
-    finally:
-        for worker in workers.values():
-            worker.close()
+def time_checkout(checkout, entry, side="change", tiny=False, rounds=None) -> dict:
+    """One pass of entry in a fresh process with one BLAS thread, on the
+    checkout at path. Raises RuntimeError if that process imported a randgame
+    from elsewhere (an installed copy), which would time the wrong code."""
+    src = Path(checkout).resolve() / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
+    spec = {"entry": entry, "side": side, "tiny": tiny, "rounds": rounds or ENTRIES[entry][3]}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    if not Path(result["randgame"]).resolve().is_relative_to(src):
+        raise RuntimeError(f"{checkout}: timed randgame from {result['randgame']}, not {src}")
+    return result
 
 
 def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict:
@@ -410,9 +342,9 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
     _, _, metric, default_rounds, default_passes = ENTRIES[entry]
     rounds, passes = rounds or default_rounds, passes or default_passes
     runs = {"parent": [], "change": []}
-    for i in range(passes):
-        for side, result in time_pass(parent, change, entry, tiny, rounds, i % 2 == 1).items():
-            runs[side].append(result)
+    for _ in range(passes):
+        for side, path in (("parent", parent), ("change", change)):
+            runs[side].append(time_checkout(path, entry, side, tiny, rounds))
     cases = {}
     for label in runs["change"][0]["cases"]:
         row = {}
@@ -421,9 +353,8 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
             row.update({f"{side}_ms": median(ms), f"{side}_pass_ms": ms})
             if runs[side][0]["cases"][label]["info"]:
                 row[side] = runs[side][0]["cases"][label]["info"]
-        if "parent_ms" in row:  # the median of the passes' ratios: each pass pairs the sides
-            row["ratio"] = median(c / p for c, p in zip(row["change_pass_ms"],
-                                                          row["parent_pass_ms"]))
+        if "parent_ms" in row:
+            row["ratio"] = row["change_ms"] / row["parent_ms"]
         if "theta" in row.get("parent", {}):
             row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
                 row["change"].pop("theta"), row["parent"].pop("theta")))
@@ -452,7 +383,7 @@ def main(argv=None) -> int:
     p.add_argument("--worker", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        _worker(json.loads(args.worker))
+        print(json.dumps(_worker(json.loads(args.worker))))
         return 0
     if not args.parent:
         p.error("--parent is required")
