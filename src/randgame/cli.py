@@ -26,8 +26,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_dataset(path):
-    with open(path) as fh:
-        first = fh.readline()
+    """The dense or sparse dataset at path, told apart by its first content
+    line (the first that is not blank or a '#' comment): idx:val tokens are
+    sparse."""
+    first = next(data_io._content_blocks(path), [""])[0]
     if ":" in first:
         return data_io.load_sparse(path)
     return data_io.load_dense_csv(path)
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, model.ParseError) as exc:
+    except (OSError, model.ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_NOINPUT
     except _UsageError as exc:

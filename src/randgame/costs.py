@@ -45,11 +45,13 @@ may end above its floor.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .hinge import hinge_expect, hinge_hessian
 from .model import Dataset, GameSpec, ShapeError
-from .ops import VIGame
+from .ops import VIGame, solve_learner
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
 _SIGNS = np.array([[-1.0], [1.0]])
@@ -267,6 +269,188 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     return ll, ld, dl, dd
 
 
+# The closed-form Newton step takes the attacker rows in ranges of at most this
+# many entries of one (L, rows) plane (1365 rows at k = 2), so that its memory
+# grows by a few floats per row, not by its planes' L + 2b per row.
+NEWTON_RANGE_ENTRIES = 8192
+
+
+def _by_rows(A, B):
+    """The per-row products A B of a stack (2, 2, n) of 2 x 2 matrices and a
+    stack (2, c, n) of 2 x c ones."""
+    return np.einsum("ijn,jkn->ikn", A, B)
+
+
+def _hinge_terms(score, sigma, y):
+    """For each sample, the derivatives of the learner's (row 0) and the
+    attacker's (row 1) expected hinge in the score, in sigma^2 and, as a
+    (2, 2) matrix H[:, :, side], in (score, sigma^2), at margins 1 -+ y score."""
+    sy = _SIGNS * y
+    mu = 1.0 + sy * score
+    _, p, v = hinge_expect(mu, sigma)
+    H = np.empty((2, 2) + mu.shape)
+    H[0, 0], H[0, 1], H[1, 1] = hinge_hessian(mu, sigma)
+    H[0, 1] *= sy
+    H[1, 0] = H[0, 1]
+    return sy * p, v, H
+
+
+def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
+    """The primal game's (M = I) Newton step in closed form: d with
+    J_FF d_F = -g_F and d = 0 off the free coordinates, for J the Jacobian of
+    the pseudo-gradient at theta and g the pseudo-gradient there; None when
+    the system is singular or d is not finite. It is the step that the
+    solver's dense elimination takes from jacobian's blocks, without building
+    them and with no solve per row.
+
+    Row i's own block is r_d D_i, D_i = A_i + U_i^T H_t U_i: A_i is positive
+    and diagonal (rho_d + 2 v_t sigma_a^2 on the means, rho_d + 2 v_t w_x on
+    the deviations), U_i (2, b) holds the gradients of score and sigma_i^2 in
+    the row and H_t is the attacker's 2 x 2 hinge Hessian, so by Woodbury
+    D^-1 = A^-1 - A^-1 U^T N H_t U A^-1 with N = (I + H_t G)^-1 and
+    G = U A^-1 U^T: one 2 x 2 inverse per row. The row's coupling into the
+    learner block is Ul H_s U + B, and back r_d (U^T H_t Ul^T + B'^T): Ul
+    (L, 2) holds the learner gradients of score and sigma_i^2, and B, B'
+    (L, b) are jacobian's p M and v cross terms, which pair each
+    (mu_a_j, sigma_a_j) with (mu_x_ij, sigma_x_ij) only. So the Schur
+    complement collapses to
+        S = ll_0 - sum_i B A^-1 B'^T + sum_i (Ul H_s N^T - W N H_t)(Ul - W')^T
+    with W = B A^-1 U^T, W' = B' A^-1 U^T and ll_0 the learner block's
+    regularizer and diagonal terms: two (L x rows)(rows x L) products plus
+    2 x 2 blocks on the diagonal. A fixed row coordinate gets A^-1 = 0, which
+    decouples it as the dense elimination's identity row does.
+
+    The hinge terms come from one call for all rows. The rest takes the rows
+    in two passes over ranges, with each range's planes rows last: one sums S
+    and its right side, the other back-substitutes. Between them it keeps
+    N H_t per row, and the second pass walks the ranges backwards, so that it
+    starts on the range the first ended on and reuses its planes; every other
+    range's are built anew. The learner block is taken in the order (mu_a,
+    sigma_a, mu_b, sigma_b), so that the rows that B touches come first."""
+    m, n = anchors.shape
+    L = 2 * m + 2
+    order = np.r_[0:m, m + 1 : 2 * m + 1, m, 2 * m + 1]
+    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, slice(None))
+    s2a = sig_a**2
+    w_x = mu_a**2 + s2a
+    sigma = np.sqrt(s2a @ planes[:m] ** 2 + w_x @ planes[m:] ** 2 + sig_b**2)
+    p, v, H = _hinge_terms(mu_a @ planes[:m] + mu_b, sigma, y)
+    free_x, g_x = free[L:].reshape(n, 2 * m), g[L:].reshape(n, 2 * m)
+    size = max(1, NEWTON_RANGE_ENTRIES // L)
+    ranges = [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+    def terms(rows, v_t):
+        """The range's means x, deviations sx and sx^2, A^-1 on the free
+        coordinates and 0 on the fixed ones, U's rows (mu_a, 0) and
+        (u_m, u_s) on the (means, deviations), Ul and the unweighted row
+        gradients."""
+        x, sx = planes[:m, rows], planes[m:, rows]
+        s2x = sx**2
+        ia = np.concatenate([rho_d + 2.0 * v_t * s2a[:, None], rho_d + 2.0 * v_t * w_x[:, None]])
+        np.divide(free_x[rows].T, ia, out=ia)
+        Ul = np.zeros((2, L, x.shape[1]))
+        Ul[0, :m], Ul[0, -2] = x, 1.0
+        Ul[1, :m], Ul[1, m:-2], Ul[1, -1] = (2.0 * mu_a[:, None] * s2x,
+                                             2.0 * sig_a[:, None] * (x**2 + s2x), 2.0 * sig_b)
+        g_r = g_x[rows].T / (rho_l / rho_d)
+        return (x, sx, s2x, ia[:m], ia[m:], 2.0 * s2a[:, None] * x, 2.0 * w_x[:, None] * sx, Ul,
+                g_r[:m], g_r[m:])
+
+    def by_U(h_m, h_s, u_m, u_s):  # U h per row for the row vectors (h_m, h_s)
+        return np.array([mu_a @ h_m, (u_m * h_m).sum(axis=0) + (u_s * h_s).sum(axis=0)])
+
+    S, rhs = np.zeros((L, L)), -g[order]
+    NH = np.empty((2, 2, n))
+    j, k = np.arange(m), np.arange(m, 2 * m)
+
+    def eliminate(rows):
+        """Add the range's terms to S and rhs and keep its rows' N H_t; its
+        planes, or None when a row's 2 x 2 system is singular."""
+        (ps, pt), (vs, vt), H_s, H_t = p[:, rows], v[:, rows], H[:, :, 0, rows], H[:, :, 1, rows]
+        geo = terms(rows, vt)
+        x, sx, s2x, ia_m, ia_s, u_m, u_s, Ul, g_m, g_s = geo
+        r0, r1, rs = ia_m * mu_a[:, None], ia_m * u_m, ia_s * u_s  # A^-1 U^T
+        G01, G11 = by_U(r1, rs, u_m, u_s)
+        C = _by_rows(H_t, np.array([[mu_a @ r0, G01], [G01, G11]]))
+        C[0, 0] += 1.0
+        C[1, 1] += 1.0
+        det = C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]
+        if not det.all():
+            return None
+        N = np.array([[C[1, 1], -C[0, 1]], [-C[1, 0], C[0, 0]]]) / det
+        NH[..., rows] = _by_rows(N, H_t)
+        HN = _by_rows(H_s, N.transpose(1, 0, 2))
+        # B's entries: p on (mu_a_j, mu_x_ij), and v times 4 mu_a_j sx_ij on
+        # (mu_a_j, sigma_x_ij), 4 sig_a_j x_ij on (sigma_a_j, mu_x_ij) and
+        # 4 sig_a_j sx_ij on (sigma_a_j, sigma_x_ij); with B A^-1 U^T
+        cr0, cr1 = 4.0 * sig_a[:, None] * x * r0, 4.0 * sig_a[:, None] * (x * r1 + sx * rs)
+        ar1 = 4.0 * mu_a[:, None] * sx * rs
+
+        def W(p_u, v_u):  # one player's W, a column per plane, over the rows of B
+            return np.array([[p_u * r0, v_u * cr0], [p_u * r1 + v_u * ar1, v_u * cr1]]).reshape(
+                2, 2 * m, -1)
+
+        W_s, W_t = W(ps, vs), W(pt, vt)
+        e_m, e_s = ia_m * g_m, ia_s * g_s
+        q = by_U(e_m, e_s, u_m, u_s)
+        for col in (0, 1):  # column col of (Ul H_s N^T - W N H_t) and of (Ul - W')
+            left = Ul[0] * HN[0, col] + Ul[1] * HN[1, col]
+            left[: 2 * m] -= W_s[0] * NH[0, col, rows] + W_s[1] * NH[1, col, rows]
+            right = Ul[col].copy()
+            right[: 2 * m] -= W_t[col]
+            S[...] += left @ right.T
+            rhs[...] += left @ q[col]
+        # - B A^-1 B'^T, 2 x 2 blocks on (mu_a_j, sigma_a_j), and B A^-1 g
+        vv, xm, ss = vs * vt, x * ia_m, s2x * ia_s
+        sum_ss = ss @ vv
+        S[j, j] += 2.0 * (s2x @ vs) - ia_m @ (ps * pt) - 16.0 * mu_a**2 * sum_ss
+        S[j, k] -= 4.0 * sig_a * (xm @ (ps * vt) + 4.0 * mu_a * sum_ss)
+        S[k, j] -= 4.0 * sig_a * (xm @ (vs * pt) + 4.0 * mu_a * sum_ss)
+        S[k, k] += 2.0 * ((x**2 + s2x) @ vs) - 16.0 * s2a * ((x * xm) @ vv + sum_ss)
+        S[-1, -1] += 2.0 * vs.sum()
+        rhs[:m] += e_m @ ps + 4.0 * mu_a * ((sx * e_s) @ vs)
+        rhs[m : 2 * m] += 4.0 * sig_a * ((x * e_m + sx * e_s) @ vs)
+        return geo
+
+    for rows in ranges:
+        geo = eliminate(rows)
+        if geo is None:
+            return None
+        if rows is not ranges[-1]:
+            del geo  # only the last range's planes serve again
+    S[j, j] += rho_l
+    S[k, k] += rho_l
+    S[-2, -2] += bias_reg
+    S[-1, -1] += bias_reg
+    d_l = solve_learner(S, rhs, free[order])
+    if d_l is None:
+        return None
+
+    # d_i = -D_i^-1 (g_i + E_i d_l), E_i d_l = r_d (U^T H_t Ul^T d_l + B'^T d_l)
+    d = np.empty(theta.size)
+    d[order] = d_l
+    d_x = d[L:].reshape(n, 2 * m)
+    da, ds = d_l[:m, None], d_l[m : 2 * m, None]
+
+    def back_substitute(rows, geo):
+        x, sx, _, ia_m, ia_s, u_m, u_s, Ul, g_m, g_s = geo
+        hu = _by_rows(H[:, :, 1, rows], (d_l @ Ul)[:, None])[:, 0]
+        pt, vt = p[1, rows], v[1, rows]
+        e_m = ia_m * (g_m + mu_a[:, None] * hu[0] + u_m * hu[1] + pt * da
+                      + 4.0 * sig_a[:, None] * ds * vt * x)
+        e_s = ia_s * (g_s + u_s * hu[1]
+                      + 4.0 * vt * (mu_a[:, None] * da + sig_a[:, None] * ds) * sx)
+        kw = _by_rows(NH[..., rows], by_U(e_m, e_s, u_m, u_s)[:, None])[:, 0]
+        d_x[rows] = np.concatenate([ia_m * (mu_a[:, None] * kw[0] + u_m * kw[1]) - e_m,
+                                    ia_s * u_s * kw[1] - e_s]).T
+
+    back_substitute(ranges[-1], geo)
+    del geo
+    for rows in ranges[-2::-1]:
+        back_substitute(rows, terms(rows, v[1, rows]))
+    return d if np.isfinite(d).all() else None
+
+
 def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     """Operator on the joint box [lower, upper] whose pair of costs and whose
     pseudo-gradient (with r = (1, rho_l/rho_d)) each come from one
@@ -314,8 +498,11 @@ def _primal_terms(game: GameSpec):
 def game_operator(game: GameSpec) -> VIGame:
     """Flat-vector operator view of the SVM game, as consumed by the solver
     and the diagnostics; its costs and pseudo-gradient (with
-    r = (1, rho_l/rho_d)) all come from one evaluation."""
-    return _vi_game(_primal_terms(game), game.lower, game.upper)
+    r = (1, rho_l/rho_d)) all come from one evaluation, and its Newton steps
+    from newton_step."""
+    terms = _primal_terms(game)
+    ops = _vi_game(terms, game.lower, game.upper)
+    return dataclasses.replace(ops, newton=lambda z, g, free: newton_step(z, g, free, *terms[3:]))
 
 
 # Subgradient descent of the baseline C-SVM: restarts, steps per restart and

@@ -25,7 +25,8 @@ class VIGame:
     entries as its own call gives them (the diagnostics' monotonicity sample
     passes (k, 2, dim) stacks of pairs). The solver passes one profile. The
     rest is optional and takes one profile: the solver's Newton steps need
-    jacobian, the diagnostics need jacobian and reg_hess:
+    jacobian and use newton when it is there, the diagnostics need jacobian
+    and reg_hess:
 
     - jacobian(theta, rows=slice(None)) gives the Jacobian of pseudo_grad as
       the blocks (ll, ld, dl, dd) for an attacker block of n rows of
@@ -37,7 +38,15 @@ class VIGame:
       solver's Newton step streams over ranges; the diagnostics take all rows);
     - reg_hess() gives the constant Hessians of both expected regularizers
       in their cost weights: the learner's (dim_l, dim_l) block and the
-      (b, b) block that every attacker row shares.
+      (b, b) block that every attacker row shares;
+    - newton(z, g, free) gives the solver's Newton step at z from the
+      pseudo-gradient g there: d with J_FF d_F = -g_F for the free
+      coordinates F and d = 0 off them, or None when the system is singular
+      or d is not finite. It is the step that the solver's own elimination
+      of jacobian's blocks gives, computed from what the operator knows of
+      its structure; the solver uses it in place of that elimination, and
+      only for an operator that has a jacobian. An operator whose jacobian
+      is replaced must drop its newton too.
     """
 
     dim_l: int
@@ -49,6 +58,7 @@ class VIGame:
     reg_hess: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None
     jacobian: Optional[Callable[..., tuple]] = None
     row_size: int = 1
+    newton: Optional[Callable[..., Optional[np.ndarray]]] = None
 
     @property
     def r(self) -> tuple[float, float]:
@@ -67,3 +77,20 @@ class VIGame:
     def project(self, theta: np.ndarray) -> np.ndarray:
         # np.clip's result, signed zeros and NaN included, at half its cost
         return np.minimum(np.maximum(theta, self.lower), self.upper)
+
+
+def solve_learner(S: np.ndarray, rhs: np.ndarray, free: np.ndarray):
+    """The learner step d_l of a Newton step from its Schur system S d_l = rhs,
+    with each coordinate that free does not mark decoupled (its row and
+    column of S the identity's, its right side 0); None when S is singular.
+    Both eliminations of the attacker rows, the solver's and
+    costs.newton_step, end here. S and rhs are overwritten."""
+    fixed = ~free
+    S[fixed, :] = 0.0
+    S[:, fixed] = 0.0
+    S[fixed, fixed] = 1.0
+    rhs[fixed] = 0.0
+    try:
+        return np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError:
+        return None

@@ -30,21 +30,27 @@ The candidate replaces theta, and ends the iteration, when its residual is at
 most NEWTON_ACCEPT r; otherwise the iteration takes the extragradient step
 from theta unchanged. A singular system or a non-finite step is a rejection
 too, never regularized. J is arrow-shaped: the learner block and one
-(b, b) block per attacker row, coupled only to the learner. Each row block is
-eliminated by a batched solve, leaving one Schur system on the learner
-block. One pass takes the Jacobian over ranges of attacker rows whose cross
-blocks hold at most NEWTON_RANGE_ENTRIES entries, so each range's blocks are
-built and factored once and the step never forms a dim x dim matrix. It
-keeps each row's solves for the rows' back-substitution: n b (L + 1) floats,
-the order of the all-rows Jacobian the diagnostics take.
+(b, b) block per attacker row, coupled only to the learner, so every row
+block is eliminated, leaving one Schur system on the learner block
+(ops.solve_learner). An operator that knows more of its structure gives the
+step itself as VIGame.newton, and the solver calls that in place of its own
+elimination: the primal game's costs.newton_step eliminates each row in
+closed form, with 2 x 2 solves. Otherwise _newton_step eliminates the rows
+densely, in one pass that takes the Jacobian over ranges of attacker rows
+whose cross blocks hold at most NEWTON_RANGE_ENTRIES entries, so each
+range's blocks are built and factored once (one LAPACK solve per row) and the
+step never forms a dim x dim matrix. It keeps each row's solves for the rows'
+back-substitution: n b (L + 1) floats, the order of the all-rows Jacobian the
+diagnostics take. The kernel game and the test games take this path.
 
 An attempt is priced in operator evaluations from the block shapes:
 (L^2 + n (2 L b + b^2 + b^3 + b^2 (L + 1))) / dim for a learner block of L
-coordinates and n rows of b. It is made once the extragradient steps since
-the last attempt have spent price * gap evaluations, where gap starts at 1,
-doubles on each rejection and resets to 1 on an acceptance, after which the
-next iteration tries again at once. An operator without a jacobian, and a
-solve that never spends its first price, runs the extragradient method alone.
+coordinates and n rows of b, the dense elimination's count, whichever
+elimination runs. It is made once the extragradient steps since the last
+attempt have spent price * gap evaluations, where gap starts at 1, doubles on
+each rejection and resets to 1 on an acceptance, after which the next
+iteration tries again at once. An operator without a jacobian, and a solve
+that never spends its first price, runs the extragradient method alone.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ShapeError
-from .ops import VIGame
+from .ops import VIGame, solve_learner
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITER = "max_iter"
@@ -119,7 +125,10 @@ def _residual(ops: VIGame, theta: np.ndarray, g: np.ndarray) -> float:
 
 def _newton_price(ops: VIGame) -> float:
     """Operator evaluations that one Newton attempt costs, from the shapes of
-    the Jacobian blocks: learner block L, n attacker rows of b."""
+    the Jacobian blocks: learner block L, n attacker rows of b. It counts the
+    dense elimination of _newton_step, so it overprices an attempt of an
+    operator whose newton eliminates the rows in closed form (the primal
+    game): kept, so that attempts come at the same evaluation counts."""
     L, b = ops.dim_l, ops.row_size
     n = ops.dim_d // b
     return (L * L + n * (2 * L * b + b * b + b**3 + b * b * (L + 1))) / ops.dim
@@ -161,13 +170,10 @@ def _newton_step(ops: VIGame, z: np.ndarray, g: np.ndarray, free: np.ndarray):
             S += ll
             S -= C @ X[rows, :, 1:].reshape(-1, L)
             rhs += C @ X[rows, :, 0].ravel()
-        fixed = ~free[:L]
-        S[fixed, :] = 0.0
-        S[:, fixed] = 0.0
-        S[fixed, fixed] = 1.0
-        rhs[fixed] = 0.0
-        d_l = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError:
+        return None
+    d_l = solve_learner(S, rhs, free[:L])
+    if d_l is None:
         return None
     X[:, :, 0] += X[:, :, 1:] @ d_l
     d = np.concatenate([d_l, -X[:, :, 0].ravel()])
@@ -177,12 +183,12 @@ def _newton_step(ops: VIGame, z: np.ndarray, g: np.ndarray, free: np.ndarray):
 def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
     """The Newton candidate P(z + d) from the pre-step point z, or None when
     the step fails. z is theta with the coordinates that P(theta - g) puts on
-    a bound moved there."""
+    a bound moved there; d comes from ops.newton when the operator has one."""
     z = ops.project(theta - g)
     np.copyto(z, theta, where=(ops.lower < z) & (z < ops.upper))
     g_z = _grad(ops, z)
     free = ~(((z == ops.lower) & (g_z > 0.0)) | ((z == ops.upper) & (g_z < 0.0)))
-    d = _newton_step(ops, z, g_z, free)
+    d = ops.newton(z, g_z, free) if ops.newton is not None else _newton_step(ops, z, g_z, free)
     if d is None:
         return None
     d += z

@@ -33,7 +33,11 @@ def test_compare_reports_every_case(entry):
         assert all(row[f"{side}_ms"] > 0 and len(row[f"{side}_pass_ms"]) == 1 for side in sides)
         if entry == "solve":
             for side in sides:
-                assert row[side]["evaluations"] > 0 and row[side]["residual"] <= 1e-8
+                info = row[side]
+                assert info["evaluations"] > 0 and info["residual"] <= 1e-8
+                # the primal game's attempts are closed-form steps, no Jacobian
+                assert info["jacobian_calls"] == 0 and info["newton_calls"] >= 1
+                assert info["newton_calls"] == info["newton_accepted"] + info["newton_rejected"]
         if entry == "newton":
             assert all(row[side]["step"] for side in sides)
         if entry in ("solve", "newton"):

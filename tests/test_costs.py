@@ -1,9 +1,14 @@
-"""Player costs and analytic gradients against finite-difference and per-sample loop oracles."""
+"""Player costs and analytic gradients against finite-difference and per-sample loop oracles,
+and the closed-form Newton step against the solver's dense one."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from oracles import deviation_mask, evaluate_loop, margin_moments, nominal_attacker, profile
+from oracles import (assemble, deviation_mask, evaluate_loop, margin_moments, nominal_attacker,
+                     profile)
+from randgame import solver
 from randgame.costs import _primal_terms, evaluate, game_operator, jacobian, train_baseline_svm
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
@@ -323,6 +328,100 @@ class TestDeviationsAreDominated:
         dev = deviation_mask(ops)
         for theta in self._profiles(ops, 200, 8):
             assert (ops.pseudo_grad(theta)[dev] > 0.0).all()
+
+
+class TestClosedFormNewtonStep:
+    """costs.newton_step, the primal operator's newton, against the solver's
+    dense elimination of the same operator's Jacobian blocks (its newton set
+    to None), over ranges of 3 rows and a ragged last one."""
+
+    N_ROWS = 10
+
+    @classmethod
+    def _case(cls, k, bias_reg, rho, kind, seed):
+        """The operator, a profile z in the box, the pseudo-gradient there and
+        a free mask: interior (all free), boundary (a fifth of the
+        coordinates on a bound and fixed, some of the learner's among them),
+        or floor (every deviation at its floor; fixed at odd seeds)."""
+        rng = np.random.default_rng(seed)
+        n = cls.N_ROWS
+        X = rng.uniform(size=(n, k))
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        game = GameSpec(Dataset(X, y), *rho, *default_boxes(n, k, 1.0), bias_reg=bias_reg)
+        ops = game_operator(game)
+        z = ops.lower + rng.uniform(0.05, 0.95, ops.dim) * (ops.upper - ops.lower)
+        free = np.ones(ops.dim, dtype=bool)
+        if kind == "boundary":
+            fixed = rng.random(ops.dim) < 0.2
+            fixed[[0, k + 1]] = True  # a learner mean and a learner deviation
+            z[fixed] = np.where(rng.random(ops.dim) < 0.5, ops.lower, ops.upper)[fixed]
+            free = ~fixed
+        elif kind == "floor":
+            dev = deviation_mask(ops)
+            z[dev] = ops.lower[dev]
+            if seed % 2:
+                free = ~dev
+        return ops, z, ops.pseudo_grad(z), free
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    @pytest.mark.parametrize("bias_reg", [0.0, 1.0])
+    @pytest.mark.parametrize("rho", [(10.0, 10.0), (1.0, 10.0), (10.0, 0.5)])
+    @pytest.mark.parametrize("kind", ["interior", "boundary", "floor"])
+    def test_matches_the_dense_step(self, k, bias_reg, rho, kind, monkeypatch):
+        import randgame.costs as costs_module
+
+        monkeypatch.setattr(costs_module, "NEWTON_RANGE_ENTRIES", 3 * (2 * k + 2))
+        norm = np.linalg.norm
+        steps = 0
+        for seed in range(4):
+            ops, z, g, free = self._case(k, bias_reg, rho, kind, seed)
+            want = solver._newton_step(dataclasses.replace(ops, newton=None), z, g, free)
+            got = ops.newton(z, g, free)
+            assert (got is None) == (want is None)
+            if want is None:
+                continue
+            steps += 1
+            assert np.all(got[~free] == 0.0)
+            J = assemble(ops.jacobian(z))[np.ix_(free, free)]
+            if np.linalg.cond(J) < 1e15:
+                assert norm(got - want) <= 1e-12 * norm(want)
+            else:  # singular to working precision: only the backward error is defined
+                assert norm(J @ got[free] + g[free]) <= 1e-12 * (norm(J) * norm(got) + norm(g))
+        # at bias_reg = 0 the floors leave mu_b and sigma_b flat, and most
+        # systems are singular
+        assert steps >= (0 if kind == "floor" and bias_reg == 0.0 else 2)
+
+    def test_singular_bias_system_gives_no_step(self):
+        # bias_reg = 0, every deviation at its floor and every margin many
+        # sigma from the kink: each v_s and hinge Hessian underflows to 0, so
+        # sigma_b's row of the Schur system is 0 and its gradient entry 0
+        # leaves it free
+        n, k = 6, 2
+        X = np.linspace(0.1, 0.9, n * k).reshape(n, k)
+        y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        game = GameSpec(Dataset(X, y), 10.0, 10.0, *default_boxes(n, k, 1.0))
+        ops = game_operator(game)
+        z = np.clip(profile(np.array([0.3, -0.4, 0.05]), np.zeros(k + 1), X, np.zeros((n, k))),
+                    ops.lower, ops.upper)
+        g = ops.pseudo_grad(z)
+        assert g[2 * k + 1] == 0.0
+        free = np.ones(ops.dim, dtype=bool)
+        assert solver._newton_step(dataclasses.replace(ops, newton=None), z, g, free) is None
+        assert ops.newton(z, g, free) is None
+
+    def test_one_linear_solve_for_all_rows(self, monkeypatch):
+        # the rows are eliminated in closed form: the only LAPACK solve is
+        # the learner's (L, L) Schur system
+        ops, z, g, free = self._case(5, 1.0, (10.0, 10.0), "interior", 0)
+        shapes, solve = [], np.linalg.solve
+
+        def logged(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", logged)
+        assert ops.newton(z, g, free) is not None
+        assert shapes == [(ops.dim_l, ops.dim_l)]
 
 
 class TestOperator:

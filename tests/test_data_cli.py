@@ -1,6 +1,7 @@
 """Dataset IO round trips, the synthetic generator, and the CLI pipeline
 including exit codes and determinism."""
 
+import dataclasses
 import os
 import stat
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import load_dense_tokens, load_sparse_tokens
-from randgame import attacks, solver
+from randgame import attacks, costs, solver
 from randgame import data as data_io
 from randgame.attacks import SecurityCurve
 from randgame.cli import EX_NOINPUT, EX_USAGE, main
@@ -608,6 +609,29 @@ class TestCliPipeline:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == EX_NOINPUT
 
+    def test_unreadable_data_path_is_an_input_error(self, tmp_path, capsys):
+        # a directory raises IsADirectoryError, an OSError but not a FileNotFoundError
+        capsys.readouterr()
+        argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EX_NOINPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("body, kind", [
+        ("+1,0.5,0.5\n-1,0.2,0.1\n+1,0.9,0.4\n-1,0.1,0.3\n", "continuous_unit_interval"),
+        ("+1 1:1 2:1\n-1 1:1\n+1 2:1\n-1 2:1\n", "binary"),
+    ])
+    def test_data_format_is_read_from_the_first_content_line(self, tmp_path, body, kind):
+        # a header comment holding a colon, and a blank line, come before the rows
+        data = tmp_path / "d.txt"
+        data.write_text("# columns: label,x1,x2\n\n" + body)
+        out = tmp_path / "p.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(out)]) == 0
+        assert load_flat_csv(out).size == 6  # w (2), b and three zero deviations
+        loader = load_sparse if kind == "binary" else load_dense_csv
+        ds = loader(data)
+        assert (ds.n, ds.k, ds.feature_kind) == (4, 2, kind)
+
     def test_bad_flags_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["train"])  # missing required arguments
@@ -757,6 +781,23 @@ class TestGoldenOutputs:
         assert out.read_bytes() == (GOLDEN / f"train_eq_bias{bias_reg}.csv").read_bytes()
         stdout = (GOLDEN / f"train_stdout_bias{bias_reg}.txt").read_text()
         assert capsys.readouterr().out == stdout
+
+    def test_train_bytes_of_the_dense_step(self, tmp_path, capsys, monkeypatch):
+        # the bias_reg = 1 run ends on its one Newton step, so its params carry
+        # that step's rounding: the dense elimination's differs from the closed
+        # form's in the last bit of two attacker means, and the stdout not at all
+        operator = costs.game_operator
+        monkeypatch.setattr(costs, "game_operator",
+                            lambda game: dataclasses.replace(operator(game), newton=None))
+        self.test_train_bytes(tmp_path, capsys, 0)
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("rho_l=10\nrho_d=10\nW=1\nbias_reg=1\nseed=0\n")
+        out = tmp_path / "eq.csv"
+        capsys.readouterr()
+        assert main(["train", "--data", str(GOLDEN / "train.csv"), "--game", str(cfg),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "train_eq_bias1_dense.csv").read_bytes()
+        assert capsys.readouterr().out == (GOLDEN / "train_stdout_bias1.txt").read_text()
 
     @pytest.mark.parametrize("name, flags", [
         ("box_attacked.csv", []), ("box_attacked_monotone.csv", ["--monotone"]),

@@ -391,30 +391,57 @@ class TestNewton:
     def test_a_wrong_jacobian_is_always_rejected(self):
         # the planted Jacobian is the true one negated, so every Newton step
         # heads away from the solution: only the residual guard keeps the
-        # solve converging
+        # solve converging. Without the closed-form step the solver takes its
+        # steps from the planted blocks
         game = regularized_game(10.0)
         ops = game_operator(game)
 
         def negated(theta, rows=slice(None)):
             return tuple(-block for block in ops.jacobian(theta, rows))
 
-        res = extragradient_solve(dataclasses.replace(ops, jacobian=negated),
+        res = extragradient_solve(dataclasses.replace(ops, jacobian=negated, newton=None),
                                   initial_point(game, 0))
         assert res.converged
         assert res.newton_accepted == 0 and res.newton_rejected >= 2
         assert_deviations_on_floor(ops, res.theta)
 
+    def test_primal_solve_takes_its_steps_in_closed_form(self):
+        # the primal operator's newton eliminates the rows without the
+        # Jacobian blocks: no jacobian call, and the steps are kept as before
+        game = regularized_game(10.0)
+        ops = game_operator(game)
+        calls = {"jacobian": 0, "newton": 0}
+
+        def counted(name):
+            fn = getattr(ops, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        logged = dataclasses.replace(ops, jacobian=counted("jacobian"), newton=counted("newton"))
+        res = extragradient_solve(logged, initial_point(game, 0))
+        dense = extragradient_solve(dataclasses.replace(ops, newton=None), initial_point(game, 0))
+        assert res.converged and res.newton_accepted >= 1
+        assert calls == {"jacobian": 0, "newton": res.newton_accepted + res.newton_rejected}
+        assert (res.iterations, res.evaluations, res.newton_accepted, res.newton_rejected) == (
+            dense.iterations, dense.evaluations, dense.newton_accepted, dense.newton_rejected)
+        assert np.abs(res.theta - dense.theta).max() <= 1e-12
+
     @staticmethod
     def _ranged_game(k, monkeypatch):
-        """A primal game on 7 random rows whose Newton step streams over the
-        row ranges 0-2, 3-5 and the ragged 6, with a jacobian that logs the
-        ranges it is asked for, and a profile inside the box."""
+        """A primal game on 7 random rows whose dense Newton step streams over
+        the row ranges 0-2, 3-5 and the ragged 6, with a jacobian that logs
+        the ranges it is asked for and no closed-form step, and a profile
+        inside the box."""
         n = 7
         rng = np.random.default_rng(k)
         y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
         game = GameSpec(Dataset(rng.uniform(size=(n, k)), y), 10.0, 10.0,
                         *default_boxes(n, k, 1.0), bias_reg=1.0)
-        ops = game_operator(game)
+        ops = dataclasses.replace(game_operator(game), newton=None)
         monkeypatch.setattr(solver, "NEWTON_RANGE_ENTRIES", 3 * ops.dim_l * ops.row_size)
         calls = []
 

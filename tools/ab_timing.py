@@ -19,7 +19,8 @@ median per-call time of its rounds, and the parent and the change alternate
 pass by pass so that slow drift of the host hits both alike. The JSON holds
 per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
-Jacobian calls, iterations, residual and the largest coordinate distance
+Jacobian calls, closed-form Newton step calls where the operator has that
+step, iterations, residual and the largest coordinate distance
 between the two sides' solutions; for a Newton candidate: whether there was
 a step and that distance between the two sides' candidates; for a
 monotonicity sample: its violations; for a curve: its points, and whether
@@ -162,20 +163,26 @@ def _solve_cases(tiny):
     def setup(n, k, rho):
         game = _game(n, k, rho, 1.0)
         ops, init = game_operator(game), initial_point(game, 0)
-        count = {"evaluations": 0, "jacobian_calls": 0}
+        # the Newton attempts are the closed-form step's calls where the
+        # operator has one, and spend the jacobian calls where it does not
+        fields = ("pseudo_grad", "jacobian") + (("newton",) if getattr(ops, "newton", None) else ())
+        names = {"pseudo_grad": "evaluations", "jacobian": "jacobian_calls",
+                 "newton": "newton_calls"}
+        count = dict.fromkeys((names[f] for f in fields), 0)
 
-        def pgrad(theta):
-            count["evaluations"] += 1
-            return ops.pseudo_grad(theta)
+        def counting(field):
+            fn = getattr(ops, field)
 
-        def jacobian(*args):
-            count["jacobian_calls"] += 1
-            return ops.jacobian(*args)
+            def call(*args):
+                count[names[field]] += 1
+                return fn(*args)
 
-        counted = dataclasses.replace(ops, pseudo_grad=pgrad, jacobian=jacobian)
+            return call
+
+        counted = dataclasses.replace(ops, **{f: counting(f) for f in fields})
 
         def call():
-            count.update(evaluations=0, jacobian_calls=0)
+            count.update(dict.fromkeys(count, 0))
             res = extragradient_solve(counted, init, SolverConfig(epsilon=1e-8))
             return dict(count, iterations=res.iterations, residual=res.residual,
                         newton_accepted=getattr(res, "newton_accepted", 0),
@@ -284,7 +291,7 @@ ENTRIES = {
              "monotonicity_sample(n_pairs=50, seed=0) wall time per call", 5, 5),
     "solve": (_solve_cases, "BENCH_newton_solve.json",
               "wall time of one solve to natural residual 1e-8", 1, 5),
-    "newton": (_newton_cases, "BENCH_newton_onepass.json",
+    "newton": (_newton_cases, "BENCH_newton_closed_form.json",
                "_newton_candidate wall time per call", 7, 7),
     "curve": (_curve_cases, "BENCH_flip_ranking.json", "security_curve wall time per call", 7, 9),
 }
