@@ -178,6 +178,15 @@ def reg_hess(M, dM, rho_l, rho_d, bias_reg):
     return reg_l, reg_d
 
 
+def _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b):
+    """Each sample's score a.M x + b and sigma, from its rows of Mx (row i is
+    M mu_x_i) and s2x. jacobian and newton_step both take them here, in this
+    row-major layout, so that the two Newton steps see the same bits: at a
+    margin many sigma from the kink the hinge terms magnify a last-bit
+    difference in sigma by about (mu / sigma)^2."""
+    return Mx @ mu_a + mu_b, np.sqrt(Mx**2 @ s2a + s2x @ w_x + sig_b**2)
+
+
 def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=slice(None)):
     """Derivative of evaluate's flat gradient at theta over the attacker rows
     in the unit-step slice rows, as the four arrays (ll, ld, dl, dd): ld[i]
@@ -212,8 +221,7 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     Mx = mu_x @ M  # row i is M mu_x_i, as M is symmetric
     Ma = M @ mu_a
     w_x = Ma**2 + M2 @ s2a
-    score = Mx @ mu_a + mu_b
-    sigma = np.sqrt(Mx**2 @ s2a + s2x @ w_x + sig_b**2)
+    score, sigma = _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b)
 
     # Per sample, the gradients of score (row 0) and of sigma^2 (row 1) in the
     # learner block (U_l) and in the sample's attacker row (U_x).
@@ -269,10 +277,11 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=sl
     return ll, ld, dl, dd
 
 
-# The closed-form Newton step takes the attacker rows in ranges of at most this
-# many entries of one (L, rows) plane (1365 rows at k = 2), so that its memory
-# grows by a few floats per row, not by its planes' L + 2b per row.
-NEWTON_RANGE_ENTRIES = 8192
+# newton_step sums the Schur system over ranges of attacker rows with at most
+# this many entries in one (L, rows) plane (1365 rows at k = 2): those sums'
+# temporaries are the step's largest, and ranges hold its peak memory to the
+# dense elimination's.
+SCHUR_RANGE_ENTRIES = 8192
 
 
 def _by_rows(A, B):
@@ -293,6 +302,19 @@ def _hinge_terms(score, sigma, y):
     H[0, 1] *= sy
     H[1, 0] = H[0, 1]
     return sy * p, v, H
+
+
+def _capacitance(H_s, H_t, G):
+    """Per row, N H_t and H_s N^T for N = (I + H_t G)^-1, from the rows'
+    (2, 2, n) stacks H_s, H_t and G; None when some I + H_t G is singular."""
+    C = _by_rows(H_t, G)
+    C[0, 0] += 1.0
+    C[1, 1] += 1.0
+    det = C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]
+    if not det.all():
+        return None
+    N = np.array([[C[1, 1], -C[0, 1]], [-C[1, 0], C[0, 0]]]) / det
+    return _by_rows(N, H_t), _by_rows(H_s, N.transpose(1, 0, 2))
 
 
 def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
@@ -320,104 +342,93 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     2 x 2 blocks on the diagonal. A fixed row coordinate gets A^-1 = 0, which
     decouples it as the dense elimination's identity row does.
 
-    The hinge terms come from one call for all rows. The rest takes the rows
-    in two passes over ranges, with each range's planes rows last: one sums S
-    and its right side, the other back-substitutes. Between them it keeps
-    N H_t per row, and the second pass walks the ranges backwards, so that it
-    starts on the range the first ended on and reuses its planes; every other
-    range's are built anew. The learner block is taken in the order (mu_a,
-    sigma_a, mu_b, sigma_b), so that the rows that B touches come first."""
+    Every per-row term is a plane with the rows last, kept for all rows: the
+    step holds O(n (L + b)) floats and never an (n, L, b) block. Only the
+    sums that build S and its right side, with Ul's planes, are taken over
+    ranges of rows (SCHUR_RANGE_ENTRIES). The learner block is taken in the
+    order (mu_a, sigma_a, mu_b, sigma_b), so that the rows that B touches
+    come first. The score and sigma come from jacobian's own products
+    (_score_sigma), and the rows' back-substitution sums D^-1 g_i and
+    D^-1 E_i d_l as the dense elimination sums its two solves, so the step's
+    last bits follow the dense step's as closely as the arithmetic allows."""
     m, n = anchors.shape
     L = 2 * m + 2
     order = np.r_[0:m, m + 1 : 2 * m + 1, m, 2 * m + 1]
     mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, slice(None))
-    s2a = sig_a**2
+    x, sx = planes[:m], planes[m:]
+    s2a, s2x = sig_a**2, sx**2
     w_x = mu_a**2 + s2a
-    sigma = np.sqrt(s2a @ planes[:m] ** 2 + w_x @ planes[m:] ** 2 + sig_b**2)
-    p, v, H = _hinge_terms(mu_a @ planes[:m] + mu_b, sigma, y)
-    free_x, g_x = free[L:].reshape(n, 2 * m), g[L:].reshape(n, 2 * m)
-    size = max(1, NEWTON_RANGE_ENTRIES // L)
-    ranges = [slice(start, min(start + size, n)) for start in range(0, n, size)]
+    (ps, pt), (vs, vt), H = _hinge_terms(
+        *_score_sigma(x.T.copy(), s2x.T.copy(), mu_a, mu_b, s2a, w_x, sig_b), y)
+    # A^-1 on the free row coordinates and 0 on the fixed ones; U's rows are
+    # (mu_a, 0) and (u_m, u_s) on the (means, deviations)
+    free_x = free[L:].reshape(n, 2 * m).T
+    ia_m = free_x[:m] / (rho_d + 2.0 * vt * s2a[:, None])
+    ia_s = free_x[m:] / (rho_d + 2.0 * vt * w_x[:, None])
+    u_m, u_s = 2.0 * s2a[:, None] * x, 2.0 * w_x[:, None] * sx
+    g_x = g[L:].reshape(n, 2 * m).T / (rho_l / rho_d)
+    g_m, g_s = g_x[:m], g_x[m:]
+    mu_c, sig_c = mu_a[:, None], sig_a[:, None]
 
-    def terms(rows, v_t):
-        """The range's means x, deviations sx and sx^2, A^-1 on the free
-        coordinates and 0 on the fixed ones, U's rows (mu_a, 0) and
-        (u_m, u_s) on the (means, deviations), Ul and the unweighted row
-        gradients."""
-        x, sx = planes[:m, rows], planes[m:, rows]
-        s2x = sx**2
-        ia = np.concatenate([rho_d + 2.0 * v_t * s2a[:, None], rho_d + 2.0 * v_t * w_x[:, None]])
-        np.divide(free_x[rows].T, ia, out=ia)
-        Ul = np.zeros((2, L, x.shape[1]))
-        Ul[0, :m], Ul[0, -2] = x, 1.0
-        Ul[1, :m], Ul[1, m:-2], Ul[1, -1] = (2.0 * mu_a[:, None] * s2x,
-                                             2.0 * sig_a[:, None] * (x**2 + s2x), 2.0 * sig_b)
-        g_r = g_x[rows].T / (rho_l / rho_d)
-        return (x, sx, s2x, ia[:m], ia[m:], 2.0 * s2a[:, None] * x, 2.0 * w_x[:, None] * sx, Ul,
-                g_r[:m], g_r[m:])
+    def learner_gradients(rows):  # Ul over the rows, (2, L, rows)
+        x_r, s2x_r = x[:, rows], s2x[:, rows]
+        Ul = np.zeros((2, L, x_r.shape[1]))
+        Ul[0, :m], Ul[0, -2] = x_r, 1.0
+        Ul[1, :m], Ul[1, m:-2], Ul[1, -1] = (2.0 * mu_c * s2x_r, 2.0 * sig_c * (x_r**2 + s2x_r),
+                                             2.0 * sig_b)
+        return Ul
 
     def by_U(h_m, h_s, u_m, u_s):  # U h per row for the row vectors (h_m, h_s)
         return np.array([mu_a @ h_m, (u_m * h_m).sum(axis=0) + (u_s * h_s).sum(axis=0)])
 
+    G01, G11 = by_U(ia_m * u_m, ia_s * u_s, u_m, u_s)
+    factors = _capacitance(H[:, :, 0], H[:, :, 1],
+                           np.array([[mu_a @ (ia_m * mu_c), G01], [G01, G11]]))
+    if factors is None:
+        return None
+    NH, HN = factors
     S, rhs = np.zeros((L, L)), -g[order]
-    NH = np.empty((2, 2, n))
     j, k = np.arange(m), np.arange(m, 2 * m)
 
-    def eliminate(rows):
-        """Add the range's terms to S and rhs and keep its rows' N H_t; its
-        planes, or None when a row's 2 x 2 system is singular."""
-        (ps, pt), (vs, vt), H_s, H_t = p[:, rows], v[:, rows], H[:, :, 0, rows], H[:, :, 1, rows]
-        geo = terms(rows, vt)
-        x, sx, s2x, ia_m, ia_s, u_m, u_s, Ul, g_m, g_s = geo
-        r0, r1, rs = ia_m * mu_a[:, None], ia_m * u_m, ia_s * u_s  # A^-1 U^T
-        G01, G11 = by_U(r1, rs, u_m, u_s)
-        C = _by_rows(H_t, np.array([[mu_a @ r0, G01], [G01, G11]]))
-        C[0, 0] += 1.0
-        C[1, 1] += 1.0
-        det = C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]
-        if not det.all():
-            return None
-        N = np.array([[C[1, 1], -C[0, 1]], [-C[1, 0], C[0, 0]]]) / det
-        NH[..., rows] = _by_rows(N, H_t)
-        HN = _by_rows(H_s, N.transpose(1, 0, 2))
+    def add_range(rows):  # the rows' terms of S and rhs
+        x_r, sx_r, s2x_r, ia_mr, ia_sr, u_mr, u_sr = (
+            a[:, rows] for a in (x, sx, s2x, ia_m, ia_s, u_m, u_s))
+        p_s, p_t, v_s, v_t = ps[rows], pt[rows], vs[rows], vt[rows]
+        r0, r1, rs = ia_mr * mu_c, ia_mr * u_mr, ia_sr * u_sr  # A^-1 U^T
         # B's entries: p on (mu_a_j, mu_x_ij), and v times 4 mu_a_j sx_ij on
         # (mu_a_j, sigma_x_ij), 4 sig_a_j x_ij on (sigma_a_j, mu_x_ij) and
         # 4 sig_a_j sx_ij on (sigma_a_j, sigma_x_ij); with B A^-1 U^T
-        cr0, cr1 = 4.0 * sig_a[:, None] * x * r0, 4.0 * sig_a[:, None] * (x * r1 + sx * rs)
-        ar1 = 4.0 * mu_a[:, None] * sx * rs
+        cr0, cr1 = 4.0 * sig_c * x_r * r0, 4.0 * sig_c * (x_r * r1 + sx_r * rs)
+        ar1 = 4.0 * mu_c * sx_r * rs
 
         def W(p_u, v_u):  # one player's W, a column per plane, over the rows of B
             return np.array([[p_u * r0, v_u * cr0], [p_u * r1 + v_u * ar1, v_u * cr1]]).reshape(
                 2, 2 * m, -1)
 
-        W_s, W_t = W(ps, vs), W(pt, vt)
-        e_m, e_s = ia_m * g_m, ia_s * g_s
-        q = by_U(e_m, e_s, u_m, u_s)
+        W_s, W_t, Ul = W(p_s, v_s), W(p_t, v_t), learner_gradients(rows)
+        e_m, e_s = ia_mr * g_m[:, rows], ia_sr * g_s[:, rows]
+        q = by_U(e_m, e_s, u_mr, u_sr)
         for col in (0, 1):  # column col of (Ul H_s N^T - W N H_t) and of (Ul - W')
-            left = Ul[0] * HN[0, col] + Ul[1] * HN[1, col]
+            left = Ul[0] * HN[0, col, rows] + Ul[1] * HN[1, col, rows]
             left[: 2 * m] -= W_s[0] * NH[0, col, rows] + W_s[1] * NH[1, col, rows]
             right = Ul[col].copy()
             right[: 2 * m] -= W_t[col]
             S[...] += left @ right.T
             rhs[...] += left @ q[col]
         # - B A^-1 B'^T, 2 x 2 blocks on (mu_a_j, sigma_a_j), and B A^-1 g
-        vv, xm, ss = vs * vt, x * ia_m, s2x * ia_s
+        vv, xm, ss = v_s * v_t, x_r * ia_mr, s2x_r * ia_sr
         sum_ss = ss @ vv
-        S[j, j] += 2.0 * (s2x @ vs) - ia_m @ (ps * pt) - 16.0 * mu_a**2 * sum_ss
-        S[j, k] -= 4.0 * sig_a * (xm @ (ps * vt) + 4.0 * mu_a * sum_ss)
-        S[k, j] -= 4.0 * sig_a * (xm @ (vs * pt) + 4.0 * mu_a * sum_ss)
-        S[k, k] += 2.0 * ((x**2 + s2x) @ vs) - 16.0 * s2a * ((x * xm) @ vv + sum_ss)
-        S[-1, -1] += 2.0 * vs.sum()
-        rhs[:m] += e_m @ ps + 4.0 * mu_a * ((sx * e_s) @ vs)
-        rhs[m : 2 * m] += 4.0 * sig_a * ((x * e_m + sx * e_s) @ vs)
-        return geo
+        S[j, j] += 2.0 * (s2x_r @ v_s) - ia_mr @ (p_s * p_t) - 16.0 * mu_a**2 * sum_ss
+        S[j, k] -= 4.0 * sig_a * (xm @ (p_s * v_t) + 4.0 * mu_a * sum_ss)
+        S[k, j] -= 4.0 * sig_a * (xm @ (v_s * p_t) + 4.0 * mu_a * sum_ss)
+        S[k, k] += 2.0 * ((x_r**2 + s2x_r) @ v_s) - 16.0 * s2a * ((x_r * xm) @ vv + sum_ss)
+        S[-1, -1] += 2.0 * v_s.sum()
+        rhs[:m] += e_m @ p_s + 4.0 * mu_a * ((sx_r * e_s) @ v_s)
+        rhs[m : 2 * m] += 4.0 * sig_a * ((x_r * e_m + sx_r * e_s) @ v_s)
 
-    for rows in ranges:
-        geo = eliminate(rows)
-        if geo is None:
-            return None
-        if rows is not ranges[-1]:
-            del geo  # only the last range's planes serve again
+    size = max(1, SCHUR_RANGE_ENTRIES // L)
+    for start in range(0, n, size):
+        add_range(slice(start, start + size))
     S[j, j] += rho_l
     S[k, k] += rho_l
     S[-2, -2] += bias_reg
@@ -426,28 +437,22 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     if d_l is None:
         return None
 
-    # d_i = -D_i^-1 (g_i + E_i d_l), E_i d_l = r_d (U^T H_t Ul^T d_l + B'^T d_l)
+    def by_D_inv(h_m, h_s):  # D^-1 h per row, (means; deviations) planes
+        e_m, e_s = ia_m * h_m, ia_s * h_s
+        kw = _by_rows(NH, by_U(e_m, e_s, u_m, u_s)[:, None])[:, 0]
+        return np.concatenate([e_m - ia_m * (mu_c * kw[0] + u_m * kw[1]), e_s - ia_s * u_s * kw[1]])
+
+    # d_i = -(D_i^-1 g_i + D_i^-1 E_i d_l), E_i d_l = r_d (U^T H_t Ul^T d_l + B'^T d_l):
+    # the two solves summed, as the dense elimination sums its own
     d = np.empty(theta.size)
     d[order] = d_l
-    d_x = d[L:].reshape(n, 2 * m)
     da, ds = d_l[:m, None], d_l[m : 2 * m, None]
-
-    def back_substitute(rows, geo):
-        x, sx, _, ia_m, ia_s, u_m, u_s, Ul, g_m, g_s = geo
-        hu = _by_rows(H[:, :, 1, rows], (d_l @ Ul)[:, None])[:, 0]
-        pt, vt = p[1, rows], v[1, rows]
-        e_m = ia_m * (g_m + mu_a[:, None] * hu[0] + u_m * hu[1] + pt * da
-                      + 4.0 * sig_a[:, None] * ds * vt * x)
-        e_s = ia_s * (g_s + u_s * hu[1]
-                      + 4.0 * vt * (mu_a[:, None] * da + sig_a[:, None] * ds) * sx)
-        kw = _by_rows(NH[..., rows], by_U(e_m, e_s, u_m, u_s)[:, None])[:, 0]
-        d_x[rows] = np.concatenate([ia_m * (mu_a[:, None] * kw[0] + u_m * kw[1]) - e_m,
-                                    ia_s * u_s * kw[1] - e_s]).T
-
-    back_substitute(ranges[-1], geo)
-    del geo
-    for rows in ranges[-2::-1]:
-        back_substitute(rows, terms(rows, v[1, rows]))
+    hu = _by_rows(H[:, :, 1], (d_l @ learner_gradients(slice(None)))[:, None])[:, 0]
+    Ed_m = mu_c * hu[0] + u_m * hu[1] + pt * da + 4.0 * sig_c * ds * vt * x
+    Ed_s = u_s * hu[1] + 4.0 * vt * (mu_c * da + sig_c * ds) * sx
+    d_x = by_D_inv(g_m, g_s)
+    d_x += by_D_inv(Ed_m, Ed_s)
+    np.negative(d_x.T, out=d[L:].reshape(n, 2 * m))
     return d if np.isfinite(d).all() else None
 
 
@@ -502,7 +507,12 @@ def game_operator(game: GameSpec) -> VIGame:
     from newton_step."""
     terms = _primal_terms(game)
     ops = _vi_game(terms, game.lower, game.upper)
-    return dataclasses.replace(ops, newton=lambda z, g, free: newton_step(z, g, free, *terms[3:]))
+
+    def newton(z, g, free):
+        return newton_step(z, g, free, *terms[3:])
+
+    newton.jacobian = ops.jacobian
+    return dataclasses.replace(ops, newton=newton)
 
 
 # Subgradient descent of the baseline C-SVM: restarts, steps per restart and

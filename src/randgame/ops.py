@@ -45,8 +45,11 @@ class VIGame:
       or d is not finite. It is the step that the solver's own elimination
       of jacobian's blocks gives, computed from what the operator knows of
       its structure; the solver uses it in place of that elimination, and
-      only for an operator that has a jacobian. An operator whose jacobian
-      is replaced must drop its newton too.
+      only for an operator that has a jacobian. newton.jacobian names the
+      jacobian it stands in for, and an operator whose newton names another
+      is refused with ValueError: dataclasses.replace(ops, jacobian=...)
+      fails at once unless it replaces or drops newton too. With
+      jacobian=None the solver makes no attempt, and newton may stay.
     """
 
     dim_l: int
@@ -59,6 +62,13 @@ class VIGame:
     jacobian: Optional[Callable[..., tuple]] = None
     row_size: int = 1
     newton: Optional[Callable[..., Optional[np.ndarray]]] = None
+
+    def __post_init__(self):
+        if self.newton is None or self.jacobian is None:
+            return
+        if getattr(self.newton, "jacobian", None) is not self.jacobian:
+            raise ValueError("newton stands in for another jacobian: replace both, or set "
+                             "newton=None")
 
     @property
     def r(self) -> tuple[float, float]:

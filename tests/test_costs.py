@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import (assemble, deviation_mask, evaluate_loop, margin_moments, nominal_attacker,
+from oracles import (deviation_mask, evaluate_loop, margin_moments, nominal_attacker,
                      profile)
 from randgame import solver
 from randgame.costs import _primal_terms, evaluate, game_operator, jacobian, train_baseline_svm
@@ -333,7 +333,8 @@ class TestDeviationsAreDominated:
 class TestClosedFormNewtonStep:
     """costs.newton_step, the primal operator's newton, against the solver's
     dense elimination of the same operator's Jacobian blocks (its newton set
-    to None), over ranges of 3 rows and a ragged last one."""
+    to None), with the Schur sums over ranges of 3 rows and a ragged last
+    one."""
 
     N_ROWS = 10
 
@@ -370,26 +371,23 @@ class TestClosedFormNewtonStep:
     def test_matches_the_dense_step(self, k, bias_reg, rho, kind, monkeypatch):
         import randgame.costs as costs_module
 
-        monkeypatch.setattr(costs_module, "NEWTON_RANGE_ENTRIES", 3 * (2 * k + 2))
+        monkeypatch.setattr(costs_module, "SCHUR_RANGE_ENTRIES", 3 * (2 * k + 2))
         norm = np.linalg.norm
-        steps = 0
+        steps = nones = 0
         for seed in range(4):
             ops, z, g, free = self._case(k, bias_reg, rho, kind, seed)
             want = solver._newton_step(dataclasses.replace(ops, newton=None), z, g, free)
             got = ops.newton(z, g, free)
             assert (got is None) == (want is None)
             if want is None:
+                nones += 1
                 continue
             steps += 1
             assert np.all(got[~free] == 0.0)
-            J = assemble(ops.jacobian(z))[np.ix_(free, free)]
-            if np.linalg.cond(J) < 1e15:
-                assert norm(got - want) <= 1e-12 * norm(want)
-            else:  # singular to working precision: only the backward error is defined
-                assert norm(J @ got[free] + g[free]) <= 1e-12 * (norm(J) * norm(got) + norm(g))
+            assert norm(got - want) <= 1e-12 * norm(want)
         # at bias_reg = 0 the floors leave mu_b and sigma_b flat, and most
-        # systems are singular
-        assert steps >= (0 if kind == "floor" and bias_reg == 0.0 else 2)
+        # systems are singular: there the cases compare the Nones
+        assert (nones if kind == "floor" and bias_reg == 0.0 else steps) >= 2
 
     def test_singular_bias_system_gives_no_step(self):
         # bias_reg = 0, every deviation at its floor and every margin many

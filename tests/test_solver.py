@@ -421,7 +421,9 @@ class TestNewton:
 
             return call
 
-        logged = dataclasses.replace(ops, jacobian=counted("jacobian"), newton=counted("newton"))
+        logged_jacobian, logged_newton = counted("jacobian"), counted("newton")
+        logged_newton.jacobian = logged_jacobian
+        logged = dataclasses.replace(ops, jacobian=logged_jacobian, newton=logged_newton)
         res = extragradient_solve(logged, initial_point(game, 0))
         dense = extragradient_solve(dataclasses.replace(ops, newton=None), initial_point(game, 0))
         assert res.converged and res.newton_accepted >= 1
@@ -429,6 +431,18 @@ class TestNewton:
         assert (res.iterations, res.evaluations, res.newton_accepted, res.newton_rejected) == (
             dense.iterations, dense.evaluations, dense.newton_accepted, dense.newton_rejected)
         assert np.abs(res.theta - dense.theta).max() <= 1e-12
+
+    def test_a_replaced_jacobian_cannot_keep_the_old_newton(self):
+        # the primal operator's newton stands in for its own jacobian only: an
+        # operator that kept it beside another jacobian would never call that
+        ops = game_operator(regularized_game(10.0))
+        assert ops.newton.jacobian is ops.jacobian
+        def wrapped(theta, rows=slice(None)):
+            return ops.jacobian(theta, rows)
+
+        with pytest.raises(ValueError, match="another jacobian"):
+            dataclasses.replace(ops, jacobian=wrapped)
+        assert dataclasses.replace(ops, jacobian=None, newton=None).newton is None
 
     @staticmethod
     def _ranged_game(k, monkeypatch):

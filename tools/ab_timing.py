@@ -179,7 +179,10 @@ def _solve_cases(tiny):
 
             return call
 
-        counted = dataclasses.replace(ops, **{f: counting(f) for f in fields})
+        wrapped = {f: counting(f) for f in fields}
+        if "newton" in wrapped:  # the counted newton stands in for the counted jacobian
+            wrapped["newton"].jacobian = wrapped["jacobian"]
+        counted = dataclasses.replace(ops, **wrapped)
 
         def call():
             count.update(dict.fromkeys(count, 0))
