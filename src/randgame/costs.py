@@ -51,7 +51,7 @@ import numpy as np
 
 from .hinge import hinge_expect, hinge_hessian
 from .model import Dataset, GameSpec, ShapeError
-from .ops import VIGame, solve_learner
+from .ops import VIGame, dense_newton, solve_learner
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
 _SIGNS = np.array([[-1.0], [1.0]])
@@ -60,22 +60,20 @@ _SIGNS = np.array([[-1.0], [1.0]])
 _COL, _ROW = np.s_[..., None], np.s_[..., None, :]
 
 
-def _unpack(theta, m, n, rows):
+def _unpack(theta, m, n):
     """The checked parts (mu_a, mu_b, sigma_a, sigma_b, planes) of the flat
     joint profiles theta, of shape (..., dim), of n attacker rows of m means
-    and m deviations, where planes is a contiguous (..., 2m, rows) copy of the
-    attacker rows in the unit-step slice rows: column i is (mu_x_i; sigma_x_i).
-    mu_b and sigma_b have the stack's shape (...), and are numpy floats for one
-    profile. Only the learner block and those rows are checked: finite first,
-    then every deviation strictly positive (on the planes, where the check
-    runs along the rows)."""
+    and m deviations, where planes is a contiguous (..., 2m, n) copy of the
+    attacker rows: column i is (mu_x_i; sigma_x_i). mu_b and sigma_b have the
+    stack's shape (...), and are numpy floats for one profile. Every entry is
+    checked: finite first, then every deviation strictly positive (on the
+    planes, where the check runs along the rows)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (2 * m + 2 + 2 * n * m,):
         raise ShapeError(f"vector shape {theta.shape} inconsistent with n={n}, m={m}")
     stack = theta.shape[:-1]
     learner = theta[..., : 2 * m + 2]
-    planes = theta[..., 2 * m + 2 :].reshape(stack + (n, 2 * m))[..., rows, :]
-    planes = planes.swapaxes(-1, -2).copy()
+    planes = theta[..., 2 * m + 2 :].reshape(stack + (n, 2 * m)).swapaxes(-1, -2).copy()
     if not (np.isfinite(learner).all() and np.isfinite(planes).all()):
         raise ValueError("parameters must be finite")
     if not (learner[..., m + 1 :].min(initial=np.inf) > 0
@@ -111,7 +109,7 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     theta.
     """
     m, n = anchors.shape
-    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, slice(None))
+    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
     stack = planes.shape[:-2]
     mu_x, sig_x = planes[..., :m, :], planes[..., m:, :]  # column i is mu_x_i, sigma_x_i
     # one profile needs no new axes, and its vectors go to the maps as they are
@@ -187,109 +185,6 @@ def _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b):
     return Mx @ mu_a + mu_b, np.sqrt(Mx**2 @ s2a + s2x @ w_x + sig_b**2)
 
 
-def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg, rows=slice(None)):
-    """Derivative of evaluate's flat gradient at theta over the attacker rows
-    in the unit-step slice rows, as the four arrays (ll, ld, dl, dd): ld[i]
-    (L, 2m) is the learner gradient along attacker row i, dl[i] (2m, L) row
-    i's gradient along the learner block and dd[i] (2m, 2m) row i's own block,
-    for the rows in the range; ll (L, L), L = 2m + 2, is the range's share of
-    the learner's own block: the loss terms of its samples, plus the
-    regularizer when the range starts at row 0. So the shares of ranges that
-    partition the rows sum to the whole block, and the default range gives it.
-    Row i's gradient does not depend on any other row, so every other block is
-    zero and the memory is O(rows m^2), not O(dim^2).
-
-    Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
-    rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
-    and sigma^2 are differentiated in closed form.
-    """
-    if np.ndim(theta) != 1:
-        raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
-    m, n = anchors.shape
-    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, rows)
-    x_rows = planes.T.copy()  # row-major again, the layout the products below expect
-    mu_x, sig_x = x_rows[:, :m], x_rows[:, m:]  # row i is mu_x_i, sigma_x_i
-    start, stop, _ = rows.indices(n)
-    y = y[start:stop]
-    eye = np.eye(m)
-    M, M2 = by_M(eye), by_M2(eye)
-    reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
-    a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
-    r, L = mu_x.shape[0], 2 * m + 2
-
-    s2a, s2x = sig_a**2, sig_x**2
-    Mx = mu_x @ M  # row i is M mu_x_i, as M is symmetric
-    Ma = M @ mu_a
-    w_x = Ma**2 + M2 @ s2a
-    score, sigma = _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b)
-
-    # Per sample, the gradients of score (row 0) and of sigma^2 (row 1) in the
-    # learner block (U_l) and in the sample's attacker row (U_x).
-    U_l, U_x = np.zeros((r, 2, L)), np.zeros((r, 2, 2 * m))
-    U_l[:, 0, a_], U_l[:, 0, m] = Mx, 1.0
-    U_l[:, 1, a_] = 2.0 * (s2x * Ma) @ M
-    U_l[:, 1, s_] = 2.0 * sig_a * (Mx**2 + s2x @ M2)
-    U_l[:, 1, 2 * m + 1] = 2.0 * sig_b
-    U_x[:, 0, a_] = Ma
-    U_x[:, 1, a_] = 2.0 * (s2a * Mx) @ M
-    U_x[:, 1, x_] = 2.0 * sig_x * w_x
-    # Second derivatives of sigma^2 across the blocks (score's is M in the
-    # mu_a x mu_x corner): learner coordinates by row-i coordinates.
-    cross = np.zeros((r, L, 2 * m))
-    cross[:, a_, x_] = 4.0 * M * (sig_x * Ma)[:, None, :]
-    cross[:, s_, a_] = 4.0 * (sig_a * Mx)[:, :, None] * M
-    cross[:, s_, x_] = 4.0 * sig_a[:, None] * M2 * sig_x[:, None, :]
-
-    # Per sample, h's derivative in score (p), its derivative in sigma^2 (v)
-    # and its Hessian in (score, sigma^2) (H, (r, 2, 2)): row 0 at the
-    # learner's margins 1 - y score, row 1 at the attacker's 1 + y score.
-    sy = _SIGNS * y
-    mu = 1.0 + sy * score
-    _, p, v = hinge_expect(mu, sigma)
-    h_mm, h_mv, h_vv = hinge_hessian(mu, sigma)
-    H = np.empty((2, r, 2, 2))
-    H[..., 0, 0], H[..., 1, 1] = h_mm, h_vv
-    H[..., 0, 1] = H[..., 1, 0] = sy * h_mv
-    (p_s, p_t), (v_s, v_t), (H_s, H_t) = sy * p, v, H
-
-    # The chain-rule part of each block is U_u^T H U_w per sample.
-    # The learner's losses.
-    HU_l = H_s @ U_l
-    ll = U_l.reshape(2 * r, L).T @ HU_l.reshape(2 * r, L)
-    ll[a_, a_] += (M * (2.0 * (v_s @ s2x))) @ M
-    ll[s_, s_] += np.diag(2.0 * (v_s @ Mx**2 + M2 @ (v_s @ s2x)))
-    ll[2 * m + 1, 2 * m + 1] += 2.0 * v_s.sum()
-    if start == 0:
-        ll += reg_l
-    ld = HU_l.transpose(0, 2, 1) @ U_x
-    ld += v_s[:, None, None] * cross
-    ld[:, a_, a_] += p_s[:, None, None] * M
-
-    # The attacker's losses.
-    HU_x = H_t @ U_x
-    dl = HU_x.transpose(0, 2, 1) @ U_l
-    dl += v_t[:, None, None] * cross.transpose(0, 2, 1)
-    dl[:, a_, a_] += p_t[:, None, None] * M
-    dd = U_x.transpose(0, 2, 1) @ HU_x
-    dd[:, a_, a_] += 2.0 * v_t[:, None, None] * ((M * s2a) @ M) + reg_d[a_, a_]
-    diag_x = dd.reshape(r, 4 * m * m)[:, m * (2 * m + 1) :: 2 * m + 1]  # row i's sigma_x diagonal
-    diag_x += 2.0 * v_t[:, None] * w_x + reg_d.diagonal()[m:]
-    return ll, ld, dl, dd
-
-
-# newton_step sums the Schur system over ranges of attacker rows with at most
-# this many entries in one (L, rows) plane (1365 rows at k = 2): those sums'
-# temporaries are the step's largest, and ranges hold its peak memory to the
-# dense elimination's.
-SCHUR_RANGE_ENTRIES = 8192
-
-
-def _by_rows(A, B):
-    """The per-row products A B of a stack (2, 2, n) of 2 x 2 matrices and a
-    stack (2, c, n) of 2 x c ones."""
-    return np.einsum("ijn,jkn->ikn", A, B)
-
-
 def _hinge_terms(score, sigma, y):
     """For each sample, the derivatives of the learner's (row 0) and the
     attacker's (row 1) expected hinge in the score, in sigma^2 and, as a
@@ -302,6 +197,96 @@ def _hinge_terms(score, sigma, y):
     H[0, 1] *= sy
     H[1, 0] = H[0, 1]
     return sy * p, v, H
+
+
+def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
+    """Derivative of evaluate's flat gradient at theta as the four arrays
+    (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block, and
+    for attacker row i, ld[i] (L, 2m) is the learner gradient along the row,
+    dl[i] (2m, L) the row's gradient along the learner block and dd[i]
+    (2m, 2m) the row's own block. Row i's gradient does not depend on any
+    other row, so every other block is zero and the memory is O(n m^2), not
+    O(dim^2).
+
+    Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
+    rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
+    and sigma^2 are differentiated in closed form.
+    """
+    if np.ndim(theta) != 1:
+        raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
+    m, n = anchors.shape
+    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
+    x_rows = planes.T.copy()  # row-major again, the layout the products below expect
+    mu_x, sig_x = x_rows[:, :m], x_rows[:, m:]  # row i is mu_x_i, sigma_x_i
+    eye = np.eye(m)
+    M, M2 = by_M(eye), by_M2(eye)
+    reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
+    a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
+    L = 2 * m + 2
+
+    s2a, s2x = sig_a**2, sig_x**2
+    Mx = mu_x @ M  # row i is M mu_x_i, as M is symmetric
+    Ma = M @ mu_a
+    w_x = Ma**2 + M2 @ s2a
+    score, sigma = _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b)
+
+    # Per sample, the gradients of score (row 0) and of sigma^2 (row 1) in the
+    # learner block (U_l) and in the sample's attacker row (U_x).
+    U_l, U_x = np.zeros((n, 2, L)), np.zeros((n, 2, 2 * m))
+    U_l[:, 0, a_], U_l[:, 0, m] = Mx, 1.0
+    U_l[:, 1, a_] = 2.0 * (s2x * Ma) @ M
+    U_l[:, 1, s_] = 2.0 * sig_a * (Mx**2 + s2x @ M2)
+    U_l[:, 1, 2 * m + 1] = 2.0 * sig_b
+    U_x[:, 0, a_] = Ma
+    U_x[:, 1, a_] = 2.0 * (s2a * Mx) @ M
+    U_x[:, 1, x_] = 2.0 * sig_x * w_x
+    # Second derivatives of sigma^2 across the blocks (score's is M in the
+    # mu_a x mu_x corner): learner coordinates by row-i coordinates.
+    cross = np.zeros((n, L, 2 * m))
+    cross[:, a_, x_] = 4.0 * M * (sig_x * Ma)[:, None, :]
+    cross[:, s_, a_] = 4.0 * (sig_a * Mx)[:, :, None] * M
+    cross[:, s_, x_] = 4.0 * sig_a[:, None] * M2 * sig_x[:, None, :]
+
+    # Per sample, the learner's (_s) and the attacker's (_t) hinge terms, each
+    # Hessian H a contiguous (n, 2, 2) stack.
+    (p_s, p_t), (v_s, v_t), H = _hinge_terms(score, sigma, y)
+    H_s, H_t = np.ascontiguousarray(H.transpose(2, 3, 0, 1))
+
+    # The chain-rule part of each block is U_u^T H U_w per sample.
+    # The learner's losses.
+    HU_l = H_s @ U_l
+    ll = U_l.reshape(2 * n, L).T @ HU_l.reshape(2 * n, L)
+    ll[a_, a_] += (M * (2.0 * (v_s @ s2x))) @ M
+    ll[s_, s_] += np.diag(2.0 * (v_s @ Mx**2 + M2 @ (v_s @ s2x)))
+    ll[2 * m + 1, 2 * m + 1] += 2.0 * v_s.sum()
+    ll += reg_l
+    ld = HU_l.transpose(0, 2, 1) @ U_x
+    ld += v_s[:, None, None] * cross
+    ld[:, a_, a_] += p_s[:, None, None] * M
+
+    # The attacker's losses.
+    HU_x = H_t @ U_x
+    dl = HU_x.transpose(0, 2, 1) @ U_l
+    dl += v_t[:, None, None] * cross.transpose(0, 2, 1)
+    dl[:, a_, a_] += p_t[:, None, None] * M
+    dd = U_x.transpose(0, 2, 1) @ HU_x
+    dd[:, a_, a_] += 2.0 * v_t[:, None, None] * ((M * s2a) @ M) + reg_d[a_, a_]
+    diag_x = dd.reshape(n, 4 * m * m)[:, m * (2 * m + 1) :: 2 * m + 1]  # row i's sigma_x diagonal
+    diag_x += 2.0 * v_t[:, None] * w_x + reg_d.diagonal()[m:]
+    return ll, ld, dl, dd
+
+
+# newton_step sums the Schur system over ranges of attacker rows with at most
+# this many entries in one (L, rows) plane (1365 rows at k = 2): those sums'
+# temporaries are the step's largest, and ranges hold its peak memory at
+# n = 4000, k = 2 to 2.1 MB, against 4.5 MB for the sums over all rows.
+SCHUR_RANGE_ENTRIES = 8192
+
+
+def _by_rows(A, B):
+    """The per-row products A B of a stack (2, 2, n) of 2 x 2 matrices and a
+    stack (2, c, n) of 2 x c ones."""
+    return np.einsum("ijn,jkn->ikn", A, B)
 
 
 def _capacitance(H_s, H_t, G):
@@ -321,9 +306,9 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     """The primal game's (M = I) Newton step in closed form: d with
     J_FF d_F = -g_F and d = 0 off the free coordinates, for J the Jacobian of
     the pseudo-gradient at theta and g the pseudo-gradient there; None when
-    the system is singular or d is not finite. It is the step that the
-    solver's dense elimination takes from jacobian's blocks, without building
-    them and with no solve per row.
+    the system is singular or d is not finite. It is the step that
+    dense_newton takes from jacobian's blocks, without building them and with
+    no solve per row.
 
     Row i's own block is r_d D_i, D_i = A_i + U_i^T H_t U_i: A_i is positive
     and diagonal (rho_d + 2 v_t sigma_a^2 on the means, rho_d + 2 v_t w_x on
@@ -354,7 +339,7 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     m, n = anchors.shape
     L = 2 * m + 2
     order = np.r_[0:m, m + 1 : 2 * m + 1, m, 2 * m + 1]
-    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n, slice(None))
+    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
     x, sx = planes[:m], planes[m:]
     s2a, s2x = sig_a**2, sx**2
     w_x = mu_a**2 + s2a
@@ -460,8 +445,9 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     """Operator on the joint box [lower, upper] whose pair of costs and whose
     pseudo-gradient (with r = (1, rho_l/rho_d)) each come from one
     evaluate(theta, *terms) call, whose Jacobian blocks come from one
-    jacobian(theta, *terms) call and whose regularizer Hessians come from
-    reg_hess, built only when asked."""
+    jacobian(theta, *terms) call, whose Newton steps are dense_newton of
+    those blocks and whose regularizer Hessians come from reg_hess, built only
+    when asked."""
     by_M, dM, _, _, _, rho_l, rho_d, bias_reg = terms
     dim_l = 2 * (dM.size + 1)
     r_d = rho_l / rho_d
@@ -471,8 +457,8 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
         g[..., dim_l:] *= r_d
         return g
 
-    def pjac(theta, rows=slice(None)):
-        ll, ld, dl, dd = jacobian(theta, *terms, rows)
+    def pjac(theta):
+        ll, ld, dl, dd = jacobian(theta, *terms)
         dl *= r_d
         dd *= r_d
         return ll, ld, dl, dd
@@ -484,6 +470,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
         costs=lambda theta: evaluate(theta, *terms)[:2],
         pseudo_grad=pgrad,
         jacobian=pjac,
+        newton=lambda z, g, free: dense_newton(pjac(z), g, free),
         row_size=2 * dM.size,
         rho=(rho_l, rho_d),
         reg_hess=lambda: reg_hess(by_M(np.eye(dM.size)), dM, rho_l, rho_d, bias_reg),
@@ -507,12 +494,7 @@ def game_operator(game: GameSpec) -> VIGame:
     from newton_step."""
     terms = _primal_terms(game)
     ops = _vi_game(terms, game.lower, game.upper)
-
-    def newton(z, g, free):
-        return newton_step(z, g, free, *terms[3:])
-
-    newton.jacobian = ops.jacobian
-    return dataclasses.replace(ops, newton=newton)
+    return dataclasses.replace(ops, newton=lambda z, g, free: newton_step(z, g, free, *terms[3:]))
 
 
 # Subgradient descent of the baseline C-SVM: restarts, steps per restart and

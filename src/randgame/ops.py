@@ -25,31 +25,23 @@ class VIGame:
     entries as its own call gives them (the diagnostics' monotonicity sample
     passes (k, 2, dim) stacks of pairs). The solver passes one profile. The
     rest is optional and takes one profile: the solver's Newton steps need
-    jacobian and use newton when it is there, the diagnostics need jacobian
-    and reg_hess:
+    newton, the diagnostics need jacobian and reg_hess:
 
-    - jacobian(theta, rows=slice(None)) gives the Jacobian of pseudo_grad as
-      the blocks (ll, ld, dl, dd) for an attacker block of n rows of
-      row_size = b entries, each row seeing only itself and the learner:
-      ld[i] (dim_l, b), dl[i] (b, dim_l) and dd[i] (b, b) are row i's cross
-      blocks and own block for the rows in the unit-step slice rows, and ll
-      (dim_l, dim_l) is that range's share of the learner's own block, so the
-      shares of ranges that partition the rows sum to the whole block (the
-      solver's Newton step streams over ranges; the diagnostics take all rows);
+    - jacobian(theta) gives the Jacobian of pseudo_grad as the blocks
+      (ll, ld, dl, dd) for an attacker block of n rows of row_size = b
+      entries, each row seeing only itself and the learner: ll (dim_l, dim_l)
+      is the learner's own block, and ld[i] (dim_l, b), dl[i] (b, dim_l) and
+      dd[i] (b, b) are row i's cross blocks and own block;
     - reg_hess() gives the constant Hessians of both expected regularizers
       in their cost weights: the learner's (dim_l, dim_l) block and the
       (b, b) block that every attacker row shares;
     - newton(z, g, free) gives the solver's Newton step at z from the
       pseudo-gradient g there: d with J_FF d_F = -g_F for the free
       coordinates F and d = 0 off them, or None when the system is singular
-      or d is not finite. It is the step that the solver's own elimination
-      of jacobian's blocks gives, computed from what the operator knows of
-      its structure; the solver uses it in place of that elimination, and
-      only for an operator that has a jacobian. newton.jacobian names the
-      jacobian it stands in for, and an operator whose newton names another
-      is refused with ValueError: dataclasses.replace(ops, jacobian=...)
-      fails at once unless it replaces or drops newton too. With
-      jacobian=None the solver makes no attempt, and newton may stay.
+      or d is not finite. The solver attempts Newton steps exactly when
+      newton is set. dense_newton gives this step from jacobian's blocks;
+      an operator that knows more of its structure computes it without
+      them.
     """
 
     dim_l: int
@@ -59,16 +51,9 @@ class VIGame:
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
     rho: tuple[float, float] = (1.0, 1.0)
     reg_hess: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None
-    jacobian: Optional[Callable[..., tuple]] = None
+    jacobian: Optional[Callable[[np.ndarray], tuple]] = None
     row_size: int = 1
     newton: Optional[Callable[..., Optional[np.ndarray]]] = None
-
-    def __post_init__(self):
-        if self.newton is None or self.jacobian is None:
-            return
-        if getattr(self.newton, "jacobian", None) is not self.jacobian:
-            raise ValueError("newton stands in for another jacobian: replace both, or set "
-                             "newton=None")
 
     @property
     def r(self) -> tuple[float, float]:
@@ -93,7 +78,7 @@ def solve_learner(S: np.ndarray, rhs: np.ndarray, free: np.ndarray):
     """The learner step d_l of a Newton step from its Schur system S d_l = rhs,
     with each coordinate that free does not mark decoupled (its row and
     column of S the identity's, its right side 0); None when S is singular.
-    Both eliminations of the attacker rows, the solver's and
+    Both eliminations of the attacker rows, dense_newton and
     costs.newton_step, end here. S and rhs are overwritten."""
     fixed = ~free
     S[fixed, :] = 0.0
@@ -104,3 +89,40 @@ def solve_learner(S: np.ndarray, rhs: np.ndarray, free: np.ndarray):
         return np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError:
         return None
+
+
+def dense_newton(blocks, g: np.ndarray, free: np.ndarray):
+    """The Newton step d with J_FF d_F = -g_F and d = 0 off the free
+    coordinates, for J the arrow-shaped Jacobian given as jacobian's blocks
+    (ll, ld, dl, dd) of all rows; None when a system is singular or d is not
+    finite.
+
+    A fixed coordinate of an attacker row is decoupled: its row and column of
+    the row block become the identity's, and its entries of the cross blocks
+    and of g are zero, so the row's solve returns 0 there; the learner's fixed
+    coordinates are decoupled in the Schur system the same way. One batched
+    solve gives X_i = D_i^-1 [g_i, E_i] for row i's own block D_i and its
+    learner coupling E_i; with C_i its coupling into the learner block, the
+    Schur system is S = ll - sum_i C_i X_i[:, 1:] with right side
+    -g_l + sum_i C_i X_i[:, 0]. The learner step solves S d_l = rhs, and the
+    rows follow as d_i = -(X_i[:, 0] + X_i[:, 1:] d_l). It never forms a
+    dim x dim matrix.
+    """
+    ll, ld, dl, dd = blocks
+    n, b, L = dl.shape
+    f, g_d = free[L:].reshape(n, b), g[L:].reshape(n, b)
+    X = np.empty((n, b, L + 1))
+    X[:, :, 0] = np.where(f, g_d, 0.0)
+    X[:, :, 1:] = dl * f[:, :, None]
+    try:
+        X = np.linalg.solve(np.where(f[:, :, None] & f[:, None, :], dd, np.eye(b)), X)
+    except np.linalg.LinAlgError:
+        return None
+    C = (ld * f[:, None, :]).transpose(1, 0, 2).reshape(L, -1)
+    d_l = solve_learner(ll - C @ X[:, :, 1:].reshape(-1, L), -g[:L] + C @ X[:, :, 0].ravel(),
+                        free[:L])
+    if d_l is None:
+        return None
+    X[:, :, 0] += X[:, :, 1:] @ d_l
+    d = np.concatenate([d_l, -X[:, :, 0].ravel()])
+    return d if np.isfinite(d).all() else None

@@ -1,5 +1,5 @@
 """Adaptive-step extragradient method for the game's variational inequality,
-with guarded projected Newton steps where the operator has a Jacobian.
+with guarded projected Newton steps where the operator gives one.
 
 Korpelevich's extragradient with a local-Lipschitz step (Khobotov 1987;
 Marcotte 1991). One iteration from the feasible point theta, with g = F(theta)
@@ -15,7 +15,7 @@ next iteration and measures its residual. Every game starts, unless given a
 start, from initial_point: a seeded uniform draw in the box with the learner
 means shrunk by 0.1.
 
-For an operator with a jacobian, an iteration may first try a projected
+For an operator with a newton, an iteration may first try a projected
 Newton step on the box VI, globalized by the natural residual (Josephy 1979;
 Facchinei & Pang 2003, ch. 7-8):
 
@@ -29,27 +29,21 @@ Facchinei & Pang 2003, ch. 7-8):
 The candidate replaces theta, and ends the iteration, when its residual is at
 most NEWTON_ACCEPT r; otherwise the iteration takes the extragradient step
 from theta unchanged. A singular system or a non-finite step is a rejection
-too, never regularized. J is arrow-shaped: the learner block and one
-(b, b) block per attacker row, coupled only to the learner, so every row
-block is eliminated, leaving one Schur system on the learner block
-(ops.solve_learner). An operator that knows more of its structure gives the
-step itself as VIGame.newton, and the solver calls that in place of its own
-elimination: the primal game's costs.newton_step eliminates each row in
-closed form, with 2 x 2 solves. Otherwise _newton_step eliminates the rows
-densely, in one pass that takes the Jacobian over ranges of attacker rows
-whose cross blocks hold at most NEWTON_RANGE_ENTRIES entries, so each
-range's blocks are built and factored once (one LAPACK solve per row) and the
-step never forms a dim x dim matrix. It keeps each row's solves for the rows'
-back-substitution: n b (L + 1) floats, the order of the all-rows Jacobian the
-diagnostics take. The kernel game and the test games take this path.
+too, never regularized. The operator gives the step as VIGame.newton: J is
+arrow-shaped, the learner block and one (b, b) block per attacker row,
+coupled only to the learner, so every row block is eliminated, leaving one
+Schur system on the learner block (ops.solve_learner). The kernel game and
+the test games eliminate the rows densely from one all-rows Jacobian
+(ops.dense_newton); the primal game's costs.newton_step eliminates them in
+closed form, with 2 x 2 solves.
 
 An attempt is priced in operator evaluations from the block shapes:
 (L^2 + n (2 L b + b^2 + b^3 + b^2 (L + 1))) / dim for a learner block of L
 coordinates and n rows of b, the dense elimination's count, whichever
-elimination runs. It is made once the extragradient steps since the last
+elimination the operator's newton runs. It is made once the extragradient steps since the last
 attempt have spent price * gap evaluations, where gap starts at 1, doubles on
 each rejection and resets to 1 on an acceptance, after which the next
-iteration tries again at once. An operator without a jacobian, and a solve
+iteration tries again at once. An operator without a newton, and a solve
 that never spends its first price, runs the extragradient method alone.
 """
 
@@ -60,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ShapeError
-from .ops import VIGame, solve_learner
+from .ops import VIGame
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITER = "max_iter"
@@ -70,9 +64,6 @@ TERM_LINESEARCH = "linesearch_fail"
 MU = 0.9  # largest accepted ratio of lam ||F(y) - g|| to ||y - theta||
 GROWTH = 1.05  # step growth after each accepted iteration
 NEWTON_ACCEPT = 0.5  # largest accepted ratio of the candidate's residual to r
-# A Newton step takes the Jacobian over ranges of attacker rows holding at
-# most this many entries of one cross block (512 rows of 24 at k = 2).
-NEWTON_RANGE_ENTRIES = 12288
 BEST_RESPONSE_STEPS = 200  # descent steps per player in nash_verify
 
 
@@ -126,7 +117,7 @@ def _residual(ops: VIGame, theta: np.ndarray, g: np.ndarray) -> float:
 def _newton_price(ops: VIGame) -> float:
     """Operator evaluations that one Newton attempt costs, from the shapes of
     the Jacobian blocks: learner block L, n attacker rows of b. It counts the
-    dense elimination of _newton_step, so it overprices an attempt of an
+    dense elimination of ops.dense_newton, so it overprices an attempt of an
     operator whose newton eliminates the rows in closed form (the primal
     game): kept, so that attempts come at the same evaluation counts."""
     L, b = ops.dim_l, ops.row_size
@@ -134,61 +125,15 @@ def _newton_price(ops: VIGame) -> float:
     return (L * L + n * (2 * L * b + b * b + b**3 + b * b * (L + 1))) / ops.dim
 
 
-def _newton_step(ops: VIGame, z: np.ndarray, g: np.ndarray, free: np.ndarray):
-    """d with J_FF d_F = -g_F and d = 0 off the free coordinates, J the
-    Jacobian at z; None when a system is singular or d is not finite.
-
-    A fixed coordinate of an attacker row is decoupled: its row and column of
-    the row block become the identity's, and its entries of the cross blocks
-    and of g are zero, so the row's solve returns 0 there; the learner's fixed
-    coordinates are decoupled in the Schur system the same way. One pass over
-    the row ranges takes each range's blocks from one jacobian call and solves
-    X_i = D_i^-1 [g_i, E_i] for row i's own block D_i and its learner coupling
-    E_i; with C_i its coupling into the learner block, it forms
-    S = (sum of the ranges' ll) - sum_i C_i X_i[:, 1:] and the right side
-    -g_l + sum_i C_i X_i[:, 0]. The learner step solves S d_l = rhs, and the
-    rows follow as d_i = -(X_i[:, 0] + X_i[:, 1:] d_l). The kept X holds
-    n b (L + 1) floats (0.9 MB at n = 4000, k = 2), the order of the all-rows
-    Jacobian the diagnostics take.
-    """
-    L, b = ops.dim_l, ops.row_size
-    n = ops.dim_d // b
-    free_d, g_d = free[L:].reshape(n, b), g[L:].reshape(n, b)
-    size = max(1, NEWTON_RANGE_ENTRIES // (L * b))
-    S, rhs = np.zeros((L, L)), -g[:L]
-    X = np.empty((n, b, L + 1))
-    try:
-        for start in range(0, n, size):
-            rows = slice(start, min(start + size, n))
-            ll, ld, dl, dd = ops.jacobian(z, rows)
-            f = free_d[rows]
-            dd = np.where(f[:, :, None] & f[:, None, :], dd, np.eye(b))
-            X[rows, :, 0] = np.where(f, g_d[rows], 0.0)
-            X[rows, :, 1:] = dl * f[:, :, None]
-            X[rows] = np.linalg.solve(dd, X[rows])
-            C = (ld * f[:, None, :]).transpose(1, 0, 2).reshape(L, -1)
-            S += ll
-            S -= C @ X[rows, :, 1:].reshape(-1, L)
-            rhs += C @ X[rows, :, 0].ravel()
-    except np.linalg.LinAlgError:
-        return None
-    d_l = solve_learner(S, rhs, free[:L])
-    if d_l is None:
-        return None
-    X[:, :, 0] += X[:, :, 1:] @ d_l
-    d = np.concatenate([d_l, -X[:, :, 0].ravel()])
-    return d if np.isfinite(d).all() else None
-
-
 def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
     """The Newton candidate P(z + d) from the pre-step point z, or None when
     the step fails. z is theta with the coordinates that P(theta - g) puts on
-    a bound moved there; d comes from ops.newton when the operator has one."""
+    a bound moved there, and d = ops.newton(z, F(z), free)."""
     z = ops.project(theta - g)
     np.copyto(z, theta, where=(ops.lower < z) & (z < ops.upper))
     g_z = _grad(ops, z)
     free = ~(((z == ops.lower) & (g_z > 0.0)) | ((z == ops.upper) & (g_z < 0.0)))
-    d = ops.newton(z, g_z, free) if ops.newton is not None else _newton_step(ops, z, g_z, free)
+    d = ops.newton(z, g_z, free)
     if d is None:
         return None
     d += z
@@ -200,7 +145,7 @@ def extragradient_solve(
 ) -> EquilibriumResult:
     """Run the adaptive-step extragradient method on a game operator from
     init, by default initial_point(ops, cfg.seed), with guarded Newton steps
-    when the operator has a jacobian."""
+    when the operator has a newton."""
     init = initial_point(ops, cfg.seed) if init is None else np.asarray(init, dtype=float)
     if init.shape != (ops.dim,):
         raise ShapeError(f"init has shape {init.shape}, not the profile's ({ops.dim},)")
@@ -210,7 +155,7 @@ def extragradient_solve(
     lam = 1.0
     trace: list[float] = []
     evaluations, accepted, rejected = 1, 0, 0
-    price = _newton_price(ops) if ops.jacobian is not None else np.inf
+    price = _newton_price(ops) if ops.newton is not None else np.inf
     # the extragradient steps' evaluations since the last attempt are
     # evaluations - since
     since, gap, retry = evaluations, 1, False

@@ -1,11 +1,12 @@
 """Helpers that only the tests need: the flat joint profile of both players'
 strategies, a nominal attacker, per-sample margin moments and costs and
 gradients written out one sample at a time (independent of the vectorized
-evaluation in randgame.costs), an operator that counts its
-evaluations, the deviation coordinates of a game's profile, the first-order
-extragradient loop the solver ran before it took Newton steps, the central
-finite-difference Jacobian of a pseudo-gradient and the dense matrix of a
-block Jacobian (the oracles of the closed-form blocks), and per-sample loop
+evaluation in randgame.costs), an operator that counts its evaluations, an
+operator that takes its Newton steps from the dense elimination of its
+Jacobian blocks, the deviation coordinates of a game's profile, the
+first-order extragradient loop the solver ran before it took Newton steps,
+the central finite-difference Jacobian of a pseudo-gradient and the dense
+matrix of a block Jacobian (the oracles of the closed-form blocks), and per-sample loop
 versions of the batched attacks and of the TP-at-FP threshold search in
 randgame.attacks, and token-by-token readers of the data and parameter files
 (the oracles of the bulk parsers in randgame.data and randgame.model)."""
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from randgame.model import Dataset, GameSpec, ParseError
+from randgame.ops import dense_newton
 
 
 def profile(mu_w, sigma_w, mu_x, sigma_x):
@@ -132,10 +134,19 @@ def deviation_mask(ops):
     return dev
 
 
+def with_dense_newton(ops, jacobian=None):
+    """ops with jacobian, by default its own, whose Newton steps are
+    dense_newton of that jacobian's blocks: the reference of the primal
+    game's closed-form step, and the step of a planted Jacobian."""
+    jacobian = ops.jacobian if jacobian is None else jacobian
+    return dataclasses.replace(
+        ops, jacobian=jacobian, newton=lambda z, g, free: dense_newton(jacobian(z), g, free))
+
+
 def extragradient_reference(ops, init, epsilon, max_iter):
     """(theta, residual trace) of the adaptive-step extragradient loop alone,
     written out as randgame.solver ran it before it took Newton steps: the
-    oracle of the solver's path on an operator without a jacobian."""
+    oracle of the solver's path on an operator without a newton."""
     mu, growth = 0.9, 1.05
 
     def residual(theta, g):

@@ -39,6 +39,8 @@ def test_compare_reports_every_case(entry):
                 assert info["jacobian_calls"] == 0 and info["newton_calls"] >= 1
                 assert info["newton_calls"] == info["newton_accepted"] + info["newton_rejected"]
         if entry == "newton":
+            # both sides' candidates start from the first-order iterate
+            assert all(row[side]["iterate_attempts"] == 0 for side in sides)
             assert all(row[side]["step"] for side in sides)
         if entry in ("solve", "newton"):
             assert all("theta" not in row[side] for side in sides)

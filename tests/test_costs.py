@@ -1,19 +1,17 @@
 """Player costs and analytic gradients against finite-difference and per-sample loop oracles,
-and the closed-form Newton step against the solver's dense one."""
-
-import dataclasses
+and the closed-form Newton step against the dense one."""
 
 import numpy as np
 import pytest
 
 from oracles import (deviation_mask, evaluate_loop, margin_moments, nominal_attacker,
                      profile)
-from randgame import solver
 from randgame.costs import _primal_terms, evaluate, game_operator, jacobian, train_baseline_svm
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
 from randgame.kernel import Kernel, _dual_terms, dual_game_operator, gram
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
+from randgame.ops import dense_newton
 
 
 def random_game(seed, n=5, k=3, rho_l=2.0, rho_d=3.0, bias_reg=0.0):
@@ -272,41 +270,6 @@ class TestStackedEvaluation:
             jacobian(stack, *terms)
 
 
-class TestJacobianRowRanges:
-    """costs.jacobian over row ranges that partition the attacker rows: the
-    ranges' blocks are the whole Jacobian's rows, and their learner shares sum
-    to its learner block."""
-
-    @pytest.mark.parametrize("which", ["primal", "dual"])
-    def test_ranges_sum_to_the_full_blocks(self, which):
-        theta, terms = _flat_case(which)
-        n = terms[3].shape[1]
-        full = jacobian(theta, *terms)
-        assert all(a.shape == b.shape for a, b in zip(full, jacobian(theta, *terms, slice(0, n))))
-        cuts = [0, 2, 2, 3, n]  # with an empty range
-        parts = [jacobian(theta, *terms, slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-        ll = sum(p[0] for p in parts)
-        scale = np.abs(full[0]).max()
-        assert np.abs(ll - full[0]).max() <= 1e-13 * scale
-        for j in (1, 2, 3):
-            joined = np.concatenate([p[j] for p in parts])
-            assert joined.shape == full[j].shape
-            assert np.abs(joined - full[j]).max() <= 1e-13 * np.abs(full[j]).max()
-
-    def test_range_reads_only_its_rows(self):
-        # a non-finite entry outside the range is not read
-        theta, terms = _flat_case("primal")
-        m, n = terms[3].shape
-        bad = theta.copy()
-        bad[-1] = np.nan  # the last row's last deviation
-        want = jacobian(theta, *terms, slice(0, n - 1))
-        got = jacobian(bad, *terms, slice(0, n - 1))
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError):
-            jacobian(bad, *terms, slice(n - 1, n))
-
-
 class TestDeviationsAreDominated:
     """The own-deviation entries of the pseudo-gradient are > 0 at every
     profile of the box (costs module docstring), so every equilibrium holds
@@ -331,10 +294,9 @@ class TestDeviationsAreDominated:
 
 
 class TestClosedFormNewtonStep:
-    """costs.newton_step, the primal operator's newton, against the solver's
-    dense elimination of the same operator's Jacobian blocks (its newton set
-    to None), with the Schur sums over ranges of 3 rows and a ragged last
-    one."""
+    """costs.newton_step, the primal operator's newton, against
+    dense_newton of the same operator's Jacobian blocks, with the Schur
+    sums over ranges of 3 rows and a ragged last one."""
 
     N_ROWS = 10
 
@@ -376,7 +338,7 @@ class TestClosedFormNewtonStep:
         steps = nones = 0
         for seed in range(4):
             ops, z, g, free = self._case(k, bias_reg, rho, kind, seed)
-            want = solver._newton_step(dataclasses.replace(ops, newton=None), z, g, free)
+            want = dense_newton(ops.jacobian(z), g, free)
             got = ops.newton(z, g, free)
             assert (got is None) == (want is None)
             if want is None:
@@ -404,7 +366,7 @@ class TestClosedFormNewtonStep:
         g = ops.pseudo_grad(z)
         assert g[2 * k + 1] == 0.0
         free = np.ones(ops.dim, dtype=bool)
-        assert solver._newton_step(dataclasses.replace(ops, newton=None), z, g, free) is None
+        assert dense_newton(ops.jacobian(z), g, free) is None
         assert ops.newton(z, g, free) is None
 
     def test_one_linear_solve_for_all_rows(self, monkeypatch):

@@ -1,7 +1,6 @@
 """Dataset IO round trips, the synthetic generator, and the CLI pipeline
 including exit codes and determinism."""
 
-import dataclasses
 import os
 import stat
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import load_dense_tokens, load_sparse_tokens
+from oracles import load_dense_tokens, load_sparse_tokens, with_dense_newton
 from randgame import attacks, costs, solver
 from randgame import data as data_io
 from randgame.attacks import SecurityCurve
@@ -784,11 +783,10 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("bias_reg", [0, 1])
     def test_train_bytes_of_the_dense_step(self, tmp_path, capsys, monkeypatch, bias_reg):
-        # the primal operator's Newton steps are closed-form; the solver's own
+        # the primal operator's Newton steps are closed-form; the dense
         # elimination of the Jacobian blocks writes the same bytes
         operator = costs.game_operator
-        monkeypatch.setattr(costs, "game_operator",
-                            lambda game: dataclasses.replace(operator(game), newton=None))
+        monkeypatch.setattr(costs, "game_operator", lambda game: with_dense_newton(operator(game)))
         self.test_train_bytes(tmp_path, capsys, bias_reg)
 
     @pytest.mark.parametrize("name, flags", [

@@ -316,7 +316,6 @@ class TestSvmGameDiagnostics:
             costs=counted("cost", ops.costs),
             pseudo_grad=counted("pgrad", ops.pseudo_grad),
             jacobian=counted("jacobian", ops.jacobian),
-            newton=None,
         )
         uniqueness_margin(ops, n_profiles=3, seed=0, n_pairs=7)
         # the monotonicity sample's 7 pairs take one stacked call

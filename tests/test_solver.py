@@ -6,13 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import assemble, counting_operator, deviation_mask, extragradient_reference
+from oracles import (assemble, counting_operator, deviation_mask, extragradient_reference,
+                     with_dense_newton)
 from randgame import solver
 from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.kernel import Kernel, dual_game_operator
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
-from randgame.ops import VIGame
+from randgame.ops import VIGame, dense_newton
 from randgame.solver import (
     EquilibriumResult,
     SolverConfig,
@@ -331,7 +332,7 @@ class TestSvmGame:
 
 class TestNewton:
     """The guarded Newton steps of extragradient_solve, against the
-    first-order path of the same operator without its jacobian."""
+    first-order path of the same operator without its newton."""
 
     @pytest.mark.parametrize("rho", [0.1, 10.0, 100.0])
     def test_agrees_with_the_first_order_solve(self, rho):
@@ -339,7 +340,7 @@ class TestNewton:
         ops = game_operator(game)
         init = initial_point(game, 0)
         res = extragradient_solve(ops, init)
-        first = extragradient_solve(dataclasses.replace(ops, jacobian=None), init)
+        first = extragradient_solve(dataclasses.replace(ops, newton=None), init)
         assert res.converged and first.converged
         assert res.newton_accepted >= 1
         assert first.newton_accepted == first.newton_rejected == 0
@@ -349,22 +350,23 @@ class TestNewton:
         if rho == 0.1:  # the first-order path takes about 3800 evaluations
             assert res.evaluations <= 200 < first.evaluations
 
-    @pytest.mark.parametrize("with_jacobian", [True, False])
-    def test_evaluations_count_every_pseudo_gradient_call(self, with_jacobian):
+    @pytest.mark.parametrize("with_newton", [True, False])
+    def test_evaluations_count_every_pseudo_gradient_call(self, with_newton):
         game = regularized_game(10.0)
         ops = game_operator(game)
-        if not with_jacobian:
-            ops = dataclasses.replace(ops, jacobian=None)
+        if not with_newton:
+            ops = dataclasses.replace(ops, newton=None)
         counted, calls = counting_operator(ops)
         res = extragradient_solve(counted, initial_point(game, 0))
         assert res.converged
         assert res.evaluations == len(calls)
-        assert (res.newton_accepted > 0) == with_jacobian
+        assert (res.newton_accepted > 0) == with_newton
 
     def test_without_jacobian_follows_the_first_order_loop_exactly(self):
         game = regularized_game(10.0)
         cases = [
-            (dataclasses.replace(game_operator(game), jacobian=None), initial_point(game, 0), 1e-8),
+            (dataclasses.replace(game_operator(game), jacobian=None, newton=None),
+             initial_point(game, 0), 1e-8),
             (bilinear_game(), np.array([3.0, -4.0]), 1e-8),
             (boundary_game(), np.array([0.7, 0.4]), 1e-12),
         ]
@@ -388,26 +390,39 @@ class TestNewton:
         np.testing.assert_array_equal(res.theta, theta)
         np.testing.assert_array_equal(res.residual_trace, trace)
 
+    def test_kernel_game_takes_newton_steps(self):
+        # the RBF dual game of 4 points, an attempt priced at 140 evaluations:
+        # its newton eliminates the rows of the Jacobian blocks, and one kept
+        # step ends the solve in 49 iterations, where the first-order loop
+        # alone still has residual 0.095 after 500
+        ops = dual_game_operator(synth_2d(2, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0,
+                                 bias_reg=1.0)
+        init = initial_point(ops, 0)
+        res = extragradient_solve(ops, init)
+        assert res.converged and res.newton_accepted >= 1 and res.iterations <= 100
+        first = extragradient_solve(dataclasses.replace(ops, newton=None), init,
+                                    SolverConfig(max_iter=500))
+        assert not first.converged and first.newton_accepted == first.newton_rejected == 0
+
     def test_a_wrong_jacobian_is_always_rejected(self):
         # the planted Jacobian is the true one negated, so every Newton step
         # heads away from the solution: only the residual guard keeps the
-        # solve converging. Without the closed-form step the solver takes its
-        # steps from the planted blocks
+        # solve converging
         game = regularized_game(10.0)
         ops = game_operator(game)
 
-        def negated(theta, rows=slice(None)):
-            return tuple(-block for block in ops.jacobian(theta, rows))
+        def negated(theta):
+            return tuple(-block for block in ops.jacobian(theta))
 
-        res = extragradient_solve(dataclasses.replace(ops, jacobian=negated, newton=None),
-                                  initial_point(game, 0))
+        res = extragradient_solve(with_dense_newton(ops, negated), initial_point(game, 0))
         assert res.converged
         assert res.newton_accepted == 0 and res.newton_rejected >= 2
         assert_deviations_on_floor(ops, res.theta)
 
     def test_primal_solve_takes_its_steps_in_closed_form(self):
         # the primal operator's newton eliminates the rows without the
-        # Jacobian blocks: no jacobian call, and the steps are kept as before
+        # Jacobian blocks: no jacobian call, and the steps are kept as the
+        # dense elimination keeps them
         game = regularized_game(10.0)
         ops = game_operator(game)
         calls = {"jacobian": 0, "newton": 0}
@@ -421,94 +436,63 @@ class TestNewton:
 
             return call
 
-        logged_jacobian, logged_newton = counted("jacobian"), counted("newton")
-        logged_newton.jacobian = logged_jacobian
-        logged = dataclasses.replace(ops, jacobian=logged_jacobian, newton=logged_newton)
+        logged = dataclasses.replace(ops, jacobian=counted("jacobian"), newton=counted("newton"))
         res = extragradient_solve(logged, initial_point(game, 0))
-        dense = extragradient_solve(dataclasses.replace(ops, newton=None), initial_point(game, 0))
+        dense = extragradient_solve(with_dense_newton(ops), initial_point(game, 0))
         assert res.converged and res.newton_accepted >= 1
         assert calls == {"jacobian": 0, "newton": res.newton_accepted + res.newton_rejected}
         assert (res.iterations, res.evaluations, res.newton_accepted, res.newton_rejected) == (
             dense.iterations, dense.evaluations, dense.newton_accepted, dense.newton_rejected)
         assert np.abs(res.theta - dense.theta).max() <= 1e-12
 
-    def test_a_replaced_jacobian_cannot_keep_the_old_newton(self):
-        # the primal operator's newton stands in for its own jacobian only: an
-        # operator that kept it beside another jacobian would never call that
-        ops = game_operator(regularized_game(10.0))
-        assert ops.newton.jacobian is ops.jacobian
-        def wrapped(theta, rows=slice(None)):
-            return ops.jacobian(theta, rows)
-
-        with pytest.raises(ValueError, match="another jacobian"):
-            dataclasses.replace(ops, jacobian=wrapped)
-        assert dataclasses.replace(ops, jacobian=None, newton=None).newton is None
-
     @staticmethod
-    def _ranged_game(k, monkeypatch):
-        """A primal game on 7 random rows whose dense Newton step streams over
-        the row ranges 0-2, 3-5 and the ragged 6, with a jacobian that logs
-        the ranges it is asked for and no closed-form step, and a profile
-        inside the box."""
+    def _dense_game(k):
+        """A primal game on 7 random rows and a profile inside its box."""
         n = 7
         rng = np.random.default_rng(k)
         y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
         game = GameSpec(Dataset(rng.uniform(size=(n, k)), y), 10.0, 10.0,
                         *default_boxes(n, k, 1.0), bias_reg=1.0)
-        ops = dataclasses.replace(game_operator(game), newton=None)
-        monkeypatch.setattr(solver, "NEWTON_RANGE_ENTRIES", 3 * ops.dim_l * ops.row_size)
-        calls = []
-
-        def logged(theta, rows=slice(None)):
-            calls.append((rows.start, rows.stop))
-            return ops.jacobian(theta, rows)
-
-        z = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
-        return ops, dataclasses.replace(ops, jacobian=logged), calls, z
+        ops = game_operator(game)
+        return ops, ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_step_matches_a_dense_solve_on_the_free_coordinates(self, k, monkeypatch):
-        ops, logged, calls, z = self._ranged_game(k, monkeypatch)
+    def test_step_matches_a_dense_solve_on_the_free_coordinates(self, k):
+        ops, z = self._dense_game(k)
         L, b = ops.dim_l, ops.row_size
         g = ops.pseudo_grad(z)
         free = np.ones(ops.dim, dtype=bool)
         free[[1, L - 1]] = False  # a learner mean and a learner deviation
-        for row, j in ((0, 1), (1, b - 1), (6, 0)):  # one coordinate of rows in each range
+        for row, j in ((0, 1), (1, b - 1), (6, 0)):  # one coordinate of some rows
             free[L + row * b + j] = False
         free[L + 4 * b : L + 5 * b] = False  # all of row 4
-        d = solver._newton_step(logged, z, g, free)
-        assert calls == [(0, 3), (3, 6), (6, 7)]  # one jacobian call per range
+        d = dense_newton(ops.jacobian(z), g, free)
         J = assemble(ops.jacobian(z))
         want = np.zeros(ops.dim)
         want[free] = np.linalg.solve(J[np.ix_(free, free)], -g[free])
         assert np.all(d[~free] == 0.0)
         assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_a_singular_row_block_gives_no_step(self, monkeypatch):
-        ops, _, _, z = self._ranged_game(2, monkeypatch)
-
-        def planted(theta, rows=slice(None)):  # row 4's own block is zero
-            ll, ld, dl, dd = ops.jacobian(theta, rows)
-            if rows.start <= 4 < rows.stop:
-                dd = dd.copy()
-                dd[4 - rows.start] = 0.0
-            return ll, ld, dl, dd
-
+    def test_a_singular_row_block_gives_no_step(self):
+        ops, z = self._dense_game(2)
+        blocks = ops.jacobian(z)
+        planted = blocks[3].copy()
+        planted[4] = 0.0  # row 4's own block
         free = np.ones(ops.dim, dtype=bool)
         g = ops.pseudo_grad(z)
-        assert solver._newton_step(dataclasses.replace(ops, jacobian=planted), z, g, free) is None
+        assert dense_newton(blocks[:3] + (planted,), g, free) is None
         # the same step without the planted block exists
-        assert solver._newton_step(ops, z, g, free) is not None
+        assert dense_newton(blocks, g, free) is not None
 
     def test_linear_game_takes_one_exact_newton_step(self):
         # one row of one entry: an attempt is priced at 3.5 evaluations, and
         # on an affine operator the Newton step lands on the solution
         J = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
-        def blocks(theta, rows=slice(None)):
-            return J[:1, :1], J[None, :1, 1:][rows], J[None, 1:, :1][rows], J[None, 1:, 1:][rows]
+        def blocks(theta):
+            return J[:1, :1], J[None, :1, 1:], J[None, 1:, :1], J[None, 1:, 1:]
 
-        ops = dataclasses.replace(bilinear_game(), jacobian=blocks)
+        ops = with_dense_newton(bilinear_game(), blocks)
         res = extragradient_solve(ops, np.array([3.0, -4.0]), SolverConfig(epsilon=1e-12))
         assert res.converged and res.newton_accepted == 1 and res.newton_rejected == 0
         assert res.iterations <= 4

@@ -21,8 +21,9 @@ per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
 Jacobian calls, closed-form Newton step calls where the operator has that
 step, iterations, residual and the largest coordinate distance
-between the two sides' solutions; for a Newton candidate: whether there was
-a step and that distance between the two sides' candidates; for a
+between the two sides' solutions; for a Newton candidate: the Newton
+attempts of the solve to its iterate, whether there was a step and that
+distance between the two sides' candidates; for a
 monotonicity sample: its violations; for a curve: its points, and whether
 the two sides' points are equal), then each side's peak worker RSS and
 bench/run.py's environment(): the core count and the BLAS.
@@ -180,7 +181,7 @@ def _solve_cases(tiny):
             return call
 
         wrapped = {f: counting(f) for f in fields}
-        if "newton" in wrapped:  # the counted newton stands in for the counted jacobian
+        if "newton" in wrapped:  # checkouts that refuse a newton not marked with its jacobian
             wrapped["newton"].jacobian = wrapped["jacobian"]
         counted = dataclasses.replace(ops, **wrapped)
 
@@ -203,8 +204,8 @@ def _solve_cases(tiny):
 def _newton_cases(tiny):
     """One Newton candidate at rho = 10: (4000, 2) with bias_reg = 0, the
     solve-primal workload's game, and (500, 20) with bias_reg = 1, at the
-    iterate that NEWTON_ITERATE extragradient iterations without the jacobian
-    reach from initial_point(game, 0). Both iterates give a step, which the
+    iterate that NEWTON_ITERATE extragradient iterations without Newton
+    attempts reach from initial_point(game, 0). Both iterates give a step, which the
     solver would keep at (4000, 2) and reject at (500, 20); from 15
     iterations on, the (4000, 2) system is singular."""
     import dataclasses
@@ -215,15 +216,18 @@ def _newton_cases(tiny):
     def setup(n, k, bias_reg):
         game = _game(n, k, 10.0, bias_reg)
         ops = game_operator(game)
-        first_order = dataclasses.replace(ops, jacobian=None)
-        theta = solver.extragradient_solve(first_order, solver.initial_point(game, 0),
-                                           solver.SolverConfig(max_iter=NEWTON_ITERATE)).theta
+        # no attempt on either side: a checkout's solver attempts where the
+        # operator has a jacobian or where it has a newton
+        first_order = dataclasses.replace(ops, jacobian=None, newton=None)
+        res = solver.extragradient_solve(first_order, solver.initial_point(game, 0),
+                                         solver.SolverConfig(max_iter=NEWTON_ITERATE))
+        theta, attempts = res.theta, res.newton_accepted + res.newton_rejected
         g = ops.pseudo_grad(theta)
 
         def call():
             cand = solver._newton_candidate(ops, theta, g)
             # without a step the iterate stands in for the candidate
-            return {"step": cand is not None,
+            return {"iterate_attempts": attempts, "step": cand is not None,
                     "theta": (theta if cand is None else cand).tolist()}
 
         return call
