@@ -176,14 +176,10 @@ class SecurityCurve:
     fp_target: float
     repetitions: int
 
-    def write_csv(self, path, seed=None) -> None:
-        rows = ["d_max,tp_mean,tp_std,fp_target,repetitions,seed\n"]
-        for d, m, s in self.points:
-            rows.append(
-                f"{d:.17g},{m:.17g},{s:.17g},{self.fp_target:.17g},"
-                f"{self.repetitions},{'' if seed is None else seed}\n"
-            )
-        atomic_write(path, "".join(rows))
+    def write_csv(self, path, seed) -> None:
+        rows = "".join(f"{d:.17g},{m:.17g},{s:.17g},{self.fp_target:.17g},{self.repetitions},"
+                       f"{seed}\n" for d, m, s in self.points)
+        atomic_write(path, "d_max,tp_mean,tp_std,fp_target,repetitions,seed\n" + rows)
 
     def auc(self) -> float:
         """Trapezoid-rule area under the curve over the d_max grid, which needs

@@ -1,14 +1,15 @@
 """Command-line surface: synthetic data, equilibrium and baseline training,
 attacks, security evaluation, diagnostics, and grid search.
 
-Exit codes: 0 success; 2 solver hit max_iter; 3 uniqueness check failed;
-64 bad flags or game config keys; 66 file errors.
+Exit codes: 0 success; 2 the solver or the baseline C-SVM hit its step cap; 3
+uniqueness check failed; 64 bad flags or game config keys; 66 file errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -169,10 +170,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_train_baseline(args) -> int:
     dataset = _load_dataset(args.data)
-    w, b = costs.train_baseline_svm(dataset, args.C, seed=args.seed)
-    v = np.concatenate([w, [b], np.zeros(dataset.k + 1)])
-    model.save_flat_csv(args.out, v)
-    return 0
+    with warnings.catch_warnings(record=True) as capped:  # the params are written either way
+        warnings.simplefilter("always")
+        w, b = costs.train_baseline_svm(dataset, args.C)
+    model.save_flat_csv(args.out, np.concatenate([w, [b], np.zeros(dataset.k + 1)]))
+    sys.stderr.writelines(f"error: {warning.message}\n" for warning in capped)
+    return 2 if capped else 0
 
 
 def _cmd_attack(args) -> int:
@@ -281,7 +284,6 @@ def build_parser() -> _Parser:
     tb.add_argument("--data", required=True)
     tb.add_argument("--C", type=_flag(float, lambda c: 0.0 < c < np.inf, "a finite positive C"),
                     required=True)
-    tb.add_argument("--seed", type=_seed, default=0)
     tb.add_argument("--out", required=True)
     tb.set_defaults(func=_cmd_train_baseline)
 

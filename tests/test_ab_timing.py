@@ -1,6 +1,6 @@
 """tools/ab_timing.py at tiny sizes: every registry entry's report has its
-keys, cases timed in the change alone carry no parent numbers, and a checkout
-without randgame is refused rather than timed."""
+keys for both sides, and a checkout without randgame is refused rather than
+timed."""
 
 import importlib.util
 import json
@@ -23,13 +23,13 @@ def test_compare_reports_every_case(entry):
             "peak_rss_mb", "cases"} <= set(report)
     assert report["blas_threads"] == 1 and report["cores"] >= 1 and report["blas"]
     assert report["peak_rss_mb"]["parent"] > 0 and report["peak_rss_mb"]["change"] > 0
-    labels = [label for label, _, _ in timing.ENTRIES[entry][0](True)]
+    labels = [label for label, _ in timing.ENTRIES[entry][0](True)]
     assert list(report["cases"]) == labels
-    for label, change_only, _ in timing.ENTRIES[entry][0](True):
+    sides = ("parent", "change")
+    keys = {f"{side}_{key}" for side in sides for key in ("ms", "pass_ms")} | {"ratio"}
+    for label in labels:
         row = report["cases"][label]
-        sides = ("change",) if change_only else ("parent", "change")
-        assert {f"{side}_{key}" for side in sides for key in ("ms", "pass_ms")} <= set(row)
-        assert ("ratio" in row) == (not change_only) and ("parent_ms" in row) != change_only
+        assert keys <= set(row)
         assert all(row[f"{side}_ms"] > 0 and len(row[f"{side}_pass_ms"]) == 1 for side in sides)
         if entry == "solve":
             for side in sides:
@@ -47,8 +47,8 @@ def test_compare_reports_every_case(entry):
             assert row["max_abs_theta_diff"] == 0.0  # both sides ran the same code
         if entry == "mono":
             assert all(type(row[side]["violations"]) is int for side in sides)
-            if not change_only:  # both sides ran the same code on the same pairs
-                assert row["parent"]["violations"] == row["change"]["violations"]
+            # both sides ran the same code on the same pairs
+            assert row["parent"]["violations"] == row["change"]["violations"]
         if entry == "curve":
             assert all(len(row[side]["points"]) >= 2 for side in sides)
             assert row["same_points"]  # both sides ran the same code

@@ -492,7 +492,66 @@ class TestDeterministicLimit:
             assert cost_l == pytest.approx(det, abs=1e-3)
 
 
+def _svm_objective(X, y, C, w, b):
+    return 0.5 / C * w @ w + np.maximum(1.0 - y * (X @ w + b), 0.0).sum()
+
+
+def _svm_qp_oracle(X, y, C):
+    """The optimal 1/(2C) ||w||^2 + sum(xi) over (w, b, xi) subject to xi >= 0
+    and xi >= 1 - y (X w + b): the slack form of the C-SVM, solved by scipy's
+    SLSQP, independent of the dual that train_baseline_svm solves."""
+    from scipy.optimize import minimize
+
+    n, k = X.shape
+    yX = np.hstack([y[:, None] * X, y[:, None], np.eye(n)])  # margin rows over (w, b, xi)
+    res = minimize(
+        lambda v: 0.5 / C * v[:k] @ v[:k] + v[k + 1:].sum(), np.r_[np.zeros(k + 1), np.ones(n)],
+        jac=lambda v: np.r_[v[:k] / C, 0.0, np.ones(n)], method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda v: yX @ v - 1.0, "jac": lambda v: yX}],
+        bounds=[(None, None)] * (k + 1) + [(0.0, None)] * n,
+        options={"ftol": 1e-12, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return res.fun
+
+
+def _criterion_10_training_set(seed):
+    """The class-balanced 30 + 30 training subsample of synth_2d(500, 0.4,
+    seed) that criterion 10 trains both classifiers on."""
+    ds = synth_2d(500, 0.4, seed)
+    rng = np.random.default_rng(seed + 1000)
+    idx = np.concatenate([rng.permutation(np.flatnonzero(ds.labels == lab))[:30]
+                          for lab in (-1.0, 1.0)])
+    return Dataset(ds.features[idx], ds.labels[idx])
+
+
 class TestBaselineSvm:
+    @pytest.mark.parametrize("C", [1.0, 100.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_qp_oracle(self, seed, C):
+        ds = _criterion_10_training_set(seed)
+        X, y = ds.features, ds.labels
+        got = _svm_objective(X, y, C, *train_baseline_svm(ds, C))
+        assert got == pytest.approx(_svm_qp_oracle(X, y, C), rel=1e-6)
+        if C == 100.0:  # the optima the randomized subgradient search fell short of
+            assert got == pytest.approx([0.264, 0.273, 0.314, 0.225, 0.440][seed], abs=1e-3)
+
+    @pytest.mark.parametrize("label", [-1.0, 1.0])
+    def test_one_class_gives_zero_weights_and_a_unit_bias(self, label):
+        X = np.random.default_rng(3).uniform(size=(6, 3))
+        w, b = train_baseline_svm(Dataset(X, np.full(6, label)), C=10.0)
+        assert np.array_equal(w, np.zeros(3)) and b == label
+
+    def test_step_cap_warns_with_the_gap(self, monkeypatch):
+        import randgame.costs as costs_module
+
+        # the criterion-10 set at C = 100 takes 23 steps
+        monkeypatch.setattr(costs_module, "BASELINE_STEPS", 5)
+        ds = _criterion_10_training_set(0)
+        with pytest.warns(RuntimeWarning, match=r"cap of 5 SMO steps with KKT gap \S+ > 1e-09"):
+            w, b = train_baseline_svm(ds, C=100.0)
+        assert _svm_objective(ds.features, ds.labels, 100.0, w, b) > 0.264
+
     def test_separable_data_is_separated(self):
         X = np.vstack([np.full((5, 2), 0.1), np.full((5, 2), 0.9)])
         X = np.clip(X + np.random.default_rng(0).normal(scale=0.02, size=X.shape), 0, 1)
@@ -516,11 +575,11 @@ class TestBaselineSvm:
         with pytest.raises(ValueError, match="C must be positive and finite"):
             train_baseline_svm(Dataset(*_blob_data()), C=C)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         ds = Dataset(*_blob_data())
-        w1, b1 = train_baseline_svm(ds, C=1.0, seed=5)
-        w2, b2 = train_baseline_svm(ds, C=1.0, seed=5)
-        assert np.array_equal(w1, w2) and b1 == b2
+        w1, b1 = train_baseline_svm(ds, C=1.0)
+        w2, b2 = train_baseline_svm(ds, C=1.0)
+        assert w1.tobytes() == w2.tobytes() and b1 == b2
 
 
 def _blob_data(n=8, seed=42):

@@ -2,6 +2,7 @@
 including exit codes and determinism."""
 
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -295,6 +296,19 @@ class TestCliPipeline:
         v = load_flat_csv(out)
         assert v.size == 6 and np.all(v[3:] == 0.0)
 
+    def test_train_baseline_at_the_step_cap_writes_its_params_and_exits_2(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        data = self._gen(tmp_path)
+        out = tmp_path / "base.csv"
+        monkeypatch.setattr(costs, "BASELINE_STEPS", 2)
+        assert main(["train-baseline", "--data", str(data), "--C", "1.0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            r"error: the baseline C-SVM stopped at the cap of 2 SMO steps with KKT gap "
+            r"\d\.\d{3}e[+-]\d+ > 1e-09", err[0]), err
+        v = load_flat_csv(out)
+        assert v.size == 6 and np.all(v[3:] == 0.0)
+
     def test_train_reports_nonconvergence(self, tmp_path):
         data = self._gen(tmp_path)
         cfg = tmp_path / "game.cfg"
@@ -556,7 +570,10 @@ class TestCliPipeline:
             main([command, *argv, "--seed", "-1"])
         assert exc.value.code == EX_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: argument --seed: expected")
+        if command == "train-baseline":  # its solve is exact and takes no seed at all
+            assert err[-1] == "error: unrecognized arguments: --seed -1"
+        else:
+            assert err[-1].startswith("error: argument --seed: expected")
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("pairs", ["-3", "0", "1.5"])

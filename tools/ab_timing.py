@@ -19,11 +19,10 @@ median per-call time of its rounds, and the parent and the change alternate
 pass by pass so that slow drift of the host hits both alike. The JSON holds
 per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
-Jacobian calls, closed-form Newton step calls where the operator has that
-step, iterations, residual and the largest coordinate distance
-between the two sides' solutions; for a Newton candidate: the Newton
-attempts of the solve to its iterate, whether there was a step and that
-distance between the two sides' candidates; for a
+Jacobian calls, closed-form Newton step calls, iterations, residual and the
+largest coordinate distance between the two sides' solutions; for a Newton
+candidate: the Newton attempts of the solve to its iterate, whether there was
+a step and that distance between the two sides' candidates; for a
 monotonicity sample: its violations; for a curve: its points, and whether
 the two sides' points are equal), then each side's peak worker RSS and
 bench/run.py's environment(): the core count and the BLAS.
@@ -62,12 +61,12 @@ def _cold_cases(tiny):
         peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
         return {"modules": int(proc.stdout), "child_peak_rss_mb": peak_mb}
 
-    yield "import randgame.cli", False, lambda: call
+    yield "import randgame.cli", lambda: call
 
 
 def _pgrad_cases(tiny):
-    """(label, change only, setup) per game: four primal games and an RBF dual
-    game on 60 points, inputs from fixed seeds."""
+    """(label, setup) per game: four primal games and an RBF dual game on 60
+    points, inputs from fixed seeds."""
     import numpy as np
 
     from randgame.costs import game_operator
@@ -84,10 +83,10 @@ def _pgrad_cases(tiny):
 
     sizes, dual_n = (((3, 2),), 4) if tiny else (((10, 2), (4000, 2), (1000, 200), (500, 1000)), 60)
     for n, k in sizes:
-        yield f"primal n={n} k={k}", False, lambda n=n, k=k: setup(
+        yield f"primal n={n} k={k}", lambda n=n, k=k: setup(
             n * 7919 + k, n, k,
             lambda d: game_operator(GameSpec(d, 10.0, 10.0, *default_boxes(n, k, 1.0))))
-    yield f"dual rbf n={dual_n}", False, lambda: setup(
+    yield f"dual rbf n={dual_n}", lambda: setup(
         dual_n, dual_n, 2, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0))
 
 
@@ -95,8 +94,7 @@ def _diag_games(tiny, timed):
     """The benchmark's certifying diagnostics game (rho = 100, bias_reg = 1,
     W = 0.5) on n uniform points in [0, 1]^2, and an RBF dual game (gamma = 1,
     rho = 10, bias_reg = 1) on 60 such points, whose lambda_omega comes from
-    the Gram matrix; n = 5000 runs in the change only, as the dense Jacobian
-    of older checkouts does not fit there. Each case times timed(ops)."""
+    the Gram matrix. Each case times timed(ops)."""
     import numpy as np
 
     from randgame.costs import game_operator
@@ -113,11 +111,10 @@ def _diag_games(tiny, timed):
         return lambda d: game_operator(GameSpec(d, 100.0, 100.0, *default_boxes(n, 2, 0.5),
                                                 bias_reg=1.0))
 
-    for n, change_only in ((3, False), (4, True)) if tiny else ((10, False), (500, False),
-                                                                (5000, True)):
-        yield f"n={n} k=2", change_only, lambda n=n: setup(n, primal(n))
+    for n in (3, 4) if tiny else (10, 500, 5000):
+        yield f"n={n} k=2", lambda n=n: setup(n, primal(n))
     dual_n = 4 if tiny else 60
-    yield f"dual rbf n={dual_n}", False, lambda: setup(
+    yield f"dual rbf n={dual_n}", lambda: setup(
         dual_n, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0, 1.0))
 
 
@@ -164,12 +161,10 @@ def _solve_cases(tiny):
     def setup(n, k, rho):
         game = _game(n, k, rho, 1.0)
         ops, init = game_operator(game), initial_point(game, 0)
-        # the Newton attempts are the closed-form step's calls where the
-        # operator has one, and spend the jacobian calls where it does not
-        fields = ("pseudo_grad", "jacobian") + (("newton",) if getattr(ops, "newton", None) else ())
+        # the Newton attempts are the closed-form step's calls
         names = {"pseudo_grad": "evaluations", "jacobian": "jacobian_calls",
                  "newton": "newton_calls"}
-        count = dict.fromkeys((names[f] for f in fields), 0)
+        count = dict.fromkeys(names.values(), 0)
 
         def counting(field):
             fn = getattr(ops, field)
@@ -180,17 +175,13 @@ def _solve_cases(tiny):
 
             return call
 
-        wrapped = {f: counting(f) for f in fields}
-        if "newton" in wrapped:  # checkouts that refuse a newton not marked with its jacobian
-            wrapped["newton"].jacobian = wrapped["jacobian"]
-        counted = dataclasses.replace(ops, **wrapped)
+        counted = dataclasses.replace(ops, **{f: counting(f) for f in names})
 
         def call():
             count.update(dict.fromkeys(count, 0))
             res = extragradient_solve(counted, init, SolverConfig(epsilon=1e-8))
             return dict(count, iterations=res.iterations, residual=res.residual,
-                        newton_accepted=getattr(res, "newton_accepted", 0),
-                        newton_rejected=getattr(res, "newton_rejected", 0),
+                        newton_accepted=res.newton_accepted, newton_rejected=res.newton_rejected,
                         theta=res.theta.tolist())
 
         return call
@@ -198,7 +189,7 @@ def _solve_cases(tiny):
     grid = [(6, 2, 10.0)] if tiny else [(n, k, rho) for n, k in ((50, 2), (4000, 2), (500, 20))
                                         for rho in (0.1, 10.0, 100.0)]
     for n, k, rho in grid:
-        yield f"n={n} k={k} rho={rho:g}", False, lambda n=n, k=k, rho=rho: setup(n, k, rho)
+        yield f"n={n} k={k} rho={rho:g}", lambda n=n, k=k, rho=rho: setup(n, k, rho)
 
 
 def _newton_cases(tiny):
@@ -216,9 +207,8 @@ def _newton_cases(tiny):
     def setup(n, k, bias_reg):
         game = _game(n, k, 10.0, bias_reg)
         ops = game_operator(game)
-        # no attempt on either side: a checkout's solver attempts where the
-        # operator has a jacobian or where it has a newton
-        first_order = dataclasses.replace(ops, jacobian=None, newton=None)
+        # no attempt on either side: the solver attempts where the operator has a newton
+        first_order = dataclasses.replace(ops, newton=None)
         res = solver.extragradient_solve(first_order, solver.initial_point(game, 0),
                                          solver.SolverConfig(max_iter=NEWTON_ITERATE))
         theta, attempts = res.theta, res.newton_accepted + res.newton_rejected
@@ -233,7 +223,7 @@ def _newton_cases(tiny):
         return call
 
     for n, k, bias_reg in ((6, 2, 1.0),) if tiny else ((4000, 2, 0.0), (500, 20, 1.0)):
-        yield f"n={n} k={k} bias_reg={bias_reg:g}", False, lambda n=n, k=k, b=bias_reg: setup(
+        yield f"n={n} k={k} bias_reg={bias_reg:g}", lambda n=n, k=k, b=bias_reg: setup(
             n, k, b)
 
 
@@ -279,11 +269,11 @@ def _curve_cases(tiny):
         return np.append(u + 0.2 * rng.normal(size=k) / np.sqrt(k), 0.0), Dataset(X, y)
 
     (fn, fk), (bn, bk) = ((40, 60), (20, 5)) if tiny else ((1000, 1000), (500, 20))
-    yield f"flip spam {fn}x{fk} d=0..20", False, lambda: setup(
+    yield f"flip spam {fn}x{fk} d=0..20", lambda: setup(
         *spam(fn, fk, False), "binary_flip", [0, 2, 5, 10, 20], 3)
-    yield f"flip w>0 {fn}x{fk} d=0,20", False, lambda: setup(
+    yield f"flip w>0 {fn}x{fk} d=0,20", lambda: setup(
         *spam(fn, fk, True), "binary_flip", [0, 20], 3)
-    yield f"box {bn}x{bk} d=0,1,2", False, lambda: setup(*box(bn, bk), "l2_box_pgd", [0, 1, 2], 1)
+    yield f"box {bn}x{bk} d=0,1,2", lambda: setup(*box(bn, bk), "l2_box_pgd", [0, 1, 2], 1)
 
 
 # name: (cases, default output, metric, rounds, passes)
@@ -312,9 +302,7 @@ def _worker(spec: dict) -> dict:
     import randgame
 
     result = {"cases": {}, "randgame": randgame.__file__}
-    for label, change_only, setup in ENTRIES[spec["entry"]][0](spec["tiny"]):
-        if change_only and spec["side"] == "parent":
-            continue
+    for label, setup in ENTRIES[spec["entry"]][0](spec["tiny"]):
         call = setup()
         t0 = time.perf_counter()
         info = call()
@@ -331,13 +319,13 @@ def _worker(spec: dict) -> dict:
     return result
 
 
-def time_checkout(checkout, entry, side="change", tiny=False, rounds=None) -> dict:
+def time_checkout(checkout, entry, tiny=False, rounds=None) -> dict:
     """One pass of entry in a fresh process with one BLAS thread, on the
     checkout at path. Raises RuntimeError if that process imported a randgame
     from elsewhere (an installed copy), which would time the wrong code."""
     src = Path(checkout).resolve() / "src"
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
-    spec = {"entry": entry, "side": side, "tiny": tiny, "rounds": rounds or ENTRIES[entry][3]}
+    spec = {"entry": entry, "tiny": tiny, "rounds": rounds or ENTRIES[entry][3]}
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
         env=env, capture_output=True, text=True, check=True,
@@ -358,17 +346,16 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
     runs = {"parent": [], "change": []}
     for _ in range(passes):
         for side, path in (("parent", parent), ("change", change)):
-            runs[side].append(time_checkout(path, entry, side, tiny, rounds))
+            runs[side].append(time_checkout(path, entry, tiny, rounds))
     cases = {}
     for label in runs["change"][0]["cases"]:
         row = {}
-        for side in [side for side in runs if label in runs[side][0]["cases"]]:
+        for side in runs:
             ms = [1e3 * r["cases"][label]["s"] for r in runs[side]]
             row.update({f"{side}_ms": median(ms), f"{side}_pass_ms": ms})
             if runs[side][0]["cases"][label]["info"]:
                 row[side] = runs[side][0]["cases"][label]["info"]
-        if "parent_ms" in row:
-            row["ratio"] = row["change_ms"] / row["parent_ms"]
+        row["ratio"] = row["change_ms"] / row["parent_ms"]
         if "theta" in row.get("parent", {}):
             row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
                 row["change"].pop("theta"), row["parent"].pop("theta")))
@@ -406,7 +393,7 @@ def main(argv=None) -> int:
     Path(args.out or ENTRIES[args.entries[0]][1]).write_text(json.dumps(out, indent=2) + "\n")
     for entry, report in reports.items():
         for label, row in report["cases"].items():
-            print(f"{entry:6s} {label:24s} {row.get('parent_ms', float('nan')):10.3f} -> "
+            print(f"{entry:6s} {label:24s} {row['parent_ms']:10.3f} -> "
                   f"{row['change_ms']:10.3f} ms")
     return 0
 
