@@ -14,7 +14,7 @@ from .attacks import (
     tp_at_fp,
 )
 from .costs import game_operator, train_baseline_svm
-from .data import GridSpec, load_dense_csv, load_sparse, synth_2d
+from .data import load_dataset, load_dense_csv, load_sparse, synth_2d
 from .diagnostics import (
     DiagnosticsReport,
     loss_hessians,

@@ -8,6 +8,7 @@ uniqueness check failed; 64 bad flags or game config keys; 66 file errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import warnings
 
@@ -24,16 +25,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EX_USAGE)
-
-
-def _load_dataset(path):
-    """The dense or sparse dataset at path, told apart by its first content
-    line (the first that is not blank or a '#' comment): idx:val tokens are
-    sparse."""
-    first = next(data_io._content_blocks(path), [""])[0]
-    if ":" in first:
-        return data_io.load_sparse(path)
-    return data_io.load_dense_csv(path)
 
 
 class _UsageError(ValueError):
@@ -130,10 +121,11 @@ def _load_learner(params_path, k) -> np.ndarray:
     return v[:m]
 
 
-def _grids_from_config(cfg: dict) -> data_io.GridSpec:
-    """DEFAULT_GRID with the grids cfg sets, each a comma list of finite
-    positive values."""
-    grids = dict(vars(data_io.DEFAULT_GRID))
+def _grids_from_config(cfg: dict):
+    """The rho_l, rho_d and W grids: the defaults below, with the grids cfg
+    sets, each a comma list of finite positive values."""
+    grids = {"rho_l_grid": (0.01, 0.1, 1.0, 10.0, 100.0),
+             "rho_d_grid": (0.01, 0.05, 0.1, 1.0, 10.0), "W_grid": (0.01, 0.05, 0.1, 1.0)}
     for key, raw in cfg.items():
         if key not in grids:
             raise _UsageError(f"unknown grid config key {key!r}")
@@ -144,7 +136,7 @@ def _grids_from_config(cfg: dict) -> data_io.GridSpec:
             ok = False
         if not ok:
             raise _UsageError(f"bad value for grid config key {key!r}: {raw!r}")
-    return data_io.GridSpec(**grids)
+    return grids.values()
 
 
 def _cmd_gen_synth(args) -> int:
@@ -154,7 +146,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = data_io.load_dataset(args.data)
     cfg = model.load_config(args.game) if args.game else {}
     game, scfg = _game_from_config(cfg, dataset)
     result = solver.extragradient_solve(costs.game_operator(game), cfg=scfg)
@@ -169,7 +161,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = data_io.load_dataset(args.data)
     with warnings.catch_warnings(record=True) as capped:  # the params are written either way
         warnings.simplefilter("always")
         w, b = costs.train_baseline_svm(dataset, args.C)
@@ -179,7 +171,7 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = data_io.load_dataset(args.data)
     mu_w = _load_learner(args.params, dataset.k)
     try:
         attacks._check_budget(args.dmax, whole=args.mode == "binary_flip")
@@ -194,7 +186,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_secure_eval(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = data_io.load_dataset(args.data)
     mu_w = _load_learner(args.params, dataset.k)
     _check_both_classes(dataset, args.data, "secure-eval")
     d_list = args.dmax_list
@@ -213,7 +205,7 @@ def _cmd_secure_eval(args) -> int:
 
 
 def _cmd_check_eq(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = data_io.load_dataset(args.data)
     cfg = model.load_config(args.game) if args.game else {}
     game, _ = _game_from_config(cfg, dataset)
     ops = costs.game_operator(game)
@@ -230,7 +222,7 @@ def _cmd_grid_search(args) -> int:
     if len(d_list) < 2:
         raise _UsageError(f"grid-search scores a curve by its area, which needs at least two "
                           f"--dmax-list budgets, got {len(d_list)}")
-    dataset = _load_dataset(args.data)
+    dataset = data_io.load_dataset(args.data)
     grids = _grids_from_config(model.load_config(args.grids) if args.grids else {})
     n = dataset.n
     if n < 4:
@@ -242,18 +234,15 @@ def _cmd_grid_search(args) -> int:
     _check_both_classes(train, args.data, f"grid-search's training split ({train.n} of {n})")
     _check_both_classes(val, args.data, f"grid-search's validation split ({val.n} of {n})")
     best = None
-    for rho_l in grids.rho_l_grid:
-        for rho_d in grids.rho_d_grid:
-            for W in grids.W_grid:
-                lower, upper = model.default_boxes(train.n, train.k, W)
-                game = model.GameSpec(train, rho_l, rho_d, lower, upper)
-                scfg = solver.SolverConfig(max_iter=args.max_iter, seed=args.seed)
-                result = solver.extragradient_solve(costs.game_operator(game), cfg=scfg)
-                curve = attacks.security_curve(result.theta[: train.k + 1], val, "l2_box_pgd",
-                                               d_list, repetitions=args.reps, seed=args.seed)
-                auc = curve.auc()
-                if best is None or auc > best[0]:
-                    best = (auc, rho_l, rho_d, W)
+    for rho_l, rho_d, W in itertools.product(*grids):
+        game, scfg = _game_from_config(
+            dict(rho_l=rho_l, rho_d=rho_d, W=W, max_iter=args.max_iter, seed=args.seed), train)
+        result = solver.extragradient_solve(costs.game_operator(game), cfg=scfg)
+        curve = attacks.security_curve(result.theta[: train.k + 1], val, "l2_box_pgd", d_list,
+                                       repetitions=args.reps, seed=args.seed)
+        auc = curve.auc()
+        if best is None or auc > best[0]:
+            best = (auc, rho_l, rho_d, W)
     auc, rho_l, rho_d, W = best
     model.atomic_write(
         args.out,

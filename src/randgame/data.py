@@ -1,20 +1,19 @@
-"""Dataset ingestion, the 2-D synthetic generator used for the qualitative
-desk-scale experiments, and the grid-search grids."""
+"""Dataset ingestion and the 2-D synthetic generator used for the qualitative
+desk-scale experiments."""
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Dataset, ParseError, atomic_write
 
 
-def _parse_label(tok, path, lineno):
+def _parse_label(tok, path, lineno, parse=float):
     try:
-        val = float(tok)
+        val = parse(tok)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: bad label {tok!r}") from None
     if val not in (-1.0, 1.0):
@@ -22,9 +21,9 @@ def _parse_label(tok, path, lineno):
     return val
 
 
-# Content lines a loader joins, splits and converts at once: enough to spread
-# the calls' cost, few enough that a block's token strings stay small (loading
-# a 500 x 20 dense file peaks at 0.25 MB under tracemalloc).
+# Content lines the sparse loader joins, splits and converts at once: enough
+# to spread the calls' cost, few enough that a block's token strings stay
+# small.
 BLOCK_LINES = 64
 
 
@@ -45,7 +44,7 @@ def _raise_first_bad_line(path, check, *args):
             line = raw.strip()
             if line and not line.startswith("#"):
                 check(path, lineno, line, *args)
-    raise AssertionError(f"{path}: no line fails the check that failed in bulk")
+    raise ParseError(f"{path}: malformed content")
 
 
 def _dataset(path, X, labels, feature_kind) -> Dataset:
@@ -56,46 +55,43 @@ def _dataset(path, X, labels, feature_kind) -> Dataset:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _read_float(tok):
+    """float(tok) in numpy's reader's grammar: no digit separators or non-ASCII digits."""
+    if "_" in tok or not tok.strip().isascii():
+        raise ValueError(tok)
+    return float(tok)
+
+
 def _check_dense_line(path, lineno, line, width):
     """Raise the ParseError of a bad 'label,f1,f2,...' line, in the order
     label, values, count; width is the first line's count of values."""
     toks = line.split(",")
-    _parse_label(toks[0], path, lineno)
+    _parse_label(toks[0], path, lineno, _read_float)
     try:
-        list(map(float, toks[1:]))
+        list(map(_read_float, toks[1:]))
     except ValueError:
         raise ParseError(f"{path}:{lineno}: malformed feature value") from None
     if len(toks) - 1 != width:
         raise ParseError(f"{path}:{lineno}: inconsistent feature count")
 
 
-def _dense_block(block, width):
-    """The (len(block), width + 1) labels and values of a block of
-    'label,f1,f2,...' lines; ValueError when a line is bad."""
-    if not all(line.count(",") == width for line in block):
-        raise ValueError
-    flat = np.fromiter(map(float, ",".join(block).split(",")), float, len(block) * (width + 1))
-    return flat.reshape(len(block), width + 1)
-
-
 def load_dense_csv(path) -> Dataset:
     """Load 'label,f1,f2,...' lines; labels must be -1 or +1.
 
-    Each block of lines is joined and split once, and its labels and values
-    are converted in one call. Only a file that fails in bulk is read line by
-    line, for the first bad line's error."""
-    blocks = _content_blocks(path)
-    first = next(blocks, None)
+    numpy's reader converts the content lines as they stream from the file.
+    Only a file it refuses is read line by line, for the first bad line's
+    error."""
+    lines = itertools.chain.from_iterable(_content_blocks(path))
+    first = next(lines, None)
     if first is None:
         raise ParseError(f"{path}: no samples")
-    width = first[0].count(",")
     try:
-        flat = np.concatenate([_dense_block(block, width)
-                               for block in itertools.chain([first], blocks)])
+        # comments=None: a '#' after a value is malformed, not a comment
+        flat = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
         if not np.isin(flat[:, 0], (-1.0, 1.0)).all():
             raise ValueError
     except ValueError:
-        _raise_first_bad_line(path, _check_dense_line, width)
+        _raise_first_bad_line(path, _check_dense_line, first.count(","))
     return _dataset(path, np.ascontiguousarray(flat[:, 1:]), flat[:, 0].copy(),
                     "continuous_unit_interval")
 
@@ -175,6 +171,14 @@ def load_sparse(path) -> Dataset:
     return _dataset(path, X, y, kind)
 
 
+def load_dataset(path) -> Dataset:
+    """The dense or sparse dataset at path, told apart by its first content
+    line (the first that is not blank or a '#' comment): idx:val tokens are
+    sparse."""
+    first = next(_content_blocks(path), [""])[0]
+    return (load_sparse if ":" in first else load_dense_csv)(path)
+
+
 SYNTH_LEGIT_CENTER = (0.3, 0.3)
 SYNTH_STD = 0.08
 
@@ -191,23 +195,3 @@ def synth_2d(n_per_class: int, separation: float, seed: int) -> Dataset:
     X = np.clip(np.vstack([legit, mal]), 0.0, 1.0)
     y = np.concatenate([-np.ones(n_per_class), np.ones(n_per_class)])
     return Dataset(X, y)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    rho_l_grid: tuple
-    rho_d_grid: tuple
-    W_grid: tuple
-
-    def __post_init__(self):
-        for g in (self.rho_l_grid, self.rho_d_grid, self.W_grid):
-            if not g or not all(0.0 < v < np.inf for v in g):
-                raise ValueError("grids must be non-empty with finite positive entries")
-
-
-# Default search grids for model selection.
-DEFAULT_GRID = GridSpec(
-    rho_l_grid=(0.01, 0.1, 1.0, 10.0, 100.0),
-    rho_d_grid=(0.01, 0.05, 0.1, 1.0, 10.0),
-    W_grid=(0.01, 0.05, 0.1, 1.0),
-)

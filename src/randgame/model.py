@@ -211,7 +211,7 @@ def load_flat_csv(path) -> np.ndarray:
 
 
 def load_config(path) -> dict:
-    """Read a plain key=value config file; values parsed as floats when possible."""
+    """Read a key=value config file that sets each key once; values are floats when they parse."""
     cfg: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -222,6 +222,8 @@ def load_config(path) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key in cfg:
+                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 cfg[key] = float(val)
             except ValueError:

@@ -52,6 +52,10 @@ def test_compare_reports_every_case(entry):
         if entry == "curve":
             assert all(len(row[side]["points"]) >= 2 for side in sides)
             assert row["same_points"]  # both sides ran the same code
+        if entry == "load":
+            assert {row[side]["kind"] for side in sides} == {
+                "binary" if label.startswith("sparse") else "continuous_unit_interval"}
+            assert row["same_data"]  # both sides ran the same code
 
 
 def test_checkout_without_randgame_is_refused(tmp_path):

@@ -359,6 +359,14 @@ class TestSecurityCurve:
         with pytest.raises(ValueError, match="increasing"):
             security_curve(mu_w, ds, mode, [0.5, 0.5])
 
+    @pytest.mark.parametrize("label", [-1.0, 1.0])
+    def test_requires_both_classes(self, label):
+        # the CLI refuses such a set before the call, a library caller is not
+        mu_w, ds, mode = self._setup()
+        one = Dataset(ds.features[ds.labels == label], ds.labels[ds.labels == label])
+        with pytest.raises(ValueError, match="both classes"):
+            security_curve(mu_w, one, mode, [0.0, 0.5])
+
     def test_requires_a_repetition(self):
         mu_w, ds, mode = self._setup()
         with pytest.raises(ValueError, match="repetitions"):

@@ -383,6 +383,37 @@ class TestClosedFormNewtonStep:
         assert ops.newton(z, g, free) is not None
         assert shapes == [(ops.dim_l, ops.dim_l)]
 
+    @staticmethod
+    def _plant_singular_row(H_t, G, row):
+        """H_t = -I and G = I on one row, so that its I + H_t G is 0."""
+        H_t[:, :, row], G[:, :, row] = -np.eye(2), np.eye(2)
+
+    def test_capacitance_matches_per_row_inverses_and_refuses_a_singular_row(self):
+        import randgame.costs as costs_module
+
+        H_s, H_t, G = np.random.default_rng(3).normal(size=(3, 2, 2, 4))
+        NH, HN = costs_module._capacitance(H_s, H_t, G)
+        for i in range(4):
+            N = np.linalg.inv(np.eye(2) + H_t[:, :, i] @ G[:, :, i])
+            np.testing.assert_allclose(NH[:, :, i], N @ H_t[:, :, i], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(HN[:, :, i], H_s[:, :, i] @ N.T, rtol=1e-12, atol=1e-14)
+        self._plant_singular_row(H_t, G, 2)
+        assert costs_module._capacitance(H_s, H_t, G) is None
+
+    def test_singular_row_gives_no_step(self, monkeypatch):
+        import randgame.costs as costs_module
+
+        ops, z, g, free = self._case(2, 1.0, (10.0, 10.0), "interior", 0)
+        assert ops.newton(z, g, free) is not None
+        capacitance = costs_module._capacitance
+
+        def singular(H_s, H_t, G):
+            self._plant_singular_row(H_t, G, 3)
+            return capacitance(H_s, H_t, G)
+
+        monkeypatch.setattr(costs_module, "_capacitance", singular)
+        assert ops.newton(z, g, free) is None
+
 
 class TestOperator:
     def test_operator_matches_evaluate(self):

@@ -15,10 +15,10 @@ from oracles import load_dense_tokens, load_sparse_tokens, with_dense_newton
 from randgame import attacks, costs, solver
 from randgame import data as data_io
 from randgame.attacks import SecurityCurve
-from randgame.cli import EX_NOINPUT, EX_USAGE, main
+from randgame.cli import EX_NOINPUT, EX_USAGE, _grids_from_config, main
 from randgame.data import (
-    DEFAULT_GRID,
     ParseError,
+    load_dataset,
     load_dense_csv,
     load_sparse,
     save_dense_csv,
@@ -93,6 +93,27 @@ class TestDenseCsv:
         p = tmp_path / "d.csv"
         p.write_text("+1,0.1,1.5\n")
         with pytest.raises(ParseError, match=r"\[0, 1\]"):
+            load_dense_csv(p)
+
+    # float takes digit separators and non-ASCII digits, numpy's reader does not
+    @pytest.mark.parametrize("line, message", [
+        ("+1,0_5", "malformed feature value"),
+        ("+1,\u0660.\u0665", "malformed feature value"),  # Arabic-Indic 0.5
+        ("+0_1,0.5", "bad label '+0_1'"),
+    ])
+    def test_value_numpy_refuses_names_its_line(self, tmp_path, line, message):
+        p = tmp_path / "d.csv"
+        p.write_text(f"-1,0.2\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
+            load_dense_csv(p)
+
+    def test_refused_file_without_a_bad_line_is_still_a_parse_error(self, tmp_path,
+                                                                    monkeypatch):
+        # should the line check ever pass every line numpy's reader refused
+        monkeypatch.setattr(data_io, "_check_dense_line", lambda *args: None)
+        p = tmp_path / "d.csv"
+        p.write_text("+1,0.1\n-1,abc\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: malformed content"):
             load_dense_csv(p)
 
 
@@ -174,6 +195,7 @@ class TestBulkParsers:
         "+1,0.1,0.2\n\n# c\n-1,0.3\n0,0.1,0.2\n",  # ragged on line 4, then a bad label
         "+1,0.1\n-1,0.3,0.4\n-1,0.3,0.4\n",
         "+1,0.1,0.2\n-1,nan,0.4\n",  # a value the Dataset rejects
+        "+1,0.1,0.2\n-1,0.3,0.4 # note\n",  # a '#' after a value is no comment
         "",
         "# only a comment\n\n",
     ])
@@ -227,8 +249,8 @@ class TestSynth2d:
         )
 
     def test_grid_defaults_positive(self):
-        for g in (DEFAULT_GRID.rho_l_grid, DEFAULT_GRID.rho_d_grid, DEFAULT_GRID.W_grid):
-            assert all(v > 0 for v in g)
+        for g in _grids_from_config({}):
+            assert g and all(v > 0 for v in g)
 
 
 class TestCliPipeline:
@@ -342,14 +364,14 @@ class TestCliPipeline:
     )
     def test_bad_game_config_value_is_a_usage_error(self, tmp_path, capsys, command, line):
         data = self._gen(tmp_path, n=3)
+        key = line.partition("=")[0]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"rho_d=10\n{line}\n")
+        cfg.write_text(f"{'rho_l' if key == 'rho_d' else 'rho_d'}=10\n{line}\n")  # each key once
         argv = [command, "--data", str(data), "--game", str(cfg)]
         if command == "train":
             argv += ["--out", str(tmp_path / "eq.csv")]
         assert main(argv) == EX_USAGE
         err = capsys.readouterr().err.splitlines()
-        key = line.partition("=")[0]
         assert len(err) == 1 and err[0].startswith(f"error: bad value for game config key {key!r}: ")
         assert not (tmp_path / "eq.csv").exists()
 
@@ -507,6 +529,23 @@ class TestCliPipeline:
         assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: expected key=value"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("train", "--game", "rho_l=1\n# the last value used to win\nrho_l=100\n"),
+        ("grid-search", "--grids", "W_grid=1\nrho_l_grid=10\nrho_l_grid=1,10\n"),
+    ])
+    def test_repeated_config_key_is_an_input_error(self, tmp_path, capsys, command, flag,
+                                                   text):
+        data = self._gen(tmp_path, n=3)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        key = text.splitlines()[-1].partition("=")[0]
+        capsys.readouterr()
+        argv = [command, "--data", str(data), flag, str(cfg), "--out", str(out)]
+        assert main(argv) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:3: duplicate key {key!r}"]
+        assert not out.exists()
+
     def test_secure_eval_on_one_class_is_an_input_error(self, tmp_path, capsys):
         data = self._gen(tmp_path, n=3)
         params = tmp_path / "p.csv"
@@ -596,7 +635,9 @@ class TestCliPipeline:
     def test_bad_grid_config_is_a_usage_error(self, tmp_path, capsys, line, message):
         data = self._gen(tmp_path, n=3)
         grids = tmp_path / "grids.cfg"
-        grids.write_text(f"rho_d_grid=10\nW_grid=1\n{line}\n")
+        key = line.partition("=")[0]
+        small = [row for row in ("rho_d_grid=10", "W_grid=1") if row.partition("=")[0] != key]
+        grids.write_text("".join(f"{row}\n" for row in [*small, line]))  # each key once
         out = tmp_path / "best.csv"
         capsys.readouterr()
         assert main(["grid-search", "--data", str(data), "--grids", str(grids),
@@ -647,6 +688,18 @@ class TestCliPipeline:
         loader = load_sparse if kind == "binary" else load_dense_csv
         ds = loader(data)
         assert (ds.n, ds.k, ds.feature_kind) == (4, 2, kind)
+        assert read_outcome(load_dataset, data) == read_outcome(loader, data)
+
+    @pytest.mark.parametrize("value", ["0_5", "\u0660.\u0665"])
+    def test_dense_value_numpy_refuses_is_an_input_error(self, tmp_path, capsys, value):
+        data = tmp_path / "d.csv"
+        data.write_text(f"-1,0.2\n-1,0.3\n+1,0.6\n+1,{value}\n", encoding="utf-8")
+        out = tmp_path / "eq.csv"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}:4: malformed feature value"]
+        assert not out.exists()
 
     def test_bad_flags_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -816,3 +869,27 @@ class TestGoldenOutputs:
         got, want = load_dense_csv(out), load_dense_csv(GOLDEN / name)
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_allclose(got.features, want.features, rtol=0, atol=1e-12)
+
+    def test_grid_search_bytes(self, tmp_path, capsys, monkeypatch):
+        # grid_best.csv and grid_eq.csv (each grid point's solution, a row
+        # each) were written when grid-search built its games by hand. The
+        # two grid points score AUCs 0.21875 and 0.1875; the first solve
+        # stops at --max-iter, the second at the default tolerance
+        solve, rows = solver.extragradient_solve, []
+
+        def recorded(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            rows.append(",".join(f"{v:.17g}" for v in result.theta) + "\n")
+            return result
+
+        monkeypatch.setattr(solver, "extragradient_solve", recorded)
+        grids = tmp_path / "grids.cfg"
+        grids.write_text("rho_l_grid=10\nrho_d_grid=5,10\nW_grid=1\n")
+        out = tmp_path / "best.csv"
+        capsys.readouterr()
+        assert main(["grid-search", "--data", str(GOLDEN / "train.csv"), "--grids", str(grids),
+                     "--dmax-list", "0,0.5", "--reps", "2", "--max-iter", "300",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "grid_best.csv").read_bytes()
+        assert "".join(rows) == (GOLDEN / "grid_eq.csv").read_text()
+        assert capsys.readouterr().out == "best rho_l=10.0 rho_d=5.0 W=1.0 auc=0.2188\n"

@@ -1,6 +1,7 @@
 """Data model: validation of datasets, games and flat profiles, boxes, serialization."""
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -266,6 +267,12 @@ class TestSerialization:
         p = tmp_path / "game.cfg"
         p.write_text("# comment\n\nrho_d = 2.5\n")
         assert load_config(p) == {"rho_d": 2.5}
+
+    def test_config_rejects_a_repeated_key(self, tmp_path):
+        p = tmp_path / "game.cfg"
+        p.write_text("rho_l=1\nrho_d=2\n rho_l = 100\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: duplicate key 'rho_l'$"):
+            load_config(p)
 
     def test_config_rejects_garbage(self, tmp_path):
         p = tmp_path / "game.cfg"

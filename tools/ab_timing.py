@@ -12,8 +12,9 @@ mono one monotonicity_sample(ops, 50, 0) (and its violations) on the diag
 games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
 iterations, the default) and newton one Newton candidate of the solver, each
 on the games its cases build; curve times one security_curve (binary_flip
-and box-L2) on the sets its cases build. Each checkout runs in its own Python
-process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
+and box-L2) on the sets its cases build, and load one data.load_dataset of
+the dense and sparse files its cases write. Each checkout runs in its own
+Python process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
 call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
 median per-call time of its rounds, and the parent and the change alternate
 pass by pass so that slow drift of the host hits both alike. The JSON holds
@@ -24,8 +25,10 @@ largest coordinate distance between the two sides' solutions; for a Newton
 candidate: the Newton attempts of the solve to its iterate, whether there was
 a step and that distance between the two sides' candidates; for a
 monotonicity sample: its violations; for a curve: its points, and whether
-the two sides' points are equal), then each side's peak worker RSS and
-bench/run.py's environment(): the core count and the BLAS.
+the two sides' points are equal; for a load: the set's shape, kind and
+digest, and whether the two sides loaded the same set), then each side's
+peak worker RSS and bench/run.py's environment(): the core count and the
+BLAS.
 Several entries write one file that maps each entry's name to its report.
 """
 
@@ -227,6 +230,40 @@ def _newton_cases(tiny):
             n, k, b)
 
 
+def _spam_set(n, k, positive):
+    """A learner's means [w; b] and n spam-like binary rows: malicious rows at
+    about 3% density, or with all weights positive at 1%."""
+    import numpy as np
+
+    from randgame.model import Dataset
+
+    rng = np.random.default_rng(k + positive)
+    y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    p_legit = np.full(k, 0.01)
+    p_mal = p_legit.copy()
+    if not positive:
+        words = rng.permutation(k)[: k // 10]
+        p_legit[words], p_mal[words] = 0.02, 0.2
+    X = (rng.random((n, k)) < np.where(y[:, None] > 0, p_mal, p_legit)).astype(float)
+    w = np.abs(rng.normal(size=k)) if positive else (
+        np.log(p_mal / p_legit) + 0.1 * rng.normal(size=k))
+    return np.append(w, 0.0), Dataset(X, y, "binary")
+
+
+def _box_set(n, k):
+    """A learner's means [w; b] and n dense rows of two classes in [0, 1]^k."""
+    import numpy as np
+
+    from randgame.model import Dataset
+
+    rng = np.random.default_rng(n)
+    y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    u = rng.normal(size=k)
+    u /= np.linalg.norm(u)
+    X = np.clip(0.5 + 0.1 * rng.normal(size=(n, k)) + 0.5 * y[:, None] * u, 0.0, 1.0)
+    return np.append(u + 0.2 * rng.normal(size=k) / np.sqrt(k), 0.0), Dataset(X, y)
+
+
 def _curve_cases(tiny):
     """One security_curve at fp_target 0.01, seed 0: binary_flip on spam-like
     rows as in the benchmark's security-curve workload (malicious rows at
@@ -235,10 +272,7 @@ def _curve_cases(tiny):
     20, so almost no row holds enough candidates to leave the flip order's
     scan early (its worst case); and box-L2 on two dense classes (budgets 0, 1, 2, 1
     repetition), which never ranks flips."""
-    import numpy as np
-
     from randgame.attacks import security_curve
-    from randgame.model import Dataset
 
     def setup(mu_w, data, mode, budgets, reps):
         def call():
@@ -247,33 +281,60 @@ def _curve_cases(tiny):
 
         return call
 
-    def spam(n, k, positive):
-        rng = np.random.default_rng(k + positive)
-        y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
-        p_legit = np.full(k, 0.01)
-        p_mal = p_legit.copy()
-        if not positive:
-            words = rng.permutation(k)[: k // 10]
-            p_legit[words], p_mal[words] = 0.02, 0.2
-        X = (rng.random((n, k)) < np.where(y[:, None] > 0, p_mal, p_legit)).astype(float)
-        w = np.abs(rng.normal(size=k)) if positive else (
-            np.log(p_mal / p_legit) + 0.1 * rng.normal(size=k))
-        return np.append(w, 0.0), Dataset(X, y, "binary")
-
-    def box(n, k):
-        rng = np.random.default_rng(n)
-        y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
-        u = rng.normal(size=k)
-        u /= np.linalg.norm(u)
-        X = np.clip(0.5 + 0.1 * rng.normal(size=(n, k)) + 0.5 * y[:, None] * u, 0.0, 1.0)
-        return np.append(u + 0.2 * rng.normal(size=k) / np.sqrt(k), 0.0), Dataset(X, y)
-
     (fn, fk), (bn, bk) = ((40, 60), (20, 5)) if tiny else ((1000, 1000), (500, 20))
     yield f"flip spam {fn}x{fk} d=0..20", lambda: setup(
-        *spam(fn, fk, False), "binary_flip", [0, 2, 5, 10, 20], 3)
+        *_spam_set(fn, fk, False), "binary_flip", [0, 2, 5, 10, 20], 3)
     yield f"flip w>0 {fn}x{fk} d=0,20", lambda: setup(
-        *spam(fn, fk, True), "binary_flip", [0, 20], 3)
-    yield f"box {bn}x{bk} d=0,1,2", lambda: setup(*box(bn, bk), "l2_box_pgd", [0, 1, 2], 1)
+        *_spam_set(fn, fk, True), "binary_flip", [0, 20], 3)
+    yield f"box {bn}x{bk} d=0,1,2", lambda: setup(*_box_set(bn, bk), "l2_box_pgd", [0, 1, 2], 1)
+
+
+def _load_cases(tiny):
+    """One load_dataset of a file written as the benchmark writes its inputs:
+    train's dense synth_2d rows at k = 2, and secure-eval's dense _box_set
+    rows at k = 20 and sparse _spam_set rows as 'label idx:1 ...' lines. Only
+    the warm-up call reports the set it loaded: its shape, kind and a SHA-256
+    of its features and labels."""
+    import hashlib
+    import tempfile
+
+    import numpy as np
+
+    from randgame import cli, data
+
+    # before load_dataset, the CLI picked a file's format
+    load = getattr(data, "load_dataset", None) or cli._load_dataset
+
+    def dense(ds):
+        return lambda path: data.save_dense_csv(path, ds.features, ds.labels)
+
+    def sparse(ds):
+        return lambda path: path.write_text("".join(
+            f"{int(t):+d} " + " ".join(f"{j + 1}:1" for j in np.flatnonzero(row)) + "\n"
+            for t, row in zip(ds.labels, ds.features)))
+
+    def setup(path, write):
+        write(path)
+        warm = True
+
+        def call():
+            nonlocal warm
+            ds = load(path)
+            if warm:
+                warm = False
+                sha = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
+                return {"n": ds.n, "k": ds.k, "kind": ds.feature_kind, "sha256": sha}
+
+        return call
+
+    sn, (bn, bk), (fn, fk) = (5, (10, 5), (20, 300)) if tiny else (2000, (500, 20), (1000, 1000))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        yield f"dense {2 * sn}x2", lambda: setup(tmp / "synth.csv",
+                                                 dense(data.synth_2d(sn, 0.4, 0)))
+        yield f"dense {bn}x{bk}", lambda: setup(tmp / "box.csv", dense(_box_set(bn, bk)[1]))
+        yield f"sparse {fn}x{fk}", lambda: setup(tmp / "flip.svm",
+                                                 sparse(_spam_set(fn, fk, False)[1]))
 
 
 # name: (cases, default output, metric, rounds, passes)
@@ -291,6 +352,7 @@ ENTRIES = {
     "newton": (_newton_cases, "BENCH_newton_closed_form.json",
                "_newton_candidate wall time per call", 7, 7),
     "curve": (_curve_cases, "BENCH_flip_ranking.json", "security_curve wall time per call", 7, 9),
+    "load": (_load_cases, "BENCH_load_dataset.json", "load_dataset wall time per call", 7, 9),
 }
 
 
@@ -361,6 +423,8 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
                 row["change"].pop("theta"), row["parent"].pop("theta")))
         if "points" in row.get("parent", {}):
             row["same_points"] = row["parent"]["points"] == row["change"]["points"]
+        if "sha256" in row.get("parent", {}):
+            row["same_data"] = row["parent"] == row["change"]
         cases[label] = row
     return {
         "entry": entry,
