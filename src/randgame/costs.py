@@ -91,23 +91,26 @@ def _on_columns(f):
     return lambda v: f(v[..., None])[..., 0]
 
 
-def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
-    """Both players' costs and the gradient of each cost in its own block at
-    the flat joint profile theta = [mu_a (m); mu_b; sigma_a (m); sigma_b; per
-    row (mu_x_i (m), sigma_x_i (m))], for anchors of shape (m, n) (column i
-    is xhat_i). The attacker rows are read into contiguous (m, n) planes.
+def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
+    """The part of an evaluation at the flat joint profile theta = [mu_a (m);
+    mu_b; sigma_a (m); sigma_b; per row (mu_x_i (m), sigma_x_i (m))], for
+    anchors of shape (m, n) (column i is xhat_i), that both players' costs and
+    gradients read: the checked profile, its attacker rows read into contiguous
+    (m, n) planes, the M products, score, sigma and the one hinge_expect call
+    on the stacked margins. Returns the calls (costs, grad) that finish it:
+    costs() gives (cost_l, cost_d), and grad(r_d) each cost's gradient in its
+    own block, in the layout and shape of theta, the attacker's times r_d.
+    grad builds that block in place over the planes, so it is the last call.
 
     theta may also be a stack of profiles, of shape (..., dim), and each
     profile of it gets the bits of its own call: the products with vectors
     are np.vecmat, np.matvec and np.vecdot, and the maps take a stack's
-    vectors as one-column sets (one profile's as they are).
+    vectors as one-column sets (one profile's as they are). The costs have
+    the stack's shape (...), floats for one profile.
 
     M enters only as by_M(A) = M A (a vector, or each column of a matrix or
     of a stack of them), by_M2(v) = (M*M) v (likewise) and dM = diag(M); the
     primal game passes the identity for both maps, so M = I costs nothing.
-    Returns (cost_l, cost_d, grad): the costs have the stack's shape (...),
-    floats for one profile, and grad is unweighted in the layout and shape of
-    theta.
     """
     m, n = anchors.shape
     mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
@@ -129,37 +132,46 @@ def evaluate(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
         (a[..., 0, :], a[..., 1, :])
         for a in hinge_expect(1.0 + _SIGNS * (y * score)[row], sigma[row]))
 
-    py_s = p_s * y
-    s2x_w = np.matvec(s2x, v_s)  # sum_i v_s_i * sigma_x_i^2
-    grad = np.empty(stack + (2 * m + 2 + 2 * n * m,))
-    grad[..., :m] = rho_l * Ma - np.matvec(Mx, py_s) + 2.0 * M_v(s2x_w * Ma)
-    grad[..., m] = bias_reg * mu_b - py_s.sum(axis=-1)
-    grad[..., m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (
-        np.matvec(Mx2, v_s) + M2_v(s2x_w))
-    grad[..., 2 * m + 1] = bias_reg * sig_b + 2.0 * sig_b * v_s.sum(axis=-1)
-    cost_l = (0.5 * rho_l * (np.vecdot(mu_a, Ma) + np.vecdot(dM, s2a))
-              + 0.5 * bias_reg * (mu_b**2 + sig_b**2) + h_s.sum(axis=-1))
+    def costs():
+        cost_l = (0.5 * rho_l * (np.vecdot(mu_a, Ma) + np.vecdot(dM, s2a))
+                  + 0.5 * bias_reg * (mu_b**2 + sig_b**2) + h_s.sum(axis=-1))
+        shifted, flat = mu_x - anchors, stack + (m * n,)  # column i is mu_x_i - xhat_i
+        cost_d = (0.5 * rho_d * (np.vecdot(shifted.reshape(flat), by_M(shifted).reshape(flat))
+                                 + np.vecdot(dM, s2x.sum(axis=-1))) + h_t.sum(axis=-1))
+        return (cost_l, cost_d) if stack else (float(cost_l), float(cost_d))
 
-    # From here on the attacker block is built in place over the planes. Mx is
-    # read for the last time: Mx2 becomes 2 v_t s2a Mx and mu_x the shift.
-    v_t = v_t[row]
-    np.multiply(Mx, (2.0 * s2a)[..., None], out=Mx2)
-    Mx2 *= v_t
-    shifted = np.subtract(mu_x, anchors, out=mu_x)  # column i is mu_x_i - xhat_i
-    flat = stack + (m * n,)
-    cost_d = (0.5 * rho_d * (np.vecdot(shifted.reshape(flat), by_M(shifted).reshape(flat))
-                             + np.vecdot(dM, s2x.sum(axis=-1))) + h_t.sum(axis=-1))
-    shifted *= rho_d
-    shifted += Mx2  # M of this is rho_d M shifted + 2 M(v_t s2a Mx), as M is linear
-    np.multiply(Ma[..., None], (p_t * y)[row], out=Mx2)
-    np.add(by_M(shifted), Mx2, out=mu_x)
-    np.multiply((2.0 * w_x)[..., None], v_t, out=s2x)
-    s2x += (rho_d * dM)[:, None]
-    sig_x *= s2x
-    grad[..., 2 * m + 2 :].reshape(stack + (n, 2 * m))[...] = planes.swapaxes(-1, -2)
-    if stack:
-        return cost_l, cost_d, grad
-    return float(cost_l), float(cost_d), grad
+    def grad(r_d):
+        py_s = p_s * y
+        s2x_w = np.matvec(s2x, v_s)  # sum_i v_s_i * sigma_x_i^2
+        g = np.empty(stack + (2 * m + 2 + 2 * n * m,))
+        g[..., :m] = rho_l * Ma - np.matvec(Mx, py_s) + 2.0 * M_v(s2x_w * Ma)
+        g[..., m] = bias_reg * mu_b - py_s.sum(axis=-1)
+        g[..., m + 1 : 2 * m + 1] = rho_l * (dM * sig_a) + 2.0 * sig_a * (
+            np.matvec(Mx2, v_s) + M2_v(s2x_w))
+        g[..., 2 * m + 1] = bias_reg * sig_b + 2.0 * sig_b * v_s.sum(axis=-1)
+        # The attacker block is built in place over the planes, reusing Mx2
+        # (as 2 v_t s2a Mx) and s2x (as the deviations' factor).
+        vt = v_t[row]
+        np.multiply(np.multiply(Mx, (2.0 * s2a)[..., None], out=Mx2), vt, out=Mx2)
+        shifted = np.subtract(mu_x, anchors, out=mu_x)  # column i is mu_x_i - xhat_i
+        shifted *= rho_d
+        shifted += Mx2  # M of this is rho_d M shifted + 2 M(v_t s2a Mx), as M is linear
+        np.multiply(Ma[..., None], (p_t * y)[row], out=Mx2)
+        np.add(by_M(shifted), Mx2, out=mu_x)
+        np.multiply((2.0 * w_x)[..., None], vt, out=s2x)
+        np.multiply(sig_x, np.add(s2x, (rho_d * dM)[:, None], out=s2x), out=sig_x)
+        rows = g[..., 2 * m + 2 :].reshape(stack + (n, 2 * m))
+        np.multiply(planes.swapaxes(-1, -2), r_d, out=rows)
+        return g
+
+    return costs, grad
+
+
+def evaluate(theta, *terms):
+    """(cost_l, cost_d, grad) of _evaluation(theta, *terms): both players'
+    costs and the unweighted gradient of each cost in its own block."""
+    costs, grad = _evaluation(theta, *terms)
+    return *costs(), grad(1.0)
 
 
 def reg_hess(M, dM, rho_l, rho_d, bias_reg):
@@ -444,19 +456,13 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
 
 def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     """Operator on the joint box [lower, upper] whose pair of costs and whose
-    pseudo-gradient (with r = (1, rho_l/rho_d)) each come from one
-    evaluate(theta, *terms) call, whose Jacobian blocks come from one
-    jacobian(theta, *terms) call, whose Newton steps are dense_newton of
-    those blocks and whose regularizer Hessians come from reg_hess, built only
-    when asked."""
+    pseudo-gradient (with r = (1, rho_l/rho_d)) each finish one
+    _evaluation(theta, *terms), each computing only what it returns, whose
+    Jacobian blocks come from one jacobian(theta, *terms) call, whose Newton
+    steps are dense_newton of those blocks and whose regularizer Hessians
+    come from reg_hess, built only when asked."""
     by_M, dM, _, _, _, rho_l, rho_d, bias_reg = terms
-    dim_l = 2 * (dM.size + 1)
     r_d = rho_l / rho_d
-
-    def pgrad(theta):
-        g = evaluate(theta, *terms)[2]
-        g[..., dim_l:] *= r_d
-        return g
 
     def pjac(theta):
         ll, ld, dl, dd = jacobian(theta, *terms)
@@ -465,11 +471,11 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
         return ll, ld, dl, dd
 
     return VIGame(
-        dim_l=dim_l,
+        dim_l=2 * (dM.size + 1),
         lower=lower,
         upper=upper,
-        costs=lambda theta: evaluate(theta, *terms)[:2],
-        pseudo_grad=pgrad,
+        costs=lambda theta: _evaluation(theta, *terms)[0](),
+        pseudo_grad=lambda theta: _evaluation(theta, *terms)[1](r_d),
         jacobian=pjac,
         newton=lambda z, g, free: dense_newton(pjac(z), g, free),
         row_size=2 * dM.size,

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from .model import Dataset, ParseError, atomic_write
+from .model import Dataset, ParseError, atomic_write, read_lines
 
 
 def _parse_label(tok, path, lineno, parse=float):
@@ -30,20 +30,18 @@ BLOCK_LINES = 64
 def _content_blocks(path):
     """The stripped lines of a file that are not blank or a '#' comment, in
     lists of up to BLOCK_LINES."""
-    with open(path) as fh:
-        lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
-        while block := list(itertools.islice(lines, BLOCK_LINES)):
-            yield block
+    lines = (line for line in map(str.strip, read_lines(path)) if line and not line.startswith("#"))
+    while block := list(itertools.islice(lines, BLOCK_LINES)):
+        yield block
 
 
 def _raise_first_bad_line(path, check, *args):
     """After a bulk parse failed, raise the ParseError that check(path,
     lineno, line, *args) gives the file's first bad content line."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                check(path, lineno, line, *args)
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            check(path, lineno, line, *args)
     raise ParseError(f"{path}: malformed content")
 
 
@@ -173,10 +171,11 @@ def load_sparse(path) -> Dataset:
 
 def load_dataset(path) -> Dataset:
     """The dense or sparse dataset at path, told apart by its first content
-    line (the first that is not blank or a '#' comment): idx:val tokens are
-    sparse."""
+    line (the first that is not blank or a '#' comment): a dense line has one
+    ',' per feature, so a line with an idx:val token or with no ',' (a sample
+    with no features) is sparse."""
     first = next(_content_blocks(path), [""])[0]
-    return (load_sparse if ":" in first else load_dense_csv)(path)
+    return (load_sparse if ":" in first or "," not in first else load_dense_csv)(path)
 
 
 SYNTH_LEGIT_CENTER = (0.3, 0.3)

@@ -188,6 +188,16 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+def read_lines(path):
+    """The lines of the UTF-8 text file at path; bytes that are not UTF-8 are
+    a ParseError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def save_flat_csv(path, v) -> None:
     """Write a parameter vector as one CSV line, in the order of its entries."""
     v = _as_float_array(v, 1)
@@ -196,8 +206,7 @@ def save_flat_csv(path, v) -> None:
 
 def load_flat_csv(path) -> np.ndarray:
     """Read the finite parameter vector save_flat_csv wrote."""
-    with open(path) as fh:
-        line = fh.readline().strip()
+    line = next(read_lines(path), "").strip()
     if not line:
         raise ParseError(f"{path}: empty parameter file")
     try:
@@ -213,19 +222,18 @@ def load_flat_csv(path) -> np.ndarray:
 def load_config(path) -> dict:
     """Read a key=value config file that sets each key once; values are floats when they parse."""
     cfg: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in cfg:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                cfg[key] = float(val)
-            except ValueError:
-                cfg[key] = val
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in cfg:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            cfg[key] = float(val)
+        except ValueError:
+            cfg[key] = val
     return cfg

@@ -49,6 +49,9 @@ def test_compare_reports_every_case(entry):
             assert all(type(row[side]["violations"]) is int for side in sides)
             # both sides ran the same code on the same pairs
             assert row["parent"]["violations"] == row["change"]["violations"]
+        if entry == "costs":
+            assert all(len(row[side]["costs"]) == 2 for side in sides)
+            assert row["same_costs"]  # both sides ran the same code
         if entry == "curve":
             assert all(len(row[side]["points"]) >= 2 for side in sides)
             assert row["same_points"]  # both sides ran the same code

@@ -6,11 +6,13 @@ import pytest
 
 from oracles import (deviation_mask, evaluate_loop, margin_moments, nominal_attacker,
                      profile)
-from randgame.costs import _primal_terms, evaluate, game_operator, jacobian, train_baseline_svm
+from randgame.costs import (_primal_terms, _vi_game, evaluate, game_operator, jacobian,
+                            train_baseline_svm)
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
-from randgame.kernel import Kernel, _dual_terms, dual_game_operator, gram
-from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
+from randgame.kernel import (DUAL_W, XI_MEAN_BOUNDS, Kernel, _dual_terms, dual_game_operator,
+                             gram)
+from randgame.model import Dataset, GameSpec, ShapeError, _box_pair, default_boxes
 from randgame.ops import dense_newton
 
 
@@ -417,14 +419,47 @@ class TestClosedFormNewtonStep:
 
 class TestOperator:
     def test_operator_matches_evaluate(self):
+        # bit for bit, on the primal game and on the dual game
         game = random_game(4, rho_l=2.0, rho_d=5.0)
-        parts = random_profile(game, 74)
-        v = profile(*parts)
-        ops = game_operator(game)
-        cost_l, cost_d, grad = primal(game, *parts)
-        grad[game.dim_l :] *= ops.r[1]
-        assert ops.costs(v) == (cost_l, cost_d)
-        np.testing.assert_array_equal(ops.pseudo_grad(v), grad)
+        data = synth_2d(3, 0.4, 4)
+        dual = dual_game_operator(data, Kernel("rbf", 1.0), 2.0, 5.0, bias_reg=0.5)
+        interior = dual.lower + np.random.default_rng(74).uniform(0.2, 0.8, dual.dim) * (
+            dual.upper - dual.lower)
+        for ops, terms, v in [
+            (game_operator(game), _primal_terms(game), profile(*random_profile(game, 74))),
+            (dual, _dual_terms(gram(data, Kernel("rbf", 1.0)), data.labels, 2.0, 5.0, 0.5),
+             interior),
+        ]:
+            cost_l, cost_d, grad = evaluate(v, *terms)
+            grad[ops.dim_l :] *= ops.r[1]
+            assert ops.costs(v) == (cost_l, cost_d)
+            assert ops.pseudo_grad(v).tobytes() == grad.tobytes()
+
+    def test_each_callable_computes_only_what_it_returns(self):
+        # The pseudo-gradient applies M to the planes for Mx and for the
+        # attacker block, not for the attacker's regularizer cost; the costs
+        # apply M*M only for sigma, not for the learner's deviation gradient.
+        data = synth_2d(4, 0.4, 5)
+        K = gram(data, Kernel("rbf", 1.0))
+        calls = {"planes": 0, "M2": 0}
+
+        def by_M(A):
+            calls["planes"] += np.ndim(A) == 2
+            return K @ A
+
+        def by_M2(v):
+            calls["M2"] += 1
+            return (K * K) @ v
+
+        _, dM, _, anchors, y, *weights = _dual_terms(K, data.labels, 2.0, 5.0, 0.5)
+        box = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
+        ops = _vi_game((by_M, dM, by_M2, anchors, y, *weights), *box)
+        theta = box[0] + np.random.default_rng(5).uniform(0.2, 0.8, ops.dim) * (box[1] - box[0])
+        ops.pseudo_grad(theta)
+        assert calls == {"planes": 2, "M2": 2}
+        calls.update(planes=0, M2=0)
+        ops.costs(theta)
+        assert calls == {"planes": 2, "M2": 1}
 
     def test_one_evaluation_per_pseudo_gradient(self, count_hinge_calls):
         import randgame.costs as costs_module

@@ -690,6 +690,46 @@ class TestCliPipeline:
         assert (ds.n, ds.k, ds.feature_kind) == (4, 2, kind)
         assert read_outcome(load_dataset, data) == read_outcome(loader, data)
 
+    def test_sparse_file_whose_first_sample_has_no_features(self, tmp_path):
+        # the first content line holds neither ':' nor ','; a dense line has
+        # one ',' per feature
+        data = tmp_path / "d.svm"
+        data.write_text("-1\n-1 2:1\n+1 1:1\n+1 1:1 2:1\n")
+        assert read_outcome(load_dataset, data) == read_outcome(load_sparse, data)
+        assert load_dataset(data).features[0].tolist() == [0.0, 0.0]
+        out = tmp_path / "eq.csv"
+        assert main(["train", "--data", str(data), "--out", str(out)]) in (0, 2)
+        assert load_flat_csv(out).size == 2 * 3 + 2 * 4 * 2
+
+    @pytest.mark.parametrize("flag", ["--data", "--game", "--params"])
+    def test_file_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys, flag):
+        data = self._gen(tmp_path, n=3)
+        game = tmp_path / "game.cfg"
+        game.write_text("rho_l=10\n")
+        params = tmp_path / "eq.csv"
+        assert main(["train", "--data", str(data), "--game", str(game),
+                     "--out", str(params)]) in (0, 2)
+        files = {"--data": data, "--game": game, "--params": params}
+        bad = files[flag]
+        # a Latin-1 byte after a valid first line
+        bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+        out = tmp_path / "out.csv"
+        argv = (["secure-eval", "--params", str(params), "--data", str(data),
+                 "--dmax-list", "0,0.3"] if flag == "--params" else
+                ["train", "--data", str(data), "--game", str(game)]) + ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not UTF-8 text"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("load", [load_dense_csv, load_sparse, load_dataset])
+    def test_loaders_name_a_file_that_is_not_utf8(self, tmp_path, load):
+        # the decode error comes before the parse error of the same line
+        data = tmp_path / "d.txt"
+        data.write_bytes(b"+1,0.5\n-1,0.\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load(data)
+
     @pytest.mark.parametrize("value", ["0_5", "\u0660.\u0665"])
     def test_dense_value_numpy_refuses_is_an_input_error(self, tmp_path, capsys, value):
         data = tmp_path / "d.csv"

@@ -7,7 +7,8 @@ ENTRY names a registry entry (ENTRIES): a list of cases, each a setup that
 builds its inputs and returns the call to time. cold times one fresh
 interpreter that imports randgame.cli, which every CLI command pays before it
 starts its work, and reports the modules it loaded and its peak RSS; pgrad
-times one pseudo-gradient, diag one uniqueness_margin(ops, 1, 0, 1) profile,
+times one pseudo-gradient and costs one VIGame.costs call (and its pair of
+costs) on the same games, diag one uniqueness_margin(ops, 1, 0, 1) profile,
 mono one monotonicity_sample(ops, 50, 0) (and its violations) on the diag
 games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
 iterations, the default) and newton one Newton candidate of the solver, each
@@ -21,7 +22,8 @@ pass by pass so that slow drift of the host hits both alike. The JSON holds
 per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
 Jacobian calls, closed-form Newton step calls, iterations, residual and the
-largest coordinate distance between the two sides' solutions; for a Newton
+largest coordinate distance between the two sides' solutions; for a costs
+call: both costs, and whether the two sides' costs are equal; for a Newton
 candidate: the Newton attempts of the solve to its iterate, whether there was
 a step and that distance between the two sides' candidates; for a
 monotonicity sample: its violations; for a curve: its points, and whether
@@ -67,9 +69,9 @@ def _cold_cases(tiny):
     yield "import randgame.cli", lambda: call
 
 
-def _pgrad_cases(tiny):
+def _pgrad_games(tiny, timed):
     """(label, setup) per game: four primal games and an RBF dual game on 60
-    points, inputs from fixed seeds."""
+    points, inputs from fixed seeds. Each case times timed(ops, theta)."""
     import numpy as np
 
     from randgame.costs import game_operator
@@ -82,7 +84,7 @@ def _pgrad_cases(tiny):
         y[0] = -y[-1] if n > 1 else y[0]
         ops = operator(Dataset(X, y))
         theta = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
-        return lambda: ops.pseudo_grad(theta)
+        return lambda: timed(ops, theta)
 
     sizes, dual_n = (((3, 2),), 4) if tiny else (((10, 2), (4000, 2), (1000, 200), (500, 1000)), 60)
     for n, k in sizes:
@@ -91,6 +93,16 @@ def _pgrad_cases(tiny):
             lambda d: game_operator(GameSpec(d, 10.0, 10.0, *default_boxes(n, k, 1.0))))
     yield f"dual rbf n={dual_n}", lambda: setup(
         dual_n, dual_n, 2, lambda d: dual_game_operator(d, Kernel("rbf", 1.0), 10.0, 10.0))
+
+
+def _pgrad_cases(tiny):
+    """One pseudo_grad on each _pgrad_games game."""
+    return _pgrad_games(tiny, lambda ops, theta: ops.pseudo_grad(theta))
+
+
+def _costs_cases(tiny):
+    """One costs call on each _pgrad_games game, reporting both costs."""
+    return _pgrad_games(tiny, lambda ops, theta: {"costs": list(ops.costs(theta))})
 
 
 def _diag_games(tiny, timed):
@@ -343,6 +355,7 @@ ENTRIES = {
              "wall time of a fresh interpreter importing randgame.cli", 5, 7),
     "pgrad": (_pgrad_cases, "BENCH_planar_evaluate.json",
               "pseudo_grad wall time per call", 11, 7),
+    "costs": (_costs_cases, "BENCH_split_evaluate.json", "VIGame.costs wall time per call", 11, 7),
     "diag": (_diag_cases, "BENCH_analytic_jacobian.json",
              "uniqueness_margin(n_profiles=1, n_pairs=1) wall time per call", 5, 5),
     "mono": (_mono_cases, "BENCH_stacked_pgrad.json",
@@ -421,6 +434,8 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
         if "theta" in row.get("parent", {}):
             row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
                 row["change"].pop("theta"), row["parent"].pop("theta")))
+        if "costs" in row.get("parent", {}):
+            row["same_costs"] = row["parent"]["costs"] == row["change"]["costs"]
         if "points" in row.get("parent", {}):
             row["same_points"] = row["parent"]["points"] == row["change"]["points"]
         if "sha256" in row.get("parent", {}):
