@@ -218,8 +218,9 @@ def security_curve(
     fixed FP rate, mean/std over seeded re-subsamplings of the test set, for
     the learner's means mu_w = [w; b] (k + 1 values, the first block of the
     flat profile). The L2 modes attack in one batch per budget; binary_flip
-    ranks once, at the largest budget, and flips the entries ranked in
-    (previous budget, budget] in place."""
+    ranks once, at the largest budget, then copies each repetition's drawn
+    rows once and flips in that copy the entries ranked in (previous budget,
+    budget] in place."""
     if mode not in ATTACK_MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
     if repetitions < 1:
@@ -241,18 +242,29 @@ def security_curve(
         leg = rng.choice(leg_idx, size=max(1, int(SUBSAMPLE * leg_idx.size)), replace=False)
         draws.append((pos, X[leg] @ w + b))
 
-    X_mal = X[mal_idx]  # a copy: binary_flip flips it in place
-    if mode == "binary_flip" and d_max_list[-1] > 0:  # checked binary only if a budget attacks
-        flat, rank = _flip_ranks(w, X_mal, 1.0, int(d_max_list[-1]))
     tp = np.empty((repetitions, len(d_max_list)))
-    for j, (done, d) in enumerate(zip([0.0] + d_max_list, d_max_list)):
-        if mode == "binary_flip" and d > 0:
-            new = flat[(rank > done) & (rank <= d)]
-            X_mal.put(new, 1.0 - X_mal.take(new))
-        attacked = X_mal if mode == "binary_flip" else _attack_rows(w, X_mal, mode, d)
+    if mode != "binary_flip":
+        X_mal = X[mal_idx]
+        for j, d in enumerate(d_max_list):
+            attacked = _attack_rows(w, X_mal, mode, d)
+            for rep, (pos, legit_scores) in enumerate(draws):
+                _, tp[rep, j] = tp_at_fp(legit_scores, attacked[pos] @ w + b, fp_target)
+            del attacked  # free this budget's rows before the next batch
+    else:
+        flat = rank = np.empty(0, dtype=np.intp)
+        if d_max_list[-1] > 0:  # checked binary only if a budget attacks
+            flat, rank = _flip_ranks(w, X[mal_idx], 1.0, int(d_max_list[-1]))
+        row, col = np.divmod(flat, X.shape[1])
         for rep, (pos, legit_scores) in enumerate(draws):
-            _, tp[rep, j] = tp_at_fp(legit_scores, attacked[pos] @ w + b, fp_target)
-        del attacked  # free this budget's rows before the next batch
+            drawn = X[mal_idx[pos]]  # a copy, flipped in place budget by budget
+            at = np.full(mal_idx.size, -1)  # each drawn row's place in the copy
+            at[pos] = np.arange(pos.size)
+            keep = at[row] >= 0
+            flat_d, rank_d = at[row[keep]] * X.shape[1] + col[keep], rank[keep]
+            for j, (done, d) in enumerate(zip([0.0] + d_max_list, d_max_list)):
+                new = flat_d[(rank_d > done) & (rank_d <= d)]
+                drawn.put(new, 1.0 - drawn.take(new))
+                _, tp[rep, j] = tp_at_fp(legit_scores, drawn @ w + b, fp_target)
 
     points = tuple(
         (d, float(tp[:, j].mean()), float(tp[:, j].std())) for j, d in enumerate(d_max_list)

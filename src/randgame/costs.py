@@ -22,7 +22,7 @@ attaches rho_d to the loss terms, which is inconsistent with the cost it is
 derived from; we keep cost/gradient consistency.)
 
 Deviations are dominated. With v = dh/d(sigma^2) = phi(mu/sigma) / (2 sigma),
-which is > 0 for every margin since phi > 0 and sigma > 0, evaluate's
+which is > 0 for every margin since phi > 0 and sigma > 0, _evaluation's
 gradient in each player's own deviations is
 
     sigma_a:    rho_l diag(M) sigma_a + 2 sigma_a ((Mx)^2 v_s + (M*M)(sigma_x^2 v_s))
@@ -167,13 +167,6 @@ def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     return costs, grad
 
 
-def evaluate(theta, *terms):
-    """(cost_l, cost_d, grad) of _evaluation(theta, *terms): both players'
-    costs and the unweighted gradient of each cost in its own block."""
-    costs, grad = _evaluation(theta, *terms)
-    return *costs(), grad(1.0)
-
-
 def reg_hess(M, dM, rho_l, rho_d, bias_reg):
     """The constant Hessians of both expected regularizers in their cost
     weights, from M = by_M(eye): the learner's (L, L) block, L = 2m + 2, and
@@ -213,7 +206,7 @@ def _hinge_terms(score, sigma, y):
 
 
 def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
-    """Derivative of evaluate's flat gradient at theta as the four arrays
+    """Derivative of _evaluation's flat unweighted gradient at theta as the four arrays
     (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block, and
     for attacker row i, ld[i] (L, 2m) is the learner gradient along the row,
     dl[i] (2m, L) the row's gradient along the learner block and dd[i]
@@ -489,7 +482,7 @@ def _identity(a):
 
 
 def _primal_terms(game: GameSpec):
-    """The fixed arguments of evaluate for the SVM game: M = I, anchors = X."""
+    """The fixed arguments of _evaluation for the SVM game: M = I, anchors = X."""
     return (_identity, np.ones(game.k), _identity, np.ascontiguousarray(game.dataset.features.T),
             game.dataset.labels, game.rho_l, game.rho_d, game.bias_reg)
 

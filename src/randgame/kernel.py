@@ -9,11 +9,11 @@ independent axis-aligned Gaussians alpha and xi,
                       + sum_k s2x_k (K mu_alpha)_k^2
                       + s2a . (K*K) s2x
 
-This is the game of costs.evaluate with M = K and the unit vectors e_i as the
+This is the game of costs._evaluation with M = K and the unit vectors e_i as the
 attacker's anchors (the unmoved point phi(x_i) has coefficients e_i); the
 primal game is the case M = I with the training points as anchors. Costs and
 gradients here are that one evaluation, on a K that check_psd has found
-symmetric and PSD, as evaluate multiplies by K from one side only.
+symmetric and PSD, as _evaluation multiplies by K from one side only.
 
 The strategies are the primal game's flat joint profile with k = n:
 [mu_alpha (n); mu_b; sigma_alpha (n); sigma_b; mu_xi_1 (n); sigma_xi_1 (n); ...].
@@ -77,7 +77,7 @@ def check_psd(K: np.ndarray) -> None:
 
 
 def _dual_terms(K, y, rho_l, rho_d, bias_reg):
-    """The fixed arguments of costs.evaluate for the dual game: M = K, anchors = I."""
+    """The fixed arguments of costs._evaluation for the dual game: M = K, anchors = I."""
     K2 = K * K
     return (lambda A: K @ A, np.diag(K).copy(), lambda v: K2 @ v, np.eye(K.shape[0]),
             np.asarray(y, dtype=float), rho_l, rho_d, bias_reg)

@@ -205,12 +205,15 @@ def save_flat_csv(path, v) -> None:
 
 
 def load_flat_csv(path) -> np.ndarray:
-    """Read the finite parameter vector save_flat_csv wrote."""
-    line = next(read_lines(path), "").strip()
-    if not line:
+    """Read the finite parameter vector save_flat_csv wrote: one line, and
+    blank lines after it; the whole file must be UTF-8."""
+    lines = [line.strip() for line in read_lines(path)]
+    if not lines or not lines[0]:
         raise ParseError(f"{path}: empty parameter file")
     try:
-        toks = line.split(",")
+        if any(lines[1:]):
+            raise ValueError("a second line")
+        toks = lines[0].split(",")
         v = np.fromiter(map(float, toks), float, len(toks))
     except ValueError:
         raise ParseError(f"{path}: expected one line of comma-separated numbers") from None

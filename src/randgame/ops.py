@@ -69,9 +69,10 @@ class VIGame:
     def dim_d(self) -> int:
         return self.lower.size - self.dim_l
 
-    def project(self, theta: np.ndarray) -> np.ndarray:
-        # np.clip's result, signed zeros and NaN included, at half its cost
-        return np.minimum(np.maximum(theta, self.lower), self.upper)
+    def project(self, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        # np.clip's result, signed zeros and NaN included, at half its cost;
+        # out (theta itself, say) takes the result in place
+        return np.minimum(np.maximum(theta, self.lower, out=out), self.upper, out=out)
 
 
 def solve_learner(S: np.ndarray, rhs: np.ndarray, free: np.ndarray):

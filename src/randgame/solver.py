@@ -49,6 +49,7 @@ that never spends its first price, runs the extragradient method alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,28 @@ def initial_point(game, seed: int) -> np.ndarray:
 
 def _grad(ops: VIGame, theta: np.ndarray) -> np.ndarray:
     g = ops.pseudo_grad(theta)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FloatingPointError("non-finite pseudo-gradient")
     return g
 
 
+def _norm(d: np.ndarray) -> float:
+    """np.linalg.norm(d) of a 1-D float vector, without its wrapper."""
+    return math.sqrt(d @ d)
+
+
+def _step(ops: VIGame, theta: np.ndarray, lam: float, g: np.ndarray) -> np.ndarray:
+    """P(theta - lam g), built in one array."""
+    t = np.multiply(lam, g)
+    np.subtract(theta, t, out=t)
+    return ops.project(t, out=t)
+
+
 def _residual(ops: VIGame, theta: np.ndarray, g: np.ndarray) -> float:
-    return float(np.linalg.norm(ops.project(theta - g) - theta))
+    t = np.subtract(theta, g)
+    ops.project(t, out=t)
+    t -= theta
+    return _norm(t)
 
 
 def _newton_price(ops: VIGame) -> float:
@@ -129,7 +145,8 @@ def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
     """The Newton candidate P(z + d) from the pre-step point z, or None when
     the step fails. z is theta with the coordinates that P(theta - g) puts on
     a bound moved there, and d = ops.newton(z, F(z), free)."""
-    z = ops.project(theta - g)
+    z = np.subtract(theta, g)
+    ops.project(z, out=z)
     np.copyto(z, theta, where=(ops.lower < z) & (z < ops.upper))
     g_z = _grad(ops, z)
     free = ~(((z == ops.lower) & (g_z > 0.0)) | ((z == ops.upper) & (g_z < 0.0)))
@@ -137,7 +154,7 @@ def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
     if d is None:
         return None
     d += z
-    return ops.project(d)
+    return ops.project(d, out=d)
 
 
 def extragradient_solve(
@@ -178,15 +195,14 @@ def extragradient_solve(
             rejected += 1
             gap, retry, since = 2 * gap, False, evaluations
         while True:
-            y = ops.project(theta - lam * g)
+            y = _step(ops, theta, lam, g)
             g_y = _grad(ops, y)
             evaluations += 1
-            dy = float(np.linalg.norm(y - theta))
-            dg = float(np.linalg.norm(g_y - g))
+            dy, dg = _norm(y - theta), _norm(g_y - g)
             if lam * dg <= MU * dy:
                 break
             lam = 0.99 * MU * dy / dg
-        theta = ops.project(theta - lam * g_y)
+        theta = _step(ops, theta, lam, g_y)
         g = _grad(ops, theta)
         evaluations += 1
         residual = _residual(ops, theta, g)

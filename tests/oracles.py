@@ -1,5 +1,6 @@
 """Helpers that only the tests need: the flat joint profile of both players'
-strategies, a nominal attacker, per-sample margin moments and costs and
+strategies, a nominal attacker, the (cost_l, cost_d, grad) triple of
+costs._evaluation, per-sample margin moments and costs and
 gradients written out one sample at a time (independent of the vectorized
 evaluation in randgame.costs), an operator that counts its evaluations, an
 operator that takes its Newton steps from the dense elimination of its
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 
+from randgame.costs import _evaluation
 from randgame.model import Dataset, GameSpec, ParseError
 from randgame.ops import dense_newton
 
@@ -61,8 +63,15 @@ def _hinge_scalar(mu, sigma):
     return sigma * phi + mu * p, p, phi / (2.0 * sigma)
 
 
+def evaluate(theta, *terms):
+    """(cost_l, cost_d, grad) of costs._evaluation(theta, *terms): both
+    players' costs and the unweighted gradient of each cost in its own block."""
+    costs, grad = _evaluation(theta, *terms)
+    return *costs(), grad(1.0)
+
+
 def evaluate_loop(theta, M, anchors, y, rho_l, rho_d, bias_reg):
-    """(cost_l, cost_d, flat unweighted gradient) of costs.evaluate for a
+    """(cost_l, cost_d, flat unweighted gradient) of evaluate for a
     dense symmetric metric M and anchors of shape (n, m) (row i is xhat_i),
     summed one sample at a time from the cost written out term by term and
     its chain rule through E[max(0, S)]."""
@@ -349,13 +358,18 @@ def load_sparse_tokens(path):
 
 
 def load_flat_tokens(path):
-    """load_flat_csv one value at a time."""
-    with open(path) as fh:
-        line = fh.readline().strip()
-    if not line:
+    """load_flat_csv one value at a time, from the whole file's text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    if not lines[0].strip():
         raise ParseError(f"{path}: empty parameter file")
     try:
-        v = np.array([float(tok) for tok in line.split(",")], dtype=float)
+        if any(line.strip() for line in lines[1:]):
+            raise ValueError("a second line")
+        v = np.array([float(tok) for tok in lines[0].split(",")], dtype=float)
     except ValueError:
         raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
     if not np.isfinite(v).all():

@@ -10,14 +10,14 @@ from itertools import combinations
 
 import numpy as np
 
-from oracles import counting_operator, deviation_mask, nominal_attacker, profile
+from oracles import counting_operator, deviation_mask, evaluate, nominal_attacker, profile
 from randgame.attacks import (
     attack_flip_binary,
     attack_l2_box,
     attack_l2_closed,
     tp_at_fp,
 )
-from randgame.costs import _primal_terms, evaluate, game_operator, train_baseline_svm
+from randgame.costs import _primal_terms, game_operator, train_baseline_svm
 from randgame.data import synth_2d
 from randgame.diagnostics import uniqueness_margin
 from randgame.hinge import hinge_expect
@@ -161,7 +161,7 @@ def _sampled_margin_moments(rng, y, draw_score, n_draws=10_000_000, chunks=10):
 
 def _moment_deviation(captured, i, sampled):
     """Largest deviation, in standard errors, of the (mu, sigma) arrays that
-    costs.evaluate passed to hinge_expect in its one call (row 0 the learner's
+    costs._evaluation passed to hinge_expect in its one call (row 0 the learner's
     margins, row 1 the attacker's) at sample i from the sampled margin
     moments; the attacker's margin 1 + y * score has mean 2 - mean."""
     mean, var, n_draws = sampled

@@ -4,9 +4,9 @@ and the closed-form Newton step against the dense one."""
 import numpy as np
 import pytest
 
-from oracles import (deviation_mask, evaluate_loop, margin_moments, nominal_attacker,
-                     profile)
-from randgame.costs import (_primal_terms, _vi_game, evaluate, game_operator, jacobian,
+from oracles import (deviation_mask, evaluate, evaluate_loop, margin_moments,
+                     nominal_attacker, profile)
+from randgame.costs import (_primal_terms, _vi_game, game_operator, jacobian,
                             train_baseline_svm)
 from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
@@ -136,7 +136,8 @@ def _flat_case(which):
 
 
 class TestEvaluateOracle:
-    """costs.evaluate against the per-sample loop in tests/oracles.py."""
+    """costs._evaluation (through oracles.evaluate) against the per-sample loop
+    in tests/oracles.py."""
 
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("k", [1, 2, 7])

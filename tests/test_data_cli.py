@@ -1,6 +1,7 @@
 """Dataset IO round trips, the synthetic generator, and the CLI pipeline
 including exit codes and determinism."""
 
+import hashlib
 import os
 import re
 import stat
@@ -722,6 +723,23 @@ class TestCliPipeline:
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not UTF-8 text"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tail, message", [
+        (b"1,2\n", "expected one line of comma-separated numbers"),
+        # blank lines well past the reader's first chunk, then a Latin-1 byte
+        (b"\n" * 20000 + b"# caf\xe9\n", "not UTF-8 text"),
+    ], ids=["second_line", "latin1_after_blank_lines"])
+    def test_params_file_is_read_to_its_end(self, tmp_path, capsys, tail, message):
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "eq.csv"
+        assert main(["train", "--data", str(data), "--out", str(params)]) in (0, 2)
+        params.write_bytes(params.read_bytes() + tail)
+        out = tmp_path / "curve.csv"
+        capsys.readouterr()
+        assert main(["secure-eval", "--params", str(params), "--data", str(data),
+                     "--dmax-list", "0,0.3", "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {params}: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("load", [load_dense_csv, load_sparse, load_dataset])
     def test_loaders_name_a_file_that_is_not_utf8(self, tmp_path, load):
         # the decode error comes before the parse error of the same line
@@ -890,6 +908,26 @@ class TestGoldenOutputs:
         assert out.read_bytes() == (GOLDEN / f"train_eq_bias{bias_reg}.csv").read_bytes()
         stdout = (GOLDEN / f"train_stdout_bias{bias_reg}.txt").read_text()
         assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("bias_reg, params_sha256, stdout_sha256", [
+        (0, "4a390b16eca73f8627ba2ea4cd12c2c1f2ad88403f2d53e88c5a48410d44903b",
+         "6a83ade1b11420758393bce2a86a60768dbd4a33f0094b46fd671d3a9e8003e8"),
+        (1, "6457a2c0f3b18651dce40d1996488a1428d0ccf6dca5183537178c8563cdbc90",
+         "e6ad05fe47d7c72aa3bca02493c9e1252bd964af488f320329904964a59ab029"),
+    ])
+    def test_train_digests_on_the_rational_path(self, tmp_path, capsys, bias_reg,
+                                                params_sha256, stdout_sha256):
+        # gen-synth --n 300 --seed 4 has 600 points, 1200 margins, so Phi takes
+        # its rational path (train.csv's 32 margins take erfc), and the solves
+        # attempt closed-form Newton steps: newton=0/3 at bias_reg 0, 2/4 at 1
+        data, cfg, out = tmp_path / "d.csv", tmp_path / "game.cfg", tmp_path / "eq.csv"
+        assert main(["gen-synth", "--n", "300", "--seed", "4", "--out", str(data)]) == 0
+        cfg.write_text(f"rho_l=10\nrho_d=10\nW=1\nbias_reg={bias_reg}\nseed=0\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--game", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == params_sha256
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256, stdout
 
     @pytest.mark.parametrize("bias_reg", [0, 1])
     def test_train_bytes_of_the_dense_step(self, tmp_path, capsys, monkeypatch, bias_reg):

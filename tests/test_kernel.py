@@ -5,8 +5,8 @@ reduction to the primal game."""
 import numpy as np
 import pytest
 
-from oracles import margin_moments, profile
-from randgame.costs import _primal_terms, evaluate, game_operator
+from oracles import evaluate, margin_moments, profile
+from randgame.costs import _primal_terms, game_operator
 from randgame.hinge import hinge_expect
 from randgame.kernel import Kernel, _dual_terms, check_psd, dual_game_operator, gram
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes

@@ -1,5 +1,6 @@
 """Data model: validation of datasets, games and flat profiles, boxes, serialization."""
 
+import itertools
 import os
 import re
 import stat
@@ -153,10 +154,15 @@ class TestValidation:
                 GameSpec(_ONE_POINT, 1.0, 1.0, lo, up)
 
 
-def project_box(v, lower, upper):
-    """The solver's projection onto a box: the clamp of a VIGame over it."""
+def project_box(v, lower, upper, in_place=False):
+    """The solver's projection onto a box: the clamp of a VIGame over it, into
+    a new array or, with in_place, into a copy of v as project(t, out=t)."""
     ops = VIGame(lower.size, lower, upper, None, None, None)
-    return ops.project(v)
+    if not in_place:
+        return ops.project(v)
+    t = np.array(v, dtype=float)
+    assert ops.project(t, out=t) is t
+    return t
 
 
 class TestBoxes:
@@ -201,8 +207,8 @@ class TestBoxes:
         rng = np.random.default_rng(5)
         specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -1.0, 1.0, 3.0, -2.0]
         vs = [np.full(8, x) for x in specials] + list(rng.normal(scale=2.0, size=(20, 8)))
-        for v in vs:
-            got, want = project_box(v, lower, upper), np.clip(v, lower, upper)
+        for v, in_place in itertools.product(vs, (False, True)):
+            got, want = project_box(v, lower, upper, in_place), np.clip(v, lower, upper)
             assert got.tobytes() == want.tobytes()
 
 
@@ -222,7 +228,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text", [
         "1,2\n", "-0.0,5e-324,0.1,1e308\n", "1, 2 ,3\nignored,second,line\n", "7",
-        "1,abc\n", "1,,2\n", "1,inf\n", "nan\n", "\n",
+        "1,2\n\n \t\n", "\n1,2\n", "1,abc\n", "1,,2\n", "1,inf\n", "nan\n", "\n",
     ])
     def test_flat_csv_reads_as_value_by_value(self, tmp_path, text):
         p = tmp_path / "params.csv"

@@ -2,6 +2,7 @@
 Newton steps on the SVM games, plus the numeric Nash verifier."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -389,6 +390,17 @@ class TestNewton:
         theta, trace = extragradient_reference(ops, init, 1e-8, 100)
         np.testing.assert_array_equal(res.theta, theta)
         np.testing.assert_array_equal(res.residual_trace, trace)
+
+    def test_dual_game_of_the_benchmark_shape_keeps_its_bits(self):
+        # the shape of the benchmark's solve-dual workload: the RBF dual game
+        # of 60 points (dim 7322) at rho 10 and bias_reg 0, capped at 100
+        # iterations from initial_point(ops, 0); the digest pins theta and
+        # termination
+        ops = dual_game_operator(synth_2d(30, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0)
+        res = extragradient_solve(ops, cfg=SolverConfig(max_iter=100, seed=0))
+        assert (res.termination, res.evaluations) == (TERM_MAX_ITER, 307)
+        digest = hashlib.sha256(res.theta.tobytes() + res.termination.encode()).hexdigest()
+        assert digest == "8d42b95ecd7776cd971ca0f0a13da0846d68da1537d1f18144c1ae338d718b42"
 
     def test_kernel_game_takes_newton_steps(self):
         # the RBF dual game of 4 points, an attempt priced at 140 evaluations:

@@ -11,17 +11,17 @@ times one pseudo-gradient and costs one VIGame.costs call (and its pair of
 costs) on the same games, diag one uniqueness_margin(ops, 1, 0, 1) profile,
 mono one monotonicity_sample(ops, 50, 0) (and its violations) on the diag
 games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
-iterations, the default) and newton one Newton candidate of the solver, each
-on the games its cases build; curve times one security_curve (binary_flip
-and box-L2) on the sets its cases build, and load one data.load_dataset of
-the dense and sparse files its cases write. Each checkout runs in its own
+iterations, the default, or the cap in the case label) and newton one Newton
+candidate of the solver, each on the games its cases build; curve times one
+security_curve (binary_flip and box-L2) on the sets its cases build, and load
+one data.load_dataset of the dense and sparse files its cases write. Each checkout runs in its own
 Python process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
 call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
 median per-call time of its rounds, and the parent and the change alternate
 pass by pass so that slow drift of the host hits both alike. The JSON holds
 per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
-Jacobian calls, closed-form Newton step calls, iterations, residual and the
+Jacobian calls, Newton step calls, iterations, residual and the
 largest coordinate distance between the two sides' solutions; for a costs
 call: both costs, and whether the two sides' costs are equal; for a Newton
 candidate: the Newton attempts of the solve to its iterate, whether there was
@@ -50,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_ROUND_S = 0.02  # a round repeats the call until it lasts at least this
 NEWTON_ITERATE = 10  # first-order iterations to the iterate of a newton case
 MONO_PAIRS = 50  # pairs of a mono case's monotonicity sample, as in the diagnostics workload
+DUAL_MAX_ITER = 100  # iteration cap of the dual solve case, as in the solve-dual workload
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -167,16 +168,18 @@ def _game(n, k, rho, bias_reg):
 
 def _solve_cases(tiny):
     """{(50, 2), (4000, 2), (500, 20)} x rho in {0.1, 10, 100}, bias_reg = 1,
-    from initial_point(game, 0)."""
+    from initial_point(game, 0); and the solve-dual workload's game, the RBF
+    (gamma = 1) dual game on synth_2d(30, 0.4, 0) at rho = 10, bias_reg = 0,
+    from initial_point(ops, 0) and capped at 100 iterations."""
     import dataclasses
 
     from randgame.costs import game_operator
+    from randgame.data import synth_2d
+    from randgame.kernel import Kernel, dual_game_operator
     from randgame.solver import SolverConfig, extragradient_solve, initial_point
 
-    def setup(n, k, rho):
-        game = _game(n, k, rho, 1.0)
-        ops, init = game_operator(game), initial_point(game, 0)
-        # the Newton attempts are the closed-form step's calls
+    def setup(ops, init, max_iter=SolverConfig.max_iter):
+        # the Newton attempts are the newton field's calls
         names = {"pseudo_grad": "evaluations", "jacobian": "jacobian_calls",
                  "newton": "newton_calls"}
         count = dict.fromkeys(names.values(), 0)
@@ -194,17 +197,27 @@ def _solve_cases(tiny):
 
         def call():
             count.update(dict.fromkeys(count, 0))
-            res = extragradient_solve(counted, init, SolverConfig(epsilon=1e-8))
+            res = extragradient_solve(counted, init, SolverConfig(epsilon=1e-8, max_iter=max_iter))
             return dict(count, iterations=res.iterations, residual=res.residual,
                         newton_accepted=res.newton_accepted, newton_rejected=res.newton_rejected,
                         theta=res.theta.tolist())
 
         return call
 
+    def primal(n, k, rho):
+        game = _game(n, k, rho, 1.0)
+        return setup(game_operator(game), initial_point(game, 0))
+
+    def dual(n_per_class):
+        ops = dual_game_operator(synth_2d(n_per_class, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0)
+        return setup(ops, initial_point(ops, 0), DUAL_MAX_ITER)
+
     grid = [(6, 2, 10.0)] if tiny else [(n, k, rho) for n, k in ((50, 2), (4000, 2), (500, 20))
                                         for rho in (0.1, 10.0, 100.0)]
     for n, k, rho in grid:
-        yield f"n={n} k={k} rho={rho:g}", lambda n=n, k=k, rho=rho: setup(n, k, rho)
+        yield f"n={n} k={k} rho={rho:g}", lambda n=n, k=k, rho=rho: primal(n, k, rho)
+    dual_n = 4 if tiny else 60
+    yield f"dual rbf n={dual_n} rho=10 max_iter={DUAL_MAX_ITER}", lambda: dual(dual_n // 2)
 
 
 def _newton_cases(tiny):
