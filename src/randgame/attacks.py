@@ -216,11 +216,11 @@ def security_curve(
 ) -> SecurityCurve:
     """Attack every malicious test sample at each budget and track TP at the
     fixed FP rate, mean/std over seeded re-subsamplings of the test set, for
-    the learner's means mu_w = [w; b] (k + 1 values, the first block of the
-    flat profile). The L2 modes attack in one batch per budget; binary_flip
-    ranks once, at the largest budget, then copies each repetition's drawn
-    rows once and flips in that copy the entries ranked in (previous budget,
-    budget] in place."""
+    the learner's means mu_w = [w; b] (k + 1 finite values, the first block of
+    the flat profile). The legitimate samples are scored once; at each budget
+    every malicious sample is attacked and scored once (binary_flip ranks once,
+    at the largest budget, and flips in place the entries ranked in (previous
+    budget, budget]), and a repetition only indexes its drawn samples' scores."""
     if mode not in ATTACK_MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
     if repetitions < 1:
@@ -228,43 +228,37 @@ def security_curve(
     d_max_list = [_check_budget(d, whole=mode == "binary_flip") for d in d_max_list]
     if not d_max_list or any(b >= a for a, b in zip(d_max_list[1:], d_max_list)):
         raise ValueError("d_max_list must be non-empty and strictly increasing")
-    w, b = mu_w[:-1], float(mu_w[-1])
     X, y = test.features, test.labels
+    mu_w = np.asarray(mu_w, dtype=float)
+    if mu_w.shape != (X.shape[1] + 1,) or not np.isfinite(mu_w).all():
+        raise ValueError(f"mu_w must be k + 1 = {X.shape[1] + 1} finite values")
+    w, b = mu_w[:-1], float(mu_w[-1])
     mal_idx = np.flatnonzero(y == 1)
     leg_idx = np.flatnonzero(y == -1)
     if mal_idx.size == 0 or leg_idx.size == 0:
         raise ValueError("test set needs both classes")
 
-    draws = []  # per repetition: the drawn malicious samples (positions in mal_idx), legit scores
+    draws = []  # per repetition: the drawn samples' positions in mal_idx and in leg_idx
     for rep in range(repetitions):
         rng = np.random.default_rng(seed + rep)
-        pos = rng.choice(mal_idx.size, size=max(1, int(SUBSAMPLE * mal_idx.size)), replace=False)
-        leg = rng.choice(leg_idx, size=max(1, int(SUBSAMPLE * leg_idx.size)), replace=False)
-        draws.append((pos, X[leg] @ w + b))
+        draws.append([rng.choice(idx.size, size=max(1, int(SUBSAMPLE * idx.size)), replace=False)
+                      for idx in (mal_idx, leg_idx)])
+    legit = X[leg_idx] @ w + b
+    X_mal = X[mal_idx]  # a copy: binary_flip flips in it
+    flat = rank = np.empty(0, dtype=np.intp)
+    if mode == "binary_flip" and d_max_list[-1] > 0:  # checked binary only if a budget attacks
+        flat, rank = _flip_ranks(w, X_mal, 1.0, int(d_max_list[-1]))
 
     tp = np.empty((repetitions, len(d_max_list)))
-    if mode != "binary_flip":
-        X_mal = X[mal_idx]
-        for j, d in enumerate(d_max_list):
-            attacked = _attack_rows(w, X_mal, mode, d)
-            for rep, (pos, legit_scores) in enumerate(draws):
-                _, tp[rep, j] = tp_at_fp(legit_scores, attacked[pos] @ w + b, fp_target)
-            del attacked  # free this budget's rows before the next batch
-    else:
-        flat = rank = np.empty(0, dtype=np.intp)
-        if d_max_list[-1] > 0:  # checked binary only if a budget attacks
-            flat, rank = _flip_ranks(w, X[mal_idx], 1.0, int(d_max_list[-1]))
-        row, col = np.divmod(flat, X.shape[1])
-        for rep, (pos, legit_scores) in enumerate(draws):
-            drawn = X[mal_idx[pos]]  # a copy, flipped in place budget by budget
-            at = np.full(mal_idx.size, -1)  # each drawn row's place in the copy
-            at[pos] = np.arange(pos.size)
-            keep = at[row] >= 0
-            flat_d, rank_d = at[row[keep]] * X.shape[1] + col[keep], rank[keep]
-            for j, (done, d) in enumerate(zip([0.0] + d_max_list, d_max_list)):
-                new = flat_d[(rank_d > done) & (rank_d <= d)]
-                drawn.put(new, 1.0 - drawn.take(new))
-                _, tp[rep, j] = tp_at_fp(legit_scores, drawn @ w + b, fp_target)
+    for j, (done, d) in enumerate(zip([0.0] + d_max_list, d_max_list)):
+        if mode == "binary_flip":
+            new = flat[(rank > done) & (rank <= d)]
+            X_mal.put(new, 1.0 - X_mal.take(new))
+            scores = X_mal @ w + b
+        else:
+            scores = _attack_rows(w, X_mal, mode, d) @ w + b
+        for rep, (pos, leg) in enumerate(draws):
+            _, tp[rep, j] = tp_at_fp(legit[leg], scores[pos], fp_target)
 
     points = tuple(
         (d, float(tp[:, j].mean()), float(tp[:, j].std())) for j, d in enumerate(d_max_list)

@@ -102,7 +102,7 @@ def hinge_expect(mu, sigma):
     two axes of the broadcast shape; scalar inputs give three floats."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if (sigma <= 0).any():
+    if not (sigma > 0).all():
         raise ValueError("sigma must be strictly positive")
     z = mu / sigma
     e = np.exp(-0.5 * z * z)
@@ -119,7 +119,7 @@ def hinge_hessian(mu, sigma):
     S ~ Normal(mu, sigma^2), as arrays of the broadcast shape."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if (sigma <= 0).any():
+    if not (sigma > 0).all():
         raise ValueError("sigma must be strictly positive")
     z = mu / sigma
     phi_s = np.exp(-0.5 * z * z) / (_SQRT2PI * sigma)  # phi / sigma

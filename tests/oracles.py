@@ -9,7 +9,8 @@ first-order extragradient loop the solver ran before it took Newton steps,
 the central finite-difference Jacobian of a pseudo-gradient and the dense
 matrix of a block Jacobian (the oracles of the closed-form blocks), and per-sample loop
 versions of the batched attacks and of the TP-at-FP threshold search in
-randgame.attacks, and token-by-token readers of the data and parameter files
+randgame.attacks, a security curve that attacks and scores each repetition's
+drawn rows separately, and token-by-token readers of the data and parameter files
 (the oracles of the bulk parsers in randgame.data and randgame.model)."""
 
 import dataclasses
@@ -286,6 +287,31 @@ def tp_at_fp_scan(scores_legit, scores_malicious, fp_target):
         if float((legit >= t).mean()) <= fp_target:
             return float(t), float((mal >= t).mean())
     raise AssertionError("unreachable: +inf threshold always satisfies the FP bound")
+
+
+def security_curve_per_repetition(mu_w, test, mode, d_max_list, repetitions, seed,
+                                  fp_target=0.01):
+    """The points of attacks.security_curve by its earlier method: each
+    repetition draws its rows from the same seed, attacks its drawn malicious
+    rows afresh at every budget and scores them and its drawn legitimate rows
+    on their own."""
+    from randgame.attacks import SUBSAMPLE, attack_flip_binary, attack_l2_box, attack_l2_closed
+
+    attack = {"l2_closed_form": attack_l2_closed, "l2_box_pgd": attack_l2_box,
+              "binary_flip": attack_flip_binary}[mode]
+    w, b = mu_w[:-1], mu_w[-1]
+    mal, leg = np.flatnonzero(test.labels == 1), np.flatnonzero(test.labels == -1)
+    tp = np.empty((repetitions, len(d_max_list)))
+    for rep in range(repetitions):
+        rng = np.random.default_rng(seed + rep)
+        drawn = test.features[rng.choice(mal, size=max(1, int(SUBSAMPLE * mal.size)),
+                                          replace=False)]
+        legit = test.features[rng.choice(leg, size=max(1, int(SUBSAMPLE * leg.size)),
+                                         replace=False)] @ w + b
+        for j, d in enumerate(d_max_list):
+            tp[rep, j] = tp_at_fp_scan(legit, attack(w, drawn, 1.0, d) @ w + b, fp_target)[1]
+    return tuple((float(d), float(tp[:, j].mean()), float(tp[:, j].std()))
+                 for j, d in enumerate(d_max_list))
 
 
 def _label_token(tok, path, lineno):

@@ -6,12 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import attack_l2_box_bisection, flip_binary_greedy, tp_at_fp_scan
+from oracles import (
+    attack_l2_box_bisection,
+    flip_binary_greedy,
+    security_curve_per_repetition,
+    tp_at_fp_scan,
+)
 
 from randgame import attacks
 from randgame.attacks import (
     ATTACK_MODES,
-    SUBSAMPLE,
     SecurityCurve,
     _attack_rows,
     attack_flip_binary,
@@ -326,33 +330,48 @@ class TestSecurityCurve:
         tps = [p[1] for p in curve.points]
         assert tps[0] > 0.9 and tps[0] > tps[1] > tps[2]
 
-    def test_binary_flip_curve_equals_one_attack_per_budget(self):
-        # the curve ranks the flips once and applies them in place, budget by
-        # budget; the reference attacks a fresh copy of the rows per budget
-        rng = np.random.default_rng(15)
-        n, k, reps, seed = 120, 400, 3, 5
+    @staticmethod
+    def _check_against_oracle(monkeypatch, mode, budget_lists):
+        # the curve scores the legitimate rows once and every malicious row
+        # once per budget (binary_flip ranks once and flips in place), and a
+        # repetition indexes the scores; the oracle attacks and scores each
+        # repetition's drawn rows afresh per budget. Binary rows suit every
+        # mode; float weights hold ties in |w| and zero weights, integer
+        # weights give scores that tie exactly.
+        calls = dict.fromkeys(("tp_at_fp", "_flip_ranks"), 0)
+        for name in calls:
+            def counted(*args, fn=getattr(attacks, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(attacks, name, counted)
+        n, k, reps = 120, 400, 3
         y = np.where(np.arange(n) < n // 2, -1.0, 1.0)
-        X = (rng.random((n, k)) < np.where(y[:, None] > 0, 0.06, 0.02)).astype(float)
-        w, b = np.round(rng.normal(size=k), 1), -0.3  # ties in |w| and zero weights
-        ds = Dataset(X, y, "binary")
-        before = ds.features.copy()
-        budgets = [0, 1, 3, 8, 20, 50]
-        curve = security_curve(np.append(w, b), ds, "binary_flip", budgets, repetitions=reps,
-                               seed=seed)
-        np.testing.assert_array_equal(ds.features, before)
-        mal, leg = np.flatnonzero(y == 1), np.flatnonzero(y == -1)
-        tp = np.empty((reps, len(budgets)))
-        for rep in range(reps):
-            draw = np.random.default_rng(seed + rep)
-            pos = draw.choice(mal.size, size=int(SUBSAMPLE * mal.size), replace=False)
-            legit = X[draw.choice(leg, size=int(SUBSAMPLE * leg.size), replace=False)] @ w + b
-            for j, d in enumerate(budgets):
-                attacked = attack_flip_binary(w, X[mal], 1.0, d)
-                tp[rep, j] = tp_at_fp(legit, attacked[pos] @ w + b, curve.fp_target)[1]
-        ref = tuple((d, float(tp[:, j].mean()), float(tp[:, j].std()))
-                    for j, d in enumerate(budgets))
-        assert curve.points == ref
-        assert ref[0][1] > ref[-1][1]  # the attack moves the curve
+        for seed in (5, 6, 7):
+            rng = np.random.default_rng(seed + 10)
+            X = (rng.random((n, k)) < np.where(y[:, None] > 0, 0.06, 0.02)).astype(float)
+            ds = Dataset(X, y, "binary")
+            before = X.copy()
+            for mu_w in (np.append(np.round(rng.normal(0.3, 1.0, size=k), 1), -0.3),
+                         np.append(rng.integers(-2, 4, size=k), -1.0)):
+                for budgets in budget_lists:
+                    calls.update(dict.fromkeys(calls, 0))
+                    curve = security_curve(mu_w, ds, mode, budgets, repetitions=reps, seed=seed)
+                    assert calls["tp_at_fp"] == reps * len(budgets)
+                    assert calls["_flip_ranks"] == (mode == "binary_flip")
+                    np.testing.assert_array_equal(ds.features, before)
+                    ref = security_curve_per_repetition(mu_w, ds, mode, budgets, reps, seed)
+                    assert curve.points == ref
+                    if budgets is budget_lists[0]:
+                        assert ref[0][1] > ref[-1][1]  # the attack moves the curve
+
+    def test_binary_flip_curve_equals_one_attack_per_budget(self, monkeypatch):
+        self._check_against_oracle(monkeypatch, "binary_flip",
+                                   ([0, 1, 3, 8, 20, 50], [2, 5, 9], [4]))
+
+    @pytest.mark.parametrize("mode", ["l2_closed_form", "l2_box_pgd"])
+    def test_l2_curve_equals_one_attack_per_repetition_and_budget(self, monkeypatch, mode):
+        self._check_against_oracle(monkeypatch, mode, ([0.0, 0.05, 0.1, 0.3], [0.02, 0.2], [0.1]))
 
     def test_requires_increasing_budgets(self):
         mu_w, ds, mode = self._setup()
@@ -450,6 +469,24 @@ class TestAttackSpecValidation:
         for grid in ([], [0.0, 1.0]):
             with pytest.raises(ValueError, match="mode"):
                 security_curve(mu_w, ds, "nonsense", grid)
+
+    @pytest.mark.parametrize("bad", ["nan_weight", "inf_bias", "short", "long"])
+    def test_curve_needs_k_plus_1_finite_means(self, monkeypatch, bad):
+        # a NaN weight gave TP 0.0 at every budget and an inf bias 1.0; a
+        # wrong length ended in numpy's matmul error
+        mu_w, ds = _binary_case()
+        mu_w = {"nan_weight": np.where(np.arange(5) == 1, np.nan, mu_w),
+                "inf_bias": np.append(mu_w[:-1], np.inf),
+                "short": mu_w[:-1], "long": np.append(mu_w, 0.0)}[bad]
+
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attack work before mu_w was checked")
+
+        monkeypatch.setattr(attacks, "_flip_ranks", no_attack)
+        monkeypatch.setattr(attacks, "_attack_rows", no_attack)
+        for mode in ATTACK_MODES:
+            with pytest.raises(ValueError, match=r"mu_w must be k \+ 1 = 5 finite values"):
+                security_curve(mu_w, ds, mode, [0.0, 1.0], repetitions=1)
 
     def test_binary_flip_needs_integer_budget(self):
         mu_w, ds = _binary_case()

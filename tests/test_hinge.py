@@ -53,6 +53,13 @@ class TestHingeExpect:
         with pytest.raises(ValueError):
             hinge_expect(0.0, 0.0)
 
+    def test_rejects_nan_sigma(self):
+        # NaN <= 0 is False, so a NaN sigma once gave (nan, nan, nan)
+        with pytest.raises(ValueError, match="strictly positive"):
+            hinge_expect(0.0, np.nan)
+        with pytest.raises(ValueError, match="strictly positive"):
+            hinge_expect(np.zeros(3), np.array([1.0, np.nan, 2.0]))
+
     def test_scalar_inputs_give_floats_and_arrays_give_arrays(self):
         assert all(type(v) is float for v in hinge_expect(0.3, 1.2))
         out = hinge_expect(np.array([0.3, -0.1]), 1.2)
@@ -186,6 +193,12 @@ class TestHingeHessian:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             hinge_hessian(0.0, 0.0)
+
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            hinge_hessian(0.0, np.nan)
+        with pytest.raises(ValueError, match="strictly positive"):
+            hinge_hessian(np.zeros(3), np.array([1.0, np.nan, 2.0]))
 
 
 class TestMarginMoments:

@@ -21,16 +21,15 @@ median per-call time of its rounds, and the parent and the change alternate
 pass by pass so that slow drift of the host hits both alike. The JSON holds
 per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
-Jacobian calls, Newton step calls, iterations, residual and the
-largest coordinate distance between the two sides' solutions; for a costs
-call: both costs, and whether the two sides' costs are equal; for a Newton
-candidate: the Newton attempts of the solve to its iterate, whether there was
-a step and that distance between the two sides' candidates; for a
-monotonicity sample: its violations; for a curve: its points, and whether
-the two sides' points are equal; for a load: the set's shape, kind and
-digest, and whether the two sides loaded the same set), then each side's
-peak worker RSS and bench/run.py's environment(): the core count and the
-BLAS.
+Newton step calls, iterations, residual and the largest coordinate distance
+between the two sides' solutions; for a costs call: both costs, and whether
+the two sides' costs are equal; for a Newton candidate: the Newton attempts
+of the solve to its iterate, whether there was a step and that distance
+between the two sides' candidates; for a monotonicity sample: its
+violations; for a curve: its points, and whether the two sides' points are
+equal; for a load: the set's shape, kind and digest, and whether the two
+sides loaded the same set), then each side's peak worker RSS and
+bench/run.py's environment(): the core count and the BLAS.
 Several entries write one file that maps each entry's name to its report.
 """
 
@@ -180,8 +179,7 @@ def _solve_cases(tiny):
 
     def setup(ops, init, max_iter=SolverConfig.max_iter):
         # the Newton attempts are the newton field's calls
-        names = {"pseudo_grad": "evaluations", "jacobian": "jacobian_calls",
-                 "newton": "newton_calls"}
+        names = {"pseudo_grad": "evaluations", "newton": "newton_calls"}
         count = dict.fromkeys(names.values(), 0)
 
         def counting(field):
@@ -325,10 +323,7 @@ def _load_cases(tiny):
 
     import numpy as np
 
-    from randgame import cli, data
-
-    # before load_dataset, the CLI picked a file's format
-    load = getattr(data, "load_dataset", None) or cli._load_dataset
+    from randgame import data
 
     def dense(ds):
         return lambda path: data.save_dense_csv(path, ds.features, ds.labels)
@@ -344,7 +339,7 @@ def _load_cases(tiny):
 
         def call():
             nonlocal warm
-            ds = load(path)
+            ds = data.load_dataset(path)
             if warm:
                 warm = False
                 sha = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
