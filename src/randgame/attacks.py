@@ -109,7 +109,7 @@ def _flip_ranks(w, X, y, d_max):
     The order is read once, in column blocks doubling from 2 * d_max, and only
     the rows still short of d_max candidates are compared, counted and ranked."""
     on = X == 1.0
-    if np.count_nonzero(on) + np.count_nonzero(X == 0.0) != X.size:
+    if np.count_nonzero(on) != np.count_nonzero(X):  # -0.0 is zero; NaN is neither 0 nor 1
         raise ValueError("binary flip attack needs binary features")
     order = np.lexsort((np.arange(X.shape[1]), -np.abs(w)))
     yw = y * np.asarray(w, dtype=float)[order]
@@ -145,17 +145,10 @@ def attack_flip_binary(w, X, y, d_max):
     return out[0] if one else out
 
 
-def tp_at_fp(scores_legit, scores_malicious, fp_target):
-    """Detection threshold and TP rate at an empirical FP bound.
-
-    Candidate thresholds are midpoints of adjacent sorted legitimate scores
-    plus +-inf sentinels; among thresholds with FP <= fp_target the smallest
-    (maximizing TP) is chosen. Detection means score >= threshold.
-    """
-    legit = np.asarray(scores_legit, dtype=float)
-    mal = np.asarray(scores_malicious, dtype=float)
-    if legit.size == 0 or mal.size == 0:
-        raise ValueError("score sequences must be non-empty")
+def _threshold(legit, fp_target):
+    """The smallest threshold whose FP rate on the non-empty legitimate scores
+    is at most fp_target, among the midpoints of adjacent sorted scores and
+    +-inf sentinels; detection means score >= threshold."""
     if not (0.0 < fp_target < 1.0):
         raise ValueError("fp_target must lie in (0, 1)")
     s = np.sort(legit)
@@ -164,8 +157,17 @@ def tp_at_fp(scores_legit, scores_malicious, fp_target):
     # FP(t) = share of legitimate scores >= t never rises with t, so the first
     # candidate within the bound is the smallest feasible threshold
     fp = (s.size - np.searchsorted(s, candidates, side="left")) / s.size
-    t = candidates[np.argmax(fp <= fp_target)]
-    return float(t), float((mal >= t).mean())
+    return float(candidates[np.argmax(fp <= fp_target)])
+
+
+def tp_at_fp(scores_legit, scores_malicious, fp_target):
+    """Detection threshold and TP rate at an empirical FP bound: the smallest
+    threshold with FP <= fp_target, which maximizes TP."""
+    legit, mal = (np.asarray(s, dtype=float) for s in (scores_legit, scores_malicious))
+    if legit.size == 0 or mal.size == 0:
+        raise ValueError("score sequences must be non-empty")
+    t = _threshold(legit, fp_target)
+    return t, float((mal >= t).mean())
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def security_curve(
     """Attack every malicious test sample at each budget and track TP at the
     fixed FP rate, mean/std over seeded re-subsamplings of the test set, for
     the learner's means mu_w = [w; b] (k + 1 finite values, the first block of
-    the flat profile). The legitimate samples are scored once; at each budget
+    the flat profile). The legitimate samples are scored once, and each
+    repetition's threshold is found once, before the budgets; at each budget
     every malicious sample is attacked and scored once (binary_flip ranks once,
     at the largest budget, and flips in place the entries ranked in (previous
     budget, budget]), and a repetition only indexes its drawn samples' scores."""
@@ -238,12 +241,13 @@ def security_curve(
     if mal_idx.size == 0 or leg_idx.size == 0:
         raise ValueError("test set needs both classes")
 
-    draws = []  # per repetition: the drawn samples' positions in mal_idx and in leg_idx
+    legit = X[leg_idx] @ w + b
+    draws = []  # per repetition: its drawn positions in mal_idx, and its drawn legit's threshold
     for rep in range(repetitions):
         rng = np.random.default_rng(seed + rep)
-        draws.append([rng.choice(idx.size, size=max(1, int(SUBSAMPLE * idx.size)), replace=False)
-                      for idx in (mal_idx, leg_idx)])
-    legit = X[leg_idx] @ w + b
+        pos, leg = (rng.choice(idx.size, size=max(1, int(SUBSAMPLE * idx.size)), replace=False)
+                    for idx in (mal_idx, leg_idx))
+        draws.append((pos, _threshold(legit[leg], fp_target)))
     X_mal = X[mal_idx]  # a copy: binary_flip flips in it
     flat = rank = np.empty(0, dtype=np.intp)
     if mode == "binary_flip" and d_max_list[-1] > 0:  # checked binary only if a budget attacks
@@ -257,10 +261,8 @@ def security_curve(
             scores = X_mal @ w + b
         else:
             scores = _attack_rows(w, X_mal, mode, d) @ w + b
-        for rep, (pos, leg) in enumerate(draws):
-            _, tp[rep, j] = tp_at_fp(legit[leg], scores[pos], fp_target)
+        for rep, (pos, t) in enumerate(draws):
+            tp[rep, j] = (scores[pos] >= t).mean()
 
-    points = tuple(
-        (d, float(tp[:, j].mean()), float(tp[:, j].std())) for j, d in enumerate(d_max_list)
-    )
+    points = tuple((d, float(c.mean()), float(c.std())) for d, c in zip(d_max_list, tp.T))
     return SecurityCurve(points=points, fp_target=fp_target, repetitions=repetitions)

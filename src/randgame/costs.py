@@ -91,6 +91,25 @@ def _on_columns(f):
     return lambda v: f(v[..., None])[..., 0]
 
 
+def _moments(mu_a, mu_b, sig_a, sig_b, planes, by_M, by_M2):
+    """The margin moments of _unpack's parts, one profile or a stack: s2a, s2x,
+    Mx, Mx2, Ma, w_x and each sample's score a.M x + b and sigma, on the
+    (..., m, n) planes. _evaluation, jacobian and newton_step all take them
+    here, so all three see the same bits: at a margin many sigma from the kink
+    the hinge terms magnify a last-bit difference in sigma by (mu / sigma)^2."""
+    m, stack = planes.shape[-2] // 2, planes.shape[:-2]
+    col = _COL if stack else ()
+    M_v, M2_v = (_on_columns(by_M), _on_columns(by_M2)) if stack else (by_M, by_M2)
+    s2a, s2x = sig_a**2, planes[..., m:, :] ** 2
+    Mx = by_M(planes[..., :m, :])  # column i is M mu_x_i; mu_x itself when M = I
+    Mx2 = Mx**2
+    Ma = M_v(mu_a)
+    w_x = Ma**2 + M2_v(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
+    score = np.vecmat(mu_a, Mx) + mu_b[col]
+    sigma = np.sqrt(np.vecmat(s2a, Mx2) + np.vecmat(w_x, s2x) + (sig_b**2)[col])
+    return s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma
+
+
 def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     """The part of an evaluation at the flat joint profile theta = [mu_a (m);
     mu_b; sigma_a (m); sigma_b; per row (mu_x_i (m), sigma_x_i (m))], for
@@ -113,20 +132,13 @@ def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     primal game passes the identity for both maps, so M = I costs nothing.
     """
     m, n = anchors.shape
-    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
+    mu_a, mu_b, sig_a, sig_b, planes = parts = _unpack(theta, m, n)
     stack = planes.shape[:-2]
     mu_x, sig_x = planes[..., :m, :], planes[..., m:, :]  # column i is mu_x_i, sigma_x_i
     # one profile needs no new axes, and its vectors go to the maps as they are
-    col, row = (_COL, _ROW) if stack else ((), ())
+    row = _ROW if stack else ()
     M_v, M2_v = (_on_columns(by_M), _on_columns(by_M2)) if stack else (by_M, by_M2)
-
-    s2a, s2x = sig_a**2, sig_x**2
-    Mx = by_M(mu_x)  # column i is M mu_x_i; mu_x itself when M = I
-    Mx2 = Mx**2
-    Ma = M_v(mu_a)
-    w_x = Ma**2 + M2_v(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
-    score = np.vecmat(mu_a, Mx) + mu_b[col]
-    sigma = np.sqrt(np.vecmat(s2a, Mx2) + np.vecmat(w_x, s2x) + (sig_b**2)[col])
+    s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma = _moments(*parts, by_M, by_M2)
     # the margins 1 -+ y score: (..., 2, n), row 0 the learner's
     (h_s, h_t), (p_s, p_t), (v_s, v_t) = (
         (a[..., 0, :], a[..., 1, :])
@@ -182,15 +194,6 @@ def reg_hess(M, dM, rho_l, rho_d, bias_reg):
     return reg_l, reg_d
 
 
-def _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b):
-    """Each sample's score a.M x + b and sigma, from its rows of Mx (row i is
-    M mu_x_i) and s2x. jacobian and newton_step both take them here, in this
-    row-major layout, so that the two Newton steps see the same bits: at a
-    margin many sigma from the kink the hinge terms magnify a last-bit
-    difference in sigma by about (mu / sigma)^2."""
-    return Mx @ mu_a + mu_b, np.sqrt(Mx**2 @ s2a + s2x @ w_x + sig_b**2)
-
-
 def _hinge_terms(score, sigma, y):
     """For each sample, the derivatives of the learner's (row 0) and the
     attacker's (row 1) expected hinge in the score, in sigma^2 and, as a
@@ -216,32 +219,27 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
 
     Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
     rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
-    and sigma^2 are differentiated in closed form.
+    and sigma^2, taken from _moments as the evaluation takes them, are
+    differentiated in closed form.
     """
     if np.ndim(theta) != 1:
         raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
     m, n = anchors.shape
-    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
-    x_rows = planes.T.copy()  # row-major again, the layout the products below expect
-    mu_x, sig_x = x_rows[:, :m], x_rows[:, m:]  # row i is mu_x_i, sigma_x_i
-    eye = np.eye(m)
-    M, M2 = by_M(eye), by_M2(eye)
+    mu_a, _, sig_a, sig_b, planes = parts = _unpack(theta, m, n)
+    s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma = _moments(*parts, by_M, by_M2)
+    # row-major copies (row i is sample i's), the layout of the block products below
+    sig_x, s2x, Mx, Mx2 = (np.ascontiguousarray(a.T) for a in (planes[m:], s2x, Mx, Mx2))
+    M, M2 = by_M(np.eye(m)), by_M2(np.eye(m))
     reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
     a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
     L = 2 * m + 2
-
-    s2a, s2x = sig_a**2, sig_x**2
-    Mx = mu_x @ M  # row i is M mu_x_i, as M is symmetric
-    Ma = M @ mu_a
-    w_x = Ma**2 + M2 @ s2a
-    score, sigma = _score_sigma(Mx, s2x, mu_a, mu_b, s2a, w_x, sig_b)
 
     # Per sample, the gradients of score (row 0) and of sigma^2 (row 1) in the
     # learner block (U_l) and in the sample's attacker row (U_x).
     U_l, U_x = np.zeros((n, 2, L)), np.zeros((n, 2, 2 * m))
     U_l[:, 0, a_], U_l[:, 0, m] = Mx, 1.0
     U_l[:, 1, a_] = 2.0 * (s2x * Ma) @ M
-    U_l[:, 1, s_] = 2.0 * sig_a * (Mx**2 + s2x @ M2)
+    U_l[:, 1, s_] = 2.0 * sig_a * (Mx2 + s2x @ M2)
     U_l[:, 1, 2 * m + 1] = 2.0 * sig_b
     U_x[:, 0, a_] = Ma
     U_x[:, 1, a_] = 2.0 * (s2a * Mx) @ M
@@ -263,7 +261,7 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     HU_l = H_s @ U_l
     ll = U_l.reshape(2 * n, L).T @ HU_l.reshape(2 * n, L)
     ll[a_, a_] += (M * (2.0 * (v_s @ s2x))) @ M
-    ll[s_, s_] += np.diag(2.0 * (v_s @ Mx**2 + M2 @ (v_s @ s2x)))
+    ll[s_, s_] += np.diag(2.0 * (v_s @ Mx2 + M2 @ (v_s @ s2x)))
     ll[2 * m + 1, 2 * m + 1] += 2.0 * v_s.sum()
     ll += reg_l
     ld = HU_l.transpose(0, 2, 1) @ U_x
@@ -338,19 +336,17 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     sums that build S and its right side, with Ul's planes, are taken over
     ranges of rows (SCHUR_RANGE_ENTRIES). The learner block is taken in the
     order (mu_a, sigma_a, mu_b, sigma_b), so that the rows that B touches
-    come first. The score and sigma come from jacobian's own products
-    (_score_sigma), and the rows' back-substitution sums D^-1 g_i and
-    D^-1 E_i d_l as the dense elimination sums its two solves, so the step's
-    last bits follow the dense step's as closely as the arithmetic allows."""
+    come first. Score and sigma come from _moments, as in the evaluation, and
+    the rows' back-substitution sums D^-1 g_i and D^-1 E_i d_l as the dense
+    elimination sums its two solves, so the step's last bits follow the dense
+    step's as closely as the arithmetic allows."""
     m, n = anchors.shape
     L = 2 * m + 2
     order = np.r_[0:m, m + 1 : 2 * m + 1, m, 2 * m + 1]
-    mu_a, mu_b, sig_a, sig_b, planes = _unpack(theta, m, n)
-    x, sx = planes[:m], planes[m:]
-    s2a, s2x = sig_a**2, sx**2
-    w_x = mu_a**2 + s2a
-    (ps, pt), (vs, vt), H = _hinge_terms(
-        *_score_sigma(x.T.copy(), s2x.T.copy(), mu_a, mu_b, s2a, w_x, sig_b), y)
+    mu_a, _, sig_a, sig_b, planes = parts = _unpack(theta, m, n)
+    s2a, s2x, x, x2, _, w_x, score, sigma = _moments(*parts, _identity, _identity)
+    sx = planes[m:]
+    (ps, pt), (vs, vt), H = _hinge_terms(score, sigma, y)
     # A^-1 on the free row coordinates and 0 on the fixed ones; U's rows are
     # (mu_a, 0) and (u_m, u_s) on the (means, deviations)
     free_x = free[L:].reshape(n, 2 * m).T
@@ -362,10 +358,10 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     mu_c, sig_c = mu_a[:, None], sig_a[:, None]
 
     def learner_gradients(rows):  # Ul over the rows, (2, L, rows)
-        x_r, s2x_r = x[:, rows], s2x[:, rows]
+        x_r, x2_r, s2x_r = x[:, rows], x2[:, rows], s2x[:, rows]
         Ul = np.zeros((2, L, x_r.shape[1]))
         Ul[0, :m], Ul[0, -2] = x_r, 1.0
-        Ul[1, :m], Ul[1, m:-2], Ul[1, -1] = (2.0 * mu_c * s2x_r, 2.0 * sig_c * (x_r**2 + s2x_r),
+        Ul[1, :m], Ul[1, m:-2], Ul[1, -1] = (2.0 * mu_c * s2x_r, 2.0 * sig_c * (x2_r + s2x_r),
                                              2.0 * sig_b)
         return Ul
 
@@ -382,8 +378,8 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     j, k = np.arange(m), np.arange(m, 2 * m)
 
     def add_range(rows):  # the rows' terms of S and rhs
-        x_r, sx_r, s2x_r, ia_mr, ia_sr, u_mr, u_sr = (
-            a[:, rows] for a in (x, sx, s2x, ia_m, ia_s, u_m, u_s))
+        x_r, x2_r, sx_r, s2x_r, ia_mr, ia_sr, u_mr, u_sr = (
+            a[:, rows] for a in (x, x2, sx, s2x, ia_m, ia_s, u_m, u_s))
         p_s, p_t, v_s, v_t = ps[rows], pt[rows], vs[rows], vt[rows]
         r0, r1, rs = ia_mr * mu_c, ia_mr * u_mr, ia_sr * u_sr  # A^-1 U^T
         # B's entries: p on (mu_a_j, mu_x_ij), and v times 4 mu_a_j sx_ij on
@@ -412,7 +408,7 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
         S[j, j] += 2.0 * (s2x_r @ v_s) - ia_mr @ (p_s * p_t) - 16.0 * mu_a**2 * sum_ss
         S[j, k] -= 4.0 * sig_a * (xm @ (p_s * v_t) + 4.0 * mu_a * sum_ss)
         S[k, j] -= 4.0 * sig_a * (xm @ (v_s * p_t) + 4.0 * mu_a * sum_ss)
-        S[k, k] += 2.0 * ((x_r**2 + s2x_r) @ v_s) - 16.0 * s2a * ((x_r * xm) @ vv + sum_ss)
+        S[k, k] += 2.0 * ((x2_r + s2x_r) @ v_s) - 16.0 * s2a * ((x_r * xm) @ vv + sum_ss)
         S[-1, -1] += 2.0 * v_s.sum()
         rhs[:m] += e_m @ p_s + 4.0 * mu_a * ((sx_r * e_s) @ v_s)
         rhs[m : 2 * m] += 4.0 * sig_a * ((x_r * e_m + sx_r * e_s) @ v_s)

@@ -209,6 +209,14 @@ class TestBinaryFlip:
             attack_flip_binary(np.ones(2), np.array([0.5, 1.0]), 1.0, 1)
         with pytest.raises(ValueError, match="binary"):
             attack_flip_binary(np.ones(2), np.array([[0.0, 1.0], [1.0, 2.0]]), 1.0, 1)
+        # -0.0 counts as zero; NaN and 0.5 count as neither 0 nor 1
+        w = np.array([1.0, -1.0, 0.5])
+        adv = attack_flip_binary(w, np.array([[-0.0, 1.0, 0.0], [1.0, -0.0, 1.0]]), 1.0, 3)
+        np.testing.assert_array_equal(adv, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        for X in ([[np.nan, 1.0, 0.0]], [[-0.0, 0.5, 1.0]], [[np.nan, -0.0, 0.5]],
+                  [[np.nan, 0.0, 0.0], [1.0, -0.0, 1.0]]):
+            with pytest.raises(ValueError, match="binary"):
+                attack_flip_binary(w, np.array(X), 1.0, 1)
 
     @pytest.mark.parametrize("y", [-1.0, 1.0])
     def test_batch_equals_per_row_greedy(self, y):
@@ -332,13 +340,14 @@ class TestSecurityCurve:
 
     @staticmethod
     def _check_against_oracle(monkeypatch, mode, budget_lists):
-        # the curve scores the legitimate rows once and every malicious row
-        # once per budget (binary_flip ranks once and flips in place), and a
-        # repetition indexes the scores; the oracle attacks and scores each
-        # repetition's drawn rows afresh per budget. Binary rows suit every
-        # mode; float weights hold ties in |w| and zero weights, integer
-        # weights give scores that tie exactly.
-        calls = dict.fromkeys(("tp_at_fp", "_flip_ranks"), 0)
+        # the curve scores the legitimate rows once, finds each repetition's
+        # threshold once and scores every malicious row once per budget
+        # (binary_flip ranks once and flips in place), and a repetition
+        # indexes the scores; the oracle attacks and scores each repetition's
+        # drawn rows afresh per budget and scans for each threshold. Binary
+        # rows suit every mode; float weights hold ties in |w| and zero
+        # weights, integer weights give scores that tie exactly.
+        calls = dict.fromkeys(("_threshold", "_flip_ranks"), 0)
         for name in calls:
             def counted(*args, fn=getattr(attacks, name), name=name):
                 calls[name] += 1
@@ -357,7 +366,7 @@ class TestSecurityCurve:
                 for budgets in budget_lists:
                     calls.update(dict.fromkeys(calls, 0))
                     curve = security_curve(mu_w, ds, mode, budgets, repetitions=reps, seed=seed)
-                    assert calls["tp_at_fp"] == reps * len(budgets)
+                    assert calls["_threshold"] == reps
                     assert calls["_flip_ranks"] == (mode == "binary_flip")
                     np.testing.assert_array_equal(ds.features, before)
                     ref = security_curve_per_repetition(mu_w, ds, mode, budgets, reps, seed)

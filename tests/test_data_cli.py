@@ -929,6 +929,25 @@ class TestGoldenOutputs:
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256, stdout
 
+    def test_train_digests_of_kept_newton_steps_at_k5(self, tmp_path, capsys):
+        # 800 points of the CI's k = 5 set (uniform in [0, 1]^5 from seed 5,
+        # y = sign(x_1 + x_2 + x_3 - 1.5)) at rho 100: the solve keeps all
+        # three of its closed-form Newton steps, so the digests pin the
+        # Newton step's bits at k > 2, where score and sigma from other
+        # products than the evaluation's would move 55 of the 8012 entries
+        X = np.random.default_rng(5).uniform(size=(800, 5))
+        data, cfg, out = tmp_path / "k5.csv", tmp_path / "game.cfg", tmp_path / "eq.csv"
+        save_dense_csv(data, X, np.where(X[:, :3].sum(axis=1) > 1.5, 1.0, -1.0))
+        cfg.write_text("rho_l=100\nrho_d=100\nW=1\nbias_reg=1\nseed=0\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--game", str(cfg), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "newton=3/3" in stdout, stdout
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "da1dc8f9041262a822a0db842f419528e9041a68b89ce44d014fe0dd2fbd5021")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "8da2ae7cd27e60d1431a48ae531ca91d0dee2fa6973f2b68698ce840cd415fd3"), stdout
+
     @pytest.mark.parametrize("bias_reg", [0, 1])
     def test_train_bytes_of_the_dense_step(self, tmp_path, capsys, monkeypatch, bias_reg):
         # the primal operator's Newton steps are closed-form; the dense

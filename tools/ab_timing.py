@@ -219,19 +219,21 @@ def _solve_cases(tiny):
 
 
 def _newton_cases(tiny):
-    """One Newton candidate at rho = 10: (4000, 2) with bias_reg = 0, the
-    solve-primal workload's game, and (500, 20) with bias_reg = 1, at the
-    iterate that NEWTON_ITERATE extragradient iterations without Newton
-    attempts reach from initial_point(game, 0). Both iterates give a step, which the
-    solver would keep at (4000, 2) and reject at (500, 20); from 15
-    iterations on, the (4000, 2) system is singular."""
+    """One Newton candidate at the iterate that NEWTON_ITERATE extragradient
+    iterations without Newton attempts reach from initial_point(game, 0), on
+    three games: (4000, 2) at rho = 10 with bias_reg = 0, the solve-primal
+    workload's game; (500, 20) at rho = 10 with bias_reg = 1; and (1000, 5)
+    at rho = 100 with bias_reg = 1, the CI's k = 5 set, whose solve keeps all
+    four of its Newton steps. Each iterate gives a step, which the solver
+    would keep at (4000, 2) and reject at the other two; from 15 iterations
+    on, the (4000, 2) system is singular."""
     import dataclasses
 
     from randgame import solver
     from randgame.costs import game_operator
 
-    def setup(n, k, bias_reg):
-        game = _game(n, k, 10.0, bias_reg)
+    def setup(n, k, rho, bias_reg):
+        game = _game(n, k, rho, bias_reg)
         ops = game_operator(game)
         # no attempt on either side: the solver attempts where the operator has a newton
         first_order = dataclasses.replace(ops, newton=None)
@@ -248,9 +250,11 @@ def _newton_cases(tiny):
 
         return call
 
-    for n, k, bias_reg in ((6, 2, 1.0),) if tiny else ((4000, 2, 0.0), (500, 20, 1.0)):
-        yield f"n={n} k={k} bias_reg={bias_reg:g}", lambda n=n, k=k, b=bias_reg: setup(
-            n, k, b)
+    cases = ((6, 2, 10.0, 1.0),) if tiny else (
+        (4000, 2, 10.0, 0.0), (500, 20, 10.0, 1.0), (1000, 5, 100.0, 1.0))
+    for n, k, rho, b in cases:
+        yield f"n={n} k={k} rho={rho:g} bias_reg={b:g}", lambda n=n, k=k, rho=rho, b=b: setup(
+            n, k, rho, b)
 
 
 def _spam_set(n, k, positive):
