@@ -31,6 +31,13 @@ def _check_budget(d_max, whole=False) -> float:
     return d
 
 
+def _check_label(y) -> float:
+    """y as a float; ValueError unless it is one label, -1 or +1 (NaN is neither)."""
+    if np.ndim(y) != 0 or y not in (-1.0, 1.0):
+        raise ValueError(f"an attack takes one label, -1 or +1, got {y!r}")
+    return float(y)
+
+
 def _rows(X):
     """X as float rows (n x k), and whether it came as one 1-D sample."""
     X = np.asarray(X, dtype=float)
@@ -39,7 +46,7 @@ def _rows(X):
 
 def attack_l2_closed(w, X, y, d_max):
     """Unconstrained L2 attack on each row x of X: x - y * d_max * w / ||w||."""
-    d_max = _check_budget(d_max)
+    d_max, y = _check_budget(d_max), _check_label(y)
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     norm = float(np.linalg.norm(w))
@@ -65,7 +72,7 @@ def attack_l2_box(w, X, y, d_max, monotone=False):
     direction of w matters; a coordinate whose weight relative to max|w|
     squares to zero (below about 2e-162) counts as zero and stays put.
     """
-    d_max = _check_budget(d_max)
+    d_max, y = _check_budget(d_max), _check_label(y)
     w = np.asarray(w, dtype=float)
     X_hat, one = _rows(X)
     if np.any(X_hat < -1e-12) or np.any(X_hat > 1.0 + 1e-12):
@@ -137,7 +144,7 @@ def attack_flip_binary(w, X, y, d_max):
     descending |w| (ties by index) and only where the flip strictly decreases
     y*f: the row's first d_max candidates from `_flip_ranks`. Optimal for
     linear scores."""
-    d_max = int(_check_budget(d_max, whole=True))
+    d_max, y = int(_check_budget(d_max, whole=True)), _check_label(y)
     X, one = _rows(X)
     flat, _ = _flip_ranks(w, X, y, d_max)
     out = X.copy()

@@ -94,13 +94,18 @@ def _check_both_classes(data, path, what) -> None:
         raise model.ParseError(f"{path}: {what} needs samples of both classes")
 
 
-def _check_flip_features(data, path, mode) -> None:
-    """binary_flip flips the features of the malicious samples, so those must
-    be 0 or 1; a sparse file of 0/1 values is known to be binary."""
-    if mode == "binary_flip" and data.feature_kind != "binary":
-        if not np.isin(data.features[data.labels == 1], (0.0, 1.0)).all():
-            raise model.ParseError(f"{path}: binary_flip needs binary features, but a "
-                                   "malicious sample has a value other than 0 or 1")
+def _check_flip_features(data, path, mode, budgets) -> None:
+    """binary_flip's budgets must be whole numbers and its malicious samples 0 or 1."""
+    if mode != "binary_flip":  # the flags' types keep every budget finite and >= 0
+        return
+    try:
+        for d in budgets:
+            attacks._check_budget(d, whole=True)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if not np.isin(data.features[data.labels == 1], (0.0, 1.0)).all():
+        raise model.ParseError(f"{path}: binary_flip needs binary features, but a "
+                               "malicious sample has a value other than 0 or 1")
 
 
 def _load_learner(params_path, k) -> np.ndarray:
@@ -173,11 +178,7 @@ def _cmd_train_baseline(args) -> int:
 def _cmd_attack(args) -> int:
     dataset = data_io.load_dataset(args.data)
     mu_w = _load_learner(args.params, dataset.k)
-    try:
-        attacks._check_budget(args.dmax, whole=args.mode == "binary_flip")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    _check_flip_features(dataset, args.data, args.mode)
+    _check_flip_features(dataset, args.data, args.mode, [args.dmax])
     rows = dataset.features.copy()
     mal = dataset.labels == 1
     rows[mal] = attacks._attack_rows(mu_w[:-1], rows[mal], args.mode, args.dmax, args.monotone)
@@ -189,15 +190,9 @@ def _cmd_secure_eval(args) -> int:
     dataset = data_io.load_dataset(args.data)
     mu_w = _load_learner(args.params, dataset.k)
     _check_both_classes(dataset, args.data, "secure-eval")
-    d_list = args.dmax_list
-    try:
-        for d in d_list:
-            attacks._check_budget(d, whole=args.mode == "binary_flip")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    _check_flip_features(dataset, args.data, args.mode)
+    _check_flip_features(dataset, args.data, args.mode, args.dmax_list)
     curve = attacks.security_curve(
-        mu_w, dataset, args.mode, d_list, repetitions=args.reps, seed=args.seed,
+        mu_w, dataset, args.mode, args.dmax_list, repetitions=args.reps, seed=args.seed,
         fp_target=args.fp,
     )
     curve.write_csv(args.out, seed=args.seed)
@@ -229,7 +224,7 @@ def _cmd_grid_search(args) -> int:
         raise model.ParseError(f"{args.data}: grid-search needs at least 4 samples, got {n}")
     # the first half of one seeded permutation trains, every other sample validates
     idx = np.random.default_rng(args.seed).permutation(n)
-    train, val = (model.Dataset(dataset.features[p], dataset.labels[p], dataset.feature_kind)
+    train, val = (model.Dataset(dataset.features[p], dataset.labels[p])
                   for p in np.split(idx, [max(2, n // 2)]))
     _check_both_classes(train, args.data, f"grid-search's training split ({train.n} of {n})")
     _check_both_classes(val, args.data, f"grid-search's validation split ({val.n} of {n})")

@@ -347,11 +347,12 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     s2a, s2x, x, x2, _, w_x, score, sigma = _moments(*parts, _identity, _identity)
     sx = planes[m:]
     (ps, pt), (vs, vt), H = _hinge_terms(score, sigma, y)
+    reg_1, reg_d = map(np.diag, reg_hess(np.eye(1), np.ones(1), rho_l, rho_d, bias_reg))
     # A^-1 on the free row coordinates and 0 on the fixed ones; U's rows are
     # (mu_a, 0) and (u_m, u_s) on the (means, deviations)
     free_x = free[L:].reshape(n, 2 * m).T
-    ia_m = free_x[:m] / (rho_d + 2.0 * vt * s2a[:, None])
-    ia_s = free_x[m:] / (rho_d + 2.0 * vt * w_x[:, None])
+    ia_m = free_x[:m] / (reg_d[0] + 2.0 * vt * s2a[:, None])
+    ia_s = free_x[m:] / (reg_d[1] + 2.0 * vt * w_x[:, None])
     u_m, u_s = 2.0 * s2a[:, None] * x, 2.0 * w_x[:, None] * sx
     g_x = g[L:].reshape(n, 2 * m).T / (rho_l / rho_d)
     g_m, g_s = g_x[:m], g_x[m:]
@@ -416,10 +417,7 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     size = max(1, SCHUR_RANGE_ENTRIES // L)
     for start in range(0, n, size):
         add_range(slice(start, start + size))
-    S[j, j] += rho_l
-    S[k, k] += rho_l
-    S[-2, -2] += bias_reg
-    S[-1, -1] += bias_reg
+    S[np.diag_indices(L)] += np.repeat(reg_1, [m, 1, m, 1])[order]  # M = I: one value per block
     d_l = solve_learner(S, rhs, free[order])
     if d_l is None:
         return None

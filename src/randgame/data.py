@@ -45,10 +45,10 @@ def _raise_first_bad_line(path, check, *args):
     raise ParseError(f"{path}: malformed content")
 
 
-def _dataset(path, X, labels, feature_kind) -> Dataset:
+def _dataset(path, X, labels) -> Dataset:
     """The Dataset of a loaded file; a value Dataset rejects is a ParseError."""
     try:
-        return Dataset(X, labels, feature_kind)
+        return Dataset(X, labels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -90,8 +90,7 @@ def load_dense_csv(path) -> Dataset:
             raise ValueError
     except ValueError:
         _raise_first_bad_line(path, _check_dense_line, first.count(","))
-    return _dataset(path, np.ascontiguousarray(flat[:, 1:]), flat[:, 0].copy(),
-                    "continuous_unit_interval")
+    return _dataset(path, np.ascontiguousarray(flat[:, 1:]), flat[:, 0].copy())
 
 
 def save_dense_csv(path, features, labels) -> None:
@@ -164,9 +163,7 @@ def load_sparse(path) -> Dataset:
     rows = np.repeat(np.arange(y.size), counts)
     X = np.zeros((y.size, int(cols.max(initial=-1)) + 1))
     X[rows, cols] = vals  # a repeated index keeps its last value
-    # absent entries are 0, so the values X kept decide the kind
-    kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"
-    return _dataset(path, X, y, kind)
+    return _dataset(path, X, y)
 
 
 def load_dataset(path) -> Dataset:

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEATURE_KINDS = ("continuous_unit_interval", "binary")
-
 # Default feasible intervals for the deviation coordinates (learner / attacker).
 LEARNER_DEV_BOUNDS = (1e-6, 1e-3)
 ATTACKER_DEV_BOUNDS = (1e-3, 0.5)
@@ -44,11 +42,11 @@ def _as_float_array(x, ndim):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training/test set with labels in {-1,+1}."""
+    """Training/test set: features finite and in [0, 1], labels -1 or +1. Only
+    the binary_flip attack needs binary features, and it checks them itself."""
 
     features: np.ndarray
     labels: np.ndarray
-    feature_kind: str = "continuous_unit_interval"
 
     def __post_init__(self):
         X = _as_float_array(self.features, 2)
@@ -59,13 +57,7 @@ class Dataset:
             raise ShapeError("labels length does not match feature rows")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if self.feature_kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature_kind {self.feature_kind!r}")
-        if self.feature_kind == "binary" and not np.all(np.isin(X, (0.0, 1.0))):
-            raise ValueError("binary dataset contains non-binary values")
-        if self.feature_kind == "continuous_unit_interval" and not (
-            X.min() >= 0.0 and X.max() <= 1.0  # NaN fails both comparisons
-        ):
+        if not (X.min() >= 0.0 and X.max() <= 1.0):  # NaN fails both comparisons
             raise ValueError("continuous features must be finite and lie in [0, 1]")
         X.setflags(write=False)
         y.setflags(write=False)

@@ -324,9 +324,9 @@ def _label_token(tok, path, lineno):
     return val
 
 
-def _read_dataset(path, X, labels, kind):
+def _read_dataset(path, X, labels):
     try:
-        return Dataset(X, np.array(labels), kind)
+        return Dataset(X, np.array(labels))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -349,7 +349,7 @@ def load_dense_tokens(path):
                 raise ParseError(f"{path}:{lineno}: inconsistent feature count")
     if not rows:
         raise ParseError(f"{path}: no samples")
-    return _read_dataset(path, np.array(rows), labels, "continuous_unit_interval")
+    return _read_dataset(path, np.array(rows), labels)
 
 
 def load_sparse_tokens(path):
@@ -379,8 +379,7 @@ def load_sparse_tokens(path):
         raise ParseError(f"{path}: no samples")
     X = np.zeros((len(labels), max(cols, default=-1) + 1))
     X[rows, cols] = vals
-    kind = "binary" if np.isin(X[rows, cols], (0.0, 1.0)).all() else "continuous_unit_interval"
-    return _read_dataset(path, X, labels, kind)
+    return _read_dataset(path, X, labels)
 
 
 def load_flat_tokens(path):

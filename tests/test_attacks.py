@@ -359,7 +359,7 @@ class TestSecurityCurve:
         for seed in (5, 6, 7):
             rng = np.random.default_rng(seed + 10)
             X = (rng.random((n, k)) < np.where(y[:, None] > 0, 0.06, 0.02)).astype(float)
-            ds = Dataset(X, y, "binary")
+            ds = Dataset(X, y)
             before = X.copy()
             for mu_w in (np.append(np.round(rng.normal(0.3, 1.0, size=k), 1), -0.3),
                          np.append(rng.integers(-2, 4, size=k), -1.0)):
@@ -439,7 +439,7 @@ def _binary_case():
     """A learner's means [w; b] and a binary test set that every attack mode accepts."""
     X = np.random.default_rng(13).integers(0, 2, size=(20, 4)).astype(float)
     y = np.where(np.arange(20) < 10, -1.0, 1.0)
-    return np.array([1.0, -1.0, 0.5, 0.2, 0.0]), Dataset(X, y, "binary")
+    return np.array([1.0, -1.0, 0.5, 0.2, 0.0]), Dataset(X, y)
 
 
 class TestAttackSpecValidation:
@@ -453,6 +453,21 @@ class TestAttackSpecValidation:
                 attack(mu_w[:-1], ds.features, 1.0, -1.0)
             with pytest.raises(ValueError, match="non-negative"):
                 _attack_rows(mu_w[:-1], ds.features, mode, -1.0)
+
+    @pytest.mark.parametrize("mode", ATTACK_MODES)
+    def test_attack_takes_one_label(self, mode):
+        # a per-row label array was broadcast along the features, so every
+        # row moved by one vector (numpy's broadcast error when n != k), and
+        # y = 2 doubled the closed-form move
+        w = np.array([1.0, 2.0, 3.0])
+        X = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+        for bad in (np.array([1.0, -1.0, 1.0]), np.ones(2), [1.0], 0.0, 2.0, -2.0, np.nan):
+            with pytest.raises(ValueError, match=r"one label, -1 or \+1"):
+                ATTACKS[mode](w, X, bad, 1.0)
+        for y in (-1, np.float64(1.0)):
+            batch = ATTACKS[mode](w, X, y, 1.0)
+            for x, row in zip(X, batch):
+                np.testing.assert_array_equal(row, ATTACKS[mode](w, x, float(y), 1.0))
 
     def test_rejects_unknown_mode(self):
         mu_w, ds = _binary_case()

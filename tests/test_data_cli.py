@@ -128,22 +128,19 @@ class TestSparse:
         np.testing.assert_array_equal(back.features, X)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
-    def test_binary_kind_detected(self, tmp_path):
+    def test_binary_values_load_as_written(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("+1 1:1 3:1\n-1 2:1\n")
         ds = load_sparse(p)
-        assert ds.feature_kind == "binary" and ds.k == 3
+        np.testing.assert_array_equal(ds.features, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
-    @pytest.mark.parametrize("tokens, value, kind", [
-        ("2:0.5 2:1", 1.0, "binary"),
-        ("2:1 2:0.5", 0.5, "continuous_unit_interval"),
-    ])
-    def test_repeated_index_keeps_its_last_value(self, tmp_path, tokens, value, kind):
+    @pytest.mark.parametrize("tokens, value", [("2:0.5 2:1", 1.0), ("2:1 2:0.5", 0.5)])
+    def test_repeated_index_keeps_its_last_value(self, tmp_path, tokens, value):
         p = tmp_path / "s.txt"
         p.write_text(f"+1 {tokens}\n-1 1:1\n")
         ds = load_sparse(p)
         np.testing.assert_array_equal(ds.features, [[0.0, value], [1.0, 0.0]])
-        assert ds.feature_kind == kind
 
     def test_non_finite_value_rejected(self, tmp_path):
         p = tmp_path / "d.svm"
@@ -160,12 +157,12 @@ class TestSparse:
 
 def read_outcome(load, path, *args):
     """What a loader makes of a file: its error text, or the bytes of the
-    Dataset's arrays and its feature kind."""
+    Dataset's arrays."""
     try:
         ds = load(path, *args)
     except ParseError as exc:
         return "error", str(exc)
-    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.feature_kind
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
 
 
 class TestBulkParsers:
@@ -436,6 +433,37 @@ class TestCliPipeline:
                        "sample has a value other than 0 or 1"]
         assert not out.exists()
 
+    def test_binary_rows_read_the_same_dense_or_sparse(self, tmp_path, capsys):
+        # the 0/1 rows of flip.svm written as dense CSV load to the same
+        # Dataset and draw the same binary_flip curve; a malicious 0.5 is
+        # refused in either format, with one line
+        sparse, dense = GOLDEN / "flip.svm", tmp_path / "flip.csv"
+        ds = load_sparse(sparse)
+        save_dense_csv(dense, ds.features, ds.labels)
+        assert read_outcome(load_dataset, dense) == read_outcome(load_dataset, sparse)
+        argv = ["secure-eval", "--params", str(GOLDEN / "flip_eq.csv"), "--mode", "binary_flip",
+                "--dmax-list", "0,1,2,3,5", "--reps", "3", "--fp", "0.05", "--seed", "5"]
+        curves = []
+        for data in (sparse, dense):
+            out = tmp_path / f"{data.name}.curve"
+            assert main(argv + ["--data", str(data), "--out", str(out)]) == 0
+            curves.append(out.read_bytes())
+        assert curves[0] == curves[1] == (GOLDEN / "flip_curve.csv").read_bytes()
+        X = ds.features.copy()
+        row = np.flatnonzero((ds.labels == 1) & X.any(axis=1))[-1]
+        X[row, np.flatnonzero(X[row])[0]] = 0.5
+        half_dense, half_sparse = tmp_path / "half.csv", tmp_path / "half.svm"
+        save_dense_csv(half_dense, X, ds.labels)
+        save_sparse(half_sparse, Dataset(X, ds.labels))
+        capsys.readouterr()
+        for data in (half_dense, half_sparse):
+            out = tmp_path / "half.curve"
+            assert main(argv + ["--data", str(data), "--out", str(out)]) == EX_NOINPUT
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {data}: binary_flip needs binary features, but a malicious sample has "
+                "a value other than 0 or 1"]
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["attack", "secure-eval"])
     def test_params_for_another_k_are_rejected(self, tmp_path, capsys, command):
         # a model trained on k=2 data, read on k=5 data: 2(k+1) + 2nk values
@@ -675,20 +703,23 @@ class TestCliPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("body, kind", [
-        ("+1,0.5,0.5\n-1,0.2,0.1\n+1,0.9,0.4\n-1,0.1,0.3\n", "continuous_unit_interval"),
-        ("+1 1:1 2:1\n-1 1:1\n+1 2:1\n-1 2:1\n", "binary"),
+    @pytest.mark.parametrize("body, loader, features", [
+        ("+1,0.5,0.5\n-1,0.2,0.1\n+1,0.9,0.4\n-1,0.1,0.3\n", load_dense_csv,
+         [[0.5, 0.5], [0.2, 0.1], [0.9, 0.4], [0.1, 0.3]]),
+        ("+1 1:1 2:1\n-1 1:1\n+1 2:1\n-1 2:1\n", load_sparse,
+         [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
     ])
-    def test_data_format_is_read_from_the_first_content_line(self, tmp_path, body, kind):
+    def test_data_format_is_read_from_the_first_content_line(self, tmp_path, body, loader,
+                                                             features):
         # a header comment holding a colon, and a blank line, come before the rows
         data = tmp_path / "d.txt"
         data.write_text("# columns: label,x1,x2\n\n" + body)
         out = tmp_path / "p.csv"
         assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(out)]) == 0
         assert load_flat_csv(out).size == 6  # w (2), b and three zero deviations
-        loader = load_sparse if kind == "binary" else load_dense_csv
         ds = loader(data)
-        assert (ds.n, ds.k, ds.feature_kind) == (4, 2, kind)
+        np.testing.assert_array_equal(ds.features, features)
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0, 1.0, -1.0])
         assert read_outcome(load_dataset, data) == read_outcome(loader, data)
 
     def test_sparse_file_whose_first_sample_has_no_features(self, tmp_path):

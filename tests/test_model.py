@@ -1,5 +1,6 @@
 """Data model: validation of datasets, games and flat profiles, boxes, serialization."""
 
+import dataclasses
 import itertools
 import os
 import re
@@ -55,13 +56,18 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_dataset_rejects_non_finite_features(self, bad):
         # nan < 0 and nan > 1 are both False, so a range check can let NaN in
-        for kind, message in (("continuous_unit_interval", "finite"), ("binary", "binary")):
-            with pytest.raises(ValueError, match=message):
-                Dataset(np.array([[0.0, bad]]), np.array([1.0]), kind)
+        with pytest.raises(ValueError, match=r"^continuous features must be finite and lie in "
+                                             r"\[0, 1\]$"):
+            Dataset(np.array([[0.0, bad]]), np.array([1.0]))
 
-    def test_dataset_rejects_nonbinary_for_binary_kind(self):
-        with pytest.raises(ValueError, match="binary"):
-            Dataset(np.array([[0.5, 0.0]]), np.array([1.0]), "binary")
+    def test_dataset_is_its_features_and_labels(self):
+        # binary and fractional values in [0, 1] alike, and no third field
+        X, y = np.array([[0.5, 1.0], [0.0, 1.0]]), np.array([1.0, -1.0])
+        ds = Dataset(X, y)
+        assert [f.name for f in dataclasses.fields(ds)] == ["features", "labels"]
+        assert ds.features.tobytes() == X.tobytes() and ds.labels.tobytes() == y.tobytes()
+        with pytest.raises(TypeError):
+            Dataset(X, y, "binary")
 
     def test_dataset_is_immutable(self):
         ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))

@@ -27,7 +27,7 @@ the two sides' costs are equal; for a Newton candidate: the Newton attempts
 of the solve to its iterate, whether there was a step and that distance
 between the two sides' candidates; for a monotonicity sample: its
 violations; for a curve: its points, and whether the two sides' points are
-equal; for a load: the set's shape, kind and digest, and whether the two
+equal; for a load: the set's shape and digest, and whether the two
 sides loaded the same set), then each side's peak worker RSS and
 bench/run.py's environment(): the core count and the BLAS.
 Several entries write one file that maps each entry's name to its report.
@@ -274,7 +274,7 @@ def _spam_set(n, k, positive):
     X = (rng.random((n, k)) < np.where(y[:, None] > 0, p_mal, p_legit)).astype(float)
     w = np.abs(rng.normal(size=k)) if positive else (
         np.log(p_mal / p_legit) + 0.1 * rng.normal(size=k))
-    return np.append(w, 0.0), Dataset(X, y, "binary")
+    return np.append(w, 0.0), Dataset(X, y)
 
 
 def _box_set(n, k):
@@ -320,7 +320,7 @@ def _load_cases(tiny):
     """One load_dataset of a file written as the benchmark writes its inputs:
     train's dense synth_2d rows at k = 2, and secure-eval's dense _box_set
     rows at k = 20 and sparse _spam_set rows as 'label idx:1 ...' lines. Only
-    the warm-up call reports the set it loaded: its shape, kind and a SHA-256
+    the warm-up call reports the set it loaded: its shape and a SHA-256
     of its features and labels."""
     import hashlib
     import tempfile
@@ -347,7 +347,7 @@ def _load_cases(tiny):
             if warm:
                 warm = False
                 sha = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
-                return {"n": ds.n, "k": ds.k, "kind": ds.feature_kind, "sha256": sha}
+                return {"n": ds.n, "k": ds.k, "sha256": sha}
 
         return call
 
