@@ -52,7 +52,7 @@ import numpy as np
 
 from .hinge import hinge_expect, hinge_hessian
 from .model import Dataset, GameSpec, ShapeError
-from .ops import VIGame, dense_newton, solve_learner
+from .ops import VIGame, dense_newton, dense_newton_price, solve_learner
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
 _SIGNS = np.array([[-1.0], [1.0]])
@@ -446,9 +446,9 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     pseudo-gradient (with r = (1, rho_l/rho_d)) each finish one
     _evaluation(theta, *terms), each computing only what it returns, whose
     Jacobian blocks come from one jacobian(theta, *terms) call, whose Newton
-    steps are dense_newton of those blocks and whose regularizer Hessians
-    come from reg_hess, built only when asked."""
-    by_M, dM, _, _, _, rho_l, rho_d, bias_reg = terms
+    steps are dense_newton of those blocks, priced by dense_newton_price, and
+    whose regularizer Hessians come from reg_hess, built only when asked."""
+    by_M, dM, _, _, y, rho_l, rho_d, bias_reg = terms
     r_d = rho_l / rho_d
 
     def pjac(theta):
@@ -465,7 +465,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
         pseudo_grad=lambda theta: _evaluation(theta, *terms)[1](r_d),
         jacobian=pjac,
         newton=lambda z, g, free: dense_newton(pjac(z), g, free),
-        row_size=2 * dM.size,
+        newton_price=dense_newton_price(2 * dM.size + 2, 2 * dM.size, y.size),
         rho=(rho_l, rho_d),
         reg_hess=lambda: reg_hess(by_M(np.eye(dM.size)), dM, rho_l, rho_d, bias_reg),
     )
@@ -488,6 +488,8 @@ def game_operator(game: GameSpec) -> VIGame:
     from newton_step."""
     terms = _primal_terms(game)
     ops = _vi_game(terms, game.lower, game.upper)
+    # newton_step keeps dense_newton's price, which overprices it, so that its
+    # attempts come at the dense step's evaluation counts
     return dataclasses.replace(ops, newton=lambda z, g, free: newton_step(z, g, free, *terms[3:]))
 
 

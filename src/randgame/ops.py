@@ -28,10 +28,10 @@ class VIGame:
     newton, the diagnostics need jacobian and reg_hess:
 
     - jacobian(theta) gives the Jacobian of pseudo_grad as the blocks
-      (ll, ld, dl, dd) for an attacker block of n rows of row_size = b
-      entries, each row seeing only itself and the learner: ll (dim_l, dim_l)
-      is the learner's own block, and ld[i] (dim_l, b), dl[i] (b, dim_l) and
-      dd[i] (b, b) are row i's cross blocks and own block;
+      (ll, ld, dl, dd) for an attacker block of n rows of b entries, each
+      row seeing only itself and the learner: ll (dim_l, dim_l) is the
+      learner's own block, and ld[i] (dim_l, b), dl[i] (b, dim_l) and dd[i]
+      (b, b) are row i's cross blocks and own block;
     - reg_hess() gives the constant Hessians of both expected regularizers
       in their cost weights: the learner's (dim_l, dim_l) block and the
       (b, b) block that every attacker row shares;
@@ -41,7 +41,9 @@ class VIGame:
       or d is not finite. The solver attempts Newton steps exactly when
       newton is set. dense_newton gives this step from jacobian's blocks;
       an operator that knows more of its structure computes it without
-      them.
+      them. newton_price is what one call of newton costs, in operator
+      evaluations, and spaces the solver's attempts; the solver reads it
+      only when newton is set, and at 0 attempts a step at every iteration.
     """
 
     dim_l: int
@@ -52,7 +54,7 @@ class VIGame:
     rho: tuple[float, float] = (1.0, 1.0)
     reg_hess: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None
     jacobian: Optional[Callable[[np.ndarray], tuple]] = None
-    row_size: int = 1
+    newton_price: float = 0.0
     newton: Optional[Callable[..., Optional[np.ndarray]]] = None
 
     @property
@@ -64,10 +66,6 @@ class VIGame:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def dim_d(self) -> int:
-        return self.lower.size - self.dim_l
 
     def project(self, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # np.clip's result, signed zeros and NaN included, at half its cost;
@@ -127,3 +125,12 @@ def dense_newton(blocks, g: np.ndarray, free: np.ndarray):
     X[:, :, 0] += X[:, :, 1:] @ d_l
     d = np.concatenate([d_l, -X[:, :, 0].ravel()])
     return d if np.isfinite(d).all() else None
+
+
+def dense_newton_price(L: int, b: int, n: int) -> float:
+    """Operator evaluations that one dense_newton step costs, from the shapes
+    of the Jacobian blocks: learner block L, n attacker rows of b. It counts
+    the dense elimination's flops over the profile's L + n b coordinates, so
+    it overprices the step of an operator that eliminates the rows in closed
+    form (the primal game's costs.newton_step) by 10x to 285x."""
+    return (L * L + n * (2 * L * b + b * b + b**3 + b * b * (L + 1))) / (L + n * b)

@@ -37,14 +37,14 @@ the test games eliminate the rows densely from one all-rows Jacobian
 (ops.dense_newton); the primal game's costs.newton_step eliminates them in
 closed form, with 2 x 2 solves.
 
-An attempt is priced in operator evaluations from the block shapes:
-(L^2 + n (2 L b + b^2 + b^3 + b^2 (L + 1))) / dim for a learner block of L
-coordinates and n rows of b, the dense elimination's count, whichever
-elimination the operator's newton runs. It is made once the extragradient steps since the last
-attempt have spent price * gap evaluations, where gap starts at 1, doubles on
-each rejection and resets to 1 on an acceptance, after which the next
-iteration tries again at once. An operator without a newton, and a solve
-that never spends its first price, runs the extragradient method alone.
+The operator states what an attempt costs in operator evaluations, as
+VIGame.newton_price (ops.dense_newton_price for the dense elimination, which
+the primal game keeps for its closed form). An attempt is made once the
+extragradient steps since the last attempt have spent price * gap
+evaluations, where gap starts at 1, doubles on each rejection and resets to 1
+on an acceptance, after which the next iteration tries again at once. An
+operator without a newton, and a solve that never spends its first price,
+runs the extragradient method alone.
 """
 
 from __future__ import annotations
@@ -130,17 +130,6 @@ def _residual(ops: VIGame, theta: np.ndarray, g: np.ndarray) -> float:
     return _norm(t)
 
 
-def _newton_price(ops: VIGame) -> float:
-    """Operator evaluations that one Newton attempt costs, from the shapes of
-    the Jacobian blocks: learner block L, n attacker rows of b. It counts the
-    dense elimination of ops.dense_newton, so it overprices an attempt of an
-    operator whose newton eliminates the rows in closed form (the primal
-    game): kept, so that attempts come at the same evaluation counts."""
-    L, b = ops.dim_l, ops.row_size
-    n = ops.dim_d // b
-    return (L * L + n * (2 * L * b + b * b + b**3 + b * b * (L + 1))) / ops.dim
-
-
 def _newton_candidate(ops: VIGame, theta: np.ndarray, g: np.ndarray):
     """The Newton candidate P(z + d) from the pre-step point z, or None when
     the step fails. z is theta with the coordinates that P(theta - g) puts on
@@ -172,15 +161,15 @@ def extragradient_solve(
     lam = 1.0
     trace: list[float] = []
     evaluations, accepted, rejected = 1, 0, 0
-    price = _newton_price(ops) if ops.newton is not None else np.inf
+    price = ops.newton_price if ops.newton is not None else np.inf
     # the extragradient steps' evaluations since the last attempt are
-    # evaluations - since
-    since, gap, retry = evaluations, 1, False
+    # evaluations - since, infinite after an acceptance
+    since, gap = evaluations, 1
     for _ in range(cfg.max_iter):
         trace.append(residual)
         if residual <= cfg.epsilon:
             break
-        if retry or evaluations - since >= price * gap:
+        if evaluations - since >= price * gap:
             cand = _newton_candidate(ops, theta, g)
             evaluations += 1
             if cand is not None:
@@ -190,10 +179,10 @@ def extragradient_solve(
                 if r_c <= NEWTON_ACCEPT * residual:
                     theta, g, residual = cand, g_c, r_c
                     accepted += 1
-                    gap, retry, since = 1, True, evaluations
+                    gap, since = 1, -math.inf
                     continue
             rejected += 1
-            gap, retry, since = 2 * gap, False, evaluations
+            gap, since = 2 * gap, evaluations
         while True:
             y = _step(ops, theta, lam, g)
             g_y = _grad(ops, y)

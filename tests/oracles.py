@@ -140,7 +140,8 @@ def deviation_mask(ops):
     and the second half of each attacker row, its sigma_x."""
     dev = np.zeros(ops.dim, dtype=bool)
     dev[ops.dim_l // 2 : ops.dim_l] = True
-    dev[ops.dim_l :].reshape(-1, ops.row_size)[:, ops.row_size // 2 :] = True
+    b = ops.dim_l - 2  # the entries of one attacker row
+    dev[ops.dim_l :].reshape(-1, b)[:, b // 2 :] = True
     return dev
 
 

@@ -25,6 +25,8 @@ def test_compare_reports_every_case(entry):
     assert report["peak_rss_mb"]["parent"] > 0 and report["peak_rss_mb"]["change"] > 0
     labels = [label for label, _ in timing.ENTRIES[entry][0](True)]
     assert list(report["cases"]) == labels
+    if entry == "solve":  # the primal game at the CLI's default bias_reg too
+        assert {"bias_reg=0", "bias_reg=1"} <= {label.split()[-1] for label in labels}
     sides = ("parent", "change")
     keys = {f"{side}_{key}" for side in sides for key in ("ms", "pass_ms")} | {"ratio"}
     for label in labels:

@@ -257,7 +257,7 @@ class TestStackedEvaluation:
     ])
     def test_one_bad_row_raises_as_its_call(self, which, entry, bad, match):
         ops, terms, stack = _stack_case(which)
-        i = {"mean": -ops.row_size, "deviation": -1, "learner deviation": ops.dim_l - 1}[entry]
+        i = {"mean": 2 - ops.dim_l, "deviation": -1, "learner deviation": ops.dim_l - 1}[entry]
         stack[2, 1, i] = bad
         for fn in (ops.pseudo_grad, ops.costs, lambda v: evaluate(v, *terms)):
             with pytest.raises(ValueError, match=match):
@@ -521,7 +521,7 @@ class TestOperator:
         def reg_grad(v):
             return evaluate(v, *terms)[2] - evaluate(v, *unweighted)[2]
 
-        h, dim, L, b = 1e-5, ops.dim, ops.dim_l, ops.row_size
+        h, dim, L, b = 1e-5, ops.dim, ops.dim_l, ops.dim_l - 2
         fd = np.empty((dim, dim))
         for j in range(dim):
             step = np.zeros(dim)

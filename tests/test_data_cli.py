@@ -241,6 +241,11 @@ class TestSynth2d:
         mal = ds.features[ds.labels == 1].mean(axis=0)
         np.testing.assert_allclose(mal - legit, [0.4, 0.4], atol=0.03)
 
+    @pytest.mark.parametrize("n_per_class", [0, -1])
+    def test_rejects_an_empty_class(self, n_per_class):
+        with pytest.raises(ValueError, match="n_per_class must be >= 1"):
+            synth_2d(n_per_class, 0.4, 0)
+
     def test_deterministic(self):
         np.testing.assert_array_equal(
             synth_2d(10, 0.4, 7).features, synth_2d(10, 0.4, 7).features

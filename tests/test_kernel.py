@@ -230,7 +230,7 @@ class TestDualOperator:
     def test_operator_dims_and_defaults(self):
         ds = random_dataset(6, n=3)
         ops = dual_game_operator(ds, Kernel("rbf", 1.0), 1.0, 2.0)
-        assert ops.dim_l == 2 * 3 + 2 and ops.dim_d == 2 * 9
+        assert ops.dim_l == 2 * 3 + 2 and ops.dim - ops.dim_l == 2 * 9
         assert ops.r == (1.0, 0.5)
 
     @pytest.mark.parametrize("rho_l, rho_d, bias_reg", [

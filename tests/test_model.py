@@ -18,6 +18,7 @@ from randgame.model import (
     LEARNER_DEV_BOUNDS,
     ParseError,
     ShapeError,
+    atomic_write,
     default_boxes,
     load_config,
     load_flat_csv,
@@ -48,6 +49,11 @@ class TestValidation:
     def test_dataset_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((2, 2)), np.array([0.0, 1.0]))
+
+    def test_dataset_rejects_labels_of_another_length(self):
+        for labels in ([1.0], [1.0, -1.0, 1.0]):
+            with pytest.raises(ShapeError, match="labels length does not match feature rows"):
+                Dataset(np.zeros((2, 2)), np.array(labels))
 
     def test_dataset_rejects_out_of_range_features(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -126,6 +132,11 @@ class TestValidation:
     def test_default_boxes_reject_bad_W(self, W):
         with pytest.raises(ValueError, match="W must be finite and positive"):
             default_boxes(1, 2, W)
+
+    @pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2)])
+    def test_default_boxes_reject_an_empty_layout(self, n, k):
+        with pytest.raises(ShapeError, match="need n >= 1 and k >= 1"):
+            default_boxes(n, k, 1.0)
 
     def test_gamespec_rejects_zero_deviation_floor(self):
         # the learner's first and last (bias) deviation, then the first
@@ -255,6 +266,19 @@ class TestSerialization:
         finally:
             os.umask(old)
         assert stat.S_IMODE(p.stat().st_mode) == 0o640
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        p = tmp_path / "params.csv"
+        p.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write(p, "new\n")
+        assert p.read_text() == "old\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["params.csv"]
 
     def test_flat_csv_rejects_empty(self, tmp_path):
         p = tmp_path / "empty.csv"

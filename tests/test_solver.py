@@ -14,7 +14,7 @@ from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.kernel import Kernel, dual_game_operator
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
-from randgame.ops import VIGame, dense_newton
+from randgame.ops import VIGame, dense_newton, dense_newton_price
 from randgame.solver import (
     EquilibriumResult,
     SolverConfig,
@@ -154,6 +154,21 @@ class TestExtragradient:
         np.testing.assert_array_equal(
             res.theta, extragradient_solve(ops, initial_point(ops, cfg.seed), cfg).theta)
         assert res.evaluations > 1
+
+    @pytest.mark.parametrize("good_calls", [0, 3])
+    def test_non_finite_pseudo_gradient_raises(self, good_calls):
+        # NaN from the first call, at the start, or from the fourth, in the loop
+        ops = quadratic_game()
+        calls = []
+
+        def pseudo_grad(v):
+            calls.append(1)
+            return ops.pseudo_grad(v) if len(calls) <= good_calls else np.array([np.nan, 0.0])
+
+        with pytest.raises(FloatingPointError, match="non-finite pseudo-gradient"):
+            extragradient_solve(dataclasses.replace(ops, pseudo_grad=pseudo_grad),
+                                np.array([1.0, 1.0]))
+        assert len(calls) == good_calls + 1
 
     def test_trace_is_monotone_enough_to_stop(self):
         res = extragradient_solve(quadratic_game(), np.array([1.5, 1.5]))
@@ -416,6 +431,25 @@ class TestNewton:
                                     SolverConfig(max_iter=500))
         assert not first.converged and first.newton_accepted == first.newton_rejected == 0
 
+    def test_attempt_schedule_converges_a_large_game(self):
+        # the (4000, 2) game at rho 0.1, bias_reg 1: it takes 75 iterations,
+        # keeping 2 of 3 attempts; with no doubling of the gap after a
+        # rejection it takes 4682 iterations, keeping 10 of 198
+        ds = synth_2d(2000, 0.4, 0)
+        game = GameSpec(ds, 0.1, 0.1, *default_boxes(ds.n, ds.k, 1.0), bias_reg=1.0)
+        res = extragradient_solve(game_operator(game), initial_point(game, 0))
+        assert res.converged and res.iterations <= 100 and res.newton_accepted >= 1
+
+    def test_operators_state_the_dense_elimination_price(self):
+        # (L^2 + n (2 L b + b^2 + b^3 + b^2 (L + 1))) / (L + n b) for L = 2k + 2
+        # and n rows of b = 2k, worked out by hand
+        ds = synth_2d(2000, 0.4, 0)
+        primal = game_operator(GameSpec(ds, 0.1, 0.1, *default_boxes(ds.n, ds.k, 1.0)))
+        assert primal.newton_price == 960036 / 16006  # about 59.98
+        prices = [dual_game_operator(synth_2d(n_per_class, 0.4, 0), Kernel("rbf", 1.0), 10.0,
+                                     10.0).newton_price for n_per_class in (30, 2)]
+        assert prices == [212587684 / 7322, 5860 / 42]  # about 29034.1 and 139.52
+
     def test_a_wrong_jacobian_is_always_rejected(self):
         # the planted Jacobian is the true one negated, so every Newton step
         # heads away from the solution: only the residual guard keeps the
@@ -471,7 +505,7 @@ class TestNewton:
     @pytest.mark.parametrize("k", [2, 3])
     def test_step_matches_a_dense_solve_on_the_free_coordinates(self, k):
         ops, z = self._dense_game(k)
-        L, b = ops.dim_l, ops.row_size
+        L, b = ops.dim_l, ops.dim_l - 2
         g = ops.pseudo_grad(z)
         free = np.ones(ops.dim, dtype=bool)
         free[[1, L - 1]] = False  # a learner mean and a learner deviation
@@ -504,7 +538,9 @@ class TestNewton:
         def blocks(theta):
             return J[:1, :1], J[None, :1, 1:], J[None, 1:, :1], J[None, 1:, 1:]
 
-        ops = with_dense_newton(bilinear_game(), blocks)
+        ops = dataclasses.replace(with_dense_newton(bilinear_game(), blocks),
+                                  newton_price=dense_newton_price(1, 1, 1))
+        assert ops.newton_price == 3.5
         res = extragradient_solve(ops, np.array([3.0, -4.0]), SolverConfig(epsilon=1e-12))
         assert res.converged and res.newton_accepted == 1 and res.newton_rejected == 0
         assert res.iterations <= 4

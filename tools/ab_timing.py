@@ -166,9 +166,10 @@ def _game(n, k, rho, bias_reg):
 
 
 def _solve_cases(tiny):
-    """{(50, 2), (4000, 2), (500, 20)} x rho in {0.1, 10, 100}, bias_reg = 1,
-    from initial_point(game, 0); and the solve-dual workload's game, the RBF
-    (gamma = 1) dual game on synth_2d(30, 0.4, 0) at rho = 10, bias_reg = 0,
+    """{(50, 2), (4000, 2), (500, 20)} x rho in {0.1, 10, 100} at bias_reg = 1,
+    and {(50, 2), (4000, 2)} x rho in {0.1, 10} at bias_reg = 0, the CLI's
+    default, from initial_point(game, 0); and the solve-dual workload's game,
+    the RBF (gamma = 1) dual game on synth_2d(30, 0.4, 0) at rho = 10, bias_reg = 0,
     from initial_point(ops, 0) and capped at 100 iterations."""
     import dataclasses
 
@@ -202,18 +203,23 @@ def _solve_cases(tiny):
 
         return call
 
-    def primal(n, k, rho):
-        game = _game(n, k, rho, 1.0)
+    def primal(n, k, rho, bias_reg):
+        game = _game(n, k, rho, bias_reg)
         return setup(game_operator(game), initial_point(game, 0))
 
     def dual(n_per_class):
         ops = dual_game_operator(synth_2d(n_per_class, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0)
         return setup(ops, initial_point(ops, 0), DUAL_MAX_ITER)
 
-    grid = [(6, 2, 10.0)] if tiny else [(n, k, rho) for n, k in ((50, 2), (4000, 2), (500, 20))
-                                        for rho in (0.1, 10.0, 100.0)]
-    for n, k, rho in grid:
-        yield f"n={n} k={k} rho={rho:g}", lambda n=n, k=k, rho=rho: primal(n, k, rho)
+    if tiny:
+        grid = [(6, 2, 10.0, b) for b in (1.0, 0.0)]
+    else:
+        grid = [(n, k, rho, 1.0) for n, k in ((50, 2), (4000, 2), (500, 20))
+                for rho in (0.1, 10.0, 100.0)]
+        grid += [(n, 2, rho, 0.0) for n in (50, 4000) for rho in (0.1, 10.0)]
+    for n, k, rho, b in grid:
+        yield f"n={n} k={k} rho={rho:g} bias_reg={b:g}", lambda n=n, k=k, rho=rho, b=b: primal(
+            n, k, rho, b)
     dual_n = 4 if tiny else 60
     yield f"dual rbf n={dual_n} rho=10 max_iter={DUAL_MAX_ITER}", lambda: dual(dual_n // 2)
 
