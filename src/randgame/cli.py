@@ -135,7 +135,7 @@ def _grids_from_config(cfg: dict):
         if key not in grids:
             raise _UsageError(f"unknown grid config key {key!r}")
         try:
-            grids[key] = tuple(float(t) for t in str(raw).split(","))
+            grids[key] = tuple(map(model.read_number, str(raw).split(",")))
             ok = all(0.0 < v < np.inf for v in grids[key])
         except ValueError:
             ok = False

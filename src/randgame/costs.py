@@ -56,9 +56,6 @@ from .ops import VIGame, dense_newton, dense_newton_price, solve_learner
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
 _SIGNS = np.array([[-1.0], [1.0]])
-# In a stack of profiles, the axes that line each profile's scalars up with its
-# n samples and its vectors of n up with its planes and its two margin rows.
-_COL, _ROW = np.s_[..., None], np.s_[..., None, :]
 
 
 def _unpack(theta, m, n):
@@ -80,37 +77,29 @@ def _unpack(theta, m, n):
     if not (learner[..., m + 1 :].min(initial=np.inf) > 0
             and planes[..., m:, :].min(initial=np.inf) > 0):
         raise ValueError("deviations must be strictly positive")
-    # one profile's biases are indexed as numpy floats, whose arithmetic costs
-    # no ufunc call
-    b, sb = ((..., m), (..., 2 * m + 1)) if stack else (m, 2 * m + 1)
-    return learner[..., :m], learner[b], learner[..., m + 1 : 2 * m + 1], learner[sb], planes
+    # [()] makes one profile's biases numpy floats, whose arithmetic costs no ufunc call
+    return (learner[..., :m], learner[..., m][()], learner[..., m + 1 : 2 * m + 1],
+            learner[..., 2 * m + 1][()], planes)
 
 
-def _on_columns(f):
-    """The map v -> f(v) for each vector v of a stack, as a one-column set."""
-    return lambda v: f(v[..., None])[..., 0]
-
-
-def _moments(mu_a, mu_b, sig_a, sig_b, planes, by_M, by_M2):
+def _moments(mu_a, mu_b, sig_a, sig_b, planes, by_M, M_v, M2_v):
     """The margin moments of _unpack's parts, one profile or a stack: s2a, s2x,
     Mx, Mx2, Ma, w_x and each sample's score a.M x + b and sigma, on the
     (..., m, n) planes. _evaluation, jacobian and newton_step all take them
     here, so all three see the same bits: at a margin many sigma from the kink
     the hinge terms magnify a last-bit difference in sigma by (mu / sigma)^2."""
-    m, stack = planes.shape[-2] // 2, planes.shape[:-2]
-    col = _COL if stack else ()
-    M_v, M2_v = (_on_columns(by_M), _on_columns(by_M2)) if stack else (by_M, by_M2)
+    m = planes.shape[-2] // 2
     s2a, s2x = sig_a**2, planes[..., m:, :] ** 2
     Mx = by_M(planes[..., :m, :])  # column i is M mu_x_i; mu_x itself when M = I
     Mx2 = Mx**2
     Ma = M_v(mu_a)
     w_x = Ma**2 + M2_v(s2a)  # the weight of sigma_x_i^2 in sigma_i^2
-    score = np.vecmat(mu_a, Mx) + mu_b[col]
-    sigma = np.sqrt(np.vecmat(s2a, Mx2) + np.vecmat(w_x, s2x) + (sig_b**2)[col])
+    score = np.vecmat(mu_a, Mx) + mu_b[..., None]
+    sigma = np.sqrt(np.vecmat(s2a, Mx2) + np.vecmat(w_x, s2x) + (sig_b**2)[..., None])
     return s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma
 
 
-def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
+def _evaluation(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
     """The part of an evaluation at the flat joint profile theta = [mu_a (m);
     mu_b; sigma_a (m); sigma_b; per row (mu_x_i (m), sigma_x_i (m))], for
     anchors of shape (m, n) (column i is xhat_i), that both players' costs and
@@ -121,28 +110,25 @@ def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
     own block, in the layout and shape of theta, the attacker's times r_d.
     grad builds that block in place over the planes, so it is the last call.
 
-    theta may also be a stack of profiles, of shape (..., dim), and each
-    profile of it gets the bits of its own call: the products with vectors
-    are np.vecmat, np.matvec and np.vecdot, and the maps take a stack's
-    vectors as one-column sets (one profile's as they are). The costs have
-    the stack's shape (...), floats for one profile.
+    theta is one profile, of shape (dim,), or a stack of them, of shape
+    (..., dim), on one path: each profile of a stack gets the bits of its own
+    call, as the products with vectors are np.vecmat, np.matvec and np.vecdot
+    and [..., None] and [..., None, :] line vectors up with the planes. The
+    costs have the stack's shape (...), floats for one profile.
 
-    M enters only as by_M(A) = M A (a vector, or each column of a matrix or
-    of a stack of them), by_M2(v) = (M*M) v (likewise) and dM = diag(M); the
-    primal game passes the identity for both maps, so M = I costs nothing.
+    M enters only as by_M(A) = M A on (..., m, n) planes, M_v(v) = M v and
+    M2_v(v) = (M*M) v on (..., m) vectors, and dM = diag(M); the primal game
+    passes the identity for all three maps, so M = I costs nothing.
     """
     m, n = anchors.shape
     mu_a, mu_b, sig_a, sig_b, planes = parts = _unpack(theta, m, n)
     stack = planes.shape[:-2]
     mu_x, sig_x = planes[..., :m, :], planes[..., m:, :]  # column i is mu_x_i, sigma_x_i
-    # one profile needs no new axes, and its vectors go to the maps as they are
-    row = _ROW if stack else ()
-    M_v, M2_v = (_on_columns(by_M), _on_columns(by_M2)) if stack else (by_M, by_M2)
-    s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma = _moments(*parts, by_M, by_M2)
+    s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma = _moments(*parts, by_M, M_v, M2_v)
     # the margins 1 -+ y score: (..., 2, n), row 0 the learner's
     (h_s, h_t), (p_s, p_t), (v_s, v_t) = (
         (a[..., 0, :], a[..., 1, :])
-        for a in hinge_expect(1.0 + _SIGNS * (y * score)[row], sigma[row]))
+        for a in hinge_expect(1.0 + _SIGNS * (y * score)[..., None, :], sigma[..., None, :]))
 
     def costs():
         cost_l = (0.5 * rho_l * (np.vecdot(mu_a, Ma) + np.vecdot(dM, s2a))
@@ -163,12 +149,12 @@ def _evaluation(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
         g[..., 2 * m + 1] = bias_reg * sig_b + 2.0 * sig_b * v_s.sum(axis=-1)
         # The attacker block is built in place over the planes, reusing Mx2
         # (as 2 v_t s2a Mx) and s2x (as the deviations' factor).
-        vt = v_t[row]
+        vt = v_t[..., None, :]
         np.multiply(np.multiply(Mx, (2.0 * s2a)[..., None], out=Mx2), vt, out=Mx2)
         shifted = np.subtract(mu_x, anchors, out=mu_x)  # column i is mu_x_i - xhat_i
         shifted *= rho_d
         shifted += Mx2  # M of this is rho_d M shifted + 2 M(v_t s2a Mx), as M is linear
-        np.multiply(Ma[..., None], (p_t * y)[row], out=Mx2)
+        np.multiply(Ma[..., None], (p_t * y)[..., None, :], out=Mx2)
         np.add(by_M(shifted), Mx2, out=mu_x)
         np.multiply((2.0 * w_x)[..., None], vt, out=s2x)
         np.multiply(sig_x, np.add(s2x, (rho_d * dM)[:, None], out=s2x), out=sig_x)
@@ -208,7 +194,7 @@ def _hinge_terms(score, sigma, y):
     return sy * p, v, H
 
 
-def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
+def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
     """Derivative of _evaluation's flat unweighted gradient at theta as the four arrays
     (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block, and
     for attacker row i, ld[i] (L, 2m) is the learner gradient along the row,
@@ -226,10 +212,10 @@ def jacobian(theta, by_M, dM, by_M2, anchors, y, rho_l, rho_d, bias_reg):
         raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
     m, n = anchors.shape
     mu_a, _, sig_a, sig_b, planes = parts = _unpack(theta, m, n)
-    s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma = _moments(*parts, by_M, by_M2)
+    s2a, s2x, Mx, Mx2, Ma, w_x, score, sigma = _moments(*parts, by_M, M_v, M2_v)
     # row-major copies (row i is sample i's), the layout of the block products below
     sig_x, s2x, Mx, Mx2 = (np.ascontiguousarray(a.T) for a in (planes[m:], s2x, Mx, Mx2))
-    M, M2 = by_M(np.eye(m)), by_M2(np.eye(m))
+    M, M2 = by_M(np.eye(m)), M2_v(np.eye(m))  # M*M is symmetric: its rows are its columns
     reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
     a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
     L = 2 * m + 2
@@ -344,7 +330,7 @@ def newton_step(theta, g, free, anchors, y, rho_l, rho_d, bias_reg):
     L = 2 * m + 2
     order = np.r_[0:m, m + 1 : 2 * m + 1, m, 2 * m + 1]
     mu_a, _, sig_a, sig_b, planes = parts = _unpack(theta, m, n)
-    s2a, s2x, x, x2, _, w_x, score, sigma = _moments(*parts, _identity, _identity)
+    s2a, s2x, x, x2, _, w_x, score, sigma = _moments(*parts, _identity, _identity, _identity)
     sx = planes[m:]
     (ps, pt), (vs, vt), H = _hinge_terms(score, sigma, y)
     reg_1, reg_d = map(np.diag, reg_hess(np.eye(1), np.ones(1), rho_l, rho_d, bias_reg))
@@ -448,7 +434,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     Jacobian blocks come from one jacobian(theta, *terms) call, whose Newton
     steps are dense_newton of those blocks, priced by dense_newton_price, and
     whose regularizer Hessians come from reg_hess, built only when asked."""
-    by_M, dM, _, _, y, rho_l, rho_d, bias_reg = terms
+    by_M, _, dM, _, _, y, rho_l, rho_d, bias_reg = terms
     r_d = rho_l / rho_d
 
     def pjac(theta):
@@ -477,8 +463,9 @@ def _identity(a):
 
 def _primal_terms(game: GameSpec):
     """The fixed arguments of _evaluation for the SVM game: M = I, anchors = X."""
-    return (_identity, np.ones(game.k), _identity, np.ascontiguousarray(game.dataset.features.T),
-            game.dataset.labels, game.rho_l, game.rho_d, game.bias_reg)
+    anchors = np.ascontiguousarray(game.dataset.features.T)
+    return (_identity, _identity, np.ones(game.k), _identity, anchors, game.dataset.labels,
+            game.rho_l, game.rho_d, game.bias_reg)
 
 
 def game_operator(game: GameSpec) -> VIGame:
@@ -490,7 +477,7 @@ def game_operator(game: GameSpec) -> VIGame:
     ops = _vi_game(terms, game.lower, game.upper)
     # newton_step keeps dense_newton's price, which overprices it, so that its
     # attempts come at the dense step's evaluation counts
-    return dataclasses.replace(ops, newton=lambda z, g, free: newton_step(z, g, free, *terms[3:]))
+    return dataclasses.replace(ops, newton=lambda z, g, free: newton_step(z, g, free, *terms[4:]))
 
 
 # The baseline's SMO: the cap on pair steps, about ten times the most that a

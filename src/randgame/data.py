@@ -8,12 +8,12 @@ import re
 
 import numpy as np
 
-from .model import Dataset, ParseError, atomic_write, read_lines
+from .model import Dataset, ParseError, atomic_write, plain_number_text, read_lines, read_number
 
 
-def _parse_label(tok, path, lineno, parse=float):
+def _parse_label(tok, path, lineno):
     try:
-        val = parse(tok)
+        val = read_number(tok)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: bad label {tok!r}") from None
     if val not in (-1.0, 1.0):
@@ -53,20 +53,13 @@ def _dataset(path, X, labels) -> Dataset:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _read_float(tok):
-    """float(tok) in numpy's reader's grammar: no digit separators or non-ASCII digits."""
-    if "_" in tok or not tok.strip().isascii():
-        raise ValueError(tok)
-    return float(tok)
-
-
 def _check_dense_line(path, lineno, line, width):
     """Raise the ParseError of a bad 'label,f1,f2,...' line, in the order
     label, values, count; width is the first line's count of values."""
     toks = line.split(",")
-    _parse_label(toks[0], path, lineno, _read_float)
+    _parse_label(toks[0], path, lineno)
     try:
-        list(map(_read_float, toks[1:]))
+        list(map(read_number, toks[1:]))
     except ValueError:
         raise ParseError(f"{path}:{lineno}: malformed feature value") from None
     if len(toks) - 1 != width:
@@ -116,7 +109,7 @@ def _check_sparse_line(path, lineno, line):
             raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
         idx_s, _, val_s = tok.partition(":")
         try:
-            idx, _ = int(idx_s), float(val_s)
+            idx, _ = read_number(idx_s, int), read_number(val_s)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
         if idx < 1:
@@ -133,12 +126,14 @@ def _sparse_block(block):
     text = "\n".join(tails)
     n_tokens = len(text.split())
     parts = text.replace(":", " ").split()
+    labels = [head[0] for head in heads]
     # every token is one idx:value pair exactly when no token holds two
     # colons, the colons are as many as the tokens, and they cut the tokens
-    # into twice as many pieces
-    if sum(counts) != n_tokens or len(parts) != 2 * n_tokens or _DOUBLE_COLON.search(text):
+    # into twice as many pieces; read_number's grammar is checked at once
+    if (sum(counts) != n_tokens or len(parts) != 2 * n_tokens or _DOUBLE_COLON.search(text)
+            or not plain_number_text("".join(labels + parts))):
         raise ValueError
-    y = np.fromiter(map(float, [head[0] for head in heads]), float, len(heads))
+    y = np.fromiter(map(float, labels), float, len(labels))
     cols = np.fromiter(map(int, parts[0::2]), np.int64, n_tokens) - 1
     if not np.isin(y, (-1.0, 1.0)).all() or (cols < 0).any():
         raise ValueError

@@ -79,8 +79,9 @@ def check_psd(K: np.ndarray) -> None:
 def _dual_terms(K, y, rho_l, rho_d, bias_reg):
     """The fixed arguments of costs._evaluation for the dual game: M = K, anchors = I."""
     K2 = K * K
-    return (lambda A: K @ A, np.diag(K).copy(), lambda v: K2 @ v, np.eye(K.shape[0]),
-            np.asarray(y, dtype=float), rho_l, rho_d, bias_reg)
+    return (lambda A: K @ A, lambda v: np.matvec(K, v), np.diag(K).copy(),
+            lambda v: np.matvec(K2, v), np.eye(K.shape[0]), np.asarray(y, dtype=float), rho_l,
+            rho_d, bias_reg)
 
 
 def dual_game_operator(

@@ -190,6 +190,19 @@ def read_lines(path):
             raise ParseError(f"{path}: not UTF-8 text") from None
 
 
+def plain_number_text(text) -> bool:
+    """Whether text keeps to the one grammar of numbers in every input file,
+    numpy's reader's: ASCII, without '_' digit separators."""
+    return text.isascii() and "_" not in text
+
+
+def read_number(tok, kind=float):
+    """kind(tok), float or int, for a token in plain_number_text's grammar; else ValueError."""
+    if not plain_number_text(tok.strip()):
+        raise ValueError(tok)
+    return kind(tok)
+
+
 def save_flat_csv(path, v) -> None:
     """Write a parameter vector as one CSV line, in the order of its entries."""
     v = _as_float_array(v, 1)
@@ -206,7 +219,7 @@ def load_flat_csv(path) -> np.ndarray:
         if any(lines[1:]):
             raise ValueError("a second line")
         toks = lines[0].split(",")
-        v = np.fromiter(map(float, toks), float, len(toks))
+        v = np.fromiter(map(read_number, toks), float, len(toks))
     except ValueError:
         raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
     if not np.isfinite(v).all():
@@ -228,7 +241,7 @@ def load_config(path) -> dict:
         if key in cfg:
             raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            cfg[key] = float(val)
+            cfg[key] = read_number(val)
         except ValueError:
             cfg[key] = val
     return cfg

@@ -218,29 +218,22 @@ def vi_residual(theta: np.ndarray, ops: VIGame) -> float:
 
 def _best_response_descent(ops, theta, player, best):
     """Projected descent on one player's own block (player 0 the learner, 1
-    the attacker, as in ops.costs) from its cost best at theta, opponent fixed.
+    the attacker, as in ops.costs) from its cost best at theta, opponent fixed:
+    each trial is the solver's _step, with the pseudo-gradient zero off the block.
 
     Returns the best cost found. Step sizes adapt multiplicatively; the
     gradient is re-evaluated only after an accepted step moves the point.
     """
-    sl = slice(0, ops.dim_l) if player == 0 else slice(ops.dim_l, ops.dim)
-    lo, up = ops.lower[sl], ops.upper[sl]
-    full = theta.copy()
-    x = full[sl].copy()
+    own = (np.arange(ops.dim) < ops.dim_l) == (player == 0)  # the player's own block
     g = None
     step = 1.0
     for _ in range(BEST_RESPONSE_STEPS):
         if g is None:  # the point moved, or this is the first step
-            g = ops.pseudo_grad(full)[sl]
-        cand = np.clip(x - step * g, lo, up)
-        full_cand = full.copy()
-        full_cand[sl] = cand
-        c = ops.costs(full_cand)[player]
+            g = np.where(own, _grad(ops, theta), 0.0)
+        cand = _step(ops, theta, step, g)
+        c = ops.costs(cand)[player]
         if c < best:
-            best = c
-            x = cand
-            full = full_cand
-            g = None
+            best, theta, g = c, cand, None
             step *= 1.5
         else:
             step *= 0.5
@@ -251,7 +244,10 @@ def _best_response_descent(ops, theta, player, best):
 
 def nash_verify(theta: np.ndarray, ops: VIGame, tol: float) -> bool:
     """Check the Nash condition numerically: neither player can improve its own
-    cost by more than tol via projected descent with the opponent fixed."""
+    cost by more than tol via projected descent with the opponent fixed. A profile
+    outside the box (NaN included) is a ValueError, a non-finite gradient a FloatingPointError."""
+    if np.shape(theta) != (ops.dim,) or not ((ops.lower <= theta) & (theta <= ops.upper)).all():
+        raise ValueError("nash_verify takes a profile in the box")
     base_l, base_d = ops.costs(theta)
     best_l = _best_response_descent(ops, theta, 0, base_l)
     best_d = _best_response_descent(ops, theta, 1, base_d)

@@ -452,9 +452,9 @@ class TestOperator:
             calls["M2"] += 1
             return (K * K) @ v
 
-        _, dM, _, anchors, y, *weights = _dual_terms(K, data.labels, 2.0, 5.0, 0.5)
+        _, M_v, dM, _, anchors, y, *weights = _dual_terms(K, data.labels, 2.0, 5.0, 0.5)
         box = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
-        ops = _vi_game((by_M, dM, by_M2, anchors, y, *weights), *box)
+        ops = _vi_game((by_M, M_v, dM, by_M2, anchors, y, *weights), *box)
         theta = box[0] + np.random.default_rng(5).uniform(0.2, 0.8, ops.dim) * (box[1] - box[0])
         ops.pseudo_grad(theta)
         assert calls == {"planes": 2, "M2": 2}
@@ -516,7 +516,7 @@ class TestOperator:
             terms = _dual_terms(gram(data, Kernel("rbf", 1.0)), data.labels, 2.0, 3.0, bias_reg)
             theta = ops.lower + np.random.default_rng(8).uniform(0.2, 0.8, ops.dim) * (
                 ops.upper - ops.lower)
-        unweighted = terms[:5] + (0.0, 0.0, 0.0)
+        unweighted = terms[:6] + (0.0, 0.0, 0.0)
 
         def reg_grad(v):
             return evaluate(v, *terms)[2] - evaluate(v, *unweighted)[2]

@@ -25,7 +25,7 @@ from randgame.data import (
     save_dense_csv,
     synth_2d,
 )
-from randgame.model import Dataset, atomic_write, load_flat_csv, save_flat_csv
+from randgame.model import Dataset, atomic_write, load_config, load_flat_csv, save_flat_csv
 
 
 # Runs the CLI on its arguments with every import of scipy refused.
@@ -153,6 +153,66 @@ class TestSparse:
         p.write_text("+1 0:1\n")
         with pytest.raises(ParseError, match="1-based"):
             load_sparse(p)
+
+
+class TestNumberGrammar:
+    """Every input file reads numbers as the dense reader does: Python's float
+    (or int, for a sparse index) on ASCII text without digit separators, so
+    '1_0' is not 10 and the Arabic-Indic '\u0661' is not 1."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("+1 1_0:1", "malformed idx:value '1_0:1'"),
+        ("+1 2:0_5", "malformed idx:value '2:0_5'"),
+        ("+1 \u0661:1", "malformed idx:value '\u0661:1'"),
+        ("+1 1:\u0661", "malformed idx:value '1:\u0661'"),
+        ("\u0661 1:1", "bad label '\u0661'"),
+        ("+0_1 1:1", "bad label '+0_1'"),
+    ])
+    def test_sparse_token_out_of_grammar_names_its_line(self, tmp_path, line, message):
+        p = tmp_path / "s.svm"
+        p.write_text(f"-1 1:1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
+            load_sparse(p)
+
+    @pytest.mark.parametrize("text", ["1_0,1.5\n", "1.5,\u0661\n", "1,2_5\n"])
+    def test_params_value_out_of_grammar_is_a_parse_error(self, tmp_path, text):
+        p = tmp_path / "p.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="expected one line of comma-separated numbers"):
+            load_flat_csv(p)
+
+    def test_config_value_out_of_grammar_stays_text(self, tmp_path):
+        p = tmp_path / "g.cfg"
+        p.write_text("rho_l=1_0\nrho_d=\u0661\nW=0.5\n", encoding="utf-8")
+        assert load_config(p) == {"rho_l": "1_0", "rho_d": "\u0661", "W": 0.5}
+
+    @pytest.mark.parametrize("raw", ["1_0", "0.5,1_0", "\u0661"])
+    def test_grid_value_out_of_grammar_is_a_usage_error(self, raw):
+        with pytest.raises(ValueError, match="bad value for grid config key 'W_grid'"):
+            _grids_from_config({"W_grid": raw})
+
+    def test_cli_refuses_each_file_out_of_grammar(self, tmp_path, capsys):
+        sparse = tmp_path / "s.svm"
+        sparse.write_text("-1 1:1\n+1 1_0:1\n")
+        out = tmp_path / "out.csv"
+        assert main(["train", "--data", str(sparse), "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {sparse}:2: malformed idx:value '1_0:1'"]
+        data = tmp_path / "d.csv"
+        save_dense_csv(data, np.array([[0.2], [0.7]]), np.array([-1.0, 1.0]))
+        params = tmp_path / "p.csv"
+        params.write_text("1_0\n")
+        assert main(["secure-eval", "--params", str(params), "--data", str(data),
+                     "--dmax-list", "0,0.3", "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {params}: expected one line of comma-separated numbers"]
+        game = tmp_path / "g.cfg"
+        game.write_text("rho_l=1_0\n")
+        argv = ["train", "--data", str(data), "--game", str(game), "--out", str(out)]
+        assert main(argv) == EX_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad value for game config key 'rho_l': '1_0'"]
+        assert not out.exists()
 
 
 def read_outcome(load, path, *args):

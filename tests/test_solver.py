@@ -215,6 +215,18 @@ class TestResidualAndNash:
     def test_nash_verify_accepts_boundary_equilibrium(self):
         assert nash_verify(np.array([0.0, 0.0]), boundary_game(), tol=1e-9)
 
+    def test_nash_verify_raises_on_a_non_finite_pseudo_gradient(self):
+        # a NaN gradient makes every trial's cost NaN, which never improves:
+        # without the check [2, 2] would pass as an equilibrium
+        ops = dataclasses.replace(bilinear_game(), pseudo_grad=lambda v: np.full(2, np.nan))
+        with pytest.raises(FloatingPointError):
+            nash_verify(np.array([2.0, 2.0]), ops, tol=1e-6)
+
+    @pytest.mark.parametrize("theta", [[7.0, 0.0], [0.0, -5.5], [np.nan, 0.0], [0.0]])
+    def test_nash_verify_refuses_a_profile_outside_the_box(self, theta):
+        with pytest.raises(ValueError):
+            nash_verify(np.array(theta), bilinear_game(), tol=1e-6)
+
     @staticmethod
     def _logged_nash_verify(theta, monkeypatch):
         """nash_verify's verdict on the bilinear game at theta, and its calls in

@@ -414,15 +414,20 @@ def _worker(spec: dict) -> dict:
 
 def time_checkout(checkout, entry, tiny=False, rounds=None) -> dict:
     """One pass of entry in a fresh process with one BLAS thread, on the
-    checkout at path. Raises RuntimeError if that process imported a randgame
-    from elsewhere (an installed copy), which would time the wrong code."""
+    checkout at path. Raises RuntimeError, naming the checkout, if that
+    process fails (with its last stderr line) or imported a randgame from
+    elsewhere (an installed copy), which would time the wrong code."""
     src = Path(checkout).resolve() / "src"
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in _THREAD_VARS})
     spec = {"entry": entry, "tiny": tiny, "rounds": rounds or ENTRIES[entry][3]}
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), entry, "--worker", json.dumps(spec)],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    if proc.returncode:
+        last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
+        raise RuntimeError(f"{checkout}: the {entry} worker exited with status "
+                           f"{proc.returncode}: {last}")
     result = json.loads(proc.stdout)
     if not Path(result["randgame"]).resolve().is_relative_to(src):
         raise RuntimeError(f"{checkout}: timed randgame from {result['randgame']}, not {src}")
