@@ -3,8 +3,8 @@ desk-scale experiments."""
 
 from __future__ import annotations
 
+import io
 import itertools
-import re
 
 import numpy as np
 
@@ -96,8 +96,8 @@ def save_dense_csv(path, features, labels) -> None:
     atomic_write(path, "".join(lines))
 
 
-# a token with two colons, which no idx:value pair has
-_DOUBLE_COLON = re.compile(r":\S*:")
+# an idx:value token in numpy's reader: one int64 and one float, cut by ':'
+_PAIR = np.dtype([("col", np.int64), ("value", float)])
 
 
 def _check_sparse_line(path, lineno, line):
@@ -108,9 +108,9 @@ def _check_sparse_line(path, lineno, line):
         if ":" not in tok:
             raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
         idx_s, _, val_s = tok.partition(":")
-        try:
-            idx, _ = read_number(idx_s, int), read_number(val_s)
-        except ValueError:
+        try:  # an index outside int64's range is an OverflowError
+            idx, _ = np.int64(read_number(idx_s, int)), read_number(val_s)
+        except (ValueError, OverflowError):
             raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
         if idx < 1:
             raise ParseError(f"{path}:{lineno}: indices are 1-based")
@@ -118,36 +118,33 @@ def _check_sparse_line(path, lineno, line):
 
 def _sparse_block(block):
     """The labels, each line's count of pairs, and the 0-based columns and
-    values of the pairs of a block of 'label idx:val ...' lines; ValueError
-    when a line is bad."""
+    values of the pairs of a block of 'label idx:val ...' lines, whose pairs
+    numpy's reader converts in one call; ValueError when a line is bad. The
+    reader takes only a token of one int64 and one float cut by one ':', in
+    read_number's grammar, so a line's count of ':' is its count of pairs."""
     heads = [line.split(None, 1) for line in block]
     tails = [head[1] if len(head) > 1 else "" for head in heads]
-    counts = [tail.count(":") for tail in tails]
-    text = "\n".join(tails)
-    n_tokens = len(text.split())
-    parts = text.replace(":", " ").split()
     labels = [head[0] for head in heads]
-    # every token is one idx:value pair exactly when no token holds two
-    # colons, the colons are as many as the tokens, and they cut the tokens
-    # into twice as many pieces; read_number's grammar is checked at once
-    if (sum(counts) != n_tokens or len(parts) != 2 * n_tokens or _DOUBLE_COLON.search(text)
-            or not plain_number_text("".join(labels + parts))):
+    if not plain_number_text("".join(labels)):
         raise ValueError
     y = np.fromiter(map(float, labels), float, len(labels))
-    cols = np.fromiter(map(int, parts[0::2]), np.int64, n_tokens) - 1
-    if not np.isin(y, (-1.0, 1.0)).all() or (cols < 0).any():
+    tokens = "\n".join(tails).split()
+    # numpy warns on input with no lines, so a block without pairs skips it
+    pairs = np.loadtxt(io.StringIO("\n".join(tokens)), dtype=_PAIR, delimiter=":",
+                       comments=None, ndmin=1) if tokens else np.empty(0, _PAIR)
+    if not np.isin(y, (-1.0, 1.0)).all() or (pairs["col"] < 1).any():
         raise ValueError
-    return y, counts, cols, np.fromiter(map(float, parts[1::2]), float, n_tokens)
+    return y, [tail.count(":") for tail in tails], pairs["col"] - 1, pairs["value"]
 
 
 def load_sparse(path) -> Dataset:
     """Load 'label idx:val ...' lines with 1-based indices; absent indices are
     zero and k is the maximum index seen.
 
-    Each block of lines is cut once at the labels, its rest joined and split
-    once, and its indices and values are converted in one call each; the
-    pairs are scattered at once. Only a file that fails in bulk is read token
-    by token, for the first bad line's error."""
+    Each block of lines is cut once at the labels, and numpy's reader
+    converts all of its idx:value pairs in one call; the pairs are scattered
+    at once. Only a file that fails in bulk is read token by token, for the
+    first bad line's error."""
     try:
         blocks = [_sparse_block(block) for block in _content_blocks(path)]
     except ValueError:

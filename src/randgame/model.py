@@ -14,6 +14,7 @@ decides the box's layout.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -210,7 +211,8 @@ def save_flat_csv(path, v) -> None:
 
 
 def load_flat_csv(path) -> np.ndarray:
-    """Read the finite parameter vector save_flat_csv wrote: one line, and
+    """Read the finite parameter vector save_flat_csv wrote: one line, whose
+    values numpy's reader converts in one call, in read_number's grammar, and
     blank lines after it; the whole file must be UTF-8."""
     lines = [line.strip() for line in read_lines(path)]
     if not lines or not lines[0]:
@@ -218,8 +220,8 @@ def load_flat_csv(path) -> np.ndarray:
     try:
         if any(lines[1:]):
             raise ValueError("a second line")
-        toks = lines[0].split(",")
-        v = np.fromiter(map(read_number, toks), float, len(toks))
+        # comments=None: a '#' after a value is malformed, not a comment
+        v = np.loadtxt(io.StringIO(lines[0]), delimiter=",", comments=None, ndmin=1)
     except ValueError:
         raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
     if not np.isfinite(v).all():

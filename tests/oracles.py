@@ -315,9 +315,17 @@ def security_curve_per_repetition(mu_w, test, mode, d_max_list, repetitions, see
                  for j, d in enumerate(d_max_list))
 
 
+def _number(tok, kind=float):
+    """kind(tok) in every input file's grammar: ASCII text without '_',
+    around which kind strips whitespace."""
+    if not tok.strip().isascii() or "_" in tok:
+        raise ValueError(tok)
+    return kind(tok)
+
+
 def _label_token(tok, path, lineno):
     try:
-        val = float(tok)
+        val = _number(tok)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: bad label {tok!r}") from None
     if val not in (-1.0, 1.0):
@@ -335,7 +343,7 @@ def _read_dataset(path, X, labels):
 def load_dense_tokens(path):
     """load_dense_csv one line and one value at a time."""
     labels, rows = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -343,7 +351,7 @@ def load_dense_tokens(path):
             toks = line.split(",")
             labels.append(_label_token(toks[0], path, lineno))
             try:
-                rows.append([float(t) for t in toks[1:]])
+                rows.append([_number(t) for t in toks[1:]])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: malformed feature value") from None
             if len(rows[-1]) != len(rows[0]):
@@ -356,7 +364,7 @@ def load_dense_tokens(path):
 def load_sparse_tokens(path):
     """load_sparse one line and one idx:value token at a time."""
     labels, rows, cols, vals = [], [], [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -368,7 +376,9 @@ def load_sparse_tokens(path):
                     raise ParseError(f"{path}:{lineno}: expected idx:value, got {tok!r}")
                 idx_s, _, val_s = tok.partition(":")
                 try:
-                    idx, val = int(idx_s), float(val_s)
+                    idx, val = _number(idx_s, int), _number(val_s)
+                    if not -2**63 <= idx < 2**63:  # outside the int64 columns
+                        raise ValueError(idx_s)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: malformed idx:value {tok!r}") from None
                 if idx < 1:
@@ -395,7 +405,7 @@ def load_flat_tokens(path):
     try:
         if any(line.strip() for line in lines[1:]):
             raise ValueError("a second line")
-        v = np.array([float(tok) for tok in lines[0].split(",")], dtype=float)
+        v = np.array([_number(tok) for tok in lines[0].split(",")], dtype=float)
     except ValueError:
         raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
     if not np.isfinite(v).all():

@@ -61,7 +61,9 @@ def test_compare_reports_every_case(entry):
             assert all(len(row[side]["points"]) >= 2 for side in sides)
             assert row["same_points"]  # both sides ran the same code
         if entry == "load":
-            assert all({"n", "k", "sha256"} == set(row[side]) for side in sides)
+            # a data set's shape, or a --params vector's size
+            loaded = {"size", "sha256"} if label.startswith("params") else {"n", "k", "sha256"}
+            assert all(loaded == set(row[side]) for side in sides)
             assert row["same_data"]  # both sides ran the same code
 
 

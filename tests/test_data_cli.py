@@ -191,6 +191,15 @@ class TestNumberGrammar:
         with pytest.raises(ValueError, match="bad value for grid config key 'W_grid'"):
             _grids_from_config({"W_grid": raw})
 
+    def test_cli_refuses_an_index_past_int64(self, tmp_path, capsys):
+        sparse = tmp_path / "s.svm"
+        sparse.write_text("-1 1:1\n+1 99999999999999999999:1\n-1 2:1\n")
+        out = tmp_path / "out.csv"
+        assert main(["train", "--data", str(sparse), "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {sparse}:2: malformed idx:value '99999999999999999999:1'"]
+        assert not out.exists()
+
     def test_cli_refuses_each_file_out_of_grammar(self, tmp_path, capsys):
         sparse = tmp_path / "s.svm"
         sparse.write_text("-1 1:1\n+1 1_0:1\n")
@@ -282,11 +291,46 @@ class TestBulkParsers:
         "+1 1:0.5\n-1 2:nan\n",
         "",
         "# only a comment\n",
+        "+1 1:1\n-1 99999999999999999999:1\nx 1:1\n",  # an index past int64, then a bad label
+        "+1 9223372036854775808:1\n",  # one past int64's maximum
+        "+1 2:1 -9223372036854775808:1\n",  # int64's minimum, which wraps when made 0-based
+        "+1 2:1 -9223372036854775809:1\n",  # one below it
     ], ids=lambda text: f"{text}-None")
     def test_sparse(self, tmp_path, text):
         p = tmp_path / "s.svm"
         p.write_text(text)
         assert read_outcome(load_sparse, p) == read_outcome(load_sparse_tokens, p)
+
+    def test_sparse_on_random_files(self, tmp_path):
+        """Seeded random small files, most of them valid: labels and
+        idx:value tokens in and out of the grammar, tabs, trailing CR, blank
+        lines and '#' lines."""
+        labels = ["+1", "-1", "1", "-1.0", "+1e0"]
+        bad_labels = ["0", "2", "x", "+0_1", "\u0661", "nan", "1:1"]
+        pairs = ["1:1", "2:0.5", "3:1", "5:0", "12:0.25", "2:1e-3", "+2:1", "02:1", "4:.5"]
+        bad_pairs = ["1:", ":1", "1:2:3", "x:1", "1_0:1", "1.0:1", "1:\u0661", "0:1", "7",
+                     "1:nan", "1:x", "99999999999999999999:1", "1:1#"]
+        p = tmp_path / "s.svm"
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+
+            def pick(good, bad):
+                return str(rng.choice(bad if rng.random() < 0.04 else good))
+
+            lines = []
+            for _ in range(rng.integers(1, 7)):
+                kind = rng.random()
+                if kind < 0.1:
+                    lines.append(str(rng.choice(["", "  ", "\t", "# note 1:x", "#"])))
+                    continue
+                toks = [pick(labels, bad_labels)]
+                toks += [pick(pairs, bad_pairs) for _ in range(rng.integers(0, 5))]
+                seps = rng.choice([" ", "\t", "  ", " \t"], size=len(toks))
+                line = "".join(sep + tok for sep, tok in zip(seps, toks))[1:]
+                lines.append(line + ("\r" if rng.random() < 0.2 else ""))
+            text = "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+            p.write_text(text, encoding="utf-8")
+            assert read_outcome(load_sparse, p) == read_outcome(load_sparse_tokens, p), text
 
 
 class TestSynth2d:

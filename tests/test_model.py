@@ -246,10 +246,13 @@ class TestSerialization:
     @pytest.mark.parametrize("text", [
         "1,2\n", "-0.0,5e-324,0.1,1e308\n", "1, 2 ,3\nignored,second,line\n", "7",
         "1,2\n\n \t\n", "\n1,2\n", "1,abc\n", "1,,2\n", "1,inf\n", "nan\n", "\n",
+        "1, 2\n", "1,2,\n", ",\n", "1e400\n", "-1e-400,5.,.5\n", "0x10\n", "1_0\n", "1,2_5\n",
+        "\u0661\n", "1.5,\u0661\n", "1,\u30002\n", "1,2\r\n", "1,2\r\n3\r\n", "1,2\n3\n",
+        "1 2\n", "1;2\n", "1,2#\n", "#1\n", "'1',2\n", "+inf,-Infinity\n", "1,1d0\n", "0b1\n",
     ])
     def test_flat_csv_reads_as_value_by_value(self, tmp_path, text):
         p = tmp_path / "params.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         outcomes = []
         for load in (load_flat_csv, load_flat_tokens):
             try:

@@ -14,7 +14,8 @@ games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
 iterations, the default, or the cap in the case label) and newton one Newton
 candidate of the solver, each on the games its cases build; curve times one
 security_curve (binary_flip and box-L2) on the sets its cases build, and load
-one data.load_dataset of the dense and sparse files its cases write. Each checkout runs in its own
+one data.load_dataset of the dense and sparse files its cases write, or one
+model.load_flat_csv of its parameter files. Each checkout runs in its own
 Python process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
 call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
 median per-call time of its rounds, and the parent and the change alternate
@@ -27,8 +28,8 @@ the two sides' costs are equal; for a Newton candidate: the Newton attempts
 of the solve to its iterate, whether there was a step and that distance
 between the two sides' candidates; for a monotonicity sample: its
 violations; for a curve: its points, and whether the two sides' points are
-equal; for a load: the set's shape and digest, and whether the two
-sides loaded the same set), then each side's peak worker RSS and
+equal; for a load: the set's shape, or the vector's size, and its digest,
+and whether the two sides loaded the same data), then each side's peak worker RSS and
 bench/run.py's environment(): the core count and the BLAS.
 Several entries write one file that maps each entry's name to its report.
 """
@@ -325,15 +326,20 @@ def _curve_cases(tiny):
 def _load_cases(tiny):
     """One load_dataset of a file written as the benchmark writes its inputs:
     train's dense synth_2d rows at k = 2, and secure-eval's dense _box_set
-    rows at k = 20 and sparse _spam_set rows as 'label idx:1 ...' lines. Only
-    the warm-up call reports the set it loaded: its shape and a SHA-256
-    of its features and labels."""
+    rows at k = 20 and sparse _spam_set rows as 'label idx:1 ...' lines; and
+    one model.load_flat_csv of a --params file: secure-eval's learner line
+    for the sparse rows (their _spam_set means, then zero deviations), and
+    train's output at n = 4000, k = 2, the flat profile of _game(4000, 2, 10,
+    0) from initial_point(game, 0). Only the warm-up call reports what it
+    loaded: a set's shape, or a vector's size, and a SHA-256 of its
+    arrays."""
     import hashlib
     import tempfile
 
     import numpy as np
 
-    from randgame import data
+    from randgame import data, model
+    from randgame.solver import initial_point
 
     def dense(ds):
         return lambda path: data.save_dense_csv(path, ds.features, ds.labels)
@@ -343,21 +349,34 @@ def _load_cases(tiny):
             f"{int(t):+d} " + " ".join(f"{j + 1}:1" for j in np.flatnonzero(row)) + "\n"
             for t, row in zip(ds.labels, ds.features)))
 
-    def setup(path, write):
+    def flat(v):
+        return lambda path: model.save_flat_csv(path, v)
+
+    def report(ds):
+        sha = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
+        return {"n": ds.n, "k": ds.k, "sha256": sha}
+
+    def report_flat(v):
+        return {"size": v.size, "sha256": hashlib.sha256(v.tobytes()).hexdigest()}
+
+    def setup(path, write, load=data.load_dataset, info=report):
         write(path)
         warm = True
 
         def call():
             nonlocal warm
-            ds = data.load_dataset(path)
+            loaded = load(path)
             if warm:
                 warm = False
-                sha = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
-                return {"n": ds.n, "k": ds.k, "sha256": sha}
+                return info(loaded)
 
         return call
 
+    def params(path, write):
+        return setup(path, write, model.load_flat_csv, report_flat)
+
     sn, (bn, bk), (fn, fk) = (5, (10, 5), (20, 300)) if tiny else (2000, (500, 20), (1000, 1000))
+    tn = 10 if tiny else 4000
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         yield f"dense {2 * sn}x2", lambda: setup(tmp / "synth.csv",
@@ -365,6 +384,10 @@ def _load_cases(tiny):
         yield f"dense {bn}x{bk}", lambda: setup(tmp / "box.csv", dense(_box_set(bn, bk)[1]))
         yield f"sparse {fn}x{fk}", lambda: setup(tmp / "flip.svm",
                                                  sparse(_spam_set(fn, fk, False)[1]))
+        yield f"params learner k={fk}", lambda: params(tmp / "flip_eq.csv", flat(np.append(
+            _spam_set(fn, fk, False)[0], np.zeros(fk + 1))))
+        yield f"params train {tn}x2", lambda: params(tmp / "eq.csv", flat(
+            initial_point(_game(tn, 2, 10.0, 0.0), 0)))
 
 
 # name: (cases, default output, metric, rounds, passes)
@@ -383,7 +406,8 @@ ENTRIES = {
     "newton": (_newton_cases, "BENCH_newton_closed_form.json",
                "_newton_candidate wall time per call", 7, 7),
     "curve": (_curve_cases, "BENCH_flip_ranking.json", "security_curve wall time per call", 7, 9),
-    "load": (_load_cases, "BENCH_load_dataset.json", "load_dataset wall time per call", 7, 9),
+    "load": (_load_cases, "BENCH_numpy_reader.json",
+             "load_dataset or load_flat_csv wall time per call", 7, 9),
 }
 
 
