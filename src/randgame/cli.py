@@ -247,73 +247,71 @@ def _cmd_grid_search(args) -> int:
     return 0
 
 
+_REQUIRED, _SEED = dict(required=True), dict(type=_seed, default=0)
+_MODE = dict(default="l2_box_pgd", choices=attacks.ATTACK_MODES)
+# name: (help line, handler, flags): each flag's name, in help order, maps to
+# the keyword arguments of its add_argument call
+_COMMANDS = {
+    "gen-synth": ("generate the 2-D synthetic dataset", _cmd_gen_synth, {
+        "--n": dict(type=_count, required=True, help="samples per class"),
+        "--sep": dict(type=_flag(float, np.isfinite, "a finite separation"), default=0.4),
+        "--seed": _SEED, "--out": _REQUIRED}),
+    "train": ("solve the randomized SVM game", _cmd_train, {
+        "--game": dict(help="key=value game/solver config file"), "--data": _REQUIRED,
+        "--out": _REQUIRED}),
+    "train-baseline": ("train the deterministic C-SVM", _cmd_train_baseline, {
+        "--data": _REQUIRED,
+        "--C": dict(type=_flag(float, lambda c: 0.0 < c < np.inf, "a finite positive C"),
+                    required=True),
+        "--out": _REQUIRED}),
+    "attack": ("attack the malicious samples of a dataset", _cmd_attack, {
+        "--params": _REQUIRED, "--data": _REQUIRED, "--dmax": dict(type=_budget, required=True),
+        "--mode": _MODE, "--monotone": dict(action="store_true"), "--out": _REQUIRED}),
+    "secure-eval": ("security evaluation curve", _cmd_secure_eval, {
+        "--params": _REQUIRED, "--data": _REQUIRED,
+        "--dmax-list": dict(type=_budgets, required=True), "--mode": _MODE,
+        "--fp": dict(type=_rate, default=0.01), "--reps": dict(type=_count, default=5),
+        "--seed": _SEED, "--out": _REQUIRED}),
+    "check-eq": ("numeric uniqueness diagnostics", _cmd_check_eq, {
+        "--game": {}, "--data": _REQUIRED, "--profiles": dict(type=_count, default=50),
+        "--pairs": dict(type=_count, default=200), "--seed": _SEED}),
+    "grid-search": ("select rho_l, rho_d, W by curve AUC", _cmd_grid_search, {
+        "--grids": dict(help="key=value file with *_grid comma lists"), "--data": _REQUIRED,
+        "--dmax-list": dict(type=_budgets, default="0,0.5,1.0"),
+        "--reps": dict(type=_count, default=3), "--seed": _SEED,
+        "--max-iter": dict(dest="max_iter", type=_count, default=1000), "--out": _REQUIRED}),
+}
+
+
+def _add_command(p: _Parser, name: str) -> _Parser:
+    _, handler, flags = _COMMANDS[name]
+    for flag, kwargs in flags.items():
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=handler)
+    return p
+
+
 def build_parser() -> _Parser:
+    """The parser of every command, each a subparser 'randgame <name>'."""
     p = _Parser(prog="randgame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-synth", help="generate the 2-D synthetic dataset")
-    g.add_argument("--n", type=_count, required=True, help="samples per class")
-    g.add_argument("--sep", type=_flag(float, np.isfinite, "a finite separation"), default=0.4)
-    g.add_argument("--seed", type=_seed, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=_cmd_gen_synth)
-
-    t = sub.add_parser("train", help="solve the randomized SVM game")
-    t.add_argument("--game", help="key=value game/solver config file")
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=_cmd_train)
-
-    tb = sub.add_parser("train-baseline", help="train the deterministic C-SVM")
-    tb.add_argument("--data", required=True)
-    tb.add_argument("--C", type=_flag(float, lambda c: 0.0 < c < np.inf, "a finite positive C"),
-                    required=True)
-    tb.add_argument("--out", required=True)
-    tb.set_defaults(func=_cmd_train_baseline)
-
-    a = sub.add_parser("attack", help="attack the malicious samples of a dataset")
-    a.add_argument("--params", required=True)
-    a.add_argument("--data", required=True)
-    a.add_argument("--dmax", type=_budget, required=True)
-    a.add_argument("--mode", default="l2_box_pgd", choices=attacks.ATTACK_MODES)
-    a.add_argument("--monotone", action="store_true")
-    a.add_argument("--out", required=True)
-    a.set_defaults(func=_cmd_attack)
-
-    s = sub.add_parser("secure-eval", help="security evaluation curve")
-    s.add_argument("--params", required=True)
-    s.add_argument("--data", required=True)
-    s.add_argument("--dmax-list", type=_budgets, required=True)
-    s.add_argument("--mode", default="l2_box_pgd", choices=attacks.ATTACK_MODES)
-    s.add_argument("--fp", type=_rate, default=0.01)
-    s.add_argument("--reps", type=_count, default=5)
-    s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=_cmd_secure_eval)
-
-    c = sub.add_parser("check-eq", help="numeric uniqueness diagnostics")
-    c.add_argument("--game")
-    c.add_argument("--data", required=True)
-    c.add_argument("--profiles", type=_count, default=50)
-    c.add_argument("--pairs", type=_count, default=200)
-    c.add_argument("--seed", type=_seed, default=0)
-    c.set_defaults(func=_cmd_check_eq)
-
-    gs = sub.add_parser("grid-search", help="select rho_l, rho_d, W by curve AUC")
-    gs.add_argument("--grids", help="key=value file with *_grid comma lists")
-    gs.add_argument("--data", required=True)
-    gs.add_argument("--dmax-list", type=_budgets, default="0,0.5,1.0")
-    gs.add_argument("--reps", type=_count, default=3)
-    gs.add_argument("--seed", type=_seed, default=0)
-    gs.add_argument("--max-iter", dest="max_iter", type=_count, default=1000)
-    gs.add_argument("--out", required=True)
-    gs.set_defaults(func=_cmd_grid_search)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command that argv (default sys.argv[1:]) names; its exit code.
+    Only that command's parser is built, as build_parser builds it; the full
+    parser parses argv when it names no command or leaves tokens over, so
+    help, usage lines and errors stay its own."""
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        args, extra = _add_command(_Parser(prog=f"randgame {name}"), name).parse_known_args(
+            argv[1:])
+    if name not in _COMMANDS or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, model.ParseError) as exc:

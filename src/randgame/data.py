@@ -153,7 +153,12 @@ def load_sparse(path) -> Dataset:
         raise ParseError(f"{path}: no samples")
     y, counts, cols, vals = (np.concatenate(part) for part in zip(*blocks))
     rows = np.repeat(np.arange(y.size), counts)
-    X = np.zeros((y.size, int(cols.max(initial=-1)) + 1))
+    k = int(cols.max(initial=-1)) + 1
+    try:
+        X = np.zeros((y.size, k))
+    except (ValueError, MemoryError):  # numpy cannot size or allocate the matrix
+        raise ParseError(f"{path}: largest index {k} gives a {y.size} x {k} matrix "
+                         "that numpy cannot build") from None
     X[rows, cols] = vals  # a repeated index keeps its last value
     return _dataset(path, X, y)
 

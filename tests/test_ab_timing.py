@@ -65,6 +65,10 @@ def test_compare_reports_every_case(entry):
             loaded = {"size", "sha256"} if label.startswith("params") else {"n", "k", "sha256"}
             assert all(loaded == set(row[side]) for side in sides)
             assert row["same_data"]  # both sides ran the same code
+        if entry == "cli":
+            # check-eq certifies its game, and gen-synth writes its file
+            assert all(row[side]["code"] == 0 for side in sides)
+            assert row["same_output"]  # both sides ran the same code
 
 
 def test_checkout_without_randgame_is_refused(tmp_path):

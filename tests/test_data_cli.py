@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from oracles import load_dense_tokens, load_sparse_tokens, with_dense_newton
-from randgame import attacks, costs, solver
+from randgame import attacks, cli, costs, solver
 from randgame import data as data_io
 from randgame.attacks import SecurityCurve
-from randgame.cli import EX_NOINPUT, EX_USAGE, _grids_from_config, main
+from randgame.cli import EX_NOINPUT, EX_USAGE, _grids_from_config, build_parser, main
 from randgame.data import (
     ParseError,
     load_dataset,
@@ -154,6 +154,19 @@ class TestSparse:
         with pytest.raises(ParseError, match="1-based"):
             load_sparse(p)
 
+    # numpy refuses both matrices before it allocates anything; an index that
+    # fits (say 10**9) would allocate n x index floats, so none is tried here
+    @pytest.mark.parametrize("text, n, k", [
+        ("+1 9223372036854775807:1\n", 1, 2**63 - 1),
+        (f"+1 1:1 {2**62}:1\n-1 2:1\n", 2, 2**62),
+    ], ids=["int64 max", "2**62 on two lines"])
+    def test_index_numpy_cannot_size_is_a_parse_error(self, tmp_path, text, n, k):
+        p = tmp_path / "s.svm"
+        p.write_text(text)
+        message = f"{p}: largest index {k} gives a {n} x {k} matrix that numpy cannot build"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_sparse(p)
+
 
 class TestNumberGrammar:
     """Every input file reads numbers as the dense reader does: Python's float
@@ -198,6 +211,16 @@ class TestNumberGrammar:
         assert main(["train", "--data", str(sparse), "--out", str(out)]) == EX_NOINPUT
         assert capsys.readouterr().err.splitlines() == [
             f"error: {sparse}:2: malformed idx:value '99999999999999999999:1'"]
+        assert not out.exists()
+
+    def test_cli_refuses_an_index_numpy_cannot_size(self, tmp_path, capsys):
+        sparse = tmp_path / "s.svm"
+        sparse.write_text("+1 9223372036854775807:1\n")
+        out = tmp_path / "out.csv"
+        assert main(["train", "--data", str(sparse), "--out", str(out)]) == EX_NOINPUT
+        k = 2**63 - 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {sparse}: largest index {k} gives a 1 x {k} matrix that numpy cannot build"]
         assert not out.exists()
 
     def test_cli_refuses_each_file_out_of_grammar(self, tmp_path, capsys):
@@ -1000,6 +1023,102 @@ class TestCliPipeline:
             ]) == 0
             outs.append((data.read_bytes(), params.read_bytes(), curve.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def outcome(call, argv, capsys):
+    """The exit code (None for a call that returns), stdout and stderr of
+    call(argv)."""
+    code = None
+    try:
+        call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# per command: a valid argv that sets every flag, and one with a bad value
+VALID_ARGV = {
+    "gen-synth": ["--n", "3", "--sep", "0.5", "--seed", "2", "--out", "o.csv"],
+    "train": ["--game", "g.cfg", "--data", "d.csv", "--out", "o.csv"],
+    "train-baseline": ["--data", "d.csv", "--C", "2.5", "--out", "o.csv"],
+    "attack": ["--params", "p.csv", "--data", "d.csv", "--dmax", "0.5", "--mode", "binary_flip",
+               "--monotone", "--out", "o.csv"],
+    "secure-eval": ["--params", "p.csv", "--data", "d.csv", "--dmax-list", "0,1", "--mode",
+                    "l2_closed_form", "--fp", "0.05", "--reps", "2", "--seed", "3",
+                    "--out", "o.csv"],
+    "check-eq": ["--game", "g.cfg", "--data", "d.csv", "--profiles", "2", "--pairs", "7",
+                 "--seed", "1"],
+    "grid-search": ["--grids", "g.cfg", "--data", "d.csv", "--dmax-list", "0,1", "--reps", "2",
+                    "--seed", "1", "--max-iter", "9", "--out", "o.csv"],
+}
+BAD_VALUE_ARGV = {
+    "gen-synth": ["--n", "0", "--out", "o.csv"],
+    "train": ["--data", "d.csv", "--out"],  # train has no typed flag: a flag without its value
+    "train-baseline": ["--data", "d.csv", "--C", "nan", "--out", "o.csv"],
+    "attack": ["--params", "p.csv", "--data", "d.csv", "--dmax", "1", "--mode", "bad",
+               "--out", "o.csv"],
+    "secure-eval": ["--params", "p.csv", "--data", "d.csv", "--dmax-list", "1,0",
+                    "--out", "o.csv"],
+    "check-eq": ["--data", "d.csv", "--pairs", "0"],
+    "grid-search": ["--data", "d.csv", "--max-iter", "x", "--out", "o.csv"],
+}
+
+
+class TestCommandParsers:
+    """main builds only the parser of the command it runs, yet every argv
+    gives what the full parser of build_parser gives: the same help, the
+    same Namespace and the same error and exit code."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_every_command_has_cases(self):
+        assert set(VALID_ARGV) == set(BAD_VALUE_ARGV) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["-h", "train"],
+                                      *([cmd, "-h"] for cmd in VALID_ARGV)])
+    def test_same_help_and_errors_as_the_full_parser(self, capsys, argv):
+        got = outcome(main, argv, capsys)
+        assert got == outcome(build_parser().parse_args, argv, capsys)
+        assert got[0] in (0, EX_USAGE)
+
+    @pytest.mark.parametrize("cmd", sorted(VALID_ARGV))
+    def test_valid_argv_gives_the_full_parser_namespace(self, monkeypatch, cmd):
+        seen = []
+        help_line, _, flags = cli._COMMANDS[cmd]
+        monkeypatch.setitem(cli._COMMANDS, cmd, (help_line, lambda a: seen.append(a) or 0, flags))
+        argv = [cmd, *VALID_ARGV[cmd]]
+        assert main(argv) == 0
+        full = build_parser().parse_args(argv)
+        assert vars(full) == {**vars(seen[0]), "command": cmd}
+
+    @pytest.mark.parametrize("cmd", sorted(VALID_ARGV))
+    @pytest.mark.parametrize("case", ["missing", "bad value", "unknown flag", "extra positional"])
+    def test_bad_argv_gives_the_full_parser_error(self, monkeypatch, capsys, cmd, case):
+        help_line, _, flags = cli._COMMANDS[cmd]
+        monkeypatch.setitem(cli._COMMANDS, cmd,
+                            (help_line, lambda a: pytest.fail(f"{cmd} ran"), flags))
+        argv = {"missing": [cmd],
+                "bad value": [cmd, *BAD_VALUE_ARGV[cmd]],
+                "unknown flag": [cmd, *VALID_ARGV[cmd], "--bogus"],
+                "extra positional": [cmd, *VALID_ARGV[cmd], "extra"]}[case]
+        got = outcome(main, argv, capsys)
+        assert got == outcome(build_parser().parse_args, argv, capsys)
+        assert got[0] == EX_USAGE and not got[1]
+        assert got[2].splitlines()[-1].startswith("error: ")
+
+    def test_one_command_builds_one_parser(self, monkeypatch, tmp_path):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert main(["gen-synth", "--n", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        assert built == ["randgame gen-synth"]
 
 
 GOLDEN = Path(__file__).parent / "data"

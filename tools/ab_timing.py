@@ -15,11 +15,13 @@ iterations, the default, or the cap in the case label) and newton one Newton
 candidate of the solver, each on the games its cases build; curve times one
 security_curve (binary_flip and box-L2) on the sets its cases build, and load
 one data.load_dataset of the dense and sparse files its cases write, or one
-model.load_flat_csv of its parameter files. Each checkout runs in its own
-Python process with PYTHONPATH set to its src/ and one BLAS thread. After a warm-up
-call, a round repeats the call for at least MIN_ROUND_S; a pass reports the
-median per-call time of its rounds, and the parent and the change alternate
-pass by pass so that slow drift of the host hits both alike. The JSON holds
+model.load_flat_csv of its parameter files; cli times one in-process
+randgame.cli.main call, check-eq on the diagnostics workload's game and
+gen-synth. Each checkout runs in its own Python process with PYTHONPATH set
+to its src/ and one BLAS thread. After a warm-up call, a round repeats the
+call for at least MIN_ROUND_S; a pass reports the median per-call time of
+its rounds, and the parent and the change alternate pass by pass so that
+slow drift of the host hits both alike. The JSON holds
 per case the median over passes, every pass's median, the ratio change /
 parent and what the warm-up call reported (for a solve: its evaluations,
 Newton step calls, iterations, residual and the largest coordinate distance
@@ -29,8 +31,10 @@ of the solve to its iterate, whether there was a step and that distance
 between the two sides' candidates; for a monotonicity sample: its
 violations; for a curve: its points, and whether the two sides' points are
 equal; for a load: the set's shape, or the vector's size, and its digest,
-and whether the two sides loaded the same data), then each side's peak worker RSS and
-bench/run.py's environment(): the core count and the BLAS.
+and whether the two sides loaded the same data; for a CLI call: its exit
+code and a digest of its output, and whether the two sides' outputs are
+equal), then each side's peak worker RSS and bench/run.py's environment():
+the core count and the BLAS.
 Several entries write one file that maps each entry's name to its report.
 """
 
@@ -390,6 +394,51 @@ def _load_cases(tiny):
             initial_point(_game(tn, 2, 10.0, 0.0), 0)))
 
 
+def _cli_cases(tiny):
+    """One in-process randgame.cli.main call: check-eq on the diagnostics
+    workload's certifying game (rho = 100, bias_reg = 1, W = 0.5) on the 10
+    points of synth_2d(5, 0.4, 0), 1 profile and MONO_PAIRS pairs; and
+    gen-synth --n 5, a call that is mostly parsing. The call's stdout goes to
+    a buffer, so the worker's JSON line stays its only stdout. Only the
+    warm-up call reports: the exit code and a SHA-256 of the output, its
+    stdout and then the file it wrote."""
+    import contextlib
+    import hashlib
+    import io
+    import tempfile
+
+    from randgame import cli, data
+
+    def setup(argv, out=None):
+        warm = True
+
+        def call():
+            nonlocal warm
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            if warm:
+                warm = False
+                raw = stdout.getvalue().encode() + (out.read_bytes() if out else b"")
+                return {"code": code, "output_sha256": hashlib.sha256(raw).hexdigest()}
+
+        return call
+
+    def check_eq(path, cfg):
+        ds = data.synth_2d(n, 0.4, 0)
+        data.save_dense_csv(path, ds.features, ds.labels)
+        cfg.write_text("rho_l=100\nrho_d=100\nbias_reg=1\nW=0.5\n")
+        return setup(["check-eq", "--data", str(path), "--game", str(cfg), "--profiles", "1",
+                      "--pairs", str(pairs)])
+
+    n, pairs = (2, 4) if tiny else (5, MONO_PAIRS)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        yield f"check-eq n={2 * n} pairs={pairs}", lambda: check_eq(tmp / "d.csv", tmp / "g.cfg")
+        yield "gen-synth --n 5", lambda: setup(
+            ["gen-synth", "--n", "5", "--out", str(tmp / "s.csv")], tmp / "s.csv")
+
+
 # name: (cases, default output, metric, rounds, passes)
 ENTRIES = {
     "cold": (_cold_cases, "BENCH_scipy_free.json",
@@ -408,6 +457,8 @@ ENTRIES = {
     "curve": (_curve_cases, "BENCH_flip_ranking.json", "security_curve wall time per call", 7, 9),
     "load": (_load_cases, "BENCH_numpy_reader.json",
              "load_dataset or load_flat_csv wall time per call", 7, 9),
+    "cli": (_cli_cases, "BENCH_command_parser.json",
+            "in-process randgame.cli.main wall time per call", 7, 9),
 }
 
 
@@ -487,6 +538,8 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
             row["same_points"] = row["parent"]["points"] == row["change"]["points"]
         if "sha256" in row.get("parent", {}):
             row["same_data"] = row["parent"] == row["change"]
+        if "output_sha256" in row.get("parent", {}):
+            row["same_output"] = row["parent"] == row["change"]
         cases[label] = row
     return {
         "entry": entry,
