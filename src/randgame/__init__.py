@@ -17,7 +17,6 @@ from .costs import game_operator, train_baseline_svm
 from .data import load_dataset, load_dense_csv, load_sparse, synth_2d
 from .diagnostics import (
     DiagnosticsReport,
-    loss_hessians,
     monotonicity_sample,
     profile_curvature,
     uniqueness_margin,

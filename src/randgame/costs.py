@@ -52,7 +52,7 @@ import numpy as np
 
 from .hinge import hinge_expect, hinge_hessian
 from .model import Dataset, GameSpec, ShapeError
-from .ops import VIGame, dense_newton, dense_newton_price, solve_learner
+from .ops import VIGame, dense_newton, dense_newton_price, pseudo_jacobian, solve_learner
 
 # 1 + _SIGNS y score stacks the learner's margins 1 - y score over the attacker's.
 _SIGNS = np.array([[-1.0], [1.0]])
@@ -194,8 +194,9 @@ def _hinge_terms(score, sigma, y):
     return sy * p, v, H
 
 
-def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
-    """Derivative of _evaluation's flat unweighted gradient at theta as the four arrays
+def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, *weights):
+    """The players' loss Hessians at theta, the derivative of _evaluation's
+    unweighted gradient less its regularizers, as the four arrays
     (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block, and
     for attacker row i, ld[i] (L, 2m) is the learner gradient along the row,
     dl[i] (2m, L) the row's gradient along the learner block and dd[i]
@@ -206,7 +207,8 @@ def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
     Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
     rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
     and sigma^2, taken from _moments as the evaluation takes them, are
-    differentiated in closed form.
+    differentiated in closed form. The weights that end the terms weight
+    only the regularizers, so they are not read.
     """
     if np.ndim(theta) != 1:
         raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
@@ -216,7 +218,6 @@ def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
     # row-major copies (row i is sample i's), the layout of the block products below
     sig_x, s2x, Mx, Mx2 = (np.ascontiguousarray(a.T) for a in (planes[m:], s2x, Mx, Mx2))
     M, M2 = by_M(np.eye(m)), M2_v(np.eye(m))  # M*M is symmetric: its rows are its columns
-    reg_l, reg_d = reg_hess(M, dM, rho_l, rho_d, bias_reg)
     a_, s_, x_ = slice(0, m), slice(m + 1, 2 * m + 1), slice(m, 2 * m)  # mu_a, sigma_a, sigma_x
     L = 2 * m + 2
 
@@ -249,7 +250,6 @@ def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
     ll[a_, a_] += (M * (2.0 * (v_s @ s2x))) @ M
     ll[s_, s_] += np.diag(2.0 * (v_s @ Mx2 + M2 @ (v_s @ s2x)))
     ll[2 * m + 1, 2 * m + 1] += 2.0 * v_s.sum()
-    ll += reg_l
     ld = HU_l.transpose(0, 2, 1) @ U_x
     ld += v_s[:, None, None] * cross
     ld[:, a_, a_] += p_s[:, None, None] * M
@@ -260,9 +260,9 @@ def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, rho_l, rho_d, bias_reg):
     dl += v_t[:, None, None] * cross.transpose(0, 2, 1)
     dl[:, a_, a_] += p_t[:, None, None] * M
     dd = U_x.transpose(0, 2, 1) @ HU_x
-    dd[:, a_, a_] += 2.0 * v_t[:, None, None] * ((M * s2a) @ M) + reg_d[a_, a_]
+    dd[:, a_, a_] += 2.0 * v_t[:, None, None] * ((M * s2a) @ M)
     diag_x = dd.reshape(n, 4 * m * m)[:, m * (2 * m + 1) :: 2 * m + 1]  # row i's sigma_x diagonal
-    diag_x += 2.0 * v_t[:, None] * w_x + reg_d.diagonal()[m:]
+    diag_x += 2.0 * v_t[:, None] * w_x
     return ll, ld, dl, dd
 
 
@@ -431,30 +431,27 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     """Operator on the joint box [lower, upper] whose pair of costs and whose
     pseudo-gradient (with r = (1, rho_l/rho_d)) each finish one
     _evaluation(theta, *terms), each computing only what it returns, whose
-    Jacobian blocks come from one jacobian(theta, *terms) call, whose Newton
-    steps are dense_newton of those blocks, priced by dense_newton_price, and
-    whose regularizer Hessians come from reg_hess, built only when asked."""
+    loss Jacobian blocks come from one jacobian(theta, *terms) call, whose
+    regularizer Hessians come from reg_hess, built only when asked, and whose
+    Newton steps are dense_newton of pseudo_jacobian of those blocks, priced
+    by dense_newton_price."""
     by_M, _, dM, _, _, y, rho_l, rho_d, bias_reg = terms
     r_d = rho_l / rho_d
-
-    def pjac(theta):
-        ll, ld, dl, dd = jacobian(theta, *terms)
-        dl *= r_d
-        dd *= r_d
-        return ll, ld, dl, dd
-
-    return VIGame(
+    ops = VIGame(
         dim_l=2 * (dM.size + 1),
         lower=lower,
         upper=upper,
         costs=lambda theta: _evaluation(theta, *terms)[0](),
         pseudo_grad=lambda theta: _evaluation(theta, *terms)[1](r_d),
-        jacobian=pjac,
-        newton=lambda z, g, free: dense_newton(pjac(z), g, free),
+        loss_jacobian=lambda theta: jacobian(theta, *terms),
         newton_price=dense_newton_price(2 * dM.size + 2, 2 * dM.size, y.size),
         rho=(rho_l, rho_d),
         reg_hess=lambda: reg_hess(by_M(np.eye(dM.size)), dM, rho_l, rho_d, bias_reg),
     )
+    # newton reads the operator without it: a step that read its own operator
+    # would make a reference cycle, which only the garbage collector frees
+    return dataclasses.replace(ops, newton=lambda z, g, free: dense_newton(
+        pseudo_jacobian(ops, ops.loss_jacobian(z)), g, free))
 
 
 def _identity(a):

@@ -1,11 +1,12 @@
 """Numeric verification of the equilibrium existence/uniqueness machinery.
 
 Every curvature quantity at a profile comes from the closed-form Jacobian of
-the pseudo-gradient, which VIGame.jacobian gives as blocks: the learner's own
-block ll, and for each attacker row i the cross blocks ld[i], dl[i] and the own
-block dd[i]. Row i's gradient sees only its own row and the learner block, so
-these are all the nonzero blocks: nothing is differenced, no dim x dim matrix is
-built, and a profile on the boundary of the box is as good as any other.
+the players' loss gradients, which VIGame.loss_jacobian gives as blocks: the
+learner's own block ll, and for each attacker row i the cross blocks ld[i],
+dl[i] and the own block dd[i]. Row i's gradient sees only its own row and the
+learner block, so these are all the nonzero blocks: nothing is differenced, no
+dim x dim matrix is built, and a profile on the boundary of the box is as good
+as any other. ops.pseudo_jacobian of the same blocks is the pseudo-gradient's.
 
 The uniqueness margin reported is
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ShapeError
-from .ops import VIGame
+from .ops import VIGame, pseudo_jacobian
 
 MONOTONE_TOL = 1e-12  # slack of the monotonicity inner product
 # Entries of the (k, 2, dim) stack of pairs that one pseudo-gradient call of
@@ -42,20 +43,6 @@ EIG_MAX_STEPS = 100
 
 def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
-def loss_hessians(ops: VIGame, blocks):
-    """Loss Hessian blocks (ll, ld, dl, dd) from the Jacobian blocks of
-    ops.jacobian.
-
-    Dividing row block i by r_i gives the cost Hessians. The regularizers are
-    separable with constant Hessians, so the cross blocks are already loss
-    blocks and each own block loses its regularizer's Hessian, ops.reg_hess().
-    """
-    ll, ld, dl, dd = blocks
-    reg_l, reg_d = ops.reg_hess()
-    r_l, r_d = ops.r
-    return ll / r_l - reg_l, ld / r_l, dl / r_d, dd / r_d - reg_d
 
 
 def _min_sym_eig(blocks) -> float:
@@ -119,11 +106,10 @@ class Curvature:
 
 def profile_curvature(ops: VIGame, theta) -> Curvature:
     """lambda_L of both players, tau and the smallest eigenvalue of the
-    symmetrized pseudo-Jacobian at theta, from one ops.jacobian call: the
-    step of uniqueness_margin at each sampled profile. theta may lie on the
-    box boundary."""
-    blocks = ops.jacobian(np.asarray(theta, dtype=float))
-    H_ll, H_ld, H_dl, H_dd = loss_hessians(ops, blocks)
+    symmetrized pseudo-Jacobian at theta, from one ops.loss_jacobian call:
+    the step of uniqueness_margin at each sampled profile. theta may lie on
+    the box boundary."""
+    H_ll, H_ld, H_dl, H_dd = blocks = ops.loss_jacobian(np.asarray(theta, dtype=float))
     R = 0.5 * (H_ld.transpose(0, 2, 1) + H_dl)  # row i's block of R, (b, L)
     R = R.reshape(-1, R.shape[2])
     return Curvature(
@@ -132,7 +118,8 @@ def profile_curvature(ops: VIGame, theta) -> Curvature:
         # R^T R = sum_i R_i^T R_i has the nonzero spectrum of R R^T, at the
         # learner block's size
         tau=float(np.linalg.eigvalsh(R.T @ R)[-1]),
-        min_jacobian_eig=_min_sym_eig(blocks),
+        # last, as pseudo_jacobian overwrites the loss blocks
+        min_jacobian_eig=_min_sym_eig(pseudo_jacobian(ops, blocks)),
     )
 
 
@@ -154,6 +141,7 @@ class DiagnosticsReport:
             f"lambda_L_l_sampled={self.lambda_L_l:.6g}",
             f"lambda_L_d_sampled={self.lambda_L_d:.6g}",
             f"tau_sampled={self.tau_estimate:.6g}",
+            f"min_jacobian_eig_sampled={min(self.min_jacobian_eig):.6g}",
             f"uniqueness_margin={self.uniqueness_margin:.6g}",
             f"monotone_violations={self.monotone_violations}",
         ]
@@ -191,15 +179,15 @@ def monotonicity_sample(ops: VIGame, n_pairs: int, seed: int) -> int:
 
 def uniqueness_margin(ops: VIGame, n_profiles: int, seed: int, n_pairs: int) -> DiagnosticsReport:
     """Estimate the sufficient-condition margin on sampled interior profiles:
-    one ops.jacobian call per profile, and for the monotonicity sample one
-    stacked pseudo-gradient call per chunk of pairs."""
+    one ops.loss_jacobian call per profile, and for the monotonicity sample
+    one stacked pseudo-gradient call per chunk of pairs."""
     if n_profiles < 1:
         raise ValueError("n_profiles must be at least 1: a margin over no profile reads inf")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1: a sample of no pair reads no violation")
-    if ops.jacobian is None or ops.reg_hess is None:
+    if ops.loss_jacobian is None or ops.reg_hess is None:
         raise ValueError(
-            "operator lacks the Jacobian blocks or the regularizer Hessians of the "
+            "operator lacks the loss Jacobian blocks or the regularizer Hessians of the "
             "loss/regularizer split"
         )
     rng = np.random.default_rng(seed)

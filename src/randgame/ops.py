@@ -25,13 +25,14 @@ class VIGame:
     entries as its own call gives them (the diagnostics' monotonicity sample
     passes (k, 2, dim) stacks of pairs). The solver passes one profile. The
     rest is optional and takes one profile: the solver's Newton steps need
-    newton, the diagnostics need jacobian and reg_hess:
+    newton, the diagnostics need loss_jacobian and reg_hess:
 
-    - jacobian(theta) gives the Jacobian of pseudo_grad as the blocks
-      (ll, ld, dl, dd) for an attacker block of n rows of b entries, each
-      row seeing only itself and the learner: ll (dim_l, dim_l) is the
-      learner's own block, and ld[i] (dim_l, b), dl[i] (b, dim_l) and dd[i]
-      (b, b) are row i's cross blocks and own block;
+    - loss_jacobian(theta) gives the Jacobian of both players' loss
+      gradients (no regularizer, no weight) as the blocks (ll, ld, dl, dd)
+      for n attacker rows of b entries, each row seeing only itself and the
+      learner: ll (dim_l, dim_l) is the learner's own block, and ld[i]
+      (dim_l, b), dl[i] (b, dim_l) and dd[i] (b, b) are row i's cross blocks
+      and own block; pseudo_jacobian makes them pseudo_grad's Jacobian;
     - reg_hess() gives the constant Hessians of both expected regularizers
       in their cost weights: the learner's (dim_l, dim_l) block and the
       (b, b) block that every attacker row shares;
@@ -39,11 +40,11 @@ class VIGame:
       pseudo-gradient g there: d with J_FF d_F = -g_F for the free
       coordinates F and d = 0 off them, or None when the system is singular
       or d is not finite. The solver attempts Newton steps exactly when
-      newton is set. dense_newton gives this step from jacobian's blocks;
-      an operator that knows more of its structure computes it without
-      them. newton_price is what one call of newton costs, in operator
-      evaluations, and spaces the solver's attempts; the solver reads it
-      only when newton is set, and at 0 attempts a step at every iteration.
+      newton is set. dense_newton gives this step from pseudo_jacobian's
+      blocks; an operator that knows more of its structure computes it
+      without them. newton_price is what one call of newton costs, in
+      operator evaluations, and spaces the solver's attempts; the solver
+      reads it only when newton is set, and at 0 tries a step every iteration.
     """
 
     dim_l: int
@@ -53,7 +54,7 @@ class VIGame:
     pseudo_grad: Callable[[np.ndarray], np.ndarray]
     rho: tuple[float, float] = (1.0, 1.0)
     reg_hess: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None
-    jacobian: Optional[Callable[[np.ndarray], tuple]] = None
+    loss_jacobian: Optional[Callable[[np.ndarray], tuple]] = None
     newton_price: float = 0.0
     newton: Optional[Callable[..., Optional[np.ndarray]]] = None
 
@@ -71,6 +72,19 @@ class VIGame:
         # np.clip's result, signed zeros and NaN included, at half its cost;
         # out (theta itself, say) takes the result in place
         return np.minimum(np.maximum(theta, self.lower, out=out), self.upper, out=out)
+
+
+def pseudo_jacobian(ops: VIGame, blocks):
+    """The blocks of ops.pseudo_grad's Jacobian from ops.loss_jacobian's, which
+    it overwrites: the only code that adds ops.reg_hess() to the own blocks
+    and weights the attacker's rows, dl and dd, by r_d (the learner's is 1)."""
+    ll, _, dl, dd = blocks
+    reg_l, reg_d = ops.reg_hess()
+    ll += reg_l
+    dd += reg_d
+    dl *= ops.r[1]
+    dd *= ops.r[1]
+    return blocks
 
 
 def solve_learner(S: np.ndarray, rhs: np.ndarray, free: np.ndarray):
@@ -92,7 +106,7 @@ def solve_learner(S: np.ndarray, rhs: np.ndarray, free: np.ndarray):
 
 def dense_newton(blocks, g: np.ndarray, free: np.ndarray):
     """The Newton step d with J_FF d_F = -g_F and d = 0 off the free
-    coordinates, for J the arrow-shaped Jacobian given as jacobian's blocks
+    coordinates, for J the arrow-shaped Jacobian of pseudo_jacobian's blocks
     (ll, ld, dl, dd) of all rows; None when a system is singular or d is not
     finite.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from randgame.costs import _evaluation
 from randgame.model import Dataset, GameSpec, ParseError
-from randgame.ops import dense_newton
+from randgame.ops import dense_newton, pseudo_jacobian
 
 
 def profile(mu_w, sigma_w, mu_x, sigma_x):
@@ -145,13 +145,14 @@ def deviation_mask(ops):
     return dev
 
 
-def with_dense_newton(ops, jacobian=None):
-    """ops with jacobian, by default its own, whose Newton steps are
-    dense_newton of that jacobian's blocks: the reference of the primal
-    game's closed-form step, and the step of a planted Jacobian."""
-    jacobian = ops.jacobian if jacobian is None else jacobian
-    return dataclasses.replace(
-        ops, jacobian=jacobian, newton=lambda z, g, free: dense_newton(jacobian(z), g, free))
+def with_dense_newton(ops, loss_jacobian=None):
+    """ops with loss_jacobian, by default its own, whose Newton steps are
+    dense_newton of pseudo_jacobian of that loss_jacobian's blocks: the
+    reference of the primal game's closed-form step, and the step of a
+    planted Jacobian."""
+    ops = dataclasses.replace(ops, loss_jacobian=loss_jacobian or ops.loss_jacobian)
+    return dataclasses.replace(ops, newton=lambda z, g, free: dense_newton(
+        pseudo_jacobian(ops, ops.loss_jacobian(z)), g, free))
 
 
 def extragradient_reference(ops, init, epsilon, max_iter):
@@ -202,7 +203,7 @@ def fd_steps(theta, idx, h_step, lower, upper):
     return np.minimum(h, room)
 
 
-def pseudo_jacobian(ops, theta) -> np.ndarray:
+def fd_pseudo_jacobian(ops, theta) -> np.ndarray:
     """Central-difference Jacobian of ops.pseudo_grad (2 * dim calls); column
     j is the derivative along theta_j."""
     theta = np.asarray(theta, dtype=float)

@@ -1,6 +1,8 @@
 """Player costs and analytic gradients against finite-difference and per-sample loop oracles,
 and the closed-form Newton step against the dense one."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from randgame.hinge import hinge_expect
 from randgame.kernel import (DUAL_W, XI_MEAN_BOUNDS, Kernel, _dual_terms, dual_game_operator,
                              gram)
 from randgame.model import Dataset, GameSpec, ShapeError, _box_pair, default_boxes
-from randgame.ops import dense_newton
+from randgame.ops import dense_newton, pseudo_jacobian
 
 
 def random_game(seed, n=5, k=3, rho_l=2.0, rho_d=3.0, bias_reg=0.0):
@@ -273,6 +275,28 @@ class TestStackedEvaluation:
             jacobian(stack, *terms)
 
 
+@pytest.mark.parametrize("game", ["primal", "dual"])
+def test_an_operator_is_freed_without_the_garbage_collector(game):
+    # no reference cycle holds an operator: a dense newton that read its own
+    # operator kept the operator, its box and its terms alive until a
+    # collection, and raised the solve-dual benchmark's peak RSS by 3-5 MB
+    ds = synth_2d(3, 0.4, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        if game == "primal":
+            ops = game_operator(GameSpec(ds, 1.0, 2.0, *default_boxes(ds.n, ds.k, 1.0),
+                                         bias_reg=1.0))
+        else:
+            ops = dual_game_operator(ds, Kernel("rbf", 1.0), 1.0, 2.0, bias_reg=1.0)
+        z = ops.lower + 0.5 * (ops.upper - ops.lower)
+        assert ops.newton(z, ops.pseudo_grad(z), np.ones(ops.dim, dtype=bool)) is not None
+        del ops
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestDeviationsAreDominated:
     """The own-deviation entries of the pseudo-gradient are > 0 at every
     profile of the box (costs module docstring), so every equilibrium holds
@@ -341,7 +365,7 @@ class TestClosedFormNewtonStep:
         steps = nones = 0
         for seed in range(4):
             ops, z, g, free = self._case(k, bias_reg, rho, kind, seed)
-            want = dense_newton(ops.jacobian(z), g, free)
+            want = dense_newton(pseudo_jacobian(ops, ops.loss_jacobian(z)), g, free)
             got = ops.newton(z, g, free)
             assert (got is None) == (want is None)
             if want is None:
@@ -369,7 +393,7 @@ class TestClosedFormNewtonStep:
         g = ops.pseudo_grad(z)
         assert g[2 * k + 1] == 0.0
         free = np.ones(ops.dim, dtype=bool)
-        assert dense_newton(ops.jacobian(z), g, free) is None
+        assert dense_newton(pseudo_jacobian(ops, ops.loss_jacobian(z)), g, free) is None
         assert ops.newton(z, g, free) is None
 
     def test_one_linear_solve_for_all_rows(self, monkeypatch):

@@ -8,20 +8,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import BoundaryError, assemble, fd_steps, pseudo_jacobian
+from oracles import BoundaryError, assemble, evaluate, fd_pseudo_jacobian, fd_steps
 from randgame import diagnostics
-from randgame.costs import game_operator
+from randgame.costs import _primal_terms, game_operator
 from randgame.data import synth_2d
 from randgame.diagnostics import (
     MONOTONE_TOL,
-    loss_hessians,
     monotonicity_sample,
     profile_curvature,
     uniqueness_margin,
 )
-from randgame.kernel import Kernel, dual_game_operator
+from randgame.kernel import Kernel, _dual_terms, dual_game_operator, gram
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
-from randgame.ops import VIGame
+from randgame.ops import VIGame, pseudo_jacobian
 from randgame.solver import SolverConfig, extragradient_solve
 
 
@@ -70,11 +69,13 @@ def unit_box_game(pseudo_grad):
     )
 
 
-def constant_blocks(J):
-    """The jacobian callable of a two-scalar game whose Jacobian is J: one
-    attacker row of one entry."""
-    J = np.asarray(J, dtype=float)
-    return lambda v: (J[:1, :1], J[None, :1, 1:], J[None, 1:, :1], J[None, 1:, 1:])
+def constant_blocks(H):
+    """The loss_jacobian callable of a two-scalar game whose loss Jacobian is
+    H: one attacker row of one entry, fresh blocks at each call, as
+    pseudo_jacobian overwrites them."""
+    H = np.asarray(H, dtype=float)
+    return lambda v: (H[:1, :1].copy(), H[None, :1, 1:].copy(), H[None, 1:, :1].copy(),
+                      H[None, 1:, 1:].copy())
 
 
 def coupled_quadratic(c):
@@ -92,7 +93,7 @@ def coupled_quadratic(c):
                          0.5 * v[..., 1] ** 2 + c * v[..., 0] * v[..., 1]),
         pseudo_grad=lambda v: np.stack([v[..., 0] + c * v[..., 1], v[..., 1] + c * v[..., 0]],
                                        axis=-1),
-        jacobian=constant_blocks([[1.0, c], [c, 1.0]]),
+        loss_jacobian=constant_blocks([[0.0, c], [c, 0.0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
 
@@ -111,7 +112,7 @@ def antisymmetric_bilinear():
         costs=lambda v: (0.5 * v[..., 0] ** 2 + v[..., 0] * v[..., 1],
                          0.5 * v[..., 1] ** 2 - v[..., 0] * v[..., 1]),
         pseudo_grad=lambda v: np.stack([v[..., 0] + v[..., 1], v[..., 1] - v[..., 0]], axis=-1),
-        jacobian=constant_blocks([[1.0, 1.0], [-1.0, 1.0]]),
+        loss_jacobian=constant_blocks([[0.0, 1.0], [-1.0, 0.0]]),
         reg_hess=lambda: (np.eye(1), np.eye(1)),
     )
 
@@ -149,7 +150,7 @@ class TestFdHessian:
             lambda v: float(inside(v) @ v), theta, [0], [0], h_step=1e-4,
             lower=np.zeros(2), upper=np.ones(2),
         )
-        J = pseudo_jacobian(unit_box_game(lambda v: 2.0 * inside(v)), theta)
+        J = fd_pseudo_jacobian(unit_box_game(lambda v: 2.0 * inside(v)), theta)
         assert H[0, 0] == pytest.approx(2.0, rel=1e-3)
         assert J[0, 0] == pytest.approx(2.0, rel=1e-3)
 
@@ -161,7 +162,7 @@ class TestFdHessian:
         with pytest.raises(BoundaryError):
             fd_hessian_block(f, theta, [0], [0], lower=np.zeros(2), upper=np.ones(2))
         with pytest.raises(BoundaryError):
-            pseudo_jacobian(unit_box_game(lambda v: 2.0 * v), theta)
+            fd_pseudo_jacobian(unit_box_game(lambda v: 2.0 * v), theta)
 
 
 def min_sym_eig(J):
@@ -175,15 +176,15 @@ class TestPseudoJacobian:
     def test_bilinear_min_eig_is_one(self):
         # Jacobian [[1, 1], [-1, 1]] has symmetric part I
         ops, theta = antisymmetric_bilinear(), np.array([0.3, -0.4])
-        J = assemble(ops.jacobian(theta))
-        np.testing.assert_allclose(J, pseudo_jacobian(ops, theta), rtol=0, atol=1e-9)
+        J = assemble(pseudo_jacobian(ops, ops.loss_jacobian(theta)))
+        np.testing.assert_allclose(J, fd_pseudo_jacobian(ops, theta), rtol=0, atol=1e-9)
         assert profile_curvature(ops, theta).min_jacobian_eig == pytest.approx(1.0, abs=1e-12)
 
     def test_coupled_quadratic_min_eig(self):
         # symmetric part [[1, c], [c, 1]] has min eigenvalue 1 - c
         ops, theta = coupled_quadratic(0.4), np.array([0.2, 0.1])
-        J = assemble(ops.jacobian(theta))
-        np.testing.assert_allclose(J, pseudo_jacobian(ops, theta), rtol=0, atol=1e-9)
+        J = assemble(pseudo_jacobian(ops, ops.loss_jacobian(theta)))
+        np.testing.assert_allclose(J, fd_pseudo_jacobian(ops, theta), rtol=0, atol=1e-9)
         assert min_sym_eig(J) == pytest.approx(0.6, abs=1e-12)
         assert profile_curvature(ops, theta).min_jacobian_eig == pytest.approx(0.6, abs=1e-12)
 
@@ -272,10 +273,16 @@ class TestUniquenessMargin:
             uniqueness_margin(antisymmetric_bilinear(), n_profiles=1, seed=0, n_pairs=n_pairs)
 
     def test_report_text_has_all_fields(self):
-        rep = uniqueness_margin(antisymmetric_bilinear(), n_profiles=2, seed=2, n_pairs=2)
-        text = rep.as_text()
-        for key in ("lambda_omega_l", "tau_sampled", "uniqueness_margin", "monotone_violations"):
-            assert key in text
+        # every number check-eq computes is printed, the smallest eigenvalue
+        # of the symmetrized pseudo-Jacobian over the profiles after tau
+        rep = uniqueness_margin(coupled_quadratic(0.5), n_profiles=2, seed=2, n_pairs=2)
+        lines = rep.as_text().splitlines()
+        assert [line.partition("=")[0] for line in lines] == [
+            "lambda_omega_l", "lambda_omega_d", "lambda_L_l_sampled", "lambda_L_d_sampled",
+            "tau_sampled", "min_jacobian_eig_sampled", "uniqueness_margin",
+            "monotone_violations"]
+        assert lines[5] == f"min_jacobian_eig_sampled={min(rep.min_jacobian_eig):.6g}" == (
+            "min_jacobian_eig_sampled=0.5")
 
 
 class TestSvmGameDiagnostics:
@@ -300,7 +307,7 @@ class TestSvmGameDiagnostics:
         # one closed-form Jacobian per profile; the pseudo-gradient only for
         # the monotonicity pairs, and no scalar cost at all
         ops = self._ops(bias_reg=1.0, rho=100.0)
-        calls, shapes = {"cost": 0, "jacobian": 0, "pgrad": 0}, []
+        calls, shapes = {"cost": 0, "loss_jacobian": 0, "pgrad": 0}, []
 
         def counted(key, fn):
             def call(v):
@@ -315,15 +322,16 @@ class TestSvmGameDiagnostics:
             ops,
             costs=counted("cost", ops.costs),
             pseudo_grad=counted("pgrad", ops.pseudo_grad),
-            jacobian=counted("jacobian", ops.jacobian),
+            loss_jacobian=counted("loss_jacobian", ops.loss_jacobian),
         )
         uniqueness_margin(ops, n_profiles=3, seed=0, n_pairs=7)
         # the monotonicity sample's 7 pairs take one stacked call
-        assert calls == {"cost": 0, "jacobian": 3, "pgrad": 1}
+        assert calls == {"cost": 0, "loss_jacobian": 3, "pgrad": 1}
         assert shapes == [(7, 2, ops.dim)]
 
-    def test_loss_hessians_match_scalar_oracle(self):
-        ops, theta, X = near_kink_primal()
+    def test_loss_blocks_match_scalar_oracle(self):
+        ops, theta, game = near_kink_primal()
+        X = game.dataset.features
         n, k = X.shape
         rho_l, rho_d = ops.rho
         m = k + 1
@@ -347,7 +355,7 @@ class TestSvmGameDiagnostics:
             fd_hessian_block(loss_d, theta, idx_d, idx_l, **box),
             fd_hessian_block(loss_d, theta, idx_d, idx_d, **box),
         )
-        H = assemble(loss_hessians(ops, ops.jacobian(theta)))
+        H = assemble(ops.loss_jacobian(theta))
         L = ops.dim_l
         for got, want in zip((H[:L, :L], H[:L, L:], H[L:, :L], H[L:, L:]), oracle):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
@@ -358,7 +366,7 @@ NEAR_KINK_BIAS_REG = 0.5
 
 
 def near_kink_primal():
-    """(ops, theta, X): a 3-point primal game with distinct rho, so that
+    """(ops, theta, game): a 3-point primal game with distinct rho, so that
     r_d = rho_l / rho_d != 1 matters, and bias_reg > 0, at a profile where the
     learner margin of sample 1 and the attacker margin of sample 0 sit near
     the hinge kink (score 0.92 at x = (0.9, 0.9)), so that both own blocks
@@ -374,7 +382,7 @@ def near_kink_primal():
     theta[:m] = (0.4, 0.4, 0.2)
     theta[2 * m : 2 * m + k] = 0.9
     theta[2 * m + 2 * k : 2 * m + 3 * k] = 0.9
-    return ops, theta, X
+    return ops, theta, game
 
 
 def rbf_dual(n_per_class=3, rho_l=3.0, rho_d=7.0, bias_reg=0.5):
@@ -395,20 +403,65 @@ class TestClosedFormJacobian:
 
     def test_primal_blocks_match_fd_near_the_kink(self):
         ops, theta, _ = near_kink_primal()
-        J_fd = pseudo_jacobian(ops, theta)
+        J_fd = fd_pseudo_jacobian(ops, theta)
         # the FD truncation error near the kink is about 5e-7
-        np.testing.assert_allclose(assemble(ops.jacobian(theta)), J_fd, rtol=0, atol=2e-6)
+        np.testing.assert_allclose(assemble(pseudo_jacobian(ops, ops.loss_jacobian(theta))),
+                                   J_fd, rtol=0, atol=2e-6)
 
     def test_dual_blocks_match_fd(self):
         ops = rbf_dual()
         for theta in random_profiles(ops, 0, 2):
-            J_fd = pseudo_jacobian(ops, theta)
-            np.testing.assert_allclose(assemble(ops.jacobian(theta)), J_fd, rtol=0,
-                                       atol=1e-6 * np.abs(J_fd).max())
+            J_fd = fd_pseudo_jacobian(ops, theta)
+            np.testing.assert_allclose(assemble(pseudo_jacobian(ops, ops.loss_jacobian(theta))),
+                                       J_fd, rtol=0, atol=1e-6 * np.abs(J_fd).max())
 
-    def test_dual_loss_hessians_match_scalar_oracle(self):
-        # the dual regularizers are K-weighted, so the loss split subtracts
-        # the dense regularizer Hessians of the operator
+    @pytest.mark.parametrize("game", ["primal", "dual"])
+    def test_loss_blocks_match_fd_of_the_loss_gradient(self, game):
+        # the loss gradient is evaluate's with every weight at zero, so the
+        # loss blocks hold no regularizer and no weight r_d (rho_l != rho_d
+        # in both games). The tolerances are those of the two tests above at
+        # the same profiles: the regularizers are quadratic, so the FD error
+        # is all in the loss part
+        if game == "primal":
+            ops, theta, spec = near_kink_primal()
+            terms, thetas = _primal_terms(spec), [theta]
+        else:
+            data = synth_2d(3, 0.4, 1)
+            ops = rbf_dual()
+            terms = _dual_terms(gram(data, Kernel("rbf", 1.0)), data.labels, 3.0, 7.0, 0.5)
+            thetas = random_profiles(ops, 0, 2)
+        loss_ops = dataclasses.replace(
+            ops, pseudo_grad=lambda v: evaluate(v, *terms[:6], 0.0, 0.0, 0.0)[2])
+        for theta in thetas:
+            atol = (2e-6 if game == "primal"
+                    else 1e-6 * np.abs(fd_pseudo_jacobian(ops, theta)).max())
+            np.testing.assert_allclose(assemble(ops.loss_jacobian(theta)),
+                                       fd_pseudo_jacobian(loss_ops, theta), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("game", ["primal", "dual"])
+    def test_loss_numbers_do_not_depend_on_rho(self, game):
+        # lambda_L and tau are read from the loss blocks, which no rho
+        # weights, so they keep their bits from rho = 1 to 1e6 and at
+        # rho_l != rho_d; the box, and so the profiles, do not depend on rho
+        def make(rho_l, rho_d):
+            if game == "dual":
+                return rbf_dual(rho_l=rho_l, rho_d=rho_d)
+            ds = synth_2d(5, 0.4, 0)
+            return game_operator(GameSpec(ds, rho_l, rho_d, *default_boxes(ds.n, ds.k, 0.5)))
+
+        games = [make(*rho) for rho in ((1.0, 1.0), (1e6, 1e6), (3.0, 7.0))]
+        for theta in random_profiles(games[0], 3, 5):
+            numbers = []
+            for ops in games:
+                assert np.array_equal(ops.lower, games[0].lower)
+                assert np.array_equal(ops.upper, games[0].upper)
+                c = profile_curvature(ops, theta)
+                numbers.append((c.lambda_L_l, c.lambda_L_d, c.tau))
+            assert numbers[1] == numbers[0] and numbers[2] == numbers[0]
+
+    def test_dual_loss_blocks_match_scalar_oracle(self):
+        # the dual regularizers are K-weighted: the oracle subtracts them
+        # from the costs, and the loss blocks never held them
         data = synth_2d(2, 0.4, 1)
         n, rho_l, rho_d, bias_reg = data.n, 3.0, 7.0, 0.5
         ops = dual_game_operator(data, Kernel("rbf", 1.0), rho_l, rho_d, bias_reg)
@@ -429,7 +482,7 @@ class TestClosedFormJacobian:
         theta = random_profiles(ops, 3, 1)[0]
         idx_l, idx_d = np.arange(ops.dim_l), np.arange(ops.dim_l, ops.dim)
         box = dict(lower=ops.lower, upper=ops.upper)
-        H = assemble(loss_hessians(ops, ops.jacobian(theta)))
+        H = assemble(ops.loss_jacobian(theta))
         L = ops.dim_l
         np.testing.assert_allclose(H[:L, :L], fd_hessian_block(loss_l, theta, idx_l, idx_l, **box),
                                    rtol=0, atol=1e-5)
@@ -438,9 +491,9 @@ class TestClosedFormJacobian:
 
     def test_fd_sees_no_entries_between_attacker_rows(self):
         # the block form drops them: check that the FD Jacobian has none
-        ops, theta, X = near_kink_primal()
-        J_fd = pseudo_jacobian(ops, theta)
-        b = 2 * X.shape[1]
+        ops, theta, game = near_kink_primal()
+        J_fd = fd_pseudo_jacobian(ops, theta)
+        b = 2 * game.k
         np.testing.assert_allclose(J_fd[ops.dim_l : ops.dim_l + b, ops.dim_l + b :], 0.0,
                                    atol=1e-12)
 
@@ -460,8 +513,8 @@ class TestClosedFormJacobian:
         ops = self._game(game, rho)
         L = ops.dim_l
         for theta in random_profiles(ops, 5, 4):
-            J = assemble(ops.jacobian(theta))
-            H = assemble(loss_hessians(ops, ops.jacobian(theta)))
+            H = assemble(ops.loss_jacobian(theta))
+            J = assemble(pseudo_jacobian(ops, ops.loss_jacobian(theta)))
             R = 0.5 * (H[:L, L:].T + H[L:, :L])
             c = profile_curvature(ops, theta)
             assert c.min_jacobian_eig == pytest.approx(min_sym_eig(J), abs=1e-9)
@@ -493,9 +546,9 @@ class TestClosedFormJacobian:
         theta = extragradient_solve(ops, None, SolverConfig(max_iter=300, seed=0)).theta
         assert np.any((theta == ops.lower) | (theta == ops.upper))
         with pytest.raises(BoundaryError):
-            pseudo_jacobian(ops, theta)
+            fd_pseudo_jacobian(ops, theta)
         c = profile_curvature(ops, theta)
-        J = assemble(ops.jacobian(theta))
+        J = assemble(pseudo_jacobian(ops, ops.loss_jacobian(theta)))
         assert c.min_jacobian_eig == pytest.approx(min_sym_eig(J), abs=1e-9)
         rep = uniqueness_margin(ops, n_profiles=1, seed=0, n_pairs=1)
         assert np.isfinite(rep.uniqueness_margin)

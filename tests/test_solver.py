@@ -14,7 +14,7 @@ from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.kernel import Kernel, dual_game_operator
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
-from randgame.ops import VIGame, dense_newton, dense_newton_price
+from randgame.ops import VIGame, dense_newton, dense_newton_price, pseudo_jacobian
 from randgame.solver import (
     EquilibriumResult,
     SolverConfig,
@@ -393,7 +393,7 @@ class TestNewton:
     def test_without_jacobian_follows_the_first_order_loop_exactly(self):
         game = regularized_game(10.0)
         cases = [
-            (dataclasses.replace(game_operator(game), jacobian=None, newton=None),
+            (dataclasses.replace(game_operator(game), loss_jacobian=None, newton=None),
              initial_point(game, 0), 1e-8),
             (bilinear_game(), np.array([3.0, -4.0]), 1e-8),
             (boundary_game(), np.array([0.7, 0.4]), 1e-12),
@@ -463,27 +463,28 @@ class TestNewton:
         assert prices == [212587684 / 7322, 5860 / 42]  # about 29034.1 and 139.52
 
     def test_a_wrong_jacobian_is_always_rejected(self):
-        # the planted Jacobian is the true one negated, so every Newton step
-        # heads away from the solution: only the residual guard keeps the
-        # solve converging
+        # the planted Jacobian is the true one negated (its loss blocks and
+        # its regularizer Hessians both negated), so every Newton step heads
+        # away from the solution: only the residual guard keeps the solve
+        # converging
         game = regularized_game(10.0)
         ops = game_operator(game)
+        negated = dataclasses.replace(
+            ops, reg_hess=lambda: tuple(-reg for reg in ops.reg_hess()),
+            loss_jacobian=lambda theta: tuple(-block for block in ops.loss_jacobian(theta)))
 
-        def negated(theta):
-            return tuple(-block for block in ops.jacobian(theta))
-
-        res = extragradient_solve(with_dense_newton(ops, negated), initial_point(game, 0))
+        res = extragradient_solve(with_dense_newton(negated), initial_point(game, 0))
         assert res.converged
         assert res.newton_accepted == 0 and res.newton_rejected >= 2
         assert_deviations_on_floor(ops, res.theta)
 
     def test_primal_solve_takes_its_steps_in_closed_form(self):
         # the primal operator's newton eliminates the rows without the
-        # Jacobian blocks: no jacobian call, and the steps are kept as the
-        # dense elimination keeps them
+        # Jacobian blocks: no loss_jacobian call, and the steps are kept as
+        # the dense elimination keeps them
         game = regularized_game(10.0)
         ops = game_operator(game)
-        calls = {"jacobian": 0, "newton": 0}
+        calls = {"loss_jacobian": 0, "newton": 0}
 
         def counted(name):
             fn = getattr(ops, name)
@@ -494,11 +495,13 @@ class TestNewton:
 
             return call
 
-        logged = dataclasses.replace(ops, jacobian=counted("jacobian"), newton=counted("newton"))
+        logged = dataclasses.replace(ops, loss_jacobian=counted("loss_jacobian"),
+                                     newton=counted("newton"))
         res = extragradient_solve(logged, initial_point(game, 0))
         dense = extragradient_solve(with_dense_newton(ops), initial_point(game, 0))
         assert res.converged and res.newton_accepted >= 1
-        assert calls == {"jacobian": 0, "newton": res.newton_accepted + res.newton_rejected}
+        assert calls == {"loss_jacobian": 0,
+                         "newton": res.newton_accepted + res.newton_rejected}
         assert (res.iterations, res.evaluations, res.newton_accepted, res.newton_rejected) == (
             dense.iterations, dense.evaluations, dense.newton_accepted, dense.newton_rejected)
         assert np.abs(res.theta - dense.theta).max() <= 1e-12
@@ -524,8 +527,8 @@ class TestNewton:
         for row, j in ((0, 1), (1, b - 1), (6, 0)):  # one coordinate of some rows
             free[L + row * b + j] = False
         free[L + 4 * b : L + 5 * b] = False  # all of row 4
-        d = dense_newton(ops.jacobian(z), g, free)
-        J = assemble(ops.jacobian(z))
+        d = dense_newton(pseudo_jacobian(ops, ops.loss_jacobian(z)), g, free)
+        J = assemble(pseudo_jacobian(ops, ops.loss_jacobian(z)))
         want = np.zeros(ops.dim)
         want[free] = np.linalg.solve(J[np.ix_(free, free)], -g[free])
         assert np.all(d[~free] == 0.0)
@@ -533,7 +536,7 @@ class TestNewton:
 
     def test_a_singular_row_block_gives_no_step(self):
         ops, z = self._dense_game(2)
-        blocks = ops.jacobian(z)
+        blocks = pseudo_jacobian(ops, ops.loss_jacobian(z))
         planted = blocks[3].copy()
         planted[4] = 0.0  # row 4's own block
         free = np.ones(ops.dim, dtype=bool)
@@ -544,11 +547,12 @@ class TestNewton:
 
     def test_linear_game_takes_one_exact_newton_step(self):
         # one row of one entry: an attempt is priced at 3.5 evaluations, and
-        # on an affine operator the Newton step lands on the solution
-        J = np.array([[1.0, 1.0], [-1.0, 1.0]])
-
+        # on an affine operator the Newton step lands on the solution. The
+        # loss blocks are the Jacobian [[1, 1], [-1, 1]] less the identity of
+        # the regularizers, fresh at each call, as pseudo_jacobian
+        # overwrites them
         def blocks(theta):
-            return J[:1, :1], J[None, :1, 1:], J[None, 1:, :1], J[None, 1:, 1:]
+            return np.zeros((1, 1)), np.ones((1, 1, 1)), -np.ones((1, 1, 1)), np.zeros((1, 1, 1))
 
         ops = dataclasses.replace(with_dense_newton(bilinear_game(), blocks),
                                   newton_price=dense_newton_price(1, 1, 1))
