@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, atomic_write
+from .model import Dataset
 
 ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
 SUBSAMPLE = 0.8  # share of each class drawn for one repetition of a security curve
@@ -184,11 +184,6 @@ class SecurityCurve:
     points: tuple  # (d_max, tp_mean, tp_std) triples
     fp_target: float
     repetitions: int
-
-    def write_csv(self, path, seed) -> None:
-        rows = "".join(f"{d:.17g},{m:.17g},{s:.17g},{self.fp_target:.17g},{self.repetitions},"
-                       f"{seed}\n" for d, m, s in self.points)
-        atomic_write(path, "d_max,tp_mean,tp_std,fp_target,repetitions,seed\n" + rows)
 
     def auc(self) -> float:
         """Trapezoid-rule area under the curve over the d_max grid, which needs

@@ -91,7 +91,7 @@ _budgets = _flag(
 
 def _check_both_classes(data, path, what) -> None:
     if not np.isin((-1.0, 1.0), data.labels).all():
-        raise model.ParseError(f"{path}: {what} needs samples of both classes")
+        raise data_io.ParseError(f"{path}: {what} needs samples of both classes")
 
 
 def _check_flip_features(data, path, mode, budgets) -> None:
@@ -104,8 +104,8 @@ def _check_flip_features(data, path, mode, budgets) -> None:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if not np.isin(data.features[data.labels == 1], (0.0, 1.0)).all():
-        raise model.ParseError(f"{path}: binary_flip needs binary features, but a "
-                               "malicious sample has a value other than 0 or 1")
+        raise data_io.ParseError(f"{path}: binary_flip needs binary features, but a "
+                                 "malicious sample has a value other than 0 or 1")
 
 
 def _load_learner(params_path, k) -> np.ndarray:
@@ -113,7 +113,7 @@ def _load_learner(params_path, k) -> np.ndarray:
     train-baseline (2(k+1) values, zero deviations) or by train (2(k+1)
     values plus 2k per attacked sample, every deviation inside its default
     interval)."""
-    v = model.load_flat_csv(params_path)
+    v = data_io.load_flat_csv(params_path)
     m = k + 1
     fits = v.size >= 2 * m and (v.size - 2 * m) % (2 * k) == 0
     if fits and v.size > 2 * m:  # a train output, projected onto the default box
@@ -122,7 +122,7 @@ def _load_learner(params_path, k) -> np.ndarray:
         fits = (lo <= dev_l.min() <= dev_l.max() <= up
                 and lo_x <= dev_x.min() <= dev_x.max() <= up_x)
     if not fits:
-        raise model.ParseError(f"{params_path}: {v.size} values do not fit a model with k={k}")
+        raise data_io.ParseError(f"{params_path}: {v.size} values do not fit a model with k={k}")
     return v[:m]
 
 
@@ -135,7 +135,7 @@ def _grids_from_config(cfg: dict):
         if key not in grids:
             raise _UsageError(f"unknown grid config key {key!r}")
         try:
-            grids[key] = tuple(map(model.read_number, str(raw).split(",")))
+            grids[key] = tuple(map(data_io.read_number, str(raw).split(",")))
             ok = all(0.0 < v < np.inf for v in grids[key])
         except ValueError:
             ok = False
@@ -152,16 +152,14 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = data_io.load_dataset(args.data)
-    cfg = model.load_config(args.game) if args.game else {}
+    cfg = data_io.load_config(args.game) if args.game else {}
     game, scfg = _game_from_config(cfg, dataset)
     result = solver.extragradient_solve(costs.game_operator(game), cfg=scfg)
-    model.save_flat_csv(args.out, result.theta)
+    data_io.save_flat_csv(args.out, result.theta)
     attempts = result.newton_accepted + result.newton_rejected
-    print(
-        f"iterations={result.iterations} residual={result.residual:.3e} "
-        f"termination={result.termination} evaluations={result.evaluations} "
-        f"newton={result.newton_accepted}/{attempts}"
-    )
+    print(f"iterations={result.iterations} residual={result.residual:.3e} "
+          f"termination={result.termination} evaluations={result.evaluations} "
+          f"newton={result.newton_accepted}/{attempts}")
     return 0 if result.converged else 2
 
 
@@ -170,7 +168,7 @@ def _cmd_train_baseline(args) -> int:
     with warnings.catch_warnings(record=True) as capped:  # the params are written either way
         warnings.simplefilter("always")
         w, b = costs.train_baseline_svm(dataset, args.C)
-    model.save_flat_csv(args.out, np.concatenate([w, [b], np.zeros(dataset.k + 1)]))
+    data_io.save_flat_csv(args.out, np.concatenate([w, [b], np.zeros(dataset.k + 1)]))
     sys.stderr.writelines(f"error: {warning.message}\n" for warning in capped)
     return 2 if capped else 0
 
@@ -191,22 +189,18 @@ def _cmd_secure_eval(args) -> int:
     mu_w = _load_learner(args.params, dataset.k)
     _check_both_classes(dataset, args.data, "secure-eval")
     _check_flip_features(dataset, args.data, args.mode, args.dmax_list)
-    curve = attacks.security_curve(
-        mu_w, dataset, args.mode, args.dmax_list, repetitions=args.reps, seed=args.seed,
-        fp_target=args.fp,
-    )
-    curve.write_csv(args.out, seed=args.seed)
+    curve = attacks.security_curve(mu_w, dataset, args.mode, args.dmax_list,
+                                   repetitions=args.reps, seed=args.seed, fp_target=args.fp)
+    data_io.save_curve_csv(args.out, curve, args.seed)
     return 0
 
 
 def _cmd_check_eq(args) -> int:
     dataset = data_io.load_dataset(args.data)
-    cfg = model.load_config(args.game) if args.game else {}
+    cfg = data_io.load_config(args.game) if args.game else {}
     game, _ = _game_from_config(cfg, dataset)
-    ops = costs.game_operator(game)
-    report = diagnostics.uniqueness_margin(
-        ops, n_profiles=args.profiles, seed=args.seed, n_pairs=args.pairs
-    )
+    report = diagnostics.uniqueness_margin(costs.game_operator(game), n_profiles=args.profiles,
+                                           seed=args.seed, n_pairs=args.pairs)
     print(report.as_text())
     ok = report.uniqueness_margin > 0 and report.monotone_violations == 0
     return 0 if ok else 3
@@ -218,10 +212,10 @@ def _cmd_grid_search(args) -> int:
         raise _UsageError(f"grid-search scores a curve by its area, which needs at least two "
                           f"--dmax-list budgets, got {len(d_list)}")
     dataset = data_io.load_dataset(args.data)
-    grids = _grids_from_config(model.load_config(args.grids) if args.grids else {})
+    grids = _grids_from_config(data_io.load_config(args.grids) if args.grids else {})
     n = dataset.n
     if n < 4:
-        raise model.ParseError(f"{args.data}: grid-search needs at least 4 samples, got {n}")
+        raise data_io.ParseError(f"{args.data}: grid-search needs at least 4 samples, got {n}")
     # the first half of one seeded permutation trains, every other sample validates
     idx = np.random.default_rng(args.seed).permutation(n)
     train, val = (model.Dataset(dataset.features[p], dataset.labels[p])
@@ -239,10 +233,7 @@ def _cmd_grid_search(args) -> int:
         if best is None or auc > best[0]:
             best = (auc, rho_l, rho_d, W)
     auc, rho_l, rho_d, W = best
-    model.atomic_write(
-        args.out,
-        "rho_l,rho_d,W,auc\n" + f"{rho_l:.17g},{rho_d:.17g},{W:.17g},{auc:.17g}\n",
-    )
+    data_io.save_grid_csv(args.out, rho_l, rho_d, W, auc)
     print(f"best rho_l={rho_l} rho_d={rho_d} W={W} auc={auc:.4f}")
     return 0
 
@@ -314,7 +305,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, model.ParseError) as exc:
+    except (OSError, data_io.ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_NOINPUT
     except _UsageError as exc:

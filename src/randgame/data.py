@@ -1,14 +1,127 @@
-"""Dataset ingestion and the 2-D synthetic generator used for the qualitative
-desk-scale experiments."""
+"""Every file randgame reads or writes: the dataset readers and the dense
+writer, the parameter, config, curve and grid-search files, the atomic writer
+every writer uses and the one grammar of numbers every reader reads; and the
+2-D synthetic generator used for the qualitative desk-scale experiments."""
 
 from __future__ import annotations
 
 import io
 import itertools
+import os
+import tempfile
 
 import numpy as np
 
-from .model import Dataset, ParseError, atomic_write, plain_number_text, read_lines, read_number
+from .model import Dataset, _as_float_array
+
+
+class ParseError(ValueError):
+    """A data or parameter file that does not parse."""
+
+
+def atomic_write(path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    readers see either the old file or the complete new one."""
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)  # mkstemp creates 0600 whatever the umask
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_rows(path, floats: int, rows, lead="", tail="\n", head="") -> None:
+    """Write head, then each row as the format lead, floats comma-separated
+    floats and tail: all rows with one % call, the bytes of formatting each
+    value alone. '%.17g' is the one number format of every file written here,
+    and every float64 reads back from it bit for bit."""
+    rows = list(rows)
+    line = lead + ",".join(["%.17g"] * floats) + tail
+    atomic_write(path, head + line * len(rows) % tuple(itertools.chain.from_iterable(rows)))
+
+
+def read_lines(path):
+    """The lines of the UTF-8 text file at path; bytes that are not UTF-8 are
+    a ParseError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def plain_number_text(text) -> bool:
+    """Whether text keeps to the one grammar of numbers in every input file,
+    numpy's reader's: ASCII, without '_' digit separators."""
+    return text.isascii() and "_" not in text
+
+
+def read_number(tok, kind=float):
+    """kind(tok), float or int, for a token in plain_number_text's grammar; else ValueError."""
+    if not plain_number_text(tok.strip()):
+        raise ValueError(tok)
+    return kind(tok)
+
+
+def save_flat_csv(path, v) -> None:
+    """Write a parameter vector as one CSV line, in the order of its entries."""
+    v = _as_float_array(v, 1)
+    _write_rows(path, v.size, [v.tolist()])
+
+
+def load_flat_csv(path) -> np.ndarray:
+    """Read the finite parameter vector save_flat_csv wrote: one line, whose
+    values numpy's reader converts in one call, in read_number's grammar, and
+    blank lines after it; the whole file must be UTF-8."""
+    lines = [line.strip() for line in read_lines(path)]
+    if not lines or not lines[0]:
+        raise ParseError(f"{path}: empty parameter file")
+    try:
+        if any(lines[1:]):
+            raise ValueError("a second line")
+        # comments=None: a '#' after a value is malformed, not a comment
+        v = np.loadtxt(io.StringIO(lines[0]), delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
+    if not np.isfinite(v).all():
+        raise ParseError(f"{path}: non-finite parameter value")
+    return v
+
+
+def load_config(path) -> dict:
+    """Read a key=value config file that sets each key once; values are floats when they parse."""
+    cfg: dict = {}
+    for lineno, line in _content_lines(path):
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in cfg:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            cfg[key] = read_number(val)
+        except ValueError:
+            cfg[key] = val
+    return cfg
+
+
+def save_curve_csv(path, curve, seed) -> None:
+    """Write a SecurityCurve, one line per budget, with the seed it was drawn from."""
+    rows = ((*point, curve.fp_target, curve.repetitions, seed) for point in curve.points)
+    _write_rows(path, 4, rows, tail=",%d,%d\n",
+                head="d_max,tp_mean,tp_std,fp_target,repetitions,seed\n")
+
+
+def save_grid_csv(path, rho_l, rho_d, W, auc) -> None:
+    """Write grid-search's best grid point and its curve's area."""
+    _write_rows(path, 4, [(rho_l, rho_d, W, auc)], head="rho_l,rho_d,W,auc\n")
 
 
 def _parse_label(tok, path, lineno):
@@ -21,27 +134,18 @@ def _parse_label(tok, path, lineno):
     return val
 
 
-# Content lines the sparse loader joins, splits and converts at once: enough
-# to spread the calls' cost, few enough that a block's token strings stay
-# small.
-BLOCK_LINES = 64
-
-
-def _content_blocks(path):
-    """The stripped lines of a file that are not blank or a '#' comment, in
-    lists of up to BLOCK_LINES."""
-    lines = (line for line in map(str.strip, read_lines(path)) if line and not line.startswith("#"))
-    while block := list(itertools.islice(lines, BLOCK_LINES)):
-        yield block
+def _content_lines(path):
+    """The line number and the stripped line of each line of a file that is
+    not blank or a '#' comment."""
+    lines = enumerate(map(str.strip, read_lines(path)), 1)
+    return ((lineno, line) for lineno, line in lines if line and not line.startswith("#"))
 
 
 def _raise_first_bad_line(path, check, *args):
     """After a bulk parse failed, raise the ParseError that check(path,
     lineno, line, *args) gives the file's first bad content line."""
-    for lineno, raw in enumerate(read_lines(path), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            check(path, lineno, line, *args)
+    for lineno, line in _content_lines(path):
+        check(path, lineno, line, *args)
     raise ParseError(f"{path}: malformed content")
 
 
@@ -72,7 +176,7 @@ def load_dense_csv(path) -> Dataset:
     numpy's reader converts the content lines as they stream from the file.
     Only a file it refuses is read line by line, for the first bad line's
     error."""
-    lines = itertools.chain.from_iterable(_content_blocks(path))
+    lines = (line for _, line in _content_lines(path))
     first = next(lines, None)
     if first is None:
         raise ParseError(f"{path}: no samples")
@@ -89,15 +193,16 @@ def load_dense_csv(path) -> Dataset:
 def save_dense_csv(path, features, labels) -> None:
     """Write 'label,f1,f2,...' lines. Takes plain arrays, since attacked rows
     may leave the [0, 1] range a Dataset enforces."""
-    lines = [
-        f"{int(y):+d}," + ",".join(f"{v:.17g}" for v in row) + "\n"
-        for y, row in zip(labels, features)
-    ]
-    atomic_write(path, "".join(lines))
+    rows = np.column_stack((labels, features))
+    _write_rows(path, rows.shape[1] - 1, rows.tolist(), lead="%+d,")
 
 
 # an idx:value token in numpy's reader: one int64 and one float, cut by ':'
 _PAIR = np.dtype([("col", np.int64), ("value", float)])
+# Content lines the sparse loader joins, splits and converts at once: enough
+# to spread the calls' cost, few enough that a block's token strings stay
+# small.
+BLOCK_LINES = 64
 
 
 def _check_sparse_line(path, lineno, line):
@@ -137,16 +242,25 @@ def _sparse_block(block):
     return y, [tail.count(":") for tail in tails], pairs["col"] - 1, pairs["value"]
 
 
+def _memory_bytes() -> int:
+    """The machine's physical memory, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def load_sparse(path) -> Dataset:
     """Load 'label idx:val ...' lines with 1-based indices; absent indices are
     zero and k is the maximum index seen.
 
-    Each block of lines is cut once at the labels, and numpy's reader
-    converts all of its idx:value pairs in one call; the pairs are scattered
-    at once. Only a file that fails in bulk is read token by token, for the
-    first bad line's error."""
+    The content lines are cut into blocks of BLOCK_LINES, each block once at
+    its labels, and numpy's reader converts all of a block's idx:value pairs
+    in one call; the pairs are scattered at once. Only a file that fails in
+    bulk is read token by token, for the first bad line's error. A file whose
+    dense matrix would not fit in the machine's memory is refused before any
+    of it is built."""
+    lines = (line for _, line in _content_lines(path))
     try:
-        blocks = [_sparse_block(block) for block in _content_blocks(path)]
+        blocks = [_sparse_block(block)
+                  for block in iter(lambda: list(itertools.islice(lines, BLOCK_LINES)), [])]
     except ValueError:
         _raise_first_bad_line(path, _check_sparse_line)
     if not blocks:
@@ -154,11 +268,10 @@ def load_sparse(path) -> Dataset:
     y, counts, cols, vals = (np.concatenate(part) for part in zip(*blocks))
     rows = np.repeat(np.arange(y.size), counts)
     k = int(cols.max(initial=-1)) + 1
-    try:
-        X = np.zeros((y.size, k))
-    except (ValueError, MemoryError):  # numpy cannot size or allocate the matrix
+    if y.size * k * 8 > _memory_bytes():  # 8 bytes a float; numpy's largest size is less
         raise ParseError(f"{path}: largest index {k} gives a {y.size} x {k} matrix "
-                         "that numpy cannot build") from None
+                         "that numpy cannot build")
+    X = np.zeros((y.size, k))
     X[rows, cols] = vals  # a repeated index keeps its last value
     return _dataset(path, X, y)
 
@@ -168,7 +281,7 @@ def load_dataset(path) -> Dataset:
     line (the first that is not blank or a '#' comment): a dense line has one
     ',' per feature, so a line with an idx:val token or with no ',' (a sample
     with no features) is sparse."""
-    first = next(_content_blocks(path), [""])[0]
+    _, first = next(_content_lines(path), (0, ""))
     return (load_sparse if ":" in first or "," not in first else load_dense_csv)(path)
 
 

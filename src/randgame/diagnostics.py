@@ -36,13 +36,24 @@ MONOTONE_TOL = 1e-12  # slack of the monotonicity inner product
 # is small against its work and a larger stack only adds memory.
 MONOTONE_CHUNK_ENTRIES = 2**13
 # The smallest Jacobian eigenvalue is bracketed to EIG_RTOL times the scale of
-# the spectrum, in at most EIG_MAX_STEPS steps (bisection alone needs about 47).
+# the spectrum, in at most EIG_MAX_STEPS steps (bisection alone needs about 47),
+# and a loss block's smallest eigenvalue that is negative by no more than
+# EIG_RTOL times its largest absolute one is rounding, read as 0.
 EIG_RTOL = 1e-14
 EIG_MAX_STEPS = 100
 
 
 def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _least_eig(H) -> float:
+    """The smallest eigenvalue of the symmetric part of H, or of a stack of
+    blocks H, as 0 when it lies in [-EIG_RTOL * scale, 0) for the largest
+    absolute eigenvalue scale."""
+    vals = np.linalg.eigvalsh(_sym(H))
+    least = float(vals.min())
+    return 0.0 if -EIG_RTOL * np.abs(vals).max() <= least < 0.0 else least
 
 
 def _min_sym_eig(blocks) -> float:
@@ -105,16 +116,16 @@ class Curvature:
 
 
 def profile_curvature(ops: VIGame, theta) -> Curvature:
-    """lambda_L of both players, tau and the smallest eigenvalue of the
-    symmetrized pseudo-Jacobian at theta, from one ops.loss_jacobian call:
-    the step of uniqueness_margin at each sampled profile. theta may lie on
-    the box boundary."""
+    """lambda_L of both players (a negative one of rounding's size read as
+    0), tau and the smallest eigenvalue of the symmetrized pseudo-Jacobian at
+    theta, from one ops.loss_jacobian call: the step of uniqueness_margin at
+    each sampled profile. theta may lie on the box boundary."""
     H_ll, H_ld, H_dl, H_dd = blocks = ops.loss_jacobian(np.asarray(theta, dtype=float))
     R = 0.5 * (H_ld.transpose(0, 2, 1) + H_dl)  # row i's block of R, (b, L)
     R = R.reshape(-1, R.shape[2])
     return Curvature(
-        lambda_L_l=float(np.linalg.eigvalsh(_sym(H_ll))[0]),
-        lambda_L_d=float(np.linalg.eigvalsh(_sym(H_dd)).min()),
+        lambda_L_l=_least_eig(H_ll),
+        lambda_L_d=_least_eig(H_dd),
         # R^T R = sum_i R_i^T R_i has the nonzero spectrum of R R^T, at the
         # learner block's size
         tau=float(np.linalg.eigvalsh(R.T @ R)[-1]),

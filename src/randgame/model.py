@@ -1,5 +1,4 @@
-"""Core data model: datasets, the feasible box and games; parameter and config
-files.
+"""Core data model: datasets, the feasible box and games.
 
 Both players' Gaussian strategies are one flat joint profile,
 
@@ -14,9 +13,6 @@ decides the box's layout.
 
 from __future__ import annotations
 
-import io
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +24,6 @@ ATTACKER_DEV_BOUNDS = (1e-3, 0.5)
 
 class ShapeError(ValueError):
     """Dimension mismatch between arrays and the game they belong to."""
-
-
-class ParseError(ValueError):
-    """A data or parameter file that does not parse."""
 
 
 def _as_float_array(x, ndim):
@@ -159,91 +151,3 @@ class GameSpec:
     @property
     def dim_d(self) -> int:
         return 2 * self.n * self.k
-
-
-# --- serialization ----------------------------------------------------------
-
-def atomic_write(path, text: str) -> None:
-    """Write text to path through a temporary file in the same directory, so
-    readers see either the old file or the complete new one."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        umask = os.umask(0)  # mkstemp creates 0600 whatever the umask
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def read_lines(path):
-    """The lines of the UTF-8 text file at path; bytes that are not UTF-8 are
-    a ParseError that names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not UTF-8 text") from None
-
-
-def plain_number_text(text) -> bool:
-    """Whether text keeps to the one grammar of numbers in every input file,
-    numpy's reader's: ASCII, without '_' digit separators."""
-    return text.isascii() and "_" not in text
-
-
-def read_number(tok, kind=float):
-    """kind(tok), float or int, for a token in plain_number_text's grammar; else ValueError."""
-    if not plain_number_text(tok.strip()):
-        raise ValueError(tok)
-    return kind(tok)
-
-
-def save_flat_csv(path, v) -> None:
-    """Write a parameter vector as one CSV line, in the order of its entries."""
-    v = _as_float_array(v, 1)
-    atomic_write(path, ",".join(["%.17g" % x for x in v.tolist()]) + "\n")
-
-
-def load_flat_csv(path) -> np.ndarray:
-    """Read the finite parameter vector save_flat_csv wrote: one line, whose
-    values numpy's reader converts in one call, in read_number's grammar, and
-    blank lines after it; the whole file must be UTF-8."""
-    lines = [line.strip() for line in read_lines(path)]
-    if not lines or not lines[0]:
-        raise ParseError(f"{path}: empty parameter file")
-    try:
-        if any(lines[1:]):
-            raise ValueError("a second line")
-        # comments=None: a '#' after a value is malformed, not a comment
-        v = np.loadtxt(io.StringIO(lines[0]), delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        raise ParseError(f"{path}: expected one line of comma-separated numbers") from None
-    if not np.isfinite(v).all():
-        raise ParseError(f"{path}: non-finite parameter value")
-    return v
-
-
-def load_config(path) -> dict:
-    """Read a key=value config file that sets each key once; values are floats when they parse."""
-    cfg: dict = {}
-    for lineno, raw in enumerate(read_lines(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in cfg:
-            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            cfg[key] = read_number(val)
-        except ValueError:
-            cfg[key] = val
-    return cfg

@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from randgame.costs import _evaluation
-from randgame.model import Dataset, GameSpec, ParseError
+from randgame.data import ParseError
+from randgame.model import Dataset, GameSpec
 from randgame.ops import dense_newton, pseudo_jacobian
 
 

@@ -24,6 +24,7 @@ from randgame.attacks import (
     security_curve,
     tp_at_fp,
 )
+from randgame.data import save_curve_csv
 from randgame.model import Dataset
 
 
@@ -419,7 +420,7 @@ class TestSecurityCurve:
         mu_w, ds, mode = self._setup()
         curve = security_curve(mu_w, ds, mode, [0.0, 0.4], repetitions=2, seed=1)
         p = tmp_path / "curve.csv"
-        curve.write_csv(p, seed=1)
+        save_curve_csv(p, curve, seed=1)
         lines = p.read_text().splitlines()
         assert lines[0] == "d_max,tp_mean,tp_std,fp_target,repetitions,seed"
         assert len(lines) == 3

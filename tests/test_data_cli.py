@@ -19,13 +19,17 @@ from randgame.attacks import SecurityCurve
 from randgame.cli import EX_NOINPUT, EX_USAGE, _grids_from_config, build_parser, main
 from randgame.data import (
     ParseError,
+    atomic_write,
+    load_config,
     load_dataset,
     load_dense_csv,
+    load_flat_csv,
     load_sparse,
     save_dense_csv,
+    save_flat_csv,
     synth_2d,
 )
-from randgame.model import Dataset, atomic_write, load_config, load_flat_csv, save_flat_csv
+from randgame.model import Dataset
 
 
 # Runs the CLI on its arguments with every import of scipy refused.
@@ -154,7 +158,7 @@ class TestSparse:
         with pytest.raises(ParseError, match="1-based"):
             load_sparse(p)
 
-    # numpy refuses both matrices before it allocates anything; an index that
+    # both matrices are refused before anything is allocated; an index that
     # fits (say 10**9) would allocate n x index floats, so none is tried here
     @pytest.mark.parametrize("text, n, k", [
         ("+1 9223372036854775807:1\n", 1, 2**63 - 1),
@@ -166,6 +170,62 @@ class TestSparse:
         message = f"{p}: largest index {k} gives a {n} x {k} matrix that numpy cannot build"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_sparse(p)
+
+    def test_matrix_larger_than_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # the memory figure is lowered to just under the 2 x 3 matrix's 48
+        # bytes, so no large matrix is ever asked for
+        p = tmp_path / "s.svm"
+        p.write_text("+1 1:1\n-1 3:1\n")
+        monkeypatch.setattr(data_io, "_memory_bytes", lambda: 47)
+        out = tmp_path / "eq.csv"
+        assert main(["train", "--data", str(p), "--out", str(out)]) == EX_NOINPUT
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {p}: largest index 3 gives a 2 x 3 matrix that numpy cannot build"]
+        assert not out.exists()
+        monkeypatch.setattr(data_io, "_memory_bytes", lambda: 48)
+        assert load_sparse(p).features.shape == (2, 3)
+
+
+class TestWriters:
+    """Every writer renders its numbers with one % call of data's one number
+    format, byte for byte as each value formatted on its own."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1e16, 1e17, -1e16, -1e17, 1.7976931348623157e308, np.inf, -np.inf, 0.1, 1 / 3]
+
+    def test_number_helper_matches_per_value_format(self, tmp_path):
+        bits = np.random.default_rng(0).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        v = bits.view(float)
+        v = np.concatenate([v[~np.isnan(v)], self.EDGES])
+        p = tmp_path / "params.csv"
+        save_flat_csv(p, v)
+        assert p.read_text() == ",".join(format(x, ".17g") for x in v.tolist()) + "\n"
+
+    def test_each_writer_keeps_its_bytes(self, tmp_path):
+        # the expected text is each file's spelling before the writers shared
+        # the helper: one f-string per value
+        edges = np.array(self.EDGES)
+        p = tmp_path / "out.csv"
+        save_flat_csv(p, edges)
+        assert p.read_text() == ",".join([f"{x:.17g}" for x in edges.tolist()]) + "\n"
+
+        X = np.vstack([edges[:5], edges[5:10], edges[10:]])
+        y = np.array([1.0, -1.0, 1.0])
+        save_dense_csv(p, X, y)
+        assert p.read_text() == "".join(
+            f"{int(t):+d}," + ",".join(f"{v:.17g}" for v in row) + "\n" for t, row in zip(y, X))
+
+        curve = SecurityCurve(points=((0.0, 1.0, 0.0), (0.5, 2 / 3, 1e-17), (1.0, 0.1, 5e-324)),
+                              fp_target=0.01, repetitions=3)
+        data_io.save_curve_csv(p, curve, 7)
+        assert p.read_text() == "d_max,tp_mean,tp_std,fp_target,repetitions,seed\n" + "".join(
+            f"{d:.17g},{m:.17g},{s:.17g},{curve.fp_target:.17g},{curve.repetitions},7\n"
+            for d, m, s in curve.points)
+
+        rho_l, rho_d, W, auc = 0.01, 10.0, 1 / 3, 0.27
+        data_io.save_grid_csv(p, rho_l, rho_d, W, auc)
+        assert p.read_text() == (
+            "rho_l,rho_d,W,auc\n" + f"{rho_l:.17g},{rho_d:.17g},{W:.17g},{auc:.17g}\n")
 
 
 class TestNumberGrammar:

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import BoundaryError, assemble, evaluate, fd_pseudo_jacobian, fd_steps
 from randgame import diagnostics
+from randgame.cli import main
 from randgame.costs import _primal_terms, game_operator
 from randgame.data import synth_2d
 from randgame.diagnostics import (
@@ -283,6 +284,51 @@ class TestUniquenessMargin:
             "monotone_violations"]
         assert lines[5] == f"min_jacobian_eig_sampled={min(rep.min_jacobian_eig):.6g}" == (
             "min_jacobian_eig_sampled=0.5")
+
+
+class TestLossEigenvalueFloor:
+    """A loss block's smallest eigenvalue that is negative by rounding only
+    reads 0; a negative one above rounding reads as computed."""
+
+    def _ops(self):
+        ds = synth_2d(5, 0.4, 0)
+        return game_operator(GameSpec(ds, 1.0, 1.0, *default_boxes(ds.n, ds.k, 0.5), bias_reg=1.0))
+
+    def test_check_eq_prints_rounding_as_zero(self, tmp_path, capsys):
+        # the learner's smallest loss eigenvalue computes as about -1e-27 here
+        data, game = tmp_path / "synth10.csv", tmp_path / "game.cfg"
+        assert main(["gen-synth", "--n", "5", "--seed", "0", "--out", str(data)]) == 0
+        game.write_text("rho_l=1\nrho_d=1\nbias_reg=1\nW=0.5\n")
+        argv = ["check-eq", "--data", str(data), "--game", str(game), "--profiles", "5",
+                "--pairs", "5"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:4] == ["lambda_L_l_sampled=0", "lambda_L_d_sampled=0"]
+
+    @pytest.mark.parametrize("least", [-1e-6, -1e-16])
+    def test_planted_smallest_eigenvalue(self, least):
+        # each player's loss block is replaced by one whose smallest
+        # eigenvalue is least times its largest; -1e-6 is curvature, -1e-16
+        # is below EIG_RTOL and reads 0 (or its rounding above 0)
+        ops = self._ops()
+        theta = random_profiles(ops, 0, 1)[0]
+        ll, ld, dl, dd = ops.loss_jacobian(theta)
+        rng = np.random.default_rng(1)
+
+        def planted(size):
+            Q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+            e = np.linspace(0.5, 1.0, size)
+            e[0] = least
+            return (Q * e) @ Q.T
+
+        ll, dd[0] = planted(ll.shape[0]), planted(dd.shape[1])
+        c = profile_curvature(dataclasses.replace(ops, loss_jacobian=lambda t: (ll, ld, dl, dd)),
+                              theta)
+        for value in (c.lambda_L_l, c.lambda_L_d):
+            if least < -diagnostics.EIG_RTOL:
+                assert value == pytest.approx(least, rel=1e-6)
+            else:
+                assert 0.0 <= value <= 1e-15
 
 
 class TestSvmGameDiagnostics:

@@ -11,18 +11,14 @@ import pytest
 
 from oracles import load_flat_tokens
 from randgame.costs import game_operator
+from randgame.data import ParseError, atomic_write, load_config, load_flat_csv, save_flat_csv
 from randgame.model import (
     ATTACKER_DEV_BOUNDS,
     Dataset,
     GameSpec,
     LEARNER_DEV_BOUNDS,
-    ParseError,
     ShapeError,
-    atomic_write,
     default_boxes,
-    load_config,
-    load_flat_csv,
-    save_flat_csv,
 )
 from randgame.ops import VIGame
 

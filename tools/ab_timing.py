@@ -15,7 +15,7 @@ iterations, the default, or the cap in the case label) and newton one Newton
 candidate of the solver, each on the games its cases build; curve times one
 security_curve (binary_flip and box-L2) on the sets its cases build, and load
 one data.load_dataset of the dense and sparse files its cases write, or one
-model.load_flat_csv of its parameter files; cli times one in-process
+data.load_flat_csv of its parameter files; cli times one in-process
 randgame.cli.main call, check-eq on the diagnostics workload's game and
 gen-synth. Each checkout runs in its own Python process with PYTHONPATH set
 to its src/ and one BLAS thread. After a warm-up call, a round repeats the
@@ -331,7 +331,7 @@ def _load_cases(tiny):
     """One load_dataset of a file written as the benchmark writes its inputs:
     train's dense synth_2d rows at k = 2, and secure-eval's dense _box_set
     rows at k = 20 and sparse _spam_set rows as 'label idx:1 ...' lines; and
-    one model.load_flat_csv of a --params file: secure-eval's learner line
+    one data.load_flat_csv of a --params file: secure-eval's learner line
     for the sparse rows (their _spam_set means, then zero deviations), and
     train's output at n = 4000, k = 2, the flat profile of _game(4000, 2, 10,
     0) from initial_point(game, 0). Only the warm-up call reports what it
@@ -342,7 +342,7 @@ def _load_cases(tiny):
 
     import numpy as np
 
-    from randgame import data, model
+    from randgame import data
     from randgame.solver import initial_point
 
     def dense(ds):
@@ -354,7 +354,7 @@ def _load_cases(tiny):
             for t, row in zip(ds.labels, ds.features)))
 
     def flat(v):
-        return lambda path: model.save_flat_csv(path, v)
+        return lambda path: data.save_flat_csv(path, v)
 
     def report(ds):
         sha = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
@@ -377,7 +377,7 @@ def _load_cases(tiny):
         return call
 
     def params(path, write):
-        return setup(path, write, model.load_flat_csv, report_flat)
+        return setup(path, write, data.load_flat_csv, report_flat)
 
     sn, (bn, bk), (fn, fk) = (5, (10, 5), (20, 300)) if tiny else (2000, (500, 20), (1000, 1000))
     tn = 10 if tiny else 4000
