@@ -15,6 +15,6 @@ from .hinge import hinge_expect
 from .kernel import Kernel, dual_game_operator, gram
 from .model import Dataset, GameSpec, ShapeError, default_boxes
 from .ops import VIGame
-from .solver import EquilibriumResult, SolverConfig, extragradient_solve, nash_verify, vi_residual
+from .solver import EquilibriumResult, SolverConfig, extragradient_solve, vi_residual
 
 __version__ = "0.1.0"

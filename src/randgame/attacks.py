@@ -20,6 +20,10 @@ ATTACK_MODES = ("l2_closed_form", "l2_box_pgd", "binary_flip")
 SUBSAMPLE = 0.8  # share of each class drawn for one repetition of a security curve
 
 
+class NonBinaryFeatures(ValueError):
+    """A binary_flip attack on a row with a value other than 0 or 1."""
+
+
 def _check_budget(d_max, whole=False) -> float:
     """d_max as a float; ValueError unless it is finite and non-negative and,
     for whole (binary flips), an integer."""
@@ -117,7 +121,7 @@ def _flip_ranks(w, X, y, d_max):
     the rows still short of d_max candidates are compared, counted and ranked."""
     on = X == 1.0
     if np.count_nonzero(on) != np.count_nonzero(X):  # -0.0 is zero; NaN is neither 0 nor 1
-        raise ValueError("binary flip attack needs binary features")
+        raise NonBinaryFeatures("binary flip attack needs binary features")
     order = np.lexsort((np.arange(X.shape[1]), -np.abs(w)))
     yw = y * np.asarray(w, dtype=float)[order]
     held = np.zeros(X.shape[0], dtype=np.intp)  # candidates so far, per row

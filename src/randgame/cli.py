@@ -94,8 +94,8 @@ def _check_both_classes(data, path, what) -> None:
         raise data_io.ParseError(f"{path}: {what} needs samples of both classes")
 
 
-def _check_flip_features(data, path, mode, budgets) -> None:
-    """binary_flip's budgets must be whole numbers and its malicious samples 0 or 1."""
+def _check_flip_budgets(mode, budgets) -> None:
+    """binary_flip's budgets must be whole numbers; attacks checks its features."""
     if mode != "binary_flip":  # the flags' types keep every budget finite and >= 0
         return
     try:
@@ -103,9 +103,6 @@ def _check_flip_features(data, path, mode, budgets) -> None:
             attacks._check_budget(d, whole=True)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if not np.isin(data.features[data.labels == 1], (0.0, 1.0)).all():
-        raise data_io.ParseError(f"{path}: binary_flip needs binary features, but a "
-                                 "malicious sample has a value other than 0 or 1")
 
 
 def _load_learner(params_path, k) -> np.ndarray:
@@ -176,7 +173,7 @@ def _cmd_train_baseline(args) -> int:
 def _cmd_attack(args) -> int:
     dataset = data_io.load_dataset(args.data)
     mu_w = _load_learner(args.params, dataset.k)
-    _check_flip_features(dataset, args.data, args.mode, [args.dmax])
+    _check_flip_budgets(args.mode, [args.dmax])
     rows = dataset.features.copy()
     mal = dataset.labels == 1
     rows[mal] = attacks._attack_rows(mu_w[:-1], rows[mal], args.mode, args.dmax, args.monotone)
@@ -188,7 +185,7 @@ def _cmd_secure_eval(args) -> int:
     dataset = data_io.load_dataset(args.data)
     mu_w = _load_learner(args.params, dataset.k)
     _check_both_classes(dataset, args.data, "secure-eval")
-    _check_flip_features(dataset, args.data, args.mode, args.dmax_list)
+    _check_flip_budgets(args.mode, args.dmax_list)
     curve = attacks.security_curve(mu_w, dataset, args.mode, args.dmax_list,
                                    repetitions=args.reps, seed=args.seed, fp_target=args.fp)
     data_io.save_curve_csv(args.out, curve, args.seed)
@@ -231,11 +228,15 @@ def _cmd_grid_search(args) -> int:
                                        repetitions=args.reps, seed=args.seed)
         auc = curve.auc()
         if best is None or auc > best[0]:
-            best = (auc, rho_l, rho_d, W)
-    auc, rho_l, rho_d, W = best
+            best = (auc, rho_l, rho_d, W, result)
+    auc, rho_l, rho_d, W, result = best
     data_io.save_grid_csv(args.out, rho_l, rho_d, W, auc)
     print(f"best rho_l={rho_l} rho_d={rho_d} W={W} auc={auc:.4f}")
-    return 0
+    if result.converged:
+        return 0
+    sys.stderr.write(f"error: the best point rho_l={rho_l} rho_d={rho_d} W={W} stopped at "
+                     f"--max-iter {args.max_iter} with residual={result.residual:.3e}\n")
+    return 2
 
 
 _REQUIRED, _SEED = dict(required=True), dict(type=_seed, default=0)
@@ -311,6 +312,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_USAGE
+    except attacks.NonBinaryFeatures:
+        sys.stderr.write(f"error: {args.data}: binary_flip needs binary features, but a "
+                         "malicious sample has a value other than 0 or 1\n")
+        return EX_NOINPUT
 
 
 if __name__ == "__main__":

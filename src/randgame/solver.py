@@ -65,7 +65,6 @@ TERM_LINESEARCH = "linesearch_fail"
 MU = 0.9  # largest accepted ratio of lam ||F(y) - g|| to ||y - theta||
 GROWTH = 1.05  # step growth after each accepted iteration
 NEWTON_ACCEPT = 0.5  # largest accepted ratio of the candidate's residual to r
-BEST_RESPONSE_STEPS = 200  # descent steps per player in nash_verify
 
 
 @dataclass(frozen=True)
@@ -212,43 +211,6 @@ def extragradient_solve(
 
 
 def vi_residual(theta: np.ndarray, ops: VIGame) -> float:
-    """||P(theta - g(theta)) - theta||; zero exactly at VI solutions."""
-    return _residual(ops, theta, ops.pseudo_grad(theta))
-
-
-def _best_response_descent(ops, theta, player, best):
-    """Projected descent on one player's own block (player 0 the learner, 1
-    the attacker, as in ops.costs) from its cost best at theta, opponent fixed:
-    each trial is the solver's _step, with the pseudo-gradient zero off the block.
-
-    Returns the best cost found. Step sizes adapt multiplicatively; the
-    gradient is re-evaluated only after an accepted step moves the point.
-    """
-    own = (np.arange(ops.dim) < ops.dim_l) == (player == 0)  # the player's own block
-    g = None
-    step = 1.0
-    for _ in range(BEST_RESPONSE_STEPS):
-        if g is None:  # the point moved, or this is the first step
-            g = np.where(own, _grad(ops, theta), 0.0)
-        cand = _step(ops, theta, step, g)
-        c = ops.costs(cand)[player]
-        if c < best:
-            best, theta, g = c, cand, None
-            step *= 1.5
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return best
-
-
-def nash_verify(theta: np.ndarray, ops: VIGame, tol: float) -> bool:
-    """Check the Nash condition numerically: neither player can improve its own
-    cost by more than tol via projected descent with the opponent fixed. A profile
-    outside the box (NaN included) is a ValueError, a non-finite gradient a FloatingPointError."""
-    if np.shape(theta) != (ops.dim,) or not ((ops.lower <= theta) & (theta <= ops.upper)).all():
-        raise ValueError("nash_verify takes a profile in the box")
-    base_l, base_d = ops.costs(theta)
-    best_l = _best_response_descent(ops, theta, 0, base_l)
-    best_d = _best_response_descent(ops, theta, 1, base_d)
-    return (base_l - best_l) <= tol and (base_d - best_d) <= tol
+    """||P(theta - g(theta)) - theta||; zero exactly at VI solutions. A
+    non-finite pseudo-gradient raises FloatingPointError, as in a solve."""
+    return _residual(ops, theta, _grad(ops, theta))

@@ -188,6 +188,30 @@ def extragradient_reference(ops, init, epsilon, max_iter):
     return theta, np.asarray(trace)
 
 
+def best_response_gaps(ops, theta):
+    """(gap_l, gap_d): each player's cost at theta minus its best-response
+    cost with the opponent fixed, zero exactly at a Nash equilibrium of
+    players convex in their own blocks. Each best response is scipy's
+    L-BFGS-B from theta on the player's own block of the box, with the cost
+    from ops.costs and the gradient the player's block of ops.pseudo_grad
+    divided by its weight ops.r: an oracle independent of the natural
+    residual."""
+    from scipy.optimize import minimize
+
+    gaps = []
+    for player, own in enumerate((slice(0, ops.dim_l), slice(ops.dim_l, ops.dim))):
+        def cost_and_grad(x):
+            v = theta.copy()
+            v[own] = x
+            return ops.costs(v)[player], ops.pseudo_grad(v)[own] / ops.r[player]
+
+        best = minimize(cost_and_grad, theta[own], jac=True, method="L-BFGS-B",
+                        bounds=list(zip(ops.lower[own], ops.upper[own])),
+                        options=dict(ftol=1e-15, gtol=1e-12))
+        gaps.append(float(ops.costs(theta)[player] - best.fun))
+    return tuple(gaps)
+
+
 FD_STEP = 1e-4  # relative central-difference step, h = FD_STEP * (1 + |theta|)
 
 

@@ -206,9 +206,9 @@ class TestBinaryFlip:
         assert int(np.sum(adv != x)) <= 2
 
     def test_rejects_non_binary_input(self):
-        with pytest.raises(ValueError, match="binary"):
+        with pytest.raises(attacks.NonBinaryFeatures, match="binary"):
             attack_flip_binary(np.ones(2), np.array([0.5, 1.0]), 1.0, 1)
-        with pytest.raises(ValueError, match="binary"):
+        with pytest.raises(attacks.NonBinaryFeatures, match="binary"):
             attack_flip_binary(np.ones(2), np.array([[0.0, 1.0], [1.0, 2.0]]), 1.0, 1)
         # -0.0 counts as zero; NaN and 0.5 count as neither 0 nor 1
         w = np.array([1.0, -1.0, 0.5])
@@ -216,7 +216,7 @@ class TestBinaryFlip:
         np.testing.assert_array_equal(adv, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         for X in ([[np.nan, 1.0, 0.0]], [[-0.0, 0.5, 1.0]], [[np.nan, -0.0, 0.5]],
                   [[np.nan, 0.0, 0.0], [1.0, -0.0, 1.0]]):
-            with pytest.raises(ValueError, match="binary"):
+            with pytest.raises(attacks.NonBinaryFeatures, match="binary"):
                 attack_flip_binary(w, np.array(X), 1.0, 1)
 
     @pytest.mark.parametrize("y", [-1.0, 1.0])
@@ -469,6 +469,21 @@ class TestAttackSpecValidation:
             batch = ATTACKS[mode](w, X, y, 1.0)
             for x, row in zip(X, batch):
                 np.testing.assert_array_equal(row, ATTACKS[mode](w, x, float(y), 1.0))
+
+    def test_binary_flip_refuses_non_binary_rows_only_when_a_budget_flips(self):
+        # the malicious rows are checked where they are flipped: budgets that
+        # are all 0 flip nothing and check nothing
+        mu_w, ds = _binary_case()
+        X = ds.features.copy()
+        X[ds.labels == 1.0] *= 0.5
+        half = Dataset(X, ds.labels)
+        with pytest.raises(attacks.NonBinaryFeatures):
+            security_curve(mu_w, half, "binary_flip", [0.0, 1.0], repetitions=1)
+        with pytest.raises(attacks.NonBinaryFeatures):
+            _attack_rows(mu_w[:-1], X, "binary_flip", 1.0)
+        zero = security_curve(mu_w, half, "binary_flip", [0.0], repetitions=1)
+        assert zero == security_curve(mu_w, half, "l2_box_pgd", [0.0], repetitions=1)
+        assert _attack_rows(mu_w[:-1], X, "binary_flip", 0.0) is X
 
     def test_rejects_unknown_mode(self):
         mu_w, ds = _binary_case()

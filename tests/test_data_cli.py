@@ -625,6 +625,33 @@ class TestCliPipeline:
                        "sample has a value other than 0 or 1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["attack", "secure-eval"])
+    def test_flip_with_zero_budgets_reads_any_features(self, tmp_path, command):
+        # budgets that are all 0 flip nothing, so continuous features pass
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "base.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(params)]) == 0
+        out = tmp_path / "out.csv"
+        budget = ["--dmax", "0"] if command == "attack" else ["--dmax-list", "0"]
+        assert main([command, "--params", str(params), "--data", str(data), "--mode",
+                     "binary_flip", *budget, "--out", str(out)]) == 0
+        if command == "attack":
+            assert out.read_bytes() == data.read_bytes()
+
+    def test_no_other_attack_error_is_an_input_error(self, tmp_path, monkeypatch):
+        # only the binary refusal of attacks names the data file and exits 66
+        data = self._gen(tmp_path, n=3)
+        params = tmp_path / "base.csv"
+        assert main(["train-baseline", "--data", str(data), "--C", "1", "--out", str(params)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(attacks, "security_curve", refuse)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["secure-eval", "--params", str(params), "--data", str(data), "--mode",
+                  "binary_flip", "--dmax-list", "0,1", "--out", str(tmp_path / "c.csv")])
+
     def test_binary_rows_read_the_same_dense_or_sparse(self, tmp_path, capsys):
         # the 0/1 rows of flip.svm written as dense CSV load to the same
         # Dataset and draw the same binary_flip curve; a malicious 0.5 is
@@ -1015,20 +1042,42 @@ class TestCliPipeline:
             return SecurityCurve(((0.0, 1.0, 0.0), (1.0, 0.5, 0.0)), 0.01, 1)
 
         monkeypatch.setattr(attacks, "security_curve", curve)
+        # 5 iterations leave the one grid point unconverged: exit 2
         assert main(["grid-search", "--data", str(data), "--grids", str(grids),
-                     "--max-iter", "5", "--out", str(tmp_path / "best.csv")]) == 0
+                     "--max-iter", "5", "--out", str(tmp_path / "best.csv")]) == 2
         assert sizes == [5]  # 10 samples: 5 train, the other 5 validate
 
-    def test_grid_search_writes_best_row(self, tmp_path):
+    def test_grid_search_exit_code_follows_only_the_written_point(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # on the golden set at --max-iter 300, rho_d=5 stops at the cap and
+        # rho_d=10 converges (test_grid_search_bytes); when rho_d=10 wins,
+        # the unconverged loser does not enter the exit code
+        grids = tmp_path / "grids.cfg"
+        grids.write_text("rho_l_grid=10\nrho_d_grid=5,10\nW_grid=1\n")
+        tps = iter([0.5, 1.0])
+
+        def curve(*args, **kwargs):
+            tp = next(tps)
+            return SecurityCurve(((0.0, tp, 0.0), (1.0, tp, 0.0)), 0.01, 1)
+
+        monkeypatch.setattr(attacks, "security_curve", curve)
+        capsys.readouterr()
+        assert main(["grid-search", "--data", str(GOLDEN / "train.csv"), "--grids", str(grids),
+                     "--max-iter", "300", "--out", str(tmp_path / "best.csv")]) == 0
+        assert capsys.readouterr() == ("best rho_l=10.0 rho_d=10.0 W=1.0 auc=1.0000\n", "")
+
+    def test_grid_search_writes_best_row(self, tmp_path, capsys):
         data = self._gen(tmp_path, n=6)
         grids = tmp_path / "grids.cfg"
         grids.write_text("rho_l_grid=10\nrho_d_grid=5,10\nW_grid=1\n")
         out = tmp_path / "best.csv"
+        capsys.readouterr()
         assert main([
             "grid-search", "--data", str(data), "--grids", str(grids),
             "--dmax-list", "0,0.5", "--reps", "2", "--max-iter", "300",
             "--out", str(out),
         ]) == 0
+        assert capsys.readouterr().err == ""  # the written point converged
         lines = out.read_text().splitlines()
         assert lines[0] == "rho_l,rho_d,W,auc"
         rho_l, rho_d, W, auc = map(float, lines[1].split(","))
@@ -1303,9 +1352,14 @@ class TestGoldenOutputs:
         grids.write_text("rho_l_grid=10\nrho_d_grid=5,10\nW_grid=1\n")
         out = tmp_path / "best.csv"
         capsys.readouterr()
+        # the winner is the unconverged first solve: the file is written, and
+        # the exit code and one stderr line say so
         assert main(["grid-search", "--data", str(GOLDEN / "train.csv"), "--grids", str(grids),
                      "--dmax-list", "0,0.5", "--reps", "2", "--max-iter", "300",
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 2
         assert out.read_bytes() == (GOLDEN / "grid_best.csv").read_bytes()
         assert "".join(rows) == (GOLDEN / "grid_eq.csv").read_text()
-        assert capsys.readouterr().out == "best rho_l=10.0 rho_d=5.0 W=1.0 auc=0.2188\n"
+        assert capsys.readouterr() == (
+            "best rho_l=10.0 rho_d=5.0 W=1.0 auc=0.2188\n",
+            "error: the best point rho_l=10.0 rho_d=5.0 W=1.0 stopped at --max-iter 300 "
+            "with residual=3.256e-01\n")

@@ -1,5 +1,6 @@
 """Extragradient solver on toy games with known equilibria, its guarded
-Newton steps on the SVM games, plus the numeric Nash verifier."""
+Newton steps on the SVM games, and the natural residual that certifies a
+solve, itself checked against exact best responses."""
 
 import dataclasses
 import hashlib
@@ -7,9 +8,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import (assemble, counting_operator, deviation_mask, extragradient_reference,
-                     with_dense_newton)
-from randgame import solver
+from oracles import (assemble, best_response_gaps, counting_operator, deviation_mask,
+                     extragradient_reference, with_dense_newton)
 from randgame.costs import game_operator
 from randgame.data import synth_2d
 from randgame.kernel import Kernel, dual_game_operator
@@ -22,7 +22,6 @@ from randgame.solver import (
     TERM_TOLERANCE,
     extragradient_solve,
     initial_point,
-    nash_verify,
     vi_residual,
 )
 
@@ -206,69 +205,20 @@ class TestResidualAndNash:
         assert vi_residual(np.array([0.3, -0.2]), g) == 0.0
         assert vi_residual(np.array([1.0, 1.0]), g) > 0.1
 
-    def test_nash_verify_accepts_equilibrium(self):
-        assert nash_verify(np.array([0.0, 0.0]), bilinear_game(), tol=1e-6)
+    def test_residual_of_the_bilinear_game(self):
+        # at (2, 2) the pseudo-gradient is (4, 0) and P(theta - g) = (-2, 2)
+        g = bilinear_game()
+        assert vi_residual(np.array([0.0, 0.0]), g) == 0.0
+        assert vi_residual(np.array([2.0, 2.0]), g) == 4.0
 
-    def test_nash_verify_rejects_non_equilibrium(self):
-        assert not nash_verify(np.array([2.0, 2.0]), bilinear_game(), tol=1e-6)
+    def test_residual_is_zero_at_the_boundary_equilibrium(self):
+        assert vi_residual(np.array([0.0, 0.0]), boundary_game()) == 0.0
 
-    def test_nash_verify_accepts_boundary_equilibrium(self):
-        assert nash_verify(np.array([0.0, 0.0]), boundary_game(), tol=1e-9)
-
-    def test_nash_verify_raises_on_a_non_finite_pseudo_gradient(self):
-        # a NaN gradient makes every trial's cost NaN, which never improves:
-        # without the check [2, 2] would pass as an equilibrium
+    def test_residual_raises_on_a_non_finite_pseudo_gradient(self):
+        # P(theta - NaN) - theta is NaN, whose norm would read as a residual
         ops = dataclasses.replace(bilinear_game(), pseudo_grad=lambda v: np.full(2, np.nan))
         with pytest.raises(FloatingPointError):
-            nash_verify(np.array([2.0, 2.0]), ops, tol=1e-6)
-
-    @pytest.mark.parametrize("theta", [[7.0, 0.0], [0.0, -5.5], [np.nan, 0.0], [0.0]])
-    def test_nash_verify_refuses_a_profile_outside_the_box(self, theta):
-        with pytest.raises(ValueError):
-            nash_verify(np.array(theta), bilinear_game(), tol=1e-6)
-
-    @staticmethod
-    def _logged_nash_verify(theta, monkeypatch):
-        """nash_verify's verdict on the bilinear game at theta, and its calls in
-        order: (name, theta) for each costs and pseudo_grad call, and
-        ("descent", player) as each player's best-response descent starts."""
-        ops, calls = counting_operator(bilinear_game())
-        descend = solver._best_response_descent
-
-        def logged(ops, theta, player, best):
-            calls.append(("descent", player))
-            return descend(ops, theta, player, best)
-
-        monkeypatch.setattr(solver, "_best_response_descent", logged)
-        verdict = nash_verify(np.array(theta), ops, tol=1e-6)
-        monkeypatch.undo()
-        return verdict, calls
-
-    def test_nash_verify_evaluates_each_gradient_once(self, monkeypatch):
-        # a rejected descent step leaves the point unchanged, so its gradient
-        # is reused rather than evaluated again
-        for theta, verdict in (([0.0, 0.0], True), ([2.0, 2.0], False)):
-            got, calls = self._logged_nash_verify(theta, monkeypatch)
-            assert got == verdict
-            player, seen = None, {}
-            for name, v in calls:  # a gradient serves the player whose descent runs
-                if name == "descent":
-                    player = v
-                    seen[player] = set()
-                elif name == "pseudo_grad":
-                    assert v.tobytes() not in seen[player]
-                    seen[player].add(v.tobytes())
-            assert sorted(seen) == [0, 1]
-            if verdict:  # no step improves on an equilibrium: one gradient per player
-                assert [len(grads) for grads in seen.values()] == [1, 1]
-
-    def test_nash_verify_reads_both_base_costs_from_one_call(self, monkeypatch):
-        for theta in ([0.0, 0.0], [2.0, 2.0]):
-            _, calls = self._logged_nash_verify(theta, monkeypatch)
-            first_descent = next(i for i, (name, _) in enumerate(calls) if name == "descent")
-            assert first_descent == 1
-            name, v = calls[0]
-            assert name == "costs" and np.array_equal(v, theta)
+            vi_residual(np.array([2.0, 2.0]), ops)
 
 
 class TestSvmGame:
@@ -280,12 +230,14 @@ class TestSvmGame:
         return GameSpec(ds, 10.0, 10.0, lb, ab)
 
     def test_equilibrium_passes_nash_check(self):
-        from randgame.costs import game_operator
-
-        game = self._game()
-        res = extragradient_solve(game_operator(game))
+        # each player's exact best response gains nothing at the solve, and
+        # gains at a profile 1e-3 away from it
+        ops = game_operator(self._game())
+        res = extragradient_solve(ops)
         assert res.converged
-        assert nash_verify(res.theta, game_operator(game), tol=1e-4)
+        assert max(best_response_gaps(ops, res.theta)) <= 1e-9
+        noise = np.random.default_rng(0).normal(scale=1e-3, size=ops.dim)
+        assert min(best_response_gaps(ops, ops.project(res.theta + noise))) > 1e-8
 
     def test_result_is_the_flat_profile(self):
         game = self._game(seed=2, n_per_class=5)
