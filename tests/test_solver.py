@@ -205,11 +205,14 @@ class TestResidualAndNash:
         assert vi_residual(np.array([0.3, -0.2]), g) == 0.0
         assert vi_residual(np.array([1.0, 1.0]), g) > 0.1
 
-    def test_residual_of_the_bilinear_game(self):
+    def test_nash_verify_accepts_equilibrium(self):
+        # the natural residual is the equilibrium check: 0 at the bilinear
+        # game's equilibrium (0, 0)
+        assert vi_residual(np.array([0.0, 0.0]), bilinear_game()) == 0.0
+
+    def test_nash_verify_rejects_non_equilibrium(self):
         # at (2, 2) the pseudo-gradient is (4, 0) and P(theta - g) = (-2, 2)
-        g = bilinear_game()
-        assert vi_residual(np.array([0.0, 0.0]), g) == 0.0
-        assert vi_residual(np.array([2.0, 2.0]), g) == 4.0
+        assert vi_residual(np.array([2.0, 2.0]), bilinear_game()) == 4.0
 
     def test_residual_is_zero_at_the_boundary_equilibrium(self):
         assert vi_residual(np.array([0.0, 0.0]), boundary_game()) == 0.0
