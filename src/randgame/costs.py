@@ -194,7 +194,7 @@ def _hinge_terms(score, sigma, y):
     return sy * p, v, H
 
 
-def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, *weights):
+def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y):
     """The players' loss Hessians at theta, the derivative of _evaluation's
     unweighted gradient less its regularizers, as the four arrays
     (ll, ld, dl, dd): ll (L, L), L = 2m + 2, is the learner's own block, and
@@ -207,8 +207,8 @@ def jacobian(theta, by_M, M_v, dM, M2_v, anchors, y, *weights):
     Each margin's loss h(mu, sigma^2) is differentiated twice by the chain
     rule, with hinge_hessian giving h's second derivatives; score = a.M x + b
     and sigma^2, taken from _moments as the evaluation takes them, are
-    differentiated in closed form. The weights that end the terms weight
-    only the regularizers, so they are not read.
+    differentiated in closed form. It takes the loss terms alone, the game
+    terms without the weights, which weight only the regularizers.
     """
     if np.ndim(theta) != 1:
         raise ShapeError(f"jacobian takes one profile, not a stack of shape {np.shape(theta)}")
@@ -431,7 +431,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
     """Operator on the joint box [lower, upper] whose pair of costs and whose
     pseudo-gradient (with r = (1, rho_l/rho_d)) each finish one
     _evaluation(theta, *terms), each computing only what it returns, whose
-    loss Jacobian blocks come from one jacobian(theta, *terms) call, whose
+    loss Jacobian blocks come from one jacobian(theta, *terms[:6]) call, whose
     regularizer Hessians come from reg_hess, built only when asked, and whose
     Newton steps are dense_newton of pseudo_jacobian of those blocks, priced
     by dense_newton_price."""
@@ -443,7 +443,7 @@ def _vi_game(terms, lower: np.ndarray, upper: np.ndarray) -> VIGame:
         upper=upper,
         costs=lambda theta: _evaluation(theta, *terms)[0](),
         pseudo_grad=lambda theta: _evaluation(theta, *terms)[1](r_d),
-        loss_jacobian=lambda theta: jacobian(theta, *terms),
+        loss_jacobian=lambda theta: jacobian(theta, *terms[:6]),
         newton_price=dense_newton_price(2 * dM.size + 2, 2 * dM.size, y.size),
         rho=(rho_l, rho_d),
         reg_hess=lambda: reg_hess(by_M(np.eye(dM.size)), dM, rho_l, rho_d, bias_reg),

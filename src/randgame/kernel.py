@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import _vi_game
-from .model import Dataset, _box_pair, _check_weights
+from .model import Dataset, _check_weights, default_boxes
 from .ops import VIGame
 
 PSD_TOL = 1e-10
@@ -94,5 +94,5 @@ def dual_game_operator(
     _check_weights(rho_l, rho_d, bias_reg)
     K = gram(data, kernel)
     check_psd(K)
-    box = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
+    box = default_boxes(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
     return _vi_game(_dual_terms(K, data.labels, rho_l, rho_d, bias_reg), *box)

@@ -66,27 +66,22 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _box_pair(n: int, m: int, W: float, mean_bounds) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of the flat joint profile: learner means (m + 1) in
-    [-W, W], each attacker row's m means in mean_bounds, deviation coordinates
-    in the standard intervals above."""
+def default_boxes(
+    n: int, k: int, W: float, mean_bounds=(0.0, 1.0)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Default feasible box (lower, upper) of the flat joint profile: learner
+    means (k + 1) in [-W, W], each attacker row's k means in mean_bounds,
+    [0, 1] by default, deviation coordinates in the standard intervals above."""
     if not 0 < W < np.inf:
         raise ValueError("W must be finite and positive")
-    if n < 1 or m < 1:
+    if n < 1 or k < 1:
         raise ShapeError("need n >= 1 and k >= 1")
-    learner = [np.repeat([mean, dev], m + 1) for mean, dev in zip((-W, W), LEARNER_DEV_BOUNDS)]
+    learner = [np.repeat([mean, dev], k + 1) for mean, dev in zip((-W, W), LEARNER_DEV_BOUNDS)]
     attacker = [
-        np.tile(np.repeat([mean, dev], m), n)
+        np.tile(np.repeat([mean, dev], k), n)
         for mean, dev in zip(mean_bounds, ATTACKER_DEV_BOUNDS)
     ]
     return tuple(map(np.concatenate, zip(learner, attacker)))
-
-
-def default_boxes(n: int, k: int, W: float) -> tuple[np.ndarray, np.ndarray]:
-    """Default feasible box (lower, upper) of the flat joint profile: learner
-    means in [-W, W], attacker means in [0, 1], deviation coordinates in the
-    standard intervals above."""
-    return _box_pair(n, k, W, (0.0, 1.0))
 
 
 def _check_weights(rho_l: float, rho_d: float, bias_reg: float) -> None:

@@ -14,7 +14,7 @@ from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
 from randgame.kernel import (DUAL_W, XI_MEAN_BOUNDS, Kernel, _dual_terms, dual_game_operator,
                              gram)
-from randgame.model import Dataset, GameSpec, ShapeError, _box_pair, default_boxes
+from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
 from randgame.ops import dense_newton, pseudo_jacobian
 
 
@@ -272,7 +272,7 @@ class TestStackedEvaluation:
         with pytest.raises(ShapeError):
             ops.pseudo_grad(stack[..., :-1])
         with pytest.raises(ShapeError, match="one profile"):
-            jacobian(stack, *terms)
+            jacobian(stack, *terms[:6])
 
 
 @pytest.mark.parametrize("game", ["primal", "dual"])
@@ -477,7 +477,7 @@ class TestOperator:
             return (K * K) @ v
 
         _, M_v, dM, _, anchors, y, *weights = _dual_terms(K, data.labels, 2.0, 5.0, 0.5)
-        box = _box_pair(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
+        box = default_boxes(data.n, data.n, DUAL_W, XI_MEAN_BOUNDS)
         ops = _vi_game((by_M, M_v, dM, by_M2, anchors, y, *weights), *box)
         theta = box[0] + np.random.default_rng(5).uniform(0.2, 0.8, ops.dim) * (box[1] - box[0])
         ops.pseudo_grad(theta)

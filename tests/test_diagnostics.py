@@ -616,3 +616,40 @@ class TestClosedFormJacobian:
             tracemalloc.stop()
         assert np.isfinite(c.min_jacobian_eig)
         assert peak < 100e6
+
+
+def _condition_games():
+    """(label, ops) at rho_l = rho_d, so r = 1."""
+    ds = synth_2d(5, 0.4, 0)
+    for rho, bias_reg in [(1.0, 1.0), (10.0, 1.0), (100.0, 1.0), (1000.0, 1.0), (10.0, 0.0)]:
+        yield f"synth10 rho={rho:g} bias_reg={bias_reg:g}", game_operator(
+            GameSpec(ds, rho, rho, *default_boxes(ds.n, ds.k, 0.5), bias_reg=bias_reg))
+    X = np.random.default_rng(5).uniform(size=(50, 5))
+    k5 = Dataset(X, np.where(X[:, :3].sum(axis=1) > 1.5, 1.0, -1.0))
+    yield "uniform50 k=5 rho=10", game_operator(
+        GameSpec(k5, 10.0, 10.0, *default_boxes(k5.n, k5.k, 0.5), bias_reg=1.0))
+    yield "rbf dual n=6", dual_game_operator(synth_2d(3, 0.4, 0), Kernel("rbf", 1.0), 10.0, 10.0,
+                                             1.0)
+    yield "linear dual n=4", dual_game_operator(synth_2d(2, 0.4, 0), Kernel("linear"), 10.0,
+                                                10.0, 1.0)
+
+
+@pytest.mark.parametrize("ops", [pytest.param(ops, id=label) for label, ops in _condition_games()])
+def test_paper_condition_bounds_the_smallest_jacobian_eigenvalue(ops):
+    # At r = 1 the symmetrized pseudo-Jacobian is [[A, R], [R^T, D]] with
+    # A >= a I, D >= d I and ||R||^2 = tau, so its smallest eigenvalue is at
+    # least that of [[a, sqrt(tau)], [sqrt(tau), d]]: the paper's condition,
+    # a d > tau, makes it positive. The eigenvalue comes from the root search
+    # on the Schur complement, a, d and tau from the loss blocks' own
+    # eigenvalues and reg_hess, two independent computations.
+    reg_l, reg_d = (np.linalg.eigvalsh(reg)[0] for reg in ops.reg_hess())
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        c = profile_curvature(ops, diagnostics._interior_sample(ops, rng))
+        a, d, tau = c.lambda_L_l + reg_l, c.lambda_L_d + reg_d, c.tau
+        tol = 1e-12 * max(abs(a), abs(d), np.sqrt(tau), 1.0)
+        assert c.min_jacobian_eig >= ((a + d) - np.sqrt((a - d) ** 2 + 4.0 * tau)) / 2 - tol
+        # a curvature of rounding's size (bias_reg = 0 leaves the learner's
+        # bias direction flat) certifies nothing
+        if a > tol and d > tol and a * d > tau:
+            assert c.min_jacobian_eig > 0.0

@@ -7,10 +7,11 @@ import pytest
 
 from oracles import evaluate, margin_moments, profile
 from randgame.costs import _primal_terms, game_operator
+from randgame.data import synth_2d
 from randgame.hinge import hinge_expect
 from randgame.kernel import Kernel, _dual_terms, check_psd, dual_game_operator, gram
 from randgame.model import Dataset, GameSpec, ShapeError, default_boxes
-from randgame.solver import SolverConfig, extragradient_solve
+from randgame.solver import SolverConfig, extragradient_solve, initial_point, vi_residual
 
 
 def random_dual(seed, n=4):
@@ -385,3 +386,27 @@ class TestBothOperators:
             for fn in (ops.costs, ops.pseudo_grad):
                 with pytest.raises(ValueError, match="positive"):
                     fn(v)
+
+
+def test_a_singular_gram_matrix_leaves_the_equilibrium_not_unique():
+    # Both players see a row's coefficient means only through K times them,
+    # so F does not change along null(K): moving an interior row of an
+    # equilibrium along null(K) gives another equilibrium. The linear K of 4
+    # points in [0, 1]^2 has rank 2.
+    data = synth_2d(2, 0.4, 0)
+    K = gram(data, Kernel("linear"))
+    assert np.linalg.matrix_rank(K) == 2
+    ops = dual_game_operator(data, Kernel("linear"), 10.0, 10.0, bias_reg=1.0)
+    res = extragradient_solve(ops, initial_point(ops, 0))
+    assert res.converged and res.residual <= 1e-8
+    assert (res.iterations, res.newton_accepted, res.newton_rejected) == (144, 2, 1)
+    n, L = data.n, ops.dim_l
+    row1 = slice(L + 2 * n, L + 3 * n)  # row 1's coefficient means
+    assert np.all(res.theta[row1] > -0.47) and np.all(res.theta[row1] < 1.15)
+    v = np.linalg.eigh(K)[1][:, 0]  # a unit vector of null(K)
+    assert np.abs(K @ v).max() <= 1e-12
+    moved = res.theta.copy()
+    moved[row1] += 0.05 * v
+    assert np.array_equal(ops.project(moved), moved)
+    assert vi_residual(moved, ops) <= 1e-8
+    assert np.linalg.norm(moved - res.theta) == pytest.approx(0.05, rel=1e-12)

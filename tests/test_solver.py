@@ -313,6 +313,48 @@ class TestSvmGame:
         assert len(calls) < 1000
 
 
+class TestWhatTheEquilibriumIs:
+    """What the solved game on synth_2d(25, 0.4, 0) at W = 1 plays, from
+    initial_point(game, 0): the classifier its learner means give, the
+    attacker's move and the deviations."""
+
+    def test_the_bias_regularized_learner_labels_every_point_positive(self):
+        # the features lie in [0, 1], so the threshold has to come from b, and
+        # bias_reg pulls b to 0: every score is then positive
+        game = regularized_game(10.0, bias_reg=1.0)
+        res = extragradient_solve(game_operator(game), initial_point(game, 0))
+        assert res.converged and res.iterations == 47
+        mu_a, mu_b = res.theta[:2], res.theta[2]
+        np.testing.assert_allclose(mu_a, [0.6823, 0.6255], rtol=0, atol=5e-5)
+        assert abs(mu_b) <= 1e-12
+        X, y = game.dataset.features, game.dataset.labels
+        labels = np.where(X @ mu_a + mu_b >= 0.0, 1.0, -1.0)
+        assert np.all(labels == 1.0)
+        assert np.mean(labels == y) == 0.5
+
+    @pytest.mark.parametrize("bias_reg", [0.0, 1.0])
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 100.0])
+    def test_the_attacker_moves_every_row_by_mu_a_over_rho_d(self, rho, bias_reg):
+        # an interior row's own gradient is rho_d times its move plus the
+        # hinge's slope times y mu_a, whose slope is 1 here: the move has
+        # length |mu_a| / rho_d up to the residual over rho_d
+        game = regularized_game(rho, bias_reg)
+        ops = game_operator(game)
+        res = extragradient_solve(ops, initial_point(game, 0))
+        assert res.converged
+        n, k = game.n, game.k
+        rows = res.theta[game.dim_l :].reshape(n, 2 * k)
+        assert np.all((rows[:, :k] > 0.0) & (rows[:, :k] < 1.0))  # every row interior
+        move = np.linalg.norm(rows[:, :k] - game.dataset.features, axis=1)
+        err = np.abs(move - np.linalg.norm(res.theta[:k]) / rho).max()
+        assert err <= res.residual / rho + 1e-15
+        # every deviation sits at its floor, but for the unregularized bias's
+        dev = deviation_mask(ops)
+        if bias_reg == 0.0:
+            dev[2 * k + 1] = False
+        np.testing.assert_array_equal(res.theta[dev], ops.lower[dev])
+
+
 class TestNewton:
     """The guarded Newton steps of extragradient_solve, against the
     first-order path of the same operator without its newton."""

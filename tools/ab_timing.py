@@ -4,37 +4,36 @@ numbers as JSON.
     python tools/ab_timing.py ENTRY [ENTRY ...] --parent PATH [--change PATH] [--out FILE]
 
 ENTRY names a registry entry (ENTRIES): a list of cases, each a setup that
-builds its inputs and returns the call to time. cold times one fresh
-interpreter that imports randgame.cli, which every CLI command pays before it
-starts its work, and reports the modules it loaded and its peak RSS; pgrad
-times one pseudo-gradient and costs one VIGame.costs call (and its pair of
-costs) on the same games, diag one uniqueness_margin(ops, 1, 0, 1) profile,
-mono one monotonicity_sample(ops, 50, 0) (and its violations) on the diag
-games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
+builds its inputs and returns (call, report): call runs the operation that
+is timed, and report, or None, turns what the call returned into the case's
+JSON report. cold times one fresh interpreter that imports randgame.cli,
+which every CLI command pays before it starts its work, and reports the
+modules it loaded; pgrad times one pseudo-gradient and costs one
+VIGame.costs call (reporting its pair of costs) on the same games, diag one
+uniqueness_margin(ops, 1, 0, 1) profile, mono one monotonicity_sample(ops,
+50, 0) (reporting its violations) on the diag games, solve one extragradient_solve to natural residual 1e-8 (at most 5000
 iterations, the default, or the cap in the case label) and newton one Newton
 candidate of the solver, each on the games its cases build; curve times one
-security_curve (binary_flip and box-L2) on the sets its cases build, and load
-one data.load_dataset of the dense and sparse files its cases write, or one
-data.load_flat_csv of its parameter files; cli times one in-process
+security_curve (binary_flip and box-L2) on the sets its cases build, and
+load one data.load_dataset of the dense and sparse files its cases write,
+or one data.load_flat_csv of its parameter files; cli times one in-process
 randgame.cli.main call, check-eq on the diagnostics workload's game and
-gen-synth. Each checkout runs in its own Python process with PYTHONPATH set
-to its src/ and one BLAS thread. After a warm-up call, a round repeats the
-call for at least MIN_ROUND_S; a pass reports the median per-call time of
+gen-synth.
+
+Each checkout runs in its own Python process with PYTHONPATH set to its src/
+and one BLAS thread. A case runs report(call()) once, on the warm-up call;
+a round then repeats the bare call() for at least MIN_ROUND_S, so no report
+is built in the time measured. A pass reports the median per-call time of
 its rounds, and the parent and the change alternate pass by pass so that
-slow drift of the host hits both alike. The JSON holds
-per case the median over passes, every pass's median, the ratio change /
-parent and what the warm-up call reported (for a solve: its evaluations,
-Newton step calls, iterations, residual and the largest coordinate distance
-between the two sides' solutions; for a costs call: both costs, and whether
-the two sides' costs are equal; for a Newton candidate: the Newton attempts
-of the solve to its iterate, whether there was a step and that distance
-between the two sides' candidates; for a monotonicity sample: its
-violations; for a curve: its points, and whether the two sides' points are
-equal; for a load: the set's shape, or the vector's size, and its digest,
-and whether the two sides loaded the same data; for a CLI call: its exit
-code and a digest of its output, and whether the two sides' outputs are
-equal), then each side's peak worker RSS and bench/run.py's environment():
-the core count and the BLAS.
+slow drift of the host hits both alike. The JSON holds per case the median
+over passes, every pass's median, the ratio change / parent and each side's
+report, in which a solve's counts are its EquilibriumResult's. Where both
+sides report, a profile theta in the reports becomes max_abs_theta_diff,
+the largest coordinate distance between the two sides' profiles, and
+same_report says whether the rest of the two reports is equal. Then come
+each side's peak RSS of its workers and of their child processes (cold's
+interpreters), and bench/run.py's environment(): the core count and the
+BLAS.
 Several entries write one file that maps each entry's name to its report.
 """
 
@@ -61,22 +60,19 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _cold_cases(tiny):
     """A fresh `python -c "import randgame.cli"`, with the worker's
     environment and so the checkout's src/; the same at every size."""
-    import resource
-
     probe = "import sys, randgame.cli; print(len(sys.modules))"
 
     def call():
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              check=True)
-        peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        return {"modules": int(proc.stdout), "child_peak_rss_mb": peak_mb}
+        return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True).stdout
 
-    yield "import randgame.cli", lambda: call
+    yield "import randgame.cli", lambda: (call, lambda stdout: {"modules": int(stdout)})
 
 
-def _pgrad_games(tiny, timed):
+def _pgrad_games(tiny, timed, report=None):
     """(label, setup) per game: four primal games and an RBF dual game on 60
-    points, inputs from fixed seeds. Each case times timed(ops, theta)."""
+    points, inputs from fixed seeds. Each case times timed(ops, theta) and
+    reports with report."""
     import numpy as np
 
     from randgame.costs import game_operator
@@ -89,7 +85,7 @@ def _pgrad_games(tiny, timed):
         y[0] = -y[-1] if n > 1 else y[0]
         ops = operator(Dataset(X, y))
         theta = ops.lower + rng.uniform(0.2, 0.8, ops.dim) * (ops.upper - ops.lower)
-        return lambda: timed(ops, theta)
+        return lambda: timed(ops, theta), report
 
     sizes, dual_n = (((3, 2),), 4) if tiny else (((10, 2), (4000, 2), (1000, 200), (500, 1000)), 60)
     for n, k in sizes:
@@ -107,14 +103,15 @@ def _pgrad_cases(tiny):
 
 def _costs_cases(tiny):
     """One costs call on each _pgrad_games game, reporting both costs."""
-    return _pgrad_games(tiny, lambda ops, theta: {"costs": list(ops.costs(theta))})
+    return _pgrad_games(tiny, lambda ops, theta: ops.costs(theta),
+                        lambda costs: {"costs": list(costs)})
 
 
-def _diag_games(tiny, timed):
+def _diag_games(tiny, timed, report=None):
     """The benchmark's certifying diagnostics game (rho = 100, bias_reg = 1,
     W = 0.5) on n uniform points in [0, 1]^2, and an RBF dual game (gamma = 1,
     rho = 10, bias_reg = 1) on 60 such points, whose lambda_omega comes from
-    the Gram matrix. Each case times timed(ops)."""
+    the Gram matrix. Each case times timed(ops) and reports with report."""
     import numpy as np
 
     from randgame.costs import game_operator
@@ -125,7 +122,7 @@ def _diag_games(tiny, timed):
         rng = np.random.default_rng(n)
         y = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
         ops = operator(Dataset(rng.uniform(size=(n, 2)), y))
-        return lambda: timed(ops)
+        return lambda: timed(ops), report
 
     def primal(n):
         return lambda d: game_operator(GameSpec(d, 100.0, 100.0, *default_boxes(n, 2, 0.5),
@@ -150,7 +147,8 @@ def _mono_cases(tiny):
     reporting its violations."""
     from randgame.diagnostics import monotonicity_sample
 
-    return _diag_games(tiny, lambda ops: {"violations": monotonicity_sample(ops, MONO_PAIRS, 0)})
+    return _diag_games(tiny, lambda ops: monotonicity_sample(ops, MONO_PAIRS, 0),
+                       lambda violations: {"violations": violations})
 
 
 def _game(n, k, rho, bias_reg):
@@ -176,37 +174,21 @@ def _solve_cases(tiny):
     default, from initial_point(game, 0); and the solve-dual workload's game,
     the RBF (gamma = 1) dual game on synth_2d(30, 0.4, 0) at rho = 10, bias_reg = 0,
     from initial_point(ops, 0) and capped at 100 iterations."""
-    import dataclasses
-
     from randgame.costs import game_operator
     from randgame.data import synth_2d
     from randgame.kernel import Kernel, dual_game_operator
     from randgame.solver import SolverConfig, extragradient_solve, initial_point
 
+    def report(res):
+        return {"evaluations": res.evaluations,
+                "newton_calls": res.newton_accepted + res.newton_rejected,
+                "iterations": res.iterations, "residual": res.residual,
+                "newton_accepted": res.newton_accepted, "newton_rejected": res.newton_rejected,
+                "theta": res.theta.tolist()}
+
     def setup(ops, init, max_iter=SolverConfig.max_iter):
-        # the Newton attempts are the newton field's calls
-        names = {"pseudo_grad": "evaluations", "newton": "newton_calls"}
-        count = dict.fromkeys(names.values(), 0)
-
-        def counting(field):
-            fn = getattr(ops, field)
-
-            def call(*args):
-                count[names[field]] += 1
-                return fn(*args)
-
-            return call
-
-        counted = dataclasses.replace(ops, **{f: counting(f) for f in names})
-
-        def call():
-            count.update(dict.fromkeys(count, 0))
-            res = extragradient_solve(counted, init, SolverConfig(epsilon=1e-8, max_iter=max_iter))
-            return dict(count, iterations=res.iterations, residual=res.residual,
-                        newton_accepted=res.newton_accepted, newton_rejected=res.newton_rejected,
-                        theta=res.theta.tolist())
-
-        return call
+        cfg = SolverConfig(epsilon=1e-8, max_iter=max_iter)
+        return lambda: extragradient_solve(ops, init, cfg), report
 
     def primal(n, k, rho, bias_reg):
         game = _game(n, k, rho, bias_reg)
@@ -238,28 +220,27 @@ def _newton_cases(tiny):
     four of its Newton steps. Each iterate gives a step, which the solver
     would keep at (4000, 2) and reject at the other two; from 15 iterations
     on, the (4000, 2) system is singular."""
-    import dataclasses
-
     from randgame import solver
     from randgame.costs import game_operator
+    from randgame.ops import VIGame
 
     def setup(n, k, rho, bias_reg):
         game = _game(n, k, rho, bias_reg)
         ops = game_operator(game)
         # no attempt on either side: the solver attempts where the operator has a newton
-        first_order = dataclasses.replace(ops, newton=None)
+        first_order = VIGame(dim_l=ops.dim_l, lower=ops.lower, upper=ops.upper, costs=ops.costs,
+                             pseudo_grad=ops.pseudo_grad)
         res = solver.extragradient_solve(first_order, solver.initial_point(game, 0),
                                          solver.SolverConfig(max_iter=NEWTON_ITERATE))
         theta, attempts = res.theta, res.newton_accepted + res.newton_rejected
         g = ops.pseudo_grad(theta)
 
-        def call():
-            cand = solver._newton_candidate(ops, theta, g)
+        def report(cand):
             # without a step the iterate stands in for the candidate
             return {"iterate_attempts": attempts, "step": cand is not None,
                     "theta": (theta if cand is None else cand).tolist()}
 
-        return call
+        return lambda: solver._newton_candidate(ops, theta, g), report
 
     cases = ((6, 2, 10.0, 1.0),) if tiny else (
         (4000, 2, 10.0, 0.0), (500, 20, 10.0, 1.0), (1000, 5, 100.0, 1.0))
@@ -312,12 +293,11 @@ def _curve_cases(tiny):
     repetition), which never ranks flips."""
     from randgame.attacks import security_curve
 
-    def setup(mu_w, data, mode, budgets, reps):
-        def call():
-            curve = security_curve(mu_w, data, mode, budgets, repetitions=reps)
-            return {"points": [list(p) for p in curve.points]}
+    def report(curve):
+        return {"points": [list(p) for p in curve.points]}
 
-        return call
+    def setup(mu_w, data, mode, budgets, reps):
+        return lambda: security_curve(mu_w, data, mode, budgets, repetitions=reps), report
 
     (fn, fk), (bn, bk) = ((40, 60), (20, 5)) if tiny else ((1000, 1000), (500, 20))
     yield f"flip spam {fn}x{fk} d=0..20", lambda: setup(
@@ -334,9 +314,8 @@ def _load_cases(tiny):
     one data.load_flat_csv of a --params file: secure-eval's learner line
     for the sparse rows (their _spam_set means, then zero deviations), and
     train's output at n = 4000, k = 2, the flat profile of _game(4000, 2, 10,
-    0) from initial_point(game, 0). Only the warm-up call reports what it
-    loaded: a set's shape, or a vector's size, and a SHA-256 of its
-    arrays."""
+    0) from initial_point(game, 0). Each reports what it loaded: a set's
+    shape, or a vector's size, and a SHA-256 of its arrays."""
     import hashlib
     import tempfile
 
@@ -365,16 +344,7 @@ def _load_cases(tiny):
 
     def setup(path, write, load=data.load_dataset, info=report):
         write(path)
-        warm = True
-
-        def call():
-            nonlocal warm
-            loaded = load(path)
-            if warm:
-                warm = False
-                return info(loaded)
-
-        return call
+        return lambda: load(path), info
 
     def params(path, write):
         return setup(path, write, data.load_flat_csv, report_flat)
@@ -399,9 +369,9 @@ def _cli_cases(tiny):
     workload's certifying game (rho = 100, bias_reg = 1, W = 0.5) on the 10
     points of synth_2d(5, 0.4, 0), 1 profile and MONO_PAIRS pairs; and
     gen-synth --n 5, a call that is mostly parsing. The call's stdout goes to
-    a buffer, so the worker's JSON line stays its only stdout. Only the
-    warm-up call reports: the exit code and a SHA-256 of the output, its
-    stdout and then the file it wrote."""
+    a buffer, so the worker's JSON line stays its only stdout. Each reports
+    the exit code and a SHA-256 of the output, its stdout and then the file
+    it wrote."""
     import contextlib
     import hashlib
     import io
@@ -410,19 +380,17 @@ def _cli_cases(tiny):
     from randgame import cli, data
 
     def setup(argv, out=None):
-        warm = True
-
         def call():
-            nonlocal warm
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = cli.main(argv)
-            if warm:
-                warm = False
-                raw = stdout.getvalue().encode() + (out.read_bytes() if out else b"")
-                return {"code": code, "output_sha256": hashlib.sha256(raw).hexdigest()}
+                return cli.main(argv), stdout
 
-        return call
+        def report(result):
+            code, stdout = result
+            raw = stdout.getvalue().encode() + (out.read_bytes() if out else b"")
+            return {"code": code, "output_sha256": hashlib.sha256(raw).hexdigest()}
+
+        return call, report
 
     def check_eq(path, cfg):
         ds = data.synth_2d(n, 0.4, 0)
@@ -463,27 +431,31 @@ ENTRIES = {
 
 
 def _worker(spec: dict) -> dict:
-    """Per case: median seconds per call and the warm-up call's report; the
-    peak RSS and the file of the randgame package that was timed."""
+    """Per case: median seconds per bare call, and the report of the warm-up
+    call's result (None for a case without a report); the peak RSS of the
+    worker and of its child processes, and the file of the randgame package
+    that was timed."""
     import resource
 
     import randgame
 
     result = {"cases": {}, "randgame": randgame.__file__}
     for label, setup in ENTRIES[spec["entry"]][0](spec["tiny"]):
-        call = setup()
+        call, report = setup()
         t0 = time.perf_counter()
-        info = call()
+        out = call()
         calls = max(1, int(MIN_ROUND_S / max(time.perf_counter() - t0, 1e-9)))
+        info = report(out) if report else None
         rounds = []
         for _ in range(spec["rounds"]):
             t0 = time.perf_counter()
             for _ in range(calls):
                 call()
             rounds.append((time.perf_counter() - t0) / calls)
-        result["cases"][label] = {"s": median(rounds),
-                                  "info": info if isinstance(info, dict) else None}
-    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        result["cases"][label] = {"s": median(rounds), "info": info}
+    for key, who in (("peak_rss_mb", resource.RUSAGE_SELF),
+                     ("child_peak_rss_mb", resource.RUSAGE_CHILDREN)):
+        result[key] = resource.getrusage(who).ru_maxrss / 1024
     return result
 
 
@@ -529,17 +501,11 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
             if runs[side][0]["cases"][label]["info"]:
                 row[side] = runs[side][0]["cases"][label]["info"]
         row["ratio"] = row["change_ms"] / row["parent_ms"]
-        if "theta" in row.get("parent", {}):
-            row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
-                row["change"].pop("theta"), row["parent"].pop("theta")))
-        if "costs" in row.get("parent", {}):
-            row["same_costs"] = row["parent"]["costs"] == row["change"]["costs"]
-        if "points" in row.get("parent", {}):
-            row["same_points"] = row["parent"]["points"] == row["change"]["points"]
-        if "sha256" in row.get("parent", {}):
-            row["same_data"] = row["parent"] == row["change"]
-        if "output_sha256" in row.get("parent", {}):
-            row["same_output"] = row["parent"] == row["change"]
+        if "parent" in row and "change" in row:
+            if "theta" in row["parent"]:
+                row["max_abs_theta_diff"] = max(abs(a - b) for a, b in zip(
+                    row["change"].pop("theta"), row["parent"].pop("theta")))
+            row["same_report"] = row["parent"] == row["change"]
         cases[label] = row
     return {
         "entry": entry,
@@ -548,7 +514,8 @@ def compare(entry, parent, change, tiny=False, rounds=None, passes=None) -> dict
         "passes": passes,
         **environment(),
         "machine": platform.machine(),
-        "peak_rss_mb": {side: max(r["peak_rss_mb"] for r in runs[side]) for side in runs},
+        **{key: {side: max(r[key] for r in runs[side]) for side in runs}
+           for key in ("peak_rss_mb", "child_peak_rss_mb")},
         "cases": cases,
     }
 
